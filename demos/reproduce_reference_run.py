@@ -5,9 +5,7 @@
 # output bundle (CSV + SVG maps) into ./reference_out.
 
 from airbs_sgd import (
-    Position,
     coverage_map,
-    init_scenario,
     kmeans_placement,
     render_outputs,
     run,
@@ -28,17 +26,15 @@ def main():
     print(f"oracle utility:   {log.oracle_utility[0]:.4f} -> {log.oracle_utility[-1]:.4f}")
 
     # same user draw, centralized clustering instead of gradient agents
-    world = init_scenario(s)
     params = s.agent_channel_params()
-    km = kmeans_placement(world.mus, s.num_airbs, seed=s.seed,
+    km = kmeans_placement(log.users, s.num_airbs, seed=s.seed,
                           height_m=s.fixed_height_m)
-    km_served = served_count(km.centroids, world.mus, params, s.utility.p_min_dbm)
+    km_served = served_count(km.centroids, log.users, params, s.utility.p_min_dbm)
     print(f"k-means baseline: {km_served}/{report.final.total_mus} served "
           f"({report.final.total_mus - km_served} unserved)")
 
-    final = [Position(float(x), float(y), float(z)) for x, y, z in log.positions[-1]]
-    cov = coverage_map(final, s.area, 70, params)
-    paths = render_outputs(log, report, cov, "reference_out", s.area, mus=world.mus)
+    cov = coverage_map(log.positions[-1], s.area, 70, params)
+    paths = render_outputs(log, report, cov, "reference_out", s.area, mus=log.users)
     print("wrote:")
     for name in sorted(paths):
         print(f"  {paths[name]}")

@@ -2,9 +2,12 @@
 
 Positions are Cartesian East/North/Up coordinates in meters. All power
 bookkeeping at module boundaries is in dBm; linear (mW) conversions happen
-inside the operations that need them. The model interface is pluggable:
-anything that maps (base-station position, user position, link parameters)
-to a received power differentiable in the base-station position fits.
+inside the operations that need them. One array kernel,
+:func:`free_space_power_matrix`, evaluates B transmitters at N points at
+once, with gradients on request; every other power computation in the
+package goes through it. The model interface is pluggable: anything that
+maps (base-station position, user position, link parameters) to a received
+power differentiable in the base-station position fits.
 """
 
 from __future__ import annotations
@@ -97,56 +100,63 @@ def linear_to_dbm(p_mw: float):
     return 10.0 * np.log10(p)
 
 
-def _separation(l_b: Position, x_m: Position) -> float:
-    dx = l_b.x - x_m.x
-    dy = l_b.y - x_m.y
-    dz = l_b.z - x_m.z
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
-def free_space_power_dbm(l_b: Position, x_m: Position, params: ChannelParams) -> float:
-    """Received power in dBm under inverse-square (free-space) spreading.
+def free_space_power_matrix(L, X, params, gradient: bool = False):
+    """Received power from B transmitters at N points, and its gradient: the array kernel.
 
     Parameters
     ----------
-    l_b : Position
-        Transmitter location.
-    x_m : Position
-        Receiver location.
-    params : ChannelParams
-        Transmit power and reference-distance gain calibration.
+    L : ndarray, shape (B, 3)
+        Transmitter locations.
+    X : ndarray, shape (N, 3)
+        Receiver locations.
+    params : sequence of ChannelParams
+        Transmit power and reference-distance gain calibration, one per
+        transmitter.
+    gradient : bool
+        Also return the gradient of each power in its transmitter's
+        position.
 
     Returns
     -------
-    float
-        ``tx_power_dbm + ref_gain_db - 20*log10(d / ref_distance_m)`` with
-        ``d`` the transmitter-receiver separation in meters.
+    ndarray, shape (N, B), or a pair adding an (N, B, 3) array
+        Powers ``tx_power_dbm + ref_gain_db - 20*log10(d / ref_distance_m)``
+        in dBm, with ``d`` the transmitter-receiver separation in meters;
+        gradients ``-(20/ln 10) * (l_b - x_m) / d**2`` in dB/meter, which
+        point from the transmitter toward the receiver (moving closer
+        raises power) with magnitude ``(20/ln 10)/d``.
+
+    Every entry is computed elementwise, so the (n, b) result does not
+    depend on the other transmitters or points in the batch.
     """
-    d = _separation(l_b, x_m)
-    if d < EPS_DISTANCE_M:
+    diff = L[None, :, :] - X[:, None, :]
+    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+    d2 = dx * dx + dy * dy + dz * dz
+    if np.any(d2 < EPS_DISTANCE_M * EPS_DISTANCE_M):
         raise CoincidentPositionsError(
-            f"separation {d:.3g} m below the {EPS_DISTANCE_M} m singularity guard"
-        )
-    return params.tx_power_dbm + params.ref_gain_db - 20.0 * math.log10(d / params.ref_distance_m)
+            f"separation {math.sqrt(float(np.min(d2))):.3g} m below the "
+            f"{EPS_DISTANCE_M} m singularity guard")
+    budget = np.array([p.tx_power_dbm + p.ref_gain_db for p in params])
+    ref = np.array([p.ref_distance_m for p in params])
+    powers = budget - 20.0 * np.log10(np.sqrt(d2) / ref)
+    if not gradient:
+        return powers
+    return powers, (-DB_SLOPE / d2)[..., None] * diff
+
+
+def free_space_power_dbm(l_b: Position, x_m: Position, params: ChannelParams) -> float:
+    """Received power in dBm at ``x_m`` from a transmitter at ``l_b``.
+
+    One entry of :func:`free_space_power_matrix`, which documents the model.
+    """
+    return float(free_space_power_matrix(l_b.as_array()[None], x_m.as_array()[None],
+                                         (params,))[0, 0])
 
 
 def free_space_power_gradient(l_b: Position, x_m: Position, params: ChannelParams) -> np.ndarray:
-    """Gradient of :func:`free_space_power_dbm` with respect to ``l_b``, dB/meter.
-
-    Equals ``-(20/ln 10) * (l_b - x_m) / d**2``: it points from the
-    transmitter toward the receiver (moving closer raises power) and has
-    magnitude ``(20/ln 10)/d``.
-    """
-    dx = l_b.x - x_m.x
-    dy = l_b.y - x_m.y
-    dz = l_b.z - x_m.z
-    d2 = dx * dx + dy * dy + dz * dz
-    if d2 < EPS_DISTANCE_M * EPS_DISTANCE_M:
-        raise CoincidentPositionsError(
-            f"separation {math.sqrt(d2):.3g} m below the {EPS_DISTANCE_M} m singularity guard"
-        )
-    scale = -DB_SLOPE / d2
-    return np.array([scale * dx, scale * dy, scale * dz])
+    """Gradient of :func:`free_space_power_dbm` with respect to ``l_b``, dB/meter."""
+    _, g = free_space_power_matrix(l_b.as_array()[None], x_m.as_array()[None], (params,),
+                                   gradient=True)
+    return g[0, 0]
 
 
 class ChannelModel(ABC):
@@ -165,12 +175,23 @@ class ChannelModel(ABC):
     def power_gradient(self, l_b: Position, x_m: Position, params: ChannelParams) -> np.ndarray:
         """Gradient of ``power_dbm`` with respect to ``l_b``, dB/meter (3-vector)."""
 
-    def power_dbm_points(self, l_b: Position, params: ChannelParams, points: np.ndarray) -> np.ndarray:
-        """Received power at many points, shape (N,). Override to vectorize."""
-        return np.array([
-            self.power_dbm(l_b, Position(float(p[0]), float(p[1]), float(p[2])), params)
-            for p in np.asarray(points, dtype=float).reshape(-1, 3)
-        ])
+    def power_matrix(self, L, X, params, gradient: bool = False):
+        """Powers (N, B) from transmitters ``L`` (B, 3) at points ``X`` (N, 3).
+
+        With ``gradient`` also returns the (N, B, 3) gradients in the
+        transmitter positions. Loops over the scalar methods; override to
+        vectorize.
+        """
+        tx = [Position.from_array(row) for row in L]
+        rx = [Position.from_array(row) for row in X]
+        shape = (len(rx), len(tx))
+        powers = np.array([[self.power_dbm(l_b, x_m, prm) for l_b, prm in zip(tx, params)]
+                           for x_m in rx]).reshape(shape)
+        if not gradient:
+            return powers
+        grads = np.array([[self.power_gradient(l_b, x_m, prm) for l_b, prm in zip(tx, params)]
+                          for x_m in rx]).reshape(shape + (3,))
+        return powers, grads
 
 
 class FreeSpaceChannel(ChannelModel):
@@ -182,22 +203,21 @@ class FreeSpaceChannel(ChannelModel):
     def power_gradient(self, l_b, x_m, params):
         return free_space_power_gradient(l_b, x_m, params)
 
-    def power_dbm_points(self, l_b, params, points):
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        d = np.linalg.norm(pts - l_b.as_array(), axis=1)
-        if np.any(d < EPS_DISTANCE_M):
-            raise CoincidentPositionsError("a grid point coincides with the transmitter")
-        return params.tx_power_dbm + params.ref_gain_db - 20.0 * np.log10(d / params.ref_distance_m)
+    def power_matrix(self, L, X, params, gradient=False):
+        return free_space_power_matrix(L, X, params, gradient)
 
 
 FREE_SPACE = FreeSpaceChannel()
 
 
-def received_power_matrix(placements, params, points, model: ChannelModel = FREE_SPACE) -> np.ndarray:
+def received_power_matrix(placements, params, points, model: ChannelModel = FREE_SPACE,
+                          gradient: bool = False):
     """Power from each of B transmitters at each of N points, shape (N, B), dBm.
 
-    ``placements`` and ``params`` are parallel length-B sequences.
+    ``placements`` and ``params`` are parallel length-B sequences;
+    ``placements`` and ``points`` may be Position sequences or (., 3)
+    arrays. With ``gradient`` also returns the (N, B, 3) gradients in the
+    transmitter positions (see :meth:`ChannelModel.power_matrix`).
     """
-    pts = positions_to_array(points)
-    cols = [model.power_dbm_points(l_b, prm, pts) for l_b, prm in zip(placements, params)]
-    return np.stack(cols, axis=1)
+    return model.power_matrix(positions_to_array(placements), positions_to_array(points),
+                              params, gradient)

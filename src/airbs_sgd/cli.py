@@ -27,9 +27,10 @@ from importlib import resources
 import numpy as np
 
 from .baseline import kmeans_placement
-from .channel import Position
+from .channel import CoincidentPositionsError
+from .navigator import DivergenceError
 from .report import render_outputs, served_count
-from .simulator import Scenario, coverage_map, init_scenario, run, scenario_from_dict, scenario_to_dict
+from .simulator import Scenario, coverage_map, run, scenario_from_dict, scenario_to_dict
 
 MAP_GRID = 70
 MAP_CLIP = (-100.0, -80.0)
@@ -93,12 +94,13 @@ def _thread_cap(n_jobs: int) -> int:
 def _simulate_one(scenario: Scenario, seed: int, rep_dir: str,
                   with_kmeans: bool = False) -> dict:
     s = dataclasses.replace(scenario, seed=seed)
-    log, rep = run(s)
     params = s.agent_channel_params()
-    world = init_scenario(s)  # deterministic re-draw, only for user markers
-    final_pl = [Position(float(x), float(y), float(z)) for x, y, z in log.positions[-1]]
-    cov = coverage_map(final_pl, s.area, MAP_GRID, params, MAP_CLIP)
-    render_outputs(log, rep, cov, rep_dir, s.area, clip=MAP_CLIP, mus=world.mus)
+    try:
+        log, rep = run(s)
+        cov = coverage_map(log.positions[-1], s.area, MAP_GRID, params, MAP_CLIP)
+    except (CoincidentPositionsError, DivergenceError) as e:
+        raise CliError(f"replication with seed {seed} failed: {e}")
+    render_outputs(log, rep, cov, rep_dir, s.area, clip=MAP_CLIP, mus=log.users)
     result = {
         "seed": int(seed),
         "served": rep.final.served_count,
@@ -107,9 +109,9 @@ def _simulate_one(scenario: Scenario, seed: int, rep_dir: str,
         "final_oracle_utility": float(log.oracle_utility[-1]),
     }
     if with_kmeans:
-        km = kmeans_placement(world.mus, s.num_airbs, max_iters=100, seed=seed,
+        km = kmeans_placement(log.users, s.num_airbs, max_iters=100, seed=seed,
                               height_m=s.fixed_height_m)
-        km_served = served_count(km.centroids, world.mus, params, s.utility.p_min_dbm)
+        km_served = served_count(km.centroids, log.users, params, s.utility.p_min_dbm)
         result["kmeans_unserved"] = rep.final.total_mus - km_served
         with open(os.path.join(rep_dir, "kmeans.json"), "w") as f:
             json.dump({

@@ -10,6 +10,13 @@ average the products over a minibatch, and take one gradient-ascent step.
 The first factor needs only the agent's own position and channel
 parameters; the second needs only the packet. No agent ever reads another
 agent's state, which is the whole point of the scheme.
+
+Two views of the same rule live here. :class:`AirBsAgent` with
+:func:`agent_partial_gradient`, :func:`accumulate` and :func:`apply_update`
+is one agent on one packet at a time. :func:`batched_update` steps all B
+agents on a whole (Q, B) minibatch in one array pass, which is what the
+simulator runs; it performs the per-agent arithmetic entry by entry, so
+the two views agree bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +29,10 @@ import numpy as np
 from .channel import FREE_SPACE, ChannelModel, ChannelParams, Position
 from .traffic import ControlPacket
 from .utility import UtilityConfig, user_utility_partials
+
+
+class DivergenceError(ValueError):
+    """Raised when an update would move an agent to an invalid position."""
 
 
 @dataclass
@@ -95,28 +106,49 @@ def agent_partial_gradient(agent: AirBsAgent, packet: ControlPacket,
     """One agent's stochastic gradient contribution from one packet.
 
     Chain rule: [d p_b / d l_b at the reporting user] * [d J_m / d p_b from
-    the reported powers]. Reads only agent-local state and the packet.
+    the reported powers]. Reads only agent-local state and the packet. The
+    packet is evaluated as a one-row batch, with the same arithmetic as
+    :func:`batched_update` applies to each (packet, agent) entry.
     """
     if agent.index >= len(packet.measured_powers_dbm):
         raise IndexError("agent index exceeds packet power count")
-    gvec = model.power_gradient(agent.position, packet.mu_location, agent.channel_params)
-    partial = user_utility_partials(packet.measured_powers_dbm, cfg)[agent.index]
-    return gvec * partial
+    _, gvec = model.power_matrix(agent.position.as_array()[None],
+                                 packet.mu_location.as_array()[None],
+                                 (agent.channel_params,), gradient=True)
+    partials = user_utility_partials(np.asarray(packet.measured_powers_dbm)[None], cfg)
+    return gvec[0, 0] * partials[0, agent.index]
 
 
-def packet_gradients(agents, packet: ControlPacket, cfg: UtilityConfig,
-                     model: ChannelModel = FREE_SPACE) -> list:
-    """Per-agent gradients for one packet, sharing one partials evaluation.
+def batched_update(positions: np.ndarray, power_gradients: np.ndarray,
+                   reported_powers: np.ndarray, cfg: UtilityConfig, eta: float,
+                   fixed_height: float | None = None) -> np.ndarray:
+    """One synchronous minibatch ascent step of all B agents; returns the new positions.
 
-    Identical arithmetic to calling :func:`agent_partial_gradient` per
-    agent (same operations on the same floats), just without recomputing
-    the utility partials B times.
+    ``positions`` is (B, 3). For a minibatch of Q packets,
+    ``power_gradients`` (Q, B, 3) holds each agent's own power gradient at
+    each reporting user, and ``reported_powers`` (Q, B) the powers each
+    packet reports. Agent ``b``'s row is the per-agent rule for every
+    agent at once: :func:`agent_partial_gradient` per packet,
+    :func:`accumulate` in packet order, then :func:`apply_update`, with
+    the same floating-point operations. It reads only that agent's
+    position and gradients, plus the packets.
+
+    Raises :class:`DivergenceError` when a step would leave an agent at a
+    non-finite position or a negative altitude.
     """
-    partials = user_utility_partials(packet.measured_powers_dbm, cfg)
-    return [
-        model.power_gradient(a.position, packet.mu_location, a.channel_params) * partials[a.index]
-        for a in agents
-    ]
+    contrib = power_gradients * user_utility_partials(reported_powers, cfg)[..., None]
+    # axis 0 is the outer loop of the reduction, so the packets are added
+    # one after another, from 0.0, as accumulate adds them
+    total = np.sum(contrib, axis=0, initial=0.0)
+    new = positions + eta * (total / contrib.shape[0])
+    if fixed_height is not None:
+        new[:, 2] = fixed_height
+    bad = ~np.all(np.isfinite(new), axis=1) | (new[:, 2] < 0.0)
+    if np.any(bad):
+        b = int(np.argmax(bad))
+        raise DivergenceError(f"agent {b} stepped to {new[b].tolist()}: the position must be "
+                              f"finite with nonnegative altitude")
+    return new
 
 
 def accumulate(agent: AirBsAgent, grad) -> AirBsAgent:

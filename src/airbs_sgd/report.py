@@ -138,13 +138,18 @@ def _fmt(v: float) -> str:
     return format(v, ".2f")
 
 
-def _power_color(p: float, lo: float, hi: float) -> str:
-    # two-stop ramp, dark violet to yellow, like the usual coverage palettes
-    t = 0.0 if hi == lo else (p - lo) / (hi - lo)
-    t = min(1.0, max(0.0, t))
-    c0, c1 = (33, 12, 74), (248, 231, 28)
-    r, g, b = (round(a + t * (b_ - a)) for a, b_ in zip(c0, c1))
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _power_colors(grid, lo: float, hi: float) -> np.ndarray:
+    """``#rrggbb`` fill of every grid cell, same shape as ``grid``.
+
+    Two-stop ramp, dark violet to yellow, like the usual coverage palettes.
+    ``np.rint`` rounds half to even, as the builtin ``round`` does.
+    """
+    t = np.zeros_like(grid) if hi == lo else (grid - lo) / (hi - lo)
+    t = np.minimum(1.0, np.maximum(0.0, t))
+    c0, c1 = np.array([33, 12, 74]), np.array([248, 231, 28])
+    rgb = np.rint(c0 + t[..., None] * (c1 - c0)).astype(np.int64)
+    packed = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    return np.array([f"#{v:06x}" for v in packed.ravel().tolist()]).reshape(grid.shape)
 
 
 AGENT_COLORS = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
@@ -156,8 +161,9 @@ def render_map_svg(log, coverage, area, path, clip=(-100.0, -80.0), mus=None,
     """Trajectories over the coverage map as a standalone SVG file.
 
     ``coverage`` is the (ny, nx) clipped power grid over ``area``; rows run
-    south to north. Users, when given, are drawn as dots (open circles for
-    the unserved ones when ``served_flags`` is provided).
+    south to north. Users (Position sequence or (M, 3) array), when given,
+    are drawn as dots (open circles for the unserved ones when
+    ``served_flags`` is provided).
     """
     size, pad = 560.0, 20.0
     w = area.x_max - area.x_min
@@ -180,23 +186,25 @@ def render_map_svg(log, coverage, area, path, clip=(-100.0, -80.0), mus=None,
                f'width="{_fmt(w * scale + 2 * pad)}" height="{_fmt(h * scale + 2 * pad)}" '
                f'viewBox="0 0 {_fmt(w * scale + 2 * pad)} {_fmt(h * scale + 2 * pad)}">')
     out.append('<rect width="100%" height="100%" fill="#ffffff"/>')
+    colors = _power_colors(grid, lo, hi).tolist()
+    xs = [_fmt(sx(area.x_min + ix * w / nx)) for ix in range(nx)]
+    size_attrs = f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}"'
     for iy in range(ny):
-        y0 = sy(area.y_min + (iy + 1) * h / ny)
-        for ix in range(nx):
-            x0 = sx(area.x_min + ix * w / nx)
-            color = _power_color(grid[iy, ix], lo, hi)
-            out.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
-                       f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" fill="{color}"/>')
+        y0 = _fmt(sy(area.y_min + (iy + 1) * h / ny))
+        row = colors[iy]
+        out.extend(f'<rect x="{xs[ix]}" y="{y0}" {size_attrs} fill="{row[ix]}"/>'
+                   for ix in range(nx))
     if mus is not None:
-        flags = served_flags if served_flags is not None else [True] * len(mus)
-        for p, ok in zip(mus, flags):
-            if not area.contains(p.x, p.y):
+        pts = positions_to_array(mus)
+        flags = served_flags if served_flags is not None else [True] * len(pts)
+        for (x, y, _), ok in zip(pts.tolist(), flags):
+            if not area.contains(x, y):
                 continue
             if ok:
-                out.append(f'<circle cx="{_fmt(sx(p.x))}" cy="{_fmt(sy(p.y))}" '
+                out.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" '
                            f'r="2.0" fill="#000000"/>')
             else:
-                out.append(f'<circle cx="{_fmt(sx(p.x))}" cy="{_fmt(sy(p.y))}" '
+                out.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" '
                            f'r="3.0" fill="none" stroke="#ff0000" stroke-width="1.5"/>')
     snaps = np.asarray(log.positions)
     for b in range(snaps.shape[1]):

@@ -1,27 +1,34 @@
 """Scenario description, world construction, and the simulation loop.
 
-One iteration of the loop is: draw Q packet recipients from the traffic
-profile, broadcast each resulting control packet to every agent (each
-accumulates its own chain-rule gradient), then let all agents apply one
-synchronous minibatch step. Positions and the full-information oracle
-utility are logged once per iteration, plus the initial state.
+The loop is array-first: agent positions are one (B, 3) array and the
+users one (M, 3) array. One iteration draws the Q packet recipients from
+the traffic profile in a single call, evaluates the powers and power
+gradients of all B agents at the Q reporting users in one channel-kernel
+call, and lets :func:`navigator.batched_update` apply every agent's
+minibatch step at once. Each agent's step still reads only its own
+position and the packets; :func:`navigator.agent_partial_gradient` is the
+per-agent view of the same arithmetic. Positions and the full-information
+oracle utility are logged once per iteration, plus the initial state.
 
 All randomness flows from the scenario seed through a single generator,
 in a fixed draw order: agent initial positions first, then user
-positions, then per-packet recipient draws (and measurement noise, when
-enabled). Identical scenario and seed give bit-identical results.
+positions, then, per iteration, the Q recipient indices followed (when
+measurement noise is enabled) by one (Q, B) block of standard normals.
+Identical scenario and seed give bit-identical results.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FREE_SPACE, ChannelModel, ChannelParams, Position, positions_to_array
-from .navigator import AirBsAgent, StepSchedule, apply_update, accumulate, packet_gradients
-from .traffic import TrafficProfile, make_control_packet, sample_recipient
+from .channel import (FREE_SPACE, ChannelModel, ChannelParams, Position, positions_to_array,
+                      received_power_matrix)
+from .navigator import AirBsAgent, StepSchedule, batched_update
+from .traffic import ControlPacket, TrafficProfile, sample_recipient
 from .utility import UtilityConfig, user_utility
 
 
@@ -35,6 +42,8 @@ class Rect:
     y_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.y_min, self.x_max, self.y_max))):
+            raise ValueError(f"rectangle coordinates must be finite, got {self}")
         if self.x_max < self.x_min or self.y_max < self.y_min:
             raise ValueError("rectangle must have x_max >= x_min and y_max >= y_min")
 
@@ -85,15 +94,23 @@ class Scenario:
             raise ValueError("iterations must be nonnegative")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
+        if not (math.isfinite(self.fixed_height_m) and self.fixed_height_m >= 0.0):
+            raise ValueError(f"fixed_height_m must be finite and nonnegative, "
+                             f"got {self.fixed_height_m}")
         powers = tuple(float(p) for p in self.tx_powers_dbm)
         if len(powers) != self.num_airbs:
             raise ValueError("tx_powers_dbm length must equal num_airbs")
+        if not all(map(math.isfinite, powers)):
+            raise ValueError(f"tx_powers_dbm must be finite, got {list(powers)}")
         object.__setattr__(self, "tx_powers_dbm", powers)
-        extras = tuple(
-            p if isinstance(p, Position) else Position(float(p[0]), float(p[1]), float(p[2]))
-            for p in self.extra_mu_positions
-        )
-        object.__setattr__(self, "extra_mu_positions", extras)
+        extras = []
+        for i, p in enumerate(self.extra_mu_positions):
+            try:
+                extras.append(p if isinstance(p, Position)
+                              else Position(float(p[0]), float(p[1]), float(p[2])))
+            except ValueError as e:
+                raise ValueError(f"extra_mu_positions[{i}]: {e}") from None
+        object.__setattr__(self, "extra_mu_positions", tuple(extras))
         if self.traffic is None:
             object.__setattr__(self, "traffic", TrafficProfile.uniform(self.total_mus))
         elif len(self.traffic.pi) != self.total_mus:
@@ -104,8 +121,8 @@ class Scenario:
             raise ValueError("step schedule required")
         if not isinstance(self.channel, ChannelParams):
             raise ValueError("channel params required")
-        if self.measurement_noise_db < 0.0:
-            raise ValueError("measurement_noise_db must be nonnegative")
+        if not (math.isfinite(self.measurement_noise_db) and self.measurement_noise_db >= 0.0):
+            raise ValueError("measurement_noise_db must be finite and nonnegative")
 
     @property
     def total_mus(self) -> int:
@@ -118,13 +135,30 @@ class Scenario:
 
 @dataclass
 class World:
-    """Mutable simulation state, fully determined by (Scenario, seed)."""
+    """Initial simulation state, fully determined by (Scenario, seed).
 
-    agents: list
-    mus: list
+    ``positions`` (B, 3) are the agents' starting points and ``users``
+    (M, 3) the user locations, extras last. ``rng`` is the scenario's
+    generator, positioned after those draws. ``agents`` and ``mus`` give
+    the same state as per-agent objects and user points.
+    """
+
+    positions: np.ndarray
+    users: np.ndarray
+    params: list
+    fixed_height: float
     profile: TrafficProfile
     rng: np.random.Generator
-    iteration: int = 0
+
+    @property
+    def agents(self) -> list:
+        return [AirBsAgent(index=b, position=Position.from_array(row),
+                           channel_params=self.params[b], fixed_height=self.fixed_height)
+                for b, row in enumerate(self.positions)]
+
+    @property
+    def mus(self) -> list:
+        return [Position.from_array(row) for row in self.users]
 
 
 @dataclass
@@ -136,13 +170,16 @@ class TrajectoryLog:
     ``served`` are the full-information network utility and the exact
     served-user count at each snapshot, evaluated with the true (not
     surrogate) max-power criterion. When packets were kept, ``packets[i]``
-    holds iteration i's minibatch in draw order.
+    holds iteration i's minibatch in draw order. ``users`` (M, 3) are the
+    user locations the run drew; like ``packets`` they are not part of the
+    serialized forms.
     """
 
     positions: np.ndarray
     oracle_utility: np.ndarray
     served: np.ndarray
     packets: list | None = None
+    users: np.ndarray | None = None
 
     @property
     def num_iterations(self) -> int:
@@ -182,49 +219,33 @@ def init_scenario(s: Scenario) -> World:
     rng = np.random.default_rng(int(s.seed))
     r = s.init_region
     axy = rng.uniform((r.x_min, r.y_min), (r.x_max, r.y_max), size=(s.num_airbs, 2))
-    params = s.agent_channel_params()
-    agents = [
-        AirBsAgent(index=b,
-                   position=Position(float(axy[b, 0]), float(axy[b, 1]), float(s.fixed_height_m)),
-                   channel_params=params[b],
-                   fixed_height=float(s.fixed_height_m))
-        for b in range(s.num_airbs)
-    ]
     a = s.area
     mxy = rng.uniform((a.x_min, a.y_min), (a.x_max, a.y_max), size=(s.num_mus, 2))
-    mus = [Position(float(mxy[m, 0]), float(mxy[m, 1]), 0.0) for m in range(s.num_mus)]
-    mus.extend(s.extra_mu_positions)
-    return World(agents=agents, mus=mus, profile=s.traffic, rng=rng)
-
-
-def _oracle_eval(placements, params, mu_array, weights, cfg: UtilityConfig,
-                 p_min_dbm: float, model: ChannelModel):
-    # same op sequence as utility.network_utility so logged values match it bitwise
-    from .channel import received_power_matrix
-
-    powers = received_power_matrix(placements, params, mu_array, model)
-    util = float(np.dot(weights, user_utility(powers, cfg)))
-    served = int(np.sum(np.max(powers, axis=1) >= p_min_dbm))
-    return util, served
+    h = float(s.fixed_height_m)
+    users = np.vstack([np.column_stack([mxy, np.zeros(s.num_mus)]),
+                       np.array([p.as_array() for p in s.extra_mu_positions]).reshape(-1, 3)])
+    return World(positions=np.column_stack([axy, np.full(s.num_airbs, h)]), users=users,
+                 params=s.agent_channel_params(), fixed_height=h, profile=s.traffic, rng=rng)
 
 
 def run(s: Scenario, *, keep_packets: bool = False,
         model: ChannelModel = FREE_SPACE):
     """Execute the scenario; returns ``(TrajectoryLog, MetricsReport)``.
 
-    Each of the I iterations draws Q recipients, broadcasts each packet to
-    all agents, and applies one synchronous update per agent. Agents never
-    see each other's state; they share only the packet stream.
+    Each of the I iterations draws Q recipients, evaluates their packets
+    for all agents in one batch, and applies one synchronous update per
+    agent. Agents never see each other's state; they share only the
+    packet stream. Raises :class:`navigator.DivergenceError` if an agent
+    is driven to a non-finite position.
     """
     from .report import build_metrics_report
 
     world = init_scenario(s)
-    agents = world.agents
-    params = s.agent_channel_params()
+    L, users, params, rng = world.positions, world.users, world.params, world.rng
     cfg = s.utility
     q = s.schedule.minibatch_size
-    mu_array = positions_to_array(world.mus)
     weights = world.profile.as_array()
+    sigma = s.measurement_noise_db
 
     n_snap = s.iterations + 1
     positions = np.empty((n_snap, s.num_airbs, 3))
@@ -233,40 +254,30 @@ def run(s: Scenario, *, keep_packets: bool = False,
     kept = [] if keep_packets else None
 
     def snapshot(i):
-        placements = [a.position for a in agents]
-        positions[i] = [(p.x, p.y, p.z) for p in placements]
-        utilities[i], served[i] = _oracle_eval(
-            placements, params, mu_array, weights, cfg, cfg.p_min_dbm, model)
+        # the same operations as utility.network_utility, so logged values match it bitwise
+        positions[i] = L
+        powers = received_power_matrix(L, params, users, model)
+        utilities[i] = float(np.dot(weights, user_utility(powers, cfg)))
+        served[i] = int(np.sum(np.max(powers, axis=1) >= cfg.p_min_dbm))
 
     snapshot(0)
-    initial_positions = [a.position for a in agents]
     for i in range(s.iterations):
-        batch = [] if keep_packets else None
-        placements = [a.position for a in agents]
-        for _ in range(q):
-            m = sample_recipient(world.profile, world.rng)
-            pkt = make_control_packet(
-                m, world.mus, placements, params, model,
-                noise_sigma_db=s.measurement_noise_db,
-                rng=world.rng if s.measurement_noise_db > 0.0 else None)
-            for a, g in zip(agents, packet_gradients(agents, pkt, cfg, model)):
-                accumulate(a, g)
-            if keep_packets:
-                batch.append(pkt)
-        eta_i = s.schedule.eta(i)
-        for a in agents:
-            apply_update(a, eta_i)
-        world.iteration = i + 1
+        idx = sample_recipient(world.profile, rng, size=q)
+        powers, grads = model.power_matrix(L, users[idx], params, gradient=True)
+        if sigma > 0.0:
+            powers = powers + sigma * rng.standard_normal(powers.shape)
         if keep_packets:
-            kept.append(batch)
+            kept.append([ControlPacket(mu_index=int(m), mu_location=Position.from_array(users[m]),
+                                       measured_powers_dbm=tuple(row))
+                         for m, row in zip(idx, powers)])
+        L = batched_update(L, grads, powers, cfg, s.schedule.eta(i), s.fixed_height_m)
         snapshot(i + 1)
 
     log = TrajectoryLog(positions=positions, oracle_utility=utilities,
-                        served=served, packets=kept)
+                        served=served, packets=kept, users=users)
     report = build_metrics_report(
-        initial_placements=initial_positions,
-        final_placements=[a.position for a in agents],
-        params=params, mus=world.mus, p_min_dbm=cfg.p_min_dbm, model=model)
+        initial_placements=positions[0], final_placements=positions[-1],
+        params=params, mus=users, p_min_dbm=cfg.p_min_dbm, model=model)
     return log, report
 
 
@@ -295,9 +306,7 @@ def coverage_map(placements, area: Rect, grid_resolution, params,
     xs, ys = coverage_axes(area, grid_resolution)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(ground_z))])
-    best = np.full(pts.shape[0], -np.inf)
-    for l_b, prm in zip(placements, params):
-        np.maximum(best, model.power_dbm_points(l_b, prm, pts), out=best)
+    best = np.max(model.power_matrix(positions_to_array(placements), pts, params), axis=1)
     return np.clip(best, lo, hi).reshape(gy.shape)
 
 
@@ -340,44 +349,87 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    """Inverse of :func:`scenario_to_dict`; absent optional keys get defaults."""
-    def rect(v):
-        return Rect(float(v["x_min"]), float(v["y_min"]), float(v["x_max"]), float(v["y_max"]))
+    """Inverse of :func:`scenario_to_dict`; absent optional keys get defaults.
 
+    Strict: an unknown or missing key at any level, or a value that is not
+    a finite number where one is expected, raises ``ValueError`` naming
+    the key.
+    """
+    def obj(v, name, required, optional=()):
+        if not isinstance(v, dict):
+            raise ValueError(f"{name} must be a JSON object")
+        unknown = sorted(set(v) - set(required) - set(optional))
+        if unknown:
+            raise ValueError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+        missing = [k for k in required if k not in v]
+        if missing:
+            raise ValueError(f"missing key(s) in {name}: {', '.join(missing)}")
+        return v
+
+    def num(v, name):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ValueError(f"{name} must be a finite number, got {v!r}")
+        return float(v)
+
+    def integer(v, name):
+        if isinstance(v, float) and v.is_integer():
+            v = int(v)
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+        return v
+
+    def nums(v, name, length=None):
+        if not isinstance(v, list) or length not in (None, len(v)):
+            raise ValueError(f"{name} must be a list" + (f" of {length} numbers" if length else ""))
+        return tuple(num(x, f"{name}[{i}]") for i, x in enumerate(v))
+
+    def rect(name):
+        v = obj(d[name], name, ("x_min", "y_min", "x_max", "y_max"))
+        return Rect(*(num(v[k], f"{name}.{k}") for k in ("x_min", "y_min", "x_max", "y_max")))
+
+    obj(d, "scenario",
+        ("area", "num_airbs", "tx_powers_dbm", "init_region", "fixed_height_m", "num_mus",
+         "utility", "schedule", "iterations", "seed", "channel"),
+        ("extra_mu_positions", "traffic", "measurement_noise_db"))
     traffic = d.get("traffic")
     if traffic is not None:
-        traffic = TrafficProfile(pi=tuple(traffic["pi"]))
-    u = d["utility"]
-    ch = d["channel"]
-    sch = d["schedule"]
+        traffic = TrafficProfile(pi=nums(obj(traffic, "traffic", ("pi",))["pi"], "traffic.pi"))
+    u = obj(d["utility"], "utility", ("family", "noise_dbm", "p_min_dbm", "delta_db"),
+            ("softmax_alpha",))
+    ch = obj(d["channel"], "channel", ("ref_gain_db", "ref_distance_m", "tx_power_dbm"))
+    sch = obj(d["schedule"], "schedule", ("eta0", "minibatch_size"), ("eta_scale", "decay"))
+    extras = d.get("extra_mu_positions", [])
+    if not isinstance(extras, list):
+        raise ValueError("extra_mu_positions must be a list")
     return Scenario(
-        area=rect(d["area"]),
-        num_airbs=int(d["num_airbs"]),
-        tx_powers_dbm=tuple(d["tx_powers_dbm"]),
-        init_region=rect(d["init_region"]),
-        fixed_height_m=float(d["fixed_height_m"]),
-        num_mus=int(d["num_mus"]),
-        extra_mu_positions=tuple(tuple(map(float, p)) for p in d.get("extra_mu_positions", ())),
+        area=rect("area"),
+        num_airbs=integer(d["num_airbs"], "num_airbs"),
+        tx_powers_dbm=nums(d["tx_powers_dbm"], "tx_powers_dbm"),
+        init_region=rect("init_region"),
+        fixed_height_m=num(d["fixed_height_m"], "fixed_height_m"),
+        num_mus=integer(d["num_mus"], "num_mus"),
+        extra_mu_positions=tuple(nums(p, f"extra_mu_positions[{i}]", 3)
+                                 for i, p in enumerate(extras)),
         traffic=traffic,
         utility=UtilityConfig(
             family=u["family"],
-            noise_dbm=float(u["noise_dbm"]),
-            p_min_dbm=float(u["p_min_dbm"]),
-            delta_db=float(u["delta_db"]),
-            softmax_alpha=float(u.get("softmax_alpha", 1.0)),
+            noise_dbm=num(u["noise_dbm"], "utility.noise_dbm"),
+            p_min_dbm=num(u["p_min_dbm"], "utility.p_min_dbm"),
+            delta_db=num(u["delta_db"], "utility.delta_db"),
+            softmax_alpha=num(u.get("softmax_alpha", 1.0), "utility.softmax_alpha"),
         ),
         schedule=StepSchedule(
-            eta0=float(sch["eta0"]),
-            minibatch_size=int(sch["minibatch_size"]),
-            eta_scale=float(sch.get("eta_scale", 1.0)),
+            eta0=num(sch["eta0"], "schedule.eta0"),
+            minibatch_size=integer(sch["minibatch_size"], "schedule.minibatch_size"),
+            eta_scale=num(sch.get("eta_scale", 1.0), "schedule.eta_scale"),
             decay=sch.get("decay", "constant"),
         ),
-        iterations=int(d["iterations"]),
-        seed=int(d["seed"]),
+        iterations=integer(d["iterations"], "iterations"),
+        seed=integer(d["seed"], "seed"),
         channel=ChannelParams(
-            ref_gain_db=float(ch["ref_gain_db"]),
-            ref_distance_m=float(ch["ref_distance_m"]),
-            tx_power_dbm=float(ch["tx_power_dbm"]),
+            ref_gain_db=num(ch["ref_gain_db"], "channel.ref_gain_db"),
+            ref_distance_m=num(ch["ref_distance_m"], "channel.ref_distance_m"),
+            tx_power_dbm=num(ch["tx_power_dbm"], "channel.tx_power_dbm"),
         ),
-        measurement_noise_db=float(d.get("measurement_noise_db", 0.0)),
+        measurement_noise_db=num(d.get("measurement_noise_db", 0.0), "measurement_noise_db"),
     )

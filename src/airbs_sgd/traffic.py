@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FREE_SPACE, ChannelModel, Position
+from .channel import FREE_SPACE, ChannelModel, Position, received_power_matrix
 from .utility import UtilityConfig, user_utility
 
 PI_SUM_TOL = 1e-9
@@ -94,13 +94,13 @@ def make_control_packet(m: int, mu_positions, placements, params,
     if not 0 <= m < len(mu_positions):
         raise IndexError(f"user index {m} out of range [0, {len(mu_positions)})")
     loc = mu_positions[m]
-    powers = [model.power_dbm(l_b, loc, prm) for l_b, prm in zip(placements, params)]
+    powers = received_power_matrix(placements, params, [loc], model)[0]
     if noise_sigma_db < 0.0:
         raise ValueError("noise_sigma_db must be nonnegative")
     if noise_sigma_db > 0.0:
         if rng is None:
             raise ValueError("measurement noise requires an rng")
-        powers = list(np.asarray(powers) + noise_sigma_db * rng.standard_normal(len(powers)))
+        powers = powers + noise_sigma_db * rng.standard_normal(len(powers))
     return ControlPacket(mu_index=m, mu_location=loc,
                          measured_powers_dbm=tuple(powers))
 

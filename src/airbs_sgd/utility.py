@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .channel import (
-    FREE_SPACE,
-    ChannelModel,
-    Position,
-    positions_to_array,
-    received_power_matrix,
-)
+from .channel import FREE_SPACE, ChannelModel, positions_to_array, received_power_matrix
 
 LN2 = math.log(2.0)
 # d(linear)/d(dB) = linear * ln(10)/10; used to express partials per dB.
@@ -233,11 +227,6 @@ def network_utility_gradient(placements, users, cfg: UtilityConfig, params,
     ``sum_m w_m * (d p_bm / d l_b) * (d J_m / d p_bm)``.
     """
     pos, w = _users_to_arrays(users)
-    powers = received_power_matrix(placements, params, pos, model)
+    powers, grads = received_power_matrix(placements, params, pos, model, gradient=True)
     partials = user_utility_partials(powers, cfg)  # (M, B)
-    grad = np.empty((len(placements), 3))
-    for b, (l_b, prm) in enumerate(zip(placements, params)):
-        gvec = np.stack([model.power_gradient(l_b, Position.from_array(row), prm)
-                         for row in pos])  # (M, 3)
-        grad[b] = np.einsum("m,m,mk->k", w, partials[:, b], gvec)
-    return grad
+    return np.einsum("m,mb,mbk->bk", w, partials, grads)

@@ -6,6 +6,7 @@ import pytest
 import helpers
 from airbs_sgd.channel import (
     FREE_SPACE,
+    ChannelModel,
     ChannelParams,
     CoincidentPositionsError,
     Position,
@@ -133,14 +134,19 @@ def test_dbm_linear_roundtrip():
 
 
 def test_vectorized_points_match_scalar():
+    # the batched kernel against the generic per-pair loop over the scalar
+    # methods: every entry is computed elementwise, so batching changes no bit
     rng = np.random.default_rng(9)
-    l_b = Position(100.0, 200.0, 30.0)
+    L = np.array([[100.0, 200.0, 30.0], [-700.0, 50.0, 80.0], [1500.0, -900.0, 10.0]])
+    params = [PARAMS, ChannelParams(-94.0, 1000.0, 7.0), ChannelParams(-90.0, 500.0, 9.0)]
     pts = rng.uniform(-2000, 2000, size=(64, 3))
     pts[:, 2] = 0.0
-    vec = FREE_SPACE.power_dbm_points(l_b, PARAMS, pts)
-    scalar = [free_space_power_dbm(l_b, Position(*p.tolist()), PARAMS) for p in pts]
-    # same formula, different sqrt/log code paths; only ulp-level differences
-    assert np.allclose(vec, scalar, rtol=0.0, atol=1e-10)
+    vec_p, vec_g = FREE_SPACE.power_matrix(L, pts, params, gradient=True)
+    loop_p, loop_g = ChannelModel.power_matrix(FREE_SPACE, L, pts, params, gradient=True)
+    assert vec_p.shape == (64, 3) and vec_g.shape == (64, 3, 3)
+    assert np.array_equal(vec_p, loop_p)
+    assert np.array_equal(vec_g, loop_g)
+    assert np.array_equal(FREE_SPACE.power_matrix(L, pts, params), vec_p)
 
 
 def test_received_power_matrix_shape_and_values():
@@ -176,3 +182,34 @@ def test_positions_to_array_forms():
     arr = positions_to_array([Position(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
     assert arr.shape == (2, 3)
     assert arr[1, 2] == 6.0
+
+
+def test_kernel_gradients_match_finite_differences():
+    rng = np.random.default_rng(13)
+    L = np.column_stack([rng.uniform(-2000, 2000, (4, 2)), rng.uniform(20, 200, 4)])
+    X = np.column_stack([rng.uniform(-2000, 2000, (30, 2)), np.zeros(30)])
+    params = [ChannelParams(-94.0, 1000.0, float(p)) for p in rng.uniform(5, 15, 4)]
+    powers, grads = FREE_SPACE.power_matrix(L, X, params, gradient=True)
+    h = 1e-3
+    fd = np.empty_like(grads)
+    for b in range(4):
+        for k in range(3):
+            up, down = L.copy(), L.copy()
+            up[b, k] += h
+            down[b, k] -= h
+            p_up = FREE_SPACE.power_matrix(up, X, params)
+            fd[:, b, k] = (p_up[:, b] - FREE_SPACE.power_matrix(down, X, params)[:, b]) / (2 * h)
+            # moving one transmitter changes only its own column
+            assert np.array_equal(np.delete(p_up, b, axis=1), np.delete(powers, b, axis=1))
+    for n in range(30):
+        for b in range(4):
+            assert helpers.rel_err(grads[n, b], fd[n, b]) < 1e-6
+
+
+def test_kernel_rejects_coincident_user_in_batch():
+    L = np.array([[0.0, 0.0, 30.0], [500.0, 500.0, 30.0]])
+    X = np.array([[100.0, 100.0, 0.0], [500.0, 500.0, 29.95], [900.0, 0.0, 0.0]])
+    with pytest.raises(CoincidentPositionsError):
+        FREE_SPACE.power_matrix(L, X, [PARAMS, PARAMS], gradient=True)
+    with pytest.raises(CoincidentPositionsError):
+        received_power_matrix(L, [PARAMS, PARAMS], X)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -62,6 +63,34 @@ def test_invalid_scenario_contents(tmp_path, capsys):
     rc = main(["run", "--scenario", str(p), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert str(p) in capsys.readouterr().err
+
+
+def _rename_eta_scale(d):
+    d["schedule"]["eta_scal"] = d["schedule"].pop("eta_scale")
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (lambda d: d.update(fixed_height_m=math.nan), "fixed_height_m"),
+    (lambda d: d["area"].update(x_max=math.inf), "area.x_max"),
+    (_rename_eta_scale, "eta_scal"),
+], ids=["nan_height", "infinite_area", "misspelled_key"])
+def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
+    d = small_scenario_dict()
+    mutate(d)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(d))  # writes NaN and Infinity literals, as Python's json reads them
+    rc = main(["run", "--scenario", str(p), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_diverging_run_exits_2(tmp_path, capsys):
+    scen = write_scenario(tmp_path, schedule=StepSchedule(eta0=5.0, minibatch_size=6,
+                                                          eta_scale=1e308))
+    rc = main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "seed 11" in capsys.readouterr().err
 
 
 def test_run_repeat_byte_identical(tmp_path, capsys):

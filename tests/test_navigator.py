@@ -11,7 +11,6 @@ from airbs_sgd.navigator import (
     agent_partial_gradient,
     apply_update,
     clamp_speed,
-    packet_gradients,
     smooth_waypoints,
 )
 from airbs_sgd.traffic import ControlPacket, make_control_packet
@@ -91,19 +90,6 @@ def test_gradient_ignores_other_agents_state():
             a.minibatch_count = int(rng.integers(1, 50))
     after = agent_partial_gradient(agents[1], pkt, cfg)
     assert np.array_equal(before, after)
-
-
-def test_packet_gradients_matches_individual_calls():
-    cfg = UtilityConfig(UtilityFamily.UNICAST_RATE, -112.4, -91.0, 2.0)
-    agents = [make_agent(50.0, 600.0, 30.0, index=0),
-              make_agent(900.0, 100.0, 25.0, index=1)]
-    mu = Position(400.0, 300.0, 0.0)
-    pkt = make_control_packet(0, [mu], [a.position for a in agents],
-                              [a.channel_params for a in agents])
-    fast = packet_gradients(agents, pkt, cfg)
-    slow = [agent_partial_gradient(a, pkt, cfg) for a in agents]
-    for f, s in zip(fast, slow):
-        assert np.array_equal(f, s)
 
 
 def test_accumulate_mean_identities():

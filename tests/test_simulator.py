@@ -5,8 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from airbs_sgd.channel import ChannelParams, Position, free_space_power_dbm
-from airbs_sgd.navigator import StepSchedule, accumulate, agent_partial_gradient, apply_update
+import helpers
+from test_utility import conditioned_cfg
+
+from airbs_sgd.channel import (
+    FREE_SPACE,
+    ChannelModel,
+    ChannelParams,
+    Position,
+    free_space_power_dbm,
+    free_space_power_gradient,
+    received_power_matrix,
+)
+from airbs_sgd.navigator import (
+    AirBsAgent,
+    DivergenceError,
+    StepSchedule,
+    accumulate,
+    agent_partial_gradient,
+    apply_update,
+    batched_update,
+)
 from airbs_sgd.simulator import (
     Rect,
     Scenario,
@@ -17,8 +36,10 @@ from airbs_sgd.simulator import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from airbs_sgd.traffic import TrafficProfile
-from airbs_sgd.utility import UtilityConfig, UtilityFamily, network_utility
+from airbs_sgd.traffic import ControlPacket, TrafficProfile
+from airbs_sgd.utility import UtilityConfig, UtilityFamily, network_utility, user_utility
+
+FAMILIES = tuple(UtilityFamily)
 
 
 def small_scenario(**overrides):
@@ -146,6 +167,130 @@ def test_keep_packets_and_solo_replay():
             apply_update(agent, s.schedule.eta(i))
             assert (agent.position.x, agent.position.y, agent.position.z) == \
                 tuple(log.positions[i + 1, b])
+
+
+def _batch_case(rng, family, b, q=7):
+    """B agents, a Q-packet batch of nearby users, and a config whose active
+    band brackets the middle packet's powers."""
+    L = np.column_stack([rng.uniform(0.0, 2000.0, (b, 2)), rng.uniform(20.0, 80.0, b)])
+    X = np.column_stack([rng.uniform(0.0, 2000.0, (q, 2)), np.zeros(q)])
+    params = [ChannelParams(-94.0, 1000.0, float(p)) for p in rng.uniform(5.0, 15.0, b)]
+    powers, grads = FREE_SPACE.power_matrix(L, X, params, gradient=True)
+    return L, X, params, powers, grads, conditioned_cfg(family, powers[q // 2], rng)
+
+
+@pytest.mark.parametrize("fixed", [True, False], ids=["fixed_height", "free_height"])
+@pytest.mark.parametrize("b", [1, 2, 5])
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+def test_batched_step_matches_per_agent_reference(family, b, fixed):
+    # one step from the same state and packets: the (Q, B) array pass against
+    # agent_partial_gradient -> accumulate -> apply_update, agent by agent
+    rng = np.random.default_rng([31, b, FAMILIES.index(family), fixed])
+    L, X, params, powers, grads, cfg = _batch_case(rng, family, b)
+    height = 50.0 if fixed else None
+    if fixed:
+        L[:, 2] = height
+        powers, grads = FREE_SPACE.power_matrix(L, X, params, gradient=True)
+    reported = powers + 0.5 * rng.standard_normal(powers.shape)
+    eta = 1e4
+    new = batched_update(L, grads, reported, cfg, eta, height)
+    # from the origin with a unit step, the move is the minibatch mean itself
+    mean = batched_update(np.zeros_like(L), grads, reported, cfg, 1.0, 0.0)
+    for k in range(b):
+        agent = AirBsAgent(index=k, position=Position.from_array(L[k]),
+                           channel_params=params[k], fixed_height=height)
+        for m in range(len(X)):
+            pkt = ControlPacket(mu_index=m, mu_location=Position.from_array(X[m]),
+                                measured_powers_dbm=tuple(reported[m]))
+            accumulate(agent, agent_partial_gradient(agent, pkt, cfg))
+        # packets are summed in the same order, so the means agree bit for bit
+        assert np.array_equal(mean[k, :2], (agent.minibatch_sum / agent.minibatch_count)[:2])
+        apply_update(agent, eta)
+        want = agent.position.as_array()
+        assert np.linalg.norm(want - L[k]) > 0.0
+        assert helpers.rel_err(new[k] - L[k], want - L[k]) < 1e-12
+        if fixed:
+            assert new[k, 2] == height
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+def test_batched_step_follows_minibatch_utility_gradient(family):
+    # the step direction is the gradient of the minibatch mean utility,
+    # cross-checked by central differences at the criterion-3 tolerance
+    rng = np.random.default_rng([32, FAMILIES.index(family)])
+    L, X, params, powers, grads, cfg = _batch_case(rng, family, 3)
+
+    def mean_utility(flat):
+        return float(np.mean(user_utility(FREE_SPACE.power_matrix(flat.reshape(-1, 3), X, params),
+                                          cfg)))
+
+    fd = helpers.central_diff(mean_utility, L.ravel(), h=1e-3).reshape(L.shape)
+    eta = 10.0 / float(np.max(np.abs(fd)))  # at most a 10 m move
+    step = (batched_update(L, grads, powers, cfg, eta) - L) / eta
+    assert helpers.rel_err(step, fd) < 1e-6
+
+
+def test_diverging_agent_raises():
+    s = small_scenario(schedule=StepSchedule(eta0=5.0, minibatch_size=8, eta_scale=1e308))
+    with pytest.raises(DivergenceError, match="agent"):
+        run(s)
+    L = np.array([[0.0, 0.0, 30.0], [500.0, 0.0, 30.0]])
+    grads = np.zeros((3, 2, 3))
+    grads[1, 1, 0] = np.nan
+    cfg = UtilityConfig(UtilityFamily.UNICAST_RATE, -112.4, -91.0, 2.0)
+    with pytest.raises(DivergenceError, match="agent 1"):
+        batched_update(L, grads, np.full((3, 2), -90.0), cfg, 1.0, 30.0)
+
+
+def test_noisy_packets_follow_documented_draw_order():
+    # after the initial draws: per iteration the Q recipients, then one
+    # (Q, B) block of standard normals for the reported powers
+    s = small_scenario(iterations=3, measurement_noise_db=1.5)
+    log, _ = run(s, keep_packets=True)
+    world = init_scenario(s)
+    assert np.array_equal(log.users, world.users)
+    q, rng = s.schedule.minibatch_size, world.rng
+    for i, batch in enumerate(log.packets):
+        idx = rng.choice(s.total_mus, size=q, p=s.traffic.as_array())
+        noise = rng.standard_normal((q, s.num_airbs))
+        clean = received_power_matrix(log.positions[i], s.agent_channel_params(),
+                                      world.users[idx])
+        assert [p.mu_index for p in batch] == idx.tolist()
+        assert np.array_equal([p.measured_powers_dbm for p in batch], clean + 1.5 * noise)
+
+
+class CountingFreeSpace(ChannelModel):
+    """Free space through the generic per-pair loop, counting its calls."""
+
+    calls = 0
+
+    def power_dbm(self, l_b, x_m, params):
+        self.calls += 1
+        return free_space_power_dbm(l_b, x_m, params)
+
+    def power_gradient(self, l_b, x_m, params):
+        self.calls += 1
+        return free_space_power_gradient(l_b, x_m, params)
+
+
+def test_run_and_coverage_honour_the_channel_model():
+    s = small_scenario(iterations=2)
+    model = CountingFreeSpace()
+    log, rep = run(s, model=model, keep_packets=True)
+    ref_log, ref_rep = run(s, keep_packets=True)
+    calls = model.calls
+    # snapshots, minibatches and the two placement reports all ask the model
+    q, b, m = s.schedule.minibatch_size, s.num_airbs, s.total_mus
+    assert calls == 3 * b * m + s.iterations * 2 * q * b + 2 * b * m
+    assert np.array_equal(log.positions, ref_log.positions)
+    assert np.array_equal(log.oracle_utility, ref_log.oracle_utility)
+    assert rep.to_json_dict() == ref_rep.to_json_dict()
+    assert [p.measured_powers_dbm for p in log.packets[-1]] == \
+        [p.measured_powers_dbm for p in ref_log.packets[-1]]
+    params = s.agent_channel_params()
+    grid = coverage_map(log.positions[-1], s.area, 5, params, model=model)
+    assert model.calls == calls + 25 * b
+    assert np.array_equal(grid, coverage_map(log.positions[-1], s.area, 5, params))
 
 
 def test_packets_not_kept_by_default():
