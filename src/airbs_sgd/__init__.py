@@ -52,6 +52,7 @@ from .simulator import (
     coverage_map,
     init_scenario,
     run,
+    run_replications,
     scenario_from_dict,
     scenario_to_dict,
 )

@@ -27,7 +27,12 @@ EPS_DISTANCE_M = 0.1
 
 
 class CoincidentPositionsError(ValueError):
-    """Raised when transmitter and receiver (nearly) coincide."""
+    """Raised when transmitter and receiver (nearly) coincide.
+
+    ``seed`` names the failed replication when a simulation raised it.
+    """
+
+    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,12 @@ class ChannelParams:
 
 
 def positions_to_array(positions) -> np.ndarray:
-    """Coerce a sequence of Position (or length-3 array-likes) to an (N, 3) array."""
-    if isinstance(positions, np.ndarray) and positions.ndim == 2 and positions.shape[1] == 3:
+    """Coerce a sequence of Position (or length-3 array-likes) to an (N, 3) array.
+
+    An array whose last axis has length 3 passes through with any leading
+    axes, e.g. (R, N, 3) for R replications.
+    """
+    if isinstance(positions, np.ndarray) and positions.ndim >= 2 and positions.shape[-1] == 3:
         return np.asarray(positions, dtype=float)
     rows = []
     for p in positions:
@@ -87,28 +96,16 @@ def positions_to_array(positions) -> np.ndarray:
     return np.asarray(rows, dtype=float).reshape(-1, 3)
 
 
-def dbm_to_linear(p_dbm: float):
-    """dBm -> mW."""
-    return 10.0 ** (np.asarray(p_dbm, dtype=float) / 10.0)
-
-
-def linear_to_dbm(p_mw: float):
-    """mW -> dBm. Rejects non-positive power."""
-    p = np.asarray(p_mw, dtype=float)
-    if np.any(p <= 0.0):
-        raise ValueError("linear power must be positive to convert to dBm")
-    return 10.0 * np.log10(p)
-
-
 def free_space_power_matrix(L, X, params, gradient: bool = False):
     """Received power from B transmitters at N points, and its gradient: the array kernel.
 
     Parameters
     ----------
-    L : ndarray, shape (B, 3)
+    L : ndarray, shape (..., B, 3)
         Transmitter locations.
-    X : ndarray, shape (N, 3)
-        Receiver locations.
+    X : ndarray, shape (..., N, 3)
+        Receiver locations. The leading axes of ``L`` and ``X`` broadcast,
+        e.g. one set of transmitters and points per replication.
     params : sequence of ChannelParams
         Transmit power and reference-distance gain calibration, one per
         transmitter.
@@ -118,7 +115,7 @@ def free_space_power_matrix(L, X, params, gradient: bool = False):
 
     Returns
     -------
-    ndarray, shape (N, B), or a pair adding an (N, B, 3) array
+    ndarray, shape (..., N, B), or a pair adding an (..., N, B, 3) array
         Powers ``tx_power_dbm + ref_gain_db - 20*log10(d / ref_distance_m)``
         in dBm, with ``d`` the transmitter-receiver separation in meters;
         gradients ``-(20/ln 10) * (l_b - x_m) / d**2`` in dB/meter, which
@@ -126,21 +123,26 @@ def free_space_power_matrix(L, X, params, gradient: bool = False):
         raises power) with magnitude ``(20/ln 10)/d``.
 
     Every entry is computed elementwise, so the (n, b) result does not
-    depend on the other transmitters or points in the batch.
+    depend on the other transmitters or points in the batch. The results
+    are laid out transmitter-major: they are views of (..., B, N) arrays,
+    so each transmitter's N entries are adjacent in memory and a reduction
+    over the B axis adds whole rows of N entries.
     """
-    diff = L[None, :, :] - X[:, None, :]
-    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+    # one coordinate at a time: every operation runs along the N points
+    dx, dy, dz = (L[..., :, None, k] - X[..., None, :, k] for k in range(3))
     d2 = dx * dx + dy * dy + dz * dz
     if np.any(d2 < EPS_DISTANCE_M * EPS_DISTANCE_M):
         raise CoincidentPositionsError(
             f"separation {math.sqrt(float(np.min(d2))):.3g} m below the "
             f"{EPS_DISTANCE_M} m singularity guard")
-    budget = np.array([p.tx_power_dbm + p.ref_gain_db for p in params])
-    ref = np.array([p.ref_distance_m for p in params])
-    powers = budget - 20.0 * np.log10(np.sqrt(d2) / ref)
+    budget = np.array([[p.tx_power_dbm + p.ref_gain_db] for p in params])
+    ref = np.array([[p.ref_distance_m] for p in params])
+    powers = np.swapaxes(budget - 20.0 * np.log10(np.sqrt(d2) / ref), -1, -2)
     if not gradient:
         return powers
-    return powers, (-DB_SLOPE / d2)[..., None] * diff
+    slope = -DB_SLOPE / d2
+    grads = np.stack([slope * dx, slope * dy, slope * dz], axis=-1)
+    return powers, np.swapaxes(grads, -2, -3)
 
 
 def free_space_power_dbm(l_b: Position, x_m: Position, params: ChannelParams) -> float:
@@ -176,22 +178,27 @@ class ChannelModel(ABC):
         """Gradient of ``power_dbm`` with respect to ``l_b``, dB/meter (3-vector)."""
 
     def power_matrix(self, L, X, params, gradient: bool = False):
-        """Powers (N, B) from transmitters ``L`` (B, 3) at points ``X`` (N, 3).
+        """Powers (..., N, B) from transmitters ``L`` (..., B, 3) at points ``X`` (..., N, 3).
 
-        With ``gradient`` also returns the (N, B, 3) gradients in the
-        transmitter positions. Loops over the scalar methods; override to
-        vectorize.
+        With ``gradient`` also returns the (..., N, B, 3) gradients in the
+        transmitter positions. The leading axes broadcast. Loops over the
+        scalar methods; override to vectorize.
         """
-        tx = [Position.from_array(row) for row in L]
-        rx = [Position.from_array(row) for row in X]
-        shape = (len(rx), len(tx))
-        powers = np.array([[self.power_dbm(l_b, x_m, prm) for l_b, prm in zip(tx, params)]
-                           for x_m in rx]).reshape(shape)
-        if not gradient:
-            return powers
-        grads = np.array([[self.power_gradient(l_b, x_m, prm) for l_b, prm in zip(tx, params)]
-                          for x_m in rx]).reshape(shape + (3,))
-        return powers, grads
+        L, X = np.asarray(L, dtype=float), np.asarray(X, dtype=float)
+        lead = np.broadcast_shapes(L.shape[:-2], X.shape[:-2])
+        L = np.broadcast_to(L, lead + L.shape[-2:])
+        X = np.broadcast_to(X, lead + X.shape[-2:])
+        powers = np.empty(lead + (X.shape[-2], L.shape[-2]))
+        grads = np.empty(powers.shape + (3,))
+        for k in np.ndindex(lead):
+            tx = [Position.from_array(row) for row in L[k]]
+            for n, row in enumerate(X[k]):
+                x_m = Position.from_array(row)
+                for b, (l_b, prm) in enumerate(zip(tx, params)):
+                    powers[k + (n, b)] = self.power_dbm(l_b, x_m, prm)
+                    if gradient:
+                        grads[k + (n, b)] = self.power_gradient(l_b, x_m, prm)
+        return (powers, grads) if gradient else powers
 
 
 class FreeSpaceChannel(ChannelModel):
@@ -215,8 +222,9 @@ def received_power_matrix(placements, params, points, model: ChannelModel = FREE
     """Power from each of B transmitters at each of N points, shape (N, B), dBm.
 
     ``placements`` and ``params`` are parallel length-B sequences;
-    ``placements`` and ``points`` may be Position sequences or (., 3)
-    arrays. With ``gradient`` also returns the (N, B, 3) gradients in the
+    ``placements`` and ``points`` may be Position sequences or (..., 3)
+    arrays, whose leading axes broadcast to leading axes of the result.
+    With ``gradient`` also returns the (N, B, 3) gradients in the
     transmitter positions (see :meth:`ChannelModel.power_matrix`).
     """
     return model.power_matrix(positions_to_array(placements), positions_to_array(points),

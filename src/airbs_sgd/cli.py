@@ -9,9 +9,12 @@ Three subcommands:
 * ``sweep`` re-runs a scenario across a list of values on one axis
   (eta, q, alpha, delta) and aggregates the endpoints into a CSV.
 
-Replications fan out over a thread pool; the environment variable
-``AIRBS_SGD_THREADS`` caps the pool size. Every run is fully determined
-by the master seed, so outputs do not depend on the thread count.
+The replications of a command advance together as one batch in the
+calling thread (see :func:`simulator.run_replications`); their coverage
+maps, bundles and baselines then follow one replication at a time. The
+environment variable ``AIRBS_SGD_THREADS`` caps the worker count; it is
+still validated, and the serial engine meets any cap. Every run is fully
+determined by the master seed, so outputs do not depend on the cap.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -30,7 +32,8 @@ from .baseline import kmeans_placement
 from .channel import CoincidentPositionsError
 from .navigator import DivergenceError
 from .report import render_outputs, served_count
-from .simulator import Scenario, coverage_map, run, scenario_from_dict, scenario_to_dict
+from .simulator import (Scenario, coverage_map, run_replications, scenario_from_dict,
+                        scenario_to_dict)
 
 MAP_GRID = 70
 MAP_CLIP = (-100.0, -80.0)
@@ -77,7 +80,8 @@ def replication_seeds(master_seed: int, count: int) -> list:
     ]
 
 
-def _thread_cap(n_jobs: int) -> int:
+def _check_thread_cap():
+    """Validate ``AIRBS_SGD_THREADS``; one worker meets any valid cap."""
     env = os.environ.get("AIRBS_SGD_THREADS", "").strip()
     if env:
         try:
@@ -86,19 +90,20 @@ def _thread_cap(n_jobs: int) -> int:
             raise CliError(f"AIRBS_SGD_THREADS must be an integer, got {env!r}")
         if cap < 1:
             raise CliError("AIRBS_SGD_THREADS must be at least 1")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(n_jobs, cap))
 
 
-def _simulate_one(scenario: Scenario, seed: int, rep_dir: str,
+def _simulate_one(scenario: Scenario, seed: int, rep_dir: str, simulated,
                   with_kmeans: bool = False) -> dict:
+    """The tail of one replication: coverage map, output bundle and k-means baseline.
+
+    ``simulated`` is the replication's ``(TrajectoryLog, MetricsReport)``.
+    """
+    log, rep = simulated
     s = dataclasses.replace(scenario, seed=seed)
     params = s.agent_channel_params()
     try:
-        log, rep = run(s)
         cov = coverage_map(log.positions[-1], s.area, MAP_GRID, params, MAP_CLIP)
-    except (CoincidentPositionsError, DivergenceError) as e:
+    except CoincidentPositionsError as e:
         raise CliError(f"replication with seed {seed} failed: {e}")
     render_outputs(log, rep, cov, rep_dir, s.area, clip=MAP_CLIP, mus=log.users)
     result = {
@@ -126,15 +131,15 @@ def _simulate_one(scenario: Scenario, seed: int, rep_dir: str,
 
 def _run_replications(scenario: Scenario, seeds, out_dir: str,
                       with_kmeans: bool = False) -> list:
+    _check_thread_cap()
     os.makedirs(out_dir, exist_ok=True)
-    rep_dirs = [os.path.join(out_dir, f"rep_{r:03d}") for r in range(len(seeds))]
-    workers = _thread_cap(len(seeds))
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        futures = [
-            ex.submit(_simulate_one, scenario, seed, rep_dir, with_kmeans)
-            for seed, rep_dir in zip(seeds, rep_dirs)
-        ]
-        return [f.result() for f in futures]  # seed order, not completion order
+    try:
+        batch = run_replications(scenario, seeds)
+    except (CoincidentPositionsError, DivergenceError) as e:
+        raise CliError(f"replication with seed {e.seed} failed: {e}")
+    return [_simulate_one(scenario, seed, os.path.join(out_dir, f"rep_{r:03d}"), simulated,
+                          with_kmeans)
+            for r, (seed, simulated) in enumerate(zip(seeds, batch))]
 
 
 def _print_results(results, with_kmeans: bool = False):

@@ -32,7 +32,12 @@ from .utility import UtilityConfig, user_utility_partials
 
 
 class DivergenceError(ValueError):
-    """Raised when an update would move an agent to an invalid position."""
+    """Raised when an update would move an agent to an invalid position.
+
+    ``seed`` names the failed replication when a simulation raised it.
+    """
+
+    seed: int | None = None
 
 
 @dataclass
@@ -124,10 +129,11 @@ def batched_update(positions: np.ndarray, power_gradients: np.ndarray,
                    fixed_height: float | None = None) -> np.ndarray:
     """One synchronous minibatch ascent step of all B agents; returns the new positions.
 
-    ``positions`` is (B, 3). For a minibatch of Q packets,
-    ``power_gradients`` (Q, B, 3) holds each agent's own power gradient at
-    each reporting user, and ``reported_powers`` (Q, B) the powers each
-    packet reports. Agent ``b``'s row is the per-agent rule for every
+    ``positions`` is (..., B, 3). For a minibatch of Q packets,
+    ``power_gradients`` (..., Q, B, 3) holds each agent's own power
+    gradient at each reporting user, and ``reported_powers`` (..., Q, B)
+    the powers each packet reports; leading axes (e.g. replications) are
+    independent batches. Agent ``b``'s row is the per-agent rule for every
     agent at once: :func:`agent_partial_gradient` per packet,
     :func:`accumulate` in packet order, then :func:`apply_update`, with
     the same floating-point operations. It reads only that agent's
@@ -136,18 +142,22 @@ def batched_update(positions: np.ndarray, power_gradients: np.ndarray,
     Raises :class:`DivergenceError` when a step would leave an agent at a
     non-finite position or a negative altitude.
     """
-    contrib = power_gradients * user_utility_partials(reported_powers, cfg)[..., None]
-    # axis 0 is the outer loop of the reduction, so the packets are added
-    # one after another, from 0.0, as accumulate adds them
-    total = np.sum(contrib, axis=0, initial=0.0)
-    new = positions + eta * (total / contrib.shape[0])
+    # packet-major: each packet's B powers adjacent in memory, as
+    # agent_partial_gradient evaluates one packet, so the sums over the
+    # agents run in the same order for any B
+    partials = user_utility_partials(np.ascontiguousarray(reported_powers), cfg)
+    contrib = power_gradients * partials[..., None]
+    # the coordinates are the inner loop of the reduction over the packets, so
+    # the packets are added one after another, from 0.0, as accumulate adds them
+    total = np.sum(contrib, axis=-3, initial=0.0)
+    new = positions + eta * (total / contrib.shape[-3])
     if fixed_height is not None:
-        new[:, 2] = fixed_height
-    bad = ~np.all(np.isfinite(new), axis=1) | (new[:, 2] < 0.0)
+        new[..., 2] = fixed_height
+    bad = ~np.all(np.isfinite(new), axis=-1) | (new[..., 2] < 0.0)
     if np.any(bad):
-        b = int(np.argmax(bad))
-        raise DivergenceError(f"agent {b} stepped to {new[b].tolist()}: the position must be "
-                              f"finite with nonnegative altitude")
+        where = np.unravel_index(np.argmax(bad), bad.shape)
+        raise DivergenceError(f"agent {where[-1]} stepped to {new[where].tolist()}: the "
+                              f"position must be finite with nonnegative altitude")
     return new
 
 

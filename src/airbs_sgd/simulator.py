@@ -1,20 +1,25 @@
 """Scenario description, world construction, and the simulation loop.
 
-The loop is array-first: agent positions are one (B, 3) array and the
-users one (M, 3) array. One iteration draws the Q packet recipients from
-the traffic profile in a single call, evaluates the powers and power
-gradients of all B agents at the Q reporting users in one channel-kernel
-call, and lets :func:`navigator.batched_update` apply every agent's
-minibatch step at once. Each agent's step still reads only its own
-position and the packets; :func:`navigator.agent_partial_gradient` is the
+The loop is array-first and advances a batch of replications together,
+one per seed: agent positions are one (R, B, 3) array and the users one
+(R, M, 3) array. One iteration draws each replication's Q packet
+recipients from the traffic profile, evaluates the powers and power
+gradients of all B agents at the reporting users of every replication in
+one (R, Q, B) channel-kernel call, and lets
+:func:`navigator.batched_update` apply every agent's minibatch step at
+once. Each agent's step still reads only its own position and its own
+replication's packets; :func:`navigator.agent_partial_gradient` is the
 per-agent view of the same arithmetic. Positions and the full-information
 oracle utility are logged once per iteration, plus the initial state.
+:func:`run` is a batch of one.
 
-All randomness flows from the scenario seed through a single generator,
-in a fixed draw order: agent initial positions first, then user
-positions, then, per iteration, the Q recipient indices followed (when
-measurement noise is enabled) by one (Q, B) block of standard normals.
-Identical scenario and seed give bit-identical results.
+All randomness of a replication flows from its seed through its own
+generator, in a fixed draw order: agent initial positions first, then
+user positions, then, per iteration, the Q recipient indices followed
+(when measurement noise is enabled) by one (Q, B) block of standard
+normals. Replications share no state, so a replication's results do not
+depend on the other seeds of its batch, and identical scenario and seed
+give bit-identical results.
 """
 
 from __future__ import annotations
@@ -25,11 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (FREE_SPACE, ChannelModel, ChannelParams, Position, positions_to_array,
-                      received_power_matrix)
-from .navigator import AirBsAgent, StepSchedule, batched_update
+from .channel import (FREE_SPACE, ChannelModel, ChannelParams, CoincidentPositionsError,
+                      Position, positions_to_array, received_power_matrix)
+from .navigator import AirBsAgent, DivergenceError, StepSchedule, batched_update
 from .traffic import ControlPacket, TrafficProfile, sample_recipient
 from .utility import UtilityConfig, user_utility
+
+# Upper bound on the agent-user pairs (R * B * M for a snapshot of R
+# replications) that one group of replications advances: it bounds the
+# working set, not the results, which do not depend on the grouping.
+BATCH_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -232,53 +242,99 @@ def run(s: Scenario, *, keep_packets: bool = False,
         model: ChannelModel = FREE_SPACE):
     """Execute the scenario; returns ``(TrajectoryLog, MetricsReport)``.
 
-    Each of the I iterations draws Q recipients, evaluates their packets
-    for all agents in one batch, and applies one synchronous update per
-    agent. Agents never see each other's state; they share only the
-    packet stream. Raises :class:`navigator.DivergenceError` if an agent
-    is driven to a non-finite position.
+    A batch of one: see :func:`run_replications`.
     """
+    return run_replications(s, [s.seed], keep_packets=keep_packets, model=model)[0]
+
+
+def run_replications(s: Scenario, seeds, *, keep_packets: bool = False,
+                     model: ChannelModel = FREE_SPACE) -> list:
+    """Execute the scenario once per seed; returns ``(TrajectoryLog, MetricsReport)`` pairs.
+
+    The replications advance together, in groups of at most
+    ``BATCH_PAIRS`` agent-user pairs, and each result is bit-identical to
+    :func:`run` of its seed alone. Each of the I iterations draws Q
+    recipients per replication, evaluates their packets for all agents in
+    one batch, and applies one synchronous update per agent. Agents never
+    see each other's state; they share only their replication's packet
+    stream. Raises :class:`navigator.DivergenceError` if an agent is
+    driven to a non-finite position; its ``seed`` (like that of a
+    :class:`channel.CoincidentPositionsError`) is the first seed that
+    fails.
+    """
+    seeds = [int(seed) for seed in seeds]
+    group = max(1, BATCH_PAIRS // (s.num_airbs * max(s.total_mus, s.schedule.minibatch_size)))
+    results = []
+    for k in range(0, len(seeds), group):
+        chunk = seeds[k:k + group]
+        try:
+            results += _advance(s, chunk, keep_packets, model)
+        except (CoincidentPositionsError, DivergenceError) as e:
+            if len(chunk) == 1:
+                e.seed = chunk[0]
+            else:
+                # the replications are independent, so the first seed that
+                # fails on its own is the first that failed in the chunk
+                for seed in chunk:
+                    run_replications(s, [seed], model=model)
+            raise
+    return results
+
+
+def _advance(s: Scenario, seeds, keep_packets: bool, model: ChannelModel) -> list:
     from .report import build_metrics_report
 
-    world = init_scenario(s)
-    L, users, params, rng = world.positions, world.users, world.params, world.rng
-    cfg = s.utility
-    q = s.schedule.minibatch_size
-    weights = world.profile.as_array()
+    worlds = [init_scenario(dataclasses.replace(s, seed=seed)) for seed in seeds]
+    L = np.stack([w.positions for w in worlds])
+    users = np.stack([w.users for w in worlds])
+    rngs = [w.rng for w in worlds]
+    params, cfg, profile = worlds[0].params, s.utility, s.traffic
+    q, b = s.schedule.minibatch_size, s.num_airbs
+    weights = profile.as_array()
     sigma = s.measurement_noise_db
 
-    n_snap = s.iterations + 1
-    positions = np.empty((n_snap, s.num_airbs, 3))
-    utilities = np.empty(n_snap)
-    served = np.empty(n_snap, dtype=int)
-    kept = [] if keep_packets else None
+    n_rep, n_snap = len(seeds), s.iterations + 1
+    positions = np.empty((n_rep, n_snap, b, 3))
+    utilities = np.empty((n_rep, n_snap))
+    served = np.empty((n_rep, n_snap), dtype=int)
+    kept = [[] for _ in seeds]
+    rep = np.arange(n_rep)[:, None]
 
     def snapshot(i):
-        # the same operations as utility.network_utility, so logged values match it bitwise
-        positions[i] = L
-        powers = received_power_matrix(L, params, users, model)
-        utilities[i] = float(np.dot(weights, user_utility(powers, cfg)))
-        served[i] = int(np.sum(np.max(powers, axis=1) >= cfg.p_min_dbm))
+        # network_utility's operations on each replication, so logged values
+        # match it bitwise; transmitter-major (R, B, M), as it lays them out
+        positions[:, i] = L
+        powers = np.ascontiguousarray(
+            np.swapaxes(received_power_matrix(L, params, users, model), -1, -2))
+        per_user = user_utility(powers, cfg, axis=1)
+        utilities[:, i] = [np.dot(weights, row) for row in per_user]
+        served[:, i] = np.sum(np.max(powers, axis=1) >= cfg.p_min_dbm, axis=1)
 
     snapshot(0)
     for i in range(s.iterations):
-        idx = sample_recipient(world.profile, rng, size=q)
-        powers, grads = model.power_matrix(L, users[idx], params, gradient=True)
+        idx = np.stack([sample_recipient(profile, rng, size=q) for rng in rngs])
+        powers, grads = model.power_matrix(L, users[rep, idx], params, gradient=True)
         if sigma > 0.0:
-            powers = powers + sigma * rng.standard_normal(powers.shape)
+            powers = powers + sigma * np.stack([rng.standard_normal((q, b)) for rng in rngs])
         if keep_packets:
-            kept.append([ControlPacket(mu_index=int(m), mu_location=Position.from_array(users[m]),
-                                       measured_powers_dbm=tuple(row))
-                         for m, row in zip(idx, powers)])
+            for r, batch in enumerate(kept):
+                batch.append([ControlPacket(mu_index=int(m),
+                                            mu_location=Position.from_array(users[r, m]),
+                                            measured_powers_dbm=tuple(row))
+                              for m, row in zip(idx[r], powers[r])])
         L = batched_update(L, grads, powers, cfg, s.schedule.eta(i), s.fixed_height_m)
         snapshot(i + 1)
 
-    log = TrajectoryLog(positions=positions, oracle_utility=utilities,
-                        served=served, packets=kept, users=users)
-    report = build_metrics_report(
-        initial_placements=positions[0], final_placements=positions[-1],
-        params=params, mus=users, p_min_dbm=cfg.p_min_dbm, model=model)
-    return log, report
+    results = []
+    for r in range(n_rep):
+        log = TrajectoryLog(positions=positions[r], oracle_utility=utilities[r],
+                            served=served[r], packets=kept[r] if keep_packets else None,
+                            users=users[r])
+        report = build_metrics_report(
+            initial_placements=positions[r, 0], final_placements=positions[r, -1],
+            params=params, mus=users[r], p_min_dbm=cfg.p_min_dbm, model=model)
+        results.append((log, report))
+    return results
 
 
 def coverage_axes(area: Rect, grid_resolution) -> tuple:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,13 @@ class TrafficProfile:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.pi, dtype=float)
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative shares normalised to end at 1, as ``Generator.choice`` builds them."""
+        cdf = np.cumsum(self.as_array())
+        cdf /= cdf[-1]
+        return cdf
+
 
 @dataclass(frozen=True)
 class ControlPacket:
@@ -73,8 +81,13 @@ class ControlPacket:
 
 
 def sample_recipient(profile: TrafficProfile, rng: np.random.Generator, size=None):
-    """Draw packet-recipient indices from ``profile``; scalar when size is None."""
-    idx = rng.choice(len(profile.pi), size=size, p=profile.as_array())
+    """Draw packet-recipient indices from ``profile``; scalar when size is None.
+
+    The same indices, from the same draws, as
+    ``rng.choice(len(profile.pi), size=size, p=profile.pi)``, which inverts
+    the profile's CDF at uniform draws; the CDF is built once per profile.
+    """
+    idx = profile.cdf.searchsorted(rng.random(size), side="right")
     if size is None:
         return int(idx)
     return idx

@@ -59,6 +59,8 @@ class UtilityConfig:
     def __post_init__(self):
         if isinstance(self.family, str):
             object.__setattr__(self, "family", UtilityFamily(self.family))
+        if not isinstance(self.family, UtilityFamily):
+            raise ValueError(f"unknown utility family {self.family!r}")
         if not math.isfinite(self.noise_dbm):
             raise ValueError("noise_dbm must be finite")
         if not math.isfinite(self.p_min_dbm):
@@ -215,8 +217,10 @@ def network_utility(placements, users, cfg: UtilityConfig, params,
     themselves never see it.
     """
     pos, w = _users_to_arrays(users)
-    powers = received_power_matrix(placements, params, pos, model)
-    return float(np.dot(w, user_utility(powers, cfg)))
+    # transmitter-major (B, M), as the simulator's oracle snapshot lays the
+    # powers out, so the two add the transmitters in the same order for any B
+    powers = np.ascontiguousarray(received_power_matrix(placements, params, pos, model).T)
+    return float(np.dot(w, user_utility(powers, cfg, axis=0)))
 
 
 def network_utility_gradient(placements, users, cfg: UtilityConfig, params,

@@ -1,4 +1,4 @@
-"""Shared test utilities: finite-difference oracles and acceptance reporting."""
+"""Shared test utilities: finite-difference oracles, dB conversions and acceptance reporting."""
 
 import numpy as np
 
@@ -37,3 +37,16 @@ def rel_err(got, want) -> float:
     if scale == 0.0:
         return float(np.linalg.norm(got - want))
     return float(np.linalg.norm(got - want) / scale)
+
+
+def dbm_to_linear(p_dbm):
+    """dBm -> mW: the linear-domain route that cross-checks the dB-domain kernel."""
+    return 10.0 ** (np.asarray(p_dbm, dtype=float) / 10.0)
+
+
+def linear_to_dbm(p_mw):
+    """mW -> dBm. Rejects non-positive power."""
+    p = np.asarray(p_mw, dtype=float)
+    if np.any(p <= 0.0):
+        raise ValueError("linear power must be positive to convert to dBm")
+    return 10.0 * np.log10(p)

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import dbm_to_linear, linear_to_dbm
 from airbs_sgd.channel import (
     FREE_SPACE,
     ChannelModel,
     ChannelParams,
     CoincidentPositionsError,
     Position,
-    dbm_to_linear,
     free_space_power_dbm,
     free_space_power_gradient,
-    linear_to_dbm,
     positions_to_array,
     received_power_matrix,
 )
@@ -147,6 +146,26 @@ def test_vectorized_points_match_scalar():
     assert np.array_equal(vec_p, loop_p)
     assert np.array_equal(vec_g, loop_g)
     assert np.array_equal(FREE_SPACE.power_matrix(L, pts, params), vec_p)
+
+
+def test_kernel_leading_axes_are_independent_batches():
+    # (R, B, 3) transmitters at (R, N, 3) points: each replication's block is
+    # the kernel on that replication alone, bit for bit, and so is the
+    # generic per-pair loop with the same leading axis
+    rng = np.random.default_rng(10)
+    L = np.concatenate([rng.uniform(-1500, 1500, (3, 4, 2)), rng.uniform(10, 90, (3, 4, 1))], -1)
+    X = np.concatenate([rng.uniform(-2000, 2000, (3, 9, 2)), np.zeros((3, 9, 1))], -1)
+    params = [ChannelParams(-94.0, 1000.0, float(p)) for p in (7.0, 9.0, 9.0, 12.0)]
+    powers, grads = FREE_SPACE.power_matrix(L, X, params, gradient=True)
+    assert powers.shape == (3, 9, 4) and grads.shape == (3, 9, 4, 3)
+    for r in range(3):
+        p_r, g_r = FREE_SPACE.power_matrix(L[r], X[r], params, gradient=True)
+        assert np.array_equal(powers[r], p_r) and np.array_equal(grads[r], g_r)
+    loop_p, loop_g = ChannelModel.power_matrix(FREE_SPACE, L, X, params, gradient=True)
+    assert np.array_equal(powers, loop_p) and np.array_equal(grads, loop_g)
+    # one set of transmitters broadcast over the points of every replication
+    assert np.array_equal(received_power_matrix(L[0], params, X),
+                          np.stack([received_power_matrix(L[0], params, x) for x in X]))
 
 
 def test_received_power_matrix_shape_and_values():

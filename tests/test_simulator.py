@@ -26,6 +26,8 @@ from airbs_sgd.navigator import (
     apply_update,
     batched_update,
 )
+from airbs_sgd import simulator
+from airbs_sgd.cli import main as cli_main, replication_seeds
 from airbs_sgd.simulator import (
     Rect,
     Scenario,
@@ -33,10 +35,11 @@ from airbs_sgd.simulator import (
     coverage_map,
     init_scenario,
     run,
+    run_replications,
     scenario_from_dict,
     scenario_to_dict,
 )
-from airbs_sgd.traffic import ControlPacket, TrafficProfile
+from airbs_sgd.traffic import ControlPacket, TrafficProfile, sample_recipient
 from airbs_sgd.utility import UtilityConfig, UtilityFamily, network_utility, user_utility
 
 FAMILIES = tuple(UtilityFamily)
@@ -180,7 +183,7 @@ def _batch_case(rng, family, b, q=7):
 
 
 @pytest.mark.parametrize("fixed", [True, False], ids=["fixed_height", "free_height"])
-@pytest.mark.parametrize("b", [1, 2, 5])
+@pytest.mark.parametrize("b", [1, 2, 5, 9])
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
 def test_batched_step_matches_per_agent_reference(family, b, fixed):
     # one step from the same state and packets: the (Q, B) array pass against
@@ -257,6 +260,103 @@ def test_noisy_packets_follow_documented_draw_order():
                                       world.users[idx])
         assert [p.mu_index for p in batch] == idx.tolist()
         assert np.array_equal([p.measured_powers_dbm for p in batch], clean + 1.5 * noise)
+
+
+def assert_same_replication(got, want):
+    """Two ``(TrajectoryLog, MetricsReport)`` results agree bit for bit."""
+    (log, rep), (ref, ref_rep) = got, want
+    assert np.array_equal(log.positions, ref.positions)
+    assert np.array_equal(log.oracle_utility, ref.oracle_utility)
+    assert np.array_equal(log.served, ref.served)
+    assert np.array_equal(log.users, ref.users)
+    assert rep.to_json_dict() == ref_rep.to_json_dict()
+    assert (log.packets is None) == (ref.packets is None)
+    for batch, ref_batch in zip(log.packets or [], ref.packets or []):
+        assert batch == ref_batch
+
+
+@pytest.mark.parametrize("noise", [0.0, 1.5], ids=["exact", "noisy"])
+def test_each_replication_of_a_batch_equals_its_seed_alone(noise):
+    s = small_scenario(iterations=4, measurement_noise_db=noise)
+    seeds = [3, 17, 2 ** 63 + 5, 42]
+    batch = run_replications(s, seeds, keep_packets=True)
+    assert len(batch) == len(seeds)
+    for seed, got in zip(seeds, batch):
+        assert_same_replication(got, run(dataclasses.replace(s, seed=seed), keep_packets=True))
+
+
+def test_replications_do_not_depend_on_the_other_seeds(monkeypatch):
+    s = small_scenario(iterations=3, measurement_noise_db=0.5)
+    seeds = [5, 6, 7]
+    base = dict(zip(seeds, run_replications(s, seeds, keep_packets=True)))
+    permuted = [7, 5, 6]
+    for seed, got in zip(permuted, run_replications(s, permuted, keep_packets=True)):
+        assert_same_replication(got, base[seed])
+    extended = seeds + [8, 9, 5]
+    for seed, got in zip(extended, run_replications(s, extended, keep_packets=True)):
+        if seed in base:
+            assert_same_replication(got, base[seed])
+    # groups of one replication, as a batch too large for memory would be split
+    monkeypatch.setattr(simulator, "BATCH_PAIRS", 1)
+    for seed, got in zip(seeds, run_replications(s, seeds, keep_packets=True)):
+        assert_same_replication(got, base[seed])
+
+
+@pytest.mark.parametrize("fixed", [True, False], ids=["fixed_height", "free_height"])
+def test_batched_update_replications_are_independent(fixed):
+    # the step of a (R, ...) batch is each replication's own step, bit for bit
+    rng = np.random.default_rng(33)
+    cases = [_batch_case(rng, UtilityFamily.THRESHOLD_SIGMOID_UNICAST, 3) for _ in range(4)]
+    cfg = cases[0][-1]
+    L, grads, powers = (np.stack([c[k] for c in cases]) for k in (0, 4, 3))
+    reported = powers + 0.5 * rng.standard_normal(powers.shape)
+    height = 50.0 if fixed else None
+    new = batched_update(L, grads, reported, cfg, 1e4, height)
+    for r in range(len(cases)):
+        assert np.array_equal(new[r], batched_update(L[r], grads[r], reported[r], cfg, 1e4,
+                                                     height))
+    assert fixed == bool(np.all(new[..., 2] == 50.0))
+
+
+def test_oracle_matches_network_utility_with_many_agents():
+    # with B >= 8 numpy sums a contiguous row pairwise; the oracle and
+    # network_utility both add the transmitters in index order
+    b = 9
+    s = small_scenario(num_airbs=b, tx_powers_dbm=(9.0,) * b, iterations=2)
+    log, _ = run(s)
+    users = (log.users, s.traffic.as_array())
+    for i in range(log.positions.shape[0]):
+        want = network_utility(log.positions[i], users, s.utility, s.agent_channel_params())
+        assert log.oracle_utility[i] == want
+
+
+def test_cli_names_the_one_diverging_replication(tmp_path, capsys):
+    # one agent, one packet: a replication diverges when its packet comes from
+    # the extra user, whose distance overflows to -inf dBm and a NaN step
+    s = small_scenario(num_airbs=1, tx_powers_dbm=(12.0,), num_mus=2, iterations=1,
+                       extra_mu_positions=((1e200, 0.0, 0.0),),
+                       schedule=StepSchedule(eta0=5.0, minibatch_size=1, eta_scale=1e6))
+
+    def diverges(seed):
+        world = init_scenario(dataclasses.replace(s, seed=seed))
+        return sample_recipient(s.traffic, world.rng) == s.total_mus - 1
+
+    for master in range(100):
+        seeds = replication_seeds(master, 3)
+        failing = [seed for seed in seeds if diverges(seed)]
+        if len(failing) == 1 and failing[0] != seeds[0]:
+            break
+    else:
+        pytest.fail("no master seed with exactly one diverging replication")
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(scenario_to_dict(dataclasses.replace(s, seed=master))))
+    with np.errstate(all="ignore"):  # the far user's power is -inf in every snapshot
+        rc = cli_main(["run", "--scenario", str(scen), "--replications", "3",
+                       "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"replication with seed {failing[0]} failed: agent 0 stepped to [nan" in err
+    assert all(str(seed) not in err for seed in seeds if seed != failing[0])
 
 
 class CountingFreeSpace(ChannelModel):

@@ -51,6 +51,23 @@ def test_sample_frequencies_within_three_sigma():
     assert np.all(np.abs(counts - n / m) <= 3.0 * sigma)
 
 
+@pytest.mark.parametrize("size", [None, 50], ids=["scalar", "q"])
+@pytest.mark.parametrize("profile", [
+    TrafficProfile.uniform(202),
+    TrafficProfile(pi=tuple(np.r_[0.0, 0.0, np.random.default_rng(4).dirichlet(np.full(40, 0.2))])),
+], ids=["uniform", "skewed"])
+def test_sample_matches_generator_choice(profile, size):
+    # the CDF built once per profile draws what rng.choice draws, and
+    # leaves the generator in the same state
+    ours, theirs = np.random.default_rng(21), np.random.default_rng(21)
+    for _ in range(50):
+        got = sample_recipient(profile, ours, size=size)
+        want = theirs.choice(len(profile.pi), size=size, p=profile.as_array())
+        assert np.array_equal(got, want)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert profile.cdf is profile.cdf
+
+
 def test_sample_deterministic_given_seed():
     prof = TrafficProfile(pi=(0.2, 0.3, 0.5))
     a = [sample_recipient(prof, np.random.default_rng(42)) for _ in range(1)]
