@@ -10,8 +10,6 @@ simulator with a k-means baseline, and reporting/CLI front ends.
 from .channel import (
     ChannelParams,
     CoincidentPositionsError,
-    FREE_SPACE,
-    FreeSpaceChannel,
     Position,
     free_space_power_dbm,
     free_space_power_gradient,

@@ -3,17 +3,14 @@
 Positions are Cartesian East/North/Up coordinates in meters. All power
 bookkeeping at module boundaries is in dBm; linear (mW) conversions happen
 inside the operations that need them. One array kernel,
-:func:`free_space_power_matrix`, evaluates B transmitters at N points at
+:func:`received_power_matrix`, evaluates B transmitters at N points at
 once, with gradients on request; every other power computation in the
-package goes through it. The model interface is pluggable: anything that
-maps (base-station position, user position, link parameters) to a received
-power differentiable in the base-station position fits.
+package goes through it.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,19 +93,20 @@ def positions_to_array(positions) -> np.ndarray:
     return np.asarray(rows, dtype=float).reshape(-1, 3)
 
 
-def free_space_power_matrix(L, X, params, gradient: bool = False):
+def received_power_matrix(placements, params, points, gradient: bool = False):
     """Received power from B transmitters at N points, and its gradient: the array kernel.
 
     Parameters
     ----------
-    L : ndarray, shape (..., B, 3)
+    placements : Position sequence or ndarray, shape (..., B, 3)
         Transmitter locations.
-    X : ndarray, shape (..., N, 3)
-        Receiver locations. The leading axes of ``L`` and ``X`` broadcast,
-        e.g. one set of transmitters and points per replication.
     params : sequence of ChannelParams
         Transmit power and reference-distance gain calibration, one per
         transmitter.
+    points : Position sequence or ndarray, shape (..., N, 3)
+        Receiver locations. The leading axes of ``placements`` and
+        ``points`` broadcast, e.g. one set of transmitters and points per
+        replication.
     gradient : bool
         Also return the gradient of each power in its transmitter's
         position.
@@ -128,6 +126,7 @@ def free_space_power_matrix(L, X, params, gradient: bool = False):
     so each transmitter's N entries are adjacent in memory and a reduction
     over the B axis adds whole rows of N entries.
     """
+    L, X = positions_to_array(placements), positions_to_array(points)
     # one coordinate at a time: every operation runs along the N points
     dx, dy, dz = (L[..., :, None, k] - X[..., None, :, k] for k in range(3))
     d2 = dx * dx + dy * dy + dz * dz
@@ -148,84 +147,11 @@ def free_space_power_matrix(L, X, params, gradient: bool = False):
 def free_space_power_dbm(l_b: Position, x_m: Position, params: ChannelParams) -> float:
     """Received power in dBm at ``x_m`` from a transmitter at ``l_b``.
 
-    One entry of :func:`free_space_power_matrix`, which documents the model.
+    One entry of :func:`received_power_matrix`, which documents the model.
     """
-    return float(free_space_power_matrix(l_b.as_array()[None], x_m.as_array()[None],
-                                         (params,))[0, 0])
+    return float(received_power_matrix([l_b], (params,), [x_m])[0, 0])
 
 
 def free_space_power_gradient(l_b: Position, x_m: Position, params: ChannelParams) -> np.ndarray:
     """Gradient of :func:`free_space_power_dbm` with respect to ``l_b``, dB/meter."""
-    _, g = free_space_power_matrix(l_b.as_array()[None], x_m.as_array()[None], (params,),
-                                   gradient=True)
-    return g[0, 0]
-
-
-class ChannelModel(ABC):
-    """Pluggable channel abstraction.
-
-    Implementations must be differentiable in the transmitter position away
-    from the receiver; the analytic gradient must agree with central finite
-    differences of the power function.
-    """
-
-    @abstractmethod
-    def power_dbm(self, l_b: Position, x_m: Position, params: ChannelParams) -> float:
-        """Received power at ``x_m`` from a transmitter at ``l_b``, dBm."""
-
-    @abstractmethod
-    def power_gradient(self, l_b: Position, x_m: Position, params: ChannelParams) -> np.ndarray:
-        """Gradient of ``power_dbm`` with respect to ``l_b``, dB/meter (3-vector)."""
-
-    def power_matrix(self, L, X, params, gradient: bool = False):
-        """Powers (..., N, B) from transmitters ``L`` (..., B, 3) at points ``X`` (..., N, 3).
-
-        With ``gradient`` also returns the (..., N, B, 3) gradients in the
-        transmitter positions. The leading axes broadcast. Loops over the
-        scalar methods; override to vectorize.
-        """
-        L, X = np.asarray(L, dtype=float), np.asarray(X, dtype=float)
-        lead = np.broadcast_shapes(L.shape[:-2], X.shape[:-2])
-        L = np.broadcast_to(L, lead + L.shape[-2:])
-        X = np.broadcast_to(X, lead + X.shape[-2:])
-        powers = np.empty(lead + (X.shape[-2], L.shape[-2]))
-        grads = np.empty(powers.shape + (3,))
-        for k in np.ndindex(lead):
-            tx = [Position.from_array(row) for row in L[k]]
-            for n, row in enumerate(X[k]):
-                x_m = Position.from_array(row)
-                for b, (l_b, prm) in enumerate(zip(tx, params)):
-                    powers[k + (n, b)] = self.power_dbm(l_b, x_m, prm)
-                    if gradient:
-                        grads[k + (n, b)] = self.power_gradient(l_b, x_m, prm)
-        return (powers, grads) if gradient else powers
-
-
-class FreeSpaceChannel(ChannelModel):
-    """Inverse-square spreading calibrated by a reference-distance gain."""
-
-    def power_dbm(self, l_b, x_m, params):
-        return free_space_power_dbm(l_b, x_m, params)
-
-    def power_gradient(self, l_b, x_m, params):
-        return free_space_power_gradient(l_b, x_m, params)
-
-    def power_matrix(self, L, X, params, gradient=False):
-        return free_space_power_matrix(L, X, params, gradient)
-
-
-FREE_SPACE = FreeSpaceChannel()
-
-
-def received_power_matrix(placements, params, points, model: ChannelModel = FREE_SPACE,
-                          gradient: bool = False):
-    """Power from each of B transmitters at each of N points, shape (N, B), dBm.
-
-    ``placements`` and ``params`` are parallel length-B sequences;
-    ``placements`` and ``points`` may be Position sequences or (..., 3)
-    arrays, whose leading axes broadcast to leading axes of the result.
-    With ``gradient`` also returns the (N, B, 3) gradients in the
-    transmitter positions (see :meth:`ChannelModel.power_matrix`).
-    """
-    return model.power_matrix(positions_to_array(placements), positions_to_array(points),
-                              params, gradient)
+    return received_power_matrix([l_b], (params,), [x_m], gradient=True)[1][0, 0]

@@ -184,12 +184,20 @@ def _write_effective_config(out_dir: str, scenario: Scenario):
         f.write("\n")
 
 
+def _override_seed(s: Scenario, seed) -> Scenario:
+    """``s`` with the ``--seed`` override applied, if one was given."""
+    if seed is None:
+        return s
+    try:
+        return dataclasses.replace(s, seed=seed)
+    except ValueError as e:
+        raise CliError(f"--seed {seed}: {e}")
+
+
 def cmd_run(args) -> int:
     if args.replications < 1:
         raise CliError("--replications must be at least 1")
-    s = load_scenario_file(args.scenario)
-    if args.seed is not None:
-        s = dataclasses.replace(s, seed=args.seed)
+    s = _override_seed(load_scenario_file(args.scenario), args.seed)
     _write_effective_config(args.out, s)
     seeds = replication_seeds(s.seed, args.replications)
     results = _run_replications(s, seeds, args.out)
@@ -216,17 +224,22 @@ def cmd_reproduce_paper(args) -> int:
 
 
 def _apply_axis(s: Scenario, axis: str, value: float) -> Scenario:
-    if axis == "eta":
-        return dataclasses.replace(s, schedule=dataclasses.replace(s.schedule, eta0=value))
-    if axis == "q":
-        q = int(value)
-        if q != value:
-            raise CliError(f"axis q needs integer values, got {value}")
-        return dataclasses.replace(s, schedule=dataclasses.replace(s.schedule, minibatch_size=q))
-    if axis == "alpha":
-        return dataclasses.replace(s, utility=dataclasses.replace(s.utility, softmax_alpha=value))
-    if axis == "delta":
-        return dataclasses.replace(s, utility=dataclasses.replace(s.utility, delta_db=value))
+    try:
+        if axis == "eta":
+            return dataclasses.replace(s, schedule=dataclasses.replace(s.schedule, eta0=value))
+        if axis == "q":
+            q = int(value)
+            if q != value:
+                raise CliError(f"axis q needs integer values, got {value}")
+            return dataclasses.replace(
+                s, schedule=dataclasses.replace(s.schedule, minibatch_size=q))
+        if axis == "alpha":
+            return dataclasses.replace(
+                s, utility=dataclasses.replace(s.utility, softmax_alpha=value))
+        if axis == "delta":
+            return dataclasses.replace(s, utility=dataclasses.replace(s.utility, delta_db=value))
+    except (ValueError, OverflowError) as e:  # int() of nan or inf, or a rejected setting
+        raise CliError(f"sweep axis {axis} value {value:g}: {e}")
     raise CliError(f"unknown sweep axis {axis!r}; expected one of {', '.join(SWEEP_AXES)}")
 
 
@@ -242,13 +255,12 @@ def cmd_sweep(args) -> int:
         raise CliError(f"could not parse --values {args.values!r} as numbers")
     if not values:
         raise CliError("--values must list at least one number")
-    base = load_scenario_file(args.scenario)
-    if args.seed is not None:
-        base = dataclasses.replace(base, seed=args.seed)
+    base = _override_seed(load_scenario_file(args.scenario), args.seed)
+    # every value is checked before the first one runs
+    scenarios = [(value, _apply_axis(base, args.axis, value)) for value in values]
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for value in values:
-        s = _apply_axis(base, args.axis, value)
+    for value, s in scenarios:
         seeds = replication_seeds(s.seed, args.replications)
         value_dir = os.path.join(args.out, f"{args.axis}_{value:g}")
         results = _run_replications(s, seeds, value_dir)

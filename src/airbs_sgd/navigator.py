@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import FREE_SPACE, ChannelModel, ChannelParams, Position
+from .channel import ChannelParams, Position, received_power_matrix
 from .traffic import ControlPacket
 from .utility import UtilityConfig, user_utility_partials
 
@@ -93,8 +93,8 @@ class StepSchedule:
             raise ValueError("eta0 must be finite and nonnegative")
         if self.minibatch_size < 1:
             raise ValueError("minibatch_size must be at least 1")
-        if not (self.eta_scale > 0.0):
-            raise ValueError("eta_scale must be positive")
+        if not (math.isfinite(self.eta_scale) and self.eta_scale > 0.0):
+            raise ValueError(f"eta_scale must be finite and positive, got {self.eta_scale}")
         if self.decay not in ("constant", "harmonic"):
             raise ValueError(f"unknown decay {self.decay!r}")
 
@@ -106,8 +106,7 @@ class StepSchedule:
 
 
 def agent_partial_gradient(agent: AirBsAgent, packet: ControlPacket,
-                           cfg: UtilityConfig,
-                           model: ChannelModel = FREE_SPACE) -> np.ndarray:
+                           cfg: UtilityConfig) -> np.ndarray:
     """One agent's stochastic gradient contribution from one packet.
 
     Chain rule: [d p_b / d l_b at the reporting user] * [d J_m / d p_b from
@@ -117,9 +116,8 @@ def agent_partial_gradient(agent: AirBsAgent, packet: ControlPacket,
     """
     if agent.index >= len(packet.measured_powers_dbm):
         raise IndexError("agent index exceeds packet power count")
-    _, gvec = model.power_matrix(agent.position.as_array()[None],
-                                 packet.mu_location.as_array()[None],
-                                 (agent.channel_params,), gradient=True)
+    _, gvec = received_power_matrix([agent.position], (agent.channel_params,),
+                                    [packet.mu_location], gradient=True)
     partials = user_utility_partials(np.asarray(packet.measured_powers_dbm)[None], cfg)
     return gvec[0, 0] * partials[0, agent.index]
 

@@ -16,22 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FREE_SPACE, ChannelModel, positions_to_array, received_power_matrix
+from .channel import positions_to_array, received_power_matrix
 
 DEFAULT_HIST_RANGE = (-110.0, -70.0)
 DEFAULT_HIST_BIN_DB = 1.0
 
 
-def per_mu_max_power(placements, params, mus, model: ChannelModel = FREE_SPACE) -> np.ndarray:
+def per_mu_max_power(placements, params, mus) -> np.ndarray:
     """Strongest received power at each user, exact max over transmitters (dBm)."""
-    powers = received_power_matrix(placements, params, positions_to_array(mus), model)
-    return np.max(powers, axis=1)
+    return np.max(received_power_matrix(placements, params, mus), axis=1)
 
 
-def served_count(placements, mus, params, p_min_dbm: float,
-                 model: ChannelModel = FREE_SPACE) -> int:
+def served_count(placements, mus, params, p_min_dbm: float) -> int:
     """Number of users whose strongest transmitter meets the power target."""
-    return int(np.sum(per_mu_max_power(placements, params, mus, model) >= p_min_dbm))
+    return int(np.sum(per_mu_max_power(placements, params, mus) >= p_min_dbm))
 
 
 def power_histogram(per_mu_powers, bin_width_db: float = DEFAULT_HIST_BIN_DB,
@@ -107,10 +105,9 @@ class MetricsReport:
 
 
 def placement_metrics(placements, params, mus, p_min_dbm: float,
-                      model: ChannelModel = FREE_SPACE,
                       bin_width_db: float = DEFAULT_HIST_BIN_DB,
                       value_range=DEFAULT_HIST_RANGE) -> PlacementMetrics:
-    pmax = per_mu_max_power(placements, params, mus, model)
+    pmax = per_mu_max_power(placements, params, mus)
     return PlacementMetrics(
         served_count=int(np.sum(pmax >= p_min_dbm)),
         total_mus=len(pmax),
@@ -120,10 +117,10 @@ def placement_metrics(placements, params, mus, p_min_dbm: float,
 
 
 def build_metrics_report(initial_placements, final_placements, params, mus,
-                         p_min_dbm: float, model: ChannelModel = FREE_SPACE) -> MetricsReport:
+                         p_min_dbm: float) -> MetricsReport:
     return MetricsReport(
-        initial=placement_metrics(initial_placements, params, mus, p_min_dbm, model),
-        final=placement_metrics(final_placements, params, mus, p_min_dbm, model),
+        initial=placement_metrics(initial_placements, params, mus, p_min_dbm),
+        final=placement_metrics(final_placements, params, mus, p_min_dbm),
         p_min_dbm=float(p_min_dbm),
     )
 

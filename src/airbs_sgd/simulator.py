@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (FREE_SPACE, ChannelModel, ChannelParams, CoincidentPositionsError,
-                      Position, positions_to_array, received_power_matrix)
+from .channel import ChannelParams, CoincidentPositionsError, Position, received_power_matrix
 from .navigator import AirBsAgent, DivergenceError, StepSchedule, batched_update
 from .traffic import ControlPacket, TrafficProfile, sample_recipient
 from .utility import UtilityConfig, user_utility
@@ -96,6 +95,9 @@ class Scenario:
     measurement_noise_db: float = 0.0
 
     def __post_init__(self):
+        if self.area.width == 0.0 and self.area.height == 0.0:
+            raise ValueError(f"area must have a nonzero width or height, got the point "
+                             f"({self.area.x_min}, {self.area.y_min})")
         if self.num_airbs < 1:
             raise ValueError("need at least one transmitter")
         if self.num_mus < 1:
@@ -238,17 +240,15 @@ def init_scenario(s: Scenario) -> World:
                  params=s.agent_channel_params(), fixed_height=h, profile=s.traffic, rng=rng)
 
 
-def run(s: Scenario, *, keep_packets: bool = False,
-        model: ChannelModel = FREE_SPACE):
+def run(s: Scenario, *, keep_packets: bool = False):
     """Execute the scenario; returns ``(TrajectoryLog, MetricsReport)``.
 
     A batch of one: see :func:`run_replications`.
     """
-    return run_replications(s, [s.seed], keep_packets=keep_packets, model=model)[0]
+    return run_replications(s, [s.seed], keep_packets=keep_packets)[0]
 
 
-def run_replications(s: Scenario, seeds, *, keep_packets: bool = False,
-                     model: ChannelModel = FREE_SPACE) -> list:
+def run_replications(s: Scenario, seeds, *, keep_packets: bool = False) -> list:
     """Execute the scenario once per seed; returns ``(TrajectoryLog, MetricsReport)`` pairs.
 
     The replications advance together, in groups of at most
@@ -268,7 +268,7 @@ def run_replications(s: Scenario, seeds, *, keep_packets: bool = False,
     for k in range(0, len(seeds), group):
         chunk = seeds[k:k + group]
         try:
-            results += _advance(s, chunk, keep_packets, model)
+            results += _advance(s, chunk, keep_packets)
         except (CoincidentPositionsError, DivergenceError) as e:
             if len(chunk) == 1:
                 e.seed = chunk[0]
@@ -276,12 +276,12 @@ def run_replications(s: Scenario, seeds, *, keep_packets: bool = False,
                 # the replications are independent, so the first seed that
                 # fails on its own is the first that failed in the chunk
                 for seed in chunk:
-                    run_replications(s, [seed], model=model)
+                    run_replications(s, [seed])
             raise
     return results
 
 
-def _advance(s: Scenario, seeds, keep_packets: bool, model: ChannelModel) -> list:
+def _advance(s: Scenario, seeds, keep_packets: bool) -> list:
     from .report import build_metrics_report
 
     worlds = [init_scenario(dataclasses.replace(s, seed=seed)) for seed in seeds]
@@ -305,7 +305,7 @@ def _advance(s: Scenario, seeds, keep_packets: bool, model: ChannelModel) -> lis
         # match it bitwise; transmitter-major (R, B, M), as it lays them out
         positions[:, i] = L
         powers = np.ascontiguousarray(
-            np.swapaxes(received_power_matrix(L, params, users, model), -1, -2))
+            np.swapaxes(received_power_matrix(L, params, users), -1, -2))
         per_user = user_utility(powers, cfg, axis=1)
         utilities[:, i] = [np.dot(weights, row) for row in per_user]
         served[:, i] = np.sum(np.max(powers, axis=1) >= cfg.p_min_dbm, axis=1)
@@ -313,7 +313,7 @@ def _advance(s: Scenario, seeds, keep_packets: bool, model: ChannelModel) -> lis
     snapshot(0)
     for i in range(s.iterations):
         idx = np.stack([sample_recipient(profile, rng, size=q) for rng in rngs])
-        powers, grads = model.power_matrix(L, users[rep, idx], params, gradient=True)
+        powers, grads = received_power_matrix(L, params, users[rep, idx], gradient=True)
         if sigma > 0.0:
             powers = powers + sigma * np.stack([rng.standard_normal((q, b)) for rng in rngs])
         if keep_packets:
@@ -332,7 +332,7 @@ def _advance(s: Scenario, seeds, keep_packets: bool, model: ChannelModel) -> lis
                             users=users[r])
         report = build_metrics_report(
             initial_placements=positions[r, 0], final_placements=positions[r, -1],
-            params=params, mus=users[r], p_min_dbm=cfg.p_min_dbm, model=model)
+            params=params, mus=users[r], p_min_dbm=cfg.p_min_dbm)
         results.append((log, report))
     return results
 
@@ -349,8 +349,7 @@ def coverage_axes(area: Rect, grid_resolution) -> tuple:
 
 
 def coverage_map(placements, area: Rect, grid_resolution, params,
-                 clip=(-100.0, -80.0), model: ChannelModel = FREE_SPACE,
-                 ground_z: float = 0.0) -> np.ndarray:
+                 clip=(-100.0, -80.0), ground_z: float = 0.0) -> np.ndarray:
     """Strongest received power on a ground grid, clipped to ``clip`` dBm.
 
     Returns shape (ny, nx): rows run south to north, columns west to east,
@@ -362,7 +361,7 @@ def coverage_map(placements, area: Rect, grid_resolution, params,
     xs, ys = coverage_axes(area, grid_resolution)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(ground_z))])
-    best = np.max(model.power_matrix(positions_to_array(placements), pts, params), axis=1)
+    best = np.max(received_power_matrix(placements, params, pts), axis=1)
     return np.clip(best, lo, hi).reshape(gy.shape)
 
 

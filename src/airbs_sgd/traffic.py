@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import FREE_SPACE, ChannelModel, Position, received_power_matrix
+from .channel import Position, received_power_matrix
 from .utility import UtilityConfig, user_utility
 
 PI_SUM_TOL = 1e-9
@@ -93,8 +93,7 @@ def sample_recipient(profile: TrafficProfile, rng: np.random.Generator, size=Non
     return idx
 
 
-def make_control_packet(m: int, mu_positions, placements, params,
-                        model: ChannelModel = FREE_SPACE, *,
+def make_control_packet(m: int, mu_positions, placements, params, *,
                         noise_sigma_db: float = 0.0,
                         rng: np.random.Generator | None = None) -> ControlPacket:
     """Build the reply packet for user ``m``.
@@ -107,7 +106,7 @@ def make_control_packet(m: int, mu_positions, placements, params,
     if not 0 <= m < len(mu_positions):
         raise IndexError(f"user index {m} out of range [0, {len(mu_positions)})")
     loc = mu_positions[m]
-    powers = received_power_matrix(placements, params, [loc], model)[0]
+    powers = received_power_matrix(placements, params, [loc])[0]
     if noise_sigma_db < 0.0:
         raise ValueError("noise_sigma_db must be nonnegative")
     if noise_sigma_db > 0.0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .channel import FREE_SPACE, ChannelModel, positions_to_array, received_power_matrix
+from .channel import positions_to_array, received_power_matrix
 
 LN2 = math.log(2.0)
 # d(linear)/d(dB) = linear * ln(10)/10; used to express partials per dB.
@@ -65,10 +65,11 @@ class UtilityConfig:
             raise ValueError("noise_dbm must be finite")
         if not math.isfinite(self.p_min_dbm):
             raise ValueError("p_min_dbm must be finite")
-        if not (self.delta_db > 0.0):
-            raise ValueError("delta_db must be positive")
-        if not (self.softmax_alpha > 0.0):
-            raise ValueError("softmax_alpha must be positive")
+        if not (math.isfinite(self.delta_db) and self.delta_db > 0.0):
+            raise ValueError(f"delta_db must be finite and positive, got {self.delta_db}")
+        if not (math.isfinite(self.softmax_alpha) and self.softmax_alpha > 0.0):
+            raise ValueError(f"softmax_alpha must be finite and positive, "
+                             f"got {self.softmax_alpha}")
 
 
 def smooth_max_dbm(powers_dbm, alpha: float = 1.0, axis: int = -1):
@@ -206,8 +207,7 @@ def _users_to_arrays(users):
     return pos, w
 
 
-def network_utility(placements, users, cfg: UtilityConfig, params,
-                    model: ChannelModel = FREE_SPACE) -> float:
+def network_utility(placements, users, cfg: UtilityConfig, params) -> float:
     """Exact weighted network utility ``sum_m w_m * J_m`` over all users.
 
     ``users`` is either a sequence of ``(position, weight)`` pairs or a
@@ -219,18 +219,17 @@ def network_utility(placements, users, cfg: UtilityConfig, params,
     pos, w = _users_to_arrays(users)
     # transmitter-major (B, M), as the simulator's oracle snapshot lays the
     # powers out, so the two add the transmitters in the same order for any B
-    powers = np.ascontiguousarray(received_power_matrix(placements, params, pos, model).T)
+    powers = np.ascontiguousarray(received_power_matrix(placements, params, pos).T)
     return float(np.dot(w, user_utility(powers, cfg, axis=0)))
 
 
-def network_utility_gradient(placements, users, cfg: UtilityConfig, params,
-                             model: ChannelModel = FREE_SPACE) -> np.ndarray:
+def network_utility_gradient(placements, users, cfg: UtilityConfig, params) -> np.ndarray:
     """Gradient of :func:`network_utility` in each transmitter position.
 
     Returns shape (B, 3), dB-chain assembled: row ``b`` is
     ``sum_m w_m * (d p_bm / d l_b) * (d J_m / d p_bm)``.
     """
     pos, w = _users_to_arrays(users)
-    powers, grads = received_power_matrix(placements, params, pos, model, gradient=True)
+    powers, grads = received_power_matrix(placements, params, pos, gradient=True)
     partials = user_utility_partials(powers, cfg)  # (M, B)
     return np.einsum("m,mb,mbk->bk", w, partials, grads)

@@ -6,8 +6,6 @@ import pytest
 import helpers
 from helpers import dbm_to_linear, linear_to_dbm
 from airbs_sgd.channel import (
-    FREE_SPACE,
-    ChannelModel,
     ChannelParams,
     CoincidentPositionsError,
     Position,
@@ -132,36 +130,51 @@ def test_dbm_linear_roundtrip():
     assert float(np.max(np.abs(back - vals) / np.maximum(np.abs(vals), 1e-12))) < 1e-12
 
 
+def pairwise_loop(L, X, params):
+    """Powers and gradients from one one-pair kernel call per (transmitter, point)."""
+    lead = np.broadcast_shapes(L.shape[:-2], X.shape[:-2])
+    L = np.broadcast_to(L, lead + L.shape[-2:])
+    X = np.broadcast_to(X, lead + X.shape[-2:])
+    powers = np.empty(lead + (X.shape[-2], L.shape[-2]))
+    grads = np.empty(powers.shape + (3,))
+    for k in np.ndindex(lead):
+        for n, x in enumerate(X[k]):
+            for b, (l_b, prm) in enumerate(zip(L[k], params)):
+                p, g = received_power_matrix(l_b[None], (prm,), x[None], gradient=True)
+                powers[k + (n, b)], grads[k + (n, b)] = p[0, 0], g[0, 0]
+    return powers, grads
+
+
 def test_vectorized_points_match_scalar():
-    # the batched kernel against the generic per-pair loop over the scalar
-    # methods: every entry is computed elementwise, so batching changes no bit
+    # the batched kernel against a loop of one-pair calls: every entry is
+    # computed elementwise, so batching changes no bit
     rng = np.random.default_rng(9)
     L = np.array([[100.0, 200.0, 30.0], [-700.0, 50.0, 80.0], [1500.0, -900.0, 10.0]])
     params = [PARAMS, ChannelParams(-94.0, 1000.0, 7.0), ChannelParams(-90.0, 500.0, 9.0)]
     pts = rng.uniform(-2000, 2000, size=(64, 3))
     pts[:, 2] = 0.0
-    vec_p, vec_g = FREE_SPACE.power_matrix(L, pts, params, gradient=True)
-    loop_p, loop_g = ChannelModel.power_matrix(FREE_SPACE, L, pts, params, gradient=True)
+    vec_p, vec_g = received_power_matrix(L, params, pts, gradient=True)
+    loop_p, loop_g = pairwise_loop(L, pts, params)
     assert vec_p.shape == (64, 3) and vec_g.shape == (64, 3, 3)
     assert np.array_equal(vec_p, loop_p)
     assert np.array_equal(vec_g, loop_g)
-    assert np.array_equal(FREE_SPACE.power_matrix(L, pts, params), vec_p)
+    assert np.array_equal(received_power_matrix(L, params, pts), vec_p)
 
 
 def test_kernel_leading_axes_are_independent_batches():
     # (R, B, 3) transmitters at (R, N, 3) points: each replication's block is
     # the kernel on that replication alone, bit for bit, and so is the
-    # generic per-pair loop with the same leading axis
+    # loop of one-pair calls over the same leading axis
     rng = np.random.default_rng(10)
     L = np.concatenate([rng.uniform(-1500, 1500, (3, 4, 2)), rng.uniform(10, 90, (3, 4, 1))], -1)
     X = np.concatenate([rng.uniform(-2000, 2000, (3, 9, 2)), np.zeros((3, 9, 1))], -1)
     params = [ChannelParams(-94.0, 1000.0, float(p)) for p in (7.0, 9.0, 9.0, 12.0)]
-    powers, grads = FREE_SPACE.power_matrix(L, X, params, gradient=True)
+    powers, grads = received_power_matrix(L, params, X, gradient=True)
     assert powers.shape == (3, 9, 4) and grads.shape == (3, 9, 4, 3)
     for r in range(3):
-        p_r, g_r = FREE_SPACE.power_matrix(L[r], X[r], params, gradient=True)
+        p_r, g_r = received_power_matrix(L[r], params, X[r], gradient=True)
         assert np.array_equal(powers[r], p_r) and np.array_equal(grads[r], g_r)
-    loop_p, loop_g = ChannelModel.power_matrix(FREE_SPACE, L, X, params, gradient=True)
+    loop_p, loop_g = pairwise_loop(L, X, params)
     assert np.array_equal(powers, loop_p) and np.array_equal(grads, loop_g)
     # one set of transmitters broadcast over the points of every replication
     assert np.array_equal(received_power_matrix(L[0], params, X),
@@ -208,7 +221,7 @@ def test_kernel_gradients_match_finite_differences():
     L = np.column_stack([rng.uniform(-2000, 2000, (4, 2)), rng.uniform(20, 200, 4)])
     X = np.column_stack([rng.uniform(-2000, 2000, (30, 2)), np.zeros(30)])
     params = [ChannelParams(-94.0, 1000.0, float(p)) for p in rng.uniform(5, 15, 4)]
-    powers, grads = FREE_SPACE.power_matrix(L, X, params, gradient=True)
+    powers, grads = received_power_matrix(L, params, X, gradient=True)
     h = 1e-3
     fd = np.empty_like(grads)
     for b in range(4):
@@ -216,8 +229,8 @@ def test_kernel_gradients_match_finite_differences():
             up, down = L.copy(), L.copy()
             up[b, k] += h
             down[b, k] -= h
-            p_up = FREE_SPACE.power_matrix(up, X, params)
-            fd[:, b, k] = (p_up[:, b] - FREE_SPACE.power_matrix(down, X, params)[:, b]) / (2 * h)
+            p_up = received_power_matrix(up, params, X)
+            fd[:, b, k] = (p_up[:, b] - received_power_matrix(down, params, X)[:, b]) / (2 * h)
             # moving one transmitter changes only its own column
             assert np.array_equal(np.delete(p_up, b, axis=1), np.delete(powers, b, axis=1))
     for n in range(30):
@@ -229,6 +242,6 @@ def test_kernel_rejects_coincident_user_in_batch():
     L = np.array([[0.0, 0.0, 30.0], [500.0, 500.0, 30.0]])
     X = np.array([[100.0, 100.0, 0.0], [500.0, 500.0, 29.95], [900.0, 0.0, 0.0]])
     with pytest.raises(CoincidentPositionsError):
-        FREE_SPACE.power_matrix(L, X, [PARAMS, PARAMS], gradient=True)
+        received_power_matrix(L, [PARAMS, PARAMS], X, gradient=True)
     with pytest.raises(CoincidentPositionsError):
         received_power_matrix(L, [PARAMS, PARAMS], X)

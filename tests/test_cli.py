@@ -85,6 +85,40 @@ def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["run", "--seed", "-1"], "--seed -1"),
+    (["run", "--seed", str(2 ** 64)], f"--seed {2 ** 64}"),
+    (["sweep", "--seed", "-1", "--axis", "eta", "--values", "1"], "--seed -1"),
+    (["sweep", "--axis", "eta", "--values", "-1"], "sweep axis eta"),
+    (["sweep", "--axis", "q", "--values", "0"], "sweep axis q"),
+    (["sweep", "--axis", "q", "--values", "inf"], "sweep axis q"),
+    (["sweep", "--axis", "alpha", "--values", "nan"], "sweep axis alpha"),
+    (["sweep", "--axis", "delta", "--values", "inf"], "sweep axis delta"),
+    (["sweep", "--axis", "delta", "--values", "2,inf"], "sweep axis delta"),
+], ids=["negative_seed", "seed_over_64_bits", "sweep_negative_seed", "negative_eta",
+        "zero_q", "infinite_q", "nan_alpha", "infinite_delta", "infinite_delta_second"])
+def test_bad_override_exits_2_naming_it(tmp_path, capsys, argv, named):
+    scen = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    rc = main([argv[0], "--scenario", str(scen), *argv[1:], "--out", str(out)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    # nothing ran: every value is checked before the first one runs
+    assert not list(out.glob("**/rep_000"))
+
+
+def test_point_area_exits_2_line_area_renders(tmp_path, capsys):
+    point = write_scenario(tmp_path, "point.json")
+    d = json.loads(point.read_text())
+    d["area"] = {"x_min": 500.0, "y_min": 500.0, "x_max": 500.0, "y_max": 500.0}
+    point.write_text(json.dumps(d))
+    assert main(["run", "--scenario", str(point), "--out", str(tmp_path / "p")]) == 2
+    assert "area" in capsys.readouterr().err
+    line = write_scenario(tmp_path, "line.json", area=Rect(0.0, 500.0, 2000.0, 500.0))
+    assert main(["run", "--scenario", str(line), "--out", str(tmp_path / "l")]) == 0
+    assert (tmp_path / "l" / "rep_000" / "map.svg").stat().st_size > 0
+
+
 def test_diverging_run_exits_2(tmp_path, capsys):
     scen = write_scenario(tmp_path, schedule=StepSchedule(eta0=5.0, minibatch_size=6,
                                                           eta_scale=1e308))

@@ -207,3 +207,6 @@ def test_step_schedule():
         StepSchedule(eta0=1.0, minibatch_size=5, decay="exponential")
     with pytest.raises(ValueError):
         StepSchedule(eta0=1.0, minibatch_size=5, eta_scale=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="eta_scale must be finite"):
+            StepSchedule(eta0=1.0, minibatch_size=5, eta_scale=bad)

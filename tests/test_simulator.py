@@ -9,12 +9,9 @@ import helpers
 from test_utility import conditioned_cfg
 
 from airbs_sgd.channel import (
-    FREE_SPACE,
-    ChannelModel,
     ChannelParams,
     Position,
     free_space_power_dbm,
-    free_space_power_gradient,
     received_power_matrix,
 )
 from airbs_sgd.navigator import (
@@ -178,7 +175,7 @@ def _batch_case(rng, family, b, q=7):
     L = np.column_stack([rng.uniform(0.0, 2000.0, (b, 2)), rng.uniform(20.0, 80.0, b)])
     X = np.column_stack([rng.uniform(0.0, 2000.0, (q, 2)), np.zeros(q)])
     params = [ChannelParams(-94.0, 1000.0, float(p)) for p in rng.uniform(5.0, 15.0, b)]
-    powers, grads = FREE_SPACE.power_matrix(L, X, params, gradient=True)
+    powers, grads = received_power_matrix(L, params, X, gradient=True)
     return L, X, params, powers, grads, conditioned_cfg(family, powers[q // 2], rng)
 
 
@@ -193,7 +190,7 @@ def test_batched_step_matches_per_agent_reference(family, b, fixed):
     height = 50.0 if fixed else None
     if fixed:
         L[:, 2] = height
-        powers, grads = FREE_SPACE.power_matrix(L, X, params, gradient=True)
+        powers, grads = received_power_matrix(L, params, X, gradient=True)
     reported = powers + 0.5 * rng.standard_normal(powers.shape)
     eta = 1e4
     new = batched_update(L, grads, reported, cfg, eta, height)
@@ -224,7 +221,7 @@ def test_batched_step_follows_minibatch_utility_gradient(family):
     L, X, params, powers, grads, cfg = _batch_case(rng, family, 3)
 
     def mean_utility(flat):
-        return float(np.mean(user_utility(FREE_SPACE.power_matrix(flat.reshape(-1, 3), X, params),
+        return float(np.mean(user_utility(received_power_matrix(flat.reshape(-1, 3), params, X),
                                           cfg)))
 
     fd = helpers.central_diff(mean_utility, L.ravel(), h=1e-3).reshape(L.shape)
@@ -359,40 +356,6 @@ def test_cli_names_the_one_diverging_replication(tmp_path, capsys):
     assert all(str(seed) not in err for seed in seeds if seed != failing[0])
 
 
-class CountingFreeSpace(ChannelModel):
-    """Free space through the generic per-pair loop, counting its calls."""
-
-    calls = 0
-
-    def power_dbm(self, l_b, x_m, params):
-        self.calls += 1
-        return free_space_power_dbm(l_b, x_m, params)
-
-    def power_gradient(self, l_b, x_m, params):
-        self.calls += 1
-        return free_space_power_gradient(l_b, x_m, params)
-
-
-def test_run_and_coverage_honour_the_channel_model():
-    s = small_scenario(iterations=2)
-    model = CountingFreeSpace()
-    log, rep = run(s, model=model, keep_packets=True)
-    ref_log, ref_rep = run(s, keep_packets=True)
-    calls = model.calls
-    # snapshots, minibatches and the two placement reports all ask the model
-    q, b, m = s.schedule.minibatch_size, s.num_airbs, s.total_mus
-    assert calls == 3 * b * m + s.iterations * 2 * q * b + 2 * b * m
-    assert np.array_equal(log.positions, ref_log.positions)
-    assert np.array_equal(log.oracle_utility, ref_log.oracle_utility)
-    assert rep.to_json_dict() == ref_rep.to_json_dict()
-    assert [p.measured_powers_dbm for p in log.packets[-1]] == \
-        [p.measured_powers_dbm for p in ref_log.packets[-1]]
-    params = s.agent_channel_params()
-    grid = coverage_map(log.positions[-1], s.area, 5, params, model=model)
-    assert model.calls == calls + 25 * b
-    assert np.array_equal(grid, coverage_map(log.positions[-1], s.area, 5, params))
-
-
 def test_packets_not_kept_by_default():
     log, _ = run(small_scenario(iterations=1))
     assert log.packets is None
@@ -493,6 +456,13 @@ def test_scenario_validation():
         small_scenario(utility=None)
     with pytest.raises(ValueError):
         Rect(10.0, 0.0, 0.0, 10.0)
+
+
+def test_point_area_rejected_line_area_kept():
+    # a point has no extent to map; a line still has one
+    with pytest.raises(ValueError, match="area"):
+        small_scenario(area=Rect(500.0, 500.0, 500.0, 500.0))
+    assert small_scenario(area=Rect(0.0, 500.0, 2000.0, 500.0)).area.height == 0.0
 
 
 def test_rect_contains():

@@ -327,6 +327,12 @@ def test_utility_config_validation():
         cfg_for(UtilityFamily.UNICAST_RATE, delta_db=0.0)
     with pytest.raises(ValueError):
         cfg_for(UtilityFamily.UNICAST_RATE, softmax_alpha=0.0)
+    # an infinite band or temperature would zero every partial and freeze the agents
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta_db must be finite"):
+            cfg_for(UtilityFamily.UNICAST_RATE, delta_db=bad)
+        with pytest.raises(ValueError, match="softmax_alpha must be finite"):
+            cfg_for(UtilityFamily.UNICAST_RATE, softmax_alpha=bad)
     with pytest.raises(ValueError):
         cfg_for(UtilityFamily.UNICAST_RATE, noise_dbm=math.inf)
     cfg = cfg_for("unicast_rate")
