@@ -17,7 +17,6 @@ from airbs_sgd import (
     UtilityConfig,
     UtilityFamily,
     free_space_power_dbm,
-    init_scenario,
     run,
 )
 
@@ -44,18 +43,18 @@ def main():
         channel=ChannelParams(-94.0, 1000.0, 0.0),
     )
     log, _ = run(s)
-    mu = init_scenario(s).mus[0]
-    print(f"user at ({mu.x:.1f}, {mu.y:.1f}), "
+    mx, my, _ = log.users[0]
+    print(f"user at ({mx:.1f}, {my:.1f}), "
           f"agent starts at ({log.positions[0,0,0]:.1f}, {log.positions[0,0,1]:.1f})")
 
     print("\n iter   distance(m)   utility")
     for i in range(0, s.iterations + 1, 5):
         x, y, _ = log.positions[i, 0]
-        d = math.hypot(x - mu.x, y - mu.y)
+        d = math.hypot(x - mx, y - my)
         print(f"  {i:3d}   {d:10.2f}   {log.oracle_utility[i]:.6f}")
 
     x, y, _ = log.positions[-1, 0]
-    print(f"\nfinal horizontal miss: {math.hypot(x - mu.x, y - mu.y):.3f} m")
+    print(f"\nfinal horizontal miss: {math.hypot(x - mx, y - my):.3f} m")
 
 
 if __name__ == "__main__":

@@ -11,10 +11,9 @@ Three subcommands:
 
 The replications of a command advance together as one batch in the
 calling thread (see :func:`simulator.run_replications`); their coverage
-maps, bundles and baselines then follow one replication at a time. The
-environment variable ``AIRBS_SGD_THREADS`` caps the worker count; it is
-still validated, and the serial engine meets any cap. Every run is fully
-determined by the master seed, so outputs do not depend on the cap.
+maps, bundles and baselines then follow one replication at a time. Every
+run is fully determined by the master seed, so outputs do not depend on
+how the replications are batched.
 """
 
 from __future__ import annotations
@@ -80,18 +79,6 @@ def replication_seeds(master_seed: int, count: int) -> list:
     ]
 
 
-def _check_thread_cap():
-    """Validate ``AIRBS_SGD_THREADS``; one worker meets any valid cap."""
-    env = os.environ.get("AIRBS_SGD_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise CliError(f"AIRBS_SGD_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise CliError("AIRBS_SGD_THREADS must be at least 1")
-
-
 def _simulate_one(scenario: Scenario, seed: int, rep_dir: str, simulated,
                   with_kmeans: bool = False) -> dict:
     """The tail of one replication: coverage map, output bundle and k-means baseline.
@@ -131,7 +118,6 @@ def _simulate_one(scenario: Scenario, seed: int, rep_dir: str, simulated,
 
 def _run_replications(scenario: Scenario, seeds, out_dir: str,
                       with_kmeans: bool = False) -> list:
-    _check_thread_cap()
     os.makedirs(out_dir, exist_ok=True)
     try:
         batch = run_replications(scenario, seeds)
@@ -257,7 +243,14 @@ def cmd_sweep(args) -> int:
         raise CliError("--values must list at least one number")
     base = _override_seed(load_scenario_file(args.scenario), args.seed)
     # every value is checked before the first one runs
-    scenarios = [(value, _apply_axis(base, args.axis, value)) for value in values]
+    scenarios, named = [], {}
+    for value in values:
+        name = f"{value:g}"
+        if name in named:
+            raise CliError(f"sweep values {named[name]!r} and {value!r} share the name "
+                           f"{args.axis}_{name}")
+        named[name] = value
+        scenarios.append((value, _apply_axis(base, args.axis, value)))
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for value, s in scenarios:

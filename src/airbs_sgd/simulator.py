@@ -19,7 +19,8 @@ user positions, then, per iteration, the Q recipient indices followed
 (when measurement noise is enabled) by one (Q, B) block of standard
 normals. Replications share no state, so a replication's results do not
 depend on the other seeds of its batch, and identical scenario and seed
-give bit-identical results.
+give bit-identical results. Packets are not kept: this draw order and the
+logged positions rebuild any iteration's minibatch.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, CoincidentPositionsError, Position, received_power_matrix
-from .navigator import AirBsAgent, DivergenceError, StepSchedule, batched_update
-from .traffic import ControlPacket, TrafficProfile, sample_recipient
+from .navigator import DivergenceError, StepSchedule, batched_update
+from .traffic import TrafficProfile, sample_recipient
 from .utility import UtilityConfig, user_utility
 
 # Upper bound on the agent-user pairs (R * B * M for a snapshot of R
@@ -151,26 +152,12 @@ class World:
 
     ``positions`` (B, 3) are the agents' starting points and ``users``
     (M, 3) the user locations, extras last. ``rng`` is the scenario's
-    generator, positioned after those draws. ``agents`` and ``mus`` give
-    the same state as per-agent objects and user points.
+    generator, positioned after those draws.
     """
 
     positions: np.ndarray
     users: np.ndarray
-    params: list
-    fixed_height: float
-    profile: TrafficProfile
     rng: np.random.Generator
-
-    @property
-    def agents(self) -> list:
-        return [AirBsAgent(index=b, position=Position.from_array(row),
-                           channel_params=self.params[b], fixed_height=self.fixed_height)
-                for b, row in enumerate(self.positions)]
-
-    @property
-    def mus(self) -> list:
-        return [Position.from_array(row) for row in self.users]
 
 
 @dataclass
@@ -181,16 +168,13 @@ class TrajectoryLog:
     entry i+1 follows iteration i's update. ``oracle_utility`` and
     ``served`` are the full-information network utility and the exact
     served-user count at each snapshot, evaluated with the true (not
-    surrogate) max-power criterion. When packets were kept, ``packets[i]``
-    holds iteration i's minibatch in draw order. ``users`` (M, 3) are the
-    user locations the run drew; like ``packets`` they are not part of the
-    serialized forms.
+    surrogate) max-power criterion. ``users`` (M, 3) are the user
+    locations the run drew; they are not part of the serialized forms.
     """
 
     positions: np.ndarray
     oracle_utility: np.ndarray
     served: np.ndarray
-    packets: list | None = None
     users: np.ndarray | None = None
 
     @property
@@ -233,22 +217,21 @@ def init_scenario(s: Scenario) -> World:
     axy = rng.uniform((r.x_min, r.y_min), (r.x_max, r.y_max), size=(s.num_airbs, 2))
     a = s.area
     mxy = rng.uniform((a.x_min, a.y_min), (a.x_max, a.y_max), size=(s.num_mus, 2))
-    h = float(s.fixed_height_m)
     users = np.vstack([np.column_stack([mxy, np.zeros(s.num_mus)]),
                        np.array([p.as_array() for p in s.extra_mu_positions]).reshape(-1, 3)])
-    return World(positions=np.column_stack([axy, np.full(s.num_airbs, h)]), users=users,
-                 params=s.agent_channel_params(), fixed_height=h, profile=s.traffic, rng=rng)
+    positions = np.column_stack([axy, np.full(s.num_airbs, float(s.fixed_height_m))])
+    return World(positions=positions, users=users, rng=rng)
 
 
-def run(s: Scenario, *, keep_packets: bool = False):
+def run(s: Scenario):
     """Execute the scenario; returns ``(TrajectoryLog, MetricsReport)``.
 
     A batch of one: see :func:`run_replications`.
     """
-    return run_replications(s, [s.seed], keep_packets=keep_packets)[0]
+    return run_replications(s, [s.seed])[0]
 
 
-def run_replications(s: Scenario, seeds, *, keep_packets: bool = False) -> list:
+def run_replications(s: Scenario, seeds) -> list:
     """Execute the scenario once per seed; returns ``(TrajectoryLog, MetricsReport)`` pairs.
 
     The replications advance together, in groups of at most
@@ -268,7 +251,7 @@ def run_replications(s: Scenario, seeds, *, keep_packets: bool = False) -> list:
     for k in range(0, len(seeds), group):
         chunk = seeds[k:k + group]
         try:
-            results += _advance(s, chunk, keep_packets)
+            results += _advance(s, chunk)
         except (CoincidentPositionsError, DivergenceError) as e:
             if len(chunk) == 1:
                 e.seed = chunk[0]
@@ -281,14 +264,14 @@ def run_replications(s: Scenario, seeds, *, keep_packets: bool = False) -> list:
     return results
 
 
-def _advance(s: Scenario, seeds, keep_packets: bool) -> list:
+def _advance(s: Scenario, seeds) -> list:
     from .report import build_metrics_report
 
     worlds = [init_scenario(dataclasses.replace(s, seed=seed)) for seed in seeds]
     L = np.stack([w.positions for w in worlds])
     users = np.stack([w.users for w in worlds])
     rngs = [w.rng for w in worlds]
-    params, cfg, profile = worlds[0].params, s.utility, s.traffic
+    params, cfg, profile = s.agent_channel_params(), s.utility, s.traffic
     q, b = s.schedule.minibatch_size, s.num_airbs
     weights = profile.as_array()
     sigma = s.measurement_noise_db
@@ -297,7 +280,6 @@ def _advance(s: Scenario, seeds, keep_packets: bool) -> list:
     positions = np.empty((n_rep, n_snap, b, 3))
     utilities = np.empty((n_rep, n_snap))
     served = np.empty((n_rep, n_snap), dtype=int)
-    kept = [[] for _ in seeds]
     rep = np.arange(n_rep)[:, None]
 
     def snapshot(i):
@@ -316,20 +298,13 @@ def _advance(s: Scenario, seeds, keep_packets: bool) -> list:
         powers, grads = received_power_matrix(L, params, users[rep, idx], gradient=True)
         if sigma > 0.0:
             powers = powers + sigma * np.stack([rng.standard_normal((q, b)) for rng in rngs])
-        if keep_packets:
-            for r, batch in enumerate(kept):
-                batch.append([ControlPacket(mu_index=int(m),
-                                            mu_location=Position.from_array(users[r, m]),
-                                            measured_powers_dbm=tuple(row))
-                              for m, row in zip(idx[r], powers[r])])
         L = batched_update(L, grads, powers, cfg, s.schedule.eta(i), s.fixed_height_m)
         snapshot(i + 1)
 
     results = []
     for r in range(n_rep):
         log = TrajectoryLog(positions=positions[r], oracle_utility=utilities[r],
-                            served=served[r], packets=kept[r] if keep_packets else None,
-                            users=users[r])
+                            served=served[r], users=users[r])
         report = build_metrics_report(
             initial_placements=positions[r, 0], final_placements=positions[r, -1],
             params=params, mus=users[r], p_min_dbm=cfg.p_min_dbm)
@@ -349,8 +324,8 @@ def coverage_axes(area: Rect, grid_resolution) -> tuple:
 
 
 def coverage_map(placements, area: Rect, grid_resolution, params,
-                 clip=(-100.0, -80.0), ground_z: float = 0.0) -> np.ndarray:
-    """Strongest received power on a ground grid, clipped to ``clip`` dBm.
+                 clip=(-100.0, -80.0)) -> np.ndarray:
+    """Strongest received power on the ground grid (z = 0), clipped to ``clip`` dBm.
 
     Returns shape (ny, nx): rows run south to north, columns west to east,
     matching ``coverage_axes``.
@@ -360,7 +335,7 @@ def coverage_map(placements, area: Rect, grid_resolution, params,
         raise ValueError("clip range must have hi >= lo")
     xs, ys = coverage_axes(area, grid_resolution)
     gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(ground_z))])
+    pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
     best = np.max(received_power_matrix(placements, params, pts), axis=1)
     return np.clip(best, lo, hi).reshape(gy.shape)
 

@@ -93,28 +93,17 @@ def sample_recipient(profile: TrafficProfile, rng: np.random.Generator, size=Non
     return idx
 
 
-def make_control_packet(m: int, mu_positions, placements, params, *,
-                        noise_sigma_db: float = 0.0,
-                        rng: np.random.Generator | None = None) -> ControlPacket:
-    """Build the reply packet for user ``m``.
+def make_control_packet(m: int, mu_positions, placements, params) -> ControlPacket:
+    """Build the exact reply packet for user ``m``.
 
     ``placements`` and ``params`` are parallel per-transmitter sequences.
-    With ``noise_sigma_db > 0`` each reported power gets independent
-    additive Gaussian error in dB (imperfect measurement); the default is
-    exact.
+    Measurement noise is the simulator's: one (Q, B) block per iteration.
     """
     if not 0 <= m < len(mu_positions):
         raise IndexError(f"user index {m} out of range [0, {len(mu_positions)})")
     loc = mu_positions[m]
     powers = received_power_matrix(placements, params, [loc])[0]
-    if noise_sigma_db < 0.0:
-        raise ValueError("noise_sigma_db must be nonnegative")
-    if noise_sigma_db > 0.0:
-        if rng is None:
-            raise ValueError("measurement noise requires an rng")
-        powers = powers + noise_sigma_db * rng.standard_normal(len(powers))
-    return ControlPacket(mu_index=m, mu_location=loc,
-                         measured_powers_dbm=tuple(powers))
+    return ControlPacket(mu_index=m, mu_location=loc, measured_powers_dbm=tuple(powers))
 
 
 def empirical_utility_estimate(packets, cfg: UtilityConfig) -> float:

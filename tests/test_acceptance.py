@@ -30,7 +30,8 @@ from airbs_sgd.navigator import (
     agent_partial_gradient,
     apply_update,
 )
-from airbs_sgd.simulator import Rect, Scenario, run, scenario_to_dict
+from airbs_sgd import simulator
+from airbs_sgd.simulator import Rect, Scenario, init_scenario, run, scenario_to_dict
 from airbs_sgd.traffic import (
     TrafficProfile,
     empirical_utility_estimate,
@@ -250,9 +251,8 @@ def test_criterion_06_single_pair_convergence():
             channel=ChannelParams(-94.0, 1000.0, 0.0),
         )
         log, _ = run(s)
-        from airbs_sgd.simulator import init_scenario
-        mu = init_scenario(s).mus[0]
-        dists = np.hypot(log.positions[:, 0, 0] - mu.x, log.positions[:, 0, 1] - mu.y)
+        mu = init_scenario(s).users[0]
+        dists = np.hypot(log.positions[:, 0, 0] - mu[0], log.positions[:, 0, 1] - mu[1])
         ok = ok and dists[-1] < 10.0
         worst_dist = max(worst_dist, float(dists[-1]))
         hit = np.argmax(dists < 10.0) if np.any(dists < 10.0) else len(dists)
@@ -361,27 +361,22 @@ def test_criterion_10_parallelism_independence(tmp_path, monkeypatch):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n")
 
-    outs = []
-    for tag, threads in (("a", "1"), ("b", "4")):
-        monkeypatch.setenv("AIRBS_SGD_THREADS", threads)
+    # the three replications advance as one batch, then in groups of one
+    trees = []
+    for tag in ("batch", "alone"):
+        if tag == "alone":
+            monkeypatch.setattr(simulator, "BATCH_PAIRS", 1)
         out = tmp_path / tag
         rc = cli_main(["run", "--scenario", str(scen), "--replications", "3",
                        "--out", str(out)])
         assert rc == 0
-        outs.append(out)
-    monkeypatch.delenv("AIRBS_SGD_THREADS")
+        trees.append({p.relative_to(out): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()})
 
-    compared = 0
-    same = True
-    for r in range(3):
-        for name in ("trajectory.csv", "metrics.json"):
-            a = (outs[0] / f"rep_{r:03d}" / name).read_bytes()
-            bb = (outs[1] / f"rep_{r:03d}" / name).read_bytes()
-            same = same and a == bb
-            compared += 1
-    same = same and (outs[0] / "summary.json").read_bytes() == \
-        (outs[1] / "summary.json").read_bytes()
+    names = {str(name) for name in trees[0]}
+    same = trees[0] == trees[1] and "summary.json" in names and \
+        all(f"rep_{r:03d}/trajectory.csv" in names for r in range(3))
     record_criterion(
-        10, "identical outputs regardless of the thread cap", same,
-        f"{compared} files byte-compared across 1 vs 4 threads")
+        10, "identical outputs however the replications are batched", same,
+        f"{len(trees[0])} files byte-compared across one batch vs groups of one")
     assert same

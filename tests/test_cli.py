@@ -10,11 +10,6 @@ from airbs_sgd.simulator import Rect, Scenario, scenario_to_dict
 from airbs_sgd.utility import UtilityConfig, UtilityFamily
 
 
-@pytest.fixture(autouse=True)
-def clean_thread_env(monkeypatch):
-    monkeypatch.delenv("AIRBS_SGD_THREADS", raising=False)
-
-
 def small_scenario_dict(**overrides):
     base = dict(
         area=Rect(0.0, 0.0, 2000.0, 2000.0),
@@ -95,8 +90,14 @@ def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
     (["sweep", "--axis", "alpha", "--values", "nan"], "sweep axis alpha"),
     (["sweep", "--axis", "delta", "--values", "inf"], "sweep axis delta"),
     (["sweep", "--axis", "delta", "--values", "2,inf"], "sweep axis delta"),
+    # each value names its directory and CSV cell by its {value:g} form
+    (["sweep", "--axis", "eta", "--values", "5.0000001,5.0000002"],
+     "sweep values 5.0000001 and 5.0000002 share the name eta_5"),
+    (["sweep", "--axis", "eta", "--values", "1,5,5"],
+     "sweep values 5.0 and 5.0 share the name eta_5"),
 ], ids=["negative_seed", "seed_over_64_bits", "sweep_negative_seed", "negative_eta",
-        "zero_q", "infinite_q", "nan_alpha", "infinite_delta", "infinite_delta_second"])
+        "zero_q", "infinite_q", "nan_alpha", "infinite_delta", "infinite_delta_second",
+        "sweep_values_same_name", "sweep_value_repeated"])
 def test_bad_override_exits_2_naming_it(tmp_path, capsys, argv, named):
     scen = write_scenario(tmp_path)
     out = tmp_path / "out"
@@ -237,18 +238,6 @@ def test_reproduce_paper_single_seed(tmp_path, capsys):
     assert summary["replications"] == 1
     assert summary["results"][0]["total"] == 202
     assert (out / "rep_000" / "map.svg").is_file()
-
-
-def test_threads_env_validation(tmp_path, capsys, monkeypatch):
-    scen = write_scenario(tmp_path)
-    monkeypatch.setenv("AIRBS_SGD_THREADS", "many")
-    rc = main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "AIRBS_SGD_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("AIRBS_SGD_THREADS", "0")
-    rc = main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out2")])
-    assert rc == 2
-    assert "AIRBS_SGD_THREADS" in capsys.readouterr().err
 
 
 def test_replication_seeds_scheme():

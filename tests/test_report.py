@@ -17,7 +17,7 @@ from airbs_sgd.report import (
     render_outputs,
     served_count,
 )
-from airbs_sgd.simulator import Rect, Scenario, coverage_map, init_scenario, run
+from airbs_sgd.simulator import Rect, Scenario, coverage_map, run
 from airbs_sgd.utility import UtilityConfig, UtilityFamily
 
 PRM = ChannelParams(-94.0, 1000.0, 12.0)
@@ -132,8 +132,7 @@ def run_small(tmp_path, iterations=3):
     log, report = run(s)
     grid = coverage_map([Position(*map(float, r)) for r in log.positions[-1]],
                         s.area, 16, s.agent_channel_params())
-    mus = init_scenario(s).mus
-    return log, report, grid, s, mus
+    return log, report, grid, s, log.users
 
 
 EXPECTED_FILES = ("trajectory.csv", "trajectory.json", "metrics.json",

@@ -64,27 +64,24 @@ def test_init_counts_and_determinism():
     s = small_scenario(extra_mu_positions=((5000.0, 5000.0, 0.0),))
     w1 = init_scenario(s)
     w2 = init_scenario(s)
-    assert len(w1.agents) == 2
-    assert len(w1.mus) == 13
-    assert w1.mus[-1] == Position(5000.0, 5000.0, 0.0)
-    for a, b in zip(w1.agents, w2.agents):
-        assert a.position == b.position
-    for p, q in zip(w1.mus, w2.mus):
-        assert p == q
+    assert w1.positions.shape == (2, 3)
+    assert w1.users.shape == (13, 3)
+    assert w1.users[-1].tolist() == [5000.0, 5000.0, 0.0]
+    assert np.array_equal(w1.positions, w2.positions)
+    assert np.array_equal(w1.users, w2.users)
     r = s.init_region
-    for a in w1.agents:
-        assert r.contains(a.position.x, a.position.y)
-        assert a.position.z == 30.0
-    for m in w1.mus[:-1]:
-        assert s.area.contains(m.x, m.y)
-        assert m.z == 0.0
+    for x, y, z in w1.positions:
+        assert r.contains(x, y)
+        assert z == 30.0
+    for x, y, z in w1.users[:-1]:
+        assert s.area.contains(x, y)
+        assert z == 0.0
 
 
 def test_init_zero_width_region_pins_agents():
     s = small_scenario(init_region=Rect(700.0, 700.0, 700.0, 700.0))
     w = init_scenario(s)
-    for a in w.agents:
-        assert a.position == Position(700.0, 700.0, 30.0)
+    assert np.all(w.positions == [700.0, 700.0, 30.0])
 
 
 def test_zero_iterations_single_snapshot():
@@ -114,7 +111,7 @@ def test_oracle_trace_matches_recomputation():
     s = small_scenario(iterations=4)
     log, _ = run(s)
     world = init_scenario(s)
-    users = list(zip(world.mus, world.profile.as_array()))
+    users = [(Position.from_array(u), w) for u, w in zip(world.users, s.traffic.as_array())]
     params = s.agent_channel_params()
     for i in range(log.positions.shape[0]):
         placements = [Position(*map(float, row)) for row in log.positions[i]]
@@ -142,31 +139,27 @@ def test_single_pair_converges_overhead():
     )
     log, _ = run(s)
     final = log.positions[-1, 0]
-    mu = init_scenario(s).mus[0]
-    assert math.hypot(final[0] - mu.x, final[1] - mu.y) < 10.0
+    mu = init_scenario(s).users[0]
+    assert math.hypot(final[0] - mu[0], final[1] - mu[1]) < 10.0
     assert final[2] == 30.0
 
 
-def test_keep_packets_and_solo_replay():
+def test_solo_replay_of_rebuilt_packets():
+    # the packets rebuilt from the documented draw order, replayed against
+    # each agent in isolation, reproduce the run exactly: nothing else leaks in
     s = small_scenario(iterations=3)
-    log, _ = run(s, keep_packets=True)
-    q = s.schedule.minibatch_size
-    assert len(log.packets) == s.iterations
-    assert all(len(batch) == q for batch in log.packets)
+    log, _ = run(s)
+    assert np.array_equal(log.positions[0], init_scenario(s).positions)
+    assert np.array_equal(helpers.replay_alone(s, log), log.positions)
 
-    # replaying the recorded packet stream against one agent in isolation
-    # reproduces that agent's path exactly: nothing else leaks in
-    world = init_scenario(s)
-    for b in range(s.num_airbs):
-        agent = world.agents[b]
-        assert tuple(log.positions[0, b]) == (agent.position.x, agent.position.y,
-                                              agent.position.z)
-        for i, batch in enumerate(log.packets):
-            for pkt in batch:
-                accumulate(agent, agent_partial_gradient(agent, pkt, s.utility))
-            apply_update(agent, s.schedule.eta(i))
-            assert (agent.position.x, agent.position.y, agent.position.z) == \
-                tuple(log.positions[i + 1, b])
+
+def test_noisy_packets_follow_documented_draw_order():
+    # after the initial draws: per iteration the Q recipients, then one
+    # (Q, B) block of standard normals for the reported powers
+    s = small_scenario(iterations=3, measurement_noise_db=1.5)
+    log, _ = run(s)
+    assert np.array_equal(log.users, init_scenario(s).users)
+    assert np.array_equal(helpers.replay_alone(s, log), log.positions)
 
 
 def _batch_case(rng, family, b, q=7):
@@ -242,23 +235,6 @@ def test_diverging_agent_raises():
         batched_update(L, grads, np.full((3, 2), -90.0), cfg, 1.0, 30.0)
 
 
-def test_noisy_packets_follow_documented_draw_order():
-    # after the initial draws: per iteration the Q recipients, then one
-    # (Q, B) block of standard normals for the reported powers
-    s = small_scenario(iterations=3, measurement_noise_db=1.5)
-    log, _ = run(s, keep_packets=True)
-    world = init_scenario(s)
-    assert np.array_equal(log.users, world.users)
-    q, rng = s.schedule.minibatch_size, world.rng
-    for i, batch in enumerate(log.packets):
-        idx = rng.choice(s.total_mus, size=q, p=s.traffic.as_array())
-        noise = rng.standard_normal((q, s.num_airbs))
-        clean = received_power_matrix(log.positions[i], s.agent_channel_params(),
-                                      world.users[idx])
-        assert [p.mu_index for p in batch] == idx.tolist()
-        assert np.array_equal([p.measured_powers_dbm for p in batch], clean + 1.5 * noise)
-
-
 def assert_same_replication(got, want):
     """Two ``(TrajectoryLog, MetricsReport)`` results agree bit for bit."""
     (log, rep), (ref, ref_rep) = got, want
@@ -267,35 +243,34 @@ def assert_same_replication(got, want):
     assert np.array_equal(log.served, ref.served)
     assert np.array_equal(log.users, ref.users)
     assert rep.to_json_dict() == ref_rep.to_json_dict()
-    assert (log.packets is None) == (ref.packets is None)
-    for batch, ref_batch in zip(log.packets or [], ref.packets or []):
-        assert batch == ref_batch
 
 
 @pytest.mark.parametrize("noise", [0.0, 1.5], ids=["exact", "noisy"])
 def test_each_replication_of_a_batch_equals_its_seed_alone(noise):
     s = small_scenario(iterations=4, measurement_noise_db=noise)
     seeds = [3, 17, 2 ** 63 + 5, 42]
-    batch = run_replications(s, seeds, keep_packets=True)
+    batch = run_replications(s, seeds)
     assert len(batch) == len(seeds)
     for seed, got in zip(seeds, batch):
-        assert_same_replication(got, run(dataclasses.replace(s, seed=seed), keep_packets=True))
+        alone = dataclasses.replace(s, seed=seed)
+        assert_same_replication(got, run(alone))
+        assert np.array_equal(helpers.replay_alone(alone, got[0]), got[0].positions)
 
 
 def test_replications_do_not_depend_on_the_other_seeds(monkeypatch):
     s = small_scenario(iterations=3, measurement_noise_db=0.5)
     seeds = [5, 6, 7]
-    base = dict(zip(seeds, run_replications(s, seeds, keep_packets=True)))
+    base = dict(zip(seeds, run_replications(s, seeds)))
     permuted = [7, 5, 6]
-    for seed, got in zip(permuted, run_replications(s, permuted, keep_packets=True)):
+    for seed, got in zip(permuted, run_replications(s, permuted)):
         assert_same_replication(got, base[seed])
     extended = seeds + [8, 9, 5]
-    for seed, got in zip(extended, run_replications(s, extended, keep_packets=True)):
+    for seed, got in zip(extended, run_replications(s, extended)):
         if seed in base:
             assert_same_replication(got, base[seed])
     # groups of one replication, as a batch too large for memory would be split
     monkeypatch.setattr(simulator, "BATCH_PAIRS", 1)
-    for seed, got in zip(seeds, run_replications(s, seeds, keep_packets=True)):
+    for seed, got in zip(seeds, run_replications(s, seeds)):
         assert_same_replication(got, base[seed])
 
 
@@ -327,20 +302,44 @@ def test_oracle_matches_network_utility_with_many_agents():
         assert log.oracle_utility[i] == want
 
 
+def far_user_scenario():
+    """One agent, one packet: a replication diverges when its packet comes from
+    the extra user, whose distance overflows to -inf dBm and a NaN step."""
+    return small_scenario(num_airbs=1, tx_powers_dbm=(12.0,), num_mus=2, iterations=1,
+                          extra_mu_positions=((1e200, 0.0, 0.0),),
+                          schedule=StepSchedule(eta0=5.0, minibatch_size=1, eta_scale=1e6))
+
+
+def diverges(s, seed):
+    world = init_scenario(dataclasses.replace(s, seed=seed))
+    return sample_recipient(s.traffic, world.rng) == s.total_mus - 1
+
+
+def test_first_failing_seed_is_named_in_list_order(monkeypatch):
+    s = far_user_scenario()
+    failing = [seed for seed in range(100) if diverges(s, seed)][:2]
+    healthy = next(seed for seed in range(100) if not diverges(s, seed))
+    groups = []
+    advance = simulator._advance
+
+    def recording_advance(s, seeds):
+        groups.append(list(seeds))
+        return advance(s, seeds)
+
+    monkeypatch.setattr(simulator, "_advance", recording_advance)
+    for order in ([failing[0], healthy, failing[1]], [failing[1], healthy, failing[0]]):
+        groups.clear()
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as e:
+            run_replications(s, order)
+        assert groups[0] == order  # all three advanced as one group
+        assert e.value.seed == order[0]
+
+
 def test_cli_names_the_one_diverging_replication(tmp_path, capsys):
-    # one agent, one packet: a replication diverges when its packet comes from
-    # the extra user, whose distance overflows to -inf dBm and a NaN step
-    s = small_scenario(num_airbs=1, tx_powers_dbm=(12.0,), num_mus=2, iterations=1,
-                       extra_mu_positions=((1e200, 0.0, 0.0),),
-                       schedule=StepSchedule(eta0=5.0, minibatch_size=1, eta_scale=1e6))
-
-    def diverges(seed):
-        world = init_scenario(dataclasses.replace(s, seed=seed))
-        return sample_recipient(s.traffic, world.rng) == s.total_mus - 1
-
+    s = far_user_scenario()
     for master in range(100):
         seeds = replication_seeds(master, 3)
-        failing = [seed for seed in seeds if diverges(seed)]
+        failing = [seed for seed in seeds if diverges(s, seed)]
         if len(failing) == 1 and failing[0] != seeds[0]:
             break
     else:
@@ -354,11 +353,6 @@ def test_cli_names_the_one_diverging_replication(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"replication with seed {failing[0]} failed: agent 0 stepped to [nan" in err
     assert all(str(seed) not in err for seed in seeds if seed != failing[0])
-
-
-def test_packets_not_kept_by_default():
-    log, _ = run(small_scenario(iterations=1))
-    assert log.packets is None
 
 
 def test_zero_step_size_freezes_positions():

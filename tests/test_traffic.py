@@ -104,27 +104,6 @@ def test_packet_validation():
         ControlPacket(mu_index=-2, mu_location=MUS[0], measured_powers_dbm=(-90.0,))
 
 
-def test_packet_measurement_noise_statistics():
-    rng = np.random.default_rng(99)
-    errs = []
-    for _ in range(10_000):
-        noisy = make_control_packet(0, MUS, PLACEMENTS, PARAMS,
-                                    noise_sigma_db=1.0, rng=rng)
-        clean = make_control_packet(0, MUS, PLACEMENTS, PARAMS)
-        errs.extend(n - c for n, c in zip(noisy.measured_powers_dbm,
-                                          clean.measured_powers_dbm))
-    assert abs(float(np.mean(errs))) < 0.05
-    assert float(np.std(errs)) == pytest.approx(1.0, abs=0.05)
-
-
-def test_packet_noise_requires_rng():
-    with pytest.raises(ValueError):
-        make_control_packet(0, MUS, PLACEMENTS, PARAMS, noise_sigma_db=1.0)
-    with pytest.raises(ValueError):
-        make_control_packet(0, MUS, PLACEMENTS, PARAMS, noise_sigma_db=-1.0,
-                            rng=np.random.default_rng(0))
-
-
 def test_estimate_rejects_empty():
     cfg = UtilityConfig(UtilityFamily.UNICAST_RATE, -112.4, -91.0, 2.0)
     with pytest.raises(ValueError):
