@@ -8,8 +8,6 @@
 
 import dataclasses
 
-import numpy as np
-
 from airbs_sgd import (
     ChannelParams,
     Rect,

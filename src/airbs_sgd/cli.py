@@ -30,7 +30,7 @@ import numpy as np
 from .baseline import kmeans_placement
 from .channel import CoincidentPositionsError
 from .navigator import DivergenceError
-from .report import render_outputs, served_count
+from .report import _write_json, render_outputs, served_count
 from .simulator import (Scenario, coverage_map, run_replications, scenario_from_dict,
                         scenario_to_dict)
 
@@ -105,14 +105,12 @@ def _simulate_one(scenario: Scenario, seed: int, rep_dir: str, simulated,
                               height_m=s.fixed_height_m)
         km_served = served_count(km.centroids, log.users, params, s.utility.p_min_dbm)
         result["kmeans_unserved"] = rep.final.total_mus - km_served
-        with open(os.path.join(rep_dir, "kmeans.json"), "w") as f:
-            json.dump({
-                "centroids": [[p.x, p.y, p.z] for p in km.centroids],
-                "inertia": km.inertia,
-                "served": km_served,
-                "unserved": rep.final.total_mus - km_served,
-            }, f, sort_keys=True, indent=2)
-            f.write("\n")
+        _write_json(os.path.join(rep_dir, "kmeans.json"), {
+            "centroids": [[p.x, p.y, p.z] for p in km.centroids],
+            "inertia": km.inertia,
+            "served": km_served,
+            "unserved": rep.final.total_mus - km_served,
+        })
     return result
 
 
@@ -158,16 +156,12 @@ def _write_summary(out_dir: str, scenario: Scenario, results, with_kmeans: bool)
     if with_kmeans:
         summary["median_kmeans_unserved"] = float(
             np.median([r["kmeans_unserved"] for r in results]))
-    with open(os.path.join(out_dir, "summary.json"), "w") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
 
 
 def _write_effective_config(out_dir: str, scenario: Scenario):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "effective_config.json"), "w") as f:
-        json.dump(scenario_to_dict(scenario), f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(os.path.join(out_dir, "effective_config.json"), scenario_to_dict(scenario))
 
 
 def _override_seed(s: Scenario, seed) -> Scenario:

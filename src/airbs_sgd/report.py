@@ -9,10 +9,11 @@ the emitted bytes are identical, with no plotting library involved.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,18 +126,89 @@ def build_metrics_report(initial_placements, final_placements, params, mus,
     )
 
 
-def write_trajectory_json(log, path):
+class _Formatted(NamedTuple):
+    """A number array as the JSON texts of its elements, row-major, and its shape."""
+
+    texts: list
+    shape: tuple
+
+
+def _json_text(v, nl="\n") -> str:
+    """The text of ``json.dumps(v, sort_keys=True, indent=2)``, built by joins.
+
+    ``nl`` is the newline and indentation of the line ``v`` ends on. Dict
+    keys must be strings. A float is written as ``float.__repr__`` writes it
+    (an ``np.float64`` too); a non-finite one raises ``ValueError`` where
+    ``json.dumps`` would write ``NaN`` or ``Infinity``, which are not JSON.
+    A :class:`_Formatted` array is written from its texts.
+    """
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"cannot write the non-finite float {v!r} as JSON")
+        return float.__repr__(v)
+    inner = nl + "  "
+    if isinstance(v, _Formatted):
+        return _nest(v.texts, v.shape, nl)
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(x, inner)}"
+                 for k, x in sorted(v.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in v]) + nl + "]"
+    raise TypeError(f"cannot write {type(v).__name__} as JSON")
+
+
+def _nest(texts, shape, nl) -> str:
+    """:func:`_json_text` of an array of ``shape`` whose row-major element texts are ``texts``."""
+    if not shape[0]:
+        return "[]"
+    inner = nl + "  "
+    if len(shape) == 1:
+        items = ("," + inner).join(texts)
+        if "n" in items:  # of the reprs of floats, only inf and nan hold an n
+            raise ValueError("cannot write a non-finite float as JSON")
+        return "[" + inner + items + nl + "]"
+    step = len(texts) // shape[0]
+    items = [_nest(texts[k * step:(k + 1) * step], shape[1:], inner) for k in range(shape[0])]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _write_json(path, obj):
     with open(path, "w") as f:
-        json.dump(log.to_json_dict(), f, sort_keys=True, indent=2)
-        f.write("\n")
+        f.write(_json_text(obj) + "\n")
+
+
+def write_trajectory_json(log, path):
+    positions, utilities = log._texts
+    _write_json(path, {
+        "num_iterations": log.num_iterations,
+        "num_agents": log.num_agents,
+        "positions": _Formatted(positions, log.positions.shape),
+        "oracle_utility": _Formatted(utilities, log.oracle_utility.shape),
+        "served": log.served.tolist(),
+    })
 
 
 def _fmt(v: float) -> str:
     return format(v, ".2f")
 
 
-def _power_colors(grid, lo: float, hi: float) -> np.ndarray:
-    """``#rrggbb`` fill of every grid cell, same shape as ``grid``.
+def _power_colors(grid, lo: float, hi: float) -> list:
+    """``#rrggbb`` fill of every grid cell, as nested lists shaped like ``grid``.
 
     Two-stop ramp, dark violet to yellow, like the usual coverage palettes.
     ``np.rint`` rounds half to even, as the builtin ``round`` does.
@@ -146,7 +218,10 @@ def _power_colors(grid, lo: float, hi: float) -> np.ndarray:
     c0, c1 = np.array([33, 12, 74]), np.array([248, 231, 28])
     rgb = np.rint(c0 + t[..., None] * (c1 - c0)).astype(np.int64)
     packed = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
-    return np.array([f"#{v:06x}" for v in packed.ravel().tolist()]).reshape(grid.shape)
+    # a map has a few hundred distinct colours, so each is formatted once
+    values, index = np.unique(packed, return_inverse=True)
+    names = np.array(list(map("#{:06x}".format, values.tolist())), dtype=object)
+    return names[index.reshape(grid.shape)].tolist()
 
 
 AGENT_COLORS = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
@@ -183,14 +258,13 @@ def render_map_svg(log, coverage, area, path, clip=(-100.0, -80.0), mus=None,
                f'width="{_fmt(w * scale + 2 * pad)}" height="{_fmt(h * scale + 2 * pad)}" '
                f'viewBox="0 0 {_fmt(w * scale + 2 * pad)} {_fmt(h * scale + 2 * pad)}">')
     out.append('<rect width="100%" height="100%" fill="#ffffff"/>')
-    colors = _power_colors(grid, lo, hi).tolist()
-    xs = [_fmt(sx(area.x_min + ix * w / nx)) for ix in range(nx)]
+    colors = _power_colors(grid, lo, hi)
     size_attrs = f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}"'
+    # one template per row of cells: field 0 is the row's y, field ix+1 the fill of cell ix
+    row = "\n".join(f'<rect x="{_fmt(sx(area.x_min + ix * w / nx))}" y="{{0}}" {size_attrs} '
+                    f'fill="{{{ix + 1}}}"/>' for ix in range(nx))
     for iy in range(ny):
-        y0 = _fmt(sy(area.y_min + (iy + 1) * h / ny))
-        row = colors[iy]
-        out.extend(f'<rect x="{xs[ix]}" y="{y0}" {size_attrs} fill="{row[ix]}"/>'
-                   for ix in range(nx))
+        out.append(row.format(_fmt(sy(area.y_min + (iy + 1) * h / ny)), *colors[iy]))
     if mus is not None:
         pts = positions_to_array(mus)
         flags = served_flags if served_flags is not None else [True] * len(pts)
@@ -206,7 +280,8 @@ def render_map_svg(log, coverage, area, path, clip=(-100.0, -80.0), mus=None,
     snaps = np.asarray(log.positions)
     for b in range(snaps.shape[1]):
         color = AGENT_COLORS[b % len(AGENT_COLORS)]
-        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y, _ in snaps[:, b])
+        pts = " ".join(map("{:.2f},{:.2f}".format, sx(snaps[:, b, 0]).tolist(),
+                           sy(snaps[:, b, 1]).tolist()))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         out.append(f'<circle cx="{_fmt(sx(snaps[0, b, 0]))}" cy="{_fmt(sy(snaps[0, b, 1]))}" '
                    f'r="4.0" fill="none" stroke="{color}" stroke-width="1.5"/>')
@@ -285,13 +360,10 @@ def render_outputs(log, report: MetricsReport, coverage, out_dir, area,
     with open(p("trajectory.csv"), "w") as f:
         f.write(log.to_csv_text())
     write_trajectory_json(log, p("trajectory.json"))
-    with open(p("metrics.json"), "w") as f:
-        json.dump(report.to_json_dict(), f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(p("metrics.json"), report.to_json_dict())
     grid = np.asarray(coverage, dtype=float)
     with open(p("coverage.csv"), "w") as f:
-        for row in grid:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+        f.write("".join([",".join(map(float.__repr__, row)) + "\n" for row in grid.tolist()]))
     served_flags = None
     if mus is not None:
         served_flags = [pm >= report.p_min_dbm for pm in report.final.per_mu_max_power_dbm]

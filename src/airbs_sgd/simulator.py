@@ -26,6 +26,7 @@ logged positions rebuild any iteration's minibatch.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -192,22 +193,19 @@ class TrajectoryLog:
         is repeated on each agent row. Floats are shortest round-trip
         decimals, so the text is byte-stable.
         """
-        lines = ["iteration,agent_index,x,y,z,oracle_utility"]
-        for i in range(self.positions.shape[0]):
-            u = repr(float(self.oracle_utility[i]))
-            for b in range(self.positions.shape[1]):
-                x, y, z = (repr(float(v)) for v in self.positions[i, b])
-                lines.append(f"{i},{b},{x},{y},{z},{u}")
-        return "\n".join(lines) + "\n"
+        n, b = self.positions.shape[:2]
+        xyz, utilities = self._texts
+        rows = map("{},{},{},{},{},{}".format, np.repeat(np.arange(n), b).tolist(),
+                   np.tile(np.arange(b), n).tolist(), xyz[0::3], xyz[1::3], xyz[2::3],
+                   [u for u in utilities for _ in range(b)])
+        return "\n".join(["iteration,agent_index,x,y,z,oracle_utility", *rows]) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "num_iterations": int(self.num_iterations),
-            "num_agents": int(self.num_agents),
-            "positions": [[list(map(float, row)) for row in snap] for snap in self.positions],
-            "oracle_utility": [float(v) for v in self.oracle_utility],
-            "served": [int(v) for v in self.served],
-        }
+    @functools.cached_property
+    def _texts(self) -> tuple:
+        # shortest round-trip texts of the positions (row-major) and the oracle
+        # utilities, made once for the CSV and the JSON form
+        return (list(map(float.__repr__, self.positions.ravel().tolist())),
+                list(map(float.__repr__, self.oracle_utility.tolist())))
 
 
 def init_scenario(s: Scenario) -> World:

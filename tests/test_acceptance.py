@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from helpers import central_diff, record_criterion, rel_err
 from test_utility import conditioned_cfg

@@ -13,7 +13,7 @@ from airbs_sgd.navigator import (
     clamp_speed,
     smooth_waypoints,
 )
-from airbs_sgd.traffic import ControlPacket, make_control_packet
+from airbs_sgd.traffic import make_control_packet
 from airbs_sgd.utility import (
     UtilityConfig,
     UtilityFamily,

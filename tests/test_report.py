@@ -3,21 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from airbs_sgd.channel import ChannelParams, Position, free_space_power_dbm
 from airbs_sgd.navigator import StepSchedule
 from airbs_sgd.report import (
-    MetricsReport,
     PlacementMetrics,
+    _Formatted,
+    _json_text,
     build_metrics_report,
     per_mu_max_power,
-    placement_metrics,
     power_histogram,
     render_outputs,
     served_count,
+    write_trajectory_json,
 )
-from airbs_sgd.simulator import Rect, Scenario, coverage_map, run
+from airbs_sgd.simulator import Rect, Scenario, TrajectoryLog, coverage_map, run
 from airbs_sgd.utility import UtilityConfig, UtilityFamily
 
 PRM = ChannelParams(-94.0, 1000.0, 12.0)
@@ -185,3 +187,54 @@ def test_render_outputs_content_checks(tmp_path):
     map_svg = (out / "map.svg").read_text()
     assert map_svg.count("<circle") >= len(mus)
     assert "<polyline" in map_svg
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.text(max_size=6) | FINITE
+               | st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308])
+               | FINITE.map(np.float64))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids,
+                                                               max_size=4),
+    max_leaves=25)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(JSON_VALUES)
+def test_json_text_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3,), (2, 0), (0, 3), (2, 3, 4), (1, 1, 1)])
+def test_formatted_array_matches_json_dumps(shape):
+    a = np.random.default_rng(5).normal(size=shape) * 1e3
+    texts = list(map(float.__repr__, a.ravel().tolist()))
+    value = {"b": [_Formatted(texts, shape)], "a": 1}
+    want = json.dumps({"b": [a.tolist()], "a": 1}, sort_keys=True, indent=2)
+    assert _json_text(value) == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_json_text_refuses_non_finite_floats(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        _json_text({"a": [1.0, bad]})
+    with pytest.raises(ValueError, match="non-finite"):
+        _json_text(_Formatted([float.__repr__(1.0), float.__repr__(bad)], (1, 2)))
+
+
+def test_trajectory_json_matches_json_dumps(tmp_path):
+    rng = np.random.default_rng(8)
+    positions = rng.normal(size=(4, 3, 3)) * 1e3
+    positions[0, 0] = (-0.0, 5e-324, 1e300)
+    log = TrajectoryLog(positions=positions, oracle_utility=rng.random(4),
+                        served=np.arange(4))
+    write_trajectory_json(log, tmp_path / "t.json")
+    want = json.dumps({
+        "num_iterations": 3,
+        "num_agents": 3,
+        "positions": [[list(map(float, row)) for row in snap] for snap in positions],
+        "oracle_utility": [float(v) for v in log.oracle_utility],
+        "served": [0, 1, 2, 3],
+    }, sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "t.json").read_text() == want

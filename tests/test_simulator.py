@@ -380,6 +380,21 @@ def test_trajectory_csv_shape():
     assert float(first[2]) == log.positions[0, 0, 0]
 
 
+def test_trajectory_csv_matches_the_per_row_reference():
+    rng = np.random.default_rng(4)
+    positions = rng.normal(size=(4, 3, 3)) * 1e3
+    positions[0, 0] = (-0.0, 5e-324, 1e300)
+    log = simulator.TrajectoryLog(positions=positions, oracle_utility=rng.random(4),
+                                  served=np.arange(4))
+    lines = ["iteration,agent_index,x,y,z,oracle_utility"]
+    for i in range(log.positions.shape[0]):
+        u = repr(float(log.oracle_utility[i]))
+        for b in range(log.positions.shape[1]):
+            x, y, z = (repr(float(v)) for v in log.positions[i, b])
+            lines.append(f"{i},{b},{x},{y},{z},{u}")
+    assert log.to_csv_text() == "\n".join(lines) + "\n"
+
+
 def test_coverage_map_clip_and_orientation():
     area = Rect(0.0, 0.0, 1000.0, 1000.0)
     prm = ChannelParams(-94.0, 1000.0, 30.0)
