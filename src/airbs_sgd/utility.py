@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .channel import positions_to_array, received_power_matrix
 
@@ -100,11 +99,17 @@ def softmax_weights(powers_dbm, alpha: float = 1.0, axis: int = -1):
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
+def _logistic(z):
+    # exp(-z) overflows to inf, and the result to exactly 0, for z below about -709
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def sigmoid_delta(x, delta: float):
     """Logistic step surrogate: ~0 below 0, ~1 above ``delta``, 0.5 at ``delta/2``."""
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    return expit(6.0 * np.asarray(x, dtype=float) / delta - 3.0)
+    return _logistic(6.0 * np.asarray(x, dtype=float) / delta - 3.0)
 
 
 def sigmoid_delta_deriv(x, delta: float):
@@ -112,12 +117,15 @@ def sigmoid_delta_deriv(x, delta: float):
 
     Written as sigma(z) * sigma(-z) rather than sigma * (1 - sigma): the
     subtraction form underflows to exactly 0 once sigma rounds to 1, while
-    this form stays positive far into both tails.
+    this form stays positive far into both tails. It is exactly 0 once
+    ``|z|`` (``z = 6x/delta - 3``) exceeds about 709, where the logistic
+    ``1/(1 + exp(-z))`` of the smaller side is 0; ``scipy.special.expit``,
+    used before, gave subnormals there down to ``z = -745``.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     z = 6.0 * np.asarray(x, dtype=float) / delta - 3.0
-    return (6.0 / delta) * expit(z) * expit(-z)
+    return (6.0 / delta) * _logistic(z) * _logistic(-z)
 
 
 def _sum_power_dbm(p, axis):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +250,13 @@ def test_replication_seeds_scheme():
     assert len(set(s3)) == 3
     assert s3 == replication_seeds(5, 3)
     assert s3[:2] == replication_seeds(5, 2)  # prefix-stable in the count
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; every command pays for what the CLI imports
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import airbs_sgd.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,7 @@ from airbs_sgd.channel import ChannelParams, Position
 from airbs_sgd.utility import (
     UtilityConfig,
     UtilityFamily,
+    _logistic,
     network_utility,
     network_utility_gradient,
     sigmoid_delta,
@@ -160,6 +161,30 @@ def test_sigmoid_deriv_matches_finite_differences():
         x = delta * (rng.uniform(-6.0, 6.0) + 3.0) / 6.0
         fd = (sigmoid_delta(x + 1e-6, delta) - sigmoid_delta(x - 1e-6, delta)) / 2e-6
         assert sigmoid_delta_deriv(x, delta) == pytest.approx(fd, rel=1e-6)
+
+
+def test_logistic_matches_math_exp_within_4_ulp():
+    z = np.concatenate([np.linspace(-800.0, 800.0, 16001), [-745.2, -709.8, -709.7, 0.0, 36.8]])
+
+    def reference(v):
+        try:
+            return 1.0 / (1.0 + math.exp(-v))
+        except OverflowError:  # exp(-v) past the largest float: the logistic is 0
+            return 0.0
+
+    want = np.array([reference(v) for v in z.tolist()])
+    assert np.all(np.abs(_logistic(z) - want) <= 4 * np.spacing(want))
+    assert _logistic(-709.8) == 0.0 and _logistic(-709.7) > 0.0
+
+
+def test_logistic_tails_raise_no_warning():
+    # the suite turns RuntimeWarnings into errors; exp(1000) overflows
+    assert np.array_equal(_logistic(np.array([-1000.0, 1000.0])), [0.0, 1.0])
+    assert _logistic(-1000.0) == 0.0 and _logistic(1000.0) == 1.0
+    delta = 2.0
+    x = np.array([-1000.0, 1000.0]) * delta / 6.0 + delta / 2.0  # z = -1000 and 1000
+    assert np.array_equal(sigmoid_delta(x, delta), [0.0, 1.0])
+    assert np.array_equal(sigmoid_delta_deriv(x, delta), [0.0, 0.0])
 
 
 # -------------------------------------------------------------- user utility
