@@ -10,21 +10,20 @@ import math
 
 from airbs_sgd import (
     ChannelParams,
-    Position,
     Rect,
     Scenario,
     StepSchedule,
     UtilityConfig,
     UtilityFamily,
-    free_space_power_dbm,
+    received_power_matrix,
     run,
 )
 
 
 def main():
     # strongest possible reception: agent directly overhead at 30 m
-    p_top = free_space_power_dbm(Position(0, 0, 30.0), Position(0, 0, 0.0),
-                                 ChannelParams(-94.0, 1000.0, 12.0))
+    p_top = float(received_power_matrix([[0.0, 0.0, 30.0]], [ChannelParams(-94.0, 1000.0, 12.0)],
+                                        [[0.0, 0.0, 0.0]])[0, 0])
     print(f"power directly under the AirBS: {p_top:.2f} dBm")
 
     s = Scenario(

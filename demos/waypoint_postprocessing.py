@@ -2,28 +2,58 @@
 
 The optimizer's per-iteration positions jitter (stochastic gradients) and
 early steps can be long. Post-processing smooths the jitter with a moving
-average and clamps the per-leg distance to a speed limit.
+average and clamps the per-leg distance to a speed limit. Waypoints are
+(N, 3) arrays, one (x, y, z) row per waypoint.
 """
 
 import math
 
+import numpy as np
+
 from airbs_sgd import (
     ChannelParams,
-    Position,
     Rect,
     Scenario,
     StepSchedule,
     UtilityConfig,
     UtilityFamily,
-    clamp_speed,
     run,
-    smooth_waypoints,
 )
 
 
+def smooth_waypoints(waypoints, window: int) -> np.ndarray:
+    """Centered moving average of an (N, 3) waypoint array, coordinate-wise.
+
+    ``window`` must be odd and >= 1. Near the ends the window shrinks
+    symmetrically, so the output has the same length and the first and
+    last waypoints are preserved.
+    """
+    if window < 1 or window % 2 == 0:
+        raise ValueError("window must be an odd integer >= 1")
+    pts = np.asarray(waypoints, dtype=float)
+    n, half = len(pts), window // 2
+    out = np.empty_like(pts)
+    for i in range(n):
+        h = min(half, i, n - 1 - i)
+        out[i] = pts[i - h:i + h + 1].mean(axis=0)
+    return out
+
+
+def clamp_speed(prev, nxt, vmax_m_per_update: float) -> np.ndarray:
+    """Where one update from ``prev`` toward ``nxt`` ends: at most ``vmax_m_per_update`` m on."""
+    if not vmax_m_per_update > 0.0:
+        raise ValueError("vmax must be positive")
+    step = nxt - prev
+    dx, dy, dz = step.tolist()
+    d = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if d <= vmax_m_per_update:
+        return nxt
+    return prev + (vmax_m_per_update / d) * step
+
+
 def leg_lengths(path):
-    return [math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
-            for a, b in zip(path, path[1:])]
+    rows = np.asarray(path).tolist()
+    return [math.dist(a, b) for a, b in zip(rows, rows[1:])]
 
 
 def main():
@@ -44,14 +74,13 @@ def main():
     log, _ = run(s)
 
     agent = 0
-    raw = [Position(float(x), float(y), float(z)) for x, y, z in log.positions[:, agent]]
+    raw = log.positions[:, agent]
     legs = leg_lengths(raw)
     print(f"raw trajectory of agent {agent}: {len(raw)} waypoints, "
           f"total {sum(legs):.0f} m, longest leg {max(legs):.1f} m")
 
     for window in (3, 7, 15):
-        sm = smooth_waypoints(raw, window)
-        legs = leg_lengths(sm)
+        legs = leg_lengths(smooth_waypoints(raw, window))
         print(f"  window {window:2d}: total {sum(legs):.0f} m, "
               f"longest leg {max(legs):.1f} m (endpoints kept)")
 
@@ -62,13 +91,13 @@ def main():
     pos = plan[0]
     flown = [pos]
     for target in plan[1:]:
-        while (pos.x, pos.y, pos.z) != (target.x, target.y, target.z):
+        while not np.array_equal(pos, target):
             pos = clamp_speed(pos, target, vmax)
             flown.append(pos)
     legs = leg_lengths(flown)
     print(f"clamped flight at vmax {vmax:.0f} m/step: {len(flown)} steps, "
           f"longest leg {max(legs):.1f} m, "
-          f"end miss vs plan {math.dist((pos.x, pos.y, pos.z), (plan[-1].x, plan[-1].y, plan[-1].z)):.1f} m")
+          f"end miss vs plan {math.dist(pos, plan[-1]):.1f} m")
 
 
 if __name__ == "__main__":

@@ -17,18 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Position, positions_to_array
-
 
 @dataclass(frozen=True)
 class KMeansResult:
     """Converged clustering: centroids at pinned height, plus diagnostics.
 
-    ``inertia_history`` records the total squared distance at each Lloyd
-    pass; it is non-increasing.
+    ``centroids`` is a (B, 3) array. ``inertia_history`` records the total
+    squared distance at each Lloyd pass; it is non-increasing.
     """
 
-    centroids: tuple
+    centroids: np.ndarray
     assignments: tuple
     inertia: float
     inertia_history: tuple
@@ -50,10 +48,11 @@ def kmeans_placement(user_locations, num_clusters: int, max_iters: int = 100,
     """Lloyd k-means on horizontal user coordinates.
 
     Runs until the assignment reaches a fixed point or ``max_iters``
-    passes, whichever is first. Returns centroids as positions at
-    ``height_m``. Requires at least as many users as clusters.
+    passes, whichever is first. ``user_locations`` is an (M, 3) array;
+    the centroids are returned at ``height_m``. Requires at least as many
+    users as clusters.
     """
-    pts = positions_to_array(user_locations)[:, :2]
+    pts = np.asarray(user_locations, dtype=float)[:, :2]
     m = pts.shape[0]
     if num_clusters < 1:
         raise ValueError("need at least one cluster")
@@ -88,8 +87,7 @@ def kmeans_placement(user_locations, num_clusters: int, max_iters: int = 100,
         history.append(inertia)
 
     return KMeansResult(
-        centroids=tuple(Position(float(c[0]), float(c[1]), float(height_m))
-                        for c in centroids),
+        centroids=np.column_stack([centroids, np.full(num_clusters, float(height_m))]),
         assignments=tuple(int(a) for a in assign),
         inertia=float(inertia),
         inertia_history=tuple(history),

@@ -1,8 +1,9 @@
 """Free-space channel model: received power in dBm and its position gradient.
 
-Positions are Cartesian East/North/Up coordinates in meters. All power
-bookkeeping at module boundaries is in dBm; linear (mW) conversions happen
-inside the operations that need them. One array kernel,
+Positions are Cartesian East/North/Up coordinates in meters, held as
+float arrays whose last axis has length 3. All power bookkeeping at
+module boundaries is in dBm; linear (mW) conversions happen inside the
+operations that need them. One array kernel,
 :func:`received_power_matrix`, evaluates B transmitters at N points at
 once, with gradients on request; every other power computation in the
 package goes through it.
@@ -33,28 +34,6 @@ class CoincidentPositionsError(ValueError):
 
 
 @dataclass(frozen=True)
-class Position:
-    """A point in a local East/North/Up frame, meters."""
-
-    x: float
-    y: float
-    z: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError(f"position coordinates must be finite, got {self}")
-        if self.z < 0.0:
-            raise ValueError(f"position altitude must be nonnegative, got z={self.z}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @classmethod
-    def from_array(cls, a) -> "Position":
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-
-@dataclass(frozen=True)
 class ChannelParams:
     """Link-budget constants for one transmitter.
 
@@ -76,34 +55,17 @@ class ChannelParams:
             raise ValueError("tx_power_dbm must be finite")
 
 
-def positions_to_array(positions) -> np.ndarray:
-    """Coerce a sequence of Position (or length-3 array-likes) to an (N, 3) array.
-
-    An array whose last axis has length 3 passes through with any leading
-    axes, e.g. (R, N, 3) for R replications.
-    """
-    if isinstance(positions, np.ndarray) and positions.ndim >= 2 and positions.shape[-1] == 3:
-        return np.asarray(positions, dtype=float)
-    rows = []
-    for p in positions:
-        if isinstance(p, Position):
-            rows.append((p.x, p.y, p.z))
-        else:
-            rows.append((float(p[0]), float(p[1]), float(p[2])))
-    return np.asarray(rows, dtype=float).reshape(-1, 3)
-
-
 def received_power_matrix(placements, params, points, gradient: bool = False):
     """Received power from B transmitters at N points, and its gradient: the array kernel.
 
     Parameters
     ----------
-    placements : Position sequence or ndarray, shape (..., B, 3)
+    placements : array_like, shape (..., B, 3)
         Transmitter locations.
     params : sequence of ChannelParams
         Transmit power and reference-distance gain calibration, one per
         transmitter.
-    points : Position sequence or ndarray, shape (..., N, 3)
+    points : array_like, shape (..., N, 3)
         Receiver locations. The leading axes of ``placements`` and
         ``points`` broadcast, e.g. one set of transmitters and points per
         replication.
@@ -126,7 +88,7 @@ def received_power_matrix(placements, params, points, gradient: bool = False):
     so each transmitter's N entries are adjacent in memory and a reduction
     over the B axis adds whole rows of N entries.
     """
-    L, X = positions_to_array(placements), positions_to_array(points)
+    L, X = np.asarray(placements, dtype=float), np.asarray(points, dtype=float)
     # one coordinate at a time: every operation runs along the N points
     dx, dy, dz = (L[..., :, None, k] - X[..., None, :, k] for k in range(3))
     d2 = dx * dx + dy * dy + dz * dz
@@ -143,15 +105,3 @@ def received_power_matrix(placements, params, points, gradient: bool = False):
     grads = np.stack([slope * dx, slope * dy, slope * dz], axis=-1)
     return powers, np.swapaxes(grads, -2, -3)
 
-
-def free_space_power_dbm(l_b: Position, x_m: Position, params: ChannelParams) -> float:
-    """Received power in dBm at ``x_m`` from a transmitter at ``l_b``.
-
-    One entry of :func:`received_power_matrix`, which documents the model.
-    """
-    return float(received_power_matrix([l_b], (params,), [x_m])[0, 0])
-
-
-def free_space_power_gradient(l_b: Position, x_m: Position, params: ChannelParams) -> np.ndarray:
-    """Gradient of :func:`free_space_power_dbm` with respect to ``l_b``, dB/meter."""
-    return received_power_matrix([l_b], (params,), [x_m], gradient=True)[1][0, 0]

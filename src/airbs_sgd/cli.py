@@ -79,15 +79,14 @@ def replication_seeds(master_seed: int, count: int) -> list:
     ]
 
 
-def _simulate_one(scenario: Scenario, seed: int, rep_dir: str, simulated,
+def _simulate_one(s: Scenario, seed: int, rep_dir: str, simulated, params,
                   with_kmeans: bool = False) -> dict:
     """The tail of one replication: coverage map, output bundle and k-means baseline.
 
-    ``simulated`` is the replication's ``(TrajectoryLog, MetricsReport)``.
+    ``simulated`` is the replication's ``(TrajectoryLog, MetricsReport)``
+    and ``params`` the scenario's per-transmitter channel params.
     """
     log, rep = simulated
-    s = dataclasses.replace(scenario, seed=seed)
-    params = s.agent_channel_params()
     try:
         cov = coverage_map(log.positions[-1], s.area, MAP_GRID, params, MAP_CLIP)
     except CoincidentPositionsError as e:
@@ -106,7 +105,7 @@ def _simulate_one(scenario: Scenario, seed: int, rep_dir: str, simulated,
         km_served = served_count(km.centroids, log.users, params, s.utility.p_min_dbm)
         result["kmeans_unserved"] = rep.final.total_mus - km_served
         _write_json(os.path.join(rep_dir, "kmeans.json"), {
-            "centroids": [[p.x, p.y, p.z] for p in km.centroids],
+            "centroids": km.centroids.tolist(),
             "inertia": km.inertia,
             "served": km_served,
             "unserved": rep.final.total_mus - km_served,
@@ -121,8 +120,9 @@ def _run_replications(scenario: Scenario, seeds, out_dir: str,
         batch = run_replications(scenario, seeds)
     except (CoincidentPositionsError, DivergenceError) as e:
         raise CliError(f"replication with seed {e.seed} failed: {e}")
+    params = scenario.agent_channel_params()
     return [_simulate_one(scenario, seed, os.path.join(out_dir, f"rep_{r:03d}"), simulated,
-                          with_kmeans)
+                          params, with_kmeans)
             for r, (seed, simulated) in enumerate(zip(seeds, batch))]
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import positions_to_array, received_power_matrix
+from .channel import received_power_matrix
 
 DEFAULT_HIST_RANGE = (-110.0, -70.0)
 DEFAULT_HIST_BIN_DB = 1.0
@@ -233,9 +233,8 @@ def render_map_svg(log, coverage, area, path, clip=(-100.0, -80.0), mus=None,
     """Trajectories over the coverage map as a standalone SVG file.
 
     ``coverage`` is the (ny, nx) clipped power grid over ``area``; rows run
-    south to north. Users (Position sequence or (M, 3) array), when given,
-    are drawn as dots (open circles for the unserved ones when
-    ``served_flags`` is provided).
+    south to north. Users (an (M, 3) array), when given, are drawn as dots
+    (open circles for the unserved ones when ``served_flags`` is provided).
     """
     size, pad = 560.0, 20.0
     w = area.x_max - area.x_min
@@ -266,7 +265,7 @@ def render_map_svg(log, coverage, area, path, clip=(-100.0, -80.0), mus=None,
     for iy in range(ny):
         out.append(row.format(_fmt(sy(area.y_min + (iy + 1) * h / ny)), *colors[iy]))
     if mus is not None:
-        pts = positions_to_array(mus)
+        pts = np.asarray(mus, dtype=float)
         flags = served_flags if served_flags is not None else [True] * len(pts)
         for (x, y, _), ok in zip(pts.tolist(), flags):
             if not area.contains(x, y):

@@ -8,9 +8,8 @@ gradients of all B agents at the reporting users of every replication in
 one (R, Q, B) channel-kernel call, and lets
 :func:`navigator.batched_update` apply every agent's minibatch step at
 once. Each agent's step still reads only its own position and its own
-replication's packets; :func:`navigator.agent_partial_gradient` is the
-per-agent view of the same arithmetic. Positions and the full-information
-oracle utility are logged once per iteration, plus the initial state.
+replication's packets. Positions and the full-information oracle utility
+are logged once per iteration, plus the initial state.
 :func:`run` is a batch of one.
 
 All randomness of a replication flows from its seed through its own
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, CoincidentPositionsError, Position, received_power_matrix
+from .channel import ChannelParams, CoincidentPositionsError, received_power_matrix
 from .navigator import DivergenceError, StepSchedule, batched_update
 from .traffic import TrafficProfile, sample_recipient
 from .utility import UtilityConfig, user_utility
@@ -78,7 +77,8 @@ class Scenario:
     ``channel`` is a base value that these override. ``traffic`` may be
     None, meaning uniform shares over all users (including the extras).
     ``measurement_noise_db`` adds Gaussian error to reported packet powers
-    and is 0 for the exact baseline.
+    and is 0 for the exact baseline. ``extra_mu_positions`` are fixed users
+    as ``(x, y, z)`` float triples, after the ``num_mus`` drawn ones.
     """
 
     area: Rect
@@ -120,10 +120,16 @@ class Scenario:
         extras = []
         for i, p in enumerate(self.extra_mu_positions):
             try:
-                extras.append(p if isinstance(p, Position)
-                              else Position(float(p[0]), float(p[1]), float(p[2])))
+                xyz = tuple(float(v) for v in p)
+                if len(xyz) != 3:
+                    raise ValueError(f"position must have 3 coordinates, got {len(xyz)}")
+                if not all(map(math.isfinite, xyz)):
+                    raise ValueError(f"position coordinates must be finite, got {xyz}")
+                if xyz[2] < 0.0:
+                    raise ValueError(f"position altitude must be nonnegative, got z={xyz[2]}")
             except ValueError as e:
                 raise ValueError(f"extra_mu_positions[{i}]: {e}") from None
+            extras.append(xyz)
         object.__setattr__(self, "extra_mu_positions", tuple(extras))
         if self.traffic is None:
             object.__setattr__(self, "traffic", TrafficProfile.uniform(self.total_mus))
@@ -216,7 +222,7 @@ def init_scenario(s: Scenario) -> World:
     a = s.area
     mxy = rng.uniform((a.x_min, a.y_min), (a.x_max, a.y_max), size=(s.num_mus, 2))
     users = np.vstack([np.column_stack([mxy, np.zeros(s.num_mus)]),
-                       np.array([p.as_array() for p in s.extra_mu_positions]).reshape(-1, 3)])
+                       np.array(s.extra_mu_positions, dtype=float).reshape(-1, 3)])
     positions = np.column_stack([axy, np.full(s.num_airbs, float(s.fixed_height_m))])
     return World(positions=positions, users=users, rng=rng)
 
@@ -350,7 +356,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "init_region": rect(s.init_region),
         "fixed_height_m": s.fixed_height_m,
         "num_mus": s.num_mus,
-        "extra_mu_positions": [[p.x, p.y, p.z] for p in s.extra_mu_positions],
+        "extra_mu_positions": [list(p) for p in s.extra_mu_positions],
         "traffic": {"pi": list(s.traffic.pi)},
         "utility": {
             "family": s.utility.family.value,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import positions_to_array, received_power_matrix
+from .channel import received_power_matrix
 
 LN2 = math.log(2.0)
 # d(linear)/d(dB) = linear * ln(10)/10; used to express partials per dB.
@@ -198,14 +198,8 @@ def user_utility_partials(powers_dbm, cfg: UtilityConfig, axis: int = -1):
 
 
 def _users_to_arrays(users):
-    """Normalize ``users`` to (positions (M,3), weights (M,))."""
-    if isinstance(users, tuple) and len(users) == 2 and not isinstance(users[0], tuple):
-        pos = positions_to_array(users[0])
-        w = np.asarray(users[1], dtype=float)
-    else:
-        pairs = list(users)
-        pos = positions_to_array([p for p, _ in pairs])
-        w = np.asarray([float(wt) for _, wt in pairs])
+    """Check a ``(positions (M,3), weights (M,))`` pair; returns it as float arrays."""
+    pos, w = (np.asarray(a, dtype=float) for a in users)
     if pos.shape[0] != w.shape[0]:
         raise ValueError("positions and weights must have matching lengths")
     if np.any(w < 0.0):
@@ -218,11 +212,10 @@ def _users_to_arrays(users):
 def network_utility(placements, users, cfg: UtilityConfig, params) -> float:
     """Exact weighted network utility ``sum_m w_m * J_m`` over all users.
 
-    ``users`` is either a sequence of ``(position, weight)`` pairs or a
-    ``(positions, weights)`` pair of arrays; weights must be nonnegative and
-    sum to one. This full-information evaluation is the oracle that
-    estimator and optimizer tests compare against; the placement agents
-    themselves never see it.
+    ``users`` is a ``(positions, weights)`` pair of arrays, shapes (M, 3)
+    and (M,); weights must be nonnegative and sum to one. This
+    full-information evaluation is the oracle that estimator and optimizer
+    tests compare against; the placement agents themselves never see it.
     """
     pos, w = _users_to_arrays(users)
     # transmitter-major (B, M), as the simulator's oracle snapshot lays the

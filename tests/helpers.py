@@ -3,10 +3,10 @@ replay and acceptance reporting."""
 
 import numpy as np
 
-from airbs_sgd.channel import Position, received_power_matrix
-from airbs_sgd.navigator import AirBsAgent, accumulate, agent_partial_gradient, apply_update
+from airbs_sgd.channel import received_power_matrix
 from airbs_sgd.simulator import init_scenario
-from airbs_sgd.traffic import ControlPacket, sample_recipient
+from airbs_sgd.traffic import sample_recipient
+from airbs_sgd.utility import user_utility_partials
 
 # one line per acceptance criterion, printed by the terminal-summary hook
 ACCEPTANCE_LINES = []
@@ -58,6 +58,35 @@ def linear_to_dbm(p_mw):
     return 10.0 * np.log10(p)
 
 
+def agent_gradient(position, params_b, b, users, reported, cfg) -> np.ndarray:
+    """Agent ``b``'s summed chain-rule gradient over a minibatch, one packet at a time.
+
+    ``position`` (3,) is the agent's own, ``params_b`` its channel params;
+    packet q comes from the user at ``users[q]`` and reports the B powers
+    ``reported[q]``. Per packet: one one-row kernel call for the agent's
+    power gradient at that user and one ``user_utility_partials`` call on
+    the reported powers; the products are added from zeros in packet order.
+    """
+    total = np.zeros(3)
+    for x, powers in zip(users, reported):
+        _, g = received_power_matrix(position[None], (params_b,), x[None], gradient=True)
+        total += g[0, 0] * user_utility_partials(powers[None], cfg)[0, b]
+    return total
+
+
+def agent_step(position, params_b, b, users, reported, cfg, eta, fixed_height) -> np.ndarray:
+    """Agent ``b`` alone: one ascent step along its minibatch-mean gradient.
+
+    The reference that ``navigator.batched_update``'s rows are compared
+    against; ``fixed_height``, when not None, pins z exactly.
+    """
+    new = position + eta * (agent_gradient(position, params_b, b, users, reported, cfg)
+                            / len(users))
+    if fixed_height is not None:
+        new[2] = fixed_height
+    return new
+
+
 def replay_alone(s, log) -> np.ndarray:
     """Each agent's path, replayed alone from packets rebuilt by the documented draw order.
 
@@ -65,27 +94,18 @@ def replay_alone(s, log) -> np.ndarray:
     ``init_scenario``: the Q recipients, their exact powers at
     ``log.positions[i]``, then (with measurement noise) one (Q, B) block
     of standard normals. Every agent then steps on its own through
-    ``agent_partial_gradient`` -> ``accumulate`` -> ``apply_update`` from
-    ``log.positions[0]``. Returns the replayed positions, shaped like
-    ``log.positions``.
+    :func:`agent_step` from ``log.positions[0]``. Returns the replayed
+    positions, shaped like ``log.positions``.
     """
     world = init_scenario(s)
     params, q = s.agent_channel_params(), s.schedule.minibatch_size
-    agents = [AirBsAgent(index=b, position=Position.from_array(row), channel_params=params[b],
-                         fixed_height=s.fixed_height_m)
-              for b, row in enumerate(log.positions[0])]
     path = [log.positions[0]]
     for i in range(log.num_iterations):
         idx = sample_recipient(s.traffic, world.rng, size=q)
         powers = received_power_matrix(log.positions[i], params, world.users[idx])
         if s.measurement_noise_db > 0.0:
             powers = powers + s.measurement_noise_db * world.rng.standard_normal(powers.shape)
-        packets = [ControlPacket(mu_index=int(m), mu_location=Position.from_array(world.users[m]),
-                                 measured_powers_dbm=tuple(row))
-                   for m, row in zip(idx, powers)]
-        for agent in agents:
-            for pkt in packets:
-                accumulate(agent, agent_partial_gradient(agent, pkt, s.utility))
-            apply_update(agent, s.schedule.eta(i))
-        path.append([agent.position.as_array() for agent in agents])
+        path.append([agent_step(row, params[b], b, world.users[idx], powers, s.utility,
+                                s.schedule.eta(i), s.fixed_height_m)
+                     for b, row in enumerate(path[-1])])
     return np.array(path)

@@ -5,38 +5,21 @@ that the terminal summary prints. The expensive 20-seed reference batch
 is shared through the session-scoped ``paper_batch`` fixture.
 """
 
-import copy
 import json
 import math
 import time
 
 import numpy as np
 
-from helpers import central_diff, record_criterion, rel_err
+from helpers import agent_gradient, agent_step, central_diff, record_criterion, rel_err
 from test_utility import conditioned_cfg
 
-from airbs_sgd.channel import (
-    ChannelParams,
-    Position,
-    free_space_power_dbm,
-    free_space_power_gradient,
-)
+from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.cli import main as cli_main
-from airbs_sgd.navigator import (
-    AirBsAgent,
-    StepSchedule,
-    accumulate,
-    agent_partial_gradient,
-    apply_update,
-)
+from airbs_sgd.navigator import StepSchedule, batched_update
 from airbs_sgd import simulator
 from airbs_sgd.simulator import Rect, Scenario, init_scenario, run, scenario_to_dict
-from airbs_sgd.traffic import (
-    TrafficProfile,
-    empirical_utility_estimate,
-    make_control_packet,
-    sample_recipient,
-)
+from airbs_sgd.traffic import TrafficProfile, sample_recipient
 from airbs_sgd.utility import (
     UtilityConfig,
     UtilityFamily,
@@ -82,7 +65,7 @@ def assembled_case(rng, family):
     agent's share of the gradient well above the FD noise floor.
     """
     b = int(rng.integers(2, 5))
-    mu = Position(*rng.uniform(0, 3000, 2).tolist(), 0.0)
+    mu = np.array([[*rng.uniform(0, 3000, 2), 0.0]])
     base_d = rng.uniform(300.0, 1800.0)
     placements = []
     for _ in range(b):
@@ -90,11 +73,11 @@ def assembled_case(rng, family):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         z = rng.uniform(20.0, 80.0)
         horiz = math.sqrt(max(d * d - z * z, 100.0))
-        placements.append(Position(mu.x + horiz * math.cos(theta),
-                                   mu.y + horiz * math.sin(theta), z))
+        placements.append([mu[0, 0] + horiz * math.cos(theta),
+                           mu[0, 1] + horiz * math.sin(theta), z])
+    placements = np.array(placements)
     params = [ChannelParams(-94.0, 1000.0, 12.0) for _ in range(b)]
-    powers = np.array([free_space_power_dbm(l, mu, q)
-                       for l, q in zip(placements, params)])
+    powers = received_power_matrix(placements, params, mu)[0]
     if family is UtilityFamily.THRESHOLD_SIGMOID_BROADCAST:
         anchor = 10.0 * math.log10(float(np.sum(10.0 ** (powers / 10.0))))
     else:
@@ -118,12 +101,11 @@ def test_criterion_03_finite_difference_cross_checks():
     # channel gradient
     prm = ChannelParams(-94.0, 1000.0, 12.0)
     for _ in range(100):
-        l = Position(*rng.uniform(-2000, 2000, 2).tolist(), rng.uniform(20, 200))
-        x = Position(*rng.uniform(-2000, 2000, 2).tolist(), 0.0)
-        got = free_space_power_gradient(l, x, prm)
+        l = np.array([[*rng.uniform(-2000, 2000, 2), rng.uniform(20, 200)]])
+        x = np.array([[*rng.uniform(-2000, 2000, 2), 0.0]])
+        got = received_power_matrix(l, [prm], x, gradient=True)[1][0, 0]
         want = central_diff(
-            lambda v: free_space_power_dbm(Position(*v), x, prm),
-            l.as_array(), h=1e-3)
+            lambda v: received_power_matrix(v[None], [prm], x)[0, 0], l[0], h=1e-3)
         worst = max(worst, rel_err(got, want))
 
     # per-family utility partials
@@ -140,20 +122,16 @@ def test_criterion_03_finite_difference_cross_checks():
     for k in range(100):
         family = FAMILIES[k % len(FAMILIES)]
         placements, params, mu, cfg = assembled_case(rng, family)
-        pkt = make_control_packet(0, [mu], placements, params)
+        reported = received_power_matrix(placements, params, mu)
         for i in range(len(placements)):
-            agent = AirBsAgent(index=i, position=placements[i],
-                               channel_params=params[i])
-            got = agent_partial_gradient(agent, pkt, cfg)
+            got = agent_gradient(placements[i], params[i], i, mu, reported, cfg)
 
             def j_of(v):
-                moved = list(placements)
-                moved[i] = Position(*v)
-                pw = np.array([free_space_power_dbm(l, mu, q)
-                               for l, q in zip(moved, params)])
-                return float(user_utility(pw, cfg))
+                moved = placements.copy()
+                moved[i] = v
+                return float(user_utility(received_power_matrix(moved, params, mu)[0], cfg))
 
-            want = central_diff(j_of, placements[i].as_array(), h=1e-3)
+            want = central_diff(j_of, placements[i], h=1e-3)
             worst = max(worst, rel_err(got, want))
 
     elapsed = time.perf_counter() - t0
@@ -167,21 +145,20 @@ def test_criterion_03_finite_difference_cross_checks():
 def test_criterion_04_enumeration_oracle():
     rng = np.random.default_rng(104)
     b, m = 4, 500
-    placements = [Position(*rng.uniform(0, 7000, 2).tolist(), 30.0) for _ in range(b)]
+    placements = np.array([[*rng.uniform(0, 7000, 2), 30.0] for _ in range(b)])
     params = [ChannelParams(-94.0, 1000.0, p) for p in (7.0, 9.0, 9.0, 12.0)]
-    agents = [AirBsAgent(index=i, position=placements[i], channel_params=params[i])
-              for i in range(b)]
-    mus = [Position(*rng.uniform(0, 7000, 2).tolist(), 0.0) for _ in range(m)]
+    mus = np.array([[*rng.uniform(0, 7000, 2), 0.0] for _ in range(m)])
     w = rng.uniform(0.2, 1.8, m)
     w = w / w.sum()
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -88.0, 4.0)
 
+    reported = received_power_matrix(placements, params, mus)
     stacked = np.zeros((b, 3))
     for idx in range(m):
-        pkt = make_control_packet(idx, mus, placements, params)
-        for i, agent in enumerate(agents):
-            stacked[i] += w[idx] * agent_partial_gradient(agent, pkt, cfg)
-    oracle = network_utility_gradient(placements, list(zip(mus, w)), cfg, params)
+        for i in range(b):
+            stacked[i] += w[idx] * agent_gradient(placements[i], params[i], i, mus[idx:idx + 1],
+                                                  reported[idx:idx + 1], cfg)
+    oracle = network_utility_gradient(placements, (mus, w), cfg, params)
     err = rel_err(stacked, oracle)
     ok = err < 1e-9
     record_criterion(
@@ -193,26 +170,23 @@ def test_criterion_04_enumeration_oracle():
 def test_criterion_05_estimator_noise_scaling():
     rng = np.random.default_rng(105)
     b, m = 3, 300
-    placements = [Position(*rng.uniform(0, 5000, 2).tolist(), 30.0) for _ in range(b)]
+    placements = np.array([[*rng.uniform(0, 5000, 2), 30.0] for _ in range(b)])
     params = [ChannelParams(-94.0, 1000.0, p) for p in (9.0, 9.0, 12.0)]
-    mus = [Position(*rng.uniform(0, 5000, 2).tolist(), 0.0) for _ in range(m)]
+    mus = np.array([[*rng.uniform(0, 5000, 2), 0.0] for _ in range(m)])
     w = rng.uniform(0.2, 1.8, m)
     w = w / w.sum()
     profile = TrafficProfile(pi=tuple(w))
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -89.0, 4.0)
 
-    per_user = np.array([
-        user_utility(np.array([free_space_power_dbm(l, mu, q)
-                               for l, q in zip(placements, params)]), cfg)
-        for mu in mus
-    ], dtype=float)
-    exact = network_utility(placements, list(zip(mus, w)), cfg, params)
+    per_user = np.array([user_utility(received_power_matrix(placements, params, mu[None])[0], cfg)
+                         for mu in mus], dtype=float)
+    exact = network_utility(placements, (mus, w), cfg, params)
     assert abs(float(np.dot(w, per_user)) - exact) < 1e-12
 
     # index-sampling oracle is the same math as the packet estimator
     idx = np.array([sample_recipient(profile, rng) for _ in range(50)])
-    pkts = [make_control_packet(int(i), mus, placements, params) for i in idx]
-    assert abs(empirical_utility_estimate(pkts, cfg) - per_user[idx].mean()) < 1e-12
+    reported = received_power_matrix(placements, params, mus[idx])
+    assert abs(float(np.mean(user_utility(reported, cfg))) - per_user[idx].mean()) < 1e-12
 
     sizes = (100, 1000, 10000)
     mean_abs_err = []
@@ -229,8 +203,8 @@ def test_criterion_05_estimator_noise_scaling():
 
 
 def test_criterion_06_single_pair_convergence():
-    p_top = free_space_power_dbm(Position(0.0, 0.0, 30.0), Position(0.0, 0.0, 0.0),
-                                 ChannelParams(-94.0, 1000.0, 12.0))
+    p_top = float(received_power_matrix([[0.0, 0.0, 30.0]], [ChannelParams(-94.0, 1000.0, 12.0)],
+                                        [[0.0, 0.0, 0.0]])[0, 0])
     worst_dist = 0.0
     worst_first = 0
     ok = True
@@ -274,39 +248,30 @@ def test_criterion_07_utility_ascends(paper_batch):
 
 def test_criterion_08_noncooperation_barrier():
     rng = np.random.default_rng(108)
+    eta = 1e4  # small enough that no agent of the drawn geometry steps below ground
     ok = True
     for _ in range(20):
         b = int(rng.integers(2, 6))
-        placements = [Position(*rng.uniform(0, 4000, 2).tolist(), rng.uniform(20, 80))
-                      for _ in range(b)]
+        placements = np.array([[*rng.uniform(0, 4000, 2), rng.uniform(20, 80)]
+                               for _ in range(b)])
         params = [ChannelParams(-94.0, 1000.0, rng.uniform(5, 15)) for _ in range(b)]
-        agents = [AirBsAgent(index=i, position=placements[i], channel_params=params[i])
-                  for i in range(b)]
         focus = int(rng.integers(0, b))
-        mu = Position(*rng.uniform(0, 4000, 2).tolist(), 0.0)
-        cfg = conditioned_cfg(FAMILIES[focus % len(FAMILIES)],
-                              np.array([free_space_power_dbm(l, mu, q)
-                                        for l, q in zip(placements, params)]), rng)
-        pkt = make_control_packet(0, [mu], placements, params)
+        mu = np.array([[*rng.uniform(0, 4000, 2), 0.0]])
+        powers, grads = received_power_matrix(placements, params, mu, gradient=True)
+        cfg = conditioned_cfg(FAMILIES[focus % len(FAMILIES)], powers[0], rng)
+        ref = batched_update(placements, grads, powers, cfg, eta)[focus]
 
-        ref = copy.deepcopy(agents[focus])
-        accumulate(ref, agent_partial_gradient(ref, pkt, cfg))
-        apply_update(ref, 1e5)
+        # scramble everyone else's position and power gradient, then replay
+        # the identical packet; altitudes only rise, so no agent diverges
+        others = np.arange(b) != focus
+        placements[others] = np.column_stack([rng.uniform(0, 9000, (b - 1, 2)),
+                                              rng.uniform(0, 500, b - 1)])
+        grads[:, others] = rng.standard_normal((1, b - 1, 3)) * 100.0
+        grads[:, others, 2] = np.abs(grads[:, others, 2])
+        replayed = batched_update(placements, grads, powers, cfg, eta)[focus]
 
-        # scramble everyone else, then replay the identical packet
-        for a in agents:
-            if a.index != focus:
-                a.position = Position(*rng.uniform(0, 9000, 2).tolist(),
-                                      rng.uniform(0, 500))
-                a.minibatch_sum = rng.standard_normal(3) * 100.0
-                a.minibatch_count = int(rng.integers(1, 99))
-        replayed = copy.deepcopy(agents[focus])
-        accumulate(replayed, agent_partial_gradient(replayed, pkt, cfg))
-        apply_update(replayed, 1e5)
-
-        same = (ref.position.x, ref.position.y, ref.position.z) == \
-            (replayed.position.x, replayed.position.y, replayed.position.z)
-        ok = ok and same
+        alone = agent_step(placements[focus], params[focus], focus, mu, powers, cfg, eta, None)
+        ok = ok and np.array_equal(ref, replayed) and np.array_equal(ref, alone)
     record_criterion(
         8, "replaying a packet gives a bit-identical update regardless of the "
            "other agents' state", ok, "20 randomized trials")

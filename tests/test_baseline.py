@@ -2,20 +2,22 @@ import numpy as np
 import pytest
 
 from airbs_sgd.baseline import kmeans_placement
-from airbs_sgd.channel import Position
 
 
 def pts_from(arr, z=0.0):
-    return [Position(float(x), float(y), z) for x, y in arr]
+    """(M, 2) horizontal coordinates as (M, 3) user locations at height z."""
+    arr = np.asarray(arr, dtype=float)
+    return np.column_stack([arr, np.full(len(arr), z)])
 
 
 def test_single_cluster_is_the_mean():
     rng = np.random.default_rng(5)
     arr = rng.uniform(0, 1000, size=(40, 2))
     res = kmeans_placement(pts_from(arr), 1, height_m=25.0)
+    assert res.centroids.shape == (1, 3)
     c = res.centroids[0]
-    assert np.allclose((c.x, c.y), arr.mean(axis=0), atol=1e-9)
-    assert c.z == 25.0
+    assert np.allclose(c[:2], arr.mean(axis=0), atol=1e-9)
+    assert c[2] == 25.0
     assert res.assignments == (0,) * 40
 
 
@@ -24,7 +26,7 @@ def test_two_tight_clusters_recovered():
     left = rng.normal((100.0, 100.0), 0.5, size=(30, 2))
     right = rng.normal((900.0, 900.0), 0.5, size=(30, 2))
     res = kmeans_placement(pts_from(np.vstack([left, right])), 2, seed=1)
-    got = sorted((c.x, c.y) for c in res.centroids)
+    got = sorted(map(tuple, res.centroids[:, :2]))
     want = sorted([tuple(left.mean(axis=0)), tuple(right.mean(axis=0))])
     for g, w in zip(got, want):
         assert np.allclose(g, w, atol=1.0)
@@ -44,7 +46,7 @@ def test_assignments_are_nearest_centroid():
     rng = np.random.default_rng(8)
     arr = rng.uniform(0, 3000, size=(80, 2))
     res = kmeans_placement(pts_from(arr), 4, seed=2)
-    cents = np.array([(c.x, c.y) for c in res.centroids])
+    cents = res.centroids[:, :2]
     d2 = np.sum((arr[:, None, :] - cents[None, :, :]) ** 2, axis=2)
     assert res.assignments == tuple(np.argmin(d2, axis=1))
 
@@ -54,16 +56,17 @@ def test_deterministic_per_seed():
     arr = rng.uniform(0, 1000, size=(50, 2))
     a = kmeans_placement(pts_from(arr), 3, seed=42)
     b = kmeans_placement(pts_from(arr), 3, seed=42)
-    assert a == b
+    assert np.array_equal(a.centroids, b.centroids) and a.assignments == b.assignments
+    assert a.inertia == b.inertia and a.inertia_history == b.inertia_history
     c = kmeans_placement(pts_from(arr), 3, seed=43)
-    assert a.centroids != c.centroids or a.assignments != c.assignments
+    assert not np.array_equal(a.centroids, c.centroids) or a.assignments != c.assignments
 
 
 def test_equidistant_point_goes_to_lowest_index():
     # user exactly between two stable single-point clusters
     users = pts_from([(0.0, 0.0), (100.0, 0.0), (50.0, 0.0)])
     res = kmeans_placement(users, 2, seed=0, max_iters=1)
-    cents = [(c.x, c.y) for c in res.centroids]
+    cents = res.centroids[:, :2].tolist()
     mid = res.assignments[2]
     d0 = (50.0 - cents[0][0]) ** 2 + cents[0][1] ** 2
     d1 = (50.0 - cents[1][0]) ** 2 + cents[1][1] ** 2
@@ -78,10 +81,10 @@ def test_empty_cluster_reseeded_to_farthest_point():
     for seed in range(200):
         rng = np.random.default_rng(seed)
         picks = rng.choice(len(users), size=2, replace=False)
-        a, b = [(users[i].x, users[i].y) for i in picks]
+        a, b = users[picks, :2].tolist()
         if a == b:
             res = kmeans_placement(users, 2, seed=seed)
-            got = sorted((c.x, c.y) for c in res.centroids)
+            got = sorted(map(tuple, res.centroids[:, :2].tolist()))
             assert got[0] == (0.0, 0.0)
             assert got[1] == (1000.0, 5.0)
             return

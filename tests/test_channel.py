@@ -5,32 +5,34 @@ import pytest
 
 import helpers
 from helpers import dbm_to_linear, linear_to_dbm
-from airbs_sgd.channel import (
-    ChannelParams,
-    CoincidentPositionsError,
-    Position,
-    free_space_power_dbm,
-    free_space_power_gradient,
-    positions_to_array,
-    received_power_matrix,
-)
+from airbs_sgd.channel import ChannelParams, CoincidentPositionsError, received_power_matrix
 
 PARAMS = ChannelParams(ref_gain_db=-94.0, ref_distance_m=1000.0, tx_power_dbm=12.0)
 
 
+def power(l_b, x_m, prm=PARAMS) -> float:
+    """Power in dBm at ``x_m`` from a transmitter at ``l_b``: one kernel entry."""
+    return float(received_power_matrix([l_b], (prm,), [x_m])[0, 0])
+
+
+def gradient(l_b, x_m, prm=PARAMS) -> np.ndarray:
+    """Gradient of :func:`power` in ``l_b``, dB/meter."""
+    return received_power_matrix([l_b], (prm,), [x_m], gradient=True)[1][0, 0]
+
+
 def test_power_at_reference_distance():
-    p = free_space_power_dbm(Position(1000.0, 0.0, 0.0), Position(0.0, 0.0, 0.0), PARAMS)
+    p = power((1000.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     assert p == pytest.approx(-82.0, abs=1e-12)
 
 
 def test_power_one_doubling_down_6dB():
-    p = free_space_power_dbm(Position(2000.0, 0.0, 0.0), Position(0.0, 0.0, 0.0), PARAMS)
+    p = power((2000.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     assert p == pytest.approx(-88.0206, abs=1e-4)
 
 
 def test_calibration_identity():
     prm = ChannelParams(ref_gain_db=-94.0, ref_distance_m=1000.0, tx_power_dbm=0.0)
-    p = free_space_power_dbm(Position(0.0, 1000.0, 0.0), Position(0.0, 0.0, 0.0), prm)
+    p = power((0.0, 1000.0, 0.0), (0.0, 0.0, 0.0), prm)
     assert p == prm.ref_gain_db
 
 
@@ -38,17 +40,17 @@ def test_power_linear_domain_route():
     # independent route: inverse-square law in milliwatts, then to dBm
     rng = np.random.default_rng(7)
     for _ in range(50):
-        l_b = Position(*rng.uniform(-3000, 3000, 3).tolist()[:2], rng.uniform(10, 300))
-        x_m = Position(*rng.uniform(-3000, 3000, 2).tolist(), 0.0)
-        d = math.dist((l_b.x, l_b.y, l_b.z), (x_m.x, x_m.y, x_m.z))
+        l_b = [*rng.uniform(-3000, 3000, 3)[:2], rng.uniform(10, 300)]
+        x_m = [*rng.uniform(-3000, 3000, 2), 0.0]
+        d = math.dist(l_b, x_m)
         p_mw = dbm_to_linear(PARAMS.tx_power_dbm) * dbm_to_linear(PARAMS.ref_gain_db) \
             * (PARAMS.ref_distance_m / d) ** 2
-        assert free_space_power_dbm(l_b, x_m, PARAMS) == pytest.approx(
+        assert power(l_b, x_m) == pytest.approx(
             float(linear_to_dbm(p_mw)), rel=1e-12)
 
 
 def test_gradient_east_geometry():
-    g = free_space_power_gradient(Position(1000.0, 0.0, 0.0), Position(0.0, 0.0, 0.0), PARAMS)
+    g = gradient((1000.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     assert g[0] == pytest.approx(-8.6859e-3, abs=1e-7)
     assert g[1] == 0.0 and g[2] == 0.0
 
@@ -56,11 +58,10 @@ def test_gradient_east_geometry():
 def test_gradient_points_toward_user():
     rng = np.random.default_rng(3)
     for _ in range(100):
-        l_b = Position(*rng.uniform(-5000, 5000, 2).tolist(), rng.uniform(5, 500))
-        x_m = Position(*rng.uniform(-5000, 5000, 2).tolist(), 0.0)
-        g = free_space_power_gradient(l_b, x_m, PARAMS)
-        toward = np.array([x_m.x - l_b.x, x_m.y - l_b.y, x_m.z - l_b.z])
-        assert float(np.dot(g, toward)) > 0.0
+        l_b = np.array([*rng.uniform(-5000, 5000, 2), rng.uniform(5, 500)])
+        x_m = np.array([*rng.uniform(-5000, 5000, 2), 0.0])
+        g = gradient(l_b, x_m)
+        assert float(np.dot(g, x_m - l_b)) > 0.0
 
 
 def test_gradient_matches_finite_differences():
@@ -75,42 +76,33 @@ def test_gradient_matches_finite_differences():
         if not 10.0 <= sep <= 10_000.0:
             continue
         count += 1
-        xp = Position(*x_m.tolist())
-
-        def f(v):
-            return free_space_power_dbm(Position(*v.tolist()), xp, PARAMS)
-
-        fd = helpers.central_diff(f, l_b, h=1e-3)
-        g = free_space_power_gradient(Position(*l_b.tolist()), xp, PARAMS)
+        fd = helpers.central_diff(lambda v: power(v, x_m), l_b, h=1e-3)
+        g = gradient(l_b, x_m)
         assert helpers.rel_err(g, fd) < 1e-6
 
 
 def test_monotone_decreasing_in_distance():
-    x_m = Position(0.0, 0.0, 0.0)
-    powers = [free_space_power_dbm(Position(d, 0.0, 0.0), x_m, PARAMS)
-              for d in (10, 50, 100, 500, 1000, 5000)]
+    powers = [power((d, 0.0, 0.0), (0.0, 0.0, 0.0)) for d in (10, 50, 100, 500, 1000, 5000)]
     assert all(a > b for a, b in zip(powers, powers[1:]))
 
 
 def test_isotropy():
     d = 321.7
-    base = free_space_power_dbm(Position(d, 0.0, 0.0), Position(0.0, 0.0, 0.0), PARAMS)
+    base = power((d, 0.0, 0.0), (0.0, 0.0, 0.0))
     for theta in (0.3, 1.2, 2.9):
-        l_b = Position(d * math.cos(theta), d * math.sin(theta), 0.0)
-        assert free_space_power_dbm(l_b, Position(0.0, 0.0, 0.0), PARAMS) == pytest.approx(
-            base, abs=1e-9)
-    shifted = free_space_power_dbm(Position(100.0 + d, 50.0, 7.0), Position(100.0, 50.0, 7.0),
-                                   PARAMS)
+        l_b = (d * math.cos(theta), d * math.sin(theta), 0.0)
+        assert power(l_b, (0.0, 0.0, 0.0)) == pytest.approx(base, abs=1e-9)
+    shifted = power((100.0 + d, 50.0, 7.0), (100.0, 50.0, 7.0))
     assert shifted == pytest.approx(base, abs=1e-9)
 
 
 def test_coincident_positions_rejected():
-    a = Position(5.0, 5.0, 5.0)
-    b = Position(5.0, 5.0, 5.05)
+    a = (5.0, 5.0, 5.0)
+    b = (5.0, 5.0, 5.05)
     with pytest.raises(CoincidentPositionsError):
-        free_space_power_dbm(a, b, PARAMS)
+        power(a, b)
     with pytest.raises(CoincidentPositionsError):
-        free_space_power_gradient(a, b, PARAMS)
+        gradient(a, b)
 
 
 def test_dbm_linear_basics():
@@ -182,25 +174,14 @@ def test_kernel_leading_axes_are_independent_batches():
 
 
 def test_received_power_matrix_shape_and_values():
-    placements = [Position(0.0, 0.0, 30.0), Position(1000.0, 0.0, 30.0)]
+    placements = [(0.0, 0.0, 30.0), (1000.0, 0.0, 30.0)]
     params = [PARAMS, ChannelParams(-94.0, 1000.0, 7.0)]
-    pts = [Position(500.0, 100.0, 0.0), Position(-200.0, 50.0, 0.0), Position(30.0, 40.0, 0.0)]
+    pts = [(500.0, 100.0, 0.0), (-200.0, 50.0, 0.0), (30.0, 40.0, 0.0)]
     mat = received_power_matrix(placements, params, pts)
     assert mat.shape == (3, 2)
     for i, p in enumerate(pts):
         for b in range(2):
-            assert mat[i, b] == free_space_power_dbm(placements[b], p, params[b])
-
-
-def test_position_validation():
-    with pytest.raises(ValueError):
-        Position(math.nan, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Position(0.0, math.inf, 0.0)
-    with pytest.raises(ValueError):
-        Position(0.0, 0.0, -1.0)
-    p = Position(1.0, 2.0, 3.0)
-    assert Position.from_array(p.as_array()) == p
+            assert mat[i, b] == power(placements[b], p, params[b])
 
 
 def test_channel_params_validation():
@@ -208,12 +189,6 @@ def test_channel_params_validation():
         ChannelParams(ref_gain_db=-94.0, ref_distance_m=0.0, tx_power_dbm=10.0)
     with pytest.raises(ValueError):
         ChannelParams(ref_gain_db=math.nan, ref_distance_m=1000.0, tx_power_dbm=10.0)
-
-
-def test_positions_to_array_forms():
-    arr = positions_to_array([Position(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
-    assert arr.shape == (2, 3)
-    assert arr[1, 2] == 6.0
 
 
 def test_kernel_gradients_match_finite_differences():

@@ -72,7 +72,9 @@ def _rename_eta_scale(d):
     (lambda d: d.update(fixed_height_m=math.nan), "fixed_height_m"),
     (lambda d: d["area"].update(x_max=math.inf), "area.x_max"),
     (_rename_eta_scale, "eta_scal"),
-], ids=["nan_height", "infinite_area", "misspelled_key"])
+    (lambda d: d.update(extra_mu_positions=[[0, 0, -5]]),
+     "extra_mu_positions[0]: position altitude must be nonnegative"),
+], ids=["nan_height", "infinite_area", "misspelled_key", "negative_extra_altitude"])
 def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
     d = small_scenario_dict()
     mutate(d)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from airbs_sgd.channel import ChannelParams, Position, free_space_power_dbm
+from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.navigator import StepSchedule
 from airbs_sgd.report import (
     PlacementMetrics,
@@ -26,9 +26,9 @@ PRM = ChannelParams(-94.0, 1000.0, 12.0)
 
 
 def test_served_count_pinned_cases():
-    placements = [Position(0.0, 0.0, 30.0)]
-    near = Position(0.0, 0.0, 0.0)           # right below: about -51.5 dBm
-    far = Position(100000.0, 0.0, 0.0)       # 100 km out: about -122 dBm
+    placements = [[0.0, 0.0, 30.0]]
+    near = [0.0, 0.0, 0.0]           # right below: about -51.5 dBm
+    far = [100000.0, 0.0, 0.0]       # 100 km out: about -122 dBm
     assert served_count(placements, [near, far], [PRM], -91.0) == 1
     assert served_count(placements, [near, far], [PRM], -300.0) == 2
     assert served_count(placements, [near, far], [PRM], 0.0) == 0
@@ -36,13 +36,13 @@ def test_served_count_pinned_cases():
 
 def test_served_count_matches_brute_force():
     rng = np.random.default_rng(12)
-    placements = [Position(*rng.uniform(0, 5000, 2).tolist(), 30.0) for _ in range(4)]
+    placements = np.array([[*rng.uniform(0, 5000, 2), 30.0] for _ in range(4)])
     params = [ChannelParams(-94.0, 1000.0, p) for p in (7.0, 9.0, 9.0, 12.0)]
-    mus = [Position(*rng.uniform(0, 5000, 2).tolist(), 0.0) for _ in range(60)]
+    mus = np.array([[*rng.uniform(0, 5000, 2), 0.0] for _ in range(60)])
     p_min = -89.0
     want = 0
     for mu in mus:
-        best = max(free_space_power_dbm(l, mu, prm)
+        best = max(float(received_power_matrix([l], [prm], [mu])[0, 0])
                    for l, prm in zip(placements, params))
         want += best >= p_min
     assert served_count(placements, mus, params, p_min) == want
@@ -105,9 +105,9 @@ def test_placement_metrics_validation_and_json():
 
 def test_metrics_report_round_trip_values():
     rng = np.random.default_rng(15)
-    placements = [Position(*rng.uniform(0, 2000, 2).tolist(), 30.0) for _ in range(2)]
+    placements = np.array([[*rng.uniform(0, 2000, 2), 30.0] for _ in range(2)])
     params = [PRM, PRM]
-    mus = [Position(*rng.uniform(0, 2000, 2).tolist(), 0.0) for _ in range(25)]
+    mus = np.array([[*rng.uniform(0, 2000, 2), 0.0] for _ in range(25)])
     rep = build_metrics_report(placements, placements, params, mus, -91.0)
     assert rep.initial == rep.final
     d = rep.to_json_dict()
@@ -132,8 +132,7 @@ def run_small(tmp_path, iterations=3):
         channel=ChannelParams(-94.0, 1000.0, 0.0),
     )
     log, report = run(s)
-    grid = coverage_map([Position(*map(float, r)) for r in log.positions[-1]],
-                        s.area, 16, s.agent_channel_params())
+    grid = coverage_map(log.positions[-1], s.area, 16, s.agent_channel_params())
     return log, report, grid, s, log.users
 
 

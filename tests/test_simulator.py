@@ -8,21 +8,8 @@ import pytest
 import helpers
 from test_utility import conditioned_cfg
 
-from airbs_sgd.channel import (
-    ChannelParams,
-    Position,
-    free_space_power_dbm,
-    received_power_matrix,
-)
-from airbs_sgd.navigator import (
-    AirBsAgent,
-    DivergenceError,
-    StepSchedule,
-    accumulate,
-    agent_partial_gradient,
-    apply_update,
-    batched_update,
-)
+from airbs_sgd.channel import ChannelParams, received_power_matrix
+from airbs_sgd.navigator import DivergenceError, StepSchedule, batched_update
 from airbs_sgd import simulator
 from airbs_sgd.cli import main as cli_main, replication_seeds
 from airbs_sgd.simulator import (
@@ -36,7 +23,7 @@ from airbs_sgd.simulator import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from airbs_sgd.traffic import ControlPacket, TrafficProfile, sample_recipient
+from airbs_sgd.traffic import TrafficProfile, sample_recipient
 from airbs_sgd.utility import UtilityConfig, UtilityFamily, network_utility, user_utility
 
 FAMILIES = tuple(UtilityFamily)
@@ -110,12 +97,10 @@ def test_different_seeds_differ():
 def test_oracle_trace_matches_recomputation():
     s = small_scenario(iterations=4)
     log, _ = run(s)
-    world = init_scenario(s)
-    users = [(Position.from_array(u), w) for u, w in zip(world.users, s.traffic.as_array())]
+    users = (init_scenario(s).users, s.traffic.as_array())
     params = s.agent_channel_params()
     for i in range(log.positions.shape[0]):
-        placements = [Position(*map(float, row)) for row in log.positions[i]]
-        want = network_utility(placements, users, s.utility, params)
+        want = network_utility(log.positions[i], users, s.utility, params)
         assert log.oracle_utility[i] == want  # identical op order, so exact
     assert np.all(np.isfinite(log.oracle_utility))
 
@@ -123,8 +108,8 @@ def test_oracle_trace_matches_recomputation():
 def test_single_pair_converges_overhead():
     # one transmitter chasing one user; wide threshold band keeps the whole
     # region inside the active sigmoid slope
-    p_top = free_space_power_dbm(Position(0, 0, 30.0), Position(0, 0, 0.0),
-                                 ChannelParams(-94.0, 1000.0, 12.0))
+    p_top = float(received_power_matrix([[0.0, 0.0, 30.0]], [ChannelParams(-94.0, 1000.0, 12.0)],
+                                        [[0.0, 0.0, 0.0]])[0, 0])
     s = small_scenario(
         area=Rect(0.0, 0.0, 100.0, 100.0),
         num_airbs=1,
@@ -177,7 +162,7 @@ def _batch_case(rng, family, b, q=7):
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
 def test_batched_step_matches_per_agent_reference(family, b, fixed):
     # one step from the same state and packets: the (Q, B) array pass against
-    # agent_partial_gradient -> accumulate -> apply_update, agent by agent
+    # each agent stepping alone, one packet at a time
     rng = np.random.default_rng([31, b, FAMILIES.index(family), fixed])
     L, X, params, powers, grads, cfg = _batch_case(rng, family, b)
     height = 50.0 if fixed else None
@@ -190,16 +175,10 @@ def test_batched_step_matches_per_agent_reference(family, b, fixed):
     # from the origin with a unit step, the move is the minibatch mean itself
     mean = batched_update(np.zeros_like(L), grads, reported, cfg, 1.0, 0.0)
     for k in range(b):
-        agent = AirBsAgent(index=k, position=Position.from_array(L[k]),
-                           channel_params=params[k], fixed_height=height)
-        for m in range(len(X)):
-            pkt = ControlPacket(mu_index=m, mu_location=Position.from_array(X[m]),
-                                measured_powers_dbm=tuple(reported[m]))
-            accumulate(agent, agent_partial_gradient(agent, pkt, cfg))
+        total = helpers.agent_gradient(L[k], params[k], k, X, reported, cfg)
         # packets are summed in the same order, so the means agree bit for bit
-        assert np.array_equal(mean[k, :2], (agent.minibatch_sum / agent.minibatch_count)[:2])
-        apply_update(agent, eta)
-        want = agent.position.as_array()
+        assert np.array_equal(mean[k, :2], (total / len(X))[:2])
+        want = helpers.agent_step(L[k], params[k], k, X, reported, cfg, eta, height)
         assert np.linalg.norm(want - L[k]) > 0.0
         assert helpers.rel_err(new[k] - L[k], want - L[k]) < 1e-12
         if fixed:
@@ -398,8 +377,7 @@ def test_trajectory_csv_matches_the_per_row_reference():
 def test_coverage_map_clip_and_orientation():
     area = Rect(0.0, 0.0, 1000.0, 1000.0)
     prm = ChannelParams(-94.0, 1000.0, 30.0)
-    placements = [Position(500.0, 500.0, 30.0)]
-    grid = coverage_map(placements, area, 21, [prm])
+    grid = coverage_map([[500.0, 500.0, 30.0]], area, 21, [prm])
     assert grid.shape == (21, 21)
     assert np.all(grid >= -100.0) and np.all(grid <= -80.0)
     # strong transmitter overhead saturates the clip ceiling at the center
@@ -412,7 +390,7 @@ def test_coverage_map_clip_and_orientation():
 def test_coverage_map_floor_when_out_of_range():
     area = Rect(0.0, 0.0, 1000.0, 1000.0)
     prm = ChannelParams(-94.0, 1000.0, 12.0)
-    grid = coverage_map([Position(1e6, 1e6, 30.0)], area, 5, [prm])
+    grid = coverage_map([[1e6, 1e6, 30.0]], area, 5, [prm])
     assert np.all(grid == -100.0)
 
 
@@ -421,7 +399,7 @@ def test_coverage_map_rectangular_resolution():
     prm = ChannelParams(-94.0, 1000.0, 12.0)
     xs, ys = coverage_axes(area, (9, 5))
     assert len(xs) == 9 and len(ys) == 5
-    grid = coverage_map([Position(400.0, 200.0, 30.0)], area, (9, 5), [prm])
+    grid = coverage_map([[400.0, 200.0, 30.0]], area, (9, 5), [prm])
     assert grid.shape == (5, 9)
 
 
@@ -429,9 +407,9 @@ def test_coverage_map_bad_inputs():
     area = Rect(0.0, 0.0, 100.0, 100.0)
     prm = ChannelParams(-94.0, 1000.0, 12.0)
     with pytest.raises(ValueError):
-        coverage_map([Position(0, 0, 30.0)], area, 1, [prm])
+        coverage_map([[0.0, 0.0, 30.0]], area, 1, [prm])
     with pytest.raises(ValueError):
-        coverage_map([Position(0, 0, 30.0)], area, 5, [prm], clip=(-80.0, -100.0))
+        coverage_map([[0.0, 0.0, 30.0]], area, 5, [prm], clip=(-80.0, -100.0))
 
 
 def test_scenario_dict_round_trip_bytes():
@@ -463,6 +441,9 @@ def test_scenario_validation():
         small_scenario(traffic=TrafficProfile.uniform(5))
     with pytest.raises(ValueError):
         small_scenario(utility=None)
+    with pytest.raises(ValueError, match=r"extra_mu_positions\[1\]: position coordinates "
+                                         r"must be finite"):
+        small_scenario(extra_mu_positions=((0.0, 0.0, 0.0), (0.0, math.nan, 0.0)))
     with pytest.raises(ValueError):
         Rect(10.0, 0.0, 0.0, 10.0)
 

@@ -3,19 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from airbs_sgd.channel import ChannelParams, Position, free_space_power_dbm
-from airbs_sgd.traffic import (
-    ControlPacket,
-    TrafficProfile,
-    empirical_utility_estimate,
-    make_control_packet,
-    sample_recipient,
-)
-from airbs_sgd.utility import UtilityConfig, UtilityFamily, user_utility
+from airbs_sgd.channel import ChannelParams, received_power_matrix
+from airbs_sgd.traffic import TrafficProfile, sample_recipient
+from airbs_sgd.utility import UtilityConfig, UtilityFamily, network_utility, user_utility
 
 PARAMS = [ChannelParams(-94.0, 1000.0, 9.0), ChannelParams(-94.0, 1000.0, 12.0)]
-PLACEMENTS = [Position(100.0, 100.0, 30.0), Position(900.0, 400.0, 30.0)]
-MUS = [Position(50.0, 80.0, 0.0), Position(500.0, 500.0, 0.0), Position(950.0, 300.0, 0.0)]
+PLACEMENTS = np.array([[100.0, 100.0, 30.0], [900.0, 400.0, 30.0]])
+MUS = np.array([[50.0, 80.0, 0.0], [500.0, 500.0, 0.0], [950.0, 300.0, 0.0]])
 
 
 def test_profile_validation():
@@ -79,51 +73,29 @@ def test_sample_deterministic_given_seed():
 
 
 def test_packet_shape_and_exact_powers():
-    pkt = make_control_packet(1, MUS, PLACEMENTS, PARAMS)
-    assert pkt.mu_index == 1
-    assert pkt.mu_location == MUS[1]
-    assert len(pkt.measured_powers_dbm) == 2
+    # a packet's reported powers: one kernel row at the recipient, entry b
+    # from transmitter b alone
+    reported = received_power_matrix(PLACEMENTS, PARAMS, MUS[[1]])
+    assert reported.shape == (1, 2)
     for b in range(2):
-        assert pkt.measured_powers_dbm[b] == free_space_power_dbm(
-            PLACEMENTS[b], MUS[1], PARAMS[b])
-
-
-def test_packet_index_out_of_range():
-    with pytest.raises(IndexError):
-        make_control_packet(3, MUS, PLACEMENTS, PARAMS)
-    with pytest.raises(IndexError):
-        make_control_packet(-1, MUS, PLACEMENTS, PARAMS)
-
-
-def test_packet_validation():
-    with pytest.raises(ValueError):
-        ControlPacket(mu_index=0, mu_location=MUS[0], measured_powers_dbm=())
-    with pytest.raises(ValueError):
-        ControlPacket(mu_index=0, mu_location=MUS[0], measured_powers_dbm=(math.nan,))
-    with pytest.raises(ValueError):
-        ControlPacket(mu_index=-2, mu_location=MUS[0], measured_powers_dbm=(-90.0,))
-
-
-def test_estimate_rejects_empty():
-    cfg = UtilityConfig(UtilityFamily.UNICAST_RATE, -112.4, -91.0, 2.0)
-    with pytest.raises(ValueError):
-        empirical_utility_estimate([], cfg)
+        assert reported[0, b] == received_power_matrix(PLACEMENTS[[b]], PARAMS[b:b + 1],
+                                                       MUS[[1]])[0, 0]
 
 
 def test_estimate_single_packet_equals_user_utility():
+    # the utility estimate is the mean of user_utility over the packets' rows
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -91.0, 2.0)
-    pkt = make_control_packet(2, MUS, PLACEMENTS, PARAMS)
-    est = empirical_utility_estimate([pkt], cfg)
-    assert est == float(user_utility(np.array(pkt.measured_powers_dbm), cfg))
+    reported = received_power_matrix(PLACEMENTS, PARAMS, MUS[[2]])
+    est = float(np.mean(user_utility(reported, cfg)))
+    assert est == float(user_utility(reported[0], cfg))
 
 
 def test_estimate_constant_utility():
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -91.0, 2.0)
-    pkt = make_control_packet(0, MUS, PLACEMENTS, PARAMS)
+    reported = received_power_matrix(PLACEMENTS, PARAMS, MUS[[0]])
     for s in (1, 3, 17):
-        est = empirical_utility_estimate([pkt] * s, cfg)
-        assert est == pytest.approx(
-            float(user_utility(np.array(pkt.measured_powers_dbm), cfg)), rel=1e-15)
+        est = float(np.mean(user_utility(np.repeat(reported, s, axis=0), cfg)))
+        assert est == pytest.approx(float(user_utility(reported[0], cfg)), rel=1e-15)
 
 
 def test_estimate_unbiased_by_enumeration():
@@ -131,15 +103,13 @@ def test_estimate_unbiased_by_enumeration():
     # pi-weighted network utility; enumerate every user directly
     rng = np.random.default_rng(31)
     m = 47
-    mus = [Position(*rng.uniform(0, 3000, 2).tolist(), 0.0) for _ in range(m)]
+    mus = np.array([[*rng.uniform(0, 3000, 2), 0.0] for _ in range(m)])
     w = rng.uniform(0.2, 1.0, m)
     w = w / w.sum()
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -80.0, 3.0)
     expectation = 0.0
     for idx in range(m):
-        pkt = make_control_packet(idx, mus, PLACEMENTS, PARAMS)
-        expectation += w[idx] * empirical_utility_estimate([pkt], cfg)
-    from airbs_sgd.utility import network_utility
-
-    exact = network_utility(PLACEMENTS, list(zip(mus, w)), cfg, PARAMS)
+        powers = received_power_matrix(PLACEMENTS, PARAMS, mus[idx:idx + 1])
+        expectation += w[idx] * float(np.mean(user_utility(powers, cfg)))
+    exact = network_utility(PLACEMENTS, (mus, w), cfg, PARAMS)
     assert expectation == pytest.approx(exact, rel=1e-12)

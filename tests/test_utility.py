@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from airbs_sgd.channel import ChannelParams, Position
+from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.utility import (
     UtilityConfig,
     UtilityFamily,
@@ -262,9 +262,9 @@ def test_partials_batched_shape():
 # ------------------------------------------------------------ network utility
 
 def _small_world(rng, b=3, m=6):
-    placements = [Position(*rng.uniform(0, 2000, 2).tolist(), rng.uniform(20, 120)) for _ in range(b)]
+    placements = np.array([[*rng.uniform(0, 2000, 2), rng.uniform(20, 120)] for _ in range(b)])
     params = [ChannelParams(-94.0, 1000.0, rng.uniform(5, 15)) for _ in range(b)]
-    users = [Position(*rng.uniform(0, 2000, 2).tolist(), 0.0) for _ in range(m)]
+    users = np.array([[*rng.uniform(0, 2000, 2), 0.0] for _ in range(m)])
     w = rng.uniform(0.1, 1.0, m)
     w = w / w.sum()
     return placements, params, users, w
@@ -274,8 +274,8 @@ def test_network_utility_uniform_equals_mean():
     rng = np.random.default_rng(16)
     placements, params, users, _ = _small_world(rng)
     cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST)
-    uniform = [(u, 1.0 / len(users)) for u in users]
-    per_user = [network_utility(placements, [(u, 1.0)], cfg, params) for u in users]
+    uniform = (users, np.full(len(users), 1.0 / len(users)))
+    per_user = [network_utility(placements, (u[None], [1.0]), cfg, params) for u in users]
     assert network_utility(placements, uniform, cfg, params) == pytest.approx(
         float(np.mean(per_user)), rel=1e-12)
 
@@ -284,10 +284,8 @@ def test_network_utility_single_user():
     rng = np.random.default_rng(18)
     placements, params, users, _ = _small_world(rng, m=1)
     cfg = cfg_for(UtilityFamily.UNICAST_RATE)
-    from airbs_sgd.channel import free_space_power_dbm
-
-    powers = [free_space_power_dbm(l, users[0], prm) for l, prm in zip(placements, params)]
-    assert network_utility(placements, [(users[0], 1.0)], cfg, params) == pytest.approx(
+    powers = received_power_matrix(placements, params, users)[0]
+    assert network_utility(placements, (users, [1.0]), cfg, params) == pytest.approx(
         float(user_utility(powers, cfg)), rel=1e-12)
 
 
@@ -296,9 +294,9 @@ def test_network_utility_permutation_invariance():
     placements, _, users, w = _small_world(rng, b=3)
     params = [ChannelParams(-94.0, 1000.0, 9.0)] * 3  # identical transmitters
     cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST)
-    pairs = list(zip(users, w))
+    pairs = (users, w)
     base = network_utility(placements, pairs, cfg, params)
-    perm = [placements[2], placements[0], placements[1]]
+    perm = placements[[2, 0, 1]]
     assert network_utility(perm, pairs, cfg, params) == pytest.approx(base, rel=1e-12)
     g = network_utility_gradient(placements, pairs, cfg, params)
     gp = network_utility_gradient(perm, pairs, cfg, params)
@@ -306,45 +304,40 @@ def test_network_utility_permutation_invariance():
 
 
 def test_network_utility_rejects_bad_weights():
-    placements = [Position(0.0, 0.0, 30.0)]
+    placements = [[0.0, 0.0, 30.0]]
     params = [ChannelParams(-94.0, 1000.0, 9.0)]
     cfg = cfg_for(UtilityFamily.UNICAST_RATE)
     with pytest.raises(ValueError):
-        network_utility(placements, [(Position(10.0, 0.0, 0.0), 0.5)], cfg, params)
+        network_utility(placements, ([[10.0, 0.0, 0.0]], [0.5]), cfg, params)
     with pytest.raises(ValueError):
-        network_utility(placements, [(Position(10.0, 0.0, 0.0), -1.0),
-                                     (Position(20.0, 0.0, 0.0), 2.0)], cfg, params)
+        network_utility(placements, ([[10.0, 0.0, 0.0], [20.0, 0.0, 0.0]], [-1.0, 2.0]),
+                        cfg, params)
 
 
 def test_network_gradient_matches_finite_differences():
-    from airbs_sgd.channel import positions_to_array, received_power_matrix
-
     rng = np.random.default_rng(22)
     for family in FAMILIES:
         placements, params, users, w = _small_world(rng)
-        powers = received_power_matrix(placements, params, positions_to_array(users))
+        powers = received_power_matrix(placements, params, users)
         med = powers[np.argsort(np.max(powers, axis=1))[len(users) // 2]]
         cfg = conditioned_cfg(family, med, rng)
-        pairs = list(zip(users, w))
-        flat0 = np.concatenate([p.as_array() for p in placements])
+        pairs = (users, w)
 
         def f(flat):
-            pl = [Position(*flat[3 * i:3 * i + 3].tolist()) for i in range(len(placements))]
-            return network_utility(pl, pairs, cfg, params)
+            return network_utility(flat.reshape(-1, 3), pairs, cfg, params)
 
-        fd = helpers.central_diff(f, flat0, h=1e-3)
+        fd = helpers.central_diff(f, placements.ravel(), h=1e-3)
         g = network_utility_gradient(placements, pairs, cfg, params).ravel()
         assert helpers.rel_err(g, fd) < 1e-6
 
 
 def test_network_gradient_points_toward_single_user():
     cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, p_min_dbm=-62.0, delta_db=20.0)
-    placements = [Position(0.0, 0.0, 30.0)]
+    placements = [[0.0, 0.0, 30.0]]
     params = [ChannelParams(-94.0, 1000.0, 12.0)]
-    user = Position(400.0, 300.0, 0.0)
-    g = network_utility_gradient(placements, [(user, 1.0)], cfg, params)[0]
-    horiz = np.array([user.x, user.y])
-    assert float(np.dot(g[:2], horiz)) > 0.0
+    user = np.array([400.0, 300.0, 0.0])
+    g = network_utility_gradient(placements, (user[None], [1.0]), cfg, params)[0]
+    assert float(np.dot(g[:2], user[:2])) > 0.0
 
 
 def test_utility_config_validation():
