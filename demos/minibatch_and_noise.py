@@ -44,9 +44,9 @@ def main():
     for q in (1, 5, 20, 50, 200):
         sq = dataclasses.replace(
             s, schedule=dataclasses.replace(s.schedule, minibatch_size=q))
-        log, rep = run(sq)
-        print(f"  {q:3d}   {q * sq.iterations:7d}   {rep.final.served_count:3d}/"
-              f"{rep.final.total_mus}   {log.oracle_utility[-1]:.4f}")
+        log = run(sq)
+        print(f"  {q:3d}   {q * sq.iterations:7d}   {log.served[-1]:3d}/"
+              f"{len(log.users)}   {log.oracle_utility[-1]:.4f}")
     print("  Q=1 diverges at this step size (every update chases one user);")
     print("  a handful of packets per update is already enough to average out")
 
@@ -54,8 +54,8 @@ def main():
     print("  sigma(dB)   served   utility")
     for sigma in (0.0, 0.5, 1.0, 2.0, 4.0):
         sn = dataclasses.replace(s, measurement_noise_db=sigma)
-        log, rep = run(sn)
-        print(f"  {sigma:9.1f}   {rep.final.served_count:3d}/{rep.final.total_mus}"
+        log = run(sn)
+        print(f"  {sigma:9.1f}   {log.served[-1]:3d}/{len(log.users)}"
               f"   {log.oracle_utility[-1]:.4f}")
     print("  zero-mean reporting error mostly averages out inside the minibatch")
 

@@ -20,9 +20,10 @@ def main():
           f"{s.iterations} iterations x {s.schedule.minibatch_size} packets, "
           f"seed {s.seed}")
 
-    log, report = run(s)
-    print(f"served initially: {report.initial.served_count}/{report.initial.total_mus}")
-    print(f"served finally:   {report.final.served_count}/{report.final.total_mus}")
+    log = run(s)
+    m = len(log.users)
+    print(f"served initially: {log.served[0]}/{m}")
+    print(f"served finally:   {log.served[-1]}/{m}")
     print(f"oracle utility:   {log.oracle_utility[0]:.4f} -> {log.oracle_utility[-1]:.4f}")
 
     # same user draw, centralized clustering instead of gradient agents
@@ -30,11 +31,10 @@ def main():
     km = kmeans_placement(log.users, s.num_airbs, seed=s.seed,
                           height_m=s.fixed_height_m)
     km_served = served_count(km.centroids, log.users, params, s.utility.p_min_dbm)
-    print(f"k-means baseline: {km_served}/{report.final.total_mus} served "
-          f"({report.final.total_mus - km_served} unserved)")
+    print(f"k-means baseline: {km_served}/{m} served ({m - km_served} unserved)")
 
     cov = coverage_map(log.positions[-1], s.area, 70, params)
-    paths = render_outputs(log, report, cov, "reference_out", s.area, mus=log.users)
+    paths = render_outputs(log, cov, "reference_out", s.area, s.utility.p_min_dbm)
     print("wrote:")
     for name in sorted(paths):
         print(f"  {paths[name]}")

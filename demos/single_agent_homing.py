@@ -41,7 +41,7 @@ def main():
         seed=4,
         channel=ChannelParams(-94.0, 1000.0, 0.0),
     )
-    log, _ = run(s)
+    log = run(s)
     mx, my, _ = log.users[0]
     print(f"user at ({mx:.1f}, {my:.1f}), "
           f"agent starts at ({log.positions[0,0,0]:.1f}, {log.positions[0,0,1]:.1f})")

@@ -71,7 +71,7 @@ def main():
         seed=14,
         channel=ChannelParams(-94.0, 1000.0, 0.0),
     )
-    log, _ = run(s)
+    log = run(s)
 
     agent = 0
     raw = log.positions[:, agent]

@@ -20,8 +20,8 @@ from .utility import (
     softmax_weights,
 )
 from .navigator import StepSchedule
-from .simulator import Rect, Scenario, coverage_map, run, run_replications
+from .simulator import Rect, Scenario, run, run_replications
 from .baseline import kmeans_placement
-from .report import render_outputs, served_count
+from .report import coverage_map, render_outputs, served_count
 
 __version__ = "0.1.0"

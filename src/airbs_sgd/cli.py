@@ -30,12 +30,10 @@ import numpy as np
 from .baseline import kmeans_placement
 from .channel import CoincidentPositionsError
 from .navigator import DivergenceError
-from .report import _write_json, render_outputs, served_count
-from .simulator import (Scenario, coverage_map, run_replications, scenario_from_dict,
-                        scenario_to_dict)
+from .report import _write_json, coverage_map, render_outputs, served_count
+from .simulator import Scenario, run_replications, scenario_from_dict, scenario_to_dict
 
 MAP_GRID = 70
-MAP_CLIP = (-100.0, -80.0)
 REFERENCE_SERVED = (198, 202)
 REFERENCE_KMEANS_UNSERVED = 73
 SWEEP_AXES = ("eta", "q", "alpha", "delta")
@@ -79,36 +77,36 @@ def replication_seeds(master_seed: int, count: int) -> list:
     ]
 
 
-def _simulate_one(s: Scenario, seed: int, rep_dir: str, simulated, params,
+def _simulate_one(s: Scenario, seed: int, rep_dir: str, log, params,
                   with_kmeans: bool = False) -> dict:
     """The tail of one replication: coverage map, output bundle and k-means baseline.
 
-    ``simulated`` is the replication's ``(TrajectoryLog, MetricsReport)``
-    and ``params`` the scenario's per-transmitter channel params.
+    ``log`` is the replication's ``TrajectoryLog`` and ``params`` the
+    scenario's per-transmitter channel params.
     """
-    log, rep = simulated
     try:
-        cov = coverage_map(log.positions[-1], s.area, MAP_GRID, params, MAP_CLIP)
+        cov = coverage_map(log.positions[-1], s.area, MAP_GRID, params)
     except CoincidentPositionsError as e:
         raise CliError(f"replication with seed {seed} failed: {e}")
-    render_outputs(log, rep, cov, rep_dir, s.area, clip=MAP_CLIP, mus=log.users)
+    render_outputs(log, cov, rep_dir, s.area, s.utility.p_min_dbm)
+    total = len(log.users)
     result = {
         "seed": int(seed),
-        "served": rep.final.served_count,
-        "total": rep.final.total_mus,
-        "initial_served": rep.initial.served_count,
+        "served": int(log.served[-1]),
+        "total": total,
+        "initial_served": int(log.served[0]),
         "final_oracle_utility": float(log.oracle_utility[-1]),
     }
     if with_kmeans:
         km = kmeans_placement(log.users, s.num_airbs, max_iters=100, seed=seed,
                               height_m=s.fixed_height_m)
         km_served = served_count(km.centroids, log.users, params, s.utility.p_min_dbm)
-        result["kmeans_unserved"] = rep.final.total_mus - km_served
+        result["kmeans_unserved"] = total - km_served
         _write_json(os.path.join(rep_dir, "kmeans.json"), {
             "centroids": km.centroids.tolist(),
             "inertia": km.inertia,
             "served": km_served,
-            "unserved": rep.final.total_mus - km_served,
+            "unserved": total - km_served,
         })
     return result
 
@@ -121,30 +119,13 @@ def _run_replications(scenario: Scenario, seeds, out_dir: str,
     except (CoincidentPositionsError, DivergenceError) as e:
         raise CliError(f"replication with seed {e.seed} failed: {e}")
     params = scenario.agent_channel_params()
-    return [_simulate_one(scenario, seed, os.path.join(out_dir, f"rep_{r:03d}"), simulated,
+    return [_simulate_one(scenario, seed, os.path.join(out_dir, f"rep_{r:03d}"), log,
                           params, with_kmeans)
-            for r, (seed, simulated) in enumerate(zip(seeds, batch))]
+            for r, (seed, log) in enumerate(zip(seeds, batch))]
 
 
-def _print_results(results, with_kmeans: bool = False):
-    for r, res in enumerate(results):
-        line = (f"rep {r:03d} seed {res['seed']}: served {res['served']}/{res['total']}, "
-                f"final oracle utility {res['final_oracle_utility']:.6f}")
-        if with_kmeans:
-            line += f", kmeans unserved {res['kmeans_unserved']}/{res['total']}"
-        print(line)
-    if len(results) > 1:
-        med_served = float(np.median([r["served"] for r in results]))
-        med_util = float(np.median([r["final_oracle_utility"] for r in results]))
-        line = (f"median over {len(results)} replications: served {med_served:g}"
-                f"/{results[0]['total']}, final oracle utility {med_util:.6f}")
-        if with_kmeans:
-            med_km = float(np.median([r["kmeans_unserved"] for r in results]))
-            line += f", kmeans unserved {med_km:g}/{results[0]['total']}"
-        print(line)
-
-
-def _write_summary(out_dir: str, scenario: Scenario, results, with_kmeans: bool):
+def _summarize(out_dir: str, scenario: Scenario, results, with_kmeans: bool):
+    """Print each replication's result and the medians; write them all to summary.json."""
     summary = {
         "master_seed": int(scenario.seed),
         "replications": len(results),
@@ -156,6 +137,19 @@ def _write_summary(out_dir: str, scenario: Scenario, results, with_kmeans: bool)
     if with_kmeans:
         summary["median_kmeans_unserved"] = float(
             np.median([r["kmeans_unserved"] for r in results]))
+    for r, res in enumerate(results):
+        line = (f"rep {r:03d} seed {res['seed']}: served {res['served']}/{res['total']}, "
+                f"final oracle utility {res['final_oracle_utility']:.6f}")
+        if with_kmeans:
+            line += f", kmeans unserved {res['kmeans_unserved']}/{res['total']}"
+        print(line)
+    if len(results) > 1:
+        total = results[0]["total"]
+        line = (f"median over {len(results)} replications: served {summary['median_served']:g}"
+                f"/{total}, final oracle utility {summary['median_final_oracle_utility']:.6f}")
+        if with_kmeans:
+            line += f", kmeans unserved {summary['median_kmeans_unserved']:g}/{total}"
+        print(line)
     _write_json(os.path.join(out_dir, "summary.json"), summary)
 
 
@@ -180,9 +174,7 @@ def cmd_run(args) -> int:
     s = _override_seed(load_scenario_file(args.scenario), args.seed)
     _write_effective_config(args.out, s)
     seeds = replication_seeds(s.seed, args.replications)
-    results = _run_replications(s, seeds, args.out)
-    _print_results(results)
-    _write_summary(args.out, s, results, with_kmeans=False)
+    _summarize(args.out, s, _run_replications(s, seeds, args.out), with_kmeans=False)
     return 0
 
 
@@ -194,12 +186,11 @@ def cmd_reproduce_paper(args) -> int:
     _write_effective_config(args.out, s)
     seeds = replication_seeds(s.seed, args.seeds)
     results = _run_replications(s, seeds, args.out, with_kmeans=with_kmeans)
-    _print_results(results, with_kmeans=with_kmeans)
+    _summarize(args.out, s, results, with_kmeans)
     print(f"reference result: {REFERENCE_SERVED[0]}/{REFERENCE_SERVED[1]} served")
     if with_kmeans:
         print(f"reference baseline result: {REFERENCE_KMEANS_UNSERVED}"
               f"/{REFERENCE_SERVED[1]} unserved")
-    _write_summary(args.out, s, results, with_kmeans=with_kmeans)
     return 0
 
 

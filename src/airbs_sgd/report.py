@@ -2,16 +2,18 @@
 
 Everything here judges placements by the exact criterion (power of the
 strongest transmitter at each user, no surrogate smoothing), which is
-what the optimizer is ultimately graded on. Rendering writes plain-text
-data files and small hand-assembled SVG drawings; given identical inputs
-the emitted bytes are identical, with no plotting library involved.
+what the optimizer is ultimately graded on. A run's metrics are read
+from its :class:`simulator.TrajectoryLog`; only the coverage grid and
+:func:`served_count` of another placement call the channel kernel.
+Rendering writes plain-text data files and small hand-assembled SVG
+drawings; given identical inputs the emitted bytes are identical, with
+no plotting library involved.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -21,16 +23,42 @@ from .channel import received_power_matrix
 
 DEFAULT_HIST_RANGE = (-110.0, -70.0)
 DEFAULT_HIST_BIN_DB = 1.0
-
-
-def per_mu_max_power(placements, params, mus) -> np.ndarray:
-    """Strongest received power at each user, exact max over transmitters (dBm)."""
-    return np.max(received_power_matrix(placements, params, mus), axis=1)
+# dBm range of the coverage grid and of the map's colour ramp
+COVERAGE_CLIP = (-100.0, -80.0)
 
 
 def served_count(placements, mus, params, p_min_dbm: float) -> int:
     """Number of users whose strongest transmitter meets the power target."""
-    return int(np.sum(per_mu_max_power(placements, params, mus) >= p_min_dbm))
+    return int(np.sum(np.max(received_power_matrix(placements, params, mus), axis=1)
+                      >= p_min_dbm))
+
+
+def coverage_axes(area, grid_resolution) -> tuple:
+    """Grid-point coordinates used by :func:`coverage_map` (xs, ys)."""
+    try:
+        nx, ny = grid_resolution
+    except TypeError:
+        nx = ny = int(grid_resolution)
+    if nx < 2 or ny < 2:
+        raise ValueError("grid resolution must be at least 2 per axis")
+    return np.linspace(area.x_min, area.x_max, nx), np.linspace(area.y_min, area.y_max, ny)
+
+
+def coverage_map(placements, area, grid_resolution, params,
+                 clip=COVERAGE_CLIP) -> np.ndarray:
+    """Strongest received power on the ground grid (z = 0), clipped to ``clip`` dBm.
+
+    ``area`` is a :class:`simulator.Rect`. Returns shape (ny, nx): rows run
+    south to north, columns west to east, matching ``coverage_axes``.
+    """
+    lo, hi = float(clip[0]), float(clip[1])
+    if hi < lo:
+        raise ValueError("clip range must have hi >= lo")
+    xs, ys = coverage_axes(area, grid_resolution)
+    gx, gy = np.meshgrid(xs, ys)
+    pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+    best = np.max(received_power_matrix(placements, params, pts), axis=1)
+    return np.clip(best, lo, hi).reshape(gy.shape)
 
 
 def power_histogram(per_mu_powers, bin_width_db: float = DEFAULT_HIST_BIN_DB,
@@ -59,71 +87,6 @@ def power_histogram(per_mu_powers, bin_width_db: float = DEFAULT_HIST_BIN_DB,
         bins.append((float(inner[k]), float(inner[k + 1]), int(counts[k + 1])))
     bins.append((hi, math.inf, int(counts[n_bins + 1])))
     return tuple(bins)
-
-
-@dataclass(frozen=True)
-class PlacementMetrics:
-    """Exact coverage statistics of one placement."""
-
-    served_count: int
-    total_mus: int
-    per_mu_max_power_dbm: tuple
-    histogram: tuple
-
-    def __post_init__(self):
-        if self.served_count > self.total_mus:
-            raise ValueError("served_count cannot exceed total_mus")
-        total = sum(c for _, _, c in self.histogram)
-        if total != self.total_mus:
-            raise ValueError("histogram counts must sum to total_mus")
-
-    def to_json_dict(self) -> dict:
-        def edge(e):
-            return None if math.isinf(e) else e
-
-        return {
-            "served_count": self.served_count,
-            "total_mus": self.total_mus,
-            "per_mu_max_power_dbm": [float(p) for p in self.per_mu_max_power_dbm],
-            "histogram": [[edge(lo), edge(hi), c] for lo, hi, c in self.histogram],
-        }
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Initial-vs-final coverage comparison for one run."""
-
-    initial: PlacementMetrics
-    final: PlacementMetrics
-    p_min_dbm: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p_min_dbm": self.p_min_dbm,
-            "initial": self.initial.to_json_dict(),
-            "final": self.final.to_json_dict(),
-        }
-
-
-def placement_metrics(placements, params, mus, p_min_dbm: float,
-                      bin_width_db: float = DEFAULT_HIST_BIN_DB,
-                      value_range=DEFAULT_HIST_RANGE) -> PlacementMetrics:
-    pmax = per_mu_max_power(placements, params, mus)
-    return PlacementMetrics(
-        served_count=int(np.sum(pmax >= p_min_dbm)),
-        total_mus=len(pmax),
-        per_mu_max_power_dbm=tuple(float(p) for p in pmax),
-        histogram=power_histogram(pmax, bin_width_db, value_range),
-    )
-
-
-def build_metrics_report(initial_placements, final_placements, params, mus,
-                         p_min_dbm: float) -> MetricsReport:
-    return MetricsReport(
-        initial=placement_metrics(initial_placements, params, mus, p_min_dbm),
-        final=placement_metrics(final_placements, params, mus, p_min_dbm),
-        p_min_dbm=float(p_min_dbm),
-    )
 
 
 class _Formatted(NamedTuple):
@@ -192,8 +155,31 @@ def _write_json(path, obj):
         f.write(_json_text(obj) + "\n")
 
 
-def write_trajectory_json(log, path):
-    positions, utilities = log._texts
+def _trajectory_texts(log) -> tuple:
+    """Shortest round-trip texts of the positions (row-major) and the oracle utilities."""
+    return (list(map(float.__repr__, log.positions.ravel().tolist())),
+            list(map(float.__repr__, log.oracle_utility.tolist())))
+
+
+def write_trajectory_csv(log, path, texts=None):
+    """CSV with columns: iteration, agent index, x, y, z, oracle utility.
+
+    One row per (iteration, agent); the oracle utility of the snapshot is
+    repeated on each agent row. ``texts`` is :func:`_trajectory_texts` of
+    ``log``, when the caller already made it.
+    """
+    n, b = log.positions.shape[:2]
+    xyz, utilities = texts or _trajectory_texts(log)
+    rows = map("{},{},{},{},{},{}".format, np.repeat(np.arange(n), b).tolist(),
+               np.tile(np.arange(b), n).tolist(), xyz[0::3], xyz[1::3], xyz[2::3],
+               [u for u in utilities for _ in range(b)])
+    with open(path, "w") as f:
+        f.write("\n".join(["iteration,agent_index,x,y,z,oracle_utility", *rows]) + "\n")
+
+
+def write_trajectory_json(log, path, texts=None):
+    """The snapshots of ``log`` as JSON; ``texts`` as for :func:`write_trajectory_csv`."""
+    positions, utilities = texts or _trajectory_texts(log)
     _write_json(path, {
         "num_iterations": log.num_iterations,
         "num_agents": log.num_agents,
@@ -201,6 +187,17 @@ def write_trajectory_json(log, path):
         "oracle_utility": _Formatted(utilities, log.oracle_utility.shape),
         "served": log.served.tolist(),
     })
+
+
+def _placement_json(served, max_power_dbm, histogram) -> dict:
+    return {
+        "served_count": int(served),
+        "total_mus": len(max_power_dbm),
+        "per_mu_max_power_dbm": max_power_dbm.tolist(),
+        # the open-ended first and last bins have null outer edges
+        "histogram": [[None if math.isinf(e) else e for e in (lo, hi)] + [c]
+                      for lo, hi, c in histogram],
+    }
 
 
 def _fmt(v: float) -> str:
@@ -228,13 +225,13 @@ AGENT_COLORS = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
                 "#a65628", "#f781bf", "#999999")
 
 
-def render_map_svg(log, coverage, area, path, clip=(-100.0, -80.0), mus=None,
-                   served_flags=None):
+def render_map_svg(log, coverage, area, path, served_flags):
     """Trajectories over the coverage map as a standalone SVG file.
 
-    ``coverage`` is the (ny, nx) clipped power grid over ``area``; rows run
-    south to north. Users (an (M, 3) array), when given, are drawn as dots
-    (open circles for the unserved ones when ``served_flags`` is provided).
+    ``coverage`` is the (ny, nx) power grid over ``area``, clipped to
+    :data:`COVERAGE_CLIP`; rows run south to north. The users of ``log``
+    inside ``area`` are drawn as dots, and as open circles where
+    ``served_flags`` is false.
     """
     size, pad = 560.0, 20.0
     w = area.x_max - area.x_min
@@ -247,7 +244,7 @@ def render_map_svg(log, coverage, area, path, clip=(-100.0, -80.0), mus=None,
     def sy(y):
         return pad + (area.y_max - y) * scale
 
-    lo, hi = float(clip[0]), float(clip[1])
+    lo, hi = COVERAGE_CLIP
     grid = np.asarray(coverage, dtype=float)
     ny, nx = grid.shape
     cw = w * scale / nx
@@ -264,18 +261,15 @@ def render_map_svg(log, coverage, area, path, clip=(-100.0, -80.0), mus=None,
                     f'fill="{{{ix + 1}}}"/>' for ix in range(nx))
     for iy in range(ny):
         out.append(row.format(_fmt(sy(area.y_min + (iy + 1) * h / ny)), *colors[iy]))
-    if mus is not None:
-        pts = np.asarray(mus, dtype=float)
-        flags = served_flags if served_flags is not None else [True] * len(pts)
-        for (x, y, _), ok in zip(pts.tolist(), flags):
-            if not area.contains(x, y):
-                continue
-            if ok:
-                out.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" '
-                           f'r="2.0" fill="#000000"/>')
-            else:
-                out.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" '
-                           f'r="3.0" fill="none" stroke="#ff0000" stroke-width="1.5"/>')
+    for (x, y, _), ok in zip(log.users.tolist(), served_flags):
+        if not area.contains(x, y):
+            continue
+        if ok:
+            out.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" '
+                       f'r="2.0" fill="#000000"/>')
+        else:
+            out.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" '
+                       f'r="3.0" fill="none" stroke="#ff0000" stroke-width="1.5"/>')
     snaps = np.asarray(log.positions)
     for b in range(snaps.shape[1]):
         color = AGENT_COLORS[b % len(AGENT_COLORS)]
@@ -291,8 +285,8 @@ def render_map_svg(log, coverage, area, path, clip=(-100.0, -80.0), mus=None,
         f.write("\n".join(out) + "\n")
 
 
-def render_histogram_svg(histogram, path, title, p_min_dbm=None):
-    """Bar chart of a power histogram as a standalone SVG file."""
+def render_histogram_svg(histogram, path, title, p_min_dbm):
+    """Bar chart of a power histogram as a standalone SVG file, ``p_min_dbm`` marked."""
     width, height = 640.0, 320.0
     left, right, top, bottom = 50.0, 15.0, 30.0, 45.0
     plot_w = width - left - right
@@ -322,17 +316,16 @@ def render_histogram_svg(histogram, path, title, p_min_dbm=None):
     out.append(f'<text x="{_fmt(width / 2)}" y="{_fmt(height - 8)}" '
                f'font-family="sans-serif" font-size="12" '
                f'text-anchor="middle">strongest received power (dBm)</text>')
-    if p_min_dbm is not None:
-        span = histogram[-1][0] - histogram[0][1]  # finite extent
-        lo_edge = histogram[0][1]
-        if span > 0 and lo_edge <= p_min_dbm <= histogram[-1][0]:
-            # underflow bin occupies slot 0; finite bins start at slot 1
-            frac = (p_min_dbm - lo_edge) / span
-            n_inner = n - 2
-            x = left + bw + frac * n_inner * bw
-            out.append(f'<line x1="{_fmt(x)}" y1="{_fmt(top)}" x2="{_fmt(x)}" '
-                       f'y2="{_fmt(top + plot_h)}" stroke="#e41a1c" '
-                       f'stroke-width="1.5" stroke-dasharray="4,3"/>')
+    span = histogram[-1][0] - histogram[0][1]  # finite extent
+    lo_edge = histogram[0][1]
+    if span > 0 and lo_edge <= p_min_dbm <= histogram[-1][0]:
+        # underflow bin occupies slot 0; finite bins start at slot 1
+        frac = (p_min_dbm - lo_edge) / span
+        n_inner = n - 2
+        x = left + bw + frac * n_inner * bw
+        out.append(f'<line x1="{_fmt(x)}" y1="{_fmt(top)}" x2="{_fmt(x)}" '
+                   f'y2="{_fmt(top + plot_h)}" stroke="#e41a1c" '
+                   f'stroke-width="1.5" stroke-dasharray="4,3"/>')
     out.append(f'<line x1="{_fmt(left)}" y1="{_fmt(top + plot_h)}" '
                f'x2="{_fmt(width - right)}" y2="{_fmt(top + plot_h)}" '
                f'stroke="#000000" stroke-width="1"/>')
@@ -341,13 +334,15 @@ def render_histogram_svg(histogram, path, title, p_min_dbm=None):
         f.write("\n".join(out) + "\n")
 
 
-def render_outputs(log, report: MetricsReport, coverage, out_dir, area,
-                   clip=(-100.0, -80.0), mus=None) -> dict:
+def render_outputs(log, coverage, out_dir, area, p_min_dbm: float) -> dict:
     """Write the full output bundle for one run into ``out_dir``.
 
     Emits trajectory.csv, trajectory.json, metrics.json, coverage.csv,
-    map.svg, hist_initial.svg, and hist_final.svg. Byte-stable: identical
-    inputs give identical files. Returns a name->path mapping.
+    map.svg, hist_initial.svg, and hist_final.svg. The metrics are the
+    first and last snapshots of ``log``, judged against ``p_min_dbm``;
+    ``coverage`` is the :func:`coverage_map` grid over ``area``.
+    Byte-stable: identical inputs give identical files. Returns a
+    name->path mapping.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
@@ -356,20 +351,19 @@ def render_outputs(log, report: MetricsReport, coverage, out_dir, area,
         paths[name] = os.path.join(out_dir, name)
         return paths[name]
 
-    with open(p("trajectory.csv"), "w") as f:
-        f.write(log.to_csv_text())
-    write_trajectory_json(log, p("trajectory.json"))
-    _write_json(p("metrics.json"), report.to_json_dict())
+    texts = _trajectory_texts(log)
+    write_trajectory_csv(log, p("trajectory.csv"), texts)
+    write_trajectory_json(log, p("trajectory.json"), texts)
+    initial, final = (power_histogram(row) for row in log.max_power_dbm)
+    _write_json(p("metrics.json"), {
+        "p_min_dbm": float(p_min_dbm),
+        "initial": _placement_json(log.served[0], log.max_power_dbm[0], initial),
+        "final": _placement_json(log.served[-1], log.max_power_dbm[-1], final),
+    })
     grid = np.asarray(coverage, dtype=float)
     with open(p("coverage.csv"), "w") as f:
         f.write("".join([",".join(map(float.__repr__, row)) + "\n" for row in grid.tolist()]))
-    served_flags = None
-    if mus is not None:
-        served_flags = [pm >= report.p_min_dbm for pm in report.final.per_mu_max_power_dbm]
-    render_map_svg(log, grid, area, p("map.svg"), clip=clip, mus=mus,
-                   served_flags=served_flags)
-    render_histogram_svg(report.initial.histogram, p("hist_initial.svg"),
-                         "initial placement", p_min_dbm=report.p_min_dbm)
-    render_histogram_svg(report.final.histogram, p("hist_final.svg"),
-                         "final placement", p_min_dbm=report.p_min_dbm)
+    render_map_svg(log, grid, area, p("map.svg"), (log.max_power_dbm[-1] >= p_min_dbm).tolist())
+    render_histogram_svg(initial, p("hist_initial.svg"), "initial placement", p_min_dbm)
+    render_histogram_svg(final, p("hist_final.svg"), "final placement", p_min_dbm)
     return paths

@@ -8,9 +8,11 @@ gradients of all B agents at the reporting users of every replication in
 one (R, Q, B) channel-kernel call, and lets
 :func:`navigator.batched_update` apply every agent's minibatch step at
 once. Each agent's step still reads only its own position and its own
-replication's packets. Positions and the full-information oracle utility
-are logged once per iteration, plus the initial state.
-:func:`run` is a batch of one.
+replication's packets. The initial state and each iteration's update
+are snapshots: each logs the positions, the full-information oracle
+utility and the exact served count, and the first and last also keep
+each user's strongest power. This :class:`TrajectoryLog` is the run's
+one record. :func:`run` is a batch of one.
 
 All randomness of a replication flows from its seed through its own
 generator, in a fixed draw order: agent initial positions first, then
@@ -25,7 +27,6 @@ logged positions rebuild any iteration's minibatch.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -169,20 +170,23 @@ class World:
 
 @dataclass
 class TrajectoryLog:
-    """Per-iteration placement snapshots and oracle diagnostics.
+    """Per-iteration placement snapshots and oracle diagnostics of one run.
 
     ``positions`` has shape (I+1, B, 3): entry 0 is the initial state and
     entry i+1 follows iteration i's update. ``oracle_utility`` and
     ``served`` are the full-information network utility and the exact
     served-user count at each snapshot, evaluated with the true (not
     surrogate) max-power criterion. ``users`` (M, 3) are the user
-    locations the run drew; they are not part of the serialized forms.
+    locations the run drew. ``max_power_dbm`` (2, M) is each user's
+    strongest received power at the first and the last snapshot (both
+    rows are snapshot 0 when I is 0).
     """
 
     positions: np.ndarray
     oracle_utility: np.ndarray
     served: np.ndarray
-    users: np.ndarray | None = None
+    users: np.ndarray
+    max_power_dbm: np.ndarray
 
     @property
     def num_iterations(self) -> int:
@@ -191,27 +195,6 @@ class TrajectoryLog:
     @property
     def num_agents(self) -> int:
         return self.positions.shape[1]
-
-    def to_csv_text(self) -> str:
-        """CSV with columns: iteration, agent index, x, y, z, oracle utility.
-
-        One row per (iteration, agent); the oracle utility of the snapshot
-        is repeated on each agent row. Floats are shortest round-trip
-        decimals, so the text is byte-stable.
-        """
-        n, b = self.positions.shape[:2]
-        xyz, utilities = self._texts
-        rows = map("{},{},{},{},{},{}".format, np.repeat(np.arange(n), b).tolist(),
-                   np.tile(np.arange(b), n).tolist(), xyz[0::3], xyz[1::3], xyz[2::3],
-                   [u for u in utilities for _ in range(b)])
-        return "\n".join(["iteration,agent_index,x,y,z,oracle_utility", *rows]) + "\n"
-
-    @functools.cached_property
-    def _texts(self) -> tuple:
-        # shortest round-trip texts of the positions (row-major) and the oracle
-        # utilities, made once for the CSV and the JSON form
-        return (list(map(float.__repr__, self.positions.ravel().tolist())),
-                list(map(float.__repr__, self.oracle_utility.tolist())))
 
 
 def init_scenario(s: Scenario) -> World:
@@ -227,8 +210,8 @@ def init_scenario(s: Scenario) -> World:
     return World(positions=positions, users=users, rng=rng)
 
 
-def run(s: Scenario):
-    """Execute the scenario; returns ``(TrajectoryLog, MetricsReport)``.
+def run(s: Scenario) -> TrajectoryLog:
+    """Execute the scenario; returns its :class:`TrajectoryLog`.
 
     A batch of one: see :func:`run_replications`.
     """
@@ -236,7 +219,7 @@ def run(s: Scenario):
 
 
 def run_replications(s: Scenario, seeds) -> list:
-    """Execute the scenario once per seed; returns ``(TrajectoryLog, MetricsReport)`` pairs.
+    """Execute the scenario once per seed; returns one :class:`TrajectoryLog` per seed.
 
     The replications advance together, in groups of at most
     ``BATCH_PAIRS`` agent-user pairs, and each result is bit-identical to
@@ -269,8 +252,6 @@ def run_replications(s: Scenario, seeds) -> list:
 
 
 def _advance(s: Scenario, seeds) -> list:
-    from .report import build_metrics_report
-
     worlds = [init_scenario(dataclasses.replace(s, seed=seed)) for seed in seeds]
     L = np.stack([w.positions for w in worlds])
     users = np.stack([w.users for w in worlds])
@@ -294,54 +275,23 @@ def _advance(s: Scenario, seeds) -> list:
             np.swapaxes(received_power_matrix(L, params, users), -1, -2))
         per_user = user_utility(powers, cfg, axis=1)
         utilities[:, i] = [np.dot(weights, row) for row in per_user]
-        served[:, i] = np.sum(np.max(powers, axis=1) >= cfg.p_min_dbm, axis=1)
+        best = np.max(powers, axis=1)
+        served[:, i] = np.sum(best >= cfg.p_min_dbm, axis=1)
+        return best
 
-    snapshot(0)
+    first = last = snapshot(0)
     for i in range(s.iterations):
         idx = np.stack([sample_recipient(profile, rng, size=q) for rng in rngs])
         powers, grads = received_power_matrix(L, params, users[rep, idx], gradient=True)
         if sigma > 0.0:
             powers = powers + sigma * np.stack([rng.standard_normal((q, b)) for rng in rngs])
         L = batched_update(L, grads, powers, cfg, s.schedule.eta(i), s.fixed_height_m)
-        snapshot(i + 1)
+        last = snapshot(i + 1)
 
-    results = []
-    for r in range(n_rep):
-        log = TrajectoryLog(positions=positions[r], oracle_utility=utilities[r],
-                            served=served[r], users=users[r])
-        report = build_metrics_report(
-            initial_placements=positions[r, 0], final_placements=positions[r, -1],
-            params=params, mus=users[r], p_min_dbm=cfg.p_min_dbm)
-        results.append((log, report))
-    return results
-
-
-def coverage_axes(area: Rect, grid_resolution) -> tuple:
-    """Grid-point coordinates used by :func:`coverage_map` (xs, ys)."""
-    try:
-        nx, ny = grid_resolution
-    except TypeError:
-        nx = ny = int(grid_resolution)
-    if nx < 2 or ny < 2:
-        raise ValueError("grid resolution must be at least 2 per axis")
-    return np.linspace(area.x_min, area.x_max, nx), np.linspace(area.y_min, area.y_max, ny)
-
-
-def coverage_map(placements, area: Rect, grid_resolution, params,
-                 clip=(-100.0, -80.0)) -> np.ndarray:
-    """Strongest received power on the ground grid (z = 0), clipped to ``clip`` dBm.
-
-    Returns shape (ny, nx): rows run south to north, columns west to east,
-    matching ``coverage_axes``.
-    """
-    lo, hi = float(clip[0]), float(clip[1])
-    if hi < lo:
-        raise ValueError("clip range must have hi >= lo")
-    xs, ys = coverage_axes(area, grid_resolution)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-    best = np.max(received_power_matrix(placements, params, pts), axis=1)
-    return np.clip(best, lo, hi).reshape(gy.shape)
+    max_power = np.stack([first, last], axis=1)
+    return [TrajectoryLog(positions=positions[r], oracle_utility=utilities[r], served=served[r],
+                          users=users[r], max_power_dbm=max_power[r])
+            for r in range(n_rep)]
 
 
 def scenario_to_dict(s: Scenario) -> dict:

@@ -223,7 +223,7 @@ def test_criterion_06_single_pair_convergence():
             seed=seed,
             channel=ChannelParams(-94.0, 1000.0, 0.0),
         )
-        log, _ = run(s)
+        log = run(s)
         mu = init_scenario(s).users[0]
         dists = np.hypot(log.positions[:, 0, 0] - mu[0], log.positions[:, 0, 1] - mu[1])
         ok = ok and dists[-1] < 10.0

@@ -1,9 +1,13 @@
 """Every script under demos/ runs to completion against the package sources,
-and the waypoint post-processing demo's helpers do what they say."""
+the waypoint post-processing demo's helpers do what they say, and the
+package root re-exports only names the README's library section or a demo
+uses."""
 
+import ast
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +31,18 @@ waypoints = load_demo("waypoint_postprocessing")
 
 def test_demos_found():
     assert DEMOS
+
+
+def test_package_root_exports_only_used_names():
+    tree = ast.parse((ROOT / "src" / "airbs_sgd" / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    readme = (ROOT / "README.md").read_text()
+    library = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    used = "\n".join([library, *(demo.read_text() for demo in DEMOS)])
+    assert exported
+    unused = sorted(name for name in exported if not re.search(rf"\b{name}\b", used))
+    assert not unused, f"re-exported by airbs_sgd but in no demo or README example: {unused}"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -9,17 +9,16 @@ from scipy import stats
 from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.navigator import StepSchedule
 from airbs_sgd.report import (
-    PlacementMetrics,
     _Formatted,
     _json_text,
-    build_metrics_report,
-    per_mu_max_power,
+    coverage_map,
     power_histogram,
     render_outputs,
     served_count,
+    write_trajectory_csv,
     write_trajectory_json,
 )
-from airbs_sgd.simulator import Rect, Scenario, TrajectoryLog, coverage_map, run
+from airbs_sgd.simulator import Rect, Scenario, TrajectoryLog, run
 from airbs_sgd.utility import UtilityConfig, UtilityFamily
 
 PRM = ChannelParams(-94.0, 1000.0, 12.0)
@@ -46,8 +45,6 @@ def test_served_count_matches_brute_force():
                    for l, prm in zip(placements, params))
         want += best >= p_min
     assert served_count(placements, mus, params, p_min) == want
-    pmax = per_mu_max_power(placements, params, mus)
-    assert pmax.shape == (60,)
 
 
 def test_histogram_structure_and_edges():
@@ -88,35 +85,6 @@ def test_histogram_custom_width_and_errors():
         power_histogram([], value_range=(-70.0, -110.0))
 
 
-def test_placement_metrics_validation_and_json():
-    hist = power_histogram([-95.0, -85.0])
-    m = PlacementMetrics(served_count=1, total_mus=2,
-                         per_mu_max_power_dbm=(-95.0, -85.0), histogram=hist)
-    d = m.to_json_dict()
-    assert d["histogram"][0][0] is None and d["histogram"][-1][1] is None
-    assert d["histogram"][1][0] == -110.0
-    with pytest.raises(ValueError):
-        PlacementMetrics(served_count=3, total_mus=2,
-                         per_mu_max_power_dbm=(-95.0, -85.0), histogram=hist)
-    with pytest.raises(ValueError):
-        PlacementMetrics(served_count=1, total_mus=5,
-                         per_mu_max_power_dbm=(-95.0, -85.0), histogram=hist)
-
-
-def test_metrics_report_round_trip_values():
-    rng = np.random.default_rng(15)
-    placements = np.array([[*rng.uniform(0, 2000, 2), 30.0] for _ in range(2)])
-    params = [PRM, PRM]
-    mus = np.array([[*rng.uniform(0, 2000, 2), 0.0] for _ in range(25)])
-    rep = build_metrics_report(placements, placements, params, mus, -91.0)
-    assert rep.initial == rep.final
-    d = rep.to_json_dict()
-    assert d["p_min_dbm"] == -91.0
-    assert d["initial"]["served_count"] == rep.initial.served_count
-    # json encodes and decodes without loss
-    assert json.loads(json.dumps(d)) == d
-
-
 def run_small(tmp_path, iterations=3):
     s = Scenario(
         area=Rect(0.0, 0.0, 2000.0, 2000.0),
@@ -131,9 +99,9 @@ def run_small(tmp_path, iterations=3):
         seed=21,
         channel=ChannelParams(-94.0, 1000.0, 0.0),
     )
-    log, report = run(s)
+    log = run(s)
     grid = coverage_map(log.positions[-1], s.area, 16, s.agent_channel_params())
-    return log, report, grid, s, log.users
+    return log, grid, s
 
 
 EXPECTED_FILES = ("trajectory.csv", "trajectory.json", "metrics.json",
@@ -141,37 +109,37 @@ EXPECTED_FILES = ("trajectory.csv", "trajectory.json", "metrics.json",
 
 
 def test_render_outputs_files_and_stability(tmp_path):
-    log, report, grid, s, mus = run_small(tmp_path)
+    log, grid, s = run_small(tmp_path)
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    paths = render_outputs(log, report, grid, out1, s.area, mus=mus)
+    paths = render_outputs(log, grid, out1, s.area, s.utility.p_min_dbm)
     assert set(paths) == set(EXPECTED_FILES)
     for f in EXPECTED_FILES:
         assert (out1 / f).is_file() and (out1 / f).stat().st_size > 0
-    render_outputs(log, report, grid, out2, s.area, mus=mus)
+    render_outputs(log, grid, out2, s.area, s.utility.p_min_dbm)
     for f in EXPECTED_FILES:
         assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
 
 
 def test_render_outputs_static_log(tmp_path):
-    log, report, grid, s, mus = run_small(tmp_path, iterations=0)
-    paths = render_outputs(log, report, grid, tmp_path / "static", s.area, mus=mus)
+    log, grid, s = run_small(tmp_path, iterations=0)
+    render_outputs(log, grid, tmp_path / "static", s.area, s.utility.p_min_dbm)
     assert (tmp_path / "static" / "map.svg").stat().st_size > 0
     csv = (tmp_path / "static" / "trajectory.csv").read_text().splitlines()
     assert len(csv) == 1 + 2  # header plus one row per agent
 
 
 def test_render_outputs_content_checks(tmp_path):
-    log, report, grid, s, mus = run_small(tmp_path)
+    log, grid, s = run_small(tmp_path)
     out = tmp_path / "c"
-    render_outputs(log, report, grid, out, s.area, mus=mus)
+    render_outputs(log, grid, out, s.area, s.utility.p_min_dbm)
 
     traj = json.loads((out / "trajectory.json").read_text())
     assert traj["num_iterations"] == log.num_iterations
     assert traj["positions"][0][0] == list(map(float, log.positions[0, 0]))
 
     metrics = json.loads((out / "metrics.json").read_text())
-    assert metrics["final"]["served_count"] == report.final.served_count
+    assert metrics["final"]["served_count"] == log.served[-1]
 
     rows = (out / "coverage.csv").read_text().splitlines()
     assert len(rows) == grid.shape[0]
@@ -180,12 +148,65 @@ def test_render_outputs_content_checks(tmp_path):
 
     hist_svg = (out / "hist_final.svg").read_text()
     # one bar per bin plus the background rect
-    assert hist_svg.count("<rect x=") == len(report.final.histogram)
+    assert hist_svg.count("<rect x=") == len(metrics["final"]["histogram"])
     assert "stroke-dasharray" in hist_svg  # power-target guide line
 
     map_svg = (out / "map.svg").read_text()
-    assert map_svg.count("<circle") >= len(mus)
+    assert map_svg.count("<circle") >= len(log.users)
     assert "<polyline" in map_svg
+
+
+def test_metrics_json_reads_the_first_and_last_snapshot(tmp_path):
+    log, grid, s = run_small(tmp_path, iterations=4)
+    render_outputs(log, grid, tmp_path, s.area, s.utility.p_min_dbm)
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["p_min_dbm"] == s.utility.p_min_dbm
+    m = len(log.users)
+    for key, i in (("initial", 0), ("final", -1)):
+        d = metrics[key]
+        assert d["served_count"] == log.served[i]
+        assert d["total_mus"] == m
+        # an independent kernel call on the logged placement, bit for bit
+        want = np.max(received_power_matrix(log.positions[i], s.agent_channel_params(),
+                                            log.users), axis=1)
+        assert np.array_equal(np.array(d["per_mu_max_power_dbm"]), want)
+        assert d["served_count"] == np.sum(want >= s.utility.p_min_dbm)
+        hist = d["histogram"]
+        assert hist[0][0] is None and hist[-1][1] is None
+        assert all(e is not None for lo, hi, _ in hist[1:-1] for e in (lo, hi))
+        assert hist[0][1] == -110.0 and hist[-1][0] == -70.0
+        assert sum(c for _, _, c in hist) == m
+
+
+def synthetic_log(rng) -> TrajectoryLog:
+    """A 3-iteration, 3-agent log holding awkward floats: -0.0, a subnormal, 1e300."""
+    positions = rng.normal(size=(4, 3, 3)) * 1e3
+    positions[0, 0] = (-0.0, 5e-324, 1e300)
+    return TrajectoryLog(positions=positions, oracle_utility=rng.random(4), served=np.arange(4),
+                         users=np.zeros((2, 3)), max_power_dbm=np.full((2, 2), -90.0))
+
+
+def test_trajectory_csv_shape(tmp_path):
+    log, _, s = run_small(tmp_path, iterations=2)
+    write_trajectory_csv(log, tmp_path / "t.csv")
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[0] == "iteration,agent_index,x,y,z,oracle_utility"
+    assert len(lines) == 1 + (s.iterations + 1) * s.num_airbs
+    first = lines[1].split(",")
+    assert first[0] == "0" and first[1] == "0"
+    assert float(first[2]) == log.positions[0, 0, 0]
+
+
+def test_trajectory_csv_matches_the_per_row_reference(tmp_path):
+    log = synthetic_log(np.random.default_rng(4))
+    lines = ["iteration,agent_index,x,y,z,oracle_utility"]
+    for i in range(log.positions.shape[0]):
+        u = repr(float(log.oracle_utility[i]))
+        for b in range(log.positions.shape[1]):
+            x, y, z = (repr(float(v)) for v in log.positions[i, b])
+            lines.append(f"{i},{b},{x},{y},{z},{u}")
+    write_trajectory_csv(log, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
@@ -223,16 +244,12 @@ def test_json_text_refuses_non_finite_floats(bad):
 
 
 def test_trajectory_json_matches_json_dumps(tmp_path):
-    rng = np.random.default_rng(8)
-    positions = rng.normal(size=(4, 3, 3)) * 1e3
-    positions[0, 0] = (-0.0, 5e-324, 1e300)
-    log = TrajectoryLog(positions=positions, oracle_utility=rng.random(4),
-                        served=np.arange(4))
+    log = synthetic_log(np.random.default_rng(8))
     write_trajectory_json(log, tmp_path / "t.json")
     want = json.dumps({
         "num_iterations": 3,
         "num_agents": 3,
-        "positions": [[list(map(float, row)) for row in snap] for snap in positions],
+        "positions": [[list(map(float, row)) for row in snap] for snap in log.positions],
         "oracle_utility": [float(v) for v in log.oracle_utility],
         "served": [0, 1, 2, 3],
     }, sort_keys=True, indent=2) + "\n"

@@ -12,11 +12,10 @@ from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.navigator import DivergenceError, StepSchedule, batched_update
 from airbs_sgd import simulator
 from airbs_sgd.cli import main as cli_main, replication_seeds
+from airbs_sgd.report import coverage_axes, coverage_map
 from airbs_sgd.simulator import (
     Rect,
     Scenario,
-    coverage_axes,
-    coverage_map,
     init_scenario,
     run,
     run_replications,
@@ -72,31 +71,33 @@ def test_init_zero_width_region_pins_agents():
 
 
 def test_zero_iterations_single_snapshot():
-    log, report = run(small_scenario(iterations=0))
+    log = run(small_scenario(iterations=0))
     assert log.positions.shape == (1, 2, 3)
     assert log.num_iterations == 0
-    assert report.initial.served_count == report.final.served_count
+    assert log.served.shape == (1,)
+    assert log.max_power_dbm.shape == (2, 12)
+    assert np.array_equal(log.max_power_dbm[0], log.max_power_dbm[1])
 
 
 def test_run_bitwise_deterministic():
     s = small_scenario()
-    log1, rep1 = run(s)
-    log2, rep2 = run(s)
+    log1 = run(s)
+    log2 = run(s)
     assert np.array_equal(log1.positions, log2.positions)
     assert np.array_equal(log1.oracle_utility, log2.oracle_utility)
     assert np.array_equal(log1.served, log2.served)
-    assert rep1.to_json_dict() == rep2.to_json_dict()
+    assert np.array_equal(log1.max_power_dbm, log2.max_power_dbm)
 
 
 def test_different_seeds_differ():
-    l1, _ = run(small_scenario(seed=1))
-    l2, _ = run(small_scenario(seed=2))
+    l1 = run(small_scenario(seed=1))
+    l2 = run(small_scenario(seed=2))
     assert not np.array_equal(l1.positions, l2.positions)
 
 
 def test_oracle_trace_matches_recomputation():
     s = small_scenario(iterations=4)
-    log, _ = run(s)
+    log = run(s)
     users = (init_scenario(s).users, s.traffic.as_array())
     params = s.agent_channel_params()
     for i in range(log.positions.shape[0]):
@@ -122,7 +123,7 @@ def test_single_pair_converges_overhead():
         iterations=200,
         seed=3,
     )
-    log, _ = run(s)
+    log = run(s)
     final = log.positions[-1, 0]
     mu = init_scenario(s).users[0]
     assert math.hypot(final[0] - mu[0], final[1] - mu[1]) < 10.0
@@ -133,7 +134,7 @@ def test_solo_replay_of_rebuilt_packets():
     # the packets rebuilt from the documented draw order, replayed against
     # each agent in isolation, reproduce the run exactly: nothing else leaks in
     s = small_scenario(iterations=3)
-    log, _ = run(s)
+    log = run(s)
     assert np.array_equal(log.positions[0], init_scenario(s).positions)
     assert np.array_equal(helpers.replay_alone(s, log), log.positions)
 
@@ -142,7 +143,7 @@ def test_noisy_packets_follow_documented_draw_order():
     # after the initial draws: per iteration the Q recipients, then one
     # (Q, B) block of standard normals for the reported powers
     s = small_scenario(iterations=3, measurement_noise_db=1.5)
-    log, _ = run(s)
+    log = run(s)
     assert np.array_equal(log.users, init_scenario(s).users)
     assert np.array_equal(helpers.replay_alone(s, log), log.positions)
 
@@ -214,14 +215,13 @@ def test_diverging_agent_raises():
         batched_update(L, grads, np.full((3, 2), -90.0), cfg, 1.0, 30.0)
 
 
-def assert_same_replication(got, want):
-    """Two ``(TrajectoryLog, MetricsReport)`` results agree bit for bit."""
-    (log, rep), (ref, ref_rep) = got, want
+def assert_same_replication(log, ref):
+    """Two ``TrajectoryLog`` results agree bit for bit."""
     assert np.array_equal(log.positions, ref.positions)
     assert np.array_equal(log.oracle_utility, ref.oracle_utility)
     assert np.array_equal(log.served, ref.served)
     assert np.array_equal(log.users, ref.users)
-    assert rep.to_json_dict() == ref_rep.to_json_dict()
+    assert np.array_equal(log.max_power_dbm, ref.max_power_dbm)
 
 
 @pytest.mark.parametrize("noise", [0.0, 1.5], ids=["exact", "noisy"])
@@ -233,7 +233,7 @@ def test_each_replication_of_a_batch_equals_its_seed_alone(noise):
     for seed, got in zip(seeds, batch):
         alone = dataclasses.replace(s, seed=seed)
         assert_same_replication(got, run(alone))
-        assert np.array_equal(helpers.replay_alone(alone, got[0]), got[0].positions)
+        assert np.array_equal(helpers.replay_alone(alone, got), got.positions)
 
 
 def test_replications_do_not_depend_on_the_other_seeds(monkeypatch):
@@ -274,11 +274,15 @@ def test_oracle_matches_network_utility_with_many_agents():
     # network_utility both add the transmitters in index order
     b = 9
     s = small_scenario(num_airbs=b, tx_powers_dbm=(9.0,) * b, iterations=2)
-    log, _ = run(s)
+    log = run(s)
     users = (log.users, s.traffic.as_array())
     for i in range(log.positions.shape[0]):
         want = network_utility(log.positions[i], users, s.utility, s.agent_channel_params())
         assert log.oracle_utility[i] == want
+    # the logged strongest powers equal a (M, B) kernel call's, bit for bit
+    for row, i in zip(log.max_power_dbm, (0, -1)):
+        want = received_power_matrix(log.positions[i], s.agent_channel_params(), log.users)
+        assert np.array_equal(row, np.max(want, axis=1))
 
 
 def far_user_scenario():
@@ -336,42 +340,16 @@ def test_cli_names_the_one_diverging_replication(tmp_path, capsys):
 
 def test_zero_step_size_freezes_positions():
     s = small_scenario(schedule=StepSchedule(eta0=0.0, minibatch_size=8))
-    log, _ = run(s)
+    log = run(s)
     for i in range(1, log.positions.shape[0]):
         assert np.array_equal(log.positions[i], log.positions[0])
 
 
 def test_measurement_noise_changes_trajectory():
-    clean, _ = run(small_scenario())
-    noisy, _ = run(small_scenario(measurement_noise_db=1.0))
+    clean = run(small_scenario())
+    noisy = run(small_scenario(measurement_noise_db=1.0))
     assert np.array_equal(clean.positions[0], noisy.positions[0])
     assert not np.array_equal(clean.positions[-1], noisy.positions[-1])
-
-
-def test_trajectory_csv_shape():
-    s = small_scenario(iterations=2)
-    log, _ = run(s)
-    lines = log.to_csv_text().splitlines()
-    assert lines[0] == "iteration,agent_index,x,y,z,oracle_utility"
-    assert len(lines) == 1 + (s.iterations + 1) * s.num_airbs
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "0"
-    assert float(first[2]) == log.positions[0, 0, 0]
-
-
-def test_trajectory_csv_matches_the_per_row_reference():
-    rng = np.random.default_rng(4)
-    positions = rng.normal(size=(4, 3, 3)) * 1e3
-    positions[0, 0] = (-0.0, 5e-324, 1e300)
-    log = simulator.TrajectoryLog(positions=positions, oracle_utility=rng.random(4),
-                                  served=np.arange(4))
-    lines = ["iteration,agent_index,x,y,z,oracle_utility"]
-    for i in range(log.positions.shape[0]):
-        u = repr(float(log.oracle_utility[i]))
-        for b in range(log.positions.shape[1]):
-            x, y, z = (repr(float(v)) for v in log.positions[i, b])
-            lines.append(f"{i},{b},{x},{y},{z},{u}")
-    assert log.to_csv_text() == "\n".join(lines) + "\n"
 
 
 def test_coverage_map_clip_and_orientation():
@@ -419,8 +397,8 @@ def test_scenario_dict_round_trip_bytes():
     text = json.dumps(d, sort_keys=True, indent=2)
     back = scenario_from_dict(json.loads(text))
     assert json.dumps(scenario_to_dict(back), sort_keys=True, indent=2) == text
-    log1, _ = run(dataclasses.replace(s, measurement_noise_db=0.0))
-    log2, _ = run(dataclasses.replace(back, measurement_noise_db=0.0))
+    log1 = run(dataclasses.replace(s, measurement_noise_db=0.0))
+    log2 = run(dataclasses.replace(back, measurement_noise_db=0.0))
     assert np.array_equal(log1.positions, log2.positions)
 
 
