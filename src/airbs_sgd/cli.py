@@ -9,17 +9,21 @@ Three subcommands:
 * ``sweep`` re-runs a scenario across a list of values on one axis
   (eta, q, alpha, delta) and aggregates the endpoints into a CSV.
 
-The replications of a command advance together as one batch in the
-calling thread (see :func:`simulator.run_replications`); their coverage
-maps, bundles and baselines then follow one replication at a time. Every
-run is fully determined by the master seed, so outputs do not depend on
-how the replications are batched.
+The replications of a command are split into one contiguous group per
+core the process may use (``taskset`` limits them), and each group runs
+in its own forked worker process; on one core the one group runs
+in-process and nothing is forked. Each group first advances as one batch
+(see :func:`simulator.run_replications`); once every group has advanced,
+each writes its coverage maps, bundles and baselines one replication at
+a time. Every run is fully determined by the master seed, so outputs do
+not depend on how the replications are grouped.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -111,17 +115,76 @@ def _simulate_one(s: Scenario, seed: int, rep_dir: str, log, params,
     return result
 
 
-def _run_replications(scenario: Scenario, seeds, out_dir: str,
-                      with_kmeans: bool = False) -> list:
-    os.makedirs(out_dir, exist_ok=True)
+def _usable_cores() -> int:
+    """How many cores this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _advance_group(scenario: Scenario, seeds) -> list:
+    """Phase 1 of one group: its replications' logs, advanced as one batch."""
     try:
-        batch = run_replications(scenario, seeds)
+        return run_replications(scenario, seeds)
     except (CoincidentPositionsError, DivergenceError) as e:
         raise CliError(f"replication with seed {e.seed} failed: {e}")
+
+
+def _non_finite(log) -> str:
+    """Where ``log`` first holds a non-finite logged value, or '' if it holds none."""
+    bad = np.flatnonzero(~np.isfinite(log.oracle_utility))
+    if bad.size:
+        return f"oracle utility is {log.oracle_utility[bad[0]]} at snapshot {bad[0]}"
+    bad = np.argwhere(~np.isfinite(log.max_power_dbm))
+    if bad.size:
+        row, m = bad[0]
+        return (f"user {m}'s strongest received power is {log.max_power_dbm[row, m]} dBm "
+                f"at the {('first', 'last')[row]} snapshot")
+    return ""
+
+
+def _finish_group(scenario: Scenario, out_dir: str, with_kmeans: bool, first: int,
+                  seeds, logs) -> list:
+    """Phase 2 of one group: each replication's tail, numbered from ``first``."""
     params = scenario.agent_channel_params()
-    return [_simulate_one(scenario, seed, os.path.join(out_dir, f"rep_{r:03d}"), log,
-                          params, with_kmeans)
-            for r, (seed, log) in enumerate(zip(seeds, batch))]
+    return [_simulate_one(scenario, seed, os.path.join(out_dir, f"rep_{first + r:03d}"),
+                          log, params, with_kmeans)
+            for r, (seed, log) in enumerate(zip(seeds, logs))]
+
+
+def _in_two_phases(map_, scenario: Scenario, seeds, bounds, out_dir: str,
+                   with_kmeans: bool) -> list:
+    """Advance every group, check every log, then finish every group, in seed order.
+
+    Group g is ``seeds[bounds[g]:bounds[g + 1]]``. No bundle is written
+    until every replication has advanced, so a failure names the first
+    failing seed in list order whatever the grouping, a diverging seed
+    before a seed whose log holds a non-finite value.
+    """
+    firsts = bounds[:-1]
+    groups = [seeds[a:b] for a, b in zip(firsts, bounds[1:])]
+    logs = list(map_(functools.partial(_advance_group, scenario), groups))
+    for group, group_logs in zip(groups, logs):
+        for seed, log in zip(group, group_logs):
+            problem = _non_finite(log)
+            if problem:
+                raise CliError(f"replication with seed {seed} failed: {problem}")
+    finish = functools.partial(_finish_group, scenario, out_dir, with_kmeans)
+    return [result for part in map_(finish, firsts, groups, logs) for result in part]
+
+
+def _run_replications(scenario: Scenario, seeds, out_dir: str,
+                      with_kmeans: bool = False) -> list:
+    """Run ``seeds`` in one contiguous group per usable core; results in seed order."""
+    os.makedirs(out_dir, exist_ok=True)
+    n = min(_usable_cores(), len(seeds))
+    bounds = [len(seeds) * g // n for g in range(n + 1)]
+    if n == 1:
+        return _in_two_phases(map, scenario, seeds, bounds, out_dir, with_kmeans)
+    # fork, not spawn: the command starts no thread of its own, and a spawned
+    # worker would import numpy and the package again before its first task
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
+        return _in_two_phases(pool.map, scenario, seeds, bounds, out_dir, with_kmeans)
 
 
 def _summarize(out_dir: str, scenario: Scenario, results, with_kmeans: bool):

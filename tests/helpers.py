@@ -1,5 +1,10 @@
 """Shared test utilities: finite-difference oracles, dB conversions, packet
-replay and acceptance reporting."""
+replay, acceptance reporting and fresh-interpreter runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +24,14 @@ def record_criterion(num: int, desc: str, ok: bool, detail: str = "") -> bool:
         line += f" [{detail}]"
     ACCEPTANCE_LINES.append((num, line))
     return ok
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh interpreter that finds the package in ``src/``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
 
 
 def central_diff(f, x, h: float = 1e-6) -> np.ndarray:

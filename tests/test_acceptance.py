@@ -15,6 +15,7 @@ from helpers import agent_gradient, agent_step, central_diff, record_criterion, 
 from test_utility import conditioned_cfg
 
 from airbs_sgd.channel import ChannelParams, received_power_matrix
+from airbs_sgd import cli
 from airbs_sgd.cli import main as cli_main
 from airbs_sgd.navigator import StepSchedule, batched_update
 from airbs_sgd import simulator
@@ -325,11 +326,14 @@ def test_criterion_10_parallelism_independence(tmp_path, monkeypatch):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n")
 
-    # the three replications advance as one batch, then in groups of one
+    # the three replications advance as one batch in-process, then in three
+    # forked worker groups, then in-process in groups of one
     trees = []
-    for tag in ("batch", "alone"):
-        if tag == "alone":
-            monkeypatch.setattr(simulator, "BATCH_PAIRS", 1)
+    for tag, cores, pairs in (("batch", 1, simulator.BATCH_PAIRS),
+                              ("forked", 3, simulator.BATCH_PAIRS),
+                              ("alone", 1, 1)):
+        monkeypatch.setattr(cli, "_usable_cores", lambda cores=cores: cores)
+        monkeypatch.setattr(simulator, "BATCH_PAIRS", pairs)
         out = tmp_path / tag
         rc = cli_main(["run", "--scenario", str(scen), "--replications", "3",
                        "--out", str(out)])
@@ -338,9 +342,10 @@ def test_criterion_10_parallelism_independence(tmp_path, monkeypatch):
                       for p in out.rglob("*") if p.is_file()})
 
     names = {str(name) for name in trees[0]}
-    same = trees[0] == trees[1] and "summary.json" in names and \
+    same = trees[0] == trees[1] == trees[2] and "summary.json" in names and \
         all(f"rep_{r:03d}/trajectory.csv" in names for r in range(3))
     record_criterion(
-        10, "identical outputs however the replications are batched", same,
-        f"{len(trees[0])} files byte-compared across one batch vs groups of one")
+        10, "identical outputs however the replications are batched or grouped", same,
+        f"{len(trees[0])} files byte-compared across one batch, three forked groups "
+        f"and groups of one")
     assert same

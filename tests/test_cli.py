@@ -1,12 +1,11 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from helpers import run_python
+
+from airbs_sgd import cli
 from airbs_sgd.channel import ChannelParams
 from airbs_sgd.cli import main, replication_seeds
 from airbs_sgd.navigator import StepSchedule
@@ -256,9 +255,28 @@ def test_replication_seeds_scheme():
 
 def test_cli_import_loads_no_scipy():
     # scipy is a test dependency only; every command pays for what the CLI imports
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import airbs_sgd.cli, sys; assert 'scipy' not in sys.modules"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    # nor the process pool: a command on one core forks nothing
+    proc = run_python("-c", "import airbs_sgd.cli, sys; assert not "
+                      "{'scipy', 'multiprocessing', 'concurrent.futures'} & set(sys.modules)")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("cores, pools", [(1, []), (2, [2])])
+def test_one_core_runs_in_process_and_more_share_one_pool(tmp_path, monkeypatch, cores, pools):
+    import concurrent.futures
+
+    built = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    scen = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scen), "--replications", "3",
+                 "--out", str(out)]) == 0
+    assert built == pools
+    assert sorted(p.name for p in out.glob("rep_*")) == ["rep_000", "rep_001", "rep_002"]

@@ -10,7 +10,7 @@ from test_utility import conditioned_cfg
 
 from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.navigator import DivergenceError, StepSchedule, batched_update
-from airbs_sgd import simulator
+from airbs_sgd import cli, simulator
 from airbs_sgd.cli import main as cli_main, replication_seeds
 from airbs_sgd.report import coverage_axes, coverage_map
 from airbs_sgd.simulator import (
@@ -336,6 +336,50 @@ def test_cli_names_the_one_diverging_replication(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"replication with seed {failing[0]} failed: agent 0 stepped to [nan" in err
     assert all(str(seed) not in err for seed in seeds if seed != failing[0])
+
+
+def test_cli_names_a_diverging_seed_in_a_later_worker_group(tmp_path, capsys, monkeypatch):
+    # three forked groups of one; only the last group's seed diverges, and the
+    # first two advance (their logs hold the far user's -inf dBm)
+    s = far_user_scenario()
+    for master in range(100):
+        seeds = replication_seeds(master, 3)
+        if [seed for seed in seeds if diverges(s, seed)] == seeds[2:]:
+            break
+    else:
+        pytest.fail("no master seed whose only diverging replication is the last")
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(scenario_to_dict(dataclasses.replace(s, seed=master))))
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        rc = cli_main(["run", "--scenario", str(scen), "--replications", "3",
+                       "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"replication with seed {seeds[2]} failed: agent 0 stepped to [nan" in err
+    assert all(str(seed) not in err for seed in seeds[:2])
+    assert not any(out.glob("rep_*"))
+
+
+def test_cli_exits_2_when_a_healthy_replication_logs_a_non_finite_value(tmp_path):
+    # seed 0 does not diverge, but the far user's strongest power is -inf dBm
+    # and the oracle utility nan: no JSON can hold them, so nothing is written
+    s = dataclasses.replace(far_user_scenario(), seed=0)
+    assert not diverges(s, 0)
+    scen, out = tmp_path / "scen.json", tmp_path / "out"
+    scen.write_text(json.dumps(scenario_to_dict(s)))
+    proc = helpers.run_python("-m", "airbs_sgd.cli", "run", "--scenario", str(scen),
+                              "--out", str(out))
+    assert proc.returncode == 2
+    assert "error: replication with seed 0 failed: oracle utility is nan at snapshot 0" \
+        in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not any(out.glob("rep_*"))
+    with np.errstate(all="ignore"):
+        log = run(s)
+    assert cli._non_finite(dataclasses.replace(log, oracle_utility=np.zeros(2))) == \
+        "user 2's strongest received power is -inf dBm at the first snapshot"
 
 
 def test_zero_step_size_freezes_positions():
