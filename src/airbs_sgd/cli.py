@@ -40,7 +40,9 @@ from .simulator import Scenario, run_replications, scenario_from_dict, scenario_
 MAP_GRID = 70
 REFERENCE_SERVED = (198, 202)
 REFERENCE_KMEANS_UNSERVED = 73
-SWEEP_AXES = ("eta", "q", "alpha", "delta")
+# each sweep axis and the (section, key) of the scenario setting it varies
+SWEEP_AXES = {"eta": ("schedule", "eta0"), "q": ("schedule", "minibatch_size"),
+              "alpha": ("utility", "softmax_alpha"), "delta": ("utility", "delta_db")}
 
 
 class CliError(Exception):
@@ -258,23 +260,14 @@ def cmd_reproduce_paper(args) -> int:
 
 
 def _apply_axis(s: Scenario, axis: str, value: float) -> Scenario:
+    """``s`` with ``axis`` set to ``value``, checked as the same key of a scenario file is."""
+    d = scenario_to_dict(s)
+    section, key = SWEEP_AXES[axis]
+    d[section][key] = value
     try:
-        if axis == "eta":
-            return dataclasses.replace(s, schedule=dataclasses.replace(s.schedule, eta0=value))
-        if axis == "q":
-            q = int(value)
-            if q != value:
-                raise CliError(f"axis q needs integer values, got {value}")
-            return dataclasses.replace(
-                s, schedule=dataclasses.replace(s.schedule, minibatch_size=q))
-        if axis == "alpha":
-            return dataclasses.replace(
-                s, utility=dataclasses.replace(s.utility, softmax_alpha=value))
-        if axis == "delta":
-            return dataclasses.replace(s, utility=dataclasses.replace(s.utility, delta_db=value))
-    except (ValueError, OverflowError) as e:  # int() of nan or inf, or a rejected setting
+        return scenario_from_dict(d)
+    except ValueError as e:
         raise CliError(f"sweep axis {axis} value {value:g}: {e}")
-    raise CliError(f"unknown sweep axis {axis!r}; expected one of {', '.join(SWEEP_AXES)}")
 
 
 def cmd_sweep(args) -> int:

@@ -21,10 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
 from .utility import UtilityConfig, user_utility_partials
+
+
+Decay = Literal["constant", "harmonic"]
 
 
 class DivergenceError(ValueError):
@@ -54,16 +58,18 @@ class StepSchedule:
     eta0: float
     minibatch_size: int
     eta_scale: float = 1.0
-    decay: str = "constant"
+    decay: Decay = "constant"
 
     def __post_init__(self):
         if self.eta0 < 0.0 or not math.isfinite(self.eta0):
             raise ValueError("eta0 must be finite and nonnegative")
         if self.minibatch_size < 1:
             raise ValueError("minibatch_size must be at least 1")
+        if self.minibatch_size >= 2 ** 63:
+            raise ValueError("minibatch_size must be below 2**63")
         if not (math.isfinite(self.eta_scale) and self.eta_scale > 0.0):
             raise ValueError(f"eta_scale must be finite and positive, got {self.eta_scale}")
-        if self.decay not in ("constant", "harmonic"):
+        if self.decay not in get_args(Decay):
             raise ValueError(f"unknown decay {self.decay!r}")
 
     def eta(self, iteration: int) -> float:

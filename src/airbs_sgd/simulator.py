@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,31 +71,34 @@ class Rect:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     """Complete, self-contained description of one simulation.
 
-    ``tx_powers_dbm`` gives each transmitter its own power; the power in
-    ``channel`` is a base value that these override. ``traffic`` may be
-    None, meaning uniform shares over all users (including the extras).
-    ``measurement_noise_db`` adds Gaussian error to reported packet powers
-    and is 0 for the exact baseline. ``extra_mu_positions`` are fixed users
-    as ``(x, y, z)`` float triples, after the ``num_mus`` drawn ones.
+    Its fields, and those of the dataclasses it nests, are the scenario
+    file format (see :func:`scenario_from_dict`): a field with a default
+    is an optional key. ``tx_powers_dbm`` gives each transmitter its own
+    power; the power in ``channel`` is a base value that these override.
+    ``traffic`` may be None, meaning uniform shares over all users
+    (including the extras). ``measurement_noise_db`` adds Gaussian error
+    to reported packet powers and is 0 for the exact baseline.
+    ``extra_mu_positions`` are fixed users as ``(x, y, z)`` float
+    triples, after the ``num_mus`` drawn ones.
     """
 
     area: Rect
     num_airbs: int
-    tx_powers_dbm: tuple
+    tx_powers_dbm: tuple[float, ...]
     init_region: Rect
     fixed_height_m: float
     num_mus: int
-    extra_mu_positions: tuple = ()
+    extra_mu_positions: tuple[tuple[float, float, float], ...] = ()
     traffic: TrafficProfile | None = None
-    utility: UtilityConfig = None
-    schedule: StepSchedule = None
-    iterations: int = 100
-    seed: int = 0
-    channel: ChannelParams = None
+    utility: UtilityConfig
+    schedule: StepSchedule
+    iterations: int
+    seed: int
+    channel: ChannelParams
     measurement_noise_db: float = 0.0
 
     def __post_init__(self):
@@ -107,7 +111,11 @@ class Scenario:
             raise ValueError("need at least one user")
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        for count in ("num_airbs", "num_mus", "iterations"):
+            if getattr(self, count) >= 2 ** 63:
+                raise ValueError(f"{count} must be below 2**63")
+        object.__setattr__(self, "seed", int(self.seed))
+        if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         if not (math.isfinite(self.fixed_height_m) and self.fixed_height_m >= 0.0):
             raise ValueError(f"fixed_height_m must be finite and nonnegative, "
@@ -296,48 +304,20 @@ def _advance(s: Scenario, seeds) -> list:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Fully resolved JSON-ready form; round-trips via scenario_from_dict."""
-    def rect(r):
-        return {"x_min": r.x_min, "y_min": r.y_min, "x_max": r.x_max, "y_max": r.y_max}
-
-    return {
-        "area": rect(s.area),
-        "num_airbs": s.num_airbs,
-        "tx_powers_dbm": list(s.tx_powers_dbm),
-        "init_region": rect(s.init_region),
-        "fixed_height_m": s.fixed_height_m,
-        "num_mus": s.num_mus,
-        "extra_mu_positions": [list(p) for p in s.extra_mu_positions],
-        "traffic": {"pi": list(s.traffic.pi)},
-        "utility": {
-            "family": s.utility.family.value,
-            "noise_dbm": s.utility.noise_dbm,
-            "p_min_dbm": s.utility.p_min_dbm,
-            "delta_db": s.utility.delta_db,
-            "softmax_alpha": s.utility.softmax_alpha,
-        },
-        "schedule": {
-            "eta0": s.schedule.eta0,
-            "minibatch_size": s.schedule.minibatch_size,
-            "eta_scale": s.schedule.eta_scale,
-            "decay": s.schedule.decay,
-        },
-        "iterations": s.iterations,
-        "seed": int(s.seed),
-        "channel": {
-            "ref_gain_db": s.channel.ref_gain_db,
-            "ref_distance_m": s.channel.ref_distance_m,
-            "tx_power_dbm": s.channel.tx_power_dbm,
-        },
-        "measurement_noise_db": s.measurement_noise_db,
-    }
+    d = dataclasses.asdict(s)
+    d["utility"]["family"] = s.utility.family.value
+    return d
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    """Inverse of :func:`scenario_to_dict`; absent optional keys get defaults.
+    """Inverse of :func:`scenario_to_dict`: the dataclass fields are the schema.
 
-    Strict: an unknown or missing key at any level, or a value that is not
-    a finite number where one is expected, raises ``ValueError`` naming
-    the key.
+    Each field of :class:`Scenario` and of the dataclasses it nests is a
+    key; a field with a default is optional, and an absent one takes that
+    default. The field's type picks the check of its value. Strict: an
+    unknown or missing key at any level, or a value that is not a finite
+    number where one is expected, raises ``ValueError`` naming the key.
+    The first fault in field order is the one named.
     """
     def obj(v, name, required, optional=()):
         if not isinstance(v, dict):
@@ -363,57 +343,37 @@ def scenario_from_dict(d: dict) -> Scenario:
         return v
 
     def nums(v, name, length=None):
-        if not isinstance(v, list) or length not in (None, len(v)):
+        if not isinstance(v, (list, tuple)) or length not in (None, len(v)):
             raise ValueError(f"{name} must be a list" + (f" of {length} numbers" if length else ""))
         return tuple(num(x, f"{name}[{i}]") for i, x in enumerate(v))
 
-    def rect(name):
-        v = obj(d[name], name, ("x_min", "y_min", "x_max", "y_max"))
-        return Rect(*(num(v[k], f"{name}.{k}") for k in ("x_min", "y_min", "x_max", "y_max")))
+    def value(v, t, name):
+        origin, args = typing.get_origin(t), typing.get_args(t)
+        if dataclasses.is_dataclass(t):
+            return load(v, t, name, name + ".")
+        if type(None) in args:  # X | None
+            return None if v is None else value(v, args[0], name)
+        if t is float:
+            return num(v, name)
+        if t is int:
+            return integer(v, name)
+        if origin is tuple and args[0] is float:
+            return nums(v, name, None if args[-1] is Ellipsis else len(args))
+        if origin is tuple:  # a list of lists
+            if not isinstance(v, (list, tuple)):
+                raise ValueError(f"{name} must be a list")
+            return tuple(value(x, args[0], f"{name}[{i}]") for i, x in enumerate(v))
+        choices = args or tuple(m.value for m in t)  # a Literal or an Enum
+        if v not in choices:
+            raise ValueError(f"{name} must be one of {', '.join(choices)}, got {v!r}")
+        return v
 
-    obj(d, "scenario",
-        ("area", "num_airbs", "tx_powers_dbm", "init_region", "fixed_height_m", "num_mus",
-         "utility", "schedule", "iterations", "seed", "channel"),
-        ("extra_mu_positions", "traffic", "measurement_noise_db"))
-    traffic = d.get("traffic")
-    if traffic is not None:
-        traffic = TrafficProfile(pi=nums(obj(traffic, "traffic", ("pi",))["pi"], "traffic.pi"))
-    u = obj(d["utility"], "utility", ("family", "noise_dbm", "p_min_dbm", "delta_db"),
-            ("softmax_alpha",))
-    ch = obj(d["channel"], "channel", ("ref_gain_db", "ref_distance_m", "tx_power_dbm"))
-    sch = obj(d["schedule"], "schedule", ("eta0", "minibatch_size"), ("eta_scale", "decay"))
-    extras = d.get("extra_mu_positions", [])
-    if not isinstance(extras, list):
-        raise ValueError("extra_mu_positions must be a list")
-    return Scenario(
-        area=rect("area"),
-        num_airbs=integer(d["num_airbs"], "num_airbs"),
-        tx_powers_dbm=nums(d["tx_powers_dbm"], "tx_powers_dbm"),
-        init_region=rect("init_region"),
-        fixed_height_m=num(d["fixed_height_m"], "fixed_height_m"),
-        num_mus=integer(d["num_mus"], "num_mus"),
-        extra_mu_positions=tuple(nums(p, f"extra_mu_positions[{i}]", 3)
-                                 for i, p in enumerate(extras)),
-        traffic=traffic,
-        utility=UtilityConfig(
-            family=u["family"],
-            noise_dbm=num(u["noise_dbm"], "utility.noise_dbm"),
-            p_min_dbm=num(u["p_min_dbm"], "utility.p_min_dbm"),
-            delta_db=num(u["delta_db"], "utility.delta_db"),
-            softmax_alpha=num(u.get("softmax_alpha", 1.0), "utility.softmax_alpha"),
-        ),
-        schedule=StepSchedule(
-            eta0=num(sch["eta0"], "schedule.eta0"),
-            minibatch_size=integer(sch["minibatch_size"], "schedule.minibatch_size"),
-            eta_scale=num(sch.get("eta_scale", 1.0), "schedule.eta_scale"),
-            decay=sch.get("decay", "constant"),
-        ),
-        iterations=integer(d["iterations"], "iterations"),
-        seed=integer(d["seed"], "seed"),
-        channel=ChannelParams(
-            ref_gain_db=num(ch["ref_gain_db"], "channel.ref_gain_db"),
-            ref_distance_m=num(ch["ref_distance_m"], "channel.ref_distance_m"),
-            tx_power_dbm=num(ch["tx_power_dbm"], "channel.tx_power_dbm"),
-        ),
-        measurement_noise_db=num(d.get("measurement_noise_db", 0.0), "measurement_noise_db"),
-    )
+    def load(v, cls, name, prefix):
+        fields = dataclasses.fields(cls)
+        optional = [f.name for f in fields if f.default is not dataclasses.MISSING]
+        obj(v, name, [f.name for f in fields if f.name not in optional], optional)
+        hints = typing.get_type_hints(cls)
+        return cls(**{f.name: value(v[f.name], hints[f.name], prefix + f.name)
+                      for f in fields if f.name in v})
+
+    return load(d, Scenario, "scenario", "")

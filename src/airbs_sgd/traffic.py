@@ -24,7 +24,7 @@ PI_SUM_TOL = 1e-9
 class TrafficProfile:
     """Categorical distribution ``pi`` over the M packet recipients."""
 
-    pi: tuple
+    pi: tuple[float, ...]
 
     def __post_init__(self):
         pi = tuple(float(p) for p in self.pi)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -222,7 +224,63 @@ def test_sweep_non_integer_q(tmp_path, capsys):
     rc = main(["sweep", "--scenario", str(scen), "--axis", "q",
                "--values", "2.5", "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "q" in capsys.readouterr().err
+    # a sweep value gets the checks and the messages of the same key in a file
+    assert ("sweep axis q value 2.5: schedule.minibatch_size must be an integer, got 2.5"
+            in capsys.readouterr().err)
+
+
+# only counts of 2**63 and more: should the check let one through, numpy and
+# tuple repetition still refuse it before allocating, where a moderately large
+# count would try to allocate
+@pytest.mark.parametrize("argv, key", [
+    (["run"], "num_airbs"),
+    (["run"], "num_mus"),
+    (["run"], "iterations"),
+    (["run"], "minibatch_size"),
+    (["sweep", "--axis", "q", "--values", "1e300"], "minibatch_size"),
+], ids=["num_airbs", "num_mus", "iterations", "minibatch_size", "sweep_q"])
+def test_count_too_large_to_index_exits_2(tmp_path, capsys, argv, key):
+    d = dict(small_scenario_dict(), traffic=None)
+    if argv == ["run"]:
+        (d["schedule"] if key == "minibatch_size" else d)[key] = 1e300
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    assert main([argv[0], "--scenario", str(p), *argv[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be below 2**63" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def key_paths(value, path=""):
+    """Every key path below ``value``, dotted, with list indices in brackets."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for k, v in items:
+        sub = f"{path}[{k}]" if isinstance(k, int) else (f"{path}.{k}" if path else k)
+        yield sub, v
+        yield from key_paths(v, sub)
+
+
+def test_every_bad_value_names_its_key_path(tmp_path, capsys):
+    s = dataclasses.replace(cli.reference_scenario(), num_mus=20, traffic=None)
+    ref = json.loads(json.dumps(scenario_to_dict(s)))
+    paths = [path for path, _ in key_paths(ref)]
+    assert "traffic.pi[21]" in paths and "extra_mu_positions[1][2]" in paths
+    p, out = tmp_path / "bad.json", tmp_path / "out"
+    for path in paths:
+        for bad in (math.nan, "text"):
+            d = json.loads(json.dumps(ref))
+            *parents, last = re.findall(r"\w+", path)
+            holder = d
+            for k in parents:
+                holder = holder[int(k) if k.isdigit() else k]
+            holder[int(last) if last.isdigit() else last] = bad
+            p.write_text(json.dumps(d))
+            assert main(["run", "--scenario", str(p), "--out", str(out)]) == 2, (path, bad)
+            assert f"{path} " in capsys.readouterr().err, (path, bad)
+    assert not out.exists()
 
 
 def test_sweep_zero_step_is_fixed_point(tmp_path):

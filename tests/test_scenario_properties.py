@@ -1,13 +1,14 @@
 """Property tests: a mutated scenario file never escapes the CLI as a traceback.
 
 Each example writes the bundled reference scenario, mutated at random
-places (keys dropped or renamed, values replaced by NaN, +-Infinity or a
-value of the wrong type), and runs ``airbs-sgd run`` on it in-process. The
-command must exit 0 (the mutation left a valid scenario, e.g. it dropped
-an optional key) or 2 with a one-line diagnostic; any exception that
-escapes ``main`` fails the test. The reference is shrunk to 2 iterations
-and 20 users so the valid mutants run fast; ``derandomize`` keeps the
-examples the same on every run.
+places (keys dropped or renamed, values replaced by NaN, +-Infinity, a
+value of the wrong type, or 1e300 at an integer key), and runs
+``airbs-sgd run`` on it in-process. The command must exit 0 (the
+mutation left a valid scenario, e.g. it dropped an optional key) or 2
+with a one-line diagnostic; any exception that escapes ``main`` fails
+the test. The reference is shrunk to 2 iterations and 20 users so the
+valid mutants run fast; ``derandomize`` keeps the examples the same on
+every run.
 """
 
 import contextlib
@@ -29,7 +30,12 @@ BASE = dict(REFERENCE, iterations=2, num_mus=20)
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 WRONG_TYPES = (None, "text", True, [], {}, [1.0, "x"], {"x": 1.0})
-OPS = ("drop", "rename", "non_finite", "wrong_type")
+# 1e300 only where an integer is expected: a count that large must be refused
+# before anything is allocated; a coordinate that large is a separate fault
+HUGE = 1e300
+INTEGER_KEYS = (("num_airbs",), ("num_mus",), ("iterations",), ("seed",),
+                ("schedule", "minibatch_size"))
+OPS = ("drop", "rename", "non_finite", "wrong_type", "huge_count")
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -49,7 +55,8 @@ def mutate(draw, d, ops=OPS):
     op = draw(st.sampled_from(ops))
     keyed = op in ("drop", "rename")
     *parents, last = draw(st.sampled_from(
-        [p for p in paths(d) if not keyed or isinstance(p[-1], str)]))
+        [p for p in paths(d) if (not keyed or isinstance(p[-1], str))
+         and (op != "huge_count" or p in INTEGER_KEYS)]))
     holder = d
     for k in parents:
         holder = holder[k]
@@ -57,6 +64,8 @@ def mutate(draw, d, ops=OPS):
         value = holder.pop(last)
         if op == "rename":
             holder[last + "_x"] = value
+    elif op == "huge_count":
+        holder[last] = HUGE
     else:
         holder[last] = draw(st.sampled_from(NON_FINITE if op == "non_finite" else WRONG_TYPES))
 
@@ -88,7 +97,7 @@ def single_mutation(draw, ops):
 
 
 @SETTINGS
-@given(single_mutation(("rename", "non_finite")))
+@given(single_mutation(("rename", "non_finite", "huge_count")))
 def test_renamed_key_or_non_finite_value_exits_2(d):
     rc, err = run_cli(d)
     assert rc == 2

@@ -435,15 +435,58 @@ def test_coverage_map_bad_inputs():
 
 
 def test_scenario_dict_round_trip_bytes():
-    s = small_scenario(extra_mu_positions=((5000.0, 5000.0, 0.0),),
-                       traffic=None, measurement_noise_db=0.5)
-    d = scenario_to_dict(s)
-    text = json.dumps(d, sort_keys=True, indent=2)
-    back = scenario_from_dict(json.loads(text))
-    assert json.dumps(scenario_to_dict(back), sort_keys=True, indent=2) == text
-    log1 = run(dataclasses.replace(s, measurement_noise_db=0.0))
-    log2 = run(dataclasses.replace(back, measurement_noise_db=0.0))
-    assert np.array_equal(log1.positions, log2.positions)
+    extras = ((5000.0, 5000.0, 0.0),)
+    for s in (small_scenario(extra_mu_positions=extras, traffic=None, measurement_noise_db=0.5),
+              small_scenario(
+                  extra_mu_positions=extras, measurement_noise_db=0.5,
+                  traffic=TrafficProfile(pi=(0.5,) + (0.5 / 12,) * 12),
+                  utility=UtilityConfig(UtilityFamily.BROADCAST_RATE, -112.4, -91.0, 2.0,
+                                        softmax_alpha=0.25),
+                  schedule=StepSchedule(eta0=5.0, minibatch_size=8, eta_scale=3e5,
+                                        decay="harmonic"))):
+        d = scenario_to_dict(s)
+        text = json.dumps(d, sort_keys=True, indent=2)
+        back = scenario_from_dict(json.loads(text))
+        assert back == s
+        assert json.dumps(scenario_to_dict(back), sort_keys=True, indent=2) == text
+        log1 = run(dataclasses.replace(s, measurement_noise_db=0.0))
+        log2 = run(dataclasses.replace(back, measurement_noise_db=0.0))
+        assert np.array_equal(log1.positions, log2.positions)
+
+
+# The scenario file format: each section's required and optional keys. The
+# dataclass fields are the schema, so renaming a field renames a file key.
+FILE_FORMAT = {
+    "scenario": (("area", "num_airbs", "tx_powers_dbm", "init_region", "fixed_height_m",
+                  "num_mus", "utility", "schedule", "iterations", "seed", "channel"),
+                 ("extra_mu_positions", "traffic", "measurement_noise_db")),
+    "area": (("x_min", "y_min", "x_max", "y_max"), ()),
+    "init_region": (("x_min", "y_min", "x_max", "y_max"), ()),
+    "utility": (("family", "noise_dbm", "p_min_dbm", "delta_db"), ("softmax_alpha",)),
+    "schedule": (("eta0", "minibatch_size"), ("eta_scale", "decay")),
+    "channel": (("ref_gain_db", "ref_distance_m", "tx_power_dbm"), ()),
+    "traffic": (("pi",), ()),
+}
+
+
+@pytest.mark.parametrize("section", FILE_FORMAT)
+def test_scenario_file_keys_are_pinned(section):
+    required, optional = FILE_FORMAT[section]
+    d = scenario_to_dict(small_scenario())
+
+    def holder(d):
+        return d if section == "scenario" else d[section]
+
+    # the writer writes every key, the optional ones too
+    assert sorted(holder(d)) == sorted(required + optional)
+    for key in optional:
+        dropped = json.loads(json.dumps(d))
+        del holder(dropped)[key]
+        scenario_from_dict(dropped)
+    empty = {} if section == "scenario" else dict(d, **{section: {}})
+    with pytest.raises(ValueError) as e:
+        scenario_from_dict(empty)
+    assert str(e.value) == f"missing key(s) in {section}: {', '.join(required)}"
 
 
 def test_scenario_validation():
