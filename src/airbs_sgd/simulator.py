@@ -9,10 +9,10 @@ one (R, Q, B) channel-kernel call, and lets
 :func:`navigator.batched_update` apply every agent's minibatch step at
 once. Each agent's step still reads only its own position and its own
 replication's packets. The initial state and each iteration's update
-are snapshots: each logs the positions, the full-information oracle
-utility and the exact served count, and the first and last also keep
-each user's strongest power. This :class:`TrajectoryLog` is the run's
-one record. :func:`run` is a batch of one.
+are snapshots: each logs the positions and their utility and exact
+served count from :func:`utility.oracle`, the one judge of a placement;
+the first and last also keep each user's strongest power. This
+:class:`TrajectoryLog` is the run's one record; :func:`run` is a batch of one.
 
 All randomness of a replication flows from its seed through its own
 generator, in a fixed draw order: agent initial positions first, then
@@ -36,12 +36,21 @@ import numpy as np
 from .channel import ChannelParams, CoincidentPositionsError, received_power_matrix
 from .navigator import DivergenceError, StepSchedule, batched_update
 from .traffic import TrafficProfile, sample_recipient
-from .utility import UtilityConfig, user_utility
+from .utility import UtilityConfig, oracle
 
 # Upper bound on the agent-user pairs (R * B * M for a snapshot of R
 # replications) that one group of replications advances: it bounds the
 # working set, not the results, which do not depend on the grouping.
 BATCH_PAIRS = 1 << 18
+
+# Largest coordinate magnitude (m) a scenario may give: the squared distance
+# of two points within it, below 12 * MAX_COORD_M**2 = 1.2e301, stays finite.
+MAX_COORD_M = 1e150
+
+
+def _check_coordinate(name: str, v: float) -> None:
+    if not abs(v) <= MAX_COORD_M:
+        raise ValueError(f"{name} must be finite and within {MAX_COORD_M:g} m of 0, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +63,8 @@ class Rect:
     y_max: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x_min, self.y_min, self.x_max, self.y_max))):
-            raise ValueError(f"rectangle coordinates must be finite, got {self}")
+        for f in dataclasses.fields(self):
+            _check_coordinate(f.name, getattr(self, f.name))
         if self.x_max < self.x_min or self.y_max < self.y_min:
             raise ValueError("rectangle must have x_max >= x_min and y_max >= y_min")
 
@@ -117,8 +126,8 @@ class Scenario:
         object.__setattr__(self, "seed", int(self.seed))
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
-        if not (math.isfinite(self.fixed_height_m) and self.fixed_height_m >= 0.0):
-            raise ValueError(f"fixed_height_m must be finite and nonnegative, "
+        if not 0.0 <= self.fixed_height_m <= MAX_COORD_M:
+            raise ValueError(f"fixed_height_m must be between 0 and {MAX_COORD_M:g} m, "
                              f"got {self.fixed_height_m}")
         powers = tuple(float(p) for p in self.tx_powers_dbm)
         if len(powers) != self.num_airbs:
@@ -138,6 +147,8 @@ class Scenario:
                     raise ValueError(f"position altitude must be nonnegative, got z={xyz[2]}")
             except ValueError as e:
                 raise ValueError(f"extra_mu_positions[{i}]: {e}") from None
+            for j, v in enumerate(xyz):
+                _check_coordinate(f"extra_mu_positions[{i}][{j}]", v)
             extras.append(xyz)
         object.__setattr__(self, "extra_mu_positions", tuple(extras))
         if self.traffic is None:
@@ -276,14 +287,8 @@ def _advance(s: Scenario, seeds) -> list:
     rep = np.arange(n_rep)[:, None]
 
     def snapshot(i):
-        # network_utility's operations on each replication, so logged values
-        # match it bitwise; transmitter-major (R, B, M), as it lays them out
         positions[:, i] = L
-        powers = np.ascontiguousarray(
-            np.swapaxes(received_power_matrix(L, params, users), -1, -2))
-        per_user = user_utility(powers, cfg, axis=1)
-        utilities[:, i] = [np.dot(weights, row) for row in per_user]
-        best = np.max(powers, axis=1)
+        utilities[:, i], best = oracle(L, users, weights, cfg, params)
         served[:, i] = np.sum(best >= cfg.p_min_dbm, axis=1)
         return best
 
@@ -373,7 +378,12 @@ def scenario_from_dict(d: dict) -> Scenario:
         optional = [f.name for f in fields if f.default is not dataclasses.MISSING]
         obj(v, name, [f.name for f in fields if f.name not in optional], optional)
         hints = typing.get_type_hints(cls)
-        return cls(**{f.name: value(v[f.name], hints[f.name], prefix + f.name)
-                      for f in fields if f.name in v})
+        kwargs = {f.name: value(v[f.name], hints[f.name], prefix + f.name)
+                  for f in fields if f.name in v}
+        try:
+            return cls(**kwargs)
+        except ValueError as e:
+            # a nested section's own check names its field, not the path to it
+            raise ValueError(f"{name}: {e}") if prefix else e
 
     return load(d, Scenario, "scenario", "")

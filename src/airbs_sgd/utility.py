@@ -11,6 +11,9 @@ devices make the families differentiable and nowhere-flat:
 
 All operations broadcast over leading axes, so a single call evaluates one
 power vector (shape ``(B,)``) or a batch (shape ``(M, B)``).
+
+:func:`oracle` is the single place a placement is judged: the simulator's
+snapshots and the tests both call it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from .channel import received_power_matrix
 LN2 = math.log(2.0)
 # d(linear)/d(dB) = linear * ln(10)/10; used to express partials per dB.
 DB_TO_NAT = math.log(10.0) / 10.0
-
-WEIGHT_SUM_TOL = 1e-9
 
 
 class UtilityFamily(enum.Enum):
@@ -197,40 +198,28 @@ def user_utility_partials(powers_dbm, cfg: UtilityConfig, axis: int = -1):
     raise ValueError(f"unknown utility family {fam!r}")
 
 
-def _users_to_arrays(users):
-    """Check a ``(positions (M,3), weights (M,))`` pair; returns it as float arrays."""
-    pos, w = (np.asarray(a, dtype=float) for a in users)
-    if pos.shape[0] != w.shape[0]:
-        raise ValueError("positions and weights must have matching lengths")
-    if np.any(w < 0.0):
-        raise ValueError("user weights must be nonnegative")
-    if abs(float(np.sum(w)) - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"user weights must sum to 1, got {float(np.sum(w)):.12g}")
-    return pos, w
+def oracle(placements, users, weights, cfg: UtilityConfig, params):
+    """Exact network utility ``sum_m w_m * J_m`` and each user's strongest power in dBm.
 
-
-def network_utility(placements, users, cfg: UtilityConfig, params) -> float:
-    """Exact weighted network utility ``sum_m w_m * J_m`` over all users.
-
-    ``users`` is a ``(positions, weights)`` pair of arrays, shapes (M, 3)
-    and (M,); weights must be nonnegative and sum to one. This
-    full-information evaluation is the oracle that estimator and optimizer
-    tests compare against; the placement agents themselves never see it.
+    ``placements`` (..., B, 3) and ``users`` (..., M, 3) broadcast over
+    leading axes, e.g. one of each per replication, and ``weights`` (M,)
+    are the traffic shares. Returns arrays of shape (...) and (..., M).
+    The placement agents never see this full-information evaluation.
     """
-    pos, w = _users_to_arrays(users)
-    # transmitter-major (B, M), as the simulator's oracle snapshot lays the
-    # powers out, so the two add the transmitters in the same order for any B
-    powers = np.ascontiguousarray(received_power_matrix(placements, params, pos).T)
-    return float(np.dot(w, user_utility(powers, cfg, axis=0)))
+    # transmitter-major (..., B, M): a reduction over B adds whole rows, in index order for any B
+    powers = np.ascontiguousarray(
+        np.swapaxes(received_power_matrix(placements, params, users), -1, -2))
+    per_user = user_utility(powers, cfg, axis=-2)
+    utility = np.array([np.dot(weights, row) for row in per_user.reshape(-1, powers.shape[-1])])
+    return utility.reshape(per_user.shape[:-1]), np.max(powers, axis=-2)
 
 
-def network_utility_gradient(placements, users, cfg: UtilityConfig, params) -> np.ndarray:
-    """Gradient of :func:`network_utility` in each transmitter position.
+def network_utility_gradient(placements, users, weights, cfg: UtilityConfig, params) -> np.ndarray:
+    """Gradient of :func:`oracle`'s utility at one (B, 3) placement and (M, 3) user set.
 
     Returns shape (B, 3), dB-chain assembled: row ``b`` is
     ``sum_m w_m * (d p_bm / d l_b) * (d J_m / d p_bm)``.
     """
-    pos, w = _users_to_arrays(users)
-    powers, grads = received_power_matrix(placements, params, pos, gradient=True)
+    powers, grads = received_power_matrix(placements, params, users, gradient=True)
     partials = user_utility_partials(powers, cfg)  # (M, B)
-    return np.einsum("m,mb,mbk->bk", w, partials, grads)
+    return np.einsum("m,mb,mbk->bk", weights, partials, grads)

@@ -24,8 +24,8 @@ from airbs_sgd.traffic import TrafficProfile, sample_recipient
 from airbs_sgd.utility import (
     UtilityConfig,
     UtilityFamily,
-    network_utility,
     network_utility_gradient,
+    oracle,
     sigmoid_delta,
     sigmoid_delta_deriv,
     smooth_max_dbm,
@@ -159,7 +159,7 @@ def test_criterion_04_enumeration_oracle():
         for i in range(b):
             stacked[i] += w[idx] * agent_gradient(placements[i], params[i], i, mus[idx:idx + 1],
                                                   reported[idx:idx + 1], cfg)
-    oracle = network_utility_gradient(placements, (mus, w), cfg, params)
+    oracle = network_utility_gradient(placements, mus, w, cfg, params)
     err = rel_err(stacked, oracle)
     ok = err < 1e-9
     record_criterion(
@@ -181,7 +181,7 @@ def test_criterion_05_estimator_noise_scaling():
 
     per_user = np.array([user_utility(received_power_matrix(placements, params, mu[None])[0], cfg)
                          for mu in mus], dtype=float)
-    exact = network_utility(placements, (mus, w), cfg, params)
+    exact = oracle(placements, mus, w, cfg, params)[0]
     assert abs(float(np.dot(w, per_user)) - exact) < 1e-12
 
     # index-sampling oracle is the same math as the packet estimator

@@ -75,7 +75,19 @@ def _rename_eta_scale(d):
     (_rename_eta_scale, "eta_scal"),
     (lambda d: d.update(extra_mu_positions=[[0, 0, -5]]),
      "extra_mu_positions[0]: position altitude must be nonnegative"),
-], ids=["nan_height", "infinite_area", "misspelled_key", "negative_extra_altitude"])
+    # a nested section's own check is prefixed with the section's path
+    (lambda d: d["area"].update(x_min=d["area"]["x_max"] + 1.0), "area: rectangle must have"),
+    (lambda d: d["init_region"].update(y_min=d["init_region"]["y_max"] + 1.0),
+     "init_region: rectangle must have"),
+    (lambda d: d["schedule"].update(eta0=-1.0), "schedule: eta0 must be"),
+    # a coordinate whose squared distances could overflow is refused at input
+    (lambda d: d["area"].update(x_max=1e300), "area: x_max must be"),
+    (lambda d: d["init_region"].update(x_max=1e300), "init_region: x_max must be"),
+    (lambda d: d.update(fixed_height_m=1e300), "fixed_height_m must be"),
+    (lambda d: d.update(extra_mu_positions=[[1e200, 0, 0]]), "extra_mu_positions[0][0] must be"),
+], ids=["nan_height", "infinite_area", "misspelled_key", "negative_extra_altitude",
+        "inverted_area", "inverted_init_region", "negative_eta0", "far_area",
+        "far_init_region", "far_height", "far_extra_user"])
 def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
     d = small_scenario_dict()
     mutate(d)
@@ -83,7 +95,8 @@ def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
     p.write_text(json.dumps(d))  # writes NaN and Infinity literals, as Python's json reads them
     rc = main(["run", "--scenario", str(p), "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -63,7 +63,7 @@ def test_enumeration_matches_network_gradient():
         for i in range(b):
             stacked[i] += w[idx] * agent_gradient(placements[i], params[i], i, mus[idx:idx + 1],
                                                   powers[idx:idx + 1], cfg)
-    oracle = network_utility_gradient(placements, (mus, w), cfg, params)
+    oracle = network_utility_gradient(placements, mus, w, cfg, params)
     assert np.linalg.norm(stacked - oracle) / np.linalg.norm(oracle) < 1e-9
 
 

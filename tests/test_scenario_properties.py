@@ -2,7 +2,7 @@
 
 Each example writes the bundled reference scenario, mutated at random
 places (keys dropped or renamed, values replaced by NaN, +-Infinity, a
-value of the wrong type, or 1e300 at an integer key), and runs
+value of the wrong type, or 1e300 at an integer or coordinate key), and runs
 ``airbs-sgd run`` on it in-process. The command must exit 0 (the
 mutation left a valid scenario, e.g. it dropped an optional key) or 2
 with a one-line diagnostic; any exception that escapes ``main`` fails
@@ -30,12 +30,13 @@ BASE = dict(REFERENCE, iterations=2, num_mus=20)
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 WRONG_TYPES = (None, "text", True, [], {}, [1.0, "x"], {"x": 1.0})
-# 1e300 only where an integer is expected: a count that large must be refused
-# before anything is allocated; a coordinate that large is a separate fault
+# 1e300 where an integer or a coordinate is expected: a count that large must
+# be refused before anything is allocated, a coordinate that large before its
+# squared distances overflow
 HUGE = 1e300
 INTEGER_KEYS = (("num_airbs",), ("num_mus",), ("iterations",), ("seed",),
                 ("schedule", "minibatch_size"))
-OPS = ("drop", "rename", "non_finite", "wrong_type", "huge_count")
+OPS = ("drop", "rename", "non_finite", "wrong_type", "huge")
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -50,13 +51,20 @@ def paths(value, prefix=()):
         yield from paths(v, prefix + (k,))
 
 
+def huge_refused(p):
+    """Whether 1e300 at path ``p`` is out of range: a count or a coordinate."""
+    return (p in INTEGER_KEYS or p == ("fixed_height_m",)
+            or (p[0] in ("area", "init_region") and len(p) == 2)
+            or (p[0] == "extra_mu_positions" and len(p) == 3))
+
+
 def mutate(draw, d, ops=OPS):
     """Apply one mutation drawn from ``ops`` to ``d`` in place."""
     op = draw(st.sampled_from(ops))
     keyed = op in ("drop", "rename")
     *parents, last = draw(st.sampled_from(
         [p for p in paths(d) if (not keyed or isinstance(p[-1], str))
-         and (op != "huge_count" or p in INTEGER_KEYS)]))
+         and (op != "huge" or huge_refused(p))]))
     holder = d
     for k in parents:
         holder = holder[k]
@@ -64,7 +72,7 @@ def mutate(draw, d, ops=OPS):
         value = holder.pop(last)
         if op == "rename":
             holder[last + "_x"] = value
-    elif op == "huge_count":
+    elif op == "huge":
         holder[last] = HUGE
     else:
         holder[last] = draw(st.sampled_from(NON_FINITE if op == "non_finite" else WRONG_TYPES))
@@ -97,7 +105,7 @@ def single_mutation(draw, ops):
 
 
 @SETTINGS
-@given(single_mutation(("rename", "non_finite", "huge_count")))
+@given(single_mutation(("rename", "non_finite", "huge")))
 def test_renamed_key_or_non_finite_value_exits_2(d):
     rc, err = run_cli(d)
     assert rc == 2

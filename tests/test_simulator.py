@@ -23,7 +23,7 @@ from airbs_sgd.simulator import (
     scenario_to_dict,
 )
 from airbs_sgd.traffic import TrafficProfile, sample_recipient
-from airbs_sgd.utility import UtilityConfig, UtilityFamily, network_utility, user_utility
+from airbs_sgd.utility import UtilityConfig, UtilityFamily, oracle, user_utility
 
 FAMILIES = tuple(UtilityFamily)
 
@@ -95,15 +95,22 @@ def test_different_seeds_differ():
     assert not np.array_equal(l1.positions, l2.positions)
 
 
-def test_oracle_trace_matches_recomputation():
-    s = small_scenario(iterations=4)
+@pytest.mark.parametrize("num_airbs", [3, 9])
+def test_logged_oracle_matches_recomputation(num_airbs):
+    # with B >= 8 numpy sums a contiguous row pairwise; the batched snapshot
+    # and a one-placement oracle call both add the transmitters in index order
+    s = small_scenario(num_airbs=num_airbs, tx_powers_dbm=((9.0, 12.0) * num_airbs)[:num_airbs],
+                       iterations=4)
     log = run(s)
-    users = (init_scenario(s).users, s.traffic.as_array())
     params = s.agent_channel_params()
     for i in range(log.positions.shape[0]):
-        want = network_utility(log.positions[i], users, s.utility, params)
+        want = oracle(log.positions[i], log.users, s.traffic.as_array(), s.utility, params)[0]
         assert log.oracle_utility[i] == want  # identical op order, so exact
     assert np.all(np.isfinite(log.oracle_utility))
+    # the logged strongest powers equal a (M, B) kernel call's, bit for bit
+    for row, i in zip(log.max_power_dbm, (0, -1)):
+        want = received_power_matrix(log.positions[i], params, log.users)
+        assert np.array_equal(row, np.max(want, axis=1))
 
 
 def test_single_pair_converges_overhead():
@@ -269,37 +276,40 @@ def test_batched_update_replications_are_independent(fixed):
     assert fixed == bool(np.all(new[..., 2] == 50.0))
 
 
-def test_oracle_matches_network_utility_with_many_agents():
-    # with B >= 8 numpy sums a contiguous row pairwise; the oracle and
-    # network_utility both add the transmitters in index order
-    b = 9
-    s = small_scenario(num_airbs=b, tx_powers_dbm=(9.0,) * b, iterations=2)
-    log = run(s)
-    users = (log.users, s.traffic.as_array())
-    for i in range(log.positions.shape[0]):
-        want = network_utility(log.positions[i], users, s.utility, s.agent_channel_params())
-        assert log.oracle_utility[i] == want
-    # the logged strongest powers equal a (M, B) kernel call's, bit for bit
-    for row, i in zip(log.max_power_dbm, (0, -1)):
-        want = received_power_matrix(log.positions[i], s.agent_channel_params(), log.users)
-        assert np.array_equal(row, np.max(want, axis=1))
+def runaway_scenario():
+    """One agent at (0, 0, 2) and one packet per iteration, over two iterations.
+
+    A packet from the extra user, 2.2 m away at the middle of the sigmoid
+    band, steps the agent about 5e200 m away, where its squared distance to
+    every user overflows: each user's power is -inf dBm, the oracle utility
+    nan, and the next step NaN. The drawn users, 1e6 m away, are so far
+    below the target that their packets do not move the agent.
+    """
+    prm = ChannelParams(-94.0, 1000.0, 12.0)
+    extra = (1.0, 0.0, 0.0)
+    p_extra = float(received_power_matrix([[0.0, 0.0, 2.0]], [prm], [extra])[0, 0])
+    return small_scenario(
+        area=Rect(1e6, 0.0, 1e6 + 100.0, 100.0), num_airbs=1, tx_powers_dbm=(12.0,),
+        init_region=Rect(0.0, 0.0, 0.0, 0.0), fixed_height_m=2.0, num_mus=2,
+        extra_mu_positions=(extra,), iterations=2,
+        utility=UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4,
+                              p_extra - 0.25, 0.5),
+        schedule=StepSchedule(eta0=1.0, minibatch_size=1, eta_scale=1e200),
+        channel=ChannelParams(-94.0, 1000.0, 0.0))
 
 
-def far_user_scenario():
-    """One agent, one packet: a replication diverges when its packet comes from
-    the extra user, whose distance overflows to -inf dBm and a NaN step."""
-    return small_scenario(num_airbs=1, tx_powers_dbm=(12.0,), num_mus=2, iterations=1,
-                          extra_mu_positions=((1e200, 0.0, 0.0),),
-                          schedule=StepSchedule(eta0=5.0, minibatch_size=1, eta_scale=1e6))
+def extra_user_packets(s, seed):
+    """Whether each iteration's one packet comes from the extra user."""
+    rng = init_scenario(dataclasses.replace(s, seed=seed)).rng
+    return [sample_recipient(s.traffic, rng) == s.total_mus - 1 for _ in range(s.iterations)]
 
 
 def diverges(s, seed):
-    world = init_scenario(dataclasses.replace(s, seed=seed))
-    return sample_recipient(s.traffic, world.rng) == s.total_mus - 1
+    return extra_user_packets(s, seed)[0]
 
 
 def test_first_failing_seed_is_named_in_list_order(monkeypatch):
-    s = far_user_scenario()
+    s = runaway_scenario()
     failing = [seed for seed in range(100) if diverges(s, seed)][:2]
     healthy = next(seed for seed in range(100) if not diverges(s, seed))
     groups = []
@@ -319,7 +329,7 @@ def test_first_failing_seed_is_named_in_list_order(monkeypatch):
 
 
 def test_cli_names_the_one_diverging_replication(tmp_path, capsys):
-    s = far_user_scenario()
+    s = runaway_scenario()
     for master in range(100):
         seeds = replication_seeds(master, 3)
         failing = [seed for seed in seeds if diverges(s, seed)]
@@ -329,7 +339,7 @@ def test_cli_names_the_one_diverging_replication(tmp_path, capsys):
         pytest.fail("no master seed with exactly one diverging replication")
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(scenario_to_dict(dataclasses.replace(s, seed=master))))
-    with np.errstate(all="ignore"):  # the far user's power is -inf in every snapshot
+    with np.errstate(all="ignore"):  # a flung agent's powers are -inf dBm
         rc = cli_main(["run", "--scenario", str(scen), "--replications", "3",
                        "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -340,8 +350,8 @@ def test_cli_names_the_one_diverging_replication(tmp_path, capsys):
 
 def test_cli_names_a_diverging_seed_in_a_later_worker_group(tmp_path, capsys, monkeypatch):
     # three forked groups of one; only the last group's seed diverges, and the
-    # first two advance (their logs hold the far user's -inf dBm)
-    s = far_user_scenario()
+    # first two advance
+    s = runaway_scenario()
     for master in range(100):
         seeds = replication_seeds(master, 3)
         if [seed for seed in seeds if diverges(s, seed)] == seeds[2:]:
@@ -363,23 +373,25 @@ def test_cli_names_a_diverging_seed_in_a_later_worker_group(tmp_path, capsys, mo
 
 
 def test_cli_exits_2_when_a_healthy_replication_logs_a_non_finite_value(tmp_path):
-    # seed 0 does not diverge, but the far user's strongest power is -inf dBm
-    # and the oracle utility nan: no JSON can hold them, so nothing is written
-    s = dataclasses.replace(far_user_scenario(), seed=0)
-    assert not diverges(s, 0)
+    # only the last packet comes from the extra user: the agent is flung but
+    # takes no further step, and the last snapshot's oracle utility is nan and
+    # every strongest power -inf dBm; no JSON can hold them, so nothing is written
+    s = runaway_scenario()
+    seed = next(seed for seed in range(100) if extra_user_packets(s, seed) == [False, True])
+    s = dataclasses.replace(s, seed=seed)
     scen, out = tmp_path / "scen.json", tmp_path / "out"
     scen.write_text(json.dumps(scenario_to_dict(s)))
     proc = helpers.run_python("-m", "airbs_sgd.cli", "run", "--scenario", str(scen),
                               "--out", str(out))
     assert proc.returncode == 2
-    assert "error: replication with seed 0 failed: oracle utility is nan at snapshot 0" \
+    assert f"error: replication with seed {seed} failed: oracle utility is nan at snapshot 2" \
         in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not any(out.glob("rep_*"))
     with np.errstate(all="ignore"):
         log = run(s)
-    assert cli._non_finite(dataclasses.replace(log, oracle_utility=np.zeros(2))) == \
-        "user 2's strongest received power is -inf dBm at the first snapshot"
+    assert cli._non_finite(dataclasses.replace(log, oracle_utility=np.zeros(3))) == \
+        "user 0's strongest received power is -inf dBm at the last snapshot"
 
 
 def test_zero_step_size_freezes_positions():

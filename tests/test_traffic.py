@@ -5,7 +5,7 @@ import pytest
 
 from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.traffic import TrafficProfile, sample_recipient
-from airbs_sgd.utility import UtilityConfig, UtilityFamily, network_utility, user_utility
+from airbs_sgd.utility import UtilityConfig, UtilityFamily, oracle, user_utility
 
 PARAMS = [ChannelParams(-94.0, 1000.0, 9.0), ChannelParams(-94.0, 1000.0, 12.0)]
 PLACEMENTS = np.array([[100.0, 100.0, 30.0], [900.0, 400.0, 30.0]])
@@ -111,5 +111,5 @@ def test_estimate_unbiased_by_enumeration():
     for idx in range(m):
         powers = received_power_matrix(PLACEMENTS, PARAMS, mus[idx:idx + 1])
         expectation += w[idx] * float(np.mean(user_utility(powers, cfg)))
-    exact = network_utility(PLACEMENTS, (mus, w), cfg, PARAMS)
+    exact = oracle(PLACEMENTS, mus, w, cfg, PARAMS)[0]
     assert expectation == pytest.approx(exact, rel=1e-12)

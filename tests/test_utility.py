@@ -9,8 +9,8 @@ from airbs_sgd.utility import (
     UtilityConfig,
     UtilityFamily,
     _logistic,
-    network_utility,
     network_utility_gradient,
+    oracle,
     sigmoid_delta,
     sigmoid_delta_deriv,
     smooth_max_dbm,
@@ -274,9 +274,9 @@ def test_network_utility_uniform_equals_mean():
     rng = np.random.default_rng(16)
     placements, params, users, _ = _small_world(rng)
     cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST)
-    uniform = (users, np.full(len(users), 1.0 / len(users)))
-    per_user = [network_utility(placements, (u[None], [1.0]), cfg, params) for u in users]
-    assert network_utility(placements, uniform, cfg, params) == pytest.approx(
+    uniform = np.full(len(users), 1.0 / len(users))
+    per_user = [oracle(placements, u[None], [1.0], cfg, params)[0] for u in users]
+    assert oracle(placements, users, uniform, cfg, params)[0] == pytest.approx(
         float(np.mean(per_user)), rel=1e-12)
 
 
@@ -285,7 +285,7 @@ def test_network_utility_single_user():
     placements, params, users, _ = _small_world(rng, m=1)
     cfg = cfg_for(UtilityFamily.UNICAST_RATE)
     powers = received_power_matrix(placements, params, users)[0]
-    assert network_utility(placements, (users, [1.0]), cfg, params) == pytest.approx(
+    assert oracle(placements, users, [1.0], cfg, params)[0] == pytest.approx(
         float(user_utility(powers, cfg)), rel=1e-12)
 
 
@@ -294,24 +294,12 @@ def test_network_utility_permutation_invariance():
     placements, _, users, w = _small_world(rng, b=3)
     params = [ChannelParams(-94.0, 1000.0, 9.0)] * 3  # identical transmitters
     cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST)
-    pairs = (users, w)
-    base = network_utility(placements, pairs, cfg, params)
+    base = oracle(placements, users, w, cfg, params)[0]
     perm = placements[[2, 0, 1]]
-    assert network_utility(perm, pairs, cfg, params) == pytest.approx(base, rel=1e-12)
-    g = network_utility_gradient(placements, pairs, cfg, params)
-    gp = network_utility_gradient(perm, pairs, cfg, params)
+    assert oracle(perm, users, w, cfg, params)[0] == pytest.approx(base, rel=1e-12)
+    g = network_utility_gradient(placements, users, w, cfg, params)
+    gp = network_utility_gradient(perm, users, w, cfg, params)
     assert np.allclose(gp, g[[2, 0, 1]], atol=1e-15)
-
-
-def test_network_utility_rejects_bad_weights():
-    placements = [[0.0, 0.0, 30.0]]
-    params = [ChannelParams(-94.0, 1000.0, 9.0)]
-    cfg = cfg_for(UtilityFamily.UNICAST_RATE)
-    with pytest.raises(ValueError):
-        network_utility(placements, ([[10.0, 0.0, 0.0]], [0.5]), cfg, params)
-    with pytest.raises(ValueError):
-        network_utility(placements, ([[10.0, 0.0, 0.0], [20.0, 0.0, 0.0]], [-1.0, 2.0]),
-                        cfg, params)
 
 
 def test_network_gradient_matches_finite_differences():
@@ -321,13 +309,12 @@ def test_network_gradient_matches_finite_differences():
         powers = received_power_matrix(placements, params, users)
         med = powers[np.argsort(np.max(powers, axis=1))[len(users) // 2]]
         cfg = conditioned_cfg(family, med, rng)
-        pairs = (users, w)
 
         def f(flat):
-            return network_utility(flat.reshape(-1, 3), pairs, cfg, params)
+            return oracle(flat.reshape(-1, 3), users, w, cfg, params)[0]
 
         fd = helpers.central_diff(f, placements.ravel(), h=1e-3)
-        g = network_utility_gradient(placements, pairs, cfg, params).ravel()
+        g = network_utility_gradient(placements, users, w, cfg, params).ravel()
         assert helpers.rel_err(g, fd) < 1e-6
 
 
@@ -336,7 +323,7 @@ def test_network_gradient_points_toward_single_user():
     placements = [[0.0, 0.0, 30.0]]
     params = [ChannelParams(-94.0, 1000.0, 12.0)]
     user = np.array([400.0, 300.0, 0.0])
-    g = network_utility_gradient(placements, (user[None], [1.0]), cfg, params)[0]
+    g = network_utility_gradient(placements, user[None], [1.0], cfg, params)[0]
     assert float(np.dot(g[:2], user[:2])) > 0.0
 
 
