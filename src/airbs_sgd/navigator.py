@@ -69,6 +69,9 @@ class StepSchedule:
             raise ValueError("minibatch_size must be below 2**63")
         if not (math.isfinite(self.eta_scale) and self.eta_scale > 0.0):
             raise ValueError(f"eta_scale must be finite and positive, got {self.eta_scale}")
+        if not math.isfinite(self.eta0 * self.eta_scale):
+            raise ValueError(f"eta0 * eta_scale must be finite, got {self.eta0!r} * "
+                             f"{self.eta_scale!r}")
         if self.decay not in get_args(Decay):
             raise ValueError(f"unknown decay {self.decay!r}")
 

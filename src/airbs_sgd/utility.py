@@ -1,13 +1,22 @@
 """Per-user utilities, their smooth surrogates, and analytic dB-partials.
 
 Every utility here is a function of the per-transmitter received powers at
-one user, ``f(p_1, ..., p_B)`` with the powers in dBm. Two smoothing
-devices make the families differentiable and nowhere-flat:
+one user, ``f(p_1, ..., p_B)`` with the powers in dBm. The four families
+are two choices, each written once:
 
-* the log-sum-exp soft maximum replaces ``max_b p_b``;
-* a shifted/scaled logistic replaces the unit step in threshold utilities,
-  transitioning from ~0 to ~1 over a band of width ``delta_db`` above the
-  power target.
+* the **effective power** the powers combine into: the log-sum-exp soft
+  maximum, which replaces ``max_b p_b`` (unicast), or the dB value of
+  their linear sum (broadcast), which is the same log-sum-exp at
+  temperature ``DB_TO_NAT``;
+* the **reward** of that power: the rate ``log2(1 + snr)``, or a
+  shifted/scaled logistic that replaces the unit step of the threshold
+  utilities, transitioning from ~0 to ~1 over a band of width
+  ``delta_db`` above the power target.
+
+A user's partials are then the reward's slope at the effective power
+times the effective power's partials, the softmax weights at that
+temperature. The soft maximum and the logistic keep the families
+differentiable and nowhere-flat.
 
 All operations broadcast over leading axes, so a single call evaluates one
 power vector (shape ``(B,)``) or a batch (shape ``(M, B)``).
@@ -47,7 +56,8 @@ class UtilityConfig:
     ``noise_dbm`` is the receiver noise floor, ``p_min_dbm`` the received
     power target defining "served", ``delta_db`` the width of the logistic
     transition band above the target, and ``softmax_alpha`` the soft-max
-    temperature in 1/dB (larger is closer to the exact maximum).
+    temperature in 1/dB (larger is closer to the exact maximum; the
+    broadcast families do not use it).
     """
 
     family: UtilityFamily
@@ -120,8 +130,7 @@ def sigmoid_delta_deriv(x, delta: float):
     subtraction form underflows to exactly 0 once sigma rounds to 1, while
     this form stays positive far into both tails. It is exactly 0 once
     ``|z|`` (``z = 6x/delta - 3``) exceeds about 709, where the logistic
-    ``1/(1 + exp(-z))`` of the smaller side is 0; ``scipy.special.expit``,
-    used before, gave subnormals there down to ``z = -745``.
+    ``1/(1 + exp(-z))`` of the smaller side is 0.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
@@ -129,41 +138,38 @@ def sigmoid_delta_deriv(x, delta: float):
     return (6.0 / delta) * _logistic(z) * _logistic(-z)
 
 
-def _sum_power_dbm(p, axis):
-    # dB value of the incoherent (linear) power sum, stabilized like log-sum-exp
-    m = np.max(p, axis=axis)
-    s = np.sum(10.0 ** ((p - np.expand_dims(m, axis)) / 10.0), axis=axis)
-    return m + 10.0 * np.log10(s)
+_BROADCAST = frozenset({UtilityFamily.BROADCAST_RATE, UtilityFamily.THRESHOLD_SIGMOID_BROADCAST})
+_RATE = frozenset({UtilityFamily.UNICAST_RATE, UtilityFamily.BROADCAST_RATE})
+
+
+def _temperature(cfg: UtilityConfig) -> float:
+    # the linear power sum in dB, 10 log10(sum_b 10^(p_b/10)), is the soft
+    # maximum at temperature DB_TO_NAT, and its partials the softmax weights there
+    return DB_TO_NAT if cfg.family in _BROADCAST else cfg.softmax_alpha
+
+
+def _reward(x, cfg: UtilityConfig, slope: bool = False):
+    """Reward of the effective power ``x`` (dBm) or, with ``slope``, its derivative per dB."""
+    if cfg.family in _RATE:
+        # log2(1 + snr) in log form, with t = ln(snr): no power of ten to overflow
+        t = DB_TO_NAT * (x - cfg.noise_dbm)
+        return DB_TO_NAT * _logistic(t) / LN2 if slope else np.logaddexp(0.0, t) / LN2
+    x = x - cfg.p_min_dbm
+    return sigmoid_delta_deriv(x, cfg.delta_db) if slope else sigmoid_delta(x, cfg.delta_db)
 
 
 def user_utility(powers_dbm, cfg: UtilityConfig, axis: int = -1):
     """Utility of one user given its per-transmitter received powers (dBm).
 
-    Families:
-
-    * ``UNICAST_RATE``: spectral efficiency ``log2(1 + snr)`` with the soft
-      maximum of the powers over the noise floor (strongest-transmitter
-      association).
-    * ``BROADCAST_RATE``: same but with the linear sum of all powers
-      (incoherent multi-transmitter relaying).
-    * ``THRESHOLD_SIGMOID_UNICAST`` / ``..._BROADCAST``: logistic step of
-      (soft max / sum power) minus the power target.
+    Each family is two choices: an effective power, the soft maximum of the
+    powers (``*UNICAST*``: strongest-transmitter association) or their
+    linear sum in dB (``*BROADCAST*``: incoherent multi-transmitter
+    relaying); and the reward of that power, the spectral efficiency
+    ``log2(1 + snr)`` over the noise floor (``*_RATE``) or the logistic
+    step above the power target (``THRESHOLD_SIGMOID_*``).
     """
     p = np.asarray(powers_dbm, dtype=float)
-    fam = cfg.family
-    if fam is UtilityFamily.UNICAST_RATE:
-        phi = smooth_max_dbm(p, cfg.softmax_alpha, axis=axis)
-        return np.log2(1.0 + 10.0 ** ((phi - cfg.noise_dbm) / 10.0))
-    if fam is UtilityFamily.BROADCAST_RATE:
-        psum = _sum_power_dbm(p, axis)
-        return np.log2(1.0 + 10.0 ** ((psum - cfg.noise_dbm) / 10.0))
-    if fam is UtilityFamily.THRESHOLD_SIGMOID_UNICAST:
-        phi = smooth_max_dbm(p, cfg.softmax_alpha, axis=axis)
-        return sigmoid_delta(phi - cfg.p_min_dbm, cfg.delta_db)
-    if fam is UtilityFamily.THRESHOLD_SIGMOID_BROADCAST:
-        psum = _sum_power_dbm(p, axis)
-        return sigmoid_delta(psum - cfg.p_min_dbm, cfg.delta_db)
-    raise ValueError(f"unknown utility family {fam!r}")
+    return _reward(smooth_max_dbm(p, _temperature(cfg), axis=axis), cfg)
 
 
 def user_utility_partials(powers_dbm, cfg: UtilityConfig, axis: int = -1):
@@ -171,31 +177,14 @@ def user_utility_partials(powers_dbm, cfg: UtilityConfig, axis: int = -1):
 
     Returns an array shaped like the input: entry ``b`` is the sensitivity
     of the user's utility to a 1 dB change in the power received from
-    transmitter ``b``. Always positive (every family is increasing in each
-    power).
+    transmitter ``b``, the reward's slope at the effective power times
+    that power's partial in ``p_b``. Always positive (every family is
+    increasing in each power).
     """
     p = np.asarray(powers_dbm, dtype=float)
-    fam = cfg.family
-    if fam is UtilityFamily.UNICAST_RATE:
-        phi = smooth_max_dbm(p, cfg.softmax_alpha, axis=axis)
-        snr = 10.0 ** ((phi - cfg.noise_dbm) / 10.0)
-        dj_dphi = DB_TO_NAT * snr / ((1.0 + snr) * LN2)
-        return np.expand_dims(dj_dphi, axis) * softmax_weights(p, cfg.softmax_alpha, axis=axis)
-    if fam is UtilityFamily.BROADCAST_RATE:
-        snr_b = 10.0 ** ((p - cfg.noise_dbm) / 10.0)
-        snr = np.sum(snr_b, axis=axis, keepdims=True)
-        return DB_TO_NAT * snr_b / ((1.0 + snr) * LN2)
-    if fam is UtilityFamily.THRESHOLD_SIGMOID_UNICAST:
-        phi = smooth_max_dbm(p, cfg.softmax_alpha, axis=axis)
-        slope = sigmoid_delta_deriv(phi - cfg.p_min_dbm, cfg.delta_db)
-        return np.expand_dims(slope, axis) * softmax_weights(p, cfg.softmax_alpha, axis=axis)
-    if fam is UtilityFamily.THRESHOLD_SIGMOID_BROADCAST:
-        psum = _sum_power_dbm(p, axis)
-        slope = sigmoid_delta_deriv(psum - cfg.p_min_dbm, cfg.delta_db)
-        lin = 10.0 ** (p / 10.0)
-        frac = lin / np.sum(lin, axis=axis, keepdims=True)
-        return np.expand_dims(slope, axis) * frac
-    raise ValueError(f"unknown utility family {fam!r}")
+    alpha = _temperature(cfg)
+    slope = _reward(smooth_max_dbm(p, alpha, axis=axis), cfg, slope=True)
+    return np.expand_dims(slope, axis) * softmax_weights(p, alpha, axis=axis)
 
 
 def oracle(placements, users, weights, cfg: UtilityConfig, params):

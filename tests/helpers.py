@@ -1,6 +1,8 @@
 """Shared test utilities: finite-difference oracles, dB conversions, packet
-replay, acceptance reporting and fresh-interpreter runs."""
+replay, acceptance reporting, fresh-interpreter runs and a scenario that
+diverges."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 
-from airbs_sgd.channel import received_power_matrix
-from airbs_sgd.simulator import init_scenario
+from airbs_sgd.channel import ChannelParams, received_power_matrix
+from airbs_sgd.navigator import StepSchedule
+from airbs_sgd.simulator import Rect, Scenario, init_scenario
 from airbs_sgd.traffic import sample_recipient
-from airbs_sgd.utility import user_utility_partials
+from airbs_sgd.utility import UtilityConfig, UtilityFamily, user_utility_partials
 
 # one line per acceptance criterion, printed by the terminal-summary hook
 ACCEPTANCE_LINES = []
@@ -122,3 +125,37 @@ def replay_alone(s, log) -> np.ndarray:
                                 s.schedule.eta(i), s.fixed_height_m)
                      for b, row in enumerate(path[-1])])
     return np.array(path)
+
+
+def runaway_scenario():
+    """One agent at (0, 0, 2) and one packet per iteration, over two iterations.
+
+    A packet from the extra user, 2.2 m away at the middle of the sigmoid
+    band, steps the agent about 5e200 m away, where its squared distance to
+    every user overflows: each user's power is -inf dBm, the oracle utility
+    nan, and the next step NaN. The drawn users, 1e6 m away, are so far
+    below the target that their packets do not move the agent.
+    """
+    prm = ChannelParams(-94.0, 1000.0, 12.0)
+    extra = (1.0, 0.0, 0.0)
+    p_extra = float(received_power_matrix([[0.0, 0.0, 2.0]], [prm], [extra])[0, 0])
+    return Scenario(
+        area=Rect(1e6, 0.0, 1e6 + 100.0, 100.0), num_airbs=1, tx_powers_dbm=(12.0,),
+        init_region=Rect(0.0, 0.0, 0.0, 0.0), fixed_height_m=2.0, num_mus=2,
+        extra_mu_positions=(extra,), iterations=2, seed=11,
+        utility=UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4,
+                              p_extra - 0.25, 0.5),
+        schedule=StepSchedule(eta0=1.0, minibatch_size=1, eta_scale=1e200),
+        channel=ChannelParams(-94.0, 1000.0, 0.0))
+
+
+def extra_user_packets(s, seed):
+    """Whether each iteration's one packet comes from the extra user."""
+    rng = init_scenario(dataclasses.replace(s, seed=seed)).rng
+    return [sample_recipient(s.traffic, rng) == s.total_mus - 1 for _ in range(s.iterations)]
+
+
+def diverges(s, seed):
+    """Whether :func:`runaway_scenario` diverges at ``seed``: its first packet is the
+    extra user's."""
+    return extra_user_packets(s, seed)[0]

@@ -2,16 +2,18 @@ import dataclasses
 import json
 import math
 import re
+from importlib import resources
 
+import numpy as np
 import pytest
 
-from helpers import run_python
+from helpers import diverges, run_python, runaway_scenario
 
 from airbs_sgd import cli
 from airbs_sgd.channel import ChannelParams
 from airbs_sgd.cli import main, replication_seeds
 from airbs_sgd.navigator import StepSchedule
-from airbs_sgd.simulator import Rect, Scenario, scenario_to_dict
+from airbs_sgd.simulator import Rect, Scenario, run, scenario_from_dict, scenario_to_dict
 from airbs_sgd.utility import UtilityConfig, UtilityFamily
 
 
@@ -85,9 +87,11 @@ def _rename_eta_scale(d):
     (lambda d: d["init_region"].update(x_max=1e300), "init_region: x_max must be"),
     (lambda d: d.update(fixed_height_m=1e300), "fixed_height_m must be"),
     (lambda d: d.update(extra_mu_positions=[[1e200, 0, 0]]), "extra_mu_positions[0][0] must be"),
+    # each factor of the step size is finite, their product is not
+    (lambda d: d["schedule"].update(eta_scale=1e308), "schedule: eta0 * eta_scale must be"),
 ], ids=["nan_height", "infinite_area", "misspelled_key", "negative_extra_altitude",
         "inverted_area", "inverted_init_region", "negative_eta0", "far_area",
-        "far_init_region", "far_height", "far_extra_user"])
+        "far_init_region", "far_height", "far_extra_user", "overflowing_step_size"])
 def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
     d = small_scenario_dict()
     mutate(d)
@@ -110,6 +114,7 @@ def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
     (["sweep", "--axis", "alpha", "--values", "nan"], "sweep axis alpha"),
     (["sweep", "--axis", "delta", "--values", "inf"], "sweep axis delta"),
     (["sweep", "--axis", "delta", "--values", "2,inf"], "sweep axis delta"),
+    (["sweep", "--axis", "eta", "--values", "1e303"], "sweep axis eta"),
     # each value names its directory and CSV cell by its {value:g} form
     (["sweep", "--axis", "eta", "--values", "5.0000001,5.0000002"],
      "sweep values 5.0000001 and 5.0000002 share the name eta_5"),
@@ -117,7 +122,7 @@ def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
      "sweep values 5.0 and 5.0 share the name eta_5"),
 ], ids=["negative_seed", "seed_over_64_bits", "sweep_negative_seed", "negative_eta",
         "zero_q", "infinite_q", "nan_alpha", "infinite_delta", "infinite_delta_second",
-        "sweep_values_same_name", "sweep_value_repeated"])
+        "overflowing_eta", "sweep_values_same_name", "sweep_value_repeated"])
 def test_bad_override_exits_2_naming_it(tmp_path, capsys, argv, named):
     scen = write_scenario(tmp_path)
     out = tmp_path / "out"
@@ -141,11 +146,29 @@ def test_point_area_exits_2_line_area_renders(tmp_path, capsys):
 
 
 def test_diverging_run_exits_2(tmp_path, capsys):
-    scen = write_scenario(tmp_path, schedule=StepSchedule(eta0=5.0, minibatch_size=6,
-                                                          eta_scale=1e308))
-    rc = main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+    s = runaway_scenario()
+    seed = next(seed for seed in range(100) if diverges(s, seed))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(scenario_to_dict(dataclasses.replace(s, seed=seed))))
+    with np.errstate(all="ignore"):  # the flung agent's powers are -inf dBm
+        rc = main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "seed 11" in capsys.readouterr().err
+    assert f"seed {seed}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", [f.value for f in UtilityFamily])
+def test_every_family_handles_a_huge_link_budget(tmp_path, family):
+    # 1e4 dBm is a finite power whose SNR in linear units overflows every float;
+    # the suite turns any overflow warning into a failure
+    ref = json.loads(resources.files("airbs_sgd").joinpath("scenarios/reference.json").read_text())
+    d = dict(ref, iterations=2, num_mus=20, tx_powers_dbm=[1e4] * ref["num_airbs"],
+             utility=dict(ref["utility"], family=family))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(d))
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 0
+    log = run(scenario_from_dict(d))
+    for logged in (log.positions, log.oracle_utility, log.max_power_dbm):
+        assert np.all(np.isfinite(logged))
 
 
 def test_run_repeat_byte_identical(tmp_path, capsys):

@@ -22,7 +22,7 @@ from airbs_sgd.simulator import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from airbs_sgd.traffic import TrafficProfile, sample_recipient
+from airbs_sgd.traffic import TrafficProfile
 from airbs_sgd.utility import UtilityConfig, UtilityFamily, oracle, user_utility
 
 FAMILIES = tuple(UtilityFamily)
@@ -211,9 +211,10 @@ def test_batched_step_follows_minibatch_utility_gradient(family):
 
 
 def test_diverging_agent_raises():
-    s = small_scenario(schedule=StepSchedule(eta0=5.0, minibatch_size=8, eta_scale=1e308))
-    with pytest.raises(DivergenceError, match="agent"):
-        run(s)
+    s = helpers.runaway_scenario()
+    seed = next(seed for seed in range(100) if helpers.diverges(s, seed))
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="agent"):
+        run(dataclasses.replace(s, seed=seed))
     L = np.array([[0.0, 0.0, 30.0], [500.0, 0.0, 30.0]])
     grads = np.zeros((3, 2, 3))
     grads[1, 1, 0] = np.nan
@@ -276,42 +277,10 @@ def test_batched_update_replications_are_independent(fixed):
     assert fixed == bool(np.all(new[..., 2] == 50.0))
 
 
-def runaway_scenario():
-    """One agent at (0, 0, 2) and one packet per iteration, over two iterations.
-
-    A packet from the extra user, 2.2 m away at the middle of the sigmoid
-    band, steps the agent about 5e200 m away, where its squared distance to
-    every user overflows: each user's power is -inf dBm, the oracle utility
-    nan, and the next step NaN. The drawn users, 1e6 m away, are so far
-    below the target that their packets do not move the agent.
-    """
-    prm = ChannelParams(-94.0, 1000.0, 12.0)
-    extra = (1.0, 0.0, 0.0)
-    p_extra = float(received_power_matrix([[0.0, 0.0, 2.0]], [prm], [extra])[0, 0])
-    return small_scenario(
-        area=Rect(1e6, 0.0, 1e6 + 100.0, 100.0), num_airbs=1, tx_powers_dbm=(12.0,),
-        init_region=Rect(0.0, 0.0, 0.0, 0.0), fixed_height_m=2.0, num_mus=2,
-        extra_mu_positions=(extra,), iterations=2,
-        utility=UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4,
-                              p_extra - 0.25, 0.5),
-        schedule=StepSchedule(eta0=1.0, minibatch_size=1, eta_scale=1e200),
-        channel=ChannelParams(-94.0, 1000.0, 0.0))
-
-
-def extra_user_packets(s, seed):
-    """Whether each iteration's one packet comes from the extra user."""
-    rng = init_scenario(dataclasses.replace(s, seed=seed)).rng
-    return [sample_recipient(s.traffic, rng) == s.total_mus - 1 for _ in range(s.iterations)]
-
-
-def diverges(s, seed):
-    return extra_user_packets(s, seed)[0]
-
-
 def test_first_failing_seed_is_named_in_list_order(monkeypatch):
-    s = runaway_scenario()
-    failing = [seed for seed in range(100) if diverges(s, seed)][:2]
-    healthy = next(seed for seed in range(100) if not diverges(s, seed))
+    s = helpers.runaway_scenario()
+    failing = [seed for seed in range(100) if helpers.diverges(s, seed)][:2]
+    healthy = next(seed for seed in range(100) if not helpers.diverges(s, seed))
     groups = []
     advance = simulator._advance
 
@@ -329,10 +298,10 @@ def test_first_failing_seed_is_named_in_list_order(monkeypatch):
 
 
 def test_cli_names_the_one_diverging_replication(tmp_path, capsys):
-    s = runaway_scenario()
+    s = helpers.runaway_scenario()
     for master in range(100):
         seeds = replication_seeds(master, 3)
-        failing = [seed for seed in seeds if diverges(s, seed)]
+        failing = [seed for seed in seeds if helpers.diverges(s, seed)]
         if len(failing) == 1 and failing[0] != seeds[0]:
             break
     else:
@@ -351,10 +320,10 @@ def test_cli_names_the_one_diverging_replication(tmp_path, capsys):
 def test_cli_names_a_diverging_seed_in_a_later_worker_group(tmp_path, capsys, monkeypatch):
     # three forked groups of one; only the last group's seed diverges, and the
     # first two advance
-    s = runaway_scenario()
+    s = helpers.runaway_scenario()
     for master in range(100):
         seeds = replication_seeds(master, 3)
-        if [seed for seed in seeds if diverges(s, seed)] == seeds[2:]:
+        if [seed for seed in seeds if helpers.diverges(s, seed)] == seeds[2:]:
             break
     else:
         pytest.fail("no master seed whose only diverging replication is the last")
@@ -376,8 +345,9 @@ def test_cli_exits_2_when_a_healthy_replication_logs_a_non_finite_value(tmp_path
     # only the last packet comes from the extra user: the agent is flung but
     # takes no further step, and the last snapshot's oracle utility is nan and
     # every strongest power -inf dBm; no JSON can hold them, so nothing is written
-    s = runaway_scenario()
-    seed = next(seed for seed in range(100) if extra_user_packets(s, seed) == [False, True])
+    s = helpers.runaway_scenario()
+    seed = next(seed for seed in range(100)
+                if helpers.extra_user_packets(s, seed) == [False, True])
     s = dataclasses.replace(s, seed=seed)
     scen, out = tmp_path / "scen.json", tmp_path / "out"
     scen.write_text(json.dumps(scenario_to_dict(s)))

@@ -252,6 +252,21 @@ def test_partials_match_finite_differences():
             assert helpers.rel_err(user_utility_partials(p, cfg), fd) < 1e-6
 
 
+@pytest.mark.parametrize("unicast, broadcast", [
+    (UtilityFamily.UNICAST_RATE, UtilityFamily.BROADCAST_RATE),
+    (UtilityFamily.THRESHOLD_SIGMOID_UNICAST, UtilityFamily.THRESHOLD_SIGMOID_BROADCAST),
+], ids=["rate", "threshold_sigmoid"])
+def test_one_transmitter_makes_unicast_and_broadcast_equal(unicast, broadcast):
+    # a pair shares its reward and differs only in how the powers combine, and
+    # one power combines into itself either way
+    p = np.concatenate([np.random.default_rng(24).uniform(-140.0, -40.0, 200), [-1e4, 1e4]])
+    for alpha in (0.3, 1.0, 7.0):
+        u, b = cfg_for(unicast, softmax_alpha=alpha), cfg_for(broadcast, softmax_alpha=alpha)
+        assert np.array_equal(user_utility(p[:, None], u), user_utility(p[:, None], b))
+        assert np.array_equal(user_utility_partials(p[:, None], u),
+                              user_utility_partials(p[:, None], b))
+
+
 def test_partials_batched_shape():
     cfg = cfg_for(UtilityFamily.UNICAST_RATE)
     p = np.random.default_rng(0).uniform(-100, -80, size=(7, 3))
