@@ -54,11 +54,13 @@ class CliError(Exception):
 
 
 def load_scenario_file(path: str) -> Scenario:
-    if not os.path.exists(path):
-        raise CliError(f"scenario file not found: {path}")
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             data = json.load(f)
+    except OSError as e:
+        raise CliError(f"cannot read scenario file {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise CliError(f"scenario file {path} is not UTF-8 text: {e}")
     except json.JSONDecodeError as e:
         raise CliError(f"malformed scenario file {path}: {e}")
     try:
@@ -115,6 +117,14 @@ def _simulate_one(s: Scenario, seed: int, rep_dir: str, log, params,
             "unserved": total - km_served,
         })
     return result
+
+
+def _make_out_dir(out: str):
+    """Create the command's output directory, or exit 2 naming ``--out``."""
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:
+        raise CliError(f"--out {out}: cannot create the output directory: {e.strerror or e}")
 
 
 def _usable_cores() -> int:
@@ -176,7 +186,6 @@ def _in_two_phases(map_, scenario: Scenario, seeds, bounds, out_dir: str,
 def _run_replications(scenario: Scenario, seeds, out_dir: str,
                       with_kmeans: bool = False) -> list:
     """Run ``seeds`` in one contiguous group per usable core; results in seed order."""
-    os.makedirs(out_dir, exist_ok=True)
     n = min(_usable_cores(), len(seeds))
     bounds = [len(seeds) * g // n for g in range(n + 1)]
     if n == 1:
@@ -219,7 +228,6 @@ def _summarize(out_dir: str, scenario: Scenario, results, with_kmeans: bool):
 
 
 def _write_effective_config(out_dir: str, scenario: Scenario):
-    os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "effective_config.json"), scenario_to_dict(scenario))
 
 
@@ -237,6 +245,7 @@ def cmd_run(args) -> int:
     if args.replications < 1:
         raise CliError("--replications must be at least 1")
     s = _override_seed(load_scenario_file(args.scenario), args.seed)
+    _make_out_dir(args.out)
     _write_effective_config(args.out, s)
     seeds = replication_seeds(s.seed, args.replications)
     _summarize(args.out, s, _run_replications(s, seeds, args.out), with_kmeans=False)
@@ -248,6 +257,7 @@ def cmd_reproduce_paper(args) -> int:
         raise CliError("--seeds must be at least 1")
     s = reference_scenario()
     with_kmeans = args.baseline == "kmeans"
+    _make_out_dir(args.out)
     _write_effective_config(args.out, s)
     seeds = replication_seeds(s.seed, args.seeds)
     results = _run_replications(s, seeds, args.out, with_kmeans=with_kmeans)
@@ -292,7 +302,7 @@ def cmd_sweep(args) -> int:
                            f"{args.axis}_{name}")
         named[name] = value
         scenarios.append((value, _apply_axis(base, args.axis, value)))
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     rows = []
     for value, s in scenarios:
         seeds = replication_seeds(s.seed, args.replications)

@@ -6,14 +6,18 @@ what the optimizer is ultimately graded on. A run's metrics are read
 from its :class:`simulator.TrajectoryLog`; only the coverage grid and
 :func:`served_count` of another placement call the channel kernel.
 Rendering writes plain-text data files and small hand-assembled SVG
-drawings; given identical inputs the emitted bytes are identical, with
+drawings, the map's heat layer an embedded PNG written by the standard
+library; given identical inputs the emitted bytes are identical, with
 no plotting library involved.
 """
 
 from __future__ import annotations
 
+import base64
 import math
 import os
+import struct
+import zlib
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -193,7 +197,8 @@ def _placement_json(served, max_power_dbm, histogram) -> dict:
     return {
         "served_count": int(served),
         "total_mus": len(max_power_dbm),
-        "per_mu_max_power_dbm": max_power_dbm.tolist(),
+        "per_mu_max_power_dbm": _Formatted(list(map(float.__repr__, max_power_dbm.tolist())),
+                                           max_power_dbm.shape),
         # the open-ended first and last bins have null outer edges
         "histogram": [[None if math.isinf(e) else e for e in (lo, hi)] + [c]
                       for lo, hi, c in histogram],
@@ -204,8 +209,8 @@ def _fmt(v: float) -> str:
     return format(v, ".2f")
 
 
-def _power_colors(grid, lo: float, hi: float) -> list:
-    """``#rrggbb`` fill of every grid cell, as nested lists shaped like ``grid``.
+def _heat_rgb(grid, lo: float, hi: float) -> np.ndarray:
+    """The colour of every grid cell, as (ny, nx, 3) bytes shaped like ``grid``.
 
     Two-stop ramp, dark violet to yellow, like the usual coverage palettes.
     ``np.rint`` rounds half to even, as the builtin ``round`` does.
@@ -213,12 +218,32 @@ def _power_colors(grid, lo: float, hi: float) -> list:
     t = np.zeros_like(grid) if hi == lo else (grid - lo) / (hi - lo)
     t = np.minimum(1.0, np.maximum(0.0, t))
     c0, c1 = np.array([33, 12, 74]), np.array([248, 231, 28])
-    rgb = np.rint(c0 + t[..., None] * (c1 - c0)).astype(np.int64)
-    packed = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
-    # a map has a few hundred distinct colours, so each is formatted once
-    values, index = np.unique(packed, return_inverse=True)
-    names = np.array(list(map("#{:06x}".format, values.tolist())), dtype=object)
-    return names[index.reshape(grid.shape)].tolist()
+    return np.rint(c0 + t[..., None] * (c1 - c0)).astype(np.uint8)
+
+
+def _png(rgb: np.ndarray) -> bytes:
+    """An 8-bit RGB PNG of the (h, w, 3) bytes ``rgb``, top row first.
+
+    Every row has filter 0 and the image data is stored, not compressed,
+    in deflate blocks of at most 65 535 bytes, so the bytes do not depend
+    on the zlib build Python links.
+    """
+    h, w, _ = rgb.shape
+    rows = np.zeros((h, 1 + 3 * w), dtype=np.uint8)  # column 0 is each row's filter byte
+    rows[:, 1:] = rgb.reshape(h, 3 * w)
+    raw = rows.tobytes()
+    blocks = [raw[k:k + 65535] for k in range(0, len(raw), 65535)]
+    stored = b"".join(struct.pack("<BHH", k == len(blocks) - 1, len(b), len(b) ^ 0xFFFF) + b
+                      for k, b in enumerate(blocks))
+    # a zlib stream of stored (type 00) deflate blocks, the last one flagged final
+    idat = b"\x78\x01" + stored + struct.pack(">I", zlib.adler32(raw))
+
+    def chunk(kind: bytes, data: bytes) -> bytes:
+        return (struct.pack(">I", len(data)) + kind + data
+                + struct.pack(">I", zlib.crc32(kind + data)))
+
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0))
+            + chunk(b"IDAT", idat) + chunk(b"IEND", b""))
 
 
 AGENT_COLORS = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
@@ -229,7 +254,8 @@ def render_map_svg(log, coverage, area, path, served_flags):
     """Trajectories over the coverage map as a standalone SVG file.
 
     ``coverage`` is the (ny, nx) power grid over ``area``, clipped to
-    :data:`COVERAGE_CLIP`; rows run south to north. The users of ``log``
+    :data:`COVERAGE_CLIP`; rows run south to north. It is drawn as one
+    embedded PNG, a pixel per cell, stretched over the area. The users of ``log``
     inside ``area`` are drawn as dots, and as open circles where
     ``served_flags`` is false.
     """
@@ -244,23 +270,17 @@ def render_map_svg(log, coverage, area, path, served_flags):
     def sy(y):
         return pad + (area.y_max - y) * scale
 
-    lo, hi = COVERAGE_CLIP
     grid = np.asarray(coverage, dtype=float)
-    ny, nx = grid.shape
-    cw = w * scale / nx
-    ch = h * scale / ny
     out = []
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" '
                f'width="{_fmt(w * scale + 2 * pad)}" height="{_fmt(h * scale + 2 * pad)}" '
                f'viewBox="0 0 {_fmt(w * scale + 2 * pad)} {_fmt(h * scale + 2 * pad)}">')
     out.append('<rect width="100%" height="100%" fill="#ffffff"/>')
-    colors = _power_colors(grid, lo, hi)
-    size_attrs = f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}"'
-    # one template per row of cells: field 0 is the row's y, field ix+1 the fill of cell ix
-    row = "\n".join(f'<rect x="{_fmt(sx(area.x_min + ix * w / nx))}" y="{{0}}" {size_attrs} '
-                    f'fill="{{{ix + 1}}}"/>' for ix in range(nx))
-    for iy in range(ny):
-        out.append(row.format(_fmt(sy(area.y_min + (iy + 1) * h / ny)), *colors[iy]))
+    # one pixel per grid cell, north row on top, stretched over the area
+    png = base64.b64encode(_png(_heat_rgb(grid[::-1], *COVERAGE_CLIP))).decode("ascii")
+    out.append(f'<image x="{_fmt(pad)}" y="{_fmt(pad)}" width="{_fmt(w * scale)}" '
+               f'height="{_fmt(h * scale)}" preserveAspectRatio="none" '
+               f'style="image-rendering:pixelated" href="data:image/png;base64,{png}"/>')
     for (x, y, _), ok in zip(log.users.tolist(), served_flags):
         if not area.contains(x, y):
             continue
@@ -361,8 +381,10 @@ def render_outputs(log, coverage, out_dir, area, p_min_dbm: float) -> dict:
         "final": _placement_json(log.served[-1], log.max_power_dbm[-1], final),
     })
     grid = np.asarray(coverage, dtype=float)
+    # each cell to 0.01 dB, by one format call over a template of every row
+    row = ",".join(["{:.2f}"] * grid.shape[1]) + "\n"
     with open(p("coverage.csv"), "w") as f:
-        f.write("".join([",".join(map(float.__repr__, row)) + "\n" for row in grid.tolist()]))
+        f.write((row * grid.shape[0]).format(*grid.ravel().tolist()))
     render_map_svg(log, grid, area, p("map.svg"), (log.max_power_dbm[-1] >= p_min_dbm).tolist())
     render_histogram_svg(initial, p("hist_initial.svg"), "initial placement", p_min_dbm)
     render_histogram_svg(final, p("hist_final.svg"), "final placement", p_min_dbm)

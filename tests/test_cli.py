@@ -57,6 +57,36 @@ def test_malformed_scenario_file(tmp_path, capsys):
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make, named", [
+    (lambda p: p.mkdir(), "Is a directory"),
+    (lambda p: p.write_bytes(b"\xff\xfe{"), "not UTF-8 text"),
+], ids=["directory", "not_utf8"])
+def test_unreadable_scenario_file_exits_2_naming_path(tmp_path, capsys, make, named):
+    path = tmp_path / "scen.json"
+    make(path)
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and named in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["reproduce-paper", "--seeds", "1"], "file"),
+    (["run", "--scenario", "SCEN"], "file/sub"),
+    (["sweep", "--scenario", "SCEN", "--axis", "eta", "--values", "1,5"], "file"),
+], ids=["reproduce_paper", "run_under_a_file", "sweep"])
+def test_out_that_is_a_file_exits_2_naming_out(tmp_path, capsys, argv, out):
+    scen = write_scenario(tmp_path)
+    (tmp_path / "file").write_text("a file\n")
+    argv = [str(scen) if a == "SCEN" else a for a in argv]
+    rc = main([*argv, "--out", str(tmp_path / out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"--out {tmp_path / out}" in err and len(err.splitlines()) == 1
+    assert (tmp_path / "file").read_text() == "a file\n"
+
+
 def test_invalid_scenario_contents(tmp_path, capsys):
     d = small_scenario_dict()
     del d["channel"]

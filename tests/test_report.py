@@ -1,5 +1,9 @@
+import base64
 import json
 import math
+import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -9,8 +13,10 @@ from scipy import stats
 from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.navigator import StepSchedule
 from airbs_sgd.report import (
+    COVERAGE_CLIP,
     _Formatted,
     _json_text,
+    _png,
     coverage_map,
     power_histogram,
     render_outputs,
@@ -141,10 +147,9 @@ def test_render_outputs_content_checks(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["final"]["served_count"] == log.served[-1]
 
-    rows = (out / "coverage.csv").read_text().splitlines()
-    assert len(rows) == grid.shape[0]
-    assert len(rows[0].split(",")) == grid.shape[1]
-    assert float(rows[0].split(",")[0]) == grid[0, 0]
+    # every cell at 0.01 dB, rows south to north
+    rows = [row.split(",") for row in (out / "coverage.csv").read_text().splitlines()]
+    assert rows == [[format(v, ".2f") for v in row] for row in grid.tolist()]
 
     hist_svg = (out / "hist_final.svg").read_text()
     # one bar per bin plus the background rect
@@ -154,6 +159,74 @@ def test_render_outputs_content_checks(tmp_path):
     map_svg = (out / "map.svg").read_text()
     assert map_svg.count("<circle") >= len(log.users)
     assert "<polyline" in map_svg
+    # the heat layer is one image; the background is the only rect
+    assert map_svg.count("<image") == 1
+    assert map_svg.count("<rect") == 1 and '<rect width="100%"' in map_svg
+
+
+def png_pixels(png: bytes) -> list:
+    """The rows of an 8-bit RGB, non-interlaced PNG as lists of (r, g, b), every check asserted.
+
+    Each chunk's CRC is checked, every row must have filter 0, and the
+    image data must be a zlib stream of stored deflate blocks.
+    """
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, k = [], 8
+    while k < len(png):
+        n, kind = struct.unpack(">I4s", png[k:k + 8])
+        data = png[k + 8:k + 8 + n]
+        assert struct.unpack(">I", png[k + 8 + n:k + 12 + n])[0] == zlib.crc32(kind + data)
+        chunks.append((kind, data))
+        k += 12 + n
+    assert [kind for kind, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    w, h, depth, color, compression, filtering, interlace = struct.unpack(">IIBBBBB",
+                                                                          chunks[0][1])
+    assert (depth, color, compression, filtering, interlace) == (8, 2, 0, 0, 0)
+    stream = chunks[1][1]
+    raw = zlib.decompress(stream)
+    # stored blocks: a header byte (final flag, type 00), LEN, NLEN, then LEN bytes
+    stored, k, final = b"", 2, 0
+    while not final:
+        final, n, n_not = struct.unpack("<BHH", stream[k:k + 5])
+        assert final in (0, 1) and n ^ 0xFFFF == n_not
+        stored += stream[k + 5:k + 5 + n]
+        k += 5 + n
+    assert stored == raw and k + 4 == len(stream)
+    assert len(raw) == h * (1 + 3 * w)
+    rows = [raw[r * (1 + 3 * w):(r + 1) * (1 + 3 * w)] for r in range(h)]
+    assert all(row[0] == 0 for row in rows)
+    return [[tuple(row[1 + 3 * x:4 + 3 * x]) for x in range(w)] for row in rows]
+
+
+def ramp_color(v: float, lo: float, hi: float) -> tuple:
+    t = min(1.0, max(0.0, (v - lo) / (hi - lo)))
+    return tuple(round(a + t * (b - a)) for a, b in zip((33, 12, 74), (248, 231, 28)))
+
+
+def test_map_heat_layer_is_one_png_pixel_per_cell(tmp_path):
+    log, grid, s = run_small(tmp_path)
+    render_outputs(log, grid, tmp_path, s.area, s.utility.p_min_dbm)
+    image = re.search(r'<image x="20.00" y="20.00" width="560.00" height="560.00" '
+                      r'preserveAspectRatio="none" style="image-rendering:pixelated" '
+                      r'href="data:image/png;base64,([A-Za-z0-9+/=]+)"/>',
+                      (tmp_path / "map.svg").read_text())
+    pixels = png_pixels(base64.b64decode(image.group(1)))
+    lo, hi = COVERAGE_CLIP
+    # the top row of the image is the north row of the grid
+    assert pixels == [[ramp_color(v, lo, hi) for v in row] for row in grid[::-1].tolist()]
+
+
+def test_png_spans_several_stored_blocks():
+    rgb = np.random.default_rng(3).integers(0, 256, size=(150, 200, 3), dtype=np.uint8)
+    assert len(rgb.tobytes()) + 150 > 65535
+    assert png_pixels(_png(rgb)) == [[tuple(px) for px in row] for row in rgb.tolist()]
+
+
+def test_metrics_json_is_json_dumps_text(tmp_path):
+    log, grid, s = run_small(tmp_path)
+    render_outputs(log, grid, tmp_path, s.area, s.utility.p_min_dbm)
+    text = (tmp_path / "metrics.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_metrics_json_reads_the_first_and_last_snapshot(tmp_path):
