@@ -23,6 +23,10 @@ DB_SLOPE = 20.0 / math.log(10.0)
 # a configuration bug (airborne transmitters never reach it in valid setups).
 EPS_DISTANCE_M = 0.1
 
+# Largest coordinate magnitude (m) a position may have: the squared distance
+# of two points within it, below 12 * MAX_COORD_M**2 = 1.2e301, stays finite.
+MAX_COORD_M = 1e150
+
 
 class CoincidentPositionsError(ValueError):
     """Raised when transmitter and receiver (nearly) coincide.

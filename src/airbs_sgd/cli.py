@@ -9,14 +9,17 @@ Three subcommands:
 * ``sweep`` re-runs a scenario across a list of values on one axis
   (eta, q, alpha, delta) and aggregates the endpoints into a CSV.
 
-The replications of a command are split into one contiguous group per
-core the process may use (``taskset`` limits them), and each group runs
-in its own forked worker process; on one core the one group runs
-in-process and nothing is forked. Each group first advances as one batch
-(see :func:`simulator.run_replications`); once every group has advanced,
-each writes its coverage maps, bundles and baselines one replication at
-a time. Every run is fully determined by the master seed, so outputs do
-not depend on how the replications are grouped.
+Every command makes one two-phase pass over one list of replication jobs,
+each a (scenario, seed, bundle directory) triple; a sweep's list holds the
+jobs of all its values. The list is split into one contiguous group per
+usable core (``taskset`` limits them), each run in its own forked worker;
+on one core the one group runs in-process and nothing is forked. Phase 1
+advances every group, each consecutive run of jobs sharing a scenario as
+one batch (:func:`simulator.run_replications`, the one judge of a run's
+health); only then does phase 2 write each job's coverage map, bundle and
+baseline. So a failure to advance stops the command before any bundle is
+written, naming the first failing job in list order; and the outputs do
+not depend on how the jobs are grouped.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
@@ -85,37 +89,43 @@ def replication_seeds(master_seed: int, count: int) -> list:
     ]
 
 
-def _simulate_one(s: Scenario, seed: int, rep_dir: str, log, params,
-                  with_kmeans: bool = False) -> dict:
-    """The tail of one replication: coverage map, output bundle and k-means baseline.
+def _failure(seed: int, rep_dir: str, problem) -> CliError:
+    """The exit-2 error of the replication with ``seed``, whose bundle is ``rep_dir``."""
+    return CliError(f"replication with seed {seed} failed: {problem} (bundle {rep_dir})")
 
-    ``log`` is the replication's ``TrajectoryLog`` and ``params`` the
-    scenario's per-transmitter channel params.
+
+def _simulate_one(s: Scenario, seed: int, rep_dir: str, log, with_kmeans: bool = False) -> dict:
+    """Phase 2 of one replication: coverage map, output bundle and k-means baseline.
+
+    ``log`` is the replication's ``TrajectoryLog``.
     """
+    params = s.agent_channel_params()
     try:
         cov = coverage_map(log.positions[-1], s.area, MAP_GRID, params)
+        render_outputs(log, cov, rep_dir, s.area, s.utility.p_min_dbm)
+        total = len(log.users)
+        result = {
+            "seed": int(seed),
+            "served": int(log.served[-1]),
+            "total": total,
+            "initial_served": int(log.served[0]),
+            "final_oracle_utility": float(log.oracle_utility[-1]),
+        }
+        if with_kmeans:
+            km = kmeans_placement(log.users, s.num_airbs, max_iters=100, seed=seed,
+                                  height_m=s.fixed_height_m)
+            km_served = served_count(km.centroids, log.users, params, s.utility.p_min_dbm)
+            result["kmeans_unserved"] = total - km_served
+            _write_json(os.path.join(rep_dir, "kmeans.json"), {
+                "centroids": km.centroids.tolist(),
+                "inertia": km.inertia,
+                "served": km_served,
+                "unserved": total - km_served,
+            })
     except CoincidentPositionsError as e:
-        raise CliError(f"replication with seed {seed} failed: {e}")
-    render_outputs(log, cov, rep_dir, s.area, s.utility.p_min_dbm)
-    total = len(log.users)
-    result = {
-        "seed": int(seed),
-        "served": int(log.served[-1]),
-        "total": total,
-        "initial_served": int(log.served[0]),
-        "final_oracle_utility": float(log.oracle_utility[-1]),
-    }
-    if with_kmeans:
-        km = kmeans_placement(log.users, s.num_airbs, max_iters=100, seed=seed,
-                              height_m=s.fixed_height_m)
-        km_served = served_count(km.centroids, log.users, params, s.utility.p_min_dbm)
-        result["kmeans_unserved"] = total - km_served
-        _write_json(os.path.join(rep_dir, "kmeans.json"), {
-            "centroids": km.centroids.tolist(),
-            "inertia": km.inertia,
-            "served": km_served,
-            "unserved": total - km_served,
-        })
+        raise _failure(seed, rep_dir, e)
+    except OSError as e:
+        raise _failure(seed, rep_dir, f"cannot write the bundle: {e.strerror or e}")
     return result
 
 
@@ -132,70 +142,53 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _advance_group(scenario: Scenario, seeds) -> list:
-    """Phase 1 of one group: its replications' logs, advanced as one batch."""
-    try:
-        return run_replications(scenario, seeds)
-    except (CoincidentPositionsError, DivergenceError) as e:
-        raise CliError(f"replication with seed {e.seed} failed: {e}")
+def _jobs(s: Scenario, count: int, out_dir: str) -> list:
+    """The (scenario, seed, rep_dir) jobs of ``count`` replications of ``s`` under ``out_dir``."""
+    return [(s, seed, os.path.join(out_dir, f"rep_{r:03d}"))
+            for r, seed in enumerate(replication_seeds(s.seed, count))]
 
 
-def _non_finite(log) -> str:
-    """Where ``log`` first holds a non-finite logged value, or '' if it holds none."""
-    bad = np.flatnonzero(~np.isfinite(log.oracle_utility))
-    if bad.size:
-        return f"oracle utility is {log.oracle_utility[bad[0]]} at snapshot {bad[0]}"
-    bad = np.argwhere(~np.isfinite(log.max_power_dbm))
-    if bad.size:
-        row, m = bad[0]
-        return (f"user {m}'s strongest received power is {log.max_power_dbm[row, m]} dBm "
-                f"at the {('first', 'last')[row]} snapshot")
-    return ""
+def _advance_group(jobs) -> list:
+    """Phase 1 of one group: its jobs' logs, each run of jobs sharing a scenario as one batch."""
+    logs = []
+    for _, batch in itertools.groupby(jobs, key=lambda job: id(job[0])):
+        scenarios, seeds, dirs = zip(*batch)
+        try:
+            logs += run_replications(scenarios[0], seeds)
+        except (CoincidentPositionsError, DivergenceError) as e:
+            raise _failure(e.seed, dirs[seeds.index(e.seed)], e)
+    return logs
 
 
-def _finish_group(scenario: Scenario, out_dir: str, with_kmeans: bool, first: int,
-                  seeds, logs) -> list:
-    """Phase 2 of one group: each replication's tail, numbered from ``first``."""
-    params = scenario.agent_channel_params()
-    return [_simulate_one(scenario, seed, os.path.join(out_dir, f"rep_{first + r:03d}"),
-                          log, params, with_kmeans)
-            for r, (seed, log) in enumerate(zip(seeds, logs))]
+def _finish_group(with_kmeans: bool, jobs, logs) -> list:
+    """Phase 2 of one group: each job's tail, given its log."""
+    return [_simulate_one(s, seed, rep_dir, log, with_kmeans)
+            for (s, seed, rep_dir), log in zip(jobs, logs)]
 
 
-def _in_two_phases(map_, scenario: Scenario, seeds, bounds, out_dir: str,
-                   with_kmeans: bool) -> list:
-    """Advance every group, check every log, then finish every group, in seed order.
+def _in_two_phases(map_, groups, with_kmeans: bool) -> list:
+    """Advance every group, then finish every group; the results in job order.
 
-    Group g is ``seeds[bounds[g]:bounds[g + 1]]``. No bundle is written
-    until every replication has advanced, so a failure names the first
-    failing seed in list order whatever the grouping, a diverging seed
-    before a seed whose log holds a non-finite value.
+    No bundle is written until every job has advanced, so a failure names
+    the first failing job in list order whatever the grouping.
     """
-    firsts = bounds[:-1]
-    groups = [seeds[a:b] for a, b in zip(firsts, bounds[1:])]
-    logs = list(map_(functools.partial(_advance_group, scenario), groups))
-    for group, group_logs in zip(groups, logs):
-        for seed, log in zip(group, group_logs):
-            problem = _non_finite(log)
-            if problem:
-                raise CliError(f"replication with seed {seed} failed: {problem}")
-    finish = functools.partial(_finish_group, scenario, out_dir, with_kmeans)
-    return [result for part in map_(finish, firsts, groups, logs) for result in part]
+    logs = list(map_(_advance_group, groups))
+    finish = functools.partial(_finish_group, with_kmeans)
+    return [result for part in map_(finish, groups, logs) for result in part]
 
 
-def _run_replications(scenario: Scenario, seeds, out_dir: str,
-                      with_kmeans: bool = False) -> list:
-    """Run ``seeds`` in one contiguous group per usable core; results in seed order."""
-    n = min(_usable_cores(), len(seeds))
-    bounds = [len(seeds) * g // n for g in range(n + 1)]
+def _run_jobs(jobs, with_kmeans: bool = False) -> list:
+    """Run ``jobs`` in one contiguous group per usable core; results in job order."""
+    n = min(_usable_cores(), len(jobs))
+    groups = [jobs[len(jobs) * g // n:len(jobs) * (g + 1) // n] for g in range(n)]
     if n == 1:
-        return _in_two_phases(map, scenario, seeds, bounds, out_dir, with_kmeans)
+        return _in_two_phases(map, groups, with_kmeans)
     # fork, not spawn: the command starts no thread of its own, and a spawned
     # worker would import numpy and the package again before its first task
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
-        return _in_two_phases(pool.map, scenario, seeds, bounds, out_dir, with_kmeans)
+        return _in_two_phases(pool.map, groups, with_kmeans)
 
 
 def _summarize(out_dir: str, scenario: Scenario, results, with_kmeans: bool):
@@ -227,8 +220,11 @@ def _summarize(out_dir: str, scenario: Scenario, results, with_kmeans: bool):
     _write_json(os.path.join(out_dir, "summary.json"), summary)
 
 
-def _write_effective_config(out_dir: str, scenario: Scenario):
-    _write_json(os.path.join(out_dir, "effective_config.json"), scenario_to_dict(scenario))
+def _replicate(s: Scenario, count: int, out_dir: str, with_kmeans: bool = False):
+    """Run ``count`` replications of ``s`` into ``out_dir``, with its config and summary."""
+    _make_out_dir(out_dir)
+    _write_json(os.path.join(out_dir, "effective_config.json"), scenario_to_dict(s))
+    _summarize(out_dir, s, _run_jobs(_jobs(s, count, out_dir), with_kmeans), with_kmeans)
 
 
 def _override_seed(s: Scenario, seed) -> Scenario:
@@ -245,23 +241,15 @@ def cmd_run(args) -> int:
     if args.replications < 1:
         raise CliError("--replications must be at least 1")
     s = _override_seed(load_scenario_file(args.scenario), args.seed)
-    _make_out_dir(args.out)
-    _write_effective_config(args.out, s)
-    seeds = replication_seeds(s.seed, args.replications)
-    _summarize(args.out, s, _run_replications(s, seeds, args.out), with_kmeans=False)
+    _replicate(s, args.replications, args.out)
     return 0
 
 
 def cmd_reproduce_paper(args) -> int:
     if args.seeds < 1:
         raise CliError("--seeds must be at least 1")
-    s = reference_scenario()
     with_kmeans = args.baseline == "kmeans"
-    _make_out_dir(args.out)
-    _write_effective_config(args.out, s)
-    seeds = replication_seeds(s.seed, args.seeds)
-    results = _run_replications(s, seeds, args.out, with_kmeans=with_kmeans)
-    _summarize(args.out, s, results, with_kmeans)
+    _replicate(reference_scenario(), args.seeds, args.out, with_kmeans)
     print(f"reference result: {REFERENCE_SERVED[0]}/{REFERENCE_SERVED[1]} served")
     if with_kmeans:
         print(f"reference baseline result: {REFERENCE_KMEANS_UNSERVED}"
@@ -294,31 +282,28 @@ def cmd_sweep(args) -> int:
         raise CliError("--values must list at least one number")
     base = _override_seed(load_scenario_file(args.scenario), args.seed)
     # every value is checked before the first one runs
-    scenarios, named = [], {}
+    jobs, named = [], {}
     for value in values:
         name = f"{value:g}"
         if name in named:
             raise CliError(f"sweep values {named[name]!r} and {value!r} share the name "
                            f"{args.axis}_{name}")
         named[name] = value
-        scenarios.append((value, _apply_axis(base, args.axis, value)))
+        jobs += _jobs(_apply_axis(base, args.axis, value), args.replications,
+                      os.path.join(args.out, f"{args.axis}_{name}"))
     _make_out_dir(args.out)
-    rows = []
-    for value, s in scenarios:
-        seeds = replication_seeds(s.seed, args.replications)
-        value_dir = os.path.join(args.out, f"{args.axis}_{value:g}")
-        results = _run_replications(s, seeds, value_dir)
-        for r, res in enumerate(results):
-            rows.append((value, r, res["seed"], res["served"], res["total"],
-                         res["served"] / res["total"], res["final_oracle_utility"]))
-        med = float(np.median([res["served"] for res in results]))
-        print(f"{args.axis}={value:g}: median served {med:g}/{results[0]['total']}")
+    results, n = _run_jobs(jobs), args.replications
     with open(os.path.join(args.out, "sweep.csv"), "w") as f:
         f.write("axis,value,replication,seed,served,total,served_fraction,"
                 "final_oracle_utility\n")
-        for value, r, seed, served, total, frac, util in rows:
-            f.write(f"{args.axis},{value:g},{r},{seed},{served},{total},"
-                    f"{repr(frac)},{repr(util)}\n")
+        for k, name in enumerate(named):
+            part = results[k * n:(k + 1) * n]
+            for r, res in enumerate(part):
+                f.write(f"{args.axis},{name},{r},{res['seed']},{res['served']},{res['total']},"
+                        f"{repr(res['served'] / res['total'])},"
+                        f"{repr(res['final_oracle_utility'])}\n")
+            med = float(np.median([res["served"] for res in part]))
+            print(f"{args.axis}={name}: median served {med:g}/{part[0]['total']}")
     return 0
 
 

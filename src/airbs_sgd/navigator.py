@@ -25,6 +25,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
+from .channel import MAX_COORD_M
 from .utility import UtilityConfig, user_utility_partials
 
 
@@ -99,8 +100,9 @@ def batched_update(positions: np.ndarray, power_gradients: np.ndarray,
     operations are those of that agent stepping alone on one packet at a
     time.
 
-    Raises :class:`DivergenceError` when a step would leave an agent at a
-    non-finite position or a negative altitude.
+    Raises :class:`DivergenceError` when a step would leave an agent more
+    than ``MAX_COORD_M`` from 0 on some axis, at a non-finite position, or
+    at a negative altitude.
     """
     # packet-major: each packet's B powers adjacent in memory, as in a
     # one-packet evaluation, so the sums over the agents run in the same
@@ -113,10 +115,10 @@ def batched_update(positions: np.ndarray, power_gradients: np.ndarray,
     new = positions + eta * (total / contrib.shape[-3])
     if fixed_height is not None:
         new[..., 2] = fixed_height
-    bad = ~np.all(np.isfinite(new), axis=-1) | (new[..., 2] < 0.0)
+    bad = ~np.all(np.abs(new) <= MAX_COORD_M, axis=-1) | (new[..., 2] < 0.0)
     if np.any(bad):
         where = np.unravel_index(np.argmax(bad), bad.shape)
-        raise DivergenceError(f"agent {where[-1]} stepped to {new[where].tolist()}: the "
-                              f"position must be finite with nonnegative altitude")
+        raise DivergenceError(f"agent {where[-1]} stepped to {new[where].tolist()}: the position "
+                              f"must be within {MAX_COORD_M:g} m of 0 with nonnegative altitude")
     return new
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, CoincidentPositionsError, received_power_matrix
+from .channel import MAX_COORD_M, ChannelParams, CoincidentPositionsError, received_power_matrix
 from .navigator import DivergenceError, StepSchedule, batched_update
 from .traffic import TrafficProfile, sample_recipient
 from .utility import UtilityConfig, oracle
@@ -42,10 +42,6 @@ from .utility import UtilityConfig, oracle
 # replications) that one group of replications advances: it bounds the
 # working set, not the results, which do not depend on the grouping.
 BATCH_PAIRS = 1 << 18
-
-# Largest coordinate magnitude (m) a scenario may give: the squared distance
-# of two points within it, below 12 * MAX_COORD_M**2 = 1.2e301, stays finite.
-MAX_COORD_M = 1e150
 
 
 def _check_coordinate(name: str, v: float) -> None:
@@ -161,6 +157,10 @@ class Scenario:
             raise ValueError("step schedule required")
         if not isinstance(self.channel, ChannelParams):
             raise ValueError("channel params required")
+        for b, p in enumerate(self.tx_powers_dbm):
+            if not math.isfinite(p + self.channel.ref_gain_db):
+                raise ValueError(f"tx_powers_dbm[{b}] + channel.ref_gain_db must be finite, "
+                                 f"got {p!r} + {self.channel.ref_gain_db!r}")
         if not (math.isfinite(self.measurement_noise_db) and self.measurement_noise_db >= 0.0):
             raise ValueError("measurement_noise_db must be finite and nonnegative")
 
@@ -247,9 +247,10 @@ def run_replications(s: Scenario, seeds) -> list:
     one batch, and applies one synchronous update per agent. Agents never
     see each other's state; they share only their replication's packet
     stream. Raises :class:`navigator.DivergenceError` if an agent is
-    driven to a non-finite position; its ``seed`` (like that of a
+    driven more than ``MAX_COORD_M`` from 0 or a snapshot's oracle utility
+    is not finite; its ``seed`` (like that of a
     :class:`channel.CoincidentPositionsError`) is the first seed that
-    fails.
+    fails. So every position and oracle utility it logs is finite.
     """
     seeds = [int(seed) for seed in seeds]
     group = max(1, BATCH_PAIRS // (s.num_airbs * max(s.total_mus, s.schedule.minibatch_size)))
@@ -289,6 +290,10 @@ def _advance(s: Scenario, seeds) -> list:
     def snapshot(i):
         positions[:, i] = L
         utilities[:, i], best = oracle(L, users, weights, cfg, params)
+        bad = ~np.isfinite(utilities[:, i])
+        if np.any(bad):
+            raise DivergenceError(f"oracle utility is {utilities[np.argmax(bad), i]} "
+                                  f"at snapshot {i}")
         served[:, i] = np.sum(best >= cfg.p_min_dbm, axis=1)
         return best
 

@@ -159,3 +159,18 @@ def diverges(s, seed):
     """Whether :func:`runaway_scenario` diverges at ``seed``: its first packet is the
     extra user's."""
     return extra_user_packets(s, seed)[0]
+
+
+def runaway_message(s, seed, rep_dir):
+    """The one stderr line of a command whose replication ``seed`` of
+    :func:`runaway_scenario` ``s`` is flung, from (0, 0, 2), by the extra user's
+    packet; its bundle would be ``rep_dir``. The landing point is stepped by
+    :func:`agent_step`, the per-agent reference."""
+    start, extra = np.array([0.0, 0.0, 2.0]), np.array(s.extra_mu_positions)
+    params = s.agent_channel_params()
+    powers = received_power_matrix(start[None], params, extra)
+    flung = agent_step(start, params[0], 0, extra, powers, s.utility, s.schedule.eta(0),
+                       s.fixed_height_m)
+    return (f"error: replication with seed {seed} failed: agent 0 stepped to {flung.tolist()}: "
+            f"the position must be within 1e+150 m of 0 with nonnegative altitude "
+            f"(bundle {rep_dir})\n")

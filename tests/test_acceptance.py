@@ -326,8 +326,9 @@ def test_criterion_10_parallelism_independence(tmp_path, monkeypatch):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n")
 
-    # the three replications advance as one batch in-process, then in three
-    # forked worker groups, then in-process in groups of one
+    # a run's three replications, and a sweep's six (two values of three), advance
+    # as one batch per scenario in-process, then in three forked worker groups,
+    # then in-process in groups of one
     trees = []
     for tag, cores, pairs in (("batch", 1, simulator.BATCH_PAIRS),
                               ("forked", 3, simulator.BATCH_PAIRS),
@@ -335,17 +336,20 @@ def test_criterion_10_parallelism_independence(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cores", lambda cores=cores: cores)
         monkeypatch.setattr(simulator, "BATCH_PAIRS", pairs)
         out = tmp_path / tag
-        rc = cli_main(["run", "--scenario", str(scen), "--replications", "3",
-                       "--out", str(out)])
-        assert rc == 0
+        for argv in (["run", "--out", str(out / "run")],
+                     ["sweep", "--axis", "eta", "--values", "1,5", "--out", str(out / "sweep")]):
+            rc = cli_main([*argv, "--scenario", str(scen), "--replications", "3"])
+            assert rc == 0
         trees.append({p.relative_to(out): p.read_bytes()
                       for p in out.rglob("*") if p.is_file()})
 
     names = {str(name) for name in trees[0]}
-    same = trees[0] == trees[1] == trees[2] and "summary.json" in names and \
-        all(f"rep_{r:03d}/trajectory.csv" in names for r in range(3))
+    same = trees[0] == trees[1] == trees[2] and "run/summary.json" in names and \
+        "sweep/sweep.csv" in names and \
+        all(f"{d}/rep_{r:03d}/trajectory.csv" in names
+            for d in ("run", "sweep/eta_1", "sweep/eta_5") for r in range(3))
     record_criterion(
         10, "identical outputs however the replications are batched or grouped", same,
-        f"{len(trees[0])} files byte-compared across one batch, three forked groups "
-        f"and groups of one")
+        f"{len(trees[0])} files of a run and a sweep byte-compared across one batch, "
+        f"three forked groups and groups of one")
     assert same

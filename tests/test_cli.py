@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from helpers import diverges, run_python, runaway_scenario
+from helpers import diverges, run_python, runaway_message, runaway_scenario
 
 from airbs_sgd import cli
 from airbs_sgd.channel import ChannelParams
@@ -101,6 +101,11 @@ def _rename_eta_scale(d):
     d["schedule"]["eta_scal"] = d["schedule"].pop("eta_scale")
 
 
+def _overflow_link_budget(d):
+    d["tx_powers_dbm"] = [1e308] * len(d["tx_powers_dbm"])
+    d["channel"]["ref_gain_db"] = 1e308
+
+
 @pytest.mark.parametrize("mutate, key", [
     (lambda d: d.update(fixed_height_m=math.nan), "fixed_height_m"),
     (lambda d: d["area"].update(x_max=math.inf), "area.x_max"),
@@ -119,9 +124,12 @@ def _rename_eta_scale(d):
     (lambda d: d.update(extra_mu_positions=[[1e200, 0, 0]]), "extra_mu_positions[0][0] must be"),
     # each factor of the step size is finite, their product is not
     (lambda d: d["schedule"].update(eta_scale=1e308), "schedule: eta0 * eta_scale must be"),
+    # so are a transmitter's power and the channel gain, as link budgets
+    (_overflow_link_budget, "tx_powers_dbm[0] + channel.ref_gain_db must be finite"),
 ], ids=["nan_height", "infinite_area", "misspelled_key", "negative_extra_altitude",
         "inverted_area", "inverted_init_region", "negative_eta0", "far_area",
-        "far_init_region", "far_height", "far_extra_user", "overflowing_step_size"])
+        "far_init_region", "far_height", "far_extra_user", "overflowing_step_size",
+        "overflowing_link_budget"])
 def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
     d = small_scenario_dict()
     mutate(d)
@@ -173,6 +181,41 @@ def test_point_area_exits_2_line_area_renders(tmp_path, capsys):
     line = write_scenario(tmp_path, "line.json", area=Rect(0.0, 500.0, 2000.0, 500.0))
     assert main(["run", "--scenario", str(line), "--out", str(tmp_path / "l")]) == 0
     assert (tmp_path / "l" / "rep_000" / "map.svg").stat().st_size > 0
+
+
+@pytest.mark.parametrize("argv, blocker, bundle", [
+    (["reproduce-paper", "--seeds", "1"], "rep_000", "rep_000"),
+    (["sweep", "--scenario", "SCEN", "--axis", "eta", "--values", "1,5"], "eta_5",
+     "eta_5/rep_000"),
+], ids=["reproduce_paper", "sweep"])
+def test_unwritable_bundle_exits_2_naming_it(tmp_path, capsys, argv, blocker, bundle):
+    # a file where a bundle directory goes
+    scen, out = write_scenario(tmp_path), tmp_path / "out"
+    out.mkdir()
+    (out / blocker).write_text("a file\n")
+    rc = main([str(scen) if a == "SCEN" else a for a in argv] + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: replication with seed ") and len(err.splitlines()) == 1
+    assert "cannot write the bundle" in err and f"(bundle {out / bundle})" in err
+    assert (out / blocker).read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_sweep_stops_before_any_bundle_when_a_value_diverges(tmp_path, capsys, monkeypatch,
+                                                             cores):
+    # eta 0 holds the agent still; eta 1 flings it on the first packet
+    s = runaway_scenario()
+    seed = next(seed for seed in range(100) if diverges(s, seed))
+    s = dataclasses.replace(s, seed=seed)
+    scen, out = tmp_path / "scen.json", tmp_path / "out"
+    scen.write_text(json.dumps(scenario_to_dict(s)))
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    rc = main(["sweep", "--scenario", str(scen), "--axis", "eta", "--values", "0,1",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == runaway_message(s, seed, out / "eta_1" / "rep_000")
+    assert not any(out.iterdir())
 
 
 def test_diverging_run_exits_2(tmp_path, capsys):
@@ -404,3 +447,9 @@ def test_one_core_runs_in_process_and_more_share_one_pool(tmp_path, monkeypatch,
                  "--out", str(out)]) == 0
     assert built == pools
     assert sorted(p.name for p in out.glob("rep_*")) == ["rep_000", "rep_001", "rep_002"]
+    # a sweep's values share the one pool too
+    built.clear()
+    assert main(["sweep", "--scenario", str(scen), "--axis", "eta", "--values", "1,5,25",
+                 "--replications", "3", "--out", str(tmp_path / "sweep")]) == 0
+    assert built == pools
+    assert len(list((tmp_path / "sweep").glob("eta_*/rep_*"))) == 9

@@ -306,15 +306,13 @@ def test_cli_names_the_one_diverging_replication(tmp_path, capsys):
             break
     else:
         pytest.fail("no master seed with exactly one diverging replication")
-    scen = tmp_path / "scen.json"
+    scen, out = tmp_path / "scen.json", tmp_path / "out"
     scen.write_text(json.dumps(scenario_to_dict(dataclasses.replace(s, seed=master))))
-    with np.errstate(all="ignore"):  # a flung agent's powers are -inf dBm
-        rc = cli_main(["run", "--scenario", str(scen), "--replications", "3",
-                       "--out", str(tmp_path / "out")])
+    # the step that flings the agent is refused, so no power is ever -inf dBm
+    rc = cli_main(["run", "--scenario", str(scen), "--replications", "3", "--out", str(out)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert f"replication with seed {failing[0]} failed: agent 0 stepped to [nan" in err
-    assert all(str(seed) not in err for seed in seeds if seed != failing[0])
+    assert capsys.readouterr().err == helpers.runaway_message(
+        s, failing[0], out / f"rep_{seeds.index(failing[0]):03d}")
 
 
 def test_cli_names_a_diverging_seed_in_a_later_worker_group(tmp_path, capsys, monkeypatch):
@@ -331,37 +329,48 @@ def test_cli_names_a_diverging_seed_in_a_later_worker_group(tmp_path, capsys, mo
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(scenario_to_dict(dataclasses.replace(s, seed=master))))
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        rc = cli_main(["run", "--scenario", str(scen), "--replications", "3",
-                       "--out", str(out)])
+    rc = cli_main(["run", "--scenario", str(scen), "--replications", "3", "--out", str(out)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert f"replication with seed {seeds[2]} failed: agent 0 stepped to [nan" in err
-    assert all(str(seed) not in err for seed in seeds[:2])
+    assert capsys.readouterr().err == helpers.runaway_message(s, seeds[2], out / "rep_002")
     assert not any(out.glob("rep_*"))
 
 
 def test_cli_exits_2_when_a_healthy_replication_logs_a_non_finite_value(tmp_path):
-    # only the last packet comes from the extra user: the agent is flung but
-    # takes no further step, and the last snapshot's oracle utility is nan and
-    # every strongest power -inf dBm; no JSON can hold them, so nothing is written
+    # only the last packet comes from the extra user: the replication is healthy
+    # until its last step, which would fling the agent to where every power is
+    # -inf dBm and the last snapshot's oracle utility nan; that step is refused,
+    # so nothing is written and numpy warns of nothing
     s = helpers.runaway_scenario()
     seed = next(seed for seed in range(100)
                 if helpers.extra_user_packets(s, seed) == [False, True])
-    s = dataclasses.replace(s, seed=seed)
     scen, out = tmp_path / "scen.json", tmp_path / "out"
-    scen.write_text(json.dumps(scenario_to_dict(s)))
+    scen.write_text(json.dumps(scenario_to_dict(dataclasses.replace(s, seed=seed))))
     proc = helpers.run_python("-m", "airbs_sgd.cli", "run", "--scenario", str(scen),
                               "--out", str(out))
     assert proc.returncode == 2
-    assert f"error: replication with seed {seed} failed: oracle utility is nan at snapshot 2" \
-        in proc.stderr
+    assert proc.stderr == helpers.runaway_message(s, seed, out / "rep_000")
+    assert not any(out.glob("rep_*"))
+
+
+def test_a_non_finite_snapshot_utility_fails_the_replication(tmp_path):
+    # no step diverges: at a 1e-300 m reference distance the user 1e10 m away
+    # gets -inf dBm from every agent, so the first snapshot's utility is nan
+    s = small_scenario(channel=ChannelParams(-94.0, 1e-300, 0.0),
+                       extra_mu_positions=((1e10, 0.0, 0.0),))
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as e:
+        run(s)
+    assert str(e.value) == "oracle utility is nan at snapshot 0" and e.value.seed == s.seed
+    scen, out = tmp_path / "scen.json", tmp_path / "out"
+    scen.write_text(json.dumps(scenario_to_dict(s)))
+    proc = helpers.run_python("-m", "airbs_sgd.cli", "run", "--scenario", str(scen),
+                              "--replications", "2", "--out", str(out))
+    assert proc.returncode == 2
+    seed = replication_seeds(s.seed, 2)[0]
+    assert proc.stderr.splitlines()[-1] == (f"error: replication with seed {seed} failed: "
+                                            f"oracle utility is nan at snapshot 0 "
+                                            f"(bundle {out / 'rep_000'})")
     assert "Traceback" not in proc.stderr
     assert not any(out.glob("rep_*"))
-    with np.errstate(all="ignore"):
-        log = run(s)
-    assert cli._non_finite(dataclasses.replace(log, oracle_utility=np.zeros(3))) == \
-        "user 0's strongest received power is -inf dBm at the last snapshot"
 
 
 def test_zero_step_size_freezes_positions():
