@@ -53,8 +53,8 @@ class ChannelParams:
     def __post_init__(self):
         if not math.isfinite(self.ref_gain_db):
             raise ValueError("ref_gain_db must be finite")
-        if not (self.ref_distance_m > 0.0):
-            raise ValueError("ref_distance_m must be positive")
+        if not (0.0 < self.ref_distance_m < math.inf):
+            raise ValueError("ref_distance_m must be finite and positive")
         if not math.isfinite(self.tx_power_dbm):
             raise ValueError("tx_power_dbm must be finite")
 

@@ -25,6 +25,7 @@ not depend on how the jobs are grouped.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -129,6 +130,15 @@ def _simulate_one(s: Scenario, seed: int, rep_dir: str, log, with_kmeans: bool =
     return result
 
 
+@contextlib.contextmanager
+def _command_file(path: str):
+    """Yield ``path``, a file of the command's own; an ``OSError`` writing it exits 2 naming it."""
+    try:
+        yield path
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror or e}")
+
+
 def _make_out_dir(out: str):
     """Create the command's output directory, or exit 2 naming ``--out``."""
     try:
@@ -217,13 +227,15 @@ def _summarize(out_dir: str, scenario: Scenario, results, with_kmeans: bool):
         if with_kmeans:
             line += f", kmeans unserved {summary['median_kmeans_unserved']:g}/{total}"
         print(line)
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+    with _command_file(os.path.join(out_dir, "summary.json")) as path:
+        _write_json(path, summary)
 
 
 def _replicate(s: Scenario, count: int, out_dir: str, with_kmeans: bool = False):
     """Run ``count`` replications of ``s`` into ``out_dir``, with its config and summary."""
     _make_out_dir(out_dir)
-    _write_json(os.path.join(out_dir, "effective_config.json"), scenario_to_dict(s))
+    with _command_file(os.path.join(out_dir, "effective_config.json")) as path:
+        _write_json(path, scenario_to_dict(s))
     _summarize(out_dir, s, _run_jobs(_jobs(s, count, out_dir), with_kmeans), with_kmeans)
 
 
@@ -293,7 +305,7 @@ def cmd_sweep(args) -> int:
                       os.path.join(args.out, f"{args.axis}_{name}"))
     _make_out_dir(args.out)
     results, n = _run_jobs(jobs), args.replications
-    with open(os.path.join(args.out, "sweep.csv"), "w") as f:
+    with _command_file(os.path.join(args.out, "sweep.csv")) as path, open(path, "w") as f:
         f.write("axis,value,replication,seed,served,total,served_fraction,"
                 "final_oracle_utility\n")
         for k, name in enumerate(named):

@@ -14,12 +14,11 @@ no plotting library involved.
 from __future__ import annotations
 
 import base64
+import json
 import math
 import os
 import struct
 import zlib
-from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,102 +92,35 @@ def power_histogram(per_mu_powers, bin_width_db: float = DEFAULT_HIST_BIN_DB,
     return tuple(bins)
 
 
-class _Formatted(NamedTuple):
-    """A number array as the JSON texts of its elements, row-major, and its shape."""
-
-    texts: list
-    shape: tuple
-
-
-def _json_text(v, nl="\n") -> str:
-    """The text of ``json.dumps(v, sort_keys=True, indent=2)``, built by joins.
-
-    ``nl`` is the newline and indentation of the line ``v`` ends on. Dict
-    keys must be strings. A float is written as ``float.__repr__`` writes it
-    (an ``np.float64`` too); a non-finite one raises ``ValueError`` where
-    ``json.dumps`` would write ``NaN`` or ``Infinity``, which are not JSON.
-    A :class:`_Formatted` array is written from its texts.
-    """
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"cannot write the non-finite float {v!r} as JSON")
-        return float.__repr__(v)
-    inner = nl + "  "
-    if isinstance(v, _Formatted):
-        return _nest(v.texts, v.shape, nl)
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(x, inner)}"
-                 for k, x in sorted(v.items())]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in v]) + nl + "]"
-    raise TypeError(f"cannot write {type(v).__name__} as JSON")
-
-
-def _nest(texts, shape, nl) -> str:
-    """:func:`_json_text` of an array of ``shape`` whose row-major element texts are ``texts``."""
-    if not shape[0]:
-        return "[]"
-    inner = nl + "  "
-    if len(shape) == 1:
-        items = ("," + inner).join(texts)
-        if "n" in items:  # of the reprs of floats, only inf and nan hold an n
-            raise ValueError("cannot write a non-finite float as JSON")
-        return "[" + inner + items + nl + "]"
-    step = len(texts) // shape[0]
-    items = [_nest(texts[k * step:(k + 1) * step], shape[1:], inner) for k in range(shape[0])]
-    return "[" + inner + ("," + inner).join(items) + nl + "]"
-
-
 def _write_json(path, obj):
+    """``obj`` as one line of JSON; a non-finite float raises ``ValueError`` and writes nothing."""
+    text = json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w") as f:
-        f.write(_json_text(obj) + "\n")
+        f.write(text)
 
 
-def _trajectory_texts(log) -> tuple:
-    """Shortest round-trip texts of the positions (row-major) and the oracle utilities."""
-    return (list(map(float.__repr__, log.positions.ravel().tolist())),
-            list(map(float.__repr__, log.oracle_utility.tolist())))
-
-
-def write_trajectory_csv(log, path, texts=None):
+def write_trajectory_csv(log, path):
     """CSV with columns: iteration, agent index, x, y, z, oracle utility.
 
     One row per (iteration, agent); the oracle utility of the snapshot is
-    repeated on each agent row. ``texts`` is :func:`_trajectory_texts` of
-    ``log``, when the caller already made it.
+    repeated on each agent row.
     """
     n, b = log.positions.shape[:2]
-    xyz, utilities = texts or _trajectory_texts(log)
+    xyz = log.positions.reshape(-1, 3).T.tolist()
     rows = map("{},{},{},{},{},{}".format, np.repeat(np.arange(n), b).tolist(),
-               np.tile(np.arange(b), n).tolist(), xyz[0::3], xyz[1::3], xyz[2::3],
-               [u for u in utilities for _ in range(b)])
+               np.tile(np.arange(b), n).tolist(), *xyz,
+               np.repeat(log.oracle_utility, b).tolist())
     with open(path, "w") as f:
         f.write("\n".join(["iteration,agent_index,x,y,z,oracle_utility", *rows]) + "\n")
 
 
-def write_trajectory_json(log, path, texts=None):
-    """The snapshots of ``log`` as JSON; ``texts`` as for :func:`write_trajectory_csv`."""
-    positions, utilities = texts or _trajectory_texts(log)
+def write_trajectory_json(log, path):
+    """The snapshots of ``log`` as JSON."""
     _write_json(path, {
         "num_iterations": log.num_iterations,
         "num_agents": log.num_agents,
-        "positions": _Formatted(positions, log.positions.shape),
-        "oracle_utility": _Formatted(utilities, log.oracle_utility.shape),
+        "positions": log.positions.tolist(),
+        "oracle_utility": log.oracle_utility.tolist(),
         "served": log.served.tolist(),
     })
 
@@ -197,8 +129,7 @@ def _placement_json(served, max_power_dbm, histogram) -> dict:
     return {
         "served_count": int(served),
         "total_mus": len(max_power_dbm),
-        "per_mu_max_power_dbm": _Formatted(list(map(float.__repr__, max_power_dbm.tolist())),
-                                           max_power_dbm.shape),
+        "per_mu_max_power_dbm": max_power_dbm.tolist(),
         # the open-ended first and last bins have null outer edges
         "histogram": [[None if math.isinf(e) else e for e in (lo, hi)] + [c]
                       for lo, hi, c in histogram],
@@ -371,9 +302,8 @@ def render_outputs(log, coverage, out_dir, area, p_min_dbm: float) -> dict:
         paths[name] = os.path.join(out_dir, name)
         return paths[name]
 
-    texts = _trajectory_texts(log)
-    write_trajectory_csv(log, p("trajectory.csv"), texts)
-    write_trajectory_json(log, p("trajectory.json"), texts)
+    write_trajectory_csv(log, p("trajectory.csv"))
+    write_trajectory_json(log, p("trajectory.json"))
     initial, final = (power_histogram(row) for row in log.max_power_dbm)
     _write_json(p("metrics.json"), {
         "p_min_dbm": float(p_min_dbm),

@@ -188,6 +188,8 @@ def test_channel_params_validation():
     with pytest.raises(ValueError):
         ChannelParams(ref_gain_db=-94.0, ref_distance_m=0.0, tx_power_dbm=10.0)
     with pytest.raises(ValueError):
+        ChannelParams(ref_gain_db=-94.0, ref_distance_m=math.inf, tx_power_dbm=10.0)
+    with pytest.raises(ValueError):
         ChannelParams(ref_gain_db=math.nan, ref_distance_m=1000.0, tx_power_dbm=10.0)
 
 

@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import json
 import math
+import os
 import re
 from importlib import resources
 
@@ -199,6 +201,21 @@ def test_unwritable_bundle_exits_2_naming_it(tmp_path, capsys, argv, blocker, bu
     assert err.startswith("error: replication with seed ") and len(err.splitlines()) == 1
     assert "cannot write the bundle" in err and f"(bundle {out / bundle})" in err
     assert (out / blocker).read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["run"], "effective_config.json"),
+    (["run"], "summary.json"),
+    (["sweep", "--axis", "eta", "--values", "1,5"], "sweep.csv"),
+], ids=["effective_config", "summary", "sweep_csv"])
+def test_unwritable_command_file_exits_2_naming_it(tmp_path, capsys, argv, name):
+    # a directory where one of the command's own files goes
+    scen, out = write_scenario(tmp_path), tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    rc = main(argv + ["--scenario", str(scen), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: cannot write {out / name}: "
+                                       f"{os.strerror(errno.EISDIR)}\n")
 
 
 @pytest.mark.parametrize("cores", [1, 2])

@@ -7,16 +7,14 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.navigator import StepSchedule
 from airbs_sgd.report import (
     COVERAGE_CLIP,
-    _Formatted,
-    _json_text,
     _png,
+    _write_json,
     coverage_map,
     power_histogram,
     render_outputs,
@@ -226,7 +224,7 @@ def test_metrics_json_is_json_dumps_text(tmp_path):
     log, grid, s = run_small(tmp_path)
     render_outputs(log, grid, tmp_path, s.area, s.utility.p_min_dbm)
     text = (tmp_path / "metrics.json").read_text()
-    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
 def test_metrics_json_reads_the_first_and_last_snapshot(tmp_path):
@@ -282,38 +280,11 @@ def test_trajectory_csv_matches_the_per_row_reference(tmp_path):
     assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
-JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.text(max_size=6) | FINITE
-               | st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308])
-               | FINITE.map(np.float64))
-JSON_VALUES = st.recursive(
-    JSON_LEAVES,
-    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids,
-                                                               max_size=4),
-    max_leaves=25)
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(JSON_VALUES)
-def test_json_text_matches_json_dumps(value):
-    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
-
-
-@pytest.mark.parametrize("shape", [(0,), (3,), (2, 0), (0, 3), (2, 3, 4), (1, 1, 1)])
-def test_formatted_array_matches_json_dumps(shape):
-    a = np.random.default_rng(5).normal(size=shape) * 1e3
-    texts = list(map(float.__repr__, a.ravel().tolist()))
-    value = {"b": [_Formatted(texts, shape)], "a": 1}
-    want = json.dumps({"b": [a.tolist()], "a": 1}, sort_keys=True, indent=2)
-    assert _json_text(value) == want
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
-def test_json_text_refuses_non_finite_floats(bad):
-    with pytest.raises(ValueError, match="non-finite"):
-        _json_text({"a": [1.0, bad]})
-    with pytest.raises(ValueError, match="non-finite"):
-        _json_text(_Formatted([float.__repr__(1.0), float.__repr__(bad)], (1, 2)))
+def test_json_text_refuses_non_finite_floats(tmp_path, bad):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_json(tmp_path / "a.json", {"a": [1.0, bad]})
+    assert not (tmp_path / "a.json").exists()
 
 
 def test_trajectory_json_matches_json_dumps(tmp_path):
@@ -325,5 +296,5 @@ def test_trajectory_json_matches_json_dumps(tmp_path):
         "positions": [[list(map(float, row)) for row in snap] for snap in log.positions],
         "oracle_utility": [float(v) for v in log.oracle_utility],
         "served": [0, 1, 2, 3],
-    }, sort_keys=True, indent=2) + "\n"
+    }, sort_keys=True) + "\n"
     assert (tmp_path / "t.json").read_text() == want
