@@ -22,6 +22,6 @@ from .utility import (
 from .navigator import StepSchedule
 from .simulator import Rect, Scenario, run, run_replications
 from .baseline import kmeans_placement
-from .report import coverage_map, render_outputs, served_count
+from .report import coverage_map, render_outputs
 
 __version__ = "0.1.0"

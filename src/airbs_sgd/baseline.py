@@ -2,8 +2,9 @@
 
 Centralized clustering of user locations, the standard alternative the
 gradient agents are compared against. Plain Lloyd iterations on the
-horizontal coordinates, with deterministic seeding and tie handling so
-results are exactly reproducible:
+horizontal coordinates, over any number of replications at once, with
+deterministic seeding and tie handling so results are exactly
+reproducible:
 
 * initial centroids are B distinct user locations sampled by the seed;
 * equidistant points go to the lowest cluster index;
@@ -36,11 +37,18 @@ class KMeansResult:
             raise ValueError("inertia must be nonnegative")
 
 
-def _nearest(pts: np.ndarray, centroids: np.ndarray):
-    d2 = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    assign = np.argmin(d2, axis=1)  # ties resolve to the lowest index
-    inertia = float(np.sum(d2[np.arange(len(pts)), assign]))
-    return assign, inertia
+def _nearest(px, py, cx, cy):
+    """Each user's nearest centroid, the (R, B, M) squared distances and each inertia.
+
+    ``px``, ``py`` are (R, M) user and ``cx``, ``cy`` (R, B) centroid
+    coordinates. Equidistant users go to the lowest cluster index.
+    """
+    dx = px[:, None, :] - cx[:, :, None]
+    dy = py[:, None, :] - cy[:, :, None]
+    d2 = dx * dx + dy * dy
+    best = np.min(d2, axis=1)
+    # the first cluster at the least distance
+    return np.argmax(d2 == best[:, None, :], axis=1), d2, best.sum(axis=1)
 
 
 def kmeans_placement(user_locations, num_clusters: int, max_iters: int = 100,
@@ -50,45 +58,73 @@ def kmeans_placement(user_locations, num_clusters: int, max_iters: int = 100,
     Runs until the assignment reaches a fixed point or ``max_iters``
     passes, whichever is first. ``user_locations`` is an (M, 3) array;
     the centroids are returned at ``height_m``. Requires at least as many
-    users as clusters.
+    users as clusters. A batch of one: see :func:`kmeans_replications`.
     """
-    pts = np.asarray(user_locations, dtype=float)[:, :2]
-    m = pts.shape[0]
+    users = np.asarray(user_locations, dtype=float)
+    return kmeans_replications(users[None], num_clusters, [seed], max_iters, height_m)[0]
+
+
+def kmeans_replications(user_locations, num_clusters: int, seeds, max_iters: int = 100,
+                        height_m: float = 0.0) -> list:
+    """:func:`kmeans_placement` of each replication's users and seed; one result per seed.
+
+    ``user_locations`` is an (R, M, 3) array, one user set per seed. The
+    replications run as one Lloyd program over coordinate-major (R, M)
+    arrays of x and y: a replication leaves the active set once its
+    assignment stops changing, and each pass sums the members of every
+    (replication, cluster) key with ``np.bincount``, in user order from
+    +0.0, as numpy's reduction of one cluster's members does. So each
+    result is bit-identical to the replication run alone.
+    """
+    users = np.asarray(user_locations, dtype=float)
+    seeds = [int(seed) for seed in seeds]
+    m = users.shape[1]
     if num_clusters < 1:
         raise ValueError("need at least one cluster")
     if m < num_clusters:
         raise ValueError(f"need at least {num_clusters} users, got {m}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    if len(seeds) != users.shape[0]:
+        raise ValueError(f"need one seed per replication, got {len(seeds)} for {users.shape[0]}")
 
-    rng = np.random.default_rng(int(seed))
-    centroids = pts[rng.choice(m, size=num_clusters, replace=False)].copy()
+    px, py = users[..., 0].copy(), users[..., 1].copy()
+    picks = np.array([np.random.default_rng(seed).choice(m, size=num_clusters, replace=False)
+                      for seed in seeds]).reshape(len(seeds), num_clusters)
+    cx, cy = (np.take_along_axis(v, picks, axis=1) for v in (px, py))
+    assign = np.empty((len(seeds), m), dtype=np.intp)
+    inertia = np.empty(len(seeds))
+    history = [[] for _ in seeds]
 
-    history = []
-    prev = None
-    for _ in range(max_iters):
-        assign, inertia = _nearest(pts, centroids)
-        history.append(inertia)
-        if prev is not None and np.array_equal(assign, prev):
+    active, prev = np.arange(len(seeds)), None
+    for p in range(max_iters + 1):
+        ax, ay = px[active], py[active]
+        a, d2, loss = _nearest(ax, ay, cx[active], cy[active])
+        for r, v in zip(active.tolist(), loss.tolist()):
+            history[r].append(v)
+        assign[active], inertia[active] = a, loss
+        if p == max_iters:
+            # that pass only realigned the replications whose budget ran out right
+            # after a centroid move, so each assignment is nearest-centroid consistent
             break
-        for k in range(num_clusters):
-            members = pts[assign == k]
-            if len(members):
-                centroids[k] = members.mean(axis=0)
-            else:
-                # farthest point from the stale centroid takes over the slot
-                far = np.argmax(np.sum((pts - centroids[k]) ** 2, axis=1))
-                centroids[k] = pts[far]
-        prev = assign
-    else:
-        # pass budget exhausted right after a centroid move; realign so the
-        # returned assignment is nearest-centroid consistent
-        assign, inertia = _nearest(pts, centroids)
-        history.append(inertia)
+        if prev is not None:
+            moved = np.any(a != prev, axis=1)
+            active, ax, ay, a, d2 = active[moved], ax[moved], ay[moved], a[moved], d2[moved]
+            if not active.size:
+                break
+        keys = (np.arange(len(active))[:, None] * num_clusters + a).ravel()
+        count = np.bincount(keys, minlength=len(active) * num_clusters).reshape(-1, num_clusters)
+        # an emptied cluster is reseeded to the user farthest from its stale centroid
+        far = np.argmax(d2, axis=2)
+        for c, v in ((cx, ax), (cy, ay)):
+            total = np.bincount(keys, weights=v.ravel(), minlength=count.size)
+            c[active] = np.where(count > 0, total.reshape(count.shape) / np.maximum(count, 1),
+                                 np.take_along_axis(v, far, axis=1))
+        prev = a
 
-    return KMeansResult(
-        centroids=np.column_stack([centroids, np.full(num_clusters, float(height_m))]),
-        assignments=tuple(int(a) for a in assign),
-        inertia=float(inertia),
-        inertia_history=tuple(history),
-    )
+    height = np.full(num_clusters, float(height_m))
+    return [KMeansResult(centroids=np.column_stack([cx[r], cy[r], height]),
+                         assignments=tuple(assign[r].tolist()),
+                         inertia=float(inertia[r]),
+                         inertia_history=tuple(history[r]))
+            for r in range(len(seeds))]

@@ -14,12 +14,18 @@ each a (scenario, seed, bundle directory) triple; a sweep's list holds the
 jobs of all its values. The list is split into one contiguous group per
 usable core (``taskset`` limits them), each run in its own forked worker;
 on one core the one group runs in-process and nothing is forked. Phase 1
-advances every group, each consecutive run of jobs sharing a scenario as
-one batch (:func:`simulator.run_replications`, the one judge of a run's
-health); only then does phase 2 write each job's coverage map, bundle and
-baseline. So a failure to advance stops the command before any bundle is
-written, naming the first failing job in list order; and the outputs do
-not depend on how the jobs are grouped.
+computes every number: it advances every group, each consecutive run of
+jobs sharing a scenario as one batch (:func:`simulator.run_replications`,
+the one judge of a run's health), and then, for the same batch, the
+coverage grids, the k-means baselines (:func:`baseline.kmeans_replications`)
+and their served counts (:func:`utility.oracle`). A job fails if it does
+not advance or its grid or baseline cannot be evaluated; the command then
+stops before any bundle is written, naming the first failing job in list
+order. Between the phases the command creates every bundle directory in
+job order, so a name taken by a file fails before any file is written.
+Phase 2 only formats and writes; its one remaining failure is an
+``OSError`` mid-write, such as a full disk. The outputs do not depend on
+how the jobs are grouped.
 """
 
 from __future__ import annotations
@@ -36,11 +42,13 @@ from importlib import resources
 
 import numpy as np
 
-from .baseline import kmeans_placement
+from . import simulator
+from .baseline import kmeans_replications
 from .channel import CoincidentPositionsError
 from .navigator import DivergenceError
-from .report import _write_json, coverage_map, render_outputs, served_count
+from .report import _write_json, coverage_map, render_outputs
 from .simulator import Scenario, run_replications, scenario_from_dict, scenario_to_dict
+from .utility import oracle
 
 MAP_GRID = 70
 REFERENCE_SERVED = (198, 202)
@@ -95,38 +103,37 @@ def _failure(seed: int, rep_dir: str, problem) -> CliError:
     return CliError(f"replication with seed {seed} failed: {problem} (bundle {rep_dir})")
 
 
-def _simulate_one(s: Scenario, seed: int, rep_dir: str, log, with_kmeans: bool = False) -> dict:
-    """Phase 2 of one replication: coverage map, output bundle and k-means baseline.
+def _write_failure(seed: int, rep_dir: str, e: OSError) -> CliError:
+    return _failure(seed, rep_dir, f"cannot write the bundle: {e.strerror or e}")
 
-    ``log`` is the replication's ``TrajectoryLog``.
+
+def _simulate_one(s: Scenario, seed: int, rep_dir: str, log, coverage, kmeans=None) -> dict:
+    """Phase 2 of one replication: write its bundle and, given one, its k-means baseline.
+
+    ``log`` is the replication's ``TrajectoryLog``, ``coverage`` its grid and
+    ``kmeans`` None or the (``KMeansResult``, served count) of phase 1.
     """
-    params = s.agent_channel_params()
+    total = len(log.users)
+    result = {
+        "seed": int(seed),
+        "served": int(log.served[-1]),
+        "total": total,
+        "initial_served": int(log.served[0]),
+        "final_oracle_utility": float(log.oracle_utility[-1]),
+    }
     try:
-        cov = coverage_map(log.positions[-1], s.area, MAP_GRID, params)
-        render_outputs(log, cov, rep_dir, s.area, s.utility.p_min_dbm)
-        total = len(log.users)
-        result = {
-            "seed": int(seed),
-            "served": int(log.served[-1]),
-            "total": total,
-            "initial_served": int(log.served[0]),
-            "final_oracle_utility": float(log.oracle_utility[-1]),
-        }
-        if with_kmeans:
-            km = kmeans_placement(log.users, s.num_airbs, max_iters=100, seed=seed,
-                                  height_m=s.fixed_height_m)
-            km_served = served_count(km.centroids, log.users, params, s.utility.p_min_dbm)
-            result["kmeans_unserved"] = total - km_served
+        render_outputs(log, coverage, rep_dir, s.area, s.utility.p_min_dbm)
+        if kmeans is not None:
+            km, served = kmeans
+            result["kmeans_unserved"] = total - served
             _write_json(os.path.join(rep_dir, "kmeans.json"), {
                 "centroids": km.centroids.tolist(),
                 "inertia": km.inertia,
-                "served": km_served,
-                "unserved": total - km_served,
+                "served": served,
+                "unserved": total - served,
             })
-    except CoincidentPositionsError as e:
-        raise _failure(seed, rep_dir, e)
     except OSError as e:
-        raise _failure(seed, rep_dir, f"cannot write the bundle: {e.strerror or e}")
+        raise _write_failure(seed, rep_dir, e)
     return result
 
 
@@ -158,33 +165,83 @@ def _jobs(s: Scenario, count: int, out_dir: str) -> list:
             for r, seed in enumerate(replication_seeds(s.seed, count))]
 
 
-def _advance_group(jobs) -> list:
-    """Phase 1 of one group: its jobs' logs, each run of jobs sharing a scenario as one batch."""
-    logs = []
+def _grids_and_baselines(s: Scenario, seeds, dirs, logs, with_kmeans: bool) -> list:
+    """Each advanced job's (log, coverage grid, k-means).
+
+    The k-means is None without ``with_kmeans``, else the ``KMeansResult`` and
+    its served count by the oracle's strongest power; the baselines run in
+    groups of at most ``simulator.BATCH_PAIRS`` agent-user pairs. A grid point,
+    or with ``with_kmeans`` a user, on a transmitter fails the first such job.
+    """
+    params = s.agent_channel_params()
+    group = max(1, simulator.BATCH_PAIRS // (s.num_airbs * s.total_mus))
+    done = []
+    for k in range(0, len(logs), group):
+        part = logs[k:k + group]
+        try:
+            # one grid per call: a batch of grids outgrows the cache and is slower
+            grids = [coverage_map(log.positions[-1], s.area, MAP_GRID, params) for log in part]
+            kmeans = [None] * len(part)
+            if with_kmeans:
+                users = np.stack([log.users for log in part])
+                kmeans = kmeans_replications(users, s.num_airbs, seeds[k:k + group],
+                                             max_iters=100, height_m=s.fixed_height_m)
+                _, best = oracle(np.stack([km.centroids for km in kmeans]), users,
+                                 s.traffic.as_array(), s.utility, params)
+                served = np.sum(best >= s.utility.p_min_dbm, axis=1).tolist()
+                kmeans = list(zip(kmeans, served))
+        except CoincidentPositionsError as e:
+            if len(part) == 1:
+                raise _failure(seeds[k], dirs[k], e)
+            # the jobs are independent, so the first to fail alone is the first that failed
+            for j in range(k, k + len(part)):
+                _grids_and_baselines(s, seeds[j:j + 1], dirs[j:j + 1], logs[j:j + 1],
+                                     with_kmeans)
+            raise
+        done += zip(part, grids, kmeans)
+    return done
+
+
+def _advance_group(with_kmeans: bool, jobs) -> list:
+    """Phase 1 of one group: each job's (log, coverage grid, k-means), each run of jobs
+    sharing a scenario as one batch."""
+    done = []
     for _, batch in itertools.groupby(jobs, key=lambda job: id(job[0])):
         scenarios, seeds, dirs = zip(*batch)
+        s = scenarios[0]
         try:
-            logs += run_replications(scenarios[0], seeds)
+            logs = run_replications(s, seeds)
         except (CoincidentPositionsError, DivergenceError) as e:
-            raise _failure(e.seed, dirs[seeds.index(e.seed)], e)
-    return logs
+            # a job before the one that failed to advance fails first if its grid
+            # or baseline does
+            k = seeds.index(e.seed)
+            _grids_and_baselines(s, seeds, dirs, run_replications(s, seeds[:k]), with_kmeans)
+            raise _failure(e.seed, dirs[k], e)
+        done += _grids_and_baselines(s, seeds, dirs, logs, with_kmeans)
+    return done
 
 
-def _finish_group(with_kmeans: bool, jobs, logs) -> list:
-    """Phase 2 of one group: each job's tail, given its log."""
-    return [_simulate_one(s, seed, rep_dir, log, with_kmeans)
-            for (s, seed, rep_dir), log in zip(jobs, logs)]
+def _finish_group(jobs, records) -> list:
+    """Phase 2 of one group: write each job's bundle, given its phase-1 record."""
+    return [_simulate_one(s, seed, rep_dir, *record)
+            for (s, seed, rep_dir), record in zip(jobs, records)]
 
 
 def _in_two_phases(map_, groups, with_kmeans: bool) -> list:
-    """Advance every group, then finish every group; the results in job order.
+    """Run phase 1 in every group, create every bundle directory, then write every
+    group; the results in job order.
 
-    No bundle is written until every job has advanced, so a failure names
-    the first failing job in list order whatever the grouping.
+    No bundle is written until every job has passed phase 1 and every bundle
+    directory exists. A phase-1 failure names the first job in list order that
+    fails it, whatever the grouping, and so does a directory that cannot be made.
     """
-    logs = list(map_(_advance_group, groups))
-    finish = functools.partial(_finish_group, with_kmeans)
-    return [result for part in map_(finish, groups, logs) for result in part]
+    records = list(map_(functools.partial(_advance_group, with_kmeans), groups))
+    for s, seed, rep_dir in itertools.chain.from_iterable(groups):
+        try:
+            os.makedirs(rep_dir, exist_ok=True)
+        except OSError as e:
+            raise _write_failure(seed, rep_dir, e)
+    return [result for part in map_(_finish_group, groups, records) for result in part]
 
 
 def _run_jobs(jobs, with_kmeans: bool = False) -> list:

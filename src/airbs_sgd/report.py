@@ -1,14 +1,14 @@
 """Coverage metrics and file outputs.
 
-Everything here judges placements by the exact criterion (power of the
+Everything here shows placements by the exact criterion (power of the
 strongest transmitter at each user, no surrogate smoothing), which is
-what the optimizer is ultimately graded on. A run's metrics are read
-from its :class:`simulator.TrajectoryLog`; only the coverage grid and
-:func:`served_count` of another placement call the channel kernel.
-Rendering writes plain-text data files and small hand-assembled SVG
-drawings, the map's heat layer an embedded PNG written by the standard
-library; given identical inputs the emitted bytes are identical, with
-no plotting library involved.
+what the optimizer is ultimately graded on. Nothing here judges a
+placement: a run's metrics are read from its
+:class:`simulator.TrajectoryLog`, and only :func:`coverage_map` calls the
+channel kernel, for the ground grid. Rendering writes plain-text data
+files and small hand-assembled SVG drawings, the map's heat layer an
+embedded PNG written by the standard library; given identical inputs the
+emitted bytes are identical, with no plotting library involved.
 """
 
 from __future__ import annotations
@@ -28,12 +28,6 @@ DEFAULT_HIST_RANGE = (-110.0, -70.0)
 DEFAULT_HIST_BIN_DB = 1.0
 # dBm range of the coverage grid and of the map's colour ramp
 COVERAGE_CLIP = (-100.0, -80.0)
-
-
-def served_count(placements, mus, params, p_min_dbm: float) -> int:
-    """Number of users whose strongest transmitter meets the power target."""
-    return int(np.sum(np.max(received_power_matrix(placements, params, mus), axis=1)
-                      >= p_min_dbm))
 
 
 def coverage_axes(area, grid_resolution) -> tuple:
@@ -103,13 +97,13 @@ def write_trajectory_csv(log, path):
     """CSV with columns: iteration, agent index, x, y, z, oracle utility.
 
     One row per (iteration, agent); the oracle utility of the snapshot is
-    repeated on each agent row.
+    repeated on each agent row, formatted once per snapshot.
     """
     n, b = log.positions.shape[:2]
     xyz = log.positions.reshape(-1, 3).T.tolist()
+    utility = [text for u in log.oracle_utility.tolist() for text in [repr(u)] * b]
     rows = map("{},{},{},{},{},{}".format, np.repeat(np.arange(n), b).tolist(),
-               np.tile(np.arange(b), n).tolist(), *xyz,
-               np.repeat(log.oracle_utility, b).tolist())
+               np.tile(np.arange(b), n).tolist(), *xyz, utility)
     with open(path, "w") as f:
         f.write("\n".join(["iteration,agent_index,x,y,z,oracle_utility", *rows]) + "\n")
 

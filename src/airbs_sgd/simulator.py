@@ -35,7 +35,7 @@ import numpy as np
 
 from .channel import MAX_COORD_M, ChannelParams, CoincidentPositionsError, received_power_matrix
 from .navigator import DivergenceError, StepSchedule, batched_update
-from .traffic import TrafficProfile, sample_recipient
+from .traffic import TrafficProfile
 from .utility import UtilityConfig, oracle
 
 # Upper bound on the agent-user pairs (R * B * M for a snapshot of R
@@ -299,7 +299,8 @@ def _advance(s: Scenario, seeds) -> list:
 
     first = last = snapshot(0)
     for i in range(s.iterations):
-        idx = np.stack([sample_recipient(profile, rng, size=q) for rng in rngs])
+        # each replication's Q uniforms, inverted in one call
+        idx = profile.recipients(np.stack([rng.random(q) for rng in rngs]))
         powers, grads = received_power_matrix(L, params, users[rep, idx], gradient=True)
         if sigma > 0.0:
             powers = powers + sigma * np.stack([rng.standard_normal((q, b)) for rng in rngs])

@@ -53,6 +53,10 @@ class TrafficProfile:
         cdf /= cdf[-1]
         return cdf
 
+    def recipients(self, u) -> np.ndarray:
+        """The recipient index of each uniform draw in ``u``: the CDF inverted at it."""
+        return self.cdf.searchsorted(u, side="right")
+
 
 def sample_recipient(profile: TrafficProfile, rng: np.random.Generator, size=None):
     """Draw packet-recipient indices from ``profile``; scalar when size is None.
@@ -61,7 +65,7 @@ def sample_recipient(profile: TrafficProfile, rng: np.random.Generator, size=Non
     ``rng.choice(len(profile.pi), size=size, p=profile.pi)``, which inverts
     the profile's CDF at uniform draws; the CDF is built once per profile.
     """
-    idx = profile.cdf.searchsorted(rng.random(size), side="right")
+    idx = profile.recipients(rng.random(size))
     if size is None:
         return int(idx)
     return idx

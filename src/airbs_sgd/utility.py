@@ -82,6 +82,18 @@ class UtilityConfig:
                              f"got {self.softmax_alpha}")
 
 
+def _log_sum_exp(powers_dbm, alpha: float, axis: int):
+    """The soft maximum of ``powers_dbm`` along ``axis`` (kept, of length 1), with the
+    exponentials ``exp(alpha * (p_b - max_b p_b))`` and their sum it is built from."""
+    if not alpha > 0.0:
+        raise ValueError("alpha must be positive")
+    p = np.asarray(powers_dbm, dtype=float)
+    m = np.max(p, axis=axis, keepdims=True)
+    e = np.exp(alpha * (p - m))
+    z = np.sum(e, axis=axis, keepdims=True)
+    return m + np.log(z) / alpha, e, z
+
+
 def smooth_max_dbm(powers_dbm, alpha: float = 1.0, axis: int = -1):
     """Log-sum-exp soft maximum of dBm powers at temperature ``alpha``.
 
@@ -89,12 +101,7 @@ def smooth_max_dbm(powers_dbm, alpha: float = 1.0, axis: int = -1):
     subtracting the maximum before exponentiation. The result lies in
     ``[max_b p_b, max_b p_b + ln(B)/alpha]``.
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    p = np.asarray(powers_dbm, dtype=float)
-    m = np.max(p, axis=axis)
-    z = np.sum(np.exp(alpha * (p - np.expand_dims(m, axis))), axis=axis)
-    return m + np.log(z) / alpha
+    return np.squeeze(_log_sum_exp(powers_dbm, alpha, axis)[0], axis)[()]
 
 
 def softmax_weights(powers_dbm, alpha: float = 1.0, axis: int = -1):
@@ -103,11 +110,8 @@ def softmax_weights(powers_dbm, alpha: float = 1.0, axis: int = -1):
     This is exactly the gradient of :func:`smooth_max_dbm` with respect to
     the power vector: positive weights summing to one.
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    p = np.asarray(powers_dbm, dtype=float)
-    e = np.exp(alpha * (p - np.max(p, axis=axis, keepdims=True)))
-    return e / np.sum(e, axis=axis, keepdims=True)
+    _, e, z = _log_sum_exp(powers_dbm, alpha, axis)
+    return e / z
 
 
 def _logistic(z):
@@ -181,10 +185,9 @@ def user_utility_partials(powers_dbm, cfg: UtilityConfig, axis: int = -1):
     that power's partial in ``p_b``. Always positive (every family is
     increasing in each power).
     """
-    p = np.asarray(powers_dbm, dtype=float)
-    alpha = _temperature(cfg)
-    slope = _reward(smooth_max_dbm(p, alpha, axis=axis), cfg, slope=True)
-    return np.expand_dims(slope, axis) * softmax_weights(p, alpha, axis=axis)
+    # one maximum, exponential and sum give both the soft maximum and its weights
+    soft, e, z = _log_sum_exp(powers_dbm, _temperature(cfg), axis)
+    return _reward(soft, cfg, slope=True) * (e / z)
 
 
 def oracle(placements, users, weights, cfg: UtilityConfig, params):

@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference oracles, dB conversions, packet
-replay, acceptance reporting, fresh-interpreter runs and a scenario that
-diverges."""
+replay, the per-replication k-means reference, acceptance reporting,
+fresh-interpreter runs and a scenario that diverges."""
 
 import dataclasses
 import os
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from airbs_sgd.baseline import KMeansResult
 from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.navigator import StepSchedule
 from airbs_sgd.simulator import Rect, Scenario, init_scenario
@@ -174,3 +175,46 @@ def runaway_message(s, seed, rep_dir):
     return (f"error: replication with seed {seed} failed: agent 0 stepped to {flung.tolist()}: "
             f"the position must be within 1e+150 m of 0 with nonnegative altitude "
             f"(bundle {rep_dir})\n")
+
+
+def kmeans_reference(user_locations, num_clusters, max_iters=100, seed=0, height_m=0.0):
+    """One replication's Lloyd k-means, one cluster at a time: the reference that
+    ``baseline.kmeans_replications`` is compared against bit for bit.
+
+    Equidistant users go to the lowest cluster index; a cluster that loses
+    all its users is reseeded to the user farthest from its stale centroid;
+    a run that exhausts ``max_iters`` passes is realigned once.
+    """
+    pts = np.asarray(user_locations, dtype=float)[:, :2]
+    m = pts.shape[0]
+    rng = np.random.default_rng(int(seed))
+    centroids = pts[rng.choice(m, size=num_clusters, replace=False)].copy()
+
+    def nearest():
+        d2 = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        assign = np.argmin(d2, axis=1)
+        return assign, float(np.sum(d2[np.arange(m), assign]))
+
+    history, prev = [], None
+    for _ in range(max_iters):
+        assign, inertia = nearest()
+        history.append(inertia)
+        if prev is not None and np.array_equal(assign, prev):
+            break
+        for k in range(num_clusters):
+            members = pts[assign == k]
+            if len(members):
+                centroids[k] = members.mean(axis=0)
+            else:
+                far = np.argmax(np.sum((pts - centroids[k]) ** 2, axis=1))
+                centroids[k] = pts[far]
+        prev = assign
+    else:
+        assign, inertia = nearest()
+        history.append(inertia)
+    return KMeansResult(
+        centroids=np.column_stack([centroids, np.full(num_clusters, float(height_m))]),
+        assignments=tuple(int(a) for a in assign),
+        inertia=float(inertia),
+        inertia_history=tuple(history),
+    )

@@ -326,7 +326,8 @@ def test_criterion_10_parallelism_independence(tmp_path, monkeypatch):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n")
 
-    # a run's three replications, and a sweep's six (two values of three), advance
+    # a run's three replications, a sweep's six (two values of three) and a
+    # three-seed reproduction with its k-means baselines advance, and are judged,
     # as one batch per scenario in-process, then in three forked worker groups,
     # then in-process in groups of one
     trees = []
@@ -336,20 +337,24 @@ def test_criterion_10_parallelism_independence(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cores", lambda cores=cores: cores)
         monkeypatch.setattr(simulator, "BATCH_PAIRS", pairs)
         out = tmp_path / tag
-        for argv in (["run", "--out", str(out / "run")],
-                     ["sweep", "--axis", "eta", "--values", "1,5", "--out", str(out / "sweep")]):
-            rc = cli_main([*argv, "--scenario", str(scen), "--replications", "3"])
-            assert rc == 0
+        on_scen = ["--scenario", str(scen), "--replications", "3"]
+        for argv in (["run", *on_scen, "--out", str(out / "run")],
+                     ["sweep", *on_scen, "--axis", "eta", "--values", "1,5",
+                      "--out", str(out / "sweep")],
+                     ["reproduce-paper", "--seeds", "3", "--baseline", "kmeans",
+                      "--out", str(out / "paper")]):
+            assert cli_main(argv) == 0
         trees.append({p.relative_to(out): p.read_bytes()
                       for p in out.rglob("*") if p.is_file()})
 
     names = {str(name) for name in trees[0]}
     same = trees[0] == trees[1] == trees[2] and "run/summary.json" in names and \
-        "sweep/sweep.csv" in names and \
+        "sweep/sweep.csv" in names and "paper/summary.json" in names and \
         all(f"{d}/rep_{r:03d}/trajectory.csv" in names
-            for d in ("run", "sweep/eta_1", "sweep/eta_5") for r in range(3))
+            for d in ("run", "sweep/eta_1", "sweep/eta_5", "paper") for r in range(3)) and \
+        all(f"paper/rep_{r:03d}/kmeans.json" in names for r in range(3))
     record_criterion(
         10, "identical outputs however the replications are batched or grouped", same,
-        f"{len(trees[0])} files of a run and a sweep byte-compared across one batch, "
-        f"three forked groups and groups of one")
+        f"{len(trees[0])} files of a run, a sweep and a k-means reproduction byte-compared "
+        f"across one batch, three forked groups and groups of one")
     assert same

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from airbs_sgd.baseline import kmeans_placement
+from helpers import kmeans_reference
+from airbs_sgd.baseline import kmeans_placement, kmeans_replications
+
+# few distinct values, -0.0 among them: users repeat, so clusters empty, and
+# sit equidistant from two centroids, so ties are broken
+COORDS = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.0, 0.5, 3.0]) | st.floats(-1e3, 1e3)
 
 
 def pts_from(arr, z=0.0):
@@ -99,3 +105,40 @@ def test_errors():
         kmeans_placement(users, 0)
     with pytest.raises(ValueError):
         kmeans_placement(users, 1, max_iters=0)
+
+
+@st.composite
+def lloyd_batches(draw):
+    r, b = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    m = draw(st.integers(b, b + 8))
+    users = np.zeros((r, m, 3))
+    users[..., :2] = np.reshape(draw(st.lists(COORDS, min_size=2 * r * m,
+                                              max_size=2 * r * m)), (r, m, 2))
+    seeds = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=r, max_size=r))
+    return users, b, seeds, draw(st.sampled_from([1, 2, 3, 100]))
+
+
+def _bits(res):
+    return (res.centroids.tobytes(), res.assignments, np.float64(res.inertia).tobytes(),
+            np.array(res.inertia_history).tobytes())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lloyd_batches())
+def test_batched_lloyd_is_each_replication_alone_bit_for_bit(batch):
+    users, b, seeds, max_iters = batch
+    got = kmeans_replications(users, b, seeds, max_iters=max_iters, height_m=30.0)
+    assert len(got) == len(seeds)
+    for r, seed in enumerate(seeds):
+        want = _bits(kmeans_reference(users[r], b, max_iters=max_iters, seed=seed,
+                                      height_m=30.0))
+        assert _bits(got[r]) == want
+        assert _bits(kmeans_placement(users[r], b, max_iters=max_iters, seed=seed,
+                                      height_m=30.0)) == want
+
+
+def test_batched_lloyd_needs_one_seed_per_replication():
+    users = np.zeros((2, 3, 3))
+    with pytest.raises(ValueError, match="one seed per replication"):
+        kmeans_replications(users, 1, [0])

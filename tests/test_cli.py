@@ -9,13 +9,16 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from helpers import diverges, run_python, runaway_message, runaway_scenario
+from helpers import (diverges, extra_user_packets, run_python, runaway_message,
+                     runaway_scenario)
 
 from airbs_sgd import cli
-from airbs_sgd.channel import ChannelParams
+from airbs_sgd.channel import ChannelParams, CoincidentPositionsError, received_power_matrix
 from airbs_sgd.cli import main, replication_seeds
 from airbs_sgd.navigator import StepSchedule
-from airbs_sgd.simulator import Rect, Scenario, run, scenario_from_dict, scenario_to_dict
+from airbs_sgd.report import coverage_map
+from airbs_sgd.simulator import (Rect, Scenario, init_scenario, run, scenario_from_dict,
+                                 scenario_to_dict)
 from airbs_sgd.utility import UtilityConfig, UtilityFamily
 
 
@@ -201,6 +204,89 @@ def test_unwritable_bundle_exits_2_naming_it(tmp_path, capsys, argv, blocker, bu
     assert err.startswith("error: replication with seed ") and len(err.splitlines()) == 1
     assert "cannot write the bundle" in err and f"(bundle {out / bundle})" in err
     assert (out / blocker).read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_taken_bundle_name_fails_before_any_bundle_is_written(tmp_path, capsys, monkeypatch,
+                                                                cores):
+    # eta_1 comes first and could be written; the file named eta_5 stops the command first
+    scen, out = write_scenario(tmp_path), tmp_path / "out"
+    out.mkdir()
+    (out / "eta_5").write_text("a file\n")
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    rc = main(["sweep", "--scenario", str(scen), "--axis", "eta", "--values", "1,5",
+               "--out", str(out)])
+    assert rc == 2
+    seed = replication_seeds(11, 1)[0]
+    assert capsys.readouterr().err == (
+        f"error: replication with seed {seed} failed: cannot write the bundle: "
+        f"{os.strerror(errno.ENOTDIR)} (bundle {out / 'eta_5' / 'rep_000'})\n")
+    assert [p for p in out.rglob("*") if p.is_file()] == [out / "eta_5"]
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_a_grid_point_on_an_agent_fails_before_any_bundle_is_written(tmp_path, capsys,
+                                                                     monkeypatch, cores):
+    # agents start, and stay, on the ground within 0.12 m of the grid point (0, 0): a
+    # replication fails where one is within the 0.1 m guard of it, and the first
+    # replication that does not is written first at no grouping
+    grid = Rect(0.0, 0.0, 690.0, 690.0)  # grid points every 10 m
+    base = dataclasses.replace(scenario_from_dict(small_scenario_dict()), area=grid,
+                               init_region=Rect(0.0, 0.0, 0.12, 0.12), fixed_height_m=0.0,
+                               iterations=0)
+
+    def grid_error(s, seed):
+        s = dataclasses.replace(s, seed=seed)
+        try:
+            coverage_map(init_scenario(s).positions, grid, cli.MAP_GRID,
+                         s.agent_channel_params())
+        except CoincidentPositionsError as e:
+            return e
+
+    for master in range(100):
+        seeds = replication_seeds(master, 3)
+        errors = [grid_error(base, seed) for seed in seeds]
+        if errors[0] is None and any(errors):
+            break
+    first = next(r for r, e in enumerate(errors) if e)
+    scen, out = tmp_path / "scen.json", tmp_path / "out"
+    scen.write_text(json.dumps(scenario_to_dict(dataclasses.replace(base, seed=master))))
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    rc = main(["run", "--scenario", str(scen), "--replications", "3", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: replication with seed {seeds[first]} failed: {errors[first]} "
+        f"(bundle {out / f'rep_{first:03d}'})\n")
+    assert [p.name for p in out.rglob("*") if p.is_file()] == ["effective_config.json"]
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_an_earlier_grid_failure_is_named_before_a_later_divergence(tmp_path, capsys,
+                                                                   monkeypatch, cores):
+    # the runaway agent 5 cm above the grid point (0, 0): a replication that hears
+    # the extra user is flung, one that does not stays on that grid point
+    s = runaway_scenario()
+    extra, prm = s.extra_mu_positions[0], s.agent_channel_params()[0]
+    p_extra = float(received_power_matrix([[0.0, 0.0, 0.05]], [prm], [extra])[0, 0])
+    s = dataclasses.replace(s, area=Rect(0.0, 0.0, 6900.0, 6900.0),
+                            init_region=Rect(0.0, 0.0, 0.0, 0.0), fixed_height_m=0.05,
+                            utility=dataclasses.replace(s.utility, p_min_dbm=p_extra - 0.25))
+    for master in range(100):
+        seeds = replication_seeds(master, 3)
+        flung = [any(extra_user_packets(s, seed)) for seed in seeds]
+        if not flung[0] and any(flung):
+            break
+    log = run(dataclasses.replace(s, seed=seeds[0]))
+    with pytest.raises(CoincidentPositionsError) as grid:
+        coverage_map(log.positions[-1], s.area, cli.MAP_GRID, s.agent_channel_params())
+    scen, out = tmp_path / "scen.json", tmp_path / "out"
+    scen.write_text(json.dumps(scenario_to_dict(dataclasses.replace(s, seed=master))))
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    rc = main(["run", "--scenario", str(scen), "--replications", "3", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: replication with seed {seeds[0]} failed: "
+                                       f"{grid.value} (bundle {out / 'rep_000'})\n")
+    assert [p.name for p in out.rglob("*") if p.is_file()] == ["effective_config.json"]
 
 
 @pytest.mark.parametrize("argv, name", [

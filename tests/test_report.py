@@ -18,7 +18,6 @@ from airbs_sgd.report import (
     coverage_map,
     power_histogram,
     render_outputs,
-    served_count,
     write_trajectory_csv,
     write_trajectory_json,
 )
@@ -26,29 +25,6 @@ from airbs_sgd.simulator import Rect, Scenario, TrajectoryLog, run
 from airbs_sgd.utility import UtilityConfig, UtilityFamily
 
 PRM = ChannelParams(-94.0, 1000.0, 12.0)
-
-
-def test_served_count_pinned_cases():
-    placements = [[0.0, 0.0, 30.0]]
-    near = [0.0, 0.0, 0.0]           # right below: about -51.5 dBm
-    far = [100000.0, 0.0, 0.0]       # 100 km out: about -122 dBm
-    assert served_count(placements, [near, far], [PRM], -91.0) == 1
-    assert served_count(placements, [near, far], [PRM], -300.0) == 2
-    assert served_count(placements, [near, far], [PRM], 0.0) == 0
-
-
-def test_served_count_matches_brute_force():
-    rng = np.random.default_rng(12)
-    placements = np.array([[*rng.uniform(0, 5000, 2), 30.0] for _ in range(4)])
-    params = [ChannelParams(-94.0, 1000.0, p) for p in (7.0, 9.0, 9.0, 12.0)]
-    mus = np.array([[*rng.uniform(0, 5000, 2), 0.0] for _ in range(60)])
-    p_min = -89.0
-    want = 0
-    for mu in mus:
-        best = max(float(received_power_matrix([l], [prm], [mu])[0, 0])
-                   for l, prm in zip(placements, params))
-        want += best >= p_min
-    assert served_count(placements, mus, params, p_min) == want
 
 
 def test_histogram_structure_and_edges():

@@ -357,3 +357,34 @@ def test_utility_config_validation():
         cfg_for(UtilityFamily.UNICAST_RATE, noise_dbm=math.inf)
     cfg = cfg_for("unicast_rate")
     assert cfg.family is UtilityFamily.UNICAST_RATE
+
+
+def _oracle_served(placements, users, params, p_min):
+    """Users whose strongest power, as the oracle gives it, meets ``p_min``."""
+    cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, p_min_dbm=p_min)
+    _, best = oracle(placements, users, np.full(len(users), 1.0 / len(users)), cfg, params)
+    return int(np.sum(best >= p_min))
+
+
+def test_oracle_served_count_pinned_cases():
+    prm = ChannelParams(-94.0, 1000.0, 12.0)
+    placements = [[0.0, 0.0, 30.0]]
+    near = [0.0, 0.0, 0.0]           # right below: about -51.5 dBm
+    far = [100000.0, 0.0, 0.0]       # 100 km out: about -122 dBm
+    assert _oracle_served(placements, [near, far], [prm], -91.0) == 1
+    assert _oracle_served(placements, [near, far], [prm], -300.0) == 2
+    assert _oracle_served(placements, [near, far], [prm], 0.0) == 0
+
+
+def test_oracle_served_count_matches_brute_force():
+    rng = np.random.default_rng(12)
+    placements = np.array([[*rng.uniform(0, 5000, 2), 30.0] for _ in range(4)])
+    params = [ChannelParams(-94.0, 1000.0, p) for p in (7.0, 9.0, 9.0, 12.0)]
+    mus = np.array([[*rng.uniform(0, 5000, 2), 0.0] for _ in range(60)])
+    p_min = -89.0
+    want = 0
+    for mu in mus:
+        best = max(float(received_power_matrix([l], [prm], [mu])[0, 0])
+                   for l, prm in zip(placements, params))
+        want += best >= p_min
+    assert _oracle_served(placements, mus, params, p_min) == want

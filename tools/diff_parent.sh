@@ -1,0 +1,107 @@
+#!/usr/bin/env bash
+# Compare what this checkout writes with what revision REV writes.
+#
+#   tools/diff_parent.sh REV        e.g. tools/diff_parent.sh HEAD~
+#
+# Extracts REV's tree with `git archive` into a temporary directory, then runs
+# three commands from REV's `src/` and from this checkout's `src/`, each pinned
+# to one core (`taskset -c 0`, nothing is forked) and on every core:
+#
+#   reference  reproduce-paper --seeds 20 --baseline kmeans   (criterion 1)
+#   noisy      run --replications 3 of the reference scenario with
+#              measurement_noise_db 1.5
+#   sweep      sweep --axis eta --values 1,5,25 --replications 3 of the reference
+#
+# For each command and core setting it reports `diff -r` of the two output
+# trees and `cmp` of the two stdouts. On a byte change it also lists the
+# served and k-means unserved counts that moved (from summary.json and
+# sweep.csv). Exits 0 when every file and stdout line is identical, 1 when
+# any differs. PYTHON picks the interpreter (default python3); KEEP=1 keeps
+# the outputs and prints where they are.
+set -euo pipefail
+
+rev=${1:?usage: tools/diff_parent.sh REV}
+python=${PYTHON:-python3}
+root=$(git rev-parse --show-toplevel)
+work=$(mktemp -d "${TMPDIR:-/tmp}/diff_parent.XXXXXX")
+if [ "${KEEP:-0}" = 1 ]; then
+    echo "outputs kept in $work"
+else
+    trap 'rm -rf "$work"' EXIT
+fi
+
+mkdir "$work/rev"
+git -C "$root" archive "$rev" | tar -x -C "$work/rev"
+
+# the noisy scenario, from each tree's own reference scenario
+noisy_scenario() {
+    "$python" - "$1/src/airbs_sgd/scenarios/reference.json" "$2" <<'EOF'
+import json, sys
+d = json.load(open(sys.argv[1]))
+d["measurement_noise_db"] = 1.5
+json.dump(d, open(sys.argv[2], "w"), indent=2)
+EOF
+}
+
+# run TREE TAG MODE: one command from TREE's src/ into $work/TAG-MODE-{rev,new}
+run() {
+    local tree=$1 side=$2 tag=$3 mode=$4
+    local out="$work/$tag-$mode-$side" pin=()
+    [ "$mode" = pinned ] && pin=(taskset -c 0)
+    local ref="$tree/src/airbs_sgd/scenarios/reference.json"
+    local args
+    case $tag in
+        reference) args=(reproduce-paper --seeds 20 --baseline kmeans) ;;
+        noisy) noisy_scenario "$tree" "$work/noisy-$side.json"
+               args=(run --scenario "$work/noisy-$side.json" --replications 3) ;;
+        sweep) args=(sweep --scenario "$ref" --axis eta --values 1,5,25 --replications 3) ;;
+    esac
+    PYTHONPATH="$tree/src" "${pin[@]}" "$python" -m airbs_sgd.cli "${args[@]}" \
+        --out "$out" > "$out.txt"
+}
+
+# moved A B: the served and k-means counts that differ between trees A and B
+moved() {
+    "$python" - "$1" "$2" <<'EOF'
+import csv, json, pathlib, sys
+
+def counts(tree):
+    tree, got = pathlib.Path(tree), {}
+    for path in sorted(tree.rglob("summary.json")):
+        for r, res in enumerate(json.loads(path.read_text())["results"]):
+            for key in ("served", "kmeans_unserved"):
+                if key in res:
+                    rep = (path.parent.relative_to(tree) / f"rep_{r:03d}").as_posix()
+                    got[f"{rep} {key}"] = res[key]
+    for path in sorted(tree.rglob("sweep.csv")):
+        for row in csv.DictReader(path.open()):
+            got[f"{row['axis']}_{row['value']}/rep_{int(row['replication']):03d} served"] = \
+                int(row["served"])
+    return got
+
+a, b = counts(sys.argv[1]), counts(sys.argv[2])
+changes = [f"    {k}: {a.get(k)} -> {b.get(k)}" for k in sorted(set(a) | set(b))
+           if a.get(k) != b.get(k)]
+print("\n".join(changes) if changes else "    no served or k-means count moved")
+EOF
+}
+
+status=0
+for tag in reference noisy sweep; do
+    for mode in pinned unpinned; do
+        run "$work/rev" rev "$tag" "$mode"
+        run "$root" new "$tag" "$mode"
+        a="$work/$tag-$mode-rev" b="$work/$tag-$mode-new"
+        files=$(find "$a" -type f | wc -l)
+        if diff -rq "$a" "$b" > "$work/$tag-$mode.diff" && cmp -s "$a.txt" "$b.txt"; then
+            echo "$tag $mode: identical ($files files and stdout)"
+        else
+            status=1
+            echo "$tag $mode: DIFFERS ($(wc -l < "$work/$tag-$mode.diff") of $files files differ;" \
+                 "stdout $(cmp -s "$a.txt" "$b.txt" && echo identical || echo differs))"
+            sed "s|$work/||g; s|^|    |" "$work/$tag-$mode.diff"
+            moved "$a" "$b"
+        fi
+    done
+done
+exit $status
