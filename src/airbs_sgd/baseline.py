@@ -43,9 +43,11 @@ def _nearest(px, py, cx, cy):
     ``px``, ``py`` are (R, M) user and ``cx``, ``cy`` (R, B) centroid
     coordinates. Equidistant users go to the lowest cluster index.
     """
-    dx = px[:, None, :] - cx[:, :, None]
+    # in place, as in channel.received_power_matrix: dx*dx + dy*dy in two arrays
+    d2 = px[:, None, :] - cx[:, :, None]
+    np.multiply(d2, d2, out=d2)
     dy = py[:, None, :] - cy[:, :, None]
-    d2 = dx * dx + dy * dy
+    d2 += np.multiply(dy, dy, out=dy)
     best = np.min(d2, axis=1)
     # the first cluster at the least distance
     return np.argmax(d2 == best[:, None, :], axis=1), d2, best.sum(axis=1)

@@ -26,6 +26,10 @@ EPS_DISTANCE_M = 0.1
 # Largest coordinate magnitude (m) a position may have: the squared distance
 # of two points within it, below 12 * MAX_COORD_M**2 = 1.2e301, stays finite.
 MAX_COORD_M = 1e150
+# Smallest reference distance (m) a link budget may be calibrated at: a
+# separation over it, below sqrt(12) * MAX_COORD_M / MIN_REF_DISTANCE_M = 3.5e300,
+# stays finite.
+MIN_REF_DISTANCE_M = 1e-150
 
 
 class CoincidentPositionsError(ValueError):
@@ -53,8 +57,9 @@ class ChannelParams:
     def __post_init__(self):
         if not math.isfinite(self.ref_gain_db):
             raise ValueError("ref_gain_db must be finite")
-        if not (0.0 < self.ref_distance_m < math.inf):
-            raise ValueError("ref_distance_m must be finite and positive")
+        if not (MIN_REF_DISTANCE_M <= self.ref_distance_m < math.inf):
+            raise ValueError(f"ref_distance_m must be finite and at least "
+                             f"{MIN_REF_DISTANCE_M:g} m, got {self.ref_distance_m:g}")
         if not math.isfinite(self.tx_power_dbm):
             raise ValueError("tx_power_dbm must be finite")
 
@@ -93,19 +98,38 @@ def received_power_matrix(placements, params, points, gradient: bool = False):
     over the B axis adds whole rows of N entries.
     """
     L, X = np.asarray(placements, dtype=float), np.asarray(points, dtype=float)
-    # one coordinate at a time: every operation runs along the N points
-    dx, dy, dz = (L[..., :, None, k] - X[..., None, :, k] for k in range(3))
-    d2 = dx * dx + dy * dy + dz * dz
+
+    def delta(k, out=None):
+        return np.subtract(L[..., :, None, k], X[..., None, :, k], out=out)
+
+    # One coordinate at a time, so every operation runs along the N points, and
+    # in place: the powers are built in the array that accumulates the squared
+    # distance and, without gradients, one scratch array holds each coordinate's
+    # difference. The ufuncs and operands are those of the plain expressions, so
+    # every power keeps its bits.
+    deltas = [delta(0)]
+    d2 = deltas[0] * deltas[0]
+    for k in (1, 2):
+        if gradient:
+            deltas.append(delta(k))
+            d2 += deltas[k] * deltas[k]
+        else:
+            d = delta(k, out=deltas[0])
+            d2 += np.multiply(d, d, out=d)
     if np.any(d2 < EPS_DISTANCE_M * EPS_DISTANCE_M):
         raise CoincidentPositionsError(
             f"separation {math.sqrt(float(np.min(d2))):.3g} m below the "
             f"{EPS_DISTANCE_M} m singularity guard")
     budget = np.array([[p.tx_power_dbm + p.ref_gain_db] for p in params])
     ref = np.array([[p.ref_distance_m] for p in params])
-    powers = np.swapaxes(budget - 20.0 * np.log10(np.sqrt(d2) / ref), -1, -2)
+    p = np.sqrt(d2, out=None if gradient else d2)
+    np.divide(p, ref, out=p)
+    np.log10(p, out=p)
+    np.multiply(20.0, p, out=p)
+    powers = np.swapaxes(np.subtract(budget, p, out=p), -1, -2)
     if not gradient:
         return powers
     slope = -DB_SLOPE / d2
-    grads = np.stack([slope * dx, slope * dy, slope * dz], axis=-1)
+    grads = np.stack([slope * d for d in deltas], axis=-1)
     return powers, np.swapaxes(grads, -2, -3)
 

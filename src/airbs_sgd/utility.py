@@ -89,7 +89,9 @@ def _log_sum_exp(powers_dbm, alpha: float, axis: int):
         raise ValueError("alpha must be positive")
     p = np.asarray(powers_dbm, dtype=float)
     m = np.max(p, axis=axis, keepdims=True)
-    e = np.exp(alpha * (p - m))
+    # in place, one array the size of the powers
+    e = np.subtract(p, m)
+    np.exp(np.multiply(alpha, e, out=e), out=e)
     z = np.sum(e, axis=axis, keepdims=True)
     return m + np.log(z) / alpha, e, z
 

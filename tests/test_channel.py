@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import helpers
 from helpers import dbm_to_linear, linear_to_dbm
-from airbs_sgd.channel import ChannelParams, CoincidentPositionsError, received_power_matrix
+from airbs_sgd.channel import (MAX_COORD_M, MIN_REF_DISTANCE_M, ChannelParams,
+                               CoincidentPositionsError, received_power_matrix)
 
 PARAMS = ChannelParams(ref_gain_db=-94.0, ref_distance_m=1000.0, tx_power_dbm=12.0)
 
@@ -191,6 +193,34 @@ def test_channel_params_validation():
         ChannelParams(ref_gain_db=-94.0, ref_distance_m=math.inf, tx_power_dbm=10.0)
     with pytest.raises(ValueError):
         ChannelParams(ref_gain_db=math.nan, ref_distance_m=1000.0, tx_power_dbm=10.0)
+    # d / 1e-300 m overflows for a user 1e10 m away
+    with pytest.raises(ValueError, match="ref_distance_m must be finite and at least 1e-150 m"):
+        ChannelParams(ref_gain_db=-94.0, ref_distance_m=1e-300, tx_power_dbm=10.0)
+    # at the bound, the farthest separation positions allow still has a finite power
+    prm = ChannelParams(ref_gain_db=-94.0, ref_distance_m=MIN_REF_DISTANCE_M, tx_power_dbm=10.0)
+    with np.errstate(all="raise"):
+        p = received_power_matrix([[-MAX_COORD_M, -MAX_COORD_M, 0.0]], [prm],
+                                  [[MAX_COORD_M, MAX_COORD_M, MAX_COORD_M]])
+    assert np.isfinite(p).all()
+
+
+def test_power_kernel_evaluates_in_place():
+    # the powers are built in the array they are returned in; a chain of
+    # temporaries the size of that array, above malloc's mmap threshold at this
+    # snapshot's size, faulted fresh pages in at every call
+    rng = np.random.default_rng(5)
+    L = np.concatenate([rng.uniform(0.0, 7000.0, (20, 5, 2)),
+                        rng.uniform(50.0, 200.0, (20, 5, 1))], axis=2)
+    X = np.concatenate([rng.uniform(0.0, 7000.0, (20, 202, 2)), np.zeros((20, 202, 1))], axis=2)
+    params = [PARAMS] * 5
+    tracemalloc.start()
+    try:
+        out = received_power_matrix(L, params, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (20, 202, 5)
+    assert peak <= 3 * out.nbytes
 
 
 def test_kernel_gradients_match_finite_differences():

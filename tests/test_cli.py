@@ -8,6 +8,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (diverges, extra_user_packets, run_python, runaway_message,
                      runaway_scenario)
@@ -131,10 +132,13 @@ def _overflow_link_budget(d):
     (lambda d: d["schedule"].update(eta_scale=1e308), "schedule: eta0 * eta_scale must be"),
     # so are a transmitter's power and the channel gain, as link budgets
     (_overflow_link_budget, "tx_powers_dbm[0] + channel.ref_gain_db must be finite"),
+    # a separation over a reference distance this small could overflow
+    (lambda d: d["channel"].update(ref_distance_m=1e-300),
+     "channel: ref_distance_m must be finite and at least 1e-150 m"),
 ], ids=["nan_height", "infinite_area", "misspelled_key", "negative_extra_altitude",
         "inverted_area", "inverted_init_region", "negative_eta0", "far_area",
         "far_init_region", "far_height", "far_extra_user", "overflowing_step_size",
-        "overflowing_link_budget"])
+        "overflowing_link_budget", "tiny_ref_distance"])
 def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
     d = small_scenario_dict()
     mutate(d)
@@ -529,6 +533,21 @@ def test_cli_import_loads_no_scipy():
     proc = run_python("-c", "import airbs_sgd.cli, sys; assert not "
                       "{'scipy', 'multiprocessing', 'concurrent.futures'} & set(sys.modules)")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_command_loads_no_numpy_ma(tmp_path):
+    # np.median imports numpy.ma, 16 ms of every command
+    proc = run_python("-c", "import sys; from airbs_sgd.cli import main; "
+                      f"main(['reproduce-paper', '--seeds', '3', '--out', {str(tmp_path)!r}]); "
+                      "assert 'numpy.ma' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(st.integers(0, 10**6), min_size=1, max_size=9),
+                 st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=9)))
+def test_median_is_numpys_bit_for_bit(values):
+    assert cli._median(values).hex() == float(np.median(values)).hex()
 
 
 @pytest.mark.parametrize("cores, pools", [(1, []), (2, [2])])

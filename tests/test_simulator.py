@@ -353,13 +353,14 @@ def test_cli_exits_2_when_a_healthy_replication_logs_a_non_finite_value(tmp_path
 
 
 def test_a_non_finite_snapshot_utility_fails_the_replication(tmp_path):
-    # no step diverges: at a 1e-300 m reference distance the user 1e10 m away
-    # gets -inf dBm from every agent, so the first snapshot's utility is nan
-    s = small_scenario(channel=ChannelParams(-94.0, 1e-300, 0.0),
-                       extra_mu_positions=((1e10, 0.0, 0.0),))
+    # no step diverges: every input is finite, but a power 1e308 dB above a
+    # -1e308 dBm noise floor has an infinite rate, so the first snapshot's
+    # utility is inf
+    s = small_scenario(tx_powers_dbm=(1e308, 1e308),
+                       utility=UtilityConfig(UtilityFamily.UNICAST_RATE, -1e308, -91.0, 2.0))
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as e:
         run(s)
-    assert str(e.value) == "oracle utility is nan at snapshot 0" and e.value.seed == s.seed
+    assert str(e.value) == "oracle utility is inf at snapshot 0" and e.value.seed == s.seed
     scen, out = tmp_path / "scen.json", tmp_path / "out"
     scen.write_text(json.dumps(scenario_to_dict(s)))
     proc = helpers.run_python("-m", "airbs_sgd.cli", "run", "--scenario", str(scen),
@@ -367,7 +368,7 @@ def test_a_non_finite_snapshot_utility_fails_the_replication(tmp_path):
     assert proc.returncode == 2
     seed = replication_seeds(s.seed, 2)[0]
     assert proc.stderr.splitlines()[-1] == (f"error: replication with seed {seed} failed: "
-                                            f"oracle utility is nan at snapshot 0 "
+                                            f"oracle utility is inf at snapshot 0 "
                                             f"(bundle {out / 'rep_000'})")
     assert "Traceback" not in proc.stderr
     assert not any(out.glob("rep_*"))

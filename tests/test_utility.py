@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,3 +389,23 @@ def test_oracle_served_count_matches_brute_force():
                    for l, prm in zip(placements, params))
         want += best >= p_min
     assert _oracle_served(placements, mus, params, p_min) == want
+
+
+def test_oracle_snapshot_evaluates_in_place():
+    # a snapshot of 20 replications: the kernel's powers and the soft maximum's
+    # exponentials are its only arrays of their size (see test_channel's
+    # test_power_kernel_evaluates_in_place)
+    rng = np.random.default_rng(5)
+    placements = np.concatenate([rng.uniform(0.0, 7000.0, (20, 5, 2)),
+                                 rng.uniform(50.0, 200.0, (20, 5, 1))], axis=2)
+    users = np.concatenate([rng.uniform(0.0, 7000.0, (20, 202, 2)),
+                            np.zeros((20, 202, 1))], axis=2)
+    cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST)
+    params = [ChannelParams(-94.0, 1000.0, 12.0)] * 5
+    tracemalloc.start()
+    try:
+        oracle(placements, users, np.full(202, 1.0 / 202), cfg, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (20 * 5 * 202 * 8)
