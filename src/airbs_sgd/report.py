@@ -9,6 +9,13 @@ channel kernel, for the ground grid. Rendering writes plain-text data
 files and small hand-assembled SVG drawings, the map's heat layer an
 embedded PNG written by the standard library; given identical inputs the
 emitted bytes are identical, with no plotting library involved.
+
+Writing a bundle is mostly formatting numbers, so each is formatted once
+and no cell needs its own Python-level format call: ``json.dumps`` writes
+every trajectory float and the CSV's cells are cut from its text; a
+coverage cell is looked up in a table of the clip range's 0.01 dB steps;
+and each kind of SVG shape is one template filled by one ``str.format``
+call over coordinates computed with numpy.
 """
 
 from __future__ import annotations
@@ -93,30 +100,67 @@ def _write_json(path, obj):
         f.write(text)
 
 
-def write_trajectory_csv(log, path):
-    """CSV with columns: iteration, agent index, x, y, z, oracle utility.
+def write_trajectory(log, csv_path, json_path):
+    """The snapshots of ``log`` as JSON and as CSV, each float formatted once.
 
-    One row per (iteration, agent); the oracle utility of the snapshot is
-    repeated on each agent row, formatted once per snapshot.
+    ``json_path`` gets one line of ``json.dumps``. ``csv_path`` gets the
+    columns iteration, agent index, x, y, z, oracle utility, one row per
+    (iteration, agent), with the snapshot's utility repeated on each of its
+    agent rows. The CSV's number cells are cut from the JSON text, so both
+    files hold the same ``repr`` of every float.
     """
     n, b = log.positions.shape[:2]
-    xyz = log.positions.reshape(-1, 3).T.tolist()
-    utility = [text for u in log.oracle_utility.tolist() for text in [repr(u)] * b]
-    rows = map("{},{},{},{},{},{}".format, np.repeat(np.arange(n), b).tolist(),
-               np.tile(np.arange(b), n).tolist(), *xyz, utility)
-    with open(path, "w") as f:
-        f.write("\n".join(["iteration,agent_index,x,y,z,oracle_utility", *rows]) + "\n")
-
-
-def write_trajectory_json(log, path):
-    """The snapshots of ``log`` as JSON."""
-    _write_json(path, {
+    text = json.dumps({
         "num_iterations": log.num_iterations,
         "num_agents": log.num_agents,
         "positions": log.positions.tolist(),
         "oracle_utility": log.oracle_utility.tolist(),
         "served": log.served.tolist(),
-    })
+    }, sort_keys=True, allow_nan=False)
+    # sorted keys put the float lists side by side:
+    # "oracle_utility": [u, ...], "positions": [[[x, y, z], ...], ...], "served": ...
+    key = '"oracle_utility": ['
+    utility, positions = text[text.index(key) + len(key):text.index(', "served": ')].split(
+        '], "positions": ')
+    xyz = positions[3:-3].replace("]], [[", "], [").replace(", ", ",").split("],[")
+    utility = [cell for u in utility.split(", ") for cell in [u] * b]
+    rows = map("{},{},{},{}".format, np.repeat(np.arange(n), b).tolist(),
+               np.tile(np.arange(b), n).tolist(), xyz, utility)
+    with open(csv_path, "w") as f:
+        f.write("\n".join(["iteration,agent_index,x,y,z,oracle_utility", *rows]) + "\n")
+    with open(json_path, "w") as f:
+        f.write(text + "\n")
+
+
+# every 0.01 dB step of COVERAGE_CLIP as ".2f" text, from 100 * lo to 100 * hi
+_CELL_LO, _CELL_HI = (round(100.0 * v) for v in COVERAGE_CLIP)
+_CELL_TEXT = np.array([format(k / 100.0, ".2f") for k in range(_CELL_LO, _CELL_HI + 1)],
+                      dtype=object)
+
+
+def _cell_texts(values) -> list:
+    """``format(v, ".2f")`` of each of ``values``, most looked up in a table.
+
+    Inside :data:`COVERAGE_CLIP`, ``100 v`` is off by under 1e-11, so
+    ``np.rint(100 v)`` names the correctly rounded step unless ``v`` lies
+    within 1e-9 of a rounding tie. Such a value, and one outside the table,
+    is formatted on its own.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    # clipped just outside the table first, so nothing overflows
+    t = np.clip(v, COVERAGE_CLIP[0] - 1.0, COVERAGE_CLIP[1] + 1.0) * 100.0
+    k = np.rint(t)
+    table = (k >= _CELL_LO) & (k <= _CELL_HI) & (np.abs(np.abs(t - k) - 0.5) > 1e-7)
+    texts = _CELL_TEXT[np.where(table, k - _CELL_LO, 0).astype(np.intp)].tolist()
+    for j in np.flatnonzero(~table).tolist():
+        texts[j] = format(float(v[j]), ".2f")
+    return texts
+
+
+def _shapes(templates, values) -> list:
+    """The SVG lines of ``templates``, their ``{}`` fields filled from ``values`` in order
+    by one format call; no line when there is no template."""
+    return ["\n".join(templates).format(*values)] if templates else []
 
 
 def _placement_json(served, max_power_dbm, histogram) -> dict:
@@ -128,10 +172,6 @@ def _placement_json(served, max_power_dbm, histogram) -> dict:
         "histogram": [[None if math.isinf(e) else e for e in (lo, hi)] + [c]
                       for lo, hi, c in histogram],
     }
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".2f")
 
 
 def _heat_rgb(grid, lo: float, hi: float) -> np.ndarray:
@@ -196,35 +236,34 @@ def render_map_svg(log, coverage, area, path, served_flags):
         return pad + (area.y_max - y) * scale
 
     grid = np.asarray(coverage, dtype=float)
-    out = []
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" '
-               f'width="{_fmt(w * scale + 2 * pad)}" height="{_fmt(h * scale + 2 * pad)}" '
-               f'viewBox="0 0 {_fmt(w * scale + 2 * pad)} {_fmt(h * scale + 2 * pad)}">')
-    out.append('<rect width="100%" height="100%" fill="#ffffff"/>')
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" '
+           f'width="{w * scale + 2 * pad:.2f}" height="{h * scale + 2 * pad:.2f}" '
+           f'viewBox="0 0 {w * scale + 2 * pad:.2f} {h * scale + 2 * pad:.2f}">',
+           '<rect width="100%" height="100%" fill="#ffffff"/>']
     # one pixel per grid cell, north row on top, stretched over the area
     png = base64.b64encode(_png(_heat_rgb(grid[::-1], *COVERAGE_CLIP))).decode("ascii")
-    out.append(f'<image x="{_fmt(pad)}" y="{_fmt(pad)}" width="{_fmt(w * scale)}" '
-               f'height="{_fmt(h * scale)}" preserveAspectRatio="none" '
+    out.append(f'<image x="{pad:.2f}" y="{pad:.2f}" width="{w * scale:.2f}" '
+               f'height="{h * scale:.2f}" preserveAspectRatio="none" '
                f'style="image-rendering:pixelated" href="data:image/png;base64,{png}"/>')
-    for (x, y, _), ok in zip(log.users.tolist(), served_flags):
-        if not area.contains(x, y):
-            continue
-        if ok:
-            out.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" '
-                       f'r="2.0" fill="#000000"/>')
-        else:
-            out.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" '
-                       f'r="3.0" fill="none" stroke="#ff0000" stroke-width="1.5"/>')
+    x, y = np.asarray(log.users)[:, :2].T
+    inside = area.contains(x, y)
+    dot = '<circle cx="{:.2f}" cy="{:.2f}" r="2.0" fill="#000000"/>'
+    ring = ('<circle cx="{:.2f}" cy="{:.2f}" r="3.0" fill="none" stroke="#ff0000" '
+            'stroke-width="1.5"/>')
+    out += _shapes([dot if ok else ring for ok in np.asarray(served_flags)[inside].tolist()],
+                   np.column_stack([sx(x[inside]), sy(y[inside])]).ravel().tolist())
+    # each agent's path, then its first and its last position
     snaps = np.asarray(log.positions)
-    for b in range(snaps.shape[1]):
-        color = AGENT_COLORS[b % len(AGENT_COLORS)]
-        pts = " ".join(map("{:.2f},{:.2f}".format, sx(snaps[:, b, 0]).tolist(),
-                           sy(snaps[:, b, 1]).tolist()))
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        out.append(f'<circle cx="{_fmt(sx(snaps[0, b, 0]))}" cy="{_fmt(sy(snaps[0, b, 1]))}" '
-                   f'r="4.0" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        out.append(f'<circle cx="{_fmt(sx(snaps[-1, b, 0]))}" cy="{_fmt(sy(snaps[-1, b, 1]))}" '
-                   f'r="4.0" fill="{color}"/>')
+    n, b = snaps.shape[:2]
+    track = (f'<polyline points="{" ".join(["{:.2f},{:.2f}"] * n)}" fill="none" stroke="%s" '
+             'stroke-width="1.5"/>\n'
+             '<circle cx="{:.2f}" cy="{:.2f}" r="4.0" fill="none" stroke="%s" '
+             'stroke-width="1.5"/>\n'
+             '<circle cx="{:.2f}" cy="{:.2f}" r="4.0" fill="%s"/>')
+    xy = np.stack([sx(snaps[..., 0]), sy(snaps[..., 1])], axis=-1)  # (n, b, 2)
+    out += _shapes([track.replace("%s", AGENT_COLORS[k % len(AGENT_COLORS)]) for k in range(b)],
+                   np.concatenate([xy.transpose(1, 0, 2).reshape(b, 2 * n), xy[0], xy[-1]],
+                                  axis=1).ravel().tolist())
     out.append("</svg>")
     with open(path, "w") as f:
         f.write("\n".join(out) + "\n")
@@ -239,26 +278,26 @@ def render_histogram_svg(histogram, path, title, p_min_dbm):
     n = len(histogram)
     peak = max(1, max(c for _, _, c in histogram))
     bw = plot_w / n
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-           f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
+           f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">',
            '<rect width="100%" height="100%" fill="#ffffff"/>',
-           f'<text x="{_fmt(left)}" y="20" font-family="sans-serif" '
+           f'<text x="{left:.2f}" y="20" font-family="sans-serif" '
            f'font-size="14">{title}</text>']
-    for k, (lo, hi, c) in enumerate(histogram):
-        x = left + k * bw
-        bh = plot_h * c / peak
-        fill = "#888888" if math.isinf(lo) or math.isinf(hi) else "#377eb8"
-        out.append(f'<rect x="{_fmt(x + 0.5)}" y="{_fmt(top + plot_h - bh)}" '
-                   f'width="{_fmt(bw - 1.0)}" height="{_fmt(bh)}" fill="{fill}"/>')
+    bar = f'<rect x="{{:.2f}}" y="{{:.2f}}" width="{bw - 1.0:.2f}" height="{{:.2f}}" fill="%s"/>'
+    bh = [plot_h * c / peak for _, _, c in histogram]
+    out += _shapes([bar % ("#888888" if math.isinf(lo) or math.isinf(hi) else "#377eb8")
+                    for lo, hi, _ in histogram],
+                   [v for k, h in enumerate(bh)
+                    for v in (left + k * bw + 0.5, top + plot_h - h, h)])
     # x labels on a few finite edges
     finite = [(k, lo) for k, (lo, hi, _) in enumerate(histogram) if not math.isinf(lo)]
     stride = max(1, len(finite) // 8)
     for k, lo in finite[::stride]:
         x = left + k * bw
-        out.append(f'<text x="{_fmt(x)}" y="{_fmt(height - bottom + 18)}" '
+        out.append(f'<text x="{x:.2f}" y="{height - bottom + 18:.2f}" '
                    f'font-family="sans-serif" font-size="10" '
-                   f'text-anchor="middle">{_fmt(lo)}</text>')
-    out.append(f'<text x="{_fmt(width / 2)}" y="{_fmt(height - 8)}" '
+                   f'text-anchor="middle">{lo:.2f}</text>')
+    out.append(f'<text x="{width / 2:.2f}" y="{height - 8:.2f}" '
                f'font-family="sans-serif" font-size="12" '
                f'text-anchor="middle">strongest received power (dBm)</text>')
     span = histogram[-1][0] - histogram[0][1]  # finite extent
@@ -268,11 +307,11 @@ def render_histogram_svg(histogram, path, title, p_min_dbm):
         frac = (p_min_dbm - lo_edge) / span
         n_inner = n - 2
         x = left + bw + frac * n_inner * bw
-        out.append(f'<line x1="{_fmt(x)}" y1="{_fmt(top)}" x2="{_fmt(x)}" '
-                   f'y2="{_fmt(top + plot_h)}" stroke="#e41a1c" '
+        out.append(f'<line x1="{x:.2f}" y1="{top:.2f}" x2="{x:.2f}" '
+                   f'y2="{top + plot_h:.2f}" stroke="#e41a1c" '
                    f'stroke-width="1.5" stroke-dasharray="4,3"/>')
-    out.append(f'<line x1="{_fmt(left)}" y1="{_fmt(top + plot_h)}" '
-               f'x2="{_fmt(width - right)}" y2="{_fmt(top + plot_h)}" '
+    out.append(f'<line x1="{left:.2f}" y1="{top + plot_h:.2f}" '
+               f'x2="{width - right:.2f}" y2="{top + plot_h:.2f}" '
                f'stroke="#000000" stroke-width="1"/>')
     out.append("</svg>")
     with open(path, "w") as f:
@@ -296,8 +335,7 @@ def render_outputs(log, coverage, out_dir, area, p_min_dbm: float) -> dict:
         paths[name] = os.path.join(out_dir, name)
         return paths[name]
 
-    write_trajectory_csv(log, p("trajectory.csv"))
-    write_trajectory_json(log, p("trajectory.json"))
+    write_trajectory(log, p("trajectory.csv"), p("trajectory.json"))
     initial, final = (power_histogram(row) for row in log.max_power_dbm)
     _write_json(p("metrics.json"), {
         "p_min_dbm": float(p_min_dbm),
@@ -305,11 +343,11 @@ def render_outputs(log, coverage, out_dir, area, p_min_dbm: float) -> dict:
         "final": _placement_json(log.served[-1], log.max_power_dbm[-1], final),
     })
     grid = np.asarray(coverage, dtype=float)
-    # each cell to 0.01 dB, by one format call over a template of every row
-    row = ",".join(["{:.2f}"] * grid.shape[1]) + "\n"
+    # each cell to 0.01 dB, one line per grid row
+    cells, nx = _cell_texts(grid), grid.shape[1]
     with open(p("coverage.csv"), "w") as f:
-        f.write((row * grid.shape[0]).format(*grid.ravel().tolist()))
-    render_map_svg(log, grid, area, p("map.svg"), (log.max_power_dbm[-1] >= p_min_dbm).tolist())
+        f.write("".join([",".join(cells[k:k + nx]) + "\n" for k in range(0, len(cells), nx)]))
+    render_map_svg(log, grid, area, p("map.svg"), log.max_power_dbm[-1] >= p_min_dbm)
     render_histogram_svg(initial, p("hist_initial.svg"), "initial placement", p_min_dbm)
     render_histogram_svg(final, p("hist_final.svg"), "final placement", p_min_dbm)
     return paths

@@ -72,8 +72,9 @@ class Rect:
     def height(self) -> float:
         return self.y_max - self.y_min
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
+    def contains(self, x, y):
+        """Whether (x, y) lies in the rectangle, edges included; elementwise for arrays."""
+        return (self.x_min <= x) & (x <= self.x_max) & (self.y_min <= y) & (y <= self.y_max)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -158,9 +159,16 @@ class Scenario:
         if not isinstance(self.channel, ChannelParams):
             raise ValueError("channel params required")
         for b, p in enumerate(self.tx_powers_dbm):
-            if not math.isfinite(p + self.channel.ref_gain_db):
+            budget = p + self.channel.ref_gain_db
+            if not math.isfinite(budget):
                 raise ValueError(f"tx_powers_dbm[{b}] + channel.ref_gain_db must be finite, "
                                  f"got {p!r} + {self.channel.ref_gain_db!r}")
+            # the rewards take a power's margin over the noise floor or the target
+            for key in ("noise_dbm", "p_min_dbm"):
+                floor = getattr(self.utility, key)
+                if not math.isfinite(budget - floor):
+                    raise ValueError(f"tx_powers_dbm[{b}] + channel.ref_gain_db - utility.{key} "
+                                     f"must be finite, got {budget!r} - {floor!r}")
         if not (math.isfinite(self.measurement_noise_db) and self.measurement_noise_db >= 0.0):
             raise ValueError("measurement_noise_db must be finite and nonnegative")
 
@@ -298,9 +306,12 @@ def _advance(s: Scenario, seeds) -> list:
         return best
 
     first = last = snapshot(0)
+    uniforms = np.empty((n_rep, q))
     for i in range(s.iterations):
-        # each replication's Q uniforms, inverted in one call
-        idx = profile.recipients(np.stack([rng.random(q) for rng in rngs]))
+        # each replication's Q uniforms, drawn into its row and inverted in one call
+        for rng, row in zip(rngs, uniforms):
+            rng.random(out=row)
+        idx = profile.recipients(uniforms)
         powers, grads = received_power_matrix(L, params, users[rep, idx], gradient=True)
         if sigma > 0.0:
             powers = powers + sigma * np.stack([rng.standard_normal((q, b)) for rng in rngs])

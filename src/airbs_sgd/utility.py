@@ -84,7 +84,8 @@ class UtilityConfig:
 
 def _log_sum_exp(powers_dbm, alpha: float, axis: int):
     """The soft maximum of ``powers_dbm`` along ``axis`` (kept, of length 1), with the
-    exponentials ``exp(alpha * (p_b - max_b p_b))`` and their sum it is built from."""
+    exponentials ``exp(alpha * (p_b - max_b p_b))``, their sum and the maximum it is
+    built from."""
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     p = np.asarray(powers_dbm, dtype=float)
@@ -93,7 +94,7 @@ def _log_sum_exp(powers_dbm, alpha: float, axis: int):
     e = np.subtract(p, m)
     np.exp(np.multiply(alpha, e, out=e), out=e)
     z = np.sum(e, axis=axis, keepdims=True)
-    return m + np.log(z) / alpha, e, z
+    return m + np.log(z) / alpha, e, z, m
 
 
 def smooth_max_dbm(powers_dbm, alpha: float = 1.0, axis: int = -1):
@@ -112,7 +113,7 @@ def softmax_weights(powers_dbm, alpha: float = 1.0, axis: int = -1):
     This is exactly the gradient of :func:`smooth_max_dbm` with respect to
     the power vector: positive weights summing to one.
     """
-    _, e, z = _log_sum_exp(powers_dbm, alpha, axis)
+    _, e, z, _ = _log_sum_exp(powers_dbm, alpha, axis)
     return e / z
 
 
@@ -188,7 +189,7 @@ def user_utility_partials(powers_dbm, cfg: UtilityConfig, axis: int = -1):
     increasing in each power).
     """
     # one maximum, exponential and sum give both the soft maximum and its weights
-    soft, e, z = _log_sum_exp(powers_dbm, _temperature(cfg), axis)
+    soft, e, z, _ = _log_sum_exp(powers_dbm, _temperature(cfg), axis)
     return _reward(soft, cfg, slope=True) * (e / z)
 
 
@@ -203,9 +204,11 @@ def oracle(placements, users, weights, cfg: UtilityConfig, params):
     # transmitter-major (..., B, M): a reduction over B adds whole rows, in index order for any B
     powers = np.ascontiguousarray(
         np.swapaxes(received_power_matrix(placements, params, users), -1, -2))
-    per_user = user_utility(powers, cfg, axis=-2)
+    # the soft maximum's own maximum is each user's strongest power
+    soft, _, _, best = _log_sum_exp(powers, _temperature(cfg), -2)
+    per_user = _reward(np.squeeze(soft, -2), cfg)
     utility = np.array([np.dot(weights, row) for row in per_user.reshape(-1, powers.shape[-1])])
-    return utility.reshape(per_user.shape[:-1]), np.max(powers, axis=-2)
+    return utility.reshape(per_user.shape[:-1]), np.squeeze(best, -2)
 
 
 def network_utility_gradient(placements, users, weights, cfg: UtilityConfig, params) -> np.ndarray:

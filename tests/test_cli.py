@@ -112,6 +112,13 @@ def _overflow_link_budget(d):
     d["channel"]["ref_gain_db"] = 1e308
 
 
+def _overflow_margin(key):
+    def mutate(d):
+        d["tx_powers_dbm"] = [1e308] * len(d["tx_powers_dbm"])
+        d["utility"][key] = -1e308
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, key", [
     (lambda d: d.update(fixed_height_m=math.nan), "fixed_height_m"),
     (lambda d: d["area"].update(x_max=math.inf), "area.x_max"),
@@ -132,13 +139,19 @@ def _overflow_link_budget(d):
     (lambda d: d["schedule"].update(eta_scale=1e308), "schedule: eta0 * eta_scale must be"),
     # so are a transmitter's power and the channel gain, as link budgets
     (_overflow_link_budget, "tx_powers_dbm[0] + channel.ref_gain_db must be finite"),
+    # and so is a link budget's margin over the noise floor and the power target
+    (_overflow_margin("noise_dbm"),
+     "tx_powers_dbm[0] + channel.ref_gain_db - utility.noise_dbm must be finite"),
+    (_overflow_margin("p_min_dbm"),
+     "tx_powers_dbm[0] + channel.ref_gain_db - utility.p_min_dbm must be finite"),
     # a separation over a reference distance this small could overflow
     (lambda d: d["channel"].update(ref_distance_m=1e-300),
      "channel: ref_distance_m must be finite and at least 1e-150 m"),
 ], ids=["nan_height", "infinite_area", "misspelled_key", "negative_extra_altitude",
         "inverted_area", "inverted_init_region", "negative_eta0", "far_area",
         "far_init_region", "far_height", "far_extra_user", "overflowing_step_size",
-        "overflowing_link_budget", "tiny_ref_distance"])
+        "overflowing_link_budget", "overflowing_noise_margin", "overflowing_target_margin",
+        "tiny_ref_distance"])
 def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
     d = small_scenario_dict()
     mutate(d)

@@ -1,4 +1,5 @@
 import base64
+import functools
 import json
 import math
 import re
@@ -7,19 +8,23 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.navigator import StepSchedule
 from airbs_sgd.report import (
+    AGENT_COLORS,
     COVERAGE_CLIP,
+    _cell_texts,
     _png,
     _write_json,
     coverage_map,
     power_histogram,
+    render_histogram_svg,
+    render_map_svg,
     render_outputs,
-    write_trajectory_csv,
-    write_trajectory_json,
+    write_trajectory,
 )
 from airbs_sgd.simulator import Rect, Scenario, TrajectoryLog, run
 from airbs_sgd.utility import UtilityConfig, UtilityFamily
@@ -138,6 +143,68 @@ def test_render_outputs_content_checks(tmp_path):
     assert map_svg.count("<rect") == 1 and '<rect width="100%"' in map_svg
 
 
+def map_shapes_reference(log, area, served) -> list:
+    """map.svg's user and agent lines, each value formatted on its own."""
+    scale = 560.0 / max(area.width, area.height)
+
+    def xy(x, y):
+        return format(20.0 + (x - area.x_min) * scale, ".2f"), \
+            format(20.0 + (area.y_max - y) * scale, ".2f")
+
+    lines = []
+    for (x, y, _), ok in zip(log.users.tolist(), served):
+        if area.x_min <= x <= area.x_max and area.y_min <= y <= area.y_max:
+            cx, cy = xy(x, y)
+            lines.append(f'<circle cx="{cx}" cy="{cy}" r="2.0" fill="#000000"/>' if ok else
+                         f'<circle cx="{cx}" cy="{cy}" r="3.0" fill="none" stroke="#ff0000" '
+                         f'stroke-width="1.5"/>')
+    for b in range(log.positions.shape[1]):
+        color = AGENT_COLORS[b % len(AGENT_COLORS)]
+        track = [xy(x, y) for x, y, _ in log.positions[:, b].tolist()]
+        lines.append(f'<polyline points="{" ".join(map(",".join, track))}" fill="none" '
+                     f'stroke="{color}" stroke-width="1.5"/>')
+        lines.append(f'<circle cx="{track[0][0]}" cy="{track[0][1]}" r="4.0" fill="none" '
+                     f'stroke="{color}" stroke-width="1.5"/>')
+        lines.append(f'<circle cx="{track[-1][0]}" cy="{track[-1][1]}" r="4.0" fill="{color}"/>')
+    return lines
+
+
+def test_map_shapes_match_the_per_value_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    area = Rect(-300.0, 100.0, 1700.0, 1300.0)
+    # users on the edges, outside and inside; nine agents, so the colours wrap
+    users = np.column_stack([rng.uniform(-600.0, 2000.0, 40), rng.uniform(-200.0, 1600.0, 40),
+                             np.zeros(40)])
+    users[:4, :2] = [(-300.0, 100.0), (1700.0, 1300.0), (-300.0000001, 500.0), (0.0, 1e9)]
+    log = TrajectoryLog(positions=rng.normal(500.0, 400.0, size=(6, 9, 3)),
+                        oracle_utility=np.zeros(6), served=np.zeros(6, dtype=int), users=users,
+                        max_power_dbm=np.zeros((2, 40)))
+    served = rng.random(40) < 0.5
+    render_map_svg(log, np.full((3, 4), -90.0), area, tmp_path / "map.svg", served)
+    lines = (tmp_path / "map.svg").read_text().splitlines()
+    assert lines[3:-1] == map_shapes_reference(log, area, served.tolist())
+    # no user inside the area: no user line
+    log.users = np.array([[5000.0, 0.0, 0.0]])
+    render_map_svg(log, np.full((3, 4), -90.0), area, tmp_path / "map.svg", [True])
+    lines = (tmp_path / "map.svg").read_text().splitlines()
+    assert lines[3:-1] == map_shapes_reference(log, area, [True])
+
+
+def test_histogram_bars_match_the_per_value_reference(tmp_path):
+    histogram = power_histogram(np.random.default_rng(6).normal(-92.0, 9.0, 202))
+    render_histogram_svg(histogram, tmp_path / "h.svg", "t", -91.0)
+    bars = [line for line in (tmp_path / "h.svg").read_text().splitlines()
+            if line.startswith("<rect x=")]
+    peak, bw = max(c for _, _, c in histogram), 575.0 / len(histogram)
+    want = []
+    for k, (lo, hi, c) in enumerate(histogram):
+        bh = 245.0 * c / peak
+        fill = "#888888" if math.isinf(lo) or math.isinf(hi) else "#377eb8"
+        want.append(f'<rect x="{50.0 + k * bw + 0.5:.2f}" y="{275.0 - bh:.2f}" '
+                    f'width="{bw - 1.0:.2f}" height="{bh:.2f}" fill="{fill}"/>')
+    assert bars == want
+
+
 def png_pixels(png: bytes) -> list:
     """The rows of an 8-bit RGB, non-interlaced PNG as lists of (r, g, b), every check asserted.
 
@@ -233,10 +300,36 @@ def synthetic_log(rng) -> TrajectoryLog:
                          users=np.zeros((2, 3)), max_power_dbm=np.full((2, 2), -90.0))
 
 
+def trajectory_csv_reference(log) -> str:
+    """trajectory.csv of ``log`` row by row, each float by its own ``repr``."""
+    lines = ["iteration,agent_index,x,y,z,oracle_utility"]
+    for i in range(log.positions.shape[0]):
+        u = repr(float(log.oracle_utility[i]))
+        for b in range(log.positions.shape[1]):
+            x, y, z = (repr(float(v)) for v in log.positions[i, b])
+            lines.append(f"{i},{b},{x},{y},{z},{u}")
+    return "\n".join(lines) + "\n"
+
+
+def trajectory_json_reference(log) -> str:
+    """trajectory.json of ``log`` by ``json.dumps`` of its values as Python floats and ints."""
+    return json.dumps({
+        "num_iterations": log.positions.shape[0] - 1,
+        "num_agents": log.positions.shape[1],
+        "positions": [[list(map(float, row)) for row in snap] for snap in log.positions],
+        "oracle_utility": [float(v) for v in log.oracle_utility],
+        "served": [int(v) for v in log.served],
+    }, sort_keys=True) + "\n"
+
+
+def write_pair(log, tmp_path) -> tuple:
+    write_trajectory(log, tmp_path / "t.csv", tmp_path / "t.json")
+    return (tmp_path / "t.csv").read_text(), (tmp_path / "t.json").read_text()
+
+
 def test_trajectory_csv_shape(tmp_path):
     log, _, s = run_small(tmp_path, iterations=2)
-    write_trajectory_csv(log, tmp_path / "t.csv")
-    lines = (tmp_path / "t.csv").read_text().splitlines()
+    lines = write_pair(log, tmp_path)[0].splitlines()
     assert lines[0] == "iteration,agent_index,x,y,z,oracle_utility"
     assert len(lines) == 1 + (s.iterations + 1) * s.num_airbs
     first = lines[1].split(",")
@@ -246,14 +339,7 @@ def test_trajectory_csv_shape(tmp_path):
 
 def test_trajectory_csv_matches_the_per_row_reference(tmp_path):
     log = synthetic_log(np.random.default_rng(4))
-    lines = ["iteration,agent_index,x,y,z,oracle_utility"]
-    for i in range(log.positions.shape[0]):
-        u = repr(float(log.oracle_utility[i]))
-        for b in range(log.positions.shape[1]):
-            x, y, z = (repr(float(v)) for v in log.positions[i, b])
-            lines.append(f"{i},{b},{x},{y},{z},{u}")
-    write_trajectory_csv(log, tmp_path / "t.csv")
-    assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
+    assert write_pair(log, tmp_path)[0] == trajectory_csv_reference(log)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
@@ -265,12 +351,79 @@ def test_json_text_refuses_non_finite_floats(tmp_path, bad):
 
 def test_trajectory_json_matches_json_dumps(tmp_path):
     log = synthetic_log(np.random.default_rng(8))
-    write_trajectory_json(log, tmp_path / "t.json")
-    want = json.dumps({
-        "num_iterations": 3,
-        "num_agents": 3,
-        "positions": [[list(map(float, row)) for row in snap] for snap in log.positions],
-        "oracle_utility": [float(v) for v in log.oracle_utility],
-        "served": [0, 1, 2, 3],
-    }, sort_keys=True) + "\n"
-    assert (tmp_path / "t.json").read_text() == want
+    assert write_pair(log, tmp_path)[1] == trajectory_json_reference(log)
+
+
+# the CSV's cells are cut from the JSON text: floats whose repr has a sign, an
+# exponent, a subnormal's digits or a trailing ".0", in every column
+EXTREME_FLOATS = [-0.0, 5e-324, -5e-324, 1e16, -1e16, 1e150, -1e150, 30.0, 1.0, 0.0, 1e-05,
+                  123456789012345678.0, 2.0 ** -1074 * 3, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_trajectory_pair_matches_the_references_for_extreme_floats(tmp_path, b):
+    n = len(EXTREME_FLOATS)
+    values = np.array(EXTREME_FLOATS)
+    # each value in each column and as a snapshot's utility, on every agent row
+    positions = np.stack([np.roll(values, k) for k in range(3 * b)], axis=1).reshape(n, b, 3)
+    log = TrajectoryLog(positions=positions, oracle_utility=np.roll(values, 1),
+                        served=np.arange(n), users=np.zeros((1, 3)),
+                        max_power_dbm=np.zeros((2, 1)))
+    csv_text, json_text = write_pair(log, tmp_path)
+    assert csv_text == trajectory_csv_reference(log)
+    assert json_text == trajectory_json_reference(log)
+    for v in EXTREME_FLOATS:
+        assert f",{v!r}," in csv_text and f",{v!r}\n" in csv_text
+
+
+def test_trajectory_pair_of_one_snapshot_and_one_agent(tmp_path):
+    log = TrajectoryLog(positions=np.array([[[-0.0, 30.0, 1e16]]]),
+                        oracle_utility=np.array([5e-324]), served=np.array([0]),
+                        users=np.zeros((1, 3)), max_power_dbm=np.zeros((2, 1)))
+    csv_text, json_text = write_pair(log, tmp_path)
+    assert csv_text == "iteration,agent_index,x,y,z,oracle_utility\n0,0,-0.0,30.0,1e+16,5e-324\n"
+    assert json_text == trajectory_json_reference(log)
+
+
+# every 0.01 dB rounding boundary k + 0.005 of the table, as the nearest double
+BOUNDARIES = [(k + 0.5) / 100.0 for k in range(round(100 * COVERAGE_CLIP[0]) - 1,
+                                                round(100 * COVERAGE_CLIP[1]) + 1)]
+
+
+def near_boundaries(ulps: int) -> list:
+    out = []
+    for v in BOUNDARIES:
+        below = above = v
+        for _ in range(ulps):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            out += [below, above]
+    return BOUNDARIES + out
+
+
+def test_cell_texts_at_every_boundary_and_one_ulp_either_side():
+    values = near_boundaries(1)
+    assert _cell_texts(np.array(values)) == [format(v, ".2f") for v in values]
+
+
+cell_values = st.one_of(
+    # the table's range and a little beyond
+    st.floats(COVERAGE_CLIP[0] - 0.02, COVERAGE_CLIP[1] + 0.02),
+    # a rounding boundary and up to four ulps either side of it
+    st.builds(lambda v, steps: functools.reduce(
+        lambda x, step: math.nextafter(x, math.copysign(math.inf, step)), steps, v),
+        st.sampled_from(BOUNDARIES), st.lists(st.sampled_from([-1.0, 1.0]), max_size=4)),
+    # exact ties: multiples of 1/8, such as -80.125
+    st.integers(round(8 * COVERAGE_CLIP[0]) - 8, round(8 * COVERAGE_CLIP[1]) + 8).map(
+        lambda k: k / 8.0),
+    # the clip ends and values that round to -0.00
+    st.sampled_from([*COVERAGE_CLIP, -100.005, -79.995, -0.0, -0.001, -0.004999, -0.005]),
+    # anything, outside the table included
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(cell_values, min_size=1, max_size=40))
+@example([-80.125, -80.135, -80.0, -100.0, -0.001, math.nan, -math.inf, 1e308])
+def test_cell_texts_equal_format_2f(values):
+    assert _cell_texts(np.array(values)) == [format(v, ".2f") for v in values]

@@ -353,11 +353,11 @@ def test_cli_exits_2_when_a_healthy_replication_logs_a_non_finite_value(tmp_path
 
 
 def test_a_non_finite_snapshot_utility_fails_the_replication(tmp_path):
-    # no step diverges: every input is finite, but a power 1e308 dB above a
-    # -1e308 dBm noise floor has an infinite rate, so the first snapshot's
-    # utility is inf
-    s = small_scenario(tx_powers_dbm=(1e308, 1e308),
-                       utility=UtilityConfig(UtilityFamily.UNICAST_RATE, -1e308, -91.0, 2.0))
+    # no step diverges: every input is finite, but at a subnormal temperature the
+    # soft maximum max + ln(B) / alpha is inf, and so is its rate, so the first
+    # snapshot's utility is inf
+    s = small_scenario(utility=UtilityConfig(UtilityFamily.UNICAST_RATE, -112.4, -91.0, 2.0,
+                                             softmax_alpha=5e-324))
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as e:
         run(s)
     assert str(e.value) == "oracle utility is inf at snapshot 0" and e.value.seed == s.seed
@@ -517,3 +517,6 @@ def test_rect_contains():
     assert r.width == 10.0 and r.height == 5.0
     assert r.contains(0.0, 0.0) and r.contains(10.0, 5.0)
     assert not r.contains(10.1, 2.0) and not r.contains(5.0, -0.1)
+    # elementwise over arrays, as the map selects the users it draws; nan is outside
+    xs, ys = np.array([0.0, 10.0, 10.1, 5.0, np.nan]), np.array([0.0, 5.0, 2.0, -0.1, 1.0])
+    assert r.contains(xs, ys).tolist() == [True, True, False, False, False]
