@@ -1,5 +1,4 @@
 import base64
-import functools
 import json
 import math
 import re
@@ -390,18 +389,15 @@ BOUNDARIES = [(k + 0.5) / 100.0 for k in range(round(100 * COVERAGE_CLIP[0]) - 1
                                                 round(100 * COVERAGE_CLIP[1]) + 1)]
 
 
-def near_boundaries(ulps: int) -> list:
-    out = []
-    for v in BOUNDARIES:
-        below = above = v
-        for _ in range(ulps):
-            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
-            out += [below, above]
-    return BOUNDARIES + out
+def ulps_away(v: float, k: int) -> float:
+    """``v`` moved by ``k`` ulps, down for a negative ``k``."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
 
 
 def test_cell_texts_at_every_boundary_and_one_ulp_either_side():
-    values = near_boundaries(1)
+    values = [ulps_away(v, k) for v in BOUNDARIES for k in (-1, 0, 1)]
     assert _cell_texts(np.array(values)) == [format(v, ".2f") for v in values]
 
 
@@ -409,9 +405,7 @@ cell_values = st.one_of(
     # the table's range and a little beyond
     st.floats(COVERAGE_CLIP[0] - 0.02, COVERAGE_CLIP[1] + 0.02),
     # a rounding boundary and up to four ulps either side of it
-    st.builds(lambda v, steps: functools.reduce(
-        lambda x, step: math.nextafter(x, math.copysign(math.inf, step)), steps, v),
-        st.sampled_from(BOUNDARIES), st.lists(st.sampled_from([-1.0, 1.0]), max_size=4)),
+    st.builds(ulps_away, st.sampled_from(BOUNDARIES), st.integers(-4, 4)),
     # exact ties: multiples of 1/8, such as -80.125
     st.integers(round(8 * COVERAGE_CLIP[0]) - 8, round(8 * COVERAGE_CLIP[1]) + 8).map(
         lambda k: k / 8.0),
