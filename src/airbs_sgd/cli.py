@@ -12,20 +12,23 @@ Three subcommands:
 Every command makes one two-phase pass over one list of replication jobs,
 each a (scenario, seed, bundle directory) triple; a sweep's list holds the
 jobs of all its values. The list is split into one contiguous group per
-usable core (``taskset`` limits them), each run in its own forked worker;
-on one core the one group runs in-process and nothing is forked. Phase 1
-computes every number: it advances every group, each consecutive run of
-jobs sharing a scenario as one batch (:func:`simulator.run_replications`,
-the one judge of a run's health), and then, for the same batch, the
-coverage grids, the k-means baselines (:func:`baseline.kmeans_replications`)
-and their served counts (:func:`utility.oracle`). A job fails if it does
-not advance or its grid or baseline cannot be evaluated; the command then
-stops before any bundle is written, naming the first failing job in list
-order. Between the phases the command creates every bundle directory in
-job order, so a name taken by a file fails before any file is written.
-Phase 2 only formats and writes; its one remaining failure is an
-``OSError`` mid-write, such as a full disk. The outputs do not depend on
-how the jobs are grouped.
+usable core (``taskset`` limits them). On one core the one group runs
+in-process and nothing is forked; with more, each group runs both phases
+in its own ``os.fork``-ed worker, so its phase-1 records stay in the
+process that made them, and the worker reports to the command on a pipe.
+Phase 1 computes every number: it advances every group, each consecutive
+run of jobs sharing a scenario as one batch
+(:func:`simulator.run_replications`, the one judge of a run's health),
+and then, for the same batch, the coverage grids, the k-means baselines
+(:func:`baseline.kmeans_replications`) and their served counts
+(:func:`utility.oracle`). A job fails if it does not advance or its grid
+or baseline cannot be evaluated; the command then stops before any bundle
+is written, naming the first failing job in list order. Between the
+phases the command creates every bundle directory in job order, so a name
+taken by a file fails before any file is written, and only then lets the
+workers start phase 2. Phase 2 only formats and writes; its one remaining
+failure is an ``OSError`` mid-write, such as a full disk. The outputs do
+not depend on how the jobs are grouped.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import itertools
 import json
 import os
+import pickle
 import sys
 from importlib import resources
 
@@ -228,35 +231,128 @@ def _finish_group(jobs, records) -> list:
             for (s, seed, rep_dir), record in zip(jobs, records)]
 
 
-def _in_two_phases(map_, groups, with_kmeans: bool) -> list:
-    """Run phase 1 in every group, create every bundle directory, then write every
-    group; the results in job order.
-
-    No bundle is written until every job has passed phase 1 and every bundle
-    directory exists. A phase-1 failure names the first job in list order that
-    fails it, whatever the grouping, and so does a directory that cannot be made.
-    """
-    records = list(map_(functools.partial(_advance_group, with_kmeans), groups))
-    for s, seed, rep_dir in itertools.chain.from_iterable(groups):
+def _make_bundle_dirs(jobs):
+    """Create every job's bundle directory in job order; one that cannot be made fails
+    its job."""
+    for _, seed, rep_dir in jobs:
         try:
             os.makedirs(rep_dir, exist_ok=True)
         except OSError as e:
             raise _write_failure(seed, rep_dir, e)
-    return [result for part in map_(_finish_group, groups, records) for result in part]
+
+
+class _RemoteTraceback(Exception):
+    """The traceback text of an exception raised in a worker, chained as its cause."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+def _send(reports, error=None, value=None):
+    """Write one (error, value) report to the command, whole."""
+    reports.write(pickle.dumps((error, value)))
+    reports.flush()
+
+
+def _worker(with_kmeans: bool, group, status: int, go: int, inherited):
+    """Both phases of one group in a forked worker, which ends here and never returns.
+
+    Phase 1 runs at once and reports on ``status``. Phase 2 waits for the
+    parent's go byte on ``go``, writes the bundles from the records in this
+    process's memory and reports their results; at EOF on ``go`` the worker
+    ends without writing. A failure is reported as the exception and its
+    traceback text. ``inherited`` are the parent's pipe ends, which the
+    worker closes so that the parent closing its own is an EOF here.
+    """
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(status, "wb") as reports:
+            try:
+                records = _advance_group(with_kmeans, group)
+                _send(reports)
+                if os.read(go, 1):
+                    _send(reports, value=_finish_group(group, records))
+            except BaseException as e:  # the parent raises it
+                import traceback
+                _send(reports, e, "".join(traceback.format_exception(e)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(worker, live: set):
+    """The value of ``worker``'s next report. Raise the failure it reports instead, and
+    if it ended without a report, a ``CliError`` naming its first bundle and how it
+    ended."""
+    pid, reports, _, rep_dir = worker
+    try:
+        error, value = pickle.load(reports)
+    except (EOFError, pickle.UnpicklingError):
+        live.discard(pid)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        how = f"exit status {code}" if code >= 0 else f"killed by signal {-code}"
+        raise CliError(f"the worker of the group from bundle {rep_dir} ended without "
+                       f"a report: {how}", exit_code=1)
+    if isinstance(error, CliError):
+        raise error
+    if error is not None:
+        raise error from _RemoteTraceback(value)
+    return value
+
+
+def _in_workers(groups, with_kmeans: bool) -> list:
+    """Run each group's two phases in its own forked worker; the results in job order.
+
+    Phase-1 reports are read in group order and the first failure is raised;
+    no bundle is written until every group has passed phase 1 and every
+    bundle directory exists. Every worker ends before this returns or raises.
+    """
+    workers, live = [], set()  # (pid, report reader, go fd, first bundle); unreaped pids
+    try:
+        for group in groups:
+            status_r, status_w = os.pipe()
+            go_r, go_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(with_kmeans, group, status_w, go_r,
+                        [status_r, go_w, *(fd for _, r, go, _ in workers
+                                           for fd in (r.fileno(), go))])
+            live.add(pid)
+            os.close(status_w)
+            os.close(go_r)
+            workers.append((pid, open(status_r, "rb"), go_w, group[0][2]))
+        for worker in workers:
+            _receive(worker, live)
+        _make_bundle_dirs(itertools.chain.from_iterable(groups))
+        for _, _, go, _ in workers:
+            # a worker that has died is named when its results are read
+            with contextlib.suppress(BrokenPipeError):
+                os.write(go, b"g")
+        return [result for worker in workers for result in _receive(worker, live)]
+    finally:
+        for _, reports, go, _ in workers:
+            os.close(go)
+            reports.close()
+        for pid in live:
+            os.waitpid(pid, 0)
 
 
 def _run_jobs(jobs, with_kmeans: bool = False) -> list:
-    """Run ``jobs`` in one contiguous group per usable core; results in job order."""
+    """Run ``jobs`` in one contiguous group per usable core; results in job order.
+
+    One group runs in-process; more each run in their own forked worker (fork,
+    not spawn: the command starts no thread of its own, and a spawned worker
+    would import numpy and the package again).
+    """
     n = min(_usable_cores(), len(jobs))
-    groups = [jobs[len(jobs) * g // n:len(jobs) * (g + 1) // n] for g in range(n)]
     if n == 1:
-        return _in_two_phases(map, groups, with_kmeans)
-    # fork, not spawn: the command starts no thread of its own, and a spawned
-    # worker would import numpy and the package again before its first task
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
-        return _in_two_phases(pool.map, groups, with_kmeans)
+        records = _advance_group(with_kmeans, jobs)
+        _make_bundle_dirs(jobs)
+        return _finish_group(jobs, records)
+    return _in_workers([jobs[len(jobs) * g // n:len(jobs) * (g + 1) // n] for g in range(n)],
+                       with_kmeans)
 
 
 def _median(values) -> float:

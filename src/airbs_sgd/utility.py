@@ -38,6 +38,9 @@ from .channel import received_power_matrix
 LN2 = math.log(2.0)
 # d(linear)/d(dB) = linear * ln(10)/10; used to express partials per dB.
 DB_TO_NAT = math.log(10.0) / 10.0
+# The soft maximum lies up to ln(B)/alpha above the strongest power; at this
+# temperature that stays finite for any B below 2**63.
+MIN_SOFTMAX_ALPHA = 1e-300
 
 
 class UtilityFamily(enum.Enum):
@@ -77,9 +80,9 @@ class UtilityConfig:
             raise ValueError("p_min_dbm must be finite")
         if not (math.isfinite(self.delta_db) and self.delta_db > 0.0):
             raise ValueError(f"delta_db must be finite and positive, got {self.delta_db}")
-        if not (math.isfinite(self.softmax_alpha) and self.softmax_alpha > 0.0):
-            raise ValueError(f"softmax_alpha must be finite and positive, "
-                             f"got {self.softmax_alpha}")
+        if not (math.isfinite(self.softmax_alpha) and self.softmax_alpha >= MIN_SOFTMAX_ALPHA):
+            raise ValueError(f"softmax_alpha must be finite and at least "
+                             f"{MIN_SOFTMAX_ALPHA:g}, got {self.softmax_alpha}")
 
 
 def _log_sum_exp(powers_dbm, alpha: float, axis: int):

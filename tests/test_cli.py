@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import signal
+import traceback
 from importlib import resources
 
 import numpy as np
@@ -39,6 +41,14 @@ def small_scenario_dict(**overrides):
     )
     base.update(overrides)
     return scenario_to_dict(Scenario(**base))
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Every command, failing or not, has ended and reaped its forked workers."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def write_scenario(tmp_path, name="scen.json", **overrides):
@@ -147,11 +157,14 @@ def _overflow_margin(key):
     # a separation over a reference distance this small could overflow
     (lambda d: d["channel"].update(ref_distance_m=1e-300),
      "channel: ref_distance_m must be finite and at least 1e-150 m"),
+    # so could the soft maximum's ln(B) / alpha at a subnormal temperature
+    (lambda d: d["utility"].update(softmax_alpha=5e-324),
+     "utility: softmax_alpha must be finite and at least 1e-300, got 5e-324"),
 ], ids=["nan_height", "infinite_area", "misspelled_key", "negative_extra_altitude",
         "inverted_area", "inverted_init_region", "negative_eta0", "far_area",
         "far_init_region", "far_height", "far_extra_user", "overflowing_step_size",
         "overflowing_link_budget", "overflowing_noise_margin", "overflowing_target_margin",
-        "tiny_ref_distance"])
+        "tiny_ref_distance", "subnormal_softmax_alpha"])
 def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
     d = small_scenario_dict()
     mutate(d)
@@ -563,28 +576,76 @@ def test_median_is_numpys_bit_for_bit(values):
     assert cli._median(values).hex() == float(np.median(values)).hex()
 
 
-@pytest.mark.parametrize("cores, pools", [(1, []), (2, [2])])
-def test_one_core_runs_in_process_and_more_share_one_pool(tmp_path, monkeypatch, cores, pools):
-    import concurrent.futures
+@pytest.mark.parametrize("cores, forks", [(1, 0), (2, 2)])
+def test_one_core_runs_in_process_and_more_fork_one_worker_per_group(tmp_path, monkeypatch,
+                                                                     cores, forks):
+    forked, fork = [], os.fork
 
-    built = []
+    def counting_fork():
+        forked.append(1)
+        return fork()
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            built.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
     scen = write_scenario(tmp_path)
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(scen), "--replications", "3",
                  "--out", str(out)]) == 0
-    assert built == pools
+    assert len(forked) == forks
     assert sorted(p.name for p in out.glob("rep_*")) == ["rep_000", "rep_001", "rep_002"]
-    # a sweep's values share the one pool too
-    built.clear()
+    # a sweep's values share the one worker per group too
+    forked.clear()
     assert main(["sweep", "--scenario", str(scen), "--axis", "eta", "--values", "1,5,25",
                  "--replications", "3", "--out", str(tmp_path / "sweep")]) == 0
-    assert built == pools
+    assert len(forked) == forks
     assert len(list((tmp_path / "sweep").glob("eta_*/rep_*"))) == 9
+
+
+def test_a_command_on_two_cores_loads_no_process_pool(tmp_path):
+    # its workers come from os.fork and report on os.pipe
+    scen, out = write_scenario(tmp_path), tmp_path / "out"
+    argv = ["run", "--scenario", str(scen), "--replications", "2", "--out", str(out)]
+    proc = run_python("-c", "import sys; from airbs_sgd import cli; "
+                      f"cli._usable_cores = lambda: 2; assert cli.main({argv!r}) == 0; "
+                      "assert not {'multiprocessing', 'concurrent.futures'} & set(sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.glob("rep_*")) == ["rep_000", "rep_001"]
+
+
+@pytest.mark.parametrize("phase, cores, end, how", [
+    ("_advance_group", 2, lambda: os._exit(3), "exit status 3"),
+    ("_advance_group", 3, lambda: os._exit(3), "exit status 3"),
+    ("_advance_group", 2, lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+    ("_finish_group", 3, lambda: os._exit(4), "exit status 4"),
+], ids=["phase1-2", "phase1-3", "phase1-killed", "phase2-3"])
+def test_a_worker_that_ends_without_a_report_fails_the_command(tmp_path, capsys, monkeypatch,
+                                                               phase, cores, end, how):
+    parent = os.getpid()
+
+    def die(*args):
+        assert os.getpid() != parent, "a group of several ran in-process"
+        end()
+
+    scen, out = write_scenario(tmp_path), tmp_path / "out"
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(cli, phase, die)
+    rc = main(["run", "--scenario", str(scen), "--replications", "3", "--out", str(out)])
+    assert rc == 1
+    # the first group's worker is read first
+    assert capsys.readouterr().err == (f"error: the worker of the group from bundle "
+                                       f"{out / 'rep_000'} ended without a report: {how}\n")
+    assert [p.name for p in out.rglob("*") if p.is_file()] == ["effective_config.json"]
+
+
+def test_an_unexpected_worker_error_keeps_its_worker_traceback(tmp_path, monkeypatch):
+    def divide(*args):
+        return 1 / 0
+
+    scen = write_scenario(tmp_path)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(cli, "_simulate_one", divide)
+    with pytest.raises(ZeroDivisionError) as e:
+        main(["run", "--scenario", str(scen), "--replications", "3",
+              "--out", str(tmp_path / "out")])
+    text = "".join(traceback.format_exception(e.value))
+    assert "in _finish_group\n" in text and "in divide\n" in text

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from airbs_sgd.simulator import (
     scenario_to_dict,
 )
 from airbs_sgd.traffic import TrafficProfile
-from airbs_sgd.utility import UtilityConfig, UtilityFamily, oracle, user_utility
+from airbs_sgd.utility import (MIN_SOFTMAX_ALPHA, UtilityConfig, UtilityFamily, oracle,
+                               user_utility)
 
 FAMILIES = tuple(UtilityFamily)
 
@@ -353,11 +355,12 @@ def test_cli_exits_2_when_a_healthy_replication_logs_a_non_finite_value(tmp_path
 
 
 def test_a_non_finite_snapshot_utility_fails_the_replication(tmp_path):
-    # no step diverges: every input is finite, but at a subnormal temperature the
-    # soft maximum max + ln(B) / alpha is inf, and so is its rate, so the first
-    # snapshot's utility is inf
-    s = small_scenario(utility=UtilityConfig(UtilityFamily.UNICAST_RATE, -112.4, -91.0, 2.0,
-                                             softmax_alpha=5e-324))
+    # no step diverges: every input is finite and passes the input checks, but at
+    # the lowest temperature the soft maximum lies up to ln(B) / alpha (7e299 dB)
+    # above the strongest power, and its margin over a noise floor at the most
+    # negative double is inf, and so is its rate, so the first snapshot's utility is inf
+    s = small_scenario(utility=UtilityConfig(UtilityFamily.UNICAST_RATE, -sys.float_info.max,
+                                             -91.0, 2.0, softmax_alpha=MIN_SOFTMAX_ALPHA))
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as e:
         run(s)
     assert str(e.value) == "oracle utility is inf at snapshot 0" and e.value.seed == s.seed
