@@ -12,23 +12,24 @@ Three subcommands:
 Every command makes one two-phase pass over one list of replication jobs,
 each a (scenario, seed, bundle directory) triple; a sweep's list holds the
 jobs of all its values. The list is split into one contiguous group per
-usable core (``taskset`` limits them). On one core the one group runs
-in-process and nothing is forked; with more, each group runs both phases
-in its own ``os.fork``-ed worker, so its phase-1 records stay in the
-process that made them, and the worker reports to the command on a pipe.
-Phase 1 computes every number: it advances every group, each consecutive
-run of jobs sharing a scenario as one batch
-(:func:`simulator.run_replications`, the one judge of a run's health),
-and then, for the same batch, the coverage grids, the k-means baselines
+usable core (``taskset`` limits them). The command runs the first group
+itself and forks one ``os.fork``-ed worker for each other group, which
+runs both phases of its group, so its phase-1 records stay in the process
+that made them, and reports to the command on a pipe; on one core nothing
+is forked. Phase 1 computes every number: each group advances each
+consecutive run of jobs sharing a scenario as one batch
+(:func:`simulator.run_replications`, the one judge of a run's health), and
+then, for the same run, computes the coverage grids, the k-means baselines
 (:func:`baseline.kmeans_replications`) and their served counts
 (:func:`utility.oracle`). A job fails if it does not advance or its grid
-or baseline cannot be evaluated; the command then stops before any bundle
-is written, naming the first failing job in list order. Between the
-phases the command creates every bundle directory in job order, so a name
-taken by a file fails before any file is written, and only then lets the
-workers start phase 2. Phase 2 only formats and writes; its one remaining
-failure is an ``OSError`` mid-write, such as a full disk. The outputs do
-not depend on how the jobs are grouped.
+or baseline cannot be evaluated; the run's jobs then advance again one at
+a time, and the command stops before any bundle is written, naming the
+first failing job in list order. Between the phases the command creates
+every bundle directory in job order, so a name taken by a file fails
+before any file is written, and only then lets the workers start phase 2.
+Phase 2 only formats and writes; its one remaining failure is an
+``OSError`` mid-write, such as a full disk. The outputs do not depend on
+how the jobs are grouped.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from importlib import resources
 
 import numpy as np
 
-from . import simulator
 from .baseline import kmeans_replications
 from .channel import CoincidentPositionsError
 from .navigator import DivergenceError
@@ -168,60 +168,50 @@ def _jobs(s: Scenario, count: int, out_dir: str) -> list:
             for r, seed in enumerate(replication_seeds(s.seed, count))]
 
 
-def _grids_and_baselines(s: Scenario, seeds, dirs, logs, with_kmeans: bool) -> list:
-    """Each advanced job's (log, coverage grid, k-means).
+def _phase_one(s: Scenario, seeds, with_kmeans: bool) -> list:
+    """Each seed's (log, coverage grid, k-means) for a run of jobs of ``s``.
 
-    The k-means is None without ``with_kmeans``, else the ``KMeansResult`` and
-    its served count by the oracle's strongest power; the baselines run in
-    groups of at most ``simulator.BATCH_PAIRS`` agent-user pairs. A grid point,
-    or with ``with_kmeans`` a user, on a transmitter fails the first such job.
+    The seeds advance as one batch; the k-means is None without
+    ``with_kmeans``, else the ``KMeansResult`` and its served count by the
+    oracle's strongest power, all the run's baselines as one Lloyd program.
     """
+    logs = run_replications(s, seeds)
     params = s.agent_channel_params()
-    group = max(1, simulator.BATCH_PAIRS // (s.num_airbs * s.total_mus))
-    done = []
-    for k in range(0, len(logs), group):
-        part = logs[k:k + group]
-        try:
-            # one grid per call: two batched calls of 10 measured as fast with the
-            # in-place kernel, and slower before it from page faults, not the cache
-            grids = [coverage_map(log.positions[-1], s.area, MAP_GRID, params) for log in part]
-            kmeans = [None] * len(part)
-            if with_kmeans:
-                users = np.stack([log.users for log in part])
-                kmeans = kmeans_replications(users, s.num_airbs, seeds[k:k + group],
-                                             max_iters=100, height_m=s.fixed_height_m)
-                _, best = oracle(np.stack([km.centroids for km in kmeans]), users,
-                                 s.traffic.as_array(), s.utility, params)
-                served = np.sum(best >= s.utility.p_min_dbm, axis=1).tolist()
-                kmeans = list(zip(kmeans, served))
-        except CoincidentPositionsError as e:
-            if len(part) == 1:
-                raise _failure(seeds[k], dirs[k], e)
-            # the jobs are independent, so the first to fail alone is the first that failed
-            for j in range(k, k + len(part)):
-                _grids_and_baselines(s, seeds[j:j + 1], dirs[j:j + 1], logs[j:j + 1],
-                                     with_kmeans)
-            raise
-        done += zip(part, grids, kmeans)
-    return done
+    # one grid per call: two batched calls of 10 measured as fast with the
+    # in-place kernel, and slower before it from page faults, not the cache
+    grids = [coverage_map(log.positions[-1], s.area, MAP_GRID, params) for log in logs]
+    kmeans = [None] * len(logs)
+    if with_kmeans:
+        users = np.stack([log.users for log in logs])
+        kmeans = kmeans_replications(users, s.num_airbs, seeds, max_iters=100,
+                                     height_m=s.fixed_height_m)
+        _, best = oracle(np.stack([km.centroids for km in kmeans]), users,
+                         s.traffic.as_array(), s.utility, params)
+        kmeans = list(zip(kmeans, np.sum(best >= s.utility.p_min_dbm, axis=1).tolist()))
+    return list(zip(logs, grids, kmeans))
 
 
 def _advance_group(with_kmeans: bool, jobs) -> list:
     """Phase 1 of one group: each job's (log, coverage grid, k-means), each run of jobs
-    sharing a scenario as one batch."""
+    sharing a scenario as one batch.
+
+    A job fails if it does not advance, or a grid point or, with
+    ``with_kmeans``, a user lies on a transmitter; the first failing job in
+    list order is named.
+    """
     done = []
-    for _, batch in itertools.groupby(jobs, key=lambda job: id(job[0])):
-        scenarios, seeds, dirs = zip(*batch)
-        s = scenarios[0]
+    for _, run in itertools.groupby(jobs, key=lambda job: id(job[0])):
+        scenarios, seeds, dirs = zip(*run)
         try:
-            logs = run_replications(s, seeds)
-        except (CoincidentPositionsError, DivergenceError) as e:
-            # a job before the one that failed to advance fails first if its grid
-            # or baseline does
-            k = seeds.index(e.seed)
-            _grids_and_baselines(s, seeds, dirs, run_replications(s, seeds[:k]), with_kmeans)
-            raise _failure(e.seed, dirs[k], e)
-        done += _grids_and_baselines(s, seeds, dirs, logs, with_kmeans)
+            done += _phase_one(scenarios[0], seeds, with_kmeans)
+        except (CoincidentPositionsError, DivergenceError):
+            # the jobs are independent, so the first to fail alone is the first that failed
+            for s, seed, rep_dir in zip(scenarios, seeds, dirs):
+                try:
+                    _phase_one(s, [seed], with_kmeans)
+                except (CoincidentPositionsError, DivergenceError) as e:
+                    raise _failure(seed, rep_dir, e)
+            raise
     return done
 
 
@@ -302,16 +292,22 @@ def _receive(worker, live: set):
     return value
 
 
-def _in_workers(groups, with_kmeans: bool) -> list:
-    """Run each group's two phases in its own forked worker; the results in job order.
+def _run_jobs(jobs, with_kmeans: bool = False) -> list:
+    """Run ``jobs`` in one contiguous group per usable core; results in job order.
 
-    Phase-1 reports are read in group order and the first failure is raised;
-    no bundle is written until every group has passed phase 1 and every
-    bundle directory exists. Every worker ends before this returns or raises.
+    The command runs the first group's two phases itself and forks one
+    worker for each other group (fork, not spawn: the command starts no
+    thread of its own, and a spawned worker would import numpy and the
+    package again). Phase-1 reports are read in group order, the command's
+    own first, and the first failure is raised; no bundle is written until
+    every group has passed phase 1 and every bundle directory exists.
+    Every worker ends before this returns or raises.
     """
+    n = min(_usable_cores(), len(jobs))
+    groups = [jobs[len(jobs) * g // n:len(jobs) * (g + 1) // n] for g in range(n)]
     workers, live = [], set()  # (pid, report reader, go fd, first bundle); unreaped pids
     try:
-        for group in groups:
+        for group in groups[1:]:
             status_r, status_w = os.pipe()
             go_r, go_w = os.pipe()
             pid = os.fork()
@@ -323,36 +319,22 @@ def _in_workers(groups, with_kmeans: bool) -> list:
             os.close(status_w)
             os.close(go_r)
             workers.append((pid, open(status_r, "rb"), go_w, group[0][2]))
+        records = _advance_group(with_kmeans, groups[0])
         for worker in workers:
             _receive(worker, live)
-        _make_bundle_dirs(itertools.chain.from_iterable(groups))
+        _make_bundle_dirs(jobs)
         for _, _, go, _ in workers:
             # a worker that has died is named when its results are read
             with contextlib.suppress(BrokenPipeError):
                 os.write(go, b"g")
-        return [result for worker in workers for result in _receive(worker, live)]
+        return _finish_group(groups[0], records) + [
+            result for worker in workers for result in _receive(worker, live)]
     finally:
         for _, reports, go, _ in workers:
             os.close(go)
             reports.close()
         for pid in live:
             os.waitpid(pid, 0)
-
-
-def _run_jobs(jobs, with_kmeans: bool = False) -> list:
-    """Run ``jobs`` in one contiguous group per usable core; results in job order.
-
-    One group runs in-process; more each run in their own forked worker (fork,
-    not spawn: the command starts no thread of its own, and a spawned worker
-    would import numpy and the package again).
-    """
-    n = min(_usable_cores(), len(jobs))
-    if n == 1:
-        records = _advance_group(with_kmeans, jobs)
-        _make_bundle_dirs(jobs)
-        return _finish_group(jobs, records)
-    return _in_workers([jobs[len(jobs) * g // n:len(jobs) * (g + 1) // n] for g in range(n)],
-                       with_kmeans)
 
 
 def _median(values) -> float:

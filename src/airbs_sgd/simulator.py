@@ -36,7 +36,7 @@ import numpy as np
 from .channel import MAX_COORD_M, ChannelParams, CoincidentPositionsError, received_power_matrix
 from .navigator import DivergenceError, StepSchedule, batched_update
 from .traffic import TrafficProfile
-from .utility import UtilityConfig, oracle
+from .utility import UtilityConfig, _temperature, oracle
 
 # Upper bound on the agent-user pairs (R * B * M for a snapshot of R
 # replications) that one group of replications advances: it bounds the
@@ -169,6 +169,16 @@ class Scenario:
                 if not math.isfinite(budget - floor):
                     raise ValueError(f"tx_powers_dbm[{b}] + channel.ref_gain_db - utility.{key} "
                                      f"must be finite, got {budget!r} - {floor!r}")
+        # the soft maximum lies up to ln(B) / T above the strongest power
+        excess = math.log(self.num_airbs) / _temperature(self.utility)
+        for b, p in enumerate(self.tx_powers_dbm):
+            top = p + self.channel.ref_gain_db + excess
+            for key in ("noise_dbm", "p_min_dbm"):
+                floor = getattr(self.utility, key)
+                if not math.isfinite(top - floor):
+                    raise ValueError(f"tx_powers_dbm[{b}] + channel.ref_gain_db + ln(num_airbs) / "
+                                     f"utility.softmax_alpha - utility.{key} must be finite, "
+                                     f"got {top!r} - {floor!r}")
         if not (math.isfinite(self.measurement_noise_db) and self.measurement_noise_db >= 0.0):
             raise ValueError("measurement_noise_db must be finite and nonnegative")
 

@@ -1,4 +1,5 @@
 import json
+import os
 import time
 from types import SimpleNamespace
 
@@ -13,6 +14,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for _, line in sorted(helpers.ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Every command, failing or not, has ended and reaped its forked workers."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

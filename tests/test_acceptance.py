@@ -328,8 +328,8 @@ def test_criterion_10_parallelism_independence(tmp_path, monkeypatch):
 
     # a run's three replications, a sweep's six (two values of three) and a
     # three-seed reproduction with its k-means baselines advance, and are judged,
-    # as one batch per scenario in-process, then in three forked worker groups,
-    # then in-process in groups of one
+    # as one batch per scenario in-process, then in three groups (the command's
+    # own and two forked workers), then in-process in groups of one
     trees = []
     for tag, cores, pairs in (("batch", 1, simulator.BATCH_PAIRS),
                               ("forked", 3, simulator.BATCH_PAIRS),
@@ -356,5 +356,6 @@ def test_criterion_10_parallelism_independence(tmp_path, monkeypatch):
     record_criterion(
         10, "identical outputs however the replications are batched or grouped", same,
         f"{len(trees[0])} files of a run, a sweep and a k-means reproduction byte-compared "
-        f"across one batch, three forked groups and groups of one")
+        f"across one batch, the command's own group and two forked workers, "
+        f"and groups of one")
     assert same

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import signal
+import sys
 import traceback
 from importlib import resources
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (diverges, extra_user_packets, run_python, runaway_message,
                      runaway_scenario)
 
-from airbs_sgd import cli
+from airbs_sgd import cli, simulator
 from airbs_sgd.channel import ChannelParams, CoincidentPositionsError, received_power_matrix
 from airbs_sgd.cli import main, replication_seeds
 from airbs_sgd.navigator import StepSchedule
@@ -41,14 +42,6 @@ def small_scenario_dict(**overrides):
     )
     base.update(overrides)
     return scenario_to_dict(Scenario(**base))
-
-
-@pytest.fixture(autouse=True)
-def no_worker_left():
-    """Every command, failing or not, has ended and reaped its forked workers."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def write_scenario(tmp_path, name="scen.json", **overrides):
@@ -160,11 +153,15 @@ def _overflow_margin(key):
     # so could the soft maximum's ln(B) / alpha at a subnormal temperature
     (lambda d: d["utility"].update(softmax_alpha=5e-324),
      "utility: softmax_alpha must be finite and at least 1e-300, got 5e-324"),
+    # and so is the soft maximum's margin over the noise floor at the lowest temperature
+    (lambda d: d["utility"].update(family="unicast_rate", softmax_alpha=1e-300,
+                                   noise_dbm=-sys.float_info.max),
+     "ln(num_airbs) / utility.softmax_alpha - utility.noise_dbm must be finite"),
 ], ids=["nan_height", "infinite_area", "misspelled_key", "negative_extra_altitude",
         "inverted_area", "inverted_init_region", "negative_eta0", "far_area",
         "far_init_region", "far_height", "far_extra_user", "overflowing_step_size",
         "overflowing_link_budget", "overflowing_noise_margin", "overflowing_target_margin",
-        "tiny_ref_distance", "subnormal_softmax_alpha"])
+        "tiny_ref_distance", "subnormal_softmax_alpha", "overflowing_soft_maximum_margin"])
 def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
     d = small_scenario_dict()
     mutate(d)
@@ -254,9 +251,15 @@ def test_a_taken_bundle_name_fails_before_any_bundle_is_written(tmp_path, capsys
     assert [p for p in out.rglob("*") if p.is_file()] == [out / "eta_5"]
 
 
-@pytest.mark.parametrize("cores", [1, 3])
+# the core counts, each at the default batch bound and with every job advancing alone
+GROUPINGS = pytest.mark.parametrize("cores, pairs", [
+    (1, simulator.BATCH_PAIRS), (3, simulator.BATCH_PAIRS), (1, 1), (3, 1)],
+    ids=["1", "3", "1-alone", "3-alone"])
+
+
+@GROUPINGS
 def test_a_grid_point_on_an_agent_fails_before_any_bundle_is_written(tmp_path, capsys,
-                                                                     monkeypatch, cores):
+                                                                     monkeypatch, cores, pairs):
     # agents start, and stay, on the ground within 0.12 m of the grid point (0, 0): a
     # replication fails where one is within the 0.1 m guard of it, and the first
     # replication that does not is written first at no grouping
@@ -282,6 +285,7 @@ def test_a_grid_point_on_an_agent_fails_before_any_bundle_is_written(tmp_path, c
     scen, out = tmp_path / "scen.json", tmp_path / "out"
     scen.write_text(json.dumps(scenario_to_dict(dataclasses.replace(base, seed=master))))
     monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(simulator, "BATCH_PAIRS", pairs)
     rc = main(["run", "--scenario", str(scen), "--replications", "3", "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (
@@ -290,9 +294,9 @@ def test_a_grid_point_on_an_agent_fails_before_any_bundle_is_written(tmp_path, c
     assert [p.name for p in out.rglob("*") if p.is_file()] == ["effective_config.json"]
 
 
-@pytest.mark.parametrize("cores", [1, 3])
+@GROUPINGS
 def test_an_earlier_grid_failure_is_named_before_a_later_divergence(tmp_path, capsys,
-                                                                   monkeypatch, cores):
+                                                                   monkeypatch, cores, pairs):
     # the runaway agent 5 cm above the grid point (0, 0): a replication that hears
     # the extra user is flung, one that does not stays on that grid point
     s = runaway_scenario()
@@ -312,6 +316,7 @@ def test_an_earlier_grid_failure_is_named_before_a_later_divergence(tmp_path, ca
     scen, out = tmp_path / "scen.json", tmp_path / "out"
     scen.write_text(json.dumps(scenario_to_dict(dataclasses.replace(s, seed=master))))
     monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(simulator, "BATCH_PAIRS", pairs)
     rc = main(["run", "--scenario", str(scen), "--replications", "3", "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (f"error: replication with seed {seeds[0]} failed: "
@@ -576,7 +581,7 @@ def test_median_is_numpys_bit_for_bit(values):
     assert cli._median(values).hex() == float(np.median(values)).hex()
 
 
-@pytest.mark.parametrize("cores, forks", [(1, 0), (2, 2)])
+@pytest.mark.parametrize("cores, forks", [(1, 0), (2, 1)])
 def test_one_core_runs_in_process_and_more_fork_one_worker_per_group(tmp_path, monkeypatch,
                                                                      cores, forks):
     forked, fork = [], os.fork
@@ -593,7 +598,7 @@ def test_one_core_runs_in_process_and_more_fork_one_worker_per_group(tmp_path, m
                  "--out", str(out)]) == 0
     assert len(forked) == forks
     assert sorted(p.name for p in out.glob("rep_*")) == ["rep_000", "rep_001", "rep_002"]
-    # a sweep's values share the one worker per group too
+    # a sweep's values share the command's own group and one worker per other group too
     forked.clear()
     assert main(["sweep", "--scenario", str(scen), "--axis", "eta", "--values", "1,5,25",
                  "--replications", "3", "--out", str(tmp_path / "sweep")]) == 0
@@ -621,25 +626,32 @@ def test_a_command_on_two_cores_loads_no_process_pool(tmp_path):
 def test_a_worker_that_ends_without_a_report_fails_the_command(tmp_path, capsys, monkeypatch,
                                                                phase, cores, end, how):
     parent = os.getpid()
+    scen, out = write_scenario(tmp_path), tmp_path / "out"
 
     def die(*args):
-        assert os.getpid() != parent, "a group of several ran in-process"
+        # only forked workers die; the command runs the first group, and writes nothing
+        if os.getpid() == parent:
+            jobs = args[1] if phase == "_advance_group" else args[0]
+            assert jobs[0][2] == str(out / "rep_000"), "a later group ran in-process"
+            return None
         end()
 
-    scen, out = write_scenario(tmp_path), tmp_path / "out"
     monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
     monkeypatch.setattr(cli, phase, die)
     rc = main(["run", "--scenario", str(scen), "--replications", "3", "--out", str(out)])
     assert rc == 1
-    # the first group's worker is read first
+    # the first forked group's worker is read first
     assert capsys.readouterr().err == (f"error: the worker of the group from bundle "
-                                       f"{out / 'rep_000'} ended without a report: {how}\n")
+                                       f"{out / 'rep_001'} ended without a report: {how}\n")
     assert [p.name for p in out.rglob("*") if p.is_file()] == ["effective_config.json"]
 
 
 def test_an_unexpected_worker_error_keeps_its_worker_traceback(tmp_path, monkeypatch):
+    # the command writes the first group's bundles itself; only the forked worker fails
+    parent, simulate_one = os.getpid(), cli._simulate_one
+
     def divide(*args):
-        return 1 / 0
+        return simulate_one(*args) if os.getpid() == parent else 1 / 0
 
     scen = write_scenario(tmp_path)
     monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
@@ -649,3 +661,4 @@ def test_an_unexpected_worker_error_keeps_its_worker_traceback(tmp_path, monkeyp
               "--out", str(tmp_path / "out")])
     text = "".join(traceback.format_exception(e.value))
     assert "in _finish_group\n" in text and "in divide\n" in text
+    assert isinstance(e.value.__cause__, cli._RemoteTraceback)

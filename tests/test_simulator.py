@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -24,8 +23,7 @@ from airbs_sgd.simulator import (
     scenario_to_dict,
 )
 from airbs_sgd.traffic import TrafficProfile
-from airbs_sgd.utility import (MIN_SOFTMAX_ALPHA, UtilityConfig, UtilityFamily, oracle,
-                               user_utility)
+from airbs_sgd.utility import UtilityConfig, UtilityFamily, oracle, user_utility
 
 FAMILIES = tuple(UtilityFamily)
 
@@ -318,8 +316,8 @@ def test_cli_names_the_one_diverging_replication(tmp_path, capsys):
 
 
 def test_cli_names_a_diverging_seed_in_a_later_worker_group(tmp_path, capsys, monkeypatch):
-    # three forked groups of one; only the last group's seed diverges, and the
-    # first two advance
+    # three groups of one, the command's own and two forked; only the last group's
+    # seed diverges, and the first two advance
     s = helpers.runaway_scenario()
     for master in range(100):
         seeds = replication_seeds(master, 3)
@@ -354,20 +352,34 @@ def test_cli_exits_2_when_a_healthy_replication_logs_a_non_finite_value(tmp_path
     assert not any(out.glob("rep_*"))
 
 
-def test_a_non_finite_snapshot_utility_fails_the_replication(tmp_path):
-    # no step diverges: every input is finite and passes the input checks, but at
-    # the lowest temperature the soft maximum lies up to ln(B) / alpha (7e299 dB)
-    # above the strongest power, and its margin over a noise floor at the most
-    # negative double is inf, and so is its rate, so the first snapshot's utility is inf
-    s = small_scenario(utility=UtilityConfig(UtilityFamily.UNICAST_RATE, -sys.float_info.max,
-                                             -91.0, 2.0, softmax_alpha=MIN_SOFTMAX_ALPHA))
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as e:
+# an oracle that scores every placement inf, as an overflowing utility would; the
+# input checks refuse every finite input known to overflow it
+INF_ORACLE = """
+import numpy as np
+from airbs_sgd import simulator
+oracle = simulator.oracle
+
+def inf_oracle(*args):
+    utility, best = oracle(*args)
+    return np.full_like(utility, np.inf), best
+"""
+
+
+def test_a_non_finite_snapshot_utility_fails_the_replication(tmp_path, monkeypatch):
+    # no step diverges and every input is finite and passes the input checks, but
+    # the first snapshot's utility is inf
+    s = small_scenario()
+    patched = {}
+    exec(INF_ORACLE, patched)
+    monkeypatch.setattr(simulator, "oracle", patched["inf_oracle"])
+    with pytest.raises(DivergenceError) as e:
         run(s)
     assert str(e.value) == "oracle utility is inf at snapshot 0" and e.value.seed == s.seed
     scen, out = tmp_path / "scen.json", tmp_path / "out"
     scen.write_text(json.dumps(scenario_to_dict(s)))
-    proc = helpers.run_python("-m", "airbs_sgd.cli", "run", "--scenario", str(scen),
-                              "--replications", "2", "--out", str(out))
+    argv = ["run", "--scenario", str(scen), "--replications", "2", "--out", str(out)]
+    proc = helpers.run_python("-c", INF_ORACLE + "simulator.oracle = inf_oracle\nimport sys\n"
+                              f"from airbs_sgd.cli import main\nsys.exit(main({argv!r}))\n")
     assert proc.returncode == 2
     seed = replication_seeds(s.seed, 2)[0]
     assert proc.stderr.splitlines()[-1] == (f"error: replication with seed {seed} failed: "
