@@ -32,7 +32,7 @@ def base_scenario():
         schedule=StepSchedule(eta0=5.0, minibatch_size=50, eta_scale=1e6),
         iterations=100,
         seed=8,
-        channel=ChannelParams(-94.0, 1000.0, 0.0),
+        channel=ChannelParams(-94.0, 1000.0),
     )
 
 

@@ -27,15 +27,15 @@ def main():
     print(f"oracle utility:   {log.oracle_utility[0]:.4f} -> {log.oracle_utility[-1]:.4f}")
 
     # same user draw, centralized clustering instead of gradient agents
-    params = s.agent_channel_params()
+    budget, ref = s.budget_dbm, s.channel.ref_distance_m
     km = kmeans_placement(log.users, s.num_airbs, seed=s.seed,
                           height_m=s.fixed_height_m)
     # judged as every snapshot is: served means the strongest power meets the target
-    _, best = oracle(km.centroids, log.users, s.traffic.as_array(), s.utility, params)
+    _, best = oracle(km.centroids, log.users, s.traffic.as_array(), s.utility, budget, ref)
     km_served = int((best >= s.utility.p_min_dbm).sum())
     print(f"k-means baseline: {km_served}/{m} served ({m - km_served} unserved)")
 
-    cov = coverage_map(log.positions[-1], s.area, 70, params)
+    cov = coverage_map(log.positions[-1], s.area, 70, budget, ref)
     paths = render_outputs(log, cov, "reference_out", s.area, s.utility.p_min_dbm)
     print("wrote:")
     for name in sorted(paths):

@@ -22,7 +22,7 @@ from airbs_sgd import (
 
 def main():
     # strongest possible reception: agent directly overhead at 30 m
-    p_top = float(received_power_matrix([[0.0, 0.0, 30.0]], [ChannelParams(-94.0, 1000.0, 12.0)],
+    p_top = float(received_power_matrix([[0.0, 0.0, 30.0]], [12.0 - 94.0], 1000.0,
                                         [[0.0, 0.0, 0.0]])[0, 0])
     print(f"power directly under the AirBS: {p_top:.2f} dBm")
 
@@ -39,7 +39,7 @@ def main():
         schedule=StepSchedule(eta0=1.0, minibatch_size=10, eta_scale=1000.0),
         iterations=60,
         seed=4,
-        channel=ChannelParams(-94.0, 1000.0, 0.0),
+        channel=ChannelParams(-94.0, 1000.0),
     )
     log = run(s)
     mx, my, _ = log.users[0]

@@ -69,7 +69,7 @@ def main():
         schedule=StepSchedule(eta0=5.0, minibatch_size=10, eta_scale=1e6),
         iterations=120,
         seed=14,
-        channel=ChannelParams(-94.0, 1000.0, 0.0),
+        channel=ChannelParams(-94.0, 1000.0),
     )
     log = run(s)
 

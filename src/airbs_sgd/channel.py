@@ -43,16 +43,11 @@ class CoincidentPositionsError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Link-budget constants for one transmitter.
-
-    ``ref_gain_db`` is the channel gain (antenna gains folded in) at
-    ``ref_distance_m`` from the transmitter; ``tx_power_dbm`` the transmit
-    power.
-    """
+    """The free-space channel all transmitters share: ``ref_gain_db`` is the gain
+    (antenna gains folded in) at ``ref_distance_m`` from a transmitter."""
 
     ref_gain_db: float
     ref_distance_m: float
-    tx_power_dbm: float
 
     def __post_init__(self):
         if not math.isfinite(self.ref_gain_db):
@@ -60,20 +55,19 @@ class ChannelParams:
         if not (MIN_REF_DISTANCE_M <= self.ref_distance_m < math.inf):
             raise ValueError(f"ref_distance_m must be finite and at least "
                              f"{MIN_REF_DISTANCE_M:g} m, got {self.ref_distance_m:g}")
-        if not math.isfinite(self.tx_power_dbm):
-            raise ValueError("tx_power_dbm must be finite")
 
 
-def received_power_matrix(placements, params, points, gradient: bool = False):
+def received_power_matrix(placements, budget_dbm, ref_distance_m, points, gradient: bool = False):
     """Received power from B transmitters at N points, and its gradient: the array kernel.
 
     Parameters
     ----------
     placements : array_like, shape (..., B, 3)
         Transmitter locations.
-    params : sequence of ChannelParams
-        Transmit power and reference-distance gain calibration, one per
-        transmitter.
+    budget_dbm : array_like, shape (B,)
+        Each transmitter's link budget: its transmit power plus ``ref_gain_db``.
+    ref_distance_m : float
+        The distance (m) at which the channel gain is ``ref_gain_db``.
     points : array_like, shape (..., N, 3)
         Receiver locations. The leading axes of ``placements`` and
         ``points`` broadcast, e.g. one set of transmitters and points per
@@ -85,7 +79,7 @@ def received_power_matrix(placements, params, points, gradient: bool = False):
     Returns
     -------
     ndarray, shape (..., N, B), or a pair adding an (..., N, B, 3) array
-        Powers ``tx_power_dbm + ref_gain_db - 20*log10(d / ref_distance_m)``
+        Powers ``budget_dbm[b] - 20*log10(d / ref_distance_m)``
         in dBm, with ``d`` the transmitter-receiver separation in meters;
         gradients ``-(20/ln 10) * (l_b - x_m) / d**2`` in dB/meter, which
         point from the transmitter toward the receiver (moving closer
@@ -98,6 +92,10 @@ def received_power_matrix(placements, params, points, gradient: bool = False):
     over the B axis adds whole rows of N entries.
     """
     L, X = np.asarray(placements, dtype=float), np.asarray(points, dtype=float)
+    budget = np.asarray(budget_dbm, dtype=float)
+    if budget.shape != L.shape[-2:-1]:
+        raise ValueError(f"need one link budget per transmitter: budget_dbm has shape "
+                         f"{budget.shape} for {L.shape[-2]} transmitters")
 
     def delta(k, out=None):
         return np.subtract(L[..., :, None, k], X[..., None, :, k], out=out)
@@ -120,13 +118,11 @@ def received_power_matrix(placements, params, points, gradient: bool = False):
         raise CoincidentPositionsError(
             f"separation {math.sqrt(float(np.min(d2))):.3g} m below the "
             f"{EPS_DISTANCE_M} m singularity guard")
-    budget = np.array([[p.tx_power_dbm + p.ref_gain_db] for p in params])
-    ref = np.array([[p.ref_distance_m] for p in params])
     p = np.sqrt(d2, out=None if gradient else d2)
-    np.divide(p, ref, out=p)
+    np.divide(p, ref_distance_m, out=p)
     np.log10(p, out=p)
     np.multiply(20.0, p, out=p)
-    powers = np.swapaxes(np.subtract(budget, p, out=p), -1, -2)
+    powers = np.swapaxes(np.subtract(budget[:, None], p, out=p), -1, -2)
     if not gradient:
         return powers
     slope = -DB_SLOPE / d2

@@ -176,17 +176,17 @@ def _phase_one(s: Scenario, seeds, with_kmeans: bool) -> list:
     oracle's strongest power, all the run's baselines as one Lloyd program.
     """
     logs = run_replications(s, seeds)
-    params = s.agent_channel_params()
+    budget, ref = s.budget_dbm, s.channel.ref_distance_m
     # one grid per call: two batched calls of 10 measured as fast with the
     # in-place kernel, and slower before it from page faults, not the cache
-    grids = [coverage_map(log.positions[-1], s.area, MAP_GRID, params) for log in logs]
+    grids = [coverage_map(log.positions[-1], s.area, MAP_GRID, budget, ref) for log in logs]
     kmeans = [None] * len(logs)
     if with_kmeans:
         users = np.stack([log.users for log in logs])
         kmeans = kmeans_replications(users, s.num_airbs, seeds, max_iters=100,
                                      height_m=s.fixed_height_m)
         _, best = oracle(np.stack([km.centroids for km in kmeans]), users,
-                         s.traffic.as_array(), s.utility, params)
+                         s.traffic.as_array(), s.utility, budget, ref)
         kmeans = list(zip(kmeans, np.sum(best >= s.utility.p_min_dbm, axis=1).tolist()))
     return list(zip(logs, grids, kmeans))
 

@@ -48,12 +48,13 @@ def coverage_axes(area, grid_resolution) -> tuple:
     return np.linspace(area.x_min, area.x_max, nx), np.linspace(area.y_min, area.y_max, ny)
 
 
-def coverage_map(placements, area, grid_resolution, params,
+def coverage_map(placements, area, grid_resolution, budget_dbm, ref_distance_m,
                  clip=COVERAGE_CLIP) -> np.ndarray:
     """Strongest received power on the ground grid (z = 0), clipped to ``clip`` dBm.
 
-    ``area`` is a :class:`simulator.Rect`. Returns shape (ny, nx): rows run
-    south to north, columns west to east, matching ``coverage_axes``.
+    ``area`` is a :class:`simulator.Rect`; ``budget_dbm`` and ``ref_distance_m``
+    are as for :func:`channel.received_power_matrix`. Returns shape (ny, nx):
+    rows run south to north, columns west to east, matching ``coverage_axes``.
     """
     lo, hi = float(clip[0]), float(clip[1])
     if hi < lo:
@@ -61,7 +62,7 @@ def coverage_map(placements, area, grid_resolution, params,
     xs, ys = coverage_axes(area, grid_resolution)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-    best = np.max(received_power_matrix(placements, params, pts), axis=1)
+    best = np.max(received_power_matrix(placements, budget_dbm, ref_distance_m, pts), axis=1)
     return np.clip(best, lo, hi).reshape(gy.shape)
 
 

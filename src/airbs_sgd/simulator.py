@@ -30,6 +30,7 @@ import dataclasses
 import math
 import typing
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,7 +85,7 @@ class Scenario:
     Its fields, and those of the dataclasses it nests, are the scenario
     file format (see :func:`scenario_from_dict`): a field with a default
     is an optional key. ``tx_powers_dbm`` gives each transmitter its own
-    power; the power in ``channel`` is a base value that these override.
+    power over the shared ``channel``, and :attr:`budget_dbm` its link budget.
     ``traffic`` may be None, meaning uniform shares over all users
     (including the extras). ``measurement_noise_db`` adds Gaussian error
     to reported packet powers and is 0 for the exact baseline.
@@ -158,27 +159,19 @@ class Scenario:
             raise ValueError("step schedule required")
         if not isinstance(self.channel, ChannelParams):
             raise ValueError("channel params required")
-        for b, p in enumerate(self.tx_powers_dbm):
-            budget = p + self.channel.ref_gain_db
-            if not math.isfinite(budget):
-                raise ValueError(f"tx_powers_dbm[{b}] + channel.ref_gain_db must be finite, "
-                                 f"got {p!r} + {self.channel.ref_gain_db!r}")
-            # the rewards take a power's margin over the noise floor or the target
-            for key in ("noise_dbm", "p_min_dbm"):
-                floor = getattr(self.utility, key)
-                if not math.isfinite(budget - floor):
-                    raise ValueError(f"tx_powers_dbm[{b}] + channel.ref_gain_db - utility.{key} "
-                                     f"must be finite, got {budget!r} - {floor!r}")
-        # the soft maximum lies up to ln(B) / T above the strongest power
+        # a finite link budget, then finite margins over the noise floor and the target
+        # for the rewards: each budget's, then each soft maximum's, up to ln(B) / T above it
         excess = math.log(self.num_airbs) / _temperature(self.utility)
-        for b, p in enumerate(self.tx_powers_dbm):
-            top = p + self.channel.ref_gain_db + excess
-            for key in ("noise_dbm", "p_min_dbm"):
-                floor = getattr(self.utility, key)
-                if not math.isfinite(top - floor):
-                    raise ValueError(f"tx_powers_dbm[{b}] + channel.ref_gain_db + ln(num_airbs) / "
-                                     f"utility.softmax_alpha - utility.{key} must be finite, "
-                                     f"got {top!r} - {floor!r}")
+        for over, term in ((0.0, ""), (excess, " + ln(num_airbs) / utility.softmax_alpha")):
+            for b, (p, budget) in enumerate(zip(self.tx_powers_dbm, self.budget_dbm.tolist())):
+                if not math.isfinite(budget):
+                    raise ValueError(f"tx_powers_dbm[{b}] + channel.ref_gain_db must be finite, "
+                                     f"got {p!r} + {self.channel.ref_gain_db!r}")
+                for key in ("noise_dbm", "p_min_dbm"):
+                    top, floor = budget + over, getattr(self.utility, key)
+                    if not math.isfinite(top - floor):
+                        raise ValueError(f"tx_powers_dbm[{b}] + channel.ref_gain_db{term} - "
+                                         f"utility.{key} must be finite, got {top!r} - {floor!r}")
         if not (math.isfinite(self.measurement_noise_db) and self.measurement_noise_db >= 0.0):
             raise ValueError("measurement_noise_db must be finite and nonnegative")
 
@@ -186,9 +179,14 @@ class Scenario:
     def total_mus(self) -> int:
         return self.num_mus + len(self.extra_mu_positions)
 
-    def agent_channel_params(self) -> list:
-        """Per-transmitter channel params: base channel with power overridden."""
-        return [dataclasses.replace(self.channel, tx_power_dbm=p) for p in self.tx_powers_dbm]
+    @cached_property
+    def budget_dbm(self) -> np.ndarray:
+        """Each transmitter's link budget (B,): ``tx_powers_dbm[b] + channel.ref_gain_db``.
+
+        Read-only, as every caller shares the one array."""
+        budget = np.array([p + self.channel.ref_gain_db for p in self.tx_powers_dbm])
+        budget.flags.writeable = False
+        return budget
 
 
 @dataclass
@@ -294,7 +292,7 @@ def _advance(s: Scenario, seeds) -> list:
     L = np.stack([w.positions for w in worlds])
     users = np.stack([w.users for w in worlds])
     rngs = [w.rng for w in worlds]
-    params, cfg, profile = s.agent_channel_params(), s.utility, s.traffic
+    budget, ref, cfg, profile = s.budget_dbm, s.channel.ref_distance_m, s.utility, s.traffic
     q, b = s.schedule.minibatch_size, s.num_airbs
     weights = profile.as_array()
     sigma = s.measurement_noise_db
@@ -307,7 +305,7 @@ def _advance(s: Scenario, seeds) -> list:
 
     def snapshot(i):
         positions[:, i] = L
-        utilities[:, i], best = oracle(L, users, weights, cfg, params)
+        utilities[:, i], best = oracle(L, users, weights, cfg, budget, ref)
         bad = ~np.isfinite(utilities[:, i])
         if np.any(bad):
             raise DivergenceError(f"oracle utility is {utilities[np.argmax(bad), i]} "
@@ -322,7 +320,7 @@ def _advance(s: Scenario, seeds) -> list:
         for rng, row in zip(rngs, uniforms):
             rng.random(out=row)
         idx = profile.recipients(uniforms)
-        powers, grads = received_power_matrix(L, params, users[rep, idx], gradient=True)
+        powers, grads = received_power_matrix(L, budget, ref, users[rep, idx], gradient=True)
         if sigma > 0.0:
             powers = powers + sigma * np.stack([rng.standard_normal((q, b)) for rng in rngs])
         L = batched_update(L, grads, powers, cfg, s.schedule.eta(i), s.fixed_height_m)

@@ -196,17 +196,18 @@ def user_utility_partials(powers_dbm, cfg: UtilityConfig, axis: int = -1):
     return _reward(soft, cfg, slope=True) * (e / z)
 
 
-def oracle(placements, users, weights, cfg: UtilityConfig, params):
+def oracle(placements, users, weights, cfg: UtilityConfig, budget_dbm, ref_distance_m):
     """Exact network utility ``sum_m w_m * J_m`` and each user's strongest power in dBm.
 
     ``placements`` (..., B, 3) and ``users`` (..., M, 3) broadcast over
-    leading axes, e.g. one of each per replication, and ``weights`` (M,)
-    are the traffic shares. Returns arrays of shape (...) and (..., M).
+    leading axes, e.g. one of each per replication; ``weights`` (M,) are
+    the traffic shares; ``budget_dbm`` and ``ref_distance_m`` are as for
+    :func:`channel.received_power_matrix`. Returns (...) and (..., M) arrays.
     The placement agents never see this full-information evaluation.
     """
     # transmitter-major (..., B, M): a reduction over B adds whole rows, in index order for any B
     powers = np.ascontiguousarray(
-        np.swapaxes(received_power_matrix(placements, params, users), -1, -2))
+        np.swapaxes(received_power_matrix(placements, budget_dbm, ref_distance_m, users), -1, -2))
     # the soft maximum's own maximum is each user's strongest power
     soft, _, _, best = _log_sum_exp(powers, _temperature(cfg), -2)
     per_user = _reward(np.squeeze(soft, -2), cfg)
@@ -214,12 +215,14 @@ def oracle(placements, users, weights, cfg: UtilityConfig, params):
     return utility.reshape(per_user.shape[:-1]), np.squeeze(best, -2)
 
 
-def network_utility_gradient(placements, users, weights, cfg: UtilityConfig, params) -> np.ndarray:
+def network_utility_gradient(placements, users, weights, cfg: UtilityConfig, budget_dbm,
+                             ref_distance_m) -> np.ndarray:
     """Gradient of :func:`oracle`'s utility at one (B, 3) placement and (M, 3) user set.
 
     Returns shape (B, 3), dB-chain assembled: row ``b`` is
     ``sum_m w_m * (d p_bm / d l_b) * (d J_m / d p_bm)``.
     """
-    powers, grads = received_power_matrix(placements, params, users, gradient=True)
+    powers, grads = received_power_matrix(placements, budget_dbm, ref_distance_m, users,
+                                          gradient=True)
     partials = user_utility_partials(powers, cfg)  # (M, B)
     return np.einsum("m,mb,mbk->bk", weights, partials, grads)

@@ -75,10 +75,11 @@ def linear_to_dbm(p_mw):
     return 10.0 * np.log10(p)
 
 
-def agent_gradient(position, params_b, b, users, reported, cfg) -> np.ndarray:
+def agent_gradient(position, budget_b, ref_distance_m, b, users, reported, cfg) -> np.ndarray:
     """Agent ``b``'s summed chain-rule gradient over a minibatch, one packet at a time.
 
-    ``position`` (3,) is the agent's own, ``params_b`` its channel params;
+    ``position`` (3,) is the agent's own, ``budget_b`` its link budget at
+    ``ref_distance_m``;
     packet q comes from the user at ``users[q]`` and reports the B powers
     ``reported[q]``. Per packet: one one-row kernel call for the agent's
     power gradient at that user and one ``user_utility_partials`` call on
@@ -86,19 +87,21 @@ def agent_gradient(position, params_b, b, users, reported, cfg) -> np.ndarray:
     """
     total = np.zeros(3)
     for x, powers in zip(users, reported):
-        _, g = received_power_matrix(position[None], (params_b,), x[None], gradient=True)
+        _, g = received_power_matrix(position[None], [budget_b], ref_distance_m, x[None],
+                                     gradient=True)
         total += g[0, 0] * user_utility_partials(powers[None], cfg)[0, b]
     return total
 
 
-def agent_step(position, params_b, b, users, reported, cfg, eta, fixed_height) -> np.ndarray:
+def agent_step(position, budget_b, ref_distance_m, b, users, reported, cfg, eta,
+               fixed_height) -> np.ndarray:
     """Agent ``b`` alone: one ascent step along its minibatch-mean gradient.
 
     The reference that ``navigator.batched_update``'s rows are compared
     against; ``fixed_height``, when not None, pins z exactly.
     """
-    new = position + eta * (agent_gradient(position, params_b, b, users, reported, cfg)
-                            / len(users))
+    new = position + eta * (agent_gradient(position, budget_b, ref_distance_m, b, users,
+                                           reported, cfg) / len(users))
     if fixed_height is not None:
         new[2] = fixed_height
     return new
@@ -115,14 +118,14 @@ def replay_alone(s, log) -> np.ndarray:
     positions, shaped like ``log.positions``.
     """
     world = init_scenario(s)
-    params, q = s.agent_channel_params(), s.schedule.minibatch_size
+    budget, ref, q = s.budget_dbm, s.channel.ref_distance_m, s.schedule.minibatch_size
     path = [log.positions[0]]
     for i in range(log.num_iterations):
         idx = sample_recipient(s.traffic, world.rng, size=q)
-        powers = received_power_matrix(log.positions[i], params, world.users[idx])
+        powers = received_power_matrix(log.positions[i], budget, ref, world.users[idx])
         if s.measurement_noise_db > 0.0:
             powers = powers + s.measurement_noise_db * world.rng.standard_normal(powers.shape)
-        path.append([agent_step(row, params[b], b, world.users[idx], powers, s.utility,
+        path.append([agent_step(row, budget[b], ref, b, world.users[idx], powers, s.utility,
                                 s.schedule.eta(i), s.fixed_height_m)
                      for b, row in enumerate(path[-1])])
     return np.array(path)
@@ -137,9 +140,8 @@ def runaway_scenario():
     nan, and the next step NaN. The drawn users, 1e6 m away, are so far
     below the target that their packets do not move the agent.
     """
-    prm = ChannelParams(-94.0, 1000.0, 12.0)
     extra = (1.0, 0.0, 0.0)
-    p_extra = float(received_power_matrix([[0.0, 0.0, 2.0]], [prm], [extra])[0, 0])
+    p_extra = float(received_power_matrix([[0.0, 0.0, 2.0]], [12.0 - 94.0], 1000.0, [extra])[0, 0])
     return Scenario(
         area=Rect(1e6, 0.0, 1e6 + 100.0, 100.0), num_airbs=1, tx_powers_dbm=(12.0,),
         init_region=Rect(0.0, 0.0, 0.0, 0.0), fixed_height_m=2.0, num_mus=2,
@@ -147,7 +149,7 @@ def runaway_scenario():
         utility=UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4,
                               p_extra - 0.25, 0.5),
         schedule=StepSchedule(eta0=1.0, minibatch_size=1, eta_scale=1e200),
-        channel=ChannelParams(-94.0, 1000.0, 0.0))
+        channel=ChannelParams(-94.0, 1000.0))
 
 
 def extra_user_packets(s, seed):
@@ -168,9 +170,9 @@ def runaway_message(s, seed, rep_dir):
     packet; its bundle would be ``rep_dir``. The landing point is stepped by
     :func:`agent_step`, the per-agent reference."""
     start, extra = np.array([0.0, 0.0, 2.0]), np.array(s.extra_mu_positions)
-    params = s.agent_channel_params()
-    powers = received_power_matrix(start[None], params, extra)
-    flung = agent_step(start, params[0], 0, extra, powers, s.utility, s.schedule.eta(0),
+    budget, ref = s.budget_dbm, s.channel.ref_distance_m
+    powers = received_power_matrix(start[None], budget, ref, extra)
+    flung = agent_step(start, budget[0], ref, 0, extra, powers, s.utility, s.schedule.eta(0),
                        s.fixed_height_m)
     return (f"error: replication with seed {seed} failed: agent 0 stepped to {flung.tolist()}: "
             f"the position must be within 1e+150 m of 0 with nonnegative altitude "

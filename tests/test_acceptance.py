@@ -77,8 +77,8 @@ def assembled_case(rng, family):
         placements.append([mu[0, 0] + horiz * math.cos(theta),
                            mu[0, 1] + horiz * math.sin(theta), z])
     placements = np.array(placements)
-    params = [ChannelParams(-94.0, 1000.0, 12.0) for _ in range(b)]
-    powers = received_power_matrix(placements, params, mu)[0]
+    budget = np.full(b, 12.0 - 94.0)
+    powers = received_power_matrix(placements, budget, 1000.0, mu)[0]
     if family is UtilityFamily.THRESHOLD_SIGMOID_BROADCAST:
         anchor = 10.0 * math.log10(float(np.sum(10.0 ** (powers / 10.0))))
     else:
@@ -91,7 +91,7 @@ def assembled_case(rng, family):
         delta_db=delta,
         softmax_alpha=rng.uniform(0.5, 1.0),
     )
-    return placements, params, mu, cfg
+    return placements, budget, mu, cfg
 
 
 def test_criterion_03_finite_difference_cross_checks():
@@ -100,13 +100,13 @@ def test_criterion_03_finite_difference_cross_checks():
     worst = 0.0
 
     # channel gradient
-    prm = ChannelParams(-94.0, 1000.0, 12.0)
+    budget = [12.0 - 94.0]
     for _ in range(100):
         l = np.array([[*rng.uniform(-2000, 2000, 2), rng.uniform(20, 200)]])
         x = np.array([[*rng.uniform(-2000, 2000, 2), 0.0]])
-        got = received_power_matrix(l, [prm], x, gradient=True)[1][0, 0]
+        got = received_power_matrix(l, budget, 1000.0, x, gradient=True)[1][0, 0]
         want = central_diff(
-            lambda v: received_power_matrix(v[None], [prm], x)[0, 0], l[0], h=1e-3)
+            lambda v: received_power_matrix(v[None], budget, 1000.0, x)[0, 0], l[0], h=1e-3)
         worst = max(worst, rel_err(got, want))
 
     # per-family utility partials
@@ -122,15 +122,16 @@ def test_criterion_03_finite_difference_cross_checks():
     # assembled per-agent packet gradient, every agent of every config
     for k in range(100):
         family = FAMILIES[k % len(FAMILIES)]
-        placements, params, mu, cfg = assembled_case(rng, family)
-        reported = received_power_matrix(placements, params, mu)
+        placements, budget, mu, cfg = assembled_case(rng, family)
+        reported = received_power_matrix(placements, budget, 1000.0, mu)
         for i in range(len(placements)):
-            got = agent_gradient(placements[i], params[i], i, mu, reported, cfg)
+            got = agent_gradient(placements[i], budget[i], 1000.0, i, mu, reported, cfg)
 
             def j_of(v):
                 moved = placements.copy()
                 moved[i] = v
-                return float(user_utility(received_power_matrix(moved, params, mu)[0], cfg))
+                return float(user_utility(received_power_matrix(moved, budget, 1000.0, mu)[0],
+                                          cfg))
 
             want = central_diff(j_of, placements[i], h=1e-3)
             worst = max(worst, rel_err(got, want))
@@ -147,19 +148,19 @@ def test_criterion_04_enumeration_oracle():
     rng = np.random.default_rng(104)
     b, m = 4, 500
     placements = np.array([[*rng.uniform(0, 7000, 2), 30.0] for _ in range(b)])
-    params = [ChannelParams(-94.0, 1000.0, p) for p in (7.0, 9.0, 9.0, 12.0)]
+    budget = np.array([7.0, 9.0, 9.0, 12.0]) - 94.0
     mus = np.array([[*rng.uniform(0, 7000, 2), 0.0] for _ in range(m)])
     w = rng.uniform(0.2, 1.8, m)
     w = w / w.sum()
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -88.0, 4.0)
 
-    reported = received_power_matrix(placements, params, mus)
+    reported = received_power_matrix(placements, budget, 1000.0, mus)
     stacked = np.zeros((b, 3))
     for idx in range(m):
         for i in range(b):
-            stacked[i] += w[idx] * agent_gradient(placements[i], params[i], i, mus[idx:idx + 1],
-                                                  reported[idx:idx + 1], cfg)
-    oracle = network_utility_gradient(placements, mus, w, cfg, params)
+            stacked[i] += w[idx] * agent_gradient(placements[i], budget[i], 1000.0, i,
+                                                  mus[idx:idx + 1], reported[idx:idx + 1], cfg)
+    oracle = network_utility_gradient(placements, mus, w, cfg, budget, 1000.0)
     err = rel_err(stacked, oracle)
     ok = err < 1e-9
     record_criterion(
@@ -172,21 +173,22 @@ def test_criterion_05_estimator_noise_scaling():
     rng = np.random.default_rng(105)
     b, m = 3, 300
     placements = np.array([[*rng.uniform(0, 5000, 2), 30.0] for _ in range(b)])
-    params = [ChannelParams(-94.0, 1000.0, p) for p in (9.0, 9.0, 12.0)]
+    budget = np.array([9.0, 9.0, 12.0]) - 94.0
     mus = np.array([[*rng.uniform(0, 5000, 2), 0.0] for _ in range(m)])
     w = rng.uniform(0.2, 1.8, m)
     w = w / w.sum()
     profile = TrafficProfile(pi=tuple(w))
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -89.0, 4.0)
 
-    per_user = np.array([user_utility(received_power_matrix(placements, params, mu[None])[0], cfg)
+    per_user = np.array([user_utility(received_power_matrix(placements, budget, 1000.0,
+                                                            mu[None])[0], cfg)
                          for mu in mus], dtype=float)
-    exact = oracle(placements, mus, w, cfg, params)[0]
+    exact = oracle(placements, mus, w, cfg, budget, 1000.0)[0]
     assert abs(float(np.dot(w, per_user)) - exact) < 1e-12
 
     # index-sampling oracle is the same math as the packet estimator
     idx = np.array([sample_recipient(profile, rng) for _ in range(50)])
-    reported = received_power_matrix(placements, params, mus[idx])
+    reported = received_power_matrix(placements, budget, 1000.0, mus[idx])
     assert abs(float(np.mean(user_utility(reported, cfg))) - per_user[idx].mean()) < 1e-12
 
     sizes = (100, 1000, 10000)
@@ -204,7 +206,7 @@ def test_criterion_05_estimator_noise_scaling():
 
 
 def test_criterion_06_single_pair_convergence():
-    p_top = float(received_power_matrix([[0.0, 0.0, 30.0]], [ChannelParams(-94.0, 1000.0, 12.0)],
+    p_top = float(received_power_matrix([[0.0, 0.0, 30.0]], [12.0 - 94.0], 1000.0,
                                         [[0.0, 0.0, 0.0]])[0, 0])
     worst_dist = 0.0
     worst_first = 0
@@ -222,7 +224,7 @@ def test_criterion_06_single_pair_convergence():
             schedule=StepSchedule(eta0=1.0, minibatch_size=10, eta_scale=1000.0),
             iterations=500,
             seed=seed,
-            channel=ChannelParams(-94.0, 1000.0, 0.0),
+            channel=ChannelParams(-94.0, 1000.0),
         )
         log = run(s)
         mu = init_scenario(s).users[0]
@@ -255,10 +257,10 @@ def test_criterion_08_noncooperation_barrier():
         b = int(rng.integers(2, 6))
         placements = np.array([[*rng.uniform(0, 4000, 2), rng.uniform(20, 80)]
                                for _ in range(b)])
-        params = [ChannelParams(-94.0, 1000.0, rng.uniform(5, 15)) for _ in range(b)]
+        budget = np.array([rng.uniform(5, 15) - 94.0 for _ in range(b)])
         focus = int(rng.integers(0, b))
         mu = np.array([[*rng.uniform(0, 4000, 2), 0.0]])
-        powers, grads = received_power_matrix(placements, params, mu, gradient=True)
+        powers, grads = received_power_matrix(placements, budget, 1000.0, mu, gradient=True)
         cfg = conditioned_cfg(FAMILIES[focus % len(FAMILIES)], powers[0], rng)
         ref = batched_update(placements, grads, powers, cfg, eta)[focus]
 
@@ -271,7 +273,8 @@ def test_criterion_08_noncooperation_barrier():
         grads[:, others, 2] = np.abs(grads[:, others, 2])
         replayed = batched_update(placements, grads, powers, cfg, eta)[focus]
 
-        alone = agent_step(placements[focus], params[focus], focus, mu, powers, cfg, eta, None)
+        alone = agent_step(placements[focus], budget[focus], 1000.0, focus, mu, powers, cfg, eta,
+                           None)
         ok = ok and np.array_equal(ref, replayed) and np.array_equal(ref, alone)
     record_criterion(
         8, "replaying a packet gives a bit-identical update regardless of the "
@@ -321,7 +324,7 @@ def test_criterion_10_parallelism_independence(tmp_path, monkeypatch):
         schedule=StepSchedule(eta0=5.0, minibatch_size=8, eta_scale=1e6),
         iterations=10,
         seed=19,
-        channel=ChannelParams(-94.0, 1000.0, 0.0),
+        channel=ChannelParams(-94.0, 1000.0),
     )
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n")

@@ -38,7 +38,7 @@ def small_scenario_dict(**overrides):
         schedule=StepSchedule(eta0=5.0, minibatch_size=6, eta_scale=1e6),
         iterations=5,
         seed=11,
-        channel=ChannelParams(-94.0, 1000.0, 0.0),
+        channel=ChannelParams(-94.0, 1000.0),
     )
     base.update(overrides)
     return scenario_to_dict(Scenario(**base))
@@ -174,6 +174,20 @@ def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_channel_tx_power_key_exits_2(tmp_path, capsys):
+    # the channel's base power was overridden by tx_powers_dbm and read by nothing;
+    # a file that still sets it is refused, not run with the setting ignored
+    d = small_scenario_dict()
+    d["channel"]["tx_power_dbm"] = 30.0
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps(d))
+    rc = main(["run", "--scenario", str(p), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid scenario in {p}: unknown key(s) in channel: tx_power_dbm\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, named", [
     (["run", "--seed", "-1"], "--seed -1"),
     (["run", "--seed", str(2 ** 64)], f"--seed {2 ** 64}"),
@@ -271,8 +285,8 @@ def test_a_grid_point_on_an_agent_fails_before_any_bundle_is_written(tmp_path, c
     def grid_error(s, seed):
         s = dataclasses.replace(s, seed=seed)
         try:
-            coverage_map(init_scenario(s).positions, grid, cli.MAP_GRID,
-                         s.agent_channel_params())
+            coverage_map(init_scenario(s).positions, grid, cli.MAP_GRID, s.budget_dbm,
+                         s.channel.ref_distance_m)
         except CoincidentPositionsError as e:
             return e
 
@@ -300,8 +314,9 @@ def test_an_earlier_grid_failure_is_named_before_a_later_divergence(tmp_path, ca
     # the runaway agent 5 cm above the grid point (0, 0): a replication that hears
     # the extra user is flung, one that does not stays on that grid point
     s = runaway_scenario()
-    extra, prm = s.extra_mu_positions[0], s.agent_channel_params()[0]
-    p_extra = float(received_power_matrix([[0.0, 0.0, 0.05]], [prm], [extra])[0, 0])
+    extra = s.extra_mu_positions[0]
+    p_extra = float(received_power_matrix([[0.0, 0.0, 0.05]], s.budget_dbm,
+                                          s.channel.ref_distance_m, [extra])[0, 0])
     s = dataclasses.replace(s, area=Rect(0.0, 0.0, 6900.0, 6900.0),
                             init_region=Rect(0.0, 0.0, 0.0, 0.0), fixed_height_m=0.05,
                             utility=dataclasses.replace(s.utility, p_min_dbm=p_extra - 0.25))
@@ -312,7 +327,8 @@ def test_an_earlier_grid_failure_is_named_before_a_later_divergence(tmp_path, ca
             break
     log = run(dataclasses.replace(s, seed=seeds[0]))
     with pytest.raises(CoincidentPositionsError) as grid:
-        coverage_map(log.positions[-1], s.area, cli.MAP_GRID, s.agent_channel_params())
+        coverage_map(log.positions[-1], s.area, cli.MAP_GRID, s.budget_dbm,
+                     s.channel.ref_distance_m)
     scen, out = tmp_path / "scen.json", tmp_path / "out"
     scen.write_text(json.dumps(scenario_to_dict(dataclasses.replace(s, seed=master))))
     monkeypatch.setattr(cli, "_usable_cores", lambda: cores)

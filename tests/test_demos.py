@@ -1,7 +1,7 @@
-"""Every script under demos/ runs to completion against the package sources,
-the waypoint post-processing demo's helpers do what they say, and the
-package root re-exports only names the README's library section or a demo
-uses."""
+"""Every script under demos/ and the README's library example run to
+completion against the package sources, the waypoint post-processing demo's
+helpers do what they say, and the package root re-exports only names the
+README's library section or a demo uses."""
 
 import ast
 import importlib.util
@@ -17,6 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+LIBRARY = (ROOT / "README.md").read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
 
 
 def load_demo(name):
@@ -37,20 +38,30 @@ def test_package_root_exports_only_used_names():
     tree = ast.parse((ROOT / "src" / "airbs_sgd" / "__init__.py").read_text())
     exported = {alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    readme = (ROOT / "README.md").read_text()
-    library = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-    used = "\n".join([library, *(demo.read_text() for demo in DEMOS)])
+    used = "\n".join([LIBRARY, *(demo.read_text() for demo in DEMOS)])
     assert exported
     unused = sorted(name for name in exported if not re.search(rf"\b{name}\b", used))
     assert not unused, f"re-exported by airbs_sgd but in no demo or README example: {unused}"
 
 
+def run_script(args, cwd):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          timeout=300, env=dict(os.environ, PYTHONPATH=path))
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
-                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    proc = run_script([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs(tmp_path):
+    blocks = re.findall(r"```python\n(.*?)```", LIBRARY, re.DOTALL)
+    assert len(blocks) == 1
+    proc = run_script(["-c", blocks[0]], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"\d+ of 50 served\n", proc.stdout), proc.stdout
 
 
 def test_smooth_waypoints_identity_and_constant():

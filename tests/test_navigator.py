@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import agent_gradient
-from airbs_sgd.channel import ChannelParams, received_power_matrix
+from airbs_sgd.channel import received_power_matrix
 from airbs_sgd.navigator import StepSchedule, batched_update
 from airbs_sgd.utility import (
     UtilityConfig,
@@ -12,22 +12,22 @@ from airbs_sgd.utility import (
     network_utility_gradient,
 )
 
-PRM = ChannelParams(-94.0, 1000.0, 12.0)
+BUDGET = 12.0 - 94.0
 
 
-def packet(placements, params, mu):
+def packet(placements, budget, mu):
     """One packet from the user at ``mu``: its location (1, 3), its (1, B)
     powers and the agents' (1, B, 3) power gradients there."""
     mu = np.array([mu], dtype=float)
-    powers, grads = received_power_matrix(placements, params, mu, gradient=True)
+    powers, grads = received_power_matrix(placements, budget, 1000.0, mu, gradient=True)
     return mu, powers, grads
 
 
 def test_saturated_sigmoid_gives_negligible_gradient():
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -40.0, 2.0)
     position = np.array([0.0, 0.0, 30.0])
-    mu, powers, _ = packet(position[None], [PRM], (500.0, 0.0, 0.0))
-    g = agent_gradient(position, PRM, 0, mu, powers, cfg)
+    mu, powers, _ = packet(position[None], [BUDGET], (500.0, 0.0, 0.0))
+    g = agent_gradient(position, BUDGET, 1000.0, 0, mu, powers, cfg)
     # measured power is ~60 dB under the target; the sigmoid slope underflows
     assert float(np.linalg.norm(g)) < 1e-40
 
@@ -37,11 +37,11 @@ def test_pinned_east_geometry_magnitude():
     # magnitude (1.5/delta) * (8.6859/d)
     d = 600.0
     position = np.zeros(3)
-    mu, powers, _ = packet(position[None], [PRM], (d, 0.0, 0.0))
+    mu, powers, _ = packet(position[None], [BUDGET], (d, 0.0, 0.0))
     delta = 2.0
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4,
                         float(powers[0, 0]) - delta / 2.0, delta)
-    g = agent_gradient(position, PRM, 0, mu, powers, cfg)
+    g = agent_gradient(position, BUDGET, 1000.0, 0, mu, powers, cfg)
     assert g[0] > 0.0 and g[1] == 0.0 and g[2] == 0.0
     want = (1.5 / delta) * (20.0 / math.log(10.0)) / d
     assert float(np.linalg.norm(g)) == pytest.approx(want, rel=1e-12)
@@ -51,19 +51,19 @@ def test_enumeration_matches_network_gradient():
     rng = np.random.default_rng(40)
     b, m = 3, 25
     placements = np.array([[*rng.uniform(0, 2000, 2), 40.0] for _ in range(b)])
-    params = [ChannelParams(-94.0, 1000.0, rng.uniform(5, 15)) for _ in range(b)]
+    budget = np.array([rng.uniform(5, 15) - 94.0 for _ in range(b)])
     mus = np.array([[*rng.uniform(0, 2000, 2), 0.0] for _ in range(m)])
     w = rng.uniform(0.5, 1.5, m)
     w = w / w.sum()
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -78.0, 3.0)
 
-    powers = received_power_matrix(placements, params, mus)
+    powers = received_power_matrix(placements, budget, 1000.0, mus)
     stacked = np.zeros((b, 3))
     for idx in range(m):
         for i in range(b):
-            stacked[i] += w[idx] * agent_gradient(placements[i], params[i], i, mus[idx:idx + 1],
-                                                  powers[idx:idx + 1], cfg)
-    oracle = network_utility_gradient(placements, mus, w, cfg, params)
+            stacked[i] += w[idx] * agent_gradient(placements[i], budget[i], 1000.0, i,
+                                                  mus[idx:idx + 1], powers[idx:idx + 1], cfg)
+    oracle = network_utility_gradient(placements, mus, w, cfg, budget, 1000.0)
     assert np.linalg.norm(stacked - oracle) / np.linalg.norm(oracle) < 1e-9
 
 
@@ -73,7 +73,7 @@ def test_gradient_ignores_other_agents_state():
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -85.0, 2.0)
     rng = np.random.default_rng(41)
     placements = np.array([[100.0 * i, 50.0, 30.0] for i in range(4)])
-    _, powers, grads = packet(placements, [PRM] * 4, (180.0, 90.0, 0.0))
+    _, powers, grads = packet(placements, [BUDGET] * 4, (180.0, 90.0, 0.0))
     before = batched_update(placements, grads, powers, cfg, 1e4, 30.0)
     others = [0, 2, 3]
     placements[others] = np.column_stack([rng.uniform(0, 5000, (3, 2)), rng.uniform(10, 200, 3)])
@@ -87,8 +87,8 @@ def test_apply_update_arithmetic():
     # packet's gradient
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -85.0, 2.0)
     position = np.array([[10.0, 20.0, 30.0]])
-    mu, powers, grads = packet(position, [PRM], (610.0, 20.0, 30.0))
-    g = agent_gradient(position[0], PRM, 0, mu, powers, cfg)
+    mu, powers, grads = packet(position, [BUDGET], (610.0, 20.0, 30.0))
+    g = agent_gradient(position[0], BUDGET, 1000.0, 0, mu, powers, cfg)
     assert g[0] > 0.0 and g[1] == 0.0 and g[2] == 0.0
     new = batched_update(position, grads, powers, cfg, 5.0)
     assert np.array_equal(new, [[10.0 + 5.0 * g[0], 20.0, 30.0]])
@@ -105,7 +105,7 @@ def test_apply_update_fixed_height_projection():
     # z is pinned exactly while x and y move
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -85.0, 2.0)
     position = np.array([[0.0, 0.0, 30.0]])
-    mu, powers, grads = packet(position, [PRM], (400.0, -300.0, 0.0))
+    mu, powers, grads = packet(position, [BUDGET], (400.0, -300.0, 0.0))
     assert grads[0, 0, 2] != 0.0
     new = batched_update(position, grads, powers, cfg, 1e6, 30.0)
     assert new[0, 2] == 30.0

@@ -28,8 +28,6 @@ from airbs_sgd.report import (
 from airbs_sgd.simulator import Rect, Scenario, TrajectoryLog, run
 from airbs_sgd.utility import UtilityConfig, UtilityFamily
 
-PRM = ChannelParams(-94.0, 1000.0, 12.0)
-
 
 def test_histogram_structure_and_edges():
     bins = power_histogram([])
@@ -81,10 +79,10 @@ def run_small(tmp_path, iterations=3):
         schedule=StepSchedule(eta0=5.0, minibatch_size=6, eta_scale=1e6),
         iterations=iterations,
         seed=21,
-        channel=ChannelParams(-94.0, 1000.0, 0.0),
+        channel=ChannelParams(-94.0, 1000.0),
     )
     log = run(s)
-    grid = coverage_map(log.positions[-1], s.area, 16, s.agent_channel_params())
+    grid = coverage_map(log.positions[-1], s.area, 16, s.budget_dbm, s.channel.ref_distance_m)
     return log, grid, s
 
 
@@ -280,8 +278,8 @@ def test_metrics_json_reads_the_first_and_last_snapshot(tmp_path):
         assert d["served_count"] == log.served[i]
         assert d["total_mus"] == m
         # an independent kernel call on the logged placement, bit for bit
-        want = np.max(received_power_matrix(log.positions[i], s.agent_channel_params(),
-                                            log.users), axis=1)
+        want = np.max(received_power_matrix(log.positions[i], s.budget_dbm,
+                                            s.channel.ref_distance_m, log.users), axis=1)
         assert np.array_equal(np.array(d["per_mu_max_power_dbm"]), want)
         assert d["served_count"] == np.sum(want >= s.utility.p_min_dbm)
         hist = d["histogram"]

@@ -40,7 +40,7 @@ def small_scenario(**overrides):
         schedule=StepSchedule(eta0=5.0, minibatch_size=8, eta_scale=1e6),
         iterations=5,
         seed=11,
-        channel=ChannelParams(-94.0, 1000.0, 0.0),
+        channel=ChannelParams(-94.0, 1000.0),
     )
     base.update(overrides)
     return Scenario(**base)
@@ -102,21 +102,21 @@ def test_logged_oracle_matches_recomputation(num_airbs):
     s = small_scenario(num_airbs=num_airbs, tx_powers_dbm=((9.0, 12.0) * num_airbs)[:num_airbs],
                        iterations=4)
     log = run(s)
-    params = s.agent_channel_params()
+    budget, ref = s.budget_dbm, s.channel.ref_distance_m
     for i in range(log.positions.shape[0]):
-        want = oracle(log.positions[i], log.users, s.traffic.as_array(), s.utility, params)[0]
+        want = oracle(log.positions[i], log.users, s.traffic.as_array(), s.utility, budget, ref)[0]
         assert log.oracle_utility[i] == want  # identical op order, so exact
     assert np.all(np.isfinite(log.oracle_utility))
     # the logged strongest powers equal a (M, B) kernel call's, bit for bit
     for row, i in zip(log.max_power_dbm, (0, -1)):
-        want = received_power_matrix(log.positions[i], params, log.users)
+        want = received_power_matrix(log.positions[i], budget, ref, log.users)
         assert np.array_equal(row, np.max(want, axis=1))
 
 
 def test_single_pair_converges_overhead():
     # one transmitter chasing one user; wide threshold band keeps the whole
     # region inside the active sigmoid slope
-    p_top = float(received_power_matrix([[0.0, 0.0, 30.0]], [ChannelParams(-94.0, 1000.0, 12.0)],
+    p_top = float(received_power_matrix([[0.0, 0.0, 30.0]], [12.0 - 94.0], 1000.0,
                                         [[0.0, 0.0, 0.0]])[0, 0])
     s = small_scenario(
         area=Rect(0.0, 0.0, 100.0, 100.0),
@@ -160,9 +160,9 @@ def _batch_case(rng, family, b, q=7):
     band brackets the middle packet's powers."""
     L = np.column_stack([rng.uniform(0.0, 2000.0, (b, 2)), rng.uniform(20.0, 80.0, b)])
     X = np.column_stack([rng.uniform(0.0, 2000.0, (q, 2)), np.zeros(q)])
-    params = [ChannelParams(-94.0, 1000.0, float(p)) for p in rng.uniform(5.0, 15.0, b)]
-    powers, grads = received_power_matrix(L, params, X, gradient=True)
-    return L, X, params, powers, grads, conditioned_cfg(family, powers[q // 2], rng)
+    budget = rng.uniform(5.0, 15.0, b) - 94.0
+    powers, grads = received_power_matrix(L, budget, 1000.0, X, gradient=True)
+    return L, X, budget, powers, grads, conditioned_cfg(family, powers[q // 2], rng)
 
 
 @pytest.mark.parametrize("fixed", [True, False], ids=["fixed_height", "free_height"])
@@ -172,21 +172,21 @@ def test_batched_step_matches_per_agent_reference(family, b, fixed):
     # one step from the same state and packets: the (Q, B) array pass against
     # each agent stepping alone, one packet at a time
     rng = np.random.default_rng([31, b, FAMILIES.index(family), fixed])
-    L, X, params, powers, grads, cfg = _batch_case(rng, family, b)
+    L, X, budget, powers, grads, cfg = _batch_case(rng, family, b)
     height = 50.0 if fixed else None
     if fixed:
         L[:, 2] = height
-        powers, grads = received_power_matrix(L, params, X, gradient=True)
+        powers, grads = received_power_matrix(L, budget, 1000.0, X, gradient=True)
     reported = powers + 0.5 * rng.standard_normal(powers.shape)
     eta = 1e4
     new = batched_update(L, grads, reported, cfg, eta, height)
     # from the origin with a unit step, the move is the minibatch mean itself
     mean = batched_update(np.zeros_like(L), grads, reported, cfg, 1.0, 0.0)
     for k in range(b):
-        total = helpers.agent_gradient(L[k], params[k], k, X, reported, cfg)
+        total = helpers.agent_gradient(L[k], budget[k], 1000.0, k, X, reported, cfg)
         # packets are summed in the same order, so the means agree bit for bit
         assert np.array_equal(mean[k, :2], (total / len(X))[:2])
-        want = helpers.agent_step(L[k], params[k], k, X, reported, cfg, eta, height)
+        want = helpers.agent_step(L[k], budget[k], 1000.0, k, X, reported, cfg, eta, height)
         assert np.linalg.norm(want - L[k]) > 0.0
         assert helpers.rel_err(new[k] - L[k], want - L[k]) < 1e-12
         if fixed:
@@ -198,11 +198,11 @@ def test_batched_step_follows_minibatch_utility_gradient(family):
     # the step direction is the gradient of the minibatch mean utility,
     # cross-checked by central differences at the criterion-3 tolerance
     rng = np.random.default_rng([32, FAMILIES.index(family)])
-    L, X, params, powers, grads, cfg = _batch_case(rng, family, 3)
+    L, X, budget, powers, grads, cfg = _batch_case(rng, family, 3)
 
     def mean_utility(flat):
-        return float(np.mean(user_utility(received_power_matrix(flat.reshape(-1, 3), params, X),
-                                          cfg)))
+        return float(np.mean(user_utility(received_power_matrix(flat.reshape(-1, 3), budget,
+                                                                1000.0, X), cfg)))
 
     fd = helpers.central_diff(mean_utility, L.ravel(), h=1e-3).reshape(L.shape)
     eta = 10.0 / float(np.max(np.abs(fd)))  # at most a 10 m move
@@ -405,8 +405,7 @@ def test_measurement_noise_changes_trajectory():
 
 def test_coverage_map_clip_and_orientation():
     area = Rect(0.0, 0.0, 1000.0, 1000.0)
-    prm = ChannelParams(-94.0, 1000.0, 30.0)
-    grid = coverage_map([[500.0, 500.0, 30.0]], area, 21, [prm])
+    grid = coverage_map([[500.0, 500.0, 30.0]], area, 21, [30.0 - 94.0], 1000.0)
     assert grid.shape == (21, 21)
     assert np.all(grid >= -100.0) and np.all(grid <= -80.0)
     # strong transmitter overhead saturates the clip ceiling at the center
@@ -418,27 +417,24 @@ def test_coverage_map_clip_and_orientation():
 
 def test_coverage_map_floor_when_out_of_range():
     area = Rect(0.0, 0.0, 1000.0, 1000.0)
-    prm = ChannelParams(-94.0, 1000.0, 12.0)
-    grid = coverage_map([[1e6, 1e6, 30.0]], area, 5, [prm])
+    grid = coverage_map([[1e6, 1e6, 30.0]], area, 5, [12.0 - 94.0], 1000.0)
     assert np.all(grid == -100.0)
 
 
 def test_coverage_map_rectangular_resolution():
     area = Rect(0.0, 0.0, 800.0, 400.0)
-    prm = ChannelParams(-94.0, 1000.0, 12.0)
     xs, ys = coverage_axes(area, (9, 5))
     assert len(xs) == 9 and len(ys) == 5
-    grid = coverage_map([[400.0, 200.0, 30.0]], area, (9, 5), [prm])
+    grid = coverage_map([[400.0, 200.0, 30.0]], area, (9, 5), [12.0 - 94.0], 1000.0)
     assert grid.shape == (5, 9)
 
 
 def test_coverage_map_bad_inputs():
     area = Rect(0.0, 0.0, 100.0, 100.0)
-    prm = ChannelParams(-94.0, 1000.0, 12.0)
     with pytest.raises(ValueError):
-        coverage_map([[0.0, 0.0, 30.0]], area, 1, [prm])
+        coverage_map([[0.0, 0.0, 30.0]], area, 1, [12.0 - 94.0], 1000.0)
     with pytest.raises(ValueError):
-        coverage_map([[0.0, 0.0, 30.0]], area, 5, [prm], clip=(-80.0, -100.0))
+        coverage_map([[0.0, 0.0, 30.0]], area, 5, [12.0 - 94.0], 1000.0, clip=(-80.0, -100.0))
 
 
 def test_scenario_dict_round_trip_bytes():
@@ -471,7 +467,7 @@ FILE_FORMAT = {
     "init_region": (("x_min", "y_min", "x_max", "y_max"), ()),
     "utility": (("family", "noise_dbm", "p_min_dbm", "delta_db"), ("softmax_alpha",)),
     "schedule": (("eta0", "minibatch_size"), ("eta_scale", "decay")),
-    "channel": (("ref_gain_db", "ref_distance_m", "tx_power_dbm"), ()),
+    "channel": (("ref_gain_db", "ref_distance_m"), ()),
     "traffic": (("pi",), ()),
 }
 
@@ -518,6 +514,17 @@ def test_scenario_validation():
         small_scenario(extra_mu_positions=((0.0, 0.0, 0.0), (0.0, math.nan, 0.0)))
     with pytest.raises(ValueError):
         Rect(10.0, 0.0, 0.0, 10.0)
+
+
+def test_link_budgets_are_each_power_plus_the_gain_and_read_only():
+    s = small_scenario(tx_powers_dbm=(9.0, 12.0))
+    budget = s.budget_dbm
+    assert budget.tolist() == [9.0 + -94.0, 12.0 + -94.0]
+    assert s.budget_dbm is budget  # built once per scenario
+    with pytest.raises(ValueError, match="read-only"):
+        budget[0] = 0.0
+    assert dataclasses.replace(s, tx_powers_dbm=(7.0, 12.0)).budget_dbm.tolist() == \
+        [7.0 + -94.0, 12.0 + -94.0]
 
 
 def test_point_area_rejected_line_area_kept():

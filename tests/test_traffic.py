@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from airbs_sgd.channel import ChannelParams, received_power_matrix
+from airbs_sgd.channel import received_power_matrix
 from airbs_sgd.traffic import TrafficProfile, sample_recipient
 from airbs_sgd.utility import UtilityConfig, UtilityFamily, oracle, user_utility
 
-PARAMS = [ChannelParams(-94.0, 1000.0, 9.0), ChannelParams(-94.0, 1000.0, 12.0)]
+BUDGET = np.array([9.0, 12.0]) - 94.0
 PLACEMENTS = np.array([[100.0, 100.0, 30.0], [900.0, 400.0, 30.0]])
 MUS = np.array([[50.0, 80.0, 0.0], [500.0, 500.0, 0.0], [950.0, 300.0, 0.0]])
 
@@ -75,24 +75,24 @@ def test_sample_deterministic_given_seed():
 def test_packet_shape_and_exact_powers():
     # a packet's reported powers: one kernel row at the recipient, entry b
     # from transmitter b alone
-    reported = received_power_matrix(PLACEMENTS, PARAMS, MUS[[1]])
+    reported = received_power_matrix(PLACEMENTS, BUDGET, 1000.0, MUS[[1]])
     assert reported.shape == (1, 2)
     for b in range(2):
-        assert reported[0, b] == received_power_matrix(PLACEMENTS[[b]], PARAMS[b:b + 1],
+        assert reported[0, b] == received_power_matrix(PLACEMENTS[[b]], BUDGET[b:b + 1], 1000.0,
                                                        MUS[[1]])[0, 0]
 
 
 def test_estimate_single_packet_equals_user_utility():
     # the utility estimate is the mean of user_utility over the packets' rows
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -91.0, 2.0)
-    reported = received_power_matrix(PLACEMENTS, PARAMS, MUS[[2]])
+    reported = received_power_matrix(PLACEMENTS, BUDGET, 1000.0, MUS[[2]])
     est = float(np.mean(user_utility(reported, cfg)))
     assert est == float(user_utility(reported[0], cfg))
 
 
 def test_estimate_constant_utility():
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -91.0, 2.0)
-    reported = received_power_matrix(PLACEMENTS, PARAMS, MUS[[0]])
+    reported = received_power_matrix(PLACEMENTS, BUDGET, 1000.0, MUS[[0]])
     for s in (1, 3, 17):
         est = float(np.mean(user_utility(np.repeat(reported, s, axis=0), cfg)))
         assert est == pytest.approx(float(user_utility(reported[0], cfg)), rel=1e-15)
@@ -109,7 +109,7 @@ def test_estimate_unbiased_by_enumeration():
     cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -80.0, 3.0)
     expectation = 0.0
     for idx in range(m):
-        powers = received_power_matrix(PLACEMENTS, PARAMS, mus[idx:idx + 1])
+        powers = received_power_matrix(PLACEMENTS, BUDGET, 1000.0, mus[idx:idx + 1])
         expectation += w[idx] * float(np.mean(user_utility(powers, cfg)))
-    exact = oracle(PLACEMENTS, mus, w, cfg, PARAMS)[0]
+    exact = oracle(PLACEMENTS, mus, w, cfg, BUDGET, 1000.0)[0]
     assert expectation == pytest.approx(exact, rel=1e-12)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from airbs_sgd.channel import ChannelParams, received_power_matrix
+from airbs_sgd.channel import received_power_matrix
 from airbs_sgd.utility import (
     UtilityConfig,
     UtilityFamily,
@@ -279,67 +279,66 @@ def test_partials_batched_shape():
 
 def _small_world(rng, b=3, m=6):
     placements = np.array([[*rng.uniform(0, 2000, 2), rng.uniform(20, 120)] for _ in range(b)])
-    params = [ChannelParams(-94.0, 1000.0, rng.uniform(5, 15)) for _ in range(b)]
+    budget = np.array([rng.uniform(5, 15) - 94.0 for _ in range(b)])
     users = np.array([[*rng.uniform(0, 2000, 2), 0.0] for _ in range(m)])
     w = rng.uniform(0.1, 1.0, m)
     w = w / w.sum()
-    return placements, params, users, w
+    return placements, budget, users, w
 
 
 def test_network_utility_uniform_equals_mean():
     rng = np.random.default_rng(16)
-    placements, params, users, _ = _small_world(rng)
+    placements, budget, users, _ = _small_world(rng)
     cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST)
     uniform = np.full(len(users), 1.0 / len(users))
-    per_user = [oracle(placements, u[None], [1.0], cfg, params)[0] for u in users]
-    assert oracle(placements, users, uniform, cfg, params)[0] == pytest.approx(
+    per_user = [oracle(placements, u[None], [1.0], cfg, budget, 1000.0)[0] for u in users]
+    assert oracle(placements, users, uniform, cfg, budget, 1000.0)[0] == pytest.approx(
         float(np.mean(per_user)), rel=1e-12)
 
 
 def test_network_utility_single_user():
     rng = np.random.default_rng(18)
-    placements, params, users, _ = _small_world(rng, m=1)
+    placements, budget, users, _ = _small_world(rng, m=1)
     cfg = cfg_for(UtilityFamily.UNICAST_RATE)
-    powers = received_power_matrix(placements, params, users)[0]
-    assert oracle(placements, users, [1.0], cfg, params)[0] == pytest.approx(
+    powers = received_power_matrix(placements, budget, 1000.0, users)[0]
+    assert oracle(placements, users, [1.0], cfg, budget, 1000.0)[0] == pytest.approx(
         float(user_utility(powers, cfg)), rel=1e-12)
 
 
 def test_network_utility_permutation_invariance():
     rng = np.random.default_rng(20)
     placements, _, users, w = _small_world(rng, b=3)
-    params = [ChannelParams(-94.0, 1000.0, 9.0)] * 3  # identical transmitters
+    budget = np.full(3, 9.0 - 94.0)  # identical transmitters
     cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST)
-    base = oracle(placements, users, w, cfg, params)[0]
+    base = oracle(placements, users, w, cfg, budget, 1000.0)[0]
     perm = placements[[2, 0, 1]]
-    assert oracle(perm, users, w, cfg, params)[0] == pytest.approx(base, rel=1e-12)
-    g = network_utility_gradient(placements, users, w, cfg, params)
-    gp = network_utility_gradient(perm, users, w, cfg, params)
+    assert oracle(perm, users, w, cfg, budget, 1000.0)[0] == pytest.approx(base, rel=1e-12)
+    g = network_utility_gradient(placements, users, w, cfg, budget, 1000.0)
+    gp = network_utility_gradient(perm, users, w, cfg, budget, 1000.0)
     assert np.allclose(gp, g[[2, 0, 1]], atol=1e-15)
 
 
 def test_network_gradient_matches_finite_differences():
     rng = np.random.default_rng(22)
     for family in FAMILIES:
-        placements, params, users, w = _small_world(rng)
-        powers = received_power_matrix(placements, params, users)
+        placements, budget, users, w = _small_world(rng)
+        powers = received_power_matrix(placements, budget, 1000.0, users)
         med = powers[np.argsort(np.max(powers, axis=1))[len(users) // 2]]
         cfg = conditioned_cfg(family, med, rng)
 
         def f(flat):
-            return oracle(flat.reshape(-1, 3), users, w, cfg, params)[0]
+            return oracle(flat.reshape(-1, 3), users, w, cfg, budget, 1000.0)[0]
 
         fd = helpers.central_diff(f, placements.ravel(), h=1e-3)
-        g = network_utility_gradient(placements, users, w, cfg, params).ravel()
+        g = network_utility_gradient(placements, users, w, cfg, budget, 1000.0).ravel()
         assert helpers.rel_err(g, fd) < 1e-6
 
 
 def test_network_gradient_points_toward_single_user():
     cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, p_min_dbm=-62.0, delta_db=20.0)
     placements = [[0.0, 0.0, 30.0]]
-    params = [ChannelParams(-94.0, 1000.0, 12.0)]
     user = np.array([400.0, 300.0, 0.0])
-    g = network_utility_gradient(placements, user[None], [1.0], cfg, params)[0]
+    g = network_utility_gradient(placements, user[None], [1.0], cfg, [12.0 - 94.0], 1000.0)[0]
     assert float(np.dot(g[:2], user[:2])) > 0.0
 
 
@@ -360,35 +359,36 @@ def test_utility_config_validation():
     assert cfg.family is UtilityFamily.UNICAST_RATE
 
 
-def _oracle_served(placements, users, params, p_min):
+def _oracle_served(placements, users, budget, p_min):
     """Users whose strongest power, as the oracle gives it, meets ``p_min``."""
     cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, p_min_dbm=p_min)
-    _, best = oracle(placements, users, np.full(len(users), 1.0 / len(users)), cfg, params)
+    _, best = oracle(placements, users, np.full(len(users), 1.0 / len(users)), cfg, budget,
+                     1000.0)
     return int(np.sum(best >= p_min))
 
 
 def test_oracle_served_count_pinned_cases():
-    prm = ChannelParams(-94.0, 1000.0, 12.0)
+    budget = [12.0 - 94.0]
     placements = [[0.0, 0.0, 30.0]]
     near = [0.0, 0.0, 0.0]           # right below: about -51.5 dBm
     far = [100000.0, 0.0, 0.0]       # 100 km out: about -122 dBm
-    assert _oracle_served(placements, [near, far], [prm], -91.0) == 1
-    assert _oracle_served(placements, [near, far], [prm], -300.0) == 2
-    assert _oracle_served(placements, [near, far], [prm], 0.0) == 0
+    assert _oracle_served(placements, [near, far], budget, -91.0) == 1
+    assert _oracle_served(placements, [near, far], budget, -300.0) == 2
+    assert _oracle_served(placements, [near, far], budget, 0.0) == 0
 
 
 def test_oracle_served_count_matches_brute_force():
     rng = np.random.default_rng(12)
     placements = np.array([[*rng.uniform(0, 5000, 2), 30.0] for _ in range(4)])
-    params = [ChannelParams(-94.0, 1000.0, p) for p in (7.0, 9.0, 9.0, 12.0)]
+    budget = np.array([7.0, 9.0, 9.0, 12.0]) - 94.0
     mus = np.array([[*rng.uniform(0, 5000, 2), 0.0] for _ in range(60)])
     p_min = -89.0
     want = 0
     for mu in mus:
-        best = max(float(received_power_matrix([l], [prm], [mu])[0, 0])
-                   for l, prm in zip(placements, params))
+        best = max(float(received_power_matrix([l], [budget_b], 1000.0, [mu])[0, 0])
+                   for l, budget_b in zip(placements, budget))
         want += best >= p_min
-    assert _oracle_served(placements, mus, params, p_min) == want
+    assert _oracle_served(placements, mus, budget, p_min) == want
 
 
 def test_oracle_snapshot_evaluates_in_place():
@@ -401,10 +401,10 @@ def test_oracle_snapshot_evaluates_in_place():
     users = np.concatenate([rng.uniform(0.0, 7000.0, (20, 202, 2)),
                             np.zeros((20, 202, 1))], axis=2)
     cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST)
-    params = [ChannelParams(-94.0, 1000.0, 12.0)] * 5
+    budget = np.full(5, 12.0 - 94.0)
     tracemalloc.start()
     try:
-        oracle(placements, users, np.full(202, 1.0 / 202), cfg, params)
+        oracle(placements, users, np.full(202, 1.0 / 202), cfg, budget, 1000.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
