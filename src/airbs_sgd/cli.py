@@ -29,7 +29,9 @@ every bundle directory in job order, so a name taken by a file fails
 before any file is written, and only then lets the workers start phase 2.
 Phase 2 only formats and writes; its one remaining failure is an
 ``OSError`` mid-write, such as a full disk. The outputs do not depend on
-how the jobs are grouped.
+how the jobs are grouped. ``python -m airbs_sgd.cli`` and the ``airbs-sgd``
+script end through :func:`run_and_exit`, which flushes stdout and stderr
+and ends the process without tearing the interpreter down.
 """
 
 from __future__ import annotations
@@ -506,5 +508,39 @@ def main(argv=None) -> int:
         return e.exit_code
 
 
+def _watched() -> bool:
+    """Whether a profiler, a tracer or a ``sys.monitoring`` tool (coverage's, on
+    Python 3.12 and later) is installed: each writes its output at exit."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.getprofile() is not None or sys.gettrace() is not None
+            or (monitoring is not None and any(map(monitoring.get_tool, range(6)))))
+
+
+def run_and_exit(argv=None):
+    """The command's entry point: run :func:`main` and end the process with its code.
+
+    Once stdout and stderr are flushed, the process ends by ``os._exit``, as
+    a forked worker does, without tearing the interpreter down, which would
+    free every object of every module, numpy's among them. That is safe
+    because every file the command writes is closed by a ``with`` block
+    before ``main`` returns, and every worker has been reaped; keep it so.
+    It ends by ``sys.exit`` instead when a flush raises, such as at a pipe
+    whose reader has closed, so the interpreter reports that at exit as
+    before, and when :func:`_watched`, so that ``python -m cProfile`` and
+    coverage still write their output. An exception or ``SystemExit`` out
+    of ``main``, such as argparse's, propagates as before.
+    """
+    code = main(argv)
+    if not _watched():
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (AttributeError, OSError, ValueError):  # no stream, a failed write, a closed one
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_and_exit()

@@ -12,9 +12,10 @@ parameters; the second needs only the packet. No agent ever reads another
 agent's state, which is the whole point of the scheme.
 
 :func:`batched_update` runs that loop for all B agents on a whole (Q, B)
-minibatch in one array pass. It performs each agent's arithmetic entry by
-entry, so every agent's row is bit-identical to stepping that agent alone,
-one packet at a time.
+minibatch in one array pass, agent-major: the utility's partials on one
+(B, Q) array per replication, and each agent's products summed over the
+packets in packet order. It performs each agent's arithmetic entry by
+entry, so every agent's row is bit-identical to stepping that agent alone.
 """
 
 from __future__ import annotations
@@ -96,23 +97,33 @@ def batched_update(positions: np.ndarray, power_gradients: np.ndarray,
     power gradient times the utility's partial in its power, summed from
     0.0 in packet order; then ``position + eta * (sum / Q)``, with z
     re-pinned to ``fixed_height`` when that is set. It reads only that
-    agent's position and gradients, plus the packets, and its floating-point
-    operations are those of that agent stepping alone on one packet at a
-    time.
+    agent's position and gradients, plus the packets.
+
+    The partials are evaluated agent-major, as
+    ``user_utility_partials(powers.T, cfg, axis=0)`` does for one
+    replication's (Q, B) powers: each packet's sum over the agents runs in
+    index order, or at Q = 1 in numpy's pairwise order over its one row
+    (the same below B = 8). Each agent's floating-point operations are
+    those of that one call and its own gradients, one packet at a time.
 
     Raises :class:`DivergenceError` when a step would leave an agent more
     than ``MAX_COORD_M`` from 0 on some axis, at a non-finite position, or
     at a negative altitude.
     """
-    # packet-major: each packet's B powers adjacent in memory, as in a
-    # one-packet evaluation, so the sums over the agents run in the same
-    # order for any B
-    partials = user_utility_partials(np.ascontiguousarray(reported_powers), cfg)
-    contrib = power_gradients * partials[..., None]
-    # the coordinates are the inner loop of the reduction over the packets, so
-    # the packets are added one after another, from 0.0, as a running sum adds them
-    total = np.sum(contrib, axis=-3, initial=0.0)
-    new = positions + eta * (total / contrib.shape[-3])
+    # agent-major (..., B, Q): each agent's Q powers are adjacent in memory, so the
+    # reductions over the agents add whole rows of Q entries, one agent after another
+    powers = np.ascontiguousarray(np.swapaxes(reported_powers, -1, -2))
+    partials = user_utility_partials(powers, cfg, axis=-2)
+    # per coordinate, the products laid out packet-major (3, Q, ..., B): the packets
+    # are the outer loop of the reduction, so they are added one after another, from
+    # 0.0, as a running sum adds them (numpy sums a contiguous innermost axis pairwise)
+    n = powers.ndim  # the gradients' axes are (..., n - 2, n - 1, n): (..., Q, B, 3)
+    lead = range(n - 2)
+    grads = np.transpose(power_gradients, (n, n - 2, *lead, n - 1))
+    contrib = np.multiply(grads, partials.transpose(n - 1, *lead, n - 2),
+                          out=np.empty(grads.shape))
+    total = np.add.reduce(contrib, axis=1, initial=0.0).transpose(*range(1, n), 0)
+    new = positions + eta * (total / powers.shape[-1])
     if fixed_height is not None:
         new[..., 2] = fixed_height
     bad = ~np.all(np.abs(new) <= MAX_COORD_M, axis=-1) | (new[..., 2] < 0.0)

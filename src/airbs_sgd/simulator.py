@@ -314,7 +314,7 @@ def _advance(s: Scenario, seeds) -> list:
         return best
 
     first = last = snapshot(0)
-    uniforms = np.empty((n_rep, q))
+    uniforms, normals = np.empty((n_rep, q)), np.empty((n_rep, q, b))
     for i in range(s.iterations):
         # each replication's Q uniforms, drawn into its row and inverted in one call
         for rng, row in zip(rngs, uniforms):
@@ -322,7 +322,10 @@ def _advance(s: Scenario, seeds) -> list:
         idx = profile.recipients(uniforms)
         powers, grads = received_power_matrix(L, budget, ref, users[rep, idx], gradient=True)
         if sigma > 0.0:
-            powers = powers + sigma * np.stack([rng.standard_normal((q, b)) for rng in rngs])
+            # and its (Q, B) normals, drawn into its row as well
+            for rng, row in zip(rngs, normals):
+                rng.standard_normal(out=row)
+            powers += sigma * normals
         L = batched_update(L, grads, powers, cfg, s.schedule.eta(i), s.fixed_height_m)
         last = snapshot(i + 1)
 

@@ -19,7 +19,10 @@ temperature. The soft maximum and the logistic keep the families
 differentiable and nowhere-flat.
 
 All operations broadcast over leading axes, so a single call evaluates one
-power vector (shape ``(B,)``) or a batch (shape ``(M, B)``).
+power vector (shape ``(B,)``) or a batch (shape ``(M, B)``). A sum over
+the B powers follows their layout: numpy sums a contiguous run of 8 or
+more pairwise, but adds the rows of an agent-major (B, M) array
+(``axis=-2``) in index order, as the oracle and the minibatch step do.
 
 :func:`oracle` is the single place a placement is judged: the simulator's
 snapshots and the tests both call it.
@@ -189,7 +192,8 @@ def user_utility_partials(powers_dbm, cfg: UtilityConfig, axis: int = -1):
     of the user's utility to a 1 dB change in the power received from
     transmitter ``b``, the reward's slope at the effective power times
     that power's partial in ``p_b``. Always positive (every family is
-    increasing in each power).
+    increasing in each power). ``axis`` is the one over the transmitters:
+    -2 on an agent-major (..., B, M) array.
     """
     # one maximum, exponential and sum give both the soft maximum and its weights
     soft, e, z, _ = _log_sum_exp(powers_dbm, _temperature(cfg), axis)

@@ -30,12 +30,14 @@ def record_criterion(num: int, desc: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def run_python(*args) -> subprocess.CompletedProcess:
-    """``python ARGS`` in a fresh interpreter that finds the package in ``src/``."""
+def run_python(*args, env=(), stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh interpreter that finds the package in ``src/``, with
+    the ``env`` variables set on top of this one's and stdout to ``stdout``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    environ = dict(os.environ, PYTHONPATH=path, **dict(env))
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120, env=environ)
 
 
 def central_diff(f, x, h: float = 1e-6) -> np.ndarray:
@@ -81,15 +83,20 @@ def agent_gradient(position, budget_b, ref_distance_m, b, users, reported, cfg) 
     ``position`` (3,) is the agent's own, ``budget_b`` its link budget at
     ``ref_distance_m``;
     packet q comes from the user at ``users[q]`` and reports the B powers
-    ``reported[q]``. Per packet: one one-row kernel call for the agent's
-    power gradient at that user and one ``user_utility_partials`` call on
-    the reported powers; the products are added from zeros in packet order.
+    ``reported[q]``. The utility's partials in agent ``b``'s power come
+    from one agent-major ``user_utility_partials`` call over the Q packets,
+    as in ``navigator.batched_update``: with B of 8 or more, numpy sums a
+    contiguous row of B powers pairwise, but adds the rows of a (B, Q)
+    array one after another. Per packet: one one-row kernel call for the
+    agent's power gradient at that user, times its partial; the products
+    are added from zeros in packet order.
     """
+    partials = user_utility_partials(np.ascontiguousarray(reported.T), cfg, axis=0)[b]
     total = np.zeros(3)
-    for x, powers in zip(users, reported):
+    for x, partial in zip(users, partials):
         _, g = received_power_matrix(position[None], [budget_b], ref_distance_m, x[None],
                                      gradient=True)
-        total += g[0, 0] * user_utility_partials(powers[None], cfg)[0, b]
+        total += g[0, 0] * partial
     return total
 
 

@@ -8,6 +8,7 @@ import signal
 import sys
 import traceback
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -588,6 +589,91 @@ def test_a_command_loads_no_numpy_ma(tmp_path):
                       f"main(['reproduce-paper', '--seeds', '3', '--out', {str(tmp_path)!r}]); "
                       "assert 'numpy.ma' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
+
+
+# stdout block-buffered, as it is at a pipe or file unless PYTHONUNBUFFERED is set:
+# what the command printed reaches its reader only if it is flushed before the exit
+BUFFERED = {"PYTHONUNBUFFERED": ""}
+
+
+def _files(root):
+    """Every file under ``root``, by its path relative to it, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _script_call():
+    """``python -c`` code that calls the ``airbs-sgd`` script's function, named in
+    pyproject.toml, as the generated console script does."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^airbs-sgd = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return f"import sys; from {module} import {func}; sys.exit({func}())"
+
+
+@pytest.mark.parametrize("launch", [["-m", "airbs_sgd.cli"], ["-c", _script_call()]],
+                         ids=["module", "script"])
+def test_a_command_in_a_fresh_interpreter_writes_what_main_writes(tmp_path, capsys, launch):
+    # the command ends without tearing the interpreter down, after flushing stdout
+    scen = write_scenario(tmp_path)
+    argv = ["run", "--scenario", str(scen), "--replications", "2"]
+    assert main(argv + ["--out", str(tmp_path / "main")]) == 0
+    printed = capsys.readouterr().out
+    proc = run_python(*launch, *argv, "--out", str(tmp_path / "fresh"), env=BUFFERED)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == printed and len(printed.splitlines()) == 3
+    assert _files(tmp_path / "fresh") == _files(tmp_path / "main")
+
+
+def test_an_exit_2_error_prints_its_whole_line_in_a_fresh_interpreter(tmp_path, capsys):
+    argv = ["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    printed = capsys.readouterr().err
+    assert printed.startswith("error: cannot read scenario file ") and printed.endswith("\n")
+    proc = run_python("-m", "airbs_sgd.cli", *argv, env=BUFFERED)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", printed)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+def test_a_command_skips_interpreter_teardown_unless_traced(tmp_path, traced):
+    # os._exit runs no atexit handler, and coverage writes its data in one: under a
+    # tracer or profiler the command exits through sys.exit instead
+    code = ("import atexit, sys\n" + "sys.settrace(lambda *args: None)\n" * traced
+            + "atexit.register(print, 'atexit handlers ran')\n"
+            "from airbs_sgd.cli import run_and_exit\nrun_and_exit()\n")
+    proc = run_python("-c", code, "run", "--scenario", str(write_scenario(tmp_path)),
+                      "--out", str(tmp_path / "out"), env=BUFFERED)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("rep 000 seed 11: served ")
+    assert proc.stdout.endswith("atexit handlers ran\n") == traced
+
+
+def test_a_profiled_command_still_prints_the_profile(tmp_path):
+    proc = run_python("-m", "cProfile", "-m", "airbs_sgd.cli", "run", "--scenario",
+                      str(write_scenario(tmp_path)), "--replications", "2",
+                      "--out", str(tmp_path / "out"), env=BUFFERED)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("rep 000 seed ")
+    assert "function calls" in proc.stdout and "ncalls  tottime  percall" in proc.stdout
+    assert sorted(p.name for p in (tmp_path / "out").glob("rep_*")) == ["rep_000", "rep_001"]
+
+
+@pytest.mark.parametrize("env, code, where", [
+    (BUFFERED, 120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>'"),
+    ({"PYTHONUNBUFFERED": "1"}, 1, "Traceback (most recent call last):"),
+], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_pipe_exits_with_the_status_it_always_had(tmp_path, env, code, where):
+    # buffered, the flush fails and the interpreter reports it at exit (status 120);
+    # unbuffered, the first print raises out of main (status 1)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_python("-m", "airbs_sgd.cli", "run", "--scenario",
+                          str(write_scenario(tmp_path)), "--replications", "2",
+                          "--out", str(tmp_path / "out"), env=env, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(where)
+    assert proc.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
