@@ -114,15 +114,17 @@ def batched_update(positions: np.ndarray, power_gradients: np.ndarray,
     # reductions over the agents add whole rows of Q entries, one agent after another
     powers = np.ascontiguousarray(np.swapaxes(reported_powers, -1, -2))
     partials = user_utility_partials(powers, cfg, axis=-2)
-    # per coordinate, the products laid out packet-major (3, Q, ..., B): the packets
-    # are the outer loop of the reduction, so they are added one after another, from
-    # 0.0, as a running sum adds them (numpy sums a contiguous innermost axis pairwise)
+    # the products laid out packet-major (Q, 3, ..., B): the packets are the outer
+    # loop of the reduction, so they are added one after another, from 0.0, as a
+    # running sum adds them. numpy sums a contiguous innermost axis pairwise and
+    # merges axes of length 1 away; the 3 coordinates keep Q from ever being innermost,
+    # even for one agent in one replication
     n = powers.ndim  # the gradients' axes are (..., n - 2, n - 1, n): (..., Q, B, 3)
     lead = range(n - 2)
-    grads = np.transpose(power_gradients, (n, n - 2, *lead, n - 1))
-    contrib = np.multiply(grads, partials.transpose(n - 1, *lead, n - 2),
+    grads = np.transpose(power_gradients, (n - 2, n, *lead, n - 1))
+    contrib = np.multiply(grads, partials.transpose(n - 1, *lead, n - 2)[:, None],
                           out=np.empty(grads.shape))
-    total = np.add.reduce(contrib, axis=1, initial=0.0).transpose(*range(1, n), 0)
+    total = np.add.reduce(contrib, axis=0, initial=0.0).transpose(*range(1, n), 0)
     new = positions + eta * (total / powers.shape[-1])
     if fixed_height is not None:
         new[..., 2] = fixed_height

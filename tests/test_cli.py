@@ -632,18 +632,27 @@ def test_an_exit_2_error_prints_its_whole_line_in_a_fresh_interpreter(tmp_path, 
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", printed)
 
 
-@pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
-def test_a_command_skips_interpreter_teardown_unless_traced(tmp_path, traced):
+# how a fresh interpreter installs each kind of watcher before the command runs
+WATCHERS = {"plain": "", "traced": "sys.settrace(lambda *args: None)\n",
+            "monitored": "sys.monitoring.use_tool_id(sys.monitoring.COVERAGE_ID, 'probe')\n"}
+
+
+@pytest.mark.parametrize("watcher", [
+    "plain", "traced",
+    pytest.param("monitored", marks=pytest.mark.skipif(
+        sys.version_info < (3, 12), reason="sys.monitoring is new in Python 3.12")),
+])
+def test_a_command_skips_interpreter_teardown_unless_traced(tmp_path, watcher):
     # os._exit runs no atexit handler, and coverage writes its data in one: under a
-    # tracer or profiler the command exits through sys.exit instead
-    code = ("import atexit, sys\n" + "sys.settrace(lambda *args: None)\n" * traced
+    # tracer, a profiler or a sys.monitoring tool the command exits through sys.exit
+    code = ("import atexit, sys\n" + WATCHERS[watcher]
             + "atexit.register(print, 'atexit handlers ran')\n"
             "from airbs_sgd.cli import run_and_exit\nrun_and_exit()\n")
     proc = run_python("-c", code, "run", "--scenario", str(write_scenario(tmp_path)),
                       "--out", str(tmp_path / "out"), env=BUFFERED)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("rep 000 seed 11: served ")
-    assert proc.stdout.endswith("atexit handlers ran\n") == traced
+    assert proc.stdout.endswith("atexit handlers ran\n") == (watcher != "plain")
 
 
 def test_a_profiled_command_still_prints_the_profile(tmp_path):

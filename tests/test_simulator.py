@@ -146,14 +146,15 @@ def test_solo_replay_of_rebuilt_packets():
     assert np.array_equal(helpers.replay_alone(s, log), log.positions)
 
 
-@pytest.mark.parametrize("q", [1, 8])
+@pytest.mark.parametrize("b, q", [(9, 1), (9, 8), (1, 10)])
 @pytest.mark.parametrize("noise", [0.0, 1.5], ids=["exact", "noisy"])
-def test_nine_agents_replay_alone(noise, q):
-    # from B = 8 numpy's order of a sum over the agents depends on the layout:
-    # the replay's agent-major partials must add them as the run does. Agents
-    # that start within 1 m of the origin keep their first step's last bits
-    s = small_scenario(num_airbs=9, tx_powers_dbm=(7.0, 9.0, 12.0) * 3, iterations=4,
-                       init_region=Rect(0.0, 0.0, 1.0, 1.0),
+def test_one_and_nine_agents_replay_alone(noise, b, q):
+    # numpy's order of a sum depends on the layout: from B = 8 over the agents, and
+    # from Q = 8 over the packets when one agent in one replication leaves a single
+    # row. The replay must add them as the run does. Agents that start within 1 m
+    # of the origin keep their first step's last bits
+    s = small_scenario(num_airbs=b, tx_powers_dbm=(7.0, 9.0, 12.0) * 3 if b == 9 else (12.0,),
+                       iterations=4, init_region=Rect(0.0, 0.0, 1.0, 1.0),
                        schedule=StepSchedule(eta0=5.0, minibatch_size=q, eta_scale=1e6),
                        measurement_noise_db=noise)
     log = run(s)
@@ -180,49 +181,41 @@ def _batch_case(rng, family, b, q=7):
     return L, X, budget, powers, grads, conditioned_cfg(family, powers[q // 2], rng)
 
 
-def _check_step_against_per_agent_reference(family, b, fixed, q, eta):
-    # one step from the same state and packets: the (Q, B) array pass against
-    # each agent stepping alone, one packet at a time
-    rng = np.random.default_rng([31, b, FAMILIES.index(family), fixed])
-    L, X, budget, powers, grads, cfg = _batch_case(rng, family, b, q)
-    height = 50.0 if fixed else None
-    if fixed:
-        L[:, 2] = height
-        powers, grads = received_power_matrix(L, budget, 1000.0, X, gradient=True)
-    reported = powers + 0.5 * rng.standard_normal(powers.shape)
-    new = batched_update(L, grads, reported, cfg, eta, height)
-    # from the origin with a unit step, the move is the minibatch mean itself
-    mean = batched_update(np.zeros_like(L), grads, reported, cfg, 1.0, 0.0)
-    for k in range(b):
-        total = helpers.agent_gradient(L[k], budget[k], 1000.0, k, X, reported, cfg)
-        # packets are summed in the same order, so the means agree bit for bit
-        assert np.array_equal(mean[k, :2], (total / len(X))[:2])
-        want = helpers.agent_step(L[k], budget[k], 1000.0, k, X, reported, cfg, eta, height)
-        if q > 1:
-            assert np.linalg.norm(want - L[k]) > 0.0
-        else:
-            # one packet's step of an agent far from its user can be below an ulp
-            assert np.any(mean[k, :2] != 0.0)
-        assert helpers.rel_err(new[k] - L[k], want - L[k]) < 1e-12
-        if fixed:
-            assert new[k, 2] == height
-
-
 @pytest.mark.parametrize("fixed", [True, False], ids=["fixed_height", "free_height"])
 @pytest.mark.parametrize("b", [1, 2, 5, 9])
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
 def test_batched_step_matches_per_agent_reference(family, b, fixed):
-    _check_step_against_per_agent_reference(family, b, fixed, 7, 1e4)
-
-
-@pytest.mark.parametrize("fixed", [True, False], ids=["fixed_height", "free_height"])
-@pytest.mark.parametrize("b", [1, 2, 5, 9])
-@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
-def test_one_packet_step_matches_per_agent_reference(family, b, fixed):
-    # one packet: numpy sums its one contiguous row of B powers pairwise, in the
-    # step and in the reference alike, which differs from index order from B = 8;
-    # a smaller step keeps every agent above the ground
-    _check_step_against_per_agent_reference(family, b, fixed, 1, 1e3)
+    # one step from the same state and packets: the (Q, B) array pass against
+    # each agent stepping alone, one packet at a time. At Q = 1 numpy sums the
+    # packet's one contiguous row of B powers pairwise, in the step and the
+    # reference alike; at Q = 10 a pairwise sum over the packets would differ
+    # from the reference's running sum. A smaller step at Q = 1 keeps every
+    # agent above the ground
+    rng = np.random.default_rng([31, b, FAMILIES.index(family), fixed])
+    for q, eta in [(7, 1e4), (1, 1e3), (10, 1e4)]:
+        L, X, budget, powers, grads, cfg = _batch_case(rng, family, b, q)
+        height = 50.0 if fixed else None
+        if fixed:
+            L[:, 2] = height
+            powers, grads = received_power_matrix(L, budget, 1000.0, X, gradient=True)
+        reported = powers + 0.5 * rng.standard_normal(powers.shape)
+        new = batched_update(L, grads, reported, cfg, eta, height)
+        # from the origin with a unit step, the move is the minibatch mean itself
+        mean = batched_update(np.zeros_like(L), grads, reported, cfg, 1.0, 0.0)
+        for k in range(b):
+            total = helpers.agent_gradient(L[k], budget[k], 1000.0, k, X, reported, cfg)
+            # packets are summed in the same order, so the means agree bit for bit
+            assert np.array_equal(mean[k, :2], (total / len(X))[:2])
+            want = helpers.agent_step(L[k], budget[k], 1000.0, k, X, reported, cfg, eta,
+                                      height)
+            if q == 7:
+                assert np.linalg.norm(want - L[k]) > 0.0
+            else:
+                # the step of an agent far from its users can be below an ulp
+                assert np.any(mean[k, :2] != 0.0)
+            assert helpers.rel_err(new[k] - L[k], want - L[k]) < 1e-12
+            if fixed:
+                assert new[k, 2] == height
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
