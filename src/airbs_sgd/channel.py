@@ -33,12 +33,7 @@ MIN_REF_DISTANCE_M = 1e-150
 
 
 class CoincidentPositionsError(ValueError):
-    """Raised when transmitter and receiver (nearly) coincide.
-
-    ``seed`` names the failed replication when a simulation raised it.
-    """
-
-    seed: int | None = None
+    """Raised when transmitter and receiver (nearly) coincide."""
 
 
 @dataclass(frozen=True)

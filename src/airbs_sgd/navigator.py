@@ -34,12 +34,7 @@ Decay = Literal["constant", "harmonic"]
 
 
 class DivergenceError(ValueError):
-    """Raised when an update would move an agent to an invalid position.
-
-    ``seed`` names the failed replication when a simulation raised it.
-    """
-
-    seed: int | None = None
+    """Raised when an update would move an agent to an invalid position."""
 
 
 @dataclass(frozen=True)

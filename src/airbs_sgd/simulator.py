@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import MAX_COORD_M, ChannelParams, CoincidentPositionsError, received_power_matrix
+from .channel import MAX_COORD_M, ChannelParams, received_power_matrix
 from .navigator import DivergenceError, StepSchedule, batched_update
 from .traffic import TrafficProfile
 from .utility import UtilityConfig, _temperature, oracle
@@ -264,27 +264,14 @@ def run_replications(s: Scenario, seeds) -> list:
     see each other's state; they share only their replication's packet
     stream. Raises :class:`navigator.DivergenceError` if an agent is
     driven more than ``MAX_COORD_M`` from 0 or a snapshot's oracle utility
-    is not finite; its ``seed`` (like that of a
-    :class:`channel.CoincidentPositionsError`) is the first seed that
-    fails. So every position and oracle utility it logs is finite.
+    is not finite, so every position and oracle utility it logs is finite.
+    That error, or a :class:`channel.CoincidentPositionsError`, is the
+    batch's and names no seed: the command finds the failed replication by
+    running its jobs alone.
     """
     seeds = [int(seed) for seed in seeds]
     group = max(1, BATCH_PAIRS // (s.num_airbs * max(s.total_mus, s.schedule.minibatch_size)))
-    results = []
-    for k in range(0, len(seeds), group):
-        chunk = seeds[k:k + group]
-        try:
-            results += _advance(s, chunk)
-        except (CoincidentPositionsError, DivergenceError) as e:
-            if len(chunk) == 1:
-                e.seed = chunk[0]
-            else:
-                # the replications are independent, so the first seed that
-                # fails on its own is the first that failed in the chunk
-                for seed in chunk:
-                    run_replications(s, [seed])
-            raise
-    return results
+    return [log for k in range(0, len(seeds), group) for log in _advance(s, seeds[k:k + group])]
 
 
 def _advance(s: Scenario, seeds) -> list:

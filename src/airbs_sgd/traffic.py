@@ -57,15 +57,3 @@ class TrafficProfile:
         """The recipient index of each uniform draw in ``u``: the CDF inverted at it."""
         return self.cdf.searchsorted(u, side="right")
 
-
-def sample_recipient(profile: TrafficProfile, rng: np.random.Generator, size=None):
-    """Draw packet-recipient indices from ``profile``; scalar when size is None.
-
-    The same indices, from the same draws, as
-    ``rng.choice(len(profile.pi), size=size, p=profile.pi)``, which inverts
-    the profile's CDF at uniform draws; the CDF is built once per profile.
-    """
-    idx = profile.recipients(rng.random(size))
-    if size is None:
-        return int(idx)
-    return idx

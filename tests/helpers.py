@@ -14,7 +14,6 @@ from airbs_sgd.baseline import KMeansResult
 from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.navigator import StepSchedule
 from airbs_sgd.simulator import Rect, Scenario, init_scenario
-from airbs_sgd.traffic import sample_recipient
 from airbs_sgd.utility import UtilityConfig, UtilityFamily, user_utility_partials
 
 # one line per acceptance criterion, printed by the terminal-summary hook
@@ -128,7 +127,7 @@ def replay_alone(s, log) -> np.ndarray:
     budget, ref, q = s.budget_dbm, s.channel.ref_distance_m, s.schedule.minibatch_size
     path = [log.positions[0]]
     for i in range(log.num_iterations):
-        idx = sample_recipient(s.traffic, world.rng, size=q)
+        idx = s.traffic.recipients(world.rng.random(q))
         powers = received_power_matrix(log.positions[i], budget, ref, world.users[idx])
         if s.measurement_noise_db > 0.0:
             powers = powers + s.measurement_noise_db * world.rng.standard_normal(powers.shape)
@@ -162,7 +161,7 @@ def runaway_scenario():
 def extra_user_packets(s, seed):
     """Whether each iteration's one packet comes from the extra user."""
     rng = init_scenario(dataclasses.replace(s, seed=seed)).rng
-    return [sample_recipient(s.traffic, rng) == s.total_mus - 1 for _ in range(s.iterations)]
+    return [s.traffic.recipients(rng.random()) == s.total_mus - 1 for _ in range(s.iterations)]
 
 
 def diverges(s, seed):

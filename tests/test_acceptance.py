@@ -20,7 +20,7 @@ from airbs_sgd.cli import main as cli_main
 from airbs_sgd.navigator import StepSchedule, batched_update
 from airbs_sgd import simulator
 from airbs_sgd.simulator import Rect, Scenario, init_scenario, run, scenario_to_dict
-from airbs_sgd.traffic import TrafficProfile, sample_recipient
+from airbs_sgd.traffic import TrafficProfile
 from airbs_sgd.utility import (
     UtilityConfig,
     UtilityFamily,
@@ -187,7 +187,7 @@ def test_criterion_05_estimator_noise_scaling():
     assert abs(float(np.dot(w, per_user)) - exact) < 1e-12
 
     # index-sampling oracle is the same math as the packet estimator
-    idx = np.array([sample_recipient(profile, rng) for _ in range(50)])
+    idx = np.array([profile.recipients(rng.random()) for _ in range(50)])
     reported = received_power_matrix(placements, budget, 1000.0, mus[idx])
     assert abs(float(np.mean(user_utility(reported, cfg))) - per_user[idx].mean()) < 1e-12
 

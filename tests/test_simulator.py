@@ -316,10 +316,12 @@ def test_first_failing_seed_is_named_in_list_order(monkeypatch):
     monkeypatch.setattr(simulator, "_advance", recording_advance)
     for order in ([failing[0], healthy, failing[1]], [failing[1], healthy, failing[0]]):
         groups.clear()
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as e:
-            run_replications(s, order)
-        assert groups[0] == order  # all three advanced as one group
-        assert e.value.seed == order[0]
+        jobs = [(s, seed, f"out/rep_{r:03d}") for r, seed in enumerate(order)]
+        with np.errstate(all="ignore"), pytest.raises(cli.CliError) as e:
+            cli._advance_group(False, jobs)
+        assert f"error: {e.value}\n" == helpers.runaway_message(s, order[0], "out/rep_000")
+        # one batch of all three, then the first job alone, which fails
+        assert groups == [order, order[:1]]
 
 
 def test_cli_names_the_one_diverging_replication(tmp_path, capsys):
@@ -399,7 +401,7 @@ def test_a_non_finite_snapshot_utility_fails_the_replication(tmp_path, monkeypat
     monkeypatch.setattr(simulator, "oracle", patched["inf_oracle"])
     with pytest.raises(DivergenceError) as e:
         run(s)
-    assert str(e.value) == "oracle utility is inf at snapshot 0" and e.value.seed == s.seed
+    assert str(e.value) == "oracle utility is inf at snapshot 0"
     scen, out = tmp_path / "scen.json", tmp_path / "out"
     scen.write_text(json.dumps(scenario_to_dict(s)))
     argv = ["run", "--scenario", str(scen), "--replications", "2", "--out", str(out)]

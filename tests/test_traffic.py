@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from airbs_sgd.channel import received_power_matrix
-from airbs_sgd.traffic import TrafficProfile, sample_recipient
+from airbs_sgd.traffic import TrafficProfile
 from airbs_sgd.utility import UtilityConfig, UtilityFamily, oracle, user_utility
 
 BUDGET = np.array([9.0, 12.0]) - 94.0
@@ -31,7 +31,7 @@ def test_profile_uniform():
 def test_sample_degenerate_distribution():
     prof = TrafficProfile(pi=(1.0, 0.0, 0.0, 0.0))
     rng = np.random.default_rng(0)
-    assert all(sample_recipient(prof, rng) == 0 for _ in range(100))
+    assert all(prof.recipients(rng.random()) == 0 for _ in range(100))
 
 
 def test_sample_frequencies_within_three_sigma():
@@ -39,7 +39,7 @@ def test_sample_frequencies_within_three_sigma():
     prof = TrafficProfile.uniform(m)
     rng = np.random.default_rng(123)
     n = 100_000
-    draws = sample_recipient(prof, rng, size=n)
+    draws = prof.recipients(rng.random(n))
     counts = np.bincount(draws, minlength=m)
     sigma = math.sqrt(n * (1 / m) * (1 - 1 / m))
     assert np.all(np.abs(counts - n / m) <= 3.0 * sigma)
@@ -55,7 +55,7 @@ def test_sample_matches_generator_choice(profile, size):
     # leaves the generator in the same state
     ours, theirs = np.random.default_rng(21), np.random.default_rng(21)
     for _ in range(50):
-        got = sample_recipient(profile, ours, size=size)
+        got = profile.recipients(ours.random(size))
         want = theirs.choice(len(profile.pi), size=size, p=profile.as_array())
         assert np.array_equal(got, want)
     assert ours.bit_generator.state == theirs.bit_generator.state
@@ -64,11 +64,10 @@ def test_sample_matches_generator_choice(profile, size):
 
 def test_sample_deterministic_given_seed():
     prof = TrafficProfile(pi=(0.2, 0.3, 0.5))
-    a = [sample_recipient(prof, np.random.default_rng(42)) for _ in range(1)]
-    seq1 = sample_recipient(prof, np.random.default_rng(7), size=50)
-    seq2 = sample_recipient(prof, np.random.default_rng(7), size=50)
+    a = [prof.recipients(np.random.default_rng(42).random()) for _ in range(1)]
+    seq1 = prof.recipients(np.random.default_rng(7).random(50))
+    seq2 = prof.recipients(np.random.default_rng(7).random(50))
     assert np.array_equal(seq1, seq2)
-    assert isinstance(sample_recipient(prof, np.random.default_rng(0)), int)
     assert a[0] in (0, 1, 2)
 
 

@@ -4,20 +4,27 @@
 #   tools/diff_parent.sh REV        e.g. tools/diff_parent.sh HEAD~
 #
 # Extracts REV's tree with `git archive` into a temporary directory, then runs
-# three commands from REV's `src/` and from this checkout's `src/`, each pinned
+# four commands from REV's `src/` and from this checkout's `src/`, each pinned
 # to one core (`taskset -c 0`, nothing is forked) and on every core:
 #
 #   reference  reproduce-paper --seeds 20 --baseline kmeans   (criterion 1)
 #   noisy      run --replications 3 of the reference scenario with
 #              measurement_noise_db 1.5
 #   sweep      sweep --axis eta --values 1,5,25 --replications 3 of the reference
+#   failing    run --replications 3 of the tree's own tests/helpers.py
+#              runaway_scenario() at master seed 18: replications 1 and 2 are
+#              flung at their first step and replication 0 at its last, so the
+#              command must exit 2 naming rep_000 and make no rep_* directory
 #
 # For each command and core setting it reports `diff -r` of the two output
-# trees and `cmp` of the two stdouts. On a byte change it also lists the
-# served and k-means unserved counts that moved (from summary.json and
-# sweep.csv). Exits 0 when every file and stdout line is identical, 1 when
-# any differs. PYTHON picks the interpreter (default python3); KEEP=1 keeps
-# the outputs and prints where they are.
+# trees, `cmp` of the two stdouts, and `cmp` of the two exit statuses with
+# stderr (each side's output directory written as OUT). On a byte change it
+# also lists the served and k-means unserved counts that moved (from
+# summary.json and sweep.csv). A command that exits other than expected (0, or
+# 2 for failing), or a failing run that makes a rep_* directory, is reported
+# too. Exits 0 when every file, stdout and stderr line and exit status is
+# identical and as expected, 1 otherwise. PYTHON picks the interpreter
+# (default python3); KEEP=1 keeps the outputs and prints where they are.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_parent.sh REV}
@@ -43,7 +50,20 @@ json.dump(d, open(sys.argv[2], "w"), indent=2)
 EOF
 }
 
-# run TREE TAG MODE: one command from TREE's src/ into $work/TAG-MODE-{rev,new}
+# the failing scenario, from each tree's own runaway scenario
+failing_scenario() {
+    PYTHONPATH="$1/src:$1/tests" "$python" - "$2" <<'EOF'
+import dataclasses, json, sys
+import helpers
+from airbs_sgd.simulator import scenario_to_dict
+s = dataclasses.replace(helpers.runaway_scenario(), seed=18)
+json.dump(scenario_to_dict(s), open(sys.argv[1], "w"), indent=2)
+EOF
+}
+
+# run TREE SIDE TAG MODE: one command from TREE's src/ into $work/TAG-MODE-SIDE; its
+# stdout goes to .txt, and its exit status then its stderr, with the output
+# directory written as OUT, to .err
 run() {
     local tree=$1 side=$2 tag=$3 mode=$4
     local out="$work/$tag-$mode-$side" pin=()
@@ -55,9 +75,13 @@ run() {
         noisy) noisy_scenario "$tree" "$work/noisy-$side.json"
                args=(run --scenario "$work/noisy-$side.json" --replications 3) ;;
         sweep) args=(sweep --scenario "$ref" --axis eta --values 1,5,25 --replications 3) ;;
+        failing) failing_scenario "$tree" "$work/failing-$side.json"
+                 args=(run --scenario "$work/failing-$side.json" --replications 3) ;;
     esac
+    local code=0
     PYTHONPATH="$tree/src" "${pin[@]}" "$python" -m airbs_sgd.cli "${args[@]}" \
-        --out "$out" > "$out.txt"
+        --out "$out" > "$out.txt" 2> "$out.stderr" || code=$?
+    { echo "exit status $code"; sed "s|$out|OUT|g" "$out.stderr"; } > "$out.err"
 }
 
 # moved A B: the served and k-means counts that differ between trees A and B
@@ -87,19 +111,33 @@ EOF
 }
 
 status=0
-for tag in reference noisy sweep; do
+for tag in reference noisy sweep failing; do
+    want=0
+    [ "$tag" = failing ] && want=2
     for mode in pinned unpinned; do
         run "$work/rev" rev "$tag" "$mode"
         run "$root" new "$tag" "$mode"
         a="$work/$tag-$mode-rev" b="$work/$tag-$mode-new"
         files=$(find "$a" -type f | wc -l)
-        if diff -rq "$a" "$b" > "$work/$tag-$mode.diff" && cmp -s "$a.txt" "$b.txt"; then
-            echo "$tag $mode: identical ($files files and stdout)"
+        for side in "$a" "$b"; do
+            bundles=$(find "$side" -name 'rep_*' | wc -l)
+            if [ "$(head -n 1 "$side.err")" != "exit status $want" ] ||
+               { [ "$tag" = failing ] && [ "$bundles" != 0 ]; }; then
+                status=1
+                echo "$tag $mode: UNEXPECTED in ${side#"$work"/}: $(head -n 1 "$side.err")," \
+                     "$bundles rep_* paths"
+            fi
+        done
+        if diff -rq "$a" "$b" > "$work/$tag-$mode.diff" && cmp -s "$a.txt" "$b.txt" &&
+           cmp -s "$a.err" "$b.err"; then
+            echo "$tag $mode: identical ($files files, stdout, exit status $want and stderr)"
         else
             status=1
             echo "$tag $mode: DIFFERS ($(wc -l < "$work/$tag-$mode.diff") of $files files differ;" \
-                 "stdout $(cmp -s "$a.txt" "$b.txt" && echo identical || echo differs))"
+                 "stdout $(cmp -s "$a.txt" "$b.txt" && echo identical || echo differs);" \
+                 "exit status and stderr $(cmp -s "$a.err" "$b.err" && echo identical || echo differ))"
             sed "s|$work/||g; s|^|    |" "$work/$tag-$mode.diff"
+            diff "$a.err" "$b.err" | sed "s|^|    |" || true
             moved "$a" "$b"
         fi
     done
