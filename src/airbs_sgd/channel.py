@@ -109,7 +109,7 @@ def received_power_matrix(placements, budget_dbm, ref_distance_m, points, gradie
         else:
             d = delta(k, out=deltas[0])
             d2 += np.multiply(d, d, out=d)
-    if np.any(d2 < EPS_DISTANCE_M * EPS_DISTANCE_M):
+    if np.minimum.reduce(d2, axis=None, initial=math.inf) < EPS_DISTANCE_M * EPS_DISTANCE_M:
         raise CoincidentPositionsError(
             f"separation {math.sqrt(float(np.min(d2))):.3g} m below the "
             f"{EPS_DISTANCE_M} m singularity guard")
@@ -117,10 +117,12 @@ def received_power_matrix(placements, budget_dbm, ref_distance_m, points, gradie
     np.divide(p, ref_distance_m, out=p)
     np.log10(p, out=p)
     np.multiply(20.0, p, out=p)
-    powers = np.swapaxes(np.subtract(budget[:, None], p, out=p), -1, -2)
+    powers = np.subtract(budget[:, None], p, out=p).swapaxes(-1, -2)
     if not gradient:
         return powers
     slope = -DB_SLOPE / d2
-    grads = np.stack([slope * d for d in deltas], axis=-1)
-    return powers, np.swapaxes(grads, -2, -3)
+    grads = np.empty(d2.shape + (3,))
+    for k, d in enumerate(deltas):
+        np.multiply(slope, d, out=grads[..., k])
+    return powers, grads.swapaxes(-2, -3)
 

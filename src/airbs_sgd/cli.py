@@ -7,7 +7,8 @@ Three subcommands:
 * ``reproduce-paper`` does the same for the bundled reference scenario and
   prints the comparison against the reference study's reported numbers;
 * ``sweep`` re-runs a scenario across a list of values on one axis
-  (eta, q, alpha, delta) and aggregates the endpoints into a CSV.
+  (eta, q, alpha, delta), records each value's effective config, and
+  aggregates the endpoints into a CSV.
 
 Every command makes one two-phase pass over one list of replication jobs,
 each a (scenario, seed, bundle directory) triple; a sweep's list holds the
@@ -51,7 +52,7 @@ import numpy as np
 from .baseline import kmeans_replications
 from .channel import CoincidentPositionsError
 from .navigator import DivergenceError
-from .report import _write_json, coverage_map, render_outputs
+from .report import _json_text, coverage_map, render_outputs
 from .simulator import Scenario, run_replications, scenario_from_dict, scenario_to_dict
 from .utility import oracle
 
@@ -113,7 +114,7 @@ def _write_failure(seed: int, rep_dir: str, e: OSError) -> CliError:
 
 
 def _simulate_one(s: Scenario, seed: int, rep_dir: str, log, coverage, kmeans=None) -> dict:
-    """Phase 2 of one replication: write its bundle and, given one, its k-means baseline.
+    """Phase 2 of one replication: write its bundle and return its summary row.
 
     ``log`` is the replication's ``TrajectoryLog``, ``coverage`` its grid and
     ``kmeans`` None or the (``KMeansResult``, served count) of phase 1.
@@ -126,27 +127,20 @@ def _simulate_one(s: Scenario, seed: int, rep_dir: str, log, coverage, kmeans=No
         "initial_served": int(log.served[0]),
         "final_oracle_utility": float(log.oracle_utility[-1]),
     }
+    if kmeans is not None:
+        result["kmeans_unserved"] = total - kmeans[1]
     try:
-        render_outputs(log, coverage, rep_dir, s.area, s.utility.p_min_dbm)
-        if kmeans is not None:
-            km, served = kmeans
-            result["kmeans_unserved"] = total - served
-            _write_json(os.path.join(rep_dir, "kmeans.json"), {
-                "centroids": km.centroids.tolist(),
-                "inertia": km.inertia,
-                "served": served,
-                "unserved": total - served,
-            })
+        render_outputs(log, coverage, rep_dir, s.area, s.utility.p_min_dbm, kmeans)
     except OSError as e:
         raise _write_failure(seed, rep_dir, e)
     return result
 
 
-@contextlib.contextmanager
-def _command_file(path: str):
-    """Yield ``path``, a file of the command's own; an ``OSError`` writing it exits 2 naming it."""
+def _command_file(path: str, text: str):
+    """Write ``text`` to ``path``, the command's own file; an ``OSError`` exits 2 naming it."""
     try:
-        yield path
+        with open(path, "w") as f:
+            f.write(text)
     except OSError as e:
         raise CliError(f"cannot write {path}: {e.strerror or e}")
 
@@ -348,7 +342,7 @@ def _median(values) -> float:
 
 
 def _summarize(out_dir: str, scenario: Scenario, results, with_kmeans: bool):
-    """Print each replication's result and the medians; write them all to summary.json."""
+    """Write each replication's result and the medians to summary.json, then print them."""
     summary = {
         "master_seed": int(scenario.seed),
         "replications": len(results),
@@ -358,6 +352,7 @@ def _summarize(out_dir: str, scenario: Scenario, results, with_kmeans: bool):
     }
     if with_kmeans:
         summary["median_kmeans_unserved"] = _median([r["kmeans_unserved"] for r in results])
+    _command_file(os.path.join(out_dir, "summary.json"), _json_text(summary))
     for r, res in enumerate(results):
         line = (f"rep {r:03d} seed {res['seed']}: served {res['served']}/{res['total']}, "
                 f"final oracle utility {res['final_oracle_utility']:.6f}")
@@ -371,15 +366,17 @@ def _summarize(out_dir: str, scenario: Scenario, results, with_kmeans: bool):
         if with_kmeans:
             line += f", kmeans unserved {summary['median_kmeans_unserved']:g}/{total}"
         print(line)
-    with _command_file(os.path.join(out_dir, "summary.json")) as path:
-        _write_json(path, summary)
+
+
+def _write_config(out_dir: str, s: Scenario):
+    """Write ``s`` as ``out_dir``'s effective_config.json."""
+    _command_file(os.path.join(out_dir, "effective_config.json"), _json_text(scenario_to_dict(s)))
 
 
 def _replicate(s: Scenario, count: int, out_dir: str, with_kmeans: bool = False):
     """Run ``count`` replications of ``s`` into ``out_dir``, with its config and summary."""
     _make_out_dir(out_dir)
-    with _command_file(os.path.join(out_dir, "effective_config.json")) as path:
-        _write_json(path, scenario_to_dict(s))
+    _write_config(out_dir, s)
     _summarize(out_dir, s, _run_jobs(_jobs(s, count, out_dir), with_kmeans), with_kmeans)
 
 
@@ -449,17 +446,17 @@ def cmd_sweep(args) -> int:
                       os.path.join(args.out, f"{args.axis}_{name}"))
     _make_out_dir(args.out)
     results, n = _run_jobs(jobs), args.replications
-    with _command_file(os.path.join(args.out, "sweep.csv")) as path, open(path, "w") as f:
-        f.write("axis,value,replication,seed,served,total,served_fraction,"
-                "final_oracle_utility\n")
-        for k, name in enumerate(named):
-            part = results[k * n:(k + 1) * n]
-            for r, res in enumerate(part):
-                f.write(f"{args.axis},{name},{r},{res['seed']},{res['served']},{res['total']},"
-                        f"{repr(res['served'] / res['total'])},"
-                        f"{repr(res['final_oracle_utility'])}\n")
-            med = _median([res["served"] for res in part])
-            print(f"{args.axis}={name}: median served {med:g}/{part[0]['total']}")
+    for s, _, rep_dir in jobs[::n]:
+        _write_config(os.path.dirname(rep_dir), s)
+    parts = {name: results[k * n:(k + 1) * n] for k, name in enumerate(named)}
+    _command_file(os.path.join(args.out, "sweep.csv"), "".join(
+        ["axis,value,replication,seed,served,total,served_fraction,final_oracle_utility\n"]
+        + [f"{args.axis},{name},{r},{res['seed']},{res['served']},{res['total']},"
+           f"{repr(res['served'] / res['total'])},{repr(res['final_oracle_utility'])}\n"
+           for name, part in parts.items() for r, res in enumerate(part)]))
+    for name, part in parts.items():
+        print(f"{args.axis}={name}: median served {_median([res['served'] for res in part]):g}"
+              f"/{part[0]['total']}")
     return 0
 
 
@@ -524,21 +521,30 @@ def run_and_exit(argv=None):
     free every object of every module, numpy's among them. That is safe
     because every file the command writes is closed by a ``with`` block
     before ``main`` returns, and every worker has been reaped; keep it so.
-    It ends by ``sys.exit`` instead when a flush raises, such as at a pipe
-    whose reader has closed, so the interpreter reports that at exit as
-    before, and when :func:`_watched`, so that ``python -m cProfile`` and
-    coverage still write their output. An exception or ``SystemExit`` out
-    of ``main``, such as argparse's, propagates as before.
+    It ends by ``sys.exit`` instead when a flush fails, so the interpreter
+    reports that at exit as before, and when :func:`_watched`, so that
+    ``python -m cProfile`` and coverage still write their output. A
+    ``BrokenPipeError`` from a print or the flush means the reader of stdout
+    has closed, as ``| head -1`` does: the rest of stdout goes to
+    ``os.devnull`` and the command ends with status 1, without a traceback.
+    Any other exception or ``SystemExit`` out of ``main``, such as
+    argparse's, propagates as before.
     """
-    code = main(argv)
-    if not _watched():
+    try:
+        code = main(argv)
         try:
             sys.stdout.flush()
             sys.stderr.flush()
+            flushed = True
+        except BrokenPipeError:
+            raise
         except (AttributeError, OSError, ValueError):  # no stream, a failed write, a closed one
-            pass
-        else:
-            os._exit(code)
+            flushed = False
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code, flushed = 1, False
+    if flushed and not _watched():
+        os._exit(code)
     sys.exit(code)
 
 

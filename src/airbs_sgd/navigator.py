@@ -107,7 +107,7 @@ def batched_update(positions: np.ndarray, power_gradients: np.ndarray,
     """
     # agent-major (..., B, Q): each agent's Q powers are adjacent in memory, so the
     # reductions over the agents add whole rows of Q entries, one agent after another
-    powers = np.ascontiguousarray(np.swapaxes(reported_powers, -1, -2))
+    powers = np.ascontiguousarray(reported_powers.swapaxes(-1, -2))
     partials = user_utility_partials(powers, cfg, axis=-2)
     # the products laid out packet-major (Q, 3, ..., B): the packets are the outer
     # loop of the reduction, so they are added one after another, from 0.0, as a
@@ -116,15 +116,17 @@ def batched_update(positions: np.ndarray, power_gradients: np.ndarray,
     # even for one agent in one replication
     n = powers.ndim  # the gradients' axes are (..., n - 2, n - 1, n): (..., Q, B, 3)
     lead = range(n - 2)
-    grads = np.transpose(power_gradients, (n - 2, n, *lead, n - 1))
+    grads = power_gradients.transpose(n - 2, n, *lead, n - 1)
     contrib = np.multiply(grads, partials.transpose(n - 1, *lead, n - 2)[:, None],
                           out=np.empty(grads.shape))
     total = np.add.reduce(contrib, axis=0, initial=0.0).transpose(*range(1, n), 0)
     new = positions + eta * (total / powers.shape[-1])
     if fixed_height is not None:
         new[..., 2] = fixed_height
-    bad = ~np.all(np.abs(new) <= MAX_COORD_M, axis=-1) | (new[..., 2] < 0.0)
-    if np.any(bad):
+    # one reduction per bound, nan failing both; the mask is built only on a failure
+    if not (np.maximum.reduce(np.abs(new), axis=None, initial=0.0) <= MAX_COORD_M
+            and np.minimum.reduce(new[..., 2], axis=None, initial=0.0) >= 0.0):
+        bad = ~np.all(np.abs(new) <= MAX_COORD_M, axis=-1) | (new[..., 2] < 0.0)
         where = np.unravel_index(np.argmax(bad), bad.shape)
         raise DivergenceError(f"agent {where[-1]} stepped to {new[where].tolist()}: the position "
                               f"must be within {MAX_COORD_M:g} m of 0 with nonnegative altitude")

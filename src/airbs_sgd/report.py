@@ -11,11 +11,12 @@ embedded PNG written by the standard library; given identical inputs the
 emitted bytes are identical, with no plotting library involved.
 
 Writing a bundle is mostly formatting numbers, so each is formatted once
-and no cell needs its own Python-level format call: ``json.dumps`` writes
-every trajectory float and the CSV's cells are cut from its text; a
-coverage cell is looked up in a table of the clip range's 0.01 dB steps;
-and each kind of SVG shape is one template filled by one ``str.format``
-call over coordinates computed with numpy.
+and no cell needs its own Python-level format call: every trajectory
+float is ``repr``-ed once for both trajectory files; a coverage cell is
+looked up in a table of the clip range's 0.01 dB steps; and each kind of
+SVG shape is one template filled by one ``str.format`` call over
+coordinates computed with numpy. :func:`render_outputs` builds every
+file's text before it opens the first.
 """
 
 from __future__ import annotations
@@ -94,43 +95,38 @@ def power_histogram(per_mu_powers, bin_width_db: float = DEFAULT_HIST_BIN_DB,
     return tuple(bins)
 
 
-def _write_json(path, obj):
-    """``obj`` as one line of JSON; a non-finite float raises ``ValueError`` and writes nothing."""
-    text = json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
-    with open(path, "w") as f:
-        f.write(text)
+def _json_text(obj) -> str:
+    """``obj`` as one line of JSON; a non-finite float raises ``ValueError``."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_trajectory(log, csv_path, json_path):
-    """The snapshots of ``log`` as JSON and as CSV, each float formatted once.
+def trajectory_texts(log) -> tuple:
+    """The snapshots of ``log`` as the texts of trajectory.csv and trajectory.json.
 
-    ``json_path`` gets one line of ``json.dumps``. ``csv_path`` gets the
-    columns iteration, agent index, x, y, z, oracle utility, one row per
-    (iteration, agent), with the snapshot's utility repeated on each of its
-    agent rows. The CSV's number cells are cut from the JSON text, so both
-    files hold the same ``repr`` of every float.
+    The CSV has the columns iteration, agent index, x, y, z, oracle
+    utility, one row per (iteration, agent), with the snapshot's utility
+    repeated on each of its agent rows; the JSON is ``json.dumps``'s text.
+    Both are joined from one ``repr`` per float, as ``json.dumps`` writes
+    it; a non-finite position or utility, which JSON cannot hold, raises
+    ``ValueError``.
     """
-    n, b = log.positions.shape[:2]
-    text = json.dumps({
-        "num_iterations": log.num_iterations,
-        "num_agents": log.num_agents,
-        "positions": log.positions.tolist(),
-        "oracle_utility": log.oracle_utility.tolist(),
-        "served": log.served.tolist(),
-    }, sort_keys=True, allow_nan=False)
-    # sorted keys put the float lists side by side:
-    # "oracle_utility": [u, ...], "positions": [[[x, y, z], ...], ...], "served": ...
-    key = '"oracle_utility": ['
-    utility, positions = text[text.index(key) + len(key):text.index(', "served": ')].split(
-        '], "positions": ')
-    xyz = positions[3:-3].replace("]], [[", "], [").replace(", ", ",").split("],[")
-    utility = [cell for u in utility.split(", ") for cell in [u] * b]
-    rows = map("{},{},{},{}".format, np.repeat(np.arange(n), b).tolist(),
-               np.tile(np.arange(b), n).tolist(), xyz, utility)
-    with open(csv_path, "w") as f:
-        f.write("\n".join(["iteration,agent_index,x,y,z,oracle_utility", *rows]) + "\n")
-    with open(json_path, "w") as f:
-        f.write(text + "\n")
+    positions, utility = log.positions, log.oracle_utility
+    if not (np.isfinite(positions).all() and np.isfinite(utility).all()):
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         "a trajectory position or utility is not finite")
+    n, b = positions.shape[:2]
+    x, y, z = (list(map(repr, positions[..., k].ravel().tolist())) for k in range(3))
+    u = list(map(repr, utility.tolist()))
+    rows = map("{},{},{},{},{},{}".format, np.repeat(np.arange(n), b).tolist(),
+               np.tile(np.arange(b), n).tolist(), x, y, z,
+               [cell for cell in u for _ in range(b)])
+    csv = "\n".join(["iteration,agent_index,x,y,z,oracle_utility", *rows]) + "\n"
+    points = list(map("{}, {}, {}".format, x, y, z))
+    snaps = "]], [[".join(["], [".join(points[i * b:(i + 1) * b]) for i in range(n)])
+    text = (f'{{"num_agents": {b}, "num_iterations": {n - 1}, '
+            f'"oracle_utility": [{", ".join(u)}], "positions": [[[{snaps}]]], '
+            f'"served": {json.dumps(log.served.tolist())}}}\n')
+    return csv, text
 
 
 # every 0.01 dB step of COVERAGE_CLIP as ".2f" text, from 100 * lo to 100 * hi
@@ -216,8 +212,8 @@ AGENT_COLORS = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
                 "#a65628", "#f781bf", "#999999")
 
 
-def render_map_svg(log, coverage, area, path, served_flags):
-    """Trajectories over the coverage map as a standalone SVG file.
+def render_map_svg(log, coverage, area, served_flags) -> str:
+    """Trajectories over the coverage map as the text of a standalone SVG file.
 
     ``coverage`` is the (ny, nx) power grid over ``area``, clipped to
     :data:`COVERAGE_CLIP`; rows run south to north. It is drawn as one
@@ -266,12 +262,12 @@ def render_map_svg(log, coverage, area, path, served_flags):
                    np.concatenate([xy.transpose(1, 0, 2).reshape(b, 2 * n), xy[0], xy[-1]],
                                   axis=1).ravel().tolist())
     out.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(out) + "\n")
+    return "\n".join(out) + "\n"
 
 
-def render_histogram_svg(histogram, path, title, p_min_dbm):
-    """Bar chart of a power histogram as a standalone SVG file, ``p_min_dbm`` marked."""
+def render_histogram_svg(histogram, title, p_min_dbm) -> str:
+    """Bar chart of a power histogram as the text of a standalone SVG file, ``p_min_dbm``
+    marked."""
     width, height = 640.0, 320.0
     left, right, top, bottom = 50.0, 15.0, 30.0, 45.0
     plot_w = width - left - right
@@ -315,30 +311,25 @@ def render_histogram_svg(histogram, path, title, p_min_dbm):
                f'x2="{width - right:.2f}" y2="{top + plot_h:.2f}" '
                f'stroke="#000000" stroke-width="1"/>')
     out.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(out) + "\n")
+    return "\n".join(out) + "\n"
 
 
-def render_outputs(log, coverage, out_dir, area, p_min_dbm: float) -> dict:
+def render_outputs(log, coverage, out_dir, area, p_min_dbm: float, kmeans=None) -> dict:
     """Write the full output bundle for one run into ``out_dir``.
 
     Emits trajectory.csv, trajectory.json, metrics.json, coverage.csv,
-    map.svg, hist_initial.svg, and hist_final.svg. The metrics are the
-    first and last snapshots of ``log``, judged against ``p_min_dbm``;
-    ``coverage`` is the :func:`coverage_map` grid over ``area``.
-    Byte-stable: identical inputs give identical files. Returns a
-    name->path mapping.
+    map.svg, hist_initial.svg, hist_final.svg and, given ``kmeans``, the
+    (``KMeansResult``, served count) of the run's k-means baseline,
+    kmeans.json. The metrics are the first and last snapshots of ``log``,
+    judged against ``p_min_dbm``; ``coverage`` is the :func:`coverage_map`
+    grid over ``area``. Every file's text is built before the first file
+    is opened, so a value with no text, such as a non-finite float bound
+    for JSON, raises ``ValueError`` and writes nothing. Byte-stable:
+    identical inputs give identical files. Returns a name->path mapping.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-
-    def p(name):
-        paths[name] = os.path.join(out_dir, name)
-        return paths[name]
-
-    write_trajectory(log, p("trajectory.csv"), p("trajectory.json"))
+    texts = dict(zip(("trajectory.csv", "trajectory.json"), trajectory_texts(log)))
     initial, final = (power_histogram(row) for row in log.max_power_dbm)
-    _write_json(p("metrics.json"), {
+    texts["metrics.json"] = _json_text({
         "p_min_dbm": float(p_min_dbm),
         "initial": _placement_json(log.served[0], log.max_power_dbm[0], initial),
         "final": _placement_json(log.served[-1], log.max_power_dbm[-1], final),
@@ -346,9 +337,19 @@ def render_outputs(log, coverage, out_dir, area, p_min_dbm: float) -> dict:
     grid = np.asarray(coverage, dtype=float)
     # each cell to 0.01 dB, one line per grid row
     cells, nx = _cell_texts(grid), grid.shape[1]
-    with open(p("coverage.csv"), "w") as f:
-        f.write("".join([",".join(cells[k:k + nx]) + "\n" for k in range(0, len(cells), nx)]))
-    render_map_svg(log, grid, area, p("map.svg"), log.max_power_dbm[-1] >= p_min_dbm)
-    render_histogram_svg(initial, p("hist_initial.svg"), "initial placement", p_min_dbm)
-    render_histogram_svg(final, p("hist_final.svg"), "final placement", p_min_dbm)
+    texts["coverage.csv"] = "".join([",".join(cells[k:k + nx]) + "\n"
+                                     for k in range(0, len(cells), nx)])
+    texts["map.svg"] = render_map_svg(log, grid, area, log.max_power_dbm[-1] >= p_min_dbm)
+    texts["hist_initial.svg"] = render_histogram_svg(initial, "initial placement", p_min_dbm)
+    texts["hist_final.svg"] = render_histogram_svg(final, "final placement", p_min_dbm)
+    if kmeans is not None:
+        km, served = kmeans
+        texts["kmeans.json"] = _json_text({"centroids": km.centroids.tolist(),
+                                           "inertia": km.inertia, "served": served,
+                                           "unserved": len(log.users) - served})
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {name: os.path.join(out_dir, name) for name in texts}
+    for name, text in texts.items():
+        with open(paths[name], "w") as f:
+            f.write(text)
     return paths

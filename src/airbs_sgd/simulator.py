@@ -1,4 +1,4 @@
-"""Scenario description, world construction, and the simulation loop.
+"""Scenario description, initial state, and the simulation loop.
 
 The loop is array-first and advances a batch of replications together,
 one per seed: agent positions are one (R, B, 3) array and the users one
@@ -190,20 +190,6 @@ class Scenario:
 
 
 @dataclass
-class World:
-    """Initial simulation state, fully determined by (Scenario, seed).
-
-    ``positions`` (B, 3) are the agents' starting points and ``users``
-    (M, 3) the user locations, extras last. ``rng`` is the scenario's
-    generator, positioned after those draws.
-    """
-
-    positions: np.ndarray
-    users: np.ndarray
-    rng: np.random.Generator
-
-
-@dataclass
 class TrajectoryLog:
     """Per-iteration placement snapshots and oracle diagnostics of one run.
 
@@ -232,8 +218,12 @@ class TrajectoryLog:
         return self.positions.shape[1]
 
 
-def init_scenario(s: Scenario) -> World:
-    """Build the initial world: agents first, then users, from one generator."""
+def init_scenario(s: Scenario) -> tuple:
+    """The initial state of ``s``: agents first, then users, from one generator.
+
+    Returns ``(positions, users, rng)``: the agents' (B, 3) starting points, the
+    (M, 3) user locations, extras last, and the generator, positioned after them.
+    """
     rng = np.random.default_rng(int(s.seed))
     r = s.init_region
     axy = rng.uniform((r.x_min, r.y_min), (r.x_max, r.y_max), size=(s.num_airbs, 2))
@@ -242,7 +232,7 @@ def init_scenario(s: Scenario) -> World:
     users = np.vstack([np.column_stack([mxy, np.zeros(s.num_mus)]),
                        np.array(s.extra_mu_positions, dtype=float).reshape(-1, 3)])
     positions = np.column_stack([axy, np.full(s.num_airbs, float(s.fixed_height_m))])
-    return World(positions=positions, users=users, rng=rng)
+    return positions, users, rng
 
 
 def run(s: Scenario) -> TrajectoryLog:
@@ -275,10 +265,9 @@ def run_replications(s: Scenario, seeds) -> list:
 
 
 def _advance(s: Scenario, seeds) -> list:
-    worlds = [init_scenario(dataclasses.replace(s, seed=seed)) for seed in seeds]
-    L = np.stack([w.positions for w in worlds])
-    users = np.stack([w.users for w in worlds])
-    rngs = [w.rng for w in worlds]
+    starts, users, rngs = zip(*[init_scenario(dataclasses.replace(s, seed=seed))
+                                for seed in seeds])
+    L, users = np.stack(starts), np.stack(users)
     budget, ref, cfg, profile = s.budget_dbm, s.channel.ref_distance_m, s.utility, s.traffic
     q, b = s.schedule.minibatch_size, s.num_airbs
     weights = profile.as_array()
@@ -293,11 +282,11 @@ def _advance(s: Scenario, seeds) -> list:
     def snapshot(i):
         positions[:, i] = L
         utilities[:, i], best = oracle(L, users, weights, cfg, budget, ref)
-        bad = ~np.isfinite(utilities[:, i])
-        if np.any(bad):
-            raise DivergenceError(f"oracle utility is {utilities[np.argmax(bad), i]} "
+        finite = np.isfinite(utilities[:, i])
+        if not finite.all():
+            raise DivergenceError(f"oracle utility is {utilities[np.argmin(finite), i]} "
                                   f"at snapshot {i}")
-        served[:, i] = np.sum(best >= cfg.p_min_dbm, axis=1)
+        served[:, i] = np.add.reduce(best >= cfg.p_min_dbm, axis=1)
         return best
 
     first = last = snapshot(0)

@@ -95,11 +95,11 @@ def _log_sum_exp(powers_dbm, alpha: float, axis: int):
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     p = np.asarray(powers_dbm, dtype=float)
-    m = np.max(p, axis=axis, keepdims=True)
+    m = np.maximum.reduce(p, axis=axis, keepdims=True)
     # in place, one array the size of the powers
     e = np.subtract(p, m)
     np.exp(np.multiply(alpha, e, out=e), out=e)
-    z = np.sum(e, axis=axis, keepdims=True)
+    z = np.add.reduce(e, axis=axis, keepdims=True)
     return m + np.log(z) / alpha, e, z, m
 
 
@@ -211,12 +211,12 @@ def oracle(placements, users, weights, cfg: UtilityConfig, budget_dbm, ref_dista
     """
     # transmitter-major (..., B, M): a reduction over B adds whole rows, in index order for any B
     powers = np.ascontiguousarray(
-        np.swapaxes(received_power_matrix(placements, budget_dbm, ref_distance_m, users), -1, -2))
+        received_power_matrix(placements, budget_dbm, ref_distance_m, users).swapaxes(-1, -2))
     # the soft maximum's own maximum is each user's strongest power
     soft, _, _, best = _log_sum_exp(powers, _temperature(cfg), -2)
-    per_user = _reward(np.squeeze(soft, -2), cfg)
+    per_user = _reward(soft.squeeze(-2), cfg)
     utility = np.array([np.dot(weights, row) for row in per_user.reshape(-1, powers.shape[-1])])
-    return utility.reshape(per_user.shape[:-1]), np.squeeze(best, -2)
+    return utility.reshape(per_user.shape[:-1]), best.squeeze(-2)
 
 
 def network_utility_gradient(placements, users, weights, cfg: UtilityConfig, budget_dbm,

@@ -123,15 +123,15 @@ def replay_alone(s, log) -> np.ndarray:
     :func:`agent_step` from ``log.positions[0]``. Returns the replayed
     positions, shaped like ``log.positions``.
     """
-    world = init_scenario(s)
+    _, users, rng = init_scenario(s)
     budget, ref, q = s.budget_dbm, s.channel.ref_distance_m, s.schedule.minibatch_size
     path = [log.positions[0]]
     for i in range(log.num_iterations):
-        idx = s.traffic.recipients(world.rng.random(q))
-        powers = received_power_matrix(log.positions[i], budget, ref, world.users[idx])
+        idx = s.traffic.recipients(rng.random(q))
+        powers = received_power_matrix(log.positions[i], budget, ref, users[idx])
         if s.measurement_noise_db > 0.0:
-            powers = powers + s.measurement_noise_db * world.rng.standard_normal(powers.shape)
-        path.append([agent_step(row, budget[b], ref, b, world.users[idx], powers, s.utility,
+            powers = powers + s.measurement_noise_db * rng.standard_normal(powers.shape)
+        path.append([agent_step(row, budget[b], ref, b, users[idx], powers, s.utility,
                                 s.schedule.eta(i), s.fixed_height_m)
                      for b, row in enumerate(path[-1])])
     return np.array(path)
@@ -160,7 +160,7 @@ def runaway_scenario():
 
 def extra_user_packets(s, seed):
     """Whether each iteration's one packet comes from the extra user."""
-    rng = init_scenario(dataclasses.replace(s, seed=seed)).rng
+    rng = init_scenario(dataclasses.replace(s, seed=seed))[2]
     return [s.traffic.recipients(rng.random()) == s.total_mus - 1 for _ in range(s.iterations)]
 
 

@@ -227,7 +227,7 @@ def test_criterion_06_single_pair_convergence():
             channel=ChannelParams(-94.0, 1000.0),
         )
         log = run(s)
-        mu = init_scenario(s).users[0]
+        mu = init_scenario(s)[1][0]
         dists = np.hypot(log.positions[:, 0, 0] - mu[0], log.positions[:, 0, 1] - mu[1])
         ok = ok and dists[-1] < 10.0
         worst_dist = max(worst_dist, float(dists[-1]))

@@ -10,20 +10,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from airbs_sgd.baseline import kmeans_placement
 from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.navigator import StepSchedule
 from airbs_sgd.report import (
     AGENT_COLORS,
     COVERAGE_CLIP,
     _cell_texts,
+    _json_text,
     _png,
-    _write_json,
     coverage_map,
     power_histogram,
     render_histogram_svg,
     render_map_svg,
     render_outputs,
-    write_trajectory,
+    trajectory_texts,
 )
 from airbs_sgd.simulator import Rect, Scenario, TrajectoryLog, run
 from airbs_sgd.utility import UtilityConfig, UtilityFamily
@@ -166,7 +167,7 @@ def map_shapes_reference(log, area, served) -> list:
     return lines
 
 
-def test_map_shapes_match_the_per_value_reference(tmp_path):
+def test_map_shapes_match_the_per_value_reference():
     rng = np.random.default_rng(5)
     area = Rect(-300.0, 100.0, 1700.0, 1300.0)
     # users on the edges, outside and inside; nine agents, so the colours wrap
@@ -177,20 +178,17 @@ def test_map_shapes_match_the_per_value_reference(tmp_path):
                         oracle_utility=np.zeros(6), served=np.zeros(6, dtype=int), users=users,
                         max_power_dbm=np.zeros((2, 40)))
     served = rng.random(40) < 0.5
-    render_map_svg(log, np.full((3, 4), -90.0), area, tmp_path / "map.svg", served)
-    lines = (tmp_path / "map.svg").read_text().splitlines()
+    lines = render_map_svg(log, np.full((3, 4), -90.0), area, served).splitlines()
     assert lines[3:-1] == map_shapes_reference(log, area, served.tolist())
     # no user inside the area: no user line
     log.users = np.array([[5000.0, 0.0, 0.0]])
-    render_map_svg(log, np.full((3, 4), -90.0), area, tmp_path / "map.svg", [True])
-    lines = (tmp_path / "map.svg").read_text().splitlines()
+    lines = render_map_svg(log, np.full((3, 4), -90.0), area, [True]).splitlines()
     assert lines[3:-1] == map_shapes_reference(log, area, [True])
 
 
-def test_histogram_bars_match_the_per_value_reference(tmp_path):
+def test_histogram_bars_match_the_per_value_reference():
     histogram = power_histogram(np.random.default_rng(6).normal(-92.0, 9.0, 202))
-    render_histogram_svg(histogram, tmp_path / "h.svg", "t", -91.0)
-    bars = [line for line in (tmp_path / "h.svg").read_text().splitlines()
+    bars = [line for line in render_histogram_svg(histogram, "t", -91.0).splitlines()
             if line.startswith("<rect x=")]
     peak, bw = max(c for _, _, c in histogram), 575.0 / len(histogram)
     want = []
@@ -260,6 +258,30 @@ def test_png_spans_several_stored_blocks():
     assert png_pixels(_png(rgb)) == [[tuple(px) for px in row] for row in rgb.tolist()]
 
 
+def test_a_value_with_no_text_writes_no_file(tmp_path):
+    # metrics.json cannot hold a nan: no file is opened, the trajectory's included
+    log, grid, s = run_small(tmp_path)
+    log.max_power_dbm[-1, 3] = math.nan
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        render_outputs(log, grid, out, s.area, s.utility.p_min_dbm)
+    assert not any(out.iterdir())
+
+
+def test_kmeans_json_is_the_baselines_json_dumps_text(tmp_path):
+    log, grid, s = run_small(tmp_path)
+    km = kmeans_placement(log.users, s.num_airbs, seed=3, height_m=s.fixed_height_m)
+    paths = render_outputs(log, grid, tmp_path, s.area, s.utility.p_min_dbm, (km, 7))
+    assert set(paths) == {*EXPECTED_FILES, "kmeans.json"}
+    assert (tmp_path / "kmeans.json").read_text() == json.dumps({
+        "centroids": [list(map(float, c)) for c in km.centroids],
+        "inertia": float(km.inertia),
+        "served": 7,
+        "unserved": len(log.users) - 7,
+    }, sort_keys=True) + "\n"
+
+
 def test_metrics_json_is_json_dumps_text(tmp_path):
     log, grid, s = run_small(tmp_path)
     render_outputs(log, grid, tmp_path, s.area, s.utility.p_min_dbm)
@@ -319,14 +341,19 @@ def trajectory_json_reference(log) -> str:
     }, sort_keys=True) + "\n"
 
 
-def write_pair(log, tmp_path) -> tuple:
-    write_trajectory(log, tmp_path / "t.csv", tmp_path / "t.json")
-    return (tmp_path / "t.csv").read_text(), (tmp_path / "t.json").read_text()
+def signed_log() -> TrajectoryLog:
+    """A 2-iteration, 2-agent log of negative coordinates and -0.0, 5e-324, 1e-5, 1e16, 1e22."""
+    positions = np.array([[[-0.0, -1500.25, 30.0], [5e-324, -1e-05, 1e16]],
+                          [[-1e22, 1e22, 0.0], [-3.5, -0.0, 1e-05]],
+                          [[-1e16, -5e-324, 2.0], [1e-05, -123.456, 1e22]]])
+    return TrajectoryLog(positions=positions, oracle_utility=np.array([-0.0, 5e-324, -1e22]),
+                         served=np.array([0, 1, 2]), users=np.zeros((1, 3)),
+                         max_power_dbm=np.zeros((2, 1)))
 
 
 def test_trajectory_csv_shape(tmp_path):
     log, _, s = run_small(tmp_path, iterations=2)
-    lines = write_pair(log, tmp_path)[0].splitlines()
+    lines = trajectory_texts(log)[0].splitlines()
     assert lines[0] == "iteration,agent_index,x,y,z,oracle_utility"
     assert len(lines) == 1 + (s.iterations + 1) * s.num_airbs
     first = lines[1].split(",")
@@ -334,31 +361,39 @@ def test_trajectory_csv_shape(tmp_path):
     assert float(first[2]) == log.positions[0, 0, 0]
 
 
-def test_trajectory_csv_matches_the_per_row_reference(tmp_path):
-    log = synthetic_log(np.random.default_rng(4))
-    assert write_pair(log, tmp_path)[0] == trajectory_csv_reference(log)
+def test_trajectory_csv_matches_the_per_row_reference():
+    for log in (synthetic_log(np.random.default_rng(4)), signed_log()):
+        assert trajectory_texts(log)[0] == trajectory_csv_reference(log)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
-def test_json_text_refuses_non_finite_floats(tmp_path, bad):
+def test_json_text_refuses_non_finite_floats(bad):
     with pytest.raises(ValueError, match="not JSON compliant"):
-        _write_json(tmp_path / "a.json", {"a": [1.0, bad]})
-    assert not (tmp_path / "a.json").exists()
+        _json_text({"a": [1.0, bad]})
 
 
-def test_trajectory_json_matches_json_dumps(tmp_path):
+def test_trajectory_json_matches_json_dumps():
+    for log in (synthetic_log(np.random.default_rng(8)), signed_log()):
+        assert trajectory_texts(log)[1] == trajectory_json_reference(log)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["positions", "oracle_utility"])
+def test_trajectory_texts_refuse_a_non_finite_value(bad, where):
     log = synthetic_log(np.random.default_rng(8))
-    assert write_pair(log, tmp_path)[1] == trajectory_json_reference(log)
+    getattr(log, where).ravel()[-1] = bad
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        trajectory_texts(log)
 
 
-# the CSV's cells are cut from the JSON text: floats whose repr has a sign, an
+# both files are joined from one repr per float: floats whose repr has a sign, an
 # exponent, a subnormal's digits or a trailing ".0", in every column
 EXTREME_FLOATS = [-0.0, 5e-324, -5e-324, 1e16, -1e16, 1e150, -1e150, 30.0, 1.0, 0.0, 1e-05,
                   123456789012345678.0, 2.0 ** -1074 * 3, 1.7976931348623157e308]
 
 
 @pytest.mark.parametrize("b", [1, 3])
-def test_trajectory_pair_matches_the_references_for_extreme_floats(tmp_path, b):
+def test_trajectory_pair_matches_the_references_for_extreme_floats(b):
     n = len(EXTREME_FLOATS)
     values = np.array(EXTREME_FLOATS)
     # each value in each column and as a snapshot's utility, on every agent row
@@ -366,18 +401,18 @@ def test_trajectory_pair_matches_the_references_for_extreme_floats(tmp_path, b):
     log = TrajectoryLog(positions=positions, oracle_utility=np.roll(values, 1),
                         served=np.arange(n), users=np.zeros((1, 3)),
                         max_power_dbm=np.zeros((2, 1)))
-    csv_text, json_text = write_pair(log, tmp_path)
+    csv_text, json_text = trajectory_texts(log)
     assert csv_text == trajectory_csv_reference(log)
     assert json_text == trajectory_json_reference(log)
     for v in EXTREME_FLOATS:
         assert f",{v!r}," in csv_text and f",{v!r}\n" in csv_text
 
 
-def test_trajectory_pair_of_one_snapshot_and_one_agent(tmp_path):
+def test_trajectory_pair_of_one_snapshot_and_one_agent():
     log = TrajectoryLog(positions=np.array([[[-0.0, 30.0, 1e16]]]),
                         oracle_utility=np.array([5e-324]), served=np.array([0]),
                         users=np.zeros((1, 3)), max_power_dbm=np.zeros((2, 1)))
-    csv_text, json_text = write_pair(log, tmp_path)
+    csv_text, json_text = trajectory_texts(log)
     assert csv_text == "iteration,agent_index,x,y,z,oracle_utility\n0,0,-0.0,30.0,1e+16,5e-324\n"
     assert json_text == trajectory_json_reference(log)
 

@@ -48,26 +48,26 @@ def small_scenario(**overrides):
 
 def test_init_counts_and_determinism():
     s = small_scenario(extra_mu_positions=((5000.0, 5000.0, 0.0),))
-    w1 = init_scenario(s)
-    w2 = init_scenario(s)
-    assert w1.positions.shape == (2, 3)
-    assert w1.users.shape == (13, 3)
-    assert w1.users[-1].tolist() == [5000.0, 5000.0, 0.0]
-    assert np.array_equal(w1.positions, w2.positions)
-    assert np.array_equal(w1.users, w2.users)
+    positions1, users1, _ = init_scenario(s)
+    positions2, users2, _ = init_scenario(s)
+    assert positions1.shape == (2, 3)
+    assert users1.shape == (13, 3)
+    assert users1[-1].tolist() == [5000.0, 5000.0, 0.0]
+    assert np.array_equal(positions1, positions2)
+    assert np.array_equal(users1, users2)
     r = s.init_region
-    for x, y, z in w1.positions:
+    for x, y, z in positions1:
         assert r.contains(x, y)
         assert z == 30.0
-    for x, y, z in w1.users[:-1]:
+    for x, y, z in users1[:-1]:
         assert s.area.contains(x, y)
         assert z == 0.0
 
 
 def test_init_zero_width_region_pins_agents():
     s = small_scenario(init_region=Rect(700.0, 700.0, 700.0, 700.0))
-    w = init_scenario(s)
-    assert np.all(w.positions == [700.0, 700.0, 30.0])
+    positions, _, _ = init_scenario(s)
+    assert np.all(positions == [700.0, 700.0, 30.0])
 
 
 def test_zero_iterations_single_snapshot():
@@ -132,7 +132,7 @@ def test_single_pair_converges_overhead():
     )
     log = run(s)
     final = log.positions[-1, 0]
-    mu = init_scenario(s).users[0]
+    mu = init_scenario(s)[1][0]
     assert math.hypot(final[0] - mu[0], final[1] - mu[1]) < 10.0
     assert final[2] == 30.0
 
@@ -142,7 +142,7 @@ def test_solo_replay_of_rebuilt_packets():
     # each agent in isolation, reproduce the run exactly: nothing else leaks in
     s = small_scenario(iterations=3)
     log = run(s)
-    assert np.array_equal(log.positions[0], init_scenario(s).positions)
+    assert np.array_equal(log.positions[0], init_scenario(s)[0])
     assert np.array_equal(helpers.replay_alone(s, log), log.positions)
 
 
@@ -167,7 +167,7 @@ def test_noisy_packets_follow_documented_draw_order():
     # (Q, B) block of standard normals for the reported powers
     s = small_scenario(iterations=3, measurement_noise_db=1.5)
     log = run(s)
-    assert np.array_equal(log.users, init_scenario(s).users)
+    assert np.array_equal(log.users, init_scenario(s)[1])
     assert np.array_equal(helpers.replay_alone(s, log), log.positions)
 
 
