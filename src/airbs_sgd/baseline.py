@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Lloyd passes a replication may take before it stops short of a fixed point
+MAX_PASSES = 100
+
 
 @dataclass(frozen=True)
 class KMeansResult:
@@ -53,20 +56,20 @@ def _nearest(px, py, cx, cy):
     return np.argmax(d2 == best[:, None, :], axis=1), d2, best.sum(axis=1)
 
 
-def kmeans_placement(user_locations, num_clusters: int, max_iters: int = 100,
-                     seed: int = 0, height_m: float = 0.0) -> KMeansResult:
+def kmeans_placement(user_locations, num_clusters: int, seed: int = 0,
+                     height_m: float = 0.0) -> KMeansResult:
     """Lloyd k-means on horizontal user coordinates.
 
-    Runs until the assignment reaches a fixed point or ``max_iters``
+    Runs until the assignment reaches a fixed point or :data:`MAX_PASSES`
     passes, whichever is first. ``user_locations`` is an (M, 3) array;
     the centroids are returned at ``height_m``. Requires at least as many
     users as clusters. A batch of one: see :func:`kmeans_replications`.
     """
     users = np.asarray(user_locations, dtype=float)
-    return kmeans_replications(users[None], num_clusters, [seed], max_iters, height_m)[0]
+    return kmeans_replications(users[None], num_clusters, [seed], height_m)[0]
 
 
-def kmeans_replications(user_locations, num_clusters: int, seeds, max_iters: int = 100,
+def kmeans_replications(user_locations, num_clusters: int, seeds,
                         height_m: float = 0.0) -> list:
     """:func:`kmeans_placement` of each replication's users and seed; one result per seed.
 
@@ -76,7 +79,8 @@ def kmeans_replications(user_locations, num_clusters: int, seeds, max_iters: int
     assignment stops changing, and each pass sums the members of every
     (replication, cluster) key with ``np.bincount``, in user order from
     +0.0, as numpy's reduction of one cluster's members does. So each
-    result is bit-identical to the replication run alone.
+    result is bit-identical to the replication run alone, within the same
+    :data:`MAX_PASSES` budget.
     """
     users = np.asarray(user_locations, dtype=float)
     seeds = [int(seed) for seed in seeds]
@@ -85,8 +89,6 @@ def kmeans_replications(user_locations, num_clusters: int, seeds, max_iters: int
         raise ValueError("need at least one cluster")
     if m < num_clusters:
         raise ValueError(f"need at least {num_clusters} users, got {m}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     if len(seeds) != users.shape[0]:
         raise ValueError(f"need one seed per replication, got {len(seeds)} for {users.shape[0]}")
 
@@ -99,13 +101,13 @@ def kmeans_replications(user_locations, num_clusters: int, seeds, max_iters: int
     history = [[] for _ in seeds]
 
     active, prev = np.arange(len(seeds)), None
-    for p in range(max_iters + 1):
+    for p in range(MAX_PASSES + 1):
         ax, ay = px[active], py[active]
         a, d2, loss = _nearest(ax, ay, cx[active], cy[active])
         for r, v in zip(active.tolist(), loss.tolist()):
             history[r].append(v)
         assign[active], inertia[active] = a, loss
-        if p == max_iters:
+        if p == MAX_PASSES:
             # that pass only realigned the replications whose budget ran out right
             # after a centroid move, so each assignment is nearest-centroid consistent
             break

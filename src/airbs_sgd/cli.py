@@ -179,8 +179,7 @@ def _phase_one(s: Scenario, seeds, with_kmeans: bool) -> list:
     kmeans = [None] * len(logs)
     if with_kmeans:
         users = np.stack([log.users for log in logs])
-        kmeans = kmeans_replications(users, s.num_airbs, seeds, max_iters=100,
-                                     height_m=s.fixed_height_m)
+        kmeans = kmeans_replications(users, s.num_airbs, seeds, height_m=s.fixed_height_m)
         _, best = oracle(np.stack([km.centroids for km in kmeans]), users,
                          s.traffic.as_array(), s.utility, budget, ref)
         kmeans = list(zip(kmeans, np.sum(best >= s.utility.p_min_dbm, axis=1).tolist()))
@@ -390,17 +389,24 @@ def _override_seed(s: Scenario, seed) -> Scenario:
         raise CliError(f"--seed {seed}: {e}")
 
 
+def _check_count(flag: str, count: int):
+    """Exit 2 unless ``count``, the value of ``flag``, is at least 1 and below 2**63,
+    as a scenario's counts are."""
+    if count < 1:
+        raise CliError(f"{flag} must be at least 1")
+    if count >= 2 ** 63:
+        raise CliError(f"{flag} must be below 2**63")
+
+
 def cmd_run(args) -> int:
-    if args.replications < 1:
-        raise CliError("--replications must be at least 1")
+    _check_count("--replications", args.replications)
     s = _override_seed(load_scenario_file(args.scenario), args.seed)
     _replicate(s, args.replications, args.out)
     return 0
 
 
 def cmd_reproduce_paper(args) -> int:
-    if args.seeds < 1:
-        raise CliError("--seeds must be at least 1")
+    _check_count("--seeds", args.seeds)
     with_kmeans = args.baseline == "kmeans"
     _replicate(reference_scenario(), args.seeds, args.out, with_kmeans)
     print(f"reference result: {REFERENCE_SERVED[0]}/{REFERENCE_SERVED[1]} served")
@@ -422,8 +428,7 @@ def _apply_axis(s: Scenario, axis: str, value: float) -> Scenario:
 
 
 def cmd_sweep(args) -> int:
-    if args.replications < 1:
-        raise CliError("--replications must be at least 1")
+    _check_count("--replications", args.replications)
     if args.axis not in SWEEP_AXES:
         raise CliError(f"unknown sweep axis {args.axis!r}; expected one of "
                        f"{', '.join(SWEEP_AXES)}")
@@ -495,13 +500,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _discard(stream):
+    """Point ``stream``'s file descriptor at ``os.devnull``, once its reader has closed."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
+        try:
+            print(f"error: {e}", file=sys.stderr)
+        except BrokenPipeError:
+            # the diagnostic is lost, but the status still tells what failed
+            _discard(sys.stderr)
         return e.exit_code
 
 
@@ -523,9 +537,11 @@ def run_and_exit(argv=None):
     before ``main`` returns, and every worker has been reaped; keep it so.
     It ends by ``sys.exit`` instead when a flush fails, so the interpreter
     reports that at exit as before, and when :func:`_watched`, so that
-    ``python -m cProfile`` and coverage still write their output. A
-    ``BrokenPipeError`` from a print or the flush means the reader of stdout
-    has closed, as ``| head -1`` does: the rest of stdout goes to
+    ``python -m cProfile`` and coverage still write their output. When
+    the reader of stderr has closed, :func:`main` sends its diagnostic to
+    ``os.devnull`` and keeps its status (2 for a ``CliError``); any other
+    ``BrokenPipeError`` from a print or the flush means the reader of
+    stdout has closed, as ``| head -1`` does: the rest of stdout goes to
     ``os.devnull`` and the command ends with status 1, without a traceback.
     Any other exception or ``SystemExit`` out of ``main``, such as
     argparse's, propagates as before.
@@ -541,7 +557,7 @@ def run_and_exit(argv=None):
         except (AttributeError, OSError, ValueError):  # no stream, a failed write, a closed one
             flushed = False
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _discard(sys.stdout)
         code, flushed = 1, False
     if flushed and not _watched():
         os._exit(code)

@@ -32,67 +32,53 @@ import numpy as np
 
 from .channel import received_power_matrix
 
-DEFAULT_HIST_RANGE = (-110.0, -70.0)
-DEFAULT_HIST_BIN_DB = 1.0
-# dBm range of the coverage grid and of the map's colour ramp
+# power_histogram's bins: 1 dB wide over HIST_RANGE dBm, between an open-ended
+# underflow bin and an open-ended overflow bin
+HIST_RANGE = (-110.0, -70.0)
+_HIST_EDGES = np.arange(HIST_RANGE[0], HIST_RANGE[1] + 1.0)
+_HIST_BINS = list(zip([-math.inf, *_HIST_EDGES.tolist()], [*_HIST_EDGES.tolist(), math.inf]))
+# dBm range of the coverage grid, of the map's colour ramp and of coverage.csv's
+# table of cell texts
 COVERAGE_CLIP = (-100.0, -80.0)
 
 
-def coverage_axes(area, grid_resolution) -> tuple:
-    """Grid-point coordinates used by :func:`coverage_map` (xs, ys)."""
-    try:
-        nx, ny = grid_resolution
-    except TypeError:
-        nx = ny = int(grid_resolution)
-    if nx < 2 or ny < 2:
+def coverage_axes(area, grid_resolution: int) -> tuple:
+    """Grid-point coordinates used by :func:`coverage_map` (xs, ys), ``grid_resolution``
+    points along each axis."""
+    if grid_resolution < 2:
         raise ValueError("grid resolution must be at least 2 per axis")
-    return np.linspace(area.x_min, area.x_max, nx), np.linspace(area.y_min, area.y_max, ny)
+    return (np.linspace(area.x_min, area.x_max, grid_resolution),
+            np.linspace(area.y_min, area.y_max, grid_resolution))
 
 
-def coverage_map(placements, area, grid_resolution, budget_dbm, ref_distance_m,
-                 clip=COVERAGE_CLIP) -> np.ndarray:
-    """Strongest received power on the ground grid (z = 0), clipped to ``clip`` dBm.
+def coverage_map(placements, area, grid_resolution: int, budget_dbm,
+                 ref_distance_m) -> np.ndarray:
+    """Strongest received power on the ground grid (z = 0), clipped to
+    :data:`COVERAGE_CLIP`.
 
     ``area`` is a :class:`simulator.Rect`; ``budget_dbm`` and ``ref_distance_m``
-    are as for :func:`channel.received_power_matrix`. Returns shape (ny, nx):
-    rows run south to north, columns west to east, matching ``coverage_axes``.
+    are as for :func:`channel.received_power_matrix`. Returns shape (n, n) for a
+    ``grid_resolution`` of n: rows run south to north, columns west to east,
+    matching :func:`coverage_axes`.
     """
-    lo, hi = float(clip[0]), float(clip[1])
-    if hi < lo:
-        raise ValueError("clip range must have hi >= lo")
     xs, ys = coverage_axes(area, grid_resolution)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
     best = np.max(received_power_matrix(placements, budget_dbm, ref_distance_m, pts), axis=1)
-    return np.clip(best, lo, hi).reshape(gy.shape)
+    return np.clip(best, *COVERAGE_CLIP).reshape(gy.shape)
 
 
-def power_histogram(per_mu_powers, bin_width_db: float = DEFAULT_HIST_BIN_DB,
-                    value_range=DEFAULT_HIST_RANGE) -> tuple:
-    """Fixed-width histogram with open-ended underflow/overflow bins.
+def power_histogram(per_mu_powers) -> tuple:
+    """Histogram of ``per_mu_powers`` in 1 dB bins over :data:`HIST_RANGE`.
 
     Returns a tuple of ``(lo_edge, hi_edge, count)`` triples whose counts
     always sum to the number of inputs; the first and last bins extend to
     -inf and +inf.
     """
-    if not bin_width_db > 0.0:
-        raise ValueError("bin width must be positive")
-    lo, hi = float(value_range[0]), float(value_range[1])
-    if not hi > lo:
-        raise ValueError("histogram range must have hi > lo")
-    p = np.asarray(per_mu_powers, dtype=float)
-    n_bins = int(math.ceil((hi - lo) / bin_width_db - 1e-12))
-    inner = lo + bin_width_db * np.arange(n_bins + 1)
-    inner[-1] = hi
-    # searchsorted buckets: 0 -> underflow, n_bins+1 -> overflow
-    idx = np.searchsorted(inner, p, side="right")
-    idx[p >= hi] = n_bins + 1
-    counts = np.bincount(idx, minlength=n_bins + 2)
-    bins = [(-math.inf, lo, int(counts[0]))]
-    for k in range(n_bins):
-        bins.append((float(inner[k]), float(inner[k + 1]), int(counts[k + 1])))
-    bins.append((hi, math.inf, int(counts[n_bins + 1])))
-    return tuple(bins)
+    # searchsorted buckets: 0 -> underflow, len(_HIST_EDGES) -> overflow
+    idx = np.searchsorted(_HIST_EDGES, np.asarray(per_mu_powers, dtype=float), side="right")
+    counts = np.bincount(idx, minlength=len(_HIST_BINS)).tolist()
+    return tuple((lo, hi, c) for (lo, hi), c in zip(_HIST_BINS, counts))
 
 
 def _json_text(obj) -> str:
@@ -171,13 +157,15 @@ def _placement_json(served, max_power_dbm, histogram) -> dict:
     }
 
 
-def _heat_rgb(grid, lo: float, hi: float) -> np.ndarray:
+def _heat_rgb(grid) -> np.ndarray:
     """The colour of every grid cell, as (ny, nx, 3) bytes shaped like ``grid``.
 
-    Two-stop ramp, dark violet to yellow, like the usual coverage palettes.
-    ``np.rint`` rounds half to even, as the builtin ``round`` does.
+    Two-stop ramp over :data:`COVERAGE_CLIP`, dark violet to yellow, like the
+    usual coverage palettes. ``np.rint`` rounds half to even, as the builtin
+    ``round`` does.
     """
-    t = np.zeros_like(grid) if hi == lo else (grid - lo) / (hi - lo)
+    lo, hi = COVERAGE_CLIP
+    t = (grid - lo) / (hi - lo)
     t = np.minimum(1.0, np.maximum(0.0, t))
     c0, c1 = np.array([33, 12, 74]), np.array([248, 231, 28])
     return np.rint(c0 + t[..., None] * (c1 - c0)).astype(np.uint8)
@@ -238,7 +226,7 @@ def render_map_svg(log, coverage, area, served_flags) -> str:
            f'viewBox="0 0 {w * scale + 2 * pad:.2f} {h * scale + 2 * pad:.2f}">',
            '<rect width="100%" height="100%" fill="#ffffff"/>']
     # one pixel per grid cell, north row on top, stretched over the area
-    png = base64.b64encode(_png(_heat_rgb(grid[::-1], *COVERAGE_CLIP))).decode("ascii")
+    png = base64.b64encode(_png(_heat_rgb(grid[::-1]))).decode("ascii")
     out.append(f'<image x="{pad:.2f}" y="{pad:.2f}" width="{w * scale:.2f}" '
                f'height="{h * scale:.2f}" preserveAspectRatio="none" '
                f'style="image-rendering:pixelated" href="data:image/png;base64,{png}"/>')

@@ -200,7 +200,8 @@ class TrajectoryLog:
     surrogate) max-power criterion. ``users`` (M, 3) are the user
     locations the run drew. ``max_power_dbm`` (2, M) is each user's
     strongest received power at the first and the last snapshot (both
-    rows are snapshot 0 when I is 0).
+    rows are snapshot 0 when I is 0). I and B are read from
+    ``positions.shape``.
     """
 
     positions: np.ndarray
@@ -208,14 +209,6 @@ class TrajectoryLog:
     served: np.ndarray
     users: np.ndarray
     max_power_dbm: np.ndarray
-
-    @property
-    def num_iterations(self) -> int:
-        return self.positions.shape[0] - 1
-
-    @property
-    def num_agents(self) -> int:
-        return self.positions.shape[1]
 
 
 def init_scenario(s: Scenario) -> tuple:

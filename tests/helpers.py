@@ -29,13 +29,15 @@ def record_criterion(num: int, desc: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def run_python(*args, env=(), stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def run_python(*args, env=(), stdout=subprocess.PIPE,
+               stderr=subprocess.PIPE) -> subprocess.CompletedProcess:
     """``python ARGS`` in a fresh interpreter that finds the package in ``src/``, with
-    the ``env`` variables set on top of this one's and stdout to ``stdout``."""
+    the ``env`` variables set on top of this one's, stdout to ``stdout`` and stderr to
+    ``stderr``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     environ = dict(os.environ, PYTHONPATH=path, **dict(env))
-    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=stderr,
                           text=True, timeout=120, env=environ)
 
 
@@ -126,7 +128,7 @@ def replay_alone(s, log) -> np.ndarray:
     _, users, rng = init_scenario(s)
     budget, ref, q = s.budget_dbm, s.channel.ref_distance_m, s.schedule.minibatch_size
     path = [log.positions[0]]
-    for i in range(log.num_iterations):
+    for i in range(log.positions.shape[0] - 1):
         idx = s.traffic.recipients(rng.random(q))
         powers = received_power_matrix(log.positions[i], budget, ref, users[idx])
         if s.measurement_noise_db > 0.0:

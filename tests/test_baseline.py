@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import kmeans_reference
+from airbs_sgd import baseline
 from airbs_sgd.baseline import kmeans_placement, kmeans_replications
 
 # few distinct values, -0.0 among them: users repeat, so clusters empty, and
@@ -68,10 +69,11 @@ def test_deterministic_per_seed():
     assert not np.array_equal(a.centroids, c.centroids) or a.assignments != c.assignments
 
 
-def test_equidistant_point_goes_to_lowest_index():
+def test_equidistant_point_goes_to_lowest_index(monkeypatch):
     # user exactly between two stable single-point clusters
     users = pts_from([(0.0, 0.0), (100.0, 0.0), (50.0, 0.0)])
-    res = kmeans_placement(users, 2, seed=0, max_iters=1)
+    monkeypatch.setattr(baseline, "MAX_PASSES", 1)
+    res = kmeans_placement(users, 2, seed=0)
     cents = res.centroids[:, :2].tolist()
     mid = res.assignments[2]
     d0 = (50.0 - cents[0][0]) ** 2 + cents[0][1] ** 2
@@ -103,8 +105,6 @@ def test_errors():
         kmeans_placement(users, 3)
     with pytest.raises(ValueError):
         kmeans_placement(users, 0)
-    with pytest.raises(ValueError):
-        kmeans_placement(users, 1, max_iters=0)
 
 
 @st.composite
@@ -128,14 +128,16 @@ def _bits(res):
 @given(lloyd_batches())
 def test_batched_lloyd_is_each_replication_alone_bit_for_bit(batch):
     users, b, seeds, max_iters = batch
-    got = kmeans_replications(users, b, seeds, max_iters=max_iters, height_m=30.0)
-    assert len(got) == len(seeds)
-    for r, seed in enumerate(seeds):
-        want = _bits(kmeans_reference(users[r], b, max_iters=max_iters, seed=seed,
-                                      height_m=30.0))
-        assert _bits(got[r]) == want
-        assert _bits(kmeans_placement(users[r], b, max_iters=max_iters, seed=seed,
-                                      height_m=30.0)) == want
+    # hypothesis refuses function-scoped fixtures, so each example patches its own budget
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baseline, "MAX_PASSES", max_iters)
+        got = kmeans_replications(users, b, seeds, height_m=30.0)
+        assert len(got) == len(seeds)
+        for r, seed in enumerate(seeds):
+            want = _bits(kmeans_reference(users[r], b, max_iters=max_iters, seed=seed,
+                                          height_m=30.0))
+            assert _bits(got[r]) == want
+            assert _bits(kmeans_placement(users[r], b, seed=seed, height_m=30.0)) == want
 
 
 def test_batched_lloyd_needs_one_seed_per_replication():

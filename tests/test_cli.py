@@ -507,22 +507,33 @@ def test_sweep_non_integer_q(tmp_path, capsys):
 
 # only counts of 2**63 and more: should the check let one through, numpy and
 # tuple repetition still refuse it before allocating, where a moderately large
-# count would try to allocate
+# count would try to allocate; replication seeds are drawn one at a time, so
+# drawing any fails at once rather than running on
 @pytest.mark.parametrize("argv, key", [
     (["run"], "num_airbs"),
     (["run"], "num_mus"),
     (["run"], "iterations"),
     (["run"], "minibatch_size"),
     (["sweep", "--axis", "q", "--values", "1e300"], "minibatch_size"),
-], ids=["num_airbs", "num_mus", "iterations", "minibatch_size", "sweep_q"])
-def test_count_too_large_to_index_exits_2(tmp_path, capsys, argv, key):
+    (["run", "--replications", str(2 ** 63)], "--replications"),
+    (["sweep", "--axis", "eta", "--values", "1", "--replications", str(2 ** 63)],
+     "--replications"),
+    (["reproduce-paper", "--seeds", str(2 ** 63)], "--seeds"),
+], ids=["num_airbs", "num_mus", "iterations", "minibatch_size", "sweep_q",
+        "run_replications", "sweep_replications", "seeds"])
+def test_count_too_large_to_index_exits_2(tmp_path, capsys, monkeypatch, argv, key):
+    def no_seeds(*args):
+        raise AssertionError("replication seeds drawn for an unchecked count")
+
+    monkeypatch.setattr(cli, "replication_seeds", no_seeds)
     d = dict(small_scenario_dict(), traffic=None)
     if argv == ["run"]:
         (d["schedule"] if key == "minibatch_size" else d)[key] = 1e300
     p = tmp_path / "scen.json"
     p.write_text(json.dumps(d))
     out = tmp_path / "out"
-    assert main([argv[0], "--scenario", str(p), *argv[1:], "--out", str(out)]) == 2
+    scenario = [] if argv[0] == "reproduce-paper" else ["--scenario", str(p)]
+    assert main([argv[0], *scenario, *argv[1:], "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{key} must be below 2**63" in err
     assert "Traceback" not in err
@@ -693,6 +704,22 @@ def test_a_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path, env):
     assert (proc.returncode, proc.stderr) == (1, "")
     assert (tmp_path / "out" / "summary.json").is_file()
     assert sorted(p.name for p in (tmp_path / "out").glob("rep_*/map.svg")) == ["map.svg"] * 2
+
+
+@pytest.mark.parametrize("env", [BUFFERED, {"PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "unbuffered"])
+def test_a_closed_stderr_pipe_keeps_the_exit_status(tmp_path, env):
+    # the diagnostic cannot be read, but a missing scenario file still exits 2
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_python("-m", "airbs_sgd.cli", "run", "--scenario",
+                          str(tmp_path / "missing.json"), "--out", str(tmp_path / "out"),
+                          env=env, stderr=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert not (tmp_path / "out").exists()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -12,7 +12,7 @@ from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.navigator import DivergenceError, StepSchedule, batched_update
 from airbs_sgd import cli, simulator
 from airbs_sgd.cli import main as cli_main, replication_seeds
-from airbs_sgd.report import coverage_axes, coverage_map
+from airbs_sgd.report import coverage_map
 from airbs_sgd.simulator import (
     Rect,
     Scenario,
@@ -73,7 +73,6 @@ def test_init_zero_width_region_pins_agents():
 def test_zero_iterations_single_snapshot():
     log = run(small_scenario(iterations=0))
     assert log.positions.shape == (1, 2, 3)
-    assert log.num_iterations == 0
     assert log.served.shape == (1,)
     assert log.max_power_dbm.shape == (2, 12)
     assert np.array_equal(log.max_power_dbm[0], log.max_power_dbm[1])
@@ -448,20 +447,10 @@ def test_coverage_map_floor_when_out_of_range():
     assert np.all(grid == -100.0)
 
 
-def test_coverage_map_rectangular_resolution():
-    area = Rect(0.0, 0.0, 800.0, 400.0)
-    xs, ys = coverage_axes(area, (9, 5))
-    assert len(xs) == 9 and len(ys) == 5
-    grid = coverage_map([[400.0, 200.0, 30.0]], area, (9, 5), [12.0 - 94.0], 1000.0)
-    assert grid.shape == (5, 9)
-
-
 def test_coverage_map_bad_inputs():
     area = Rect(0.0, 0.0, 100.0, 100.0)
     with pytest.raises(ValueError):
         coverage_map([[0.0, 0.0, 30.0]], area, 1, [12.0 - 94.0], 1000.0)
-    with pytest.raises(ValueError):
-        coverage_map([[0.0, 0.0, 30.0]], area, 5, [12.0 - 94.0], 1000.0, clip=(-80.0, -100.0))
 
 
 def test_scenario_dict_round_trip_bytes():
