@@ -21,8 +21,8 @@ is forked. Phase 1 computes every number: each group advances each
 consecutive run of jobs sharing a scenario as one batch
 (:func:`simulator.run_replications`, the one judge of a run's health), and
 then, for the same run, computes the coverage grids, the k-means baselines
-(:func:`baseline.kmeans_replications`) and their served counts
-(:func:`utility.oracle`). A job fails if it does not advance or its grid
+(:func:`baseline.kmeans_replications`) and their served counts, which
+:func:`utility.oracle` decides. A job fails if it does not advance or its grid
 or baseline cannot be evaluated; the run's jobs then advance again one at
 a time, and the command stops before any bundle is written, naming the
 first failing job in list order. Between the phases the command creates
@@ -168,8 +168,8 @@ def _phase_one(s: Scenario, seeds, with_kmeans: bool) -> list:
     """Each seed's (log, coverage grid, k-means) for a run of jobs of ``s``.
 
     The seeds advance as one batch; the k-means is None without
-    ``with_kmeans``, else the ``KMeansResult`` and its served count by the
-    oracle's strongest power, all the run's baselines as one Lloyd program.
+    ``with_kmeans``, else the ``KMeansResult`` and the oracle's served count
+    for its centroids; all the run's baselines are one Lloyd program.
     """
     logs = run_replications(s, seeds)
     budget, ref = s.budget_dbm, s.channel.ref_distance_m
@@ -180,9 +180,9 @@ def _phase_one(s: Scenario, seeds, with_kmeans: bool) -> list:
     if with_kmeans:
         users = np.stack([log.users for log in logs])
         kmeans = kmeans_replications(users, s.num_airbs, seeds, height_m=s.fixed_height_m)
-        _, best = oracle(np.stack([km.centroids for km in kmeans]), users,
-                         s.traffic.as_array(), s.utility, budget, ref)
-        kmeans = list(zip(kmeans, np.sum(best >= s.utility.p_min_dbm, axis=1).tolist()))
+        served = oracle(np.stack([km.centroids for km in kmeans]), users,
+                        s.traffic.as_array(), s.utility, budget, ref)[1]
+        kmeans = list(zip(kmeans, served.tolist()))
     return list(zip(logs, grids, kmeans))
 
 
@@ -537,28 +537,31 @@ def run_and_exit(argv=None):
     before ``main`` returns, and every worker has been reaped; keep it so.
     It ends by ``sys.exit`` instead when a flush fails, so the interpreter
     reports that at exit as before, and when :func:`_watched`, so that
-    ``python -m cProfile`` and coverage still write their output. When
-    the reader of stderr has closed, :func:`main` sends its diagnostic to
-    ``os.devnull`` and keeps its status (2 for a ``CliError``); any other
-    ``BrokenPipeError`` from a print or the flush means the reader of
-    stdout has closed, as ``| head -1`` does: the rest of stdout goes to
-    ``os.devnull`` and the command ends with status 1, without a traceback.
-    Any other exception or ``SystemExit`` out of ``main``, such as
-    argparse's, propagates as before.
+    ``python -m cProfile`` and coverage still write their output.
+    Argparse's ``SystemExit`` gives the status as ``main``'s return does.
+    When the reader of stderr has closed, what is left for it goes to
+    ``os.devnull`` and the command keeps its status (2 for a ``CliError`` or
+    a usage error); when the reader of stdout has closed, as ``| head -1``
+    does, the rest of stdout goes to ``os.devnull`` and the command ends
+    with status 1. Neither prints a traceback; any other exception propagates.
     """
     try:
-        code = main(argv)
         try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-            flushed = True
-        except BrokenPipeError:
-            raise
-        except (AttributeError, OSError, ValueError):  # no stream, a failed write, a closed one
-            flushed = False
+            code = main(argv)
+        except SystemExit as e:  # argparse's, whose status is an int
+            code = e.code
+        flushed = True
     except BrokenPipeError:
         _discard(sys.stdout)
         code, flushed = 1, False
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            _discard(stream)
+            code, flushed = 1 if stream is sys.stdout else code, False
+        except (AttributeError, OSError, ValueError):  # no stream, a failed write, a closed one
+            flushed = False
     if flushed and not _watched():
         os._exit(code)
     sys.exit(code)

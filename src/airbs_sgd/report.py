@@ -42,15 +42,6 @@ _HIST_BINS = list(zip([-math.inf, *_HIST_EDGES.tolist()], [*_HIST_EDGES.tolist()
 COVERAGE_CLIP = (-100.0, -80.0)
 
 
-def coverage_axes(area, grid_resolution: int) -> tuple:
-    """Grid-point coordinates used by :func:`coverage_map` (xs, ys), ``grid_resolution``
-    points along each axis."""
-    if grid_resolution < 2:
-        raise ValueError("grid resolution must be at least 2 per axis")
-    return (np.linspace(area.x_min, area.x_max, grid_resolution),
-            np.linspace(area.y_min, area.y_max, grid_resolution))
-
-
 def coverage_map(placements, area, grid_resolution: int, budget_dbm,
                  ref_distance_m) -> np.ndarray:
     """Strongest received power on the ground grid (z = 0), clipped to
@@ -58,11 +49,13 @@ def coverage_map(placements, area, grid_resolution: int, budget_dbm,
 
     ``area`` is a :class:`simulator.Rect`; ``budget_dbm`` and ``ref_distance_m``
     are as for :func:`channel.received_power_matrix`. Returns shape (n, n) for a
-    ``grid_resolution`` of n: rows run south to north, columns west to east,
-    matching :func:`coverage_axes`.
+    ``grid_resolution`` of n, at least 2: n evenly spaced points along each
+    axis, edges included; rows run south to north, columns west to east.
     """
-    xs, ys = coverage_axes(area, grid_resolution)
-    gx, gy = np.meshgrid(xs, ys)
+    if grid_resolution < 2:
+        raise ValueError("grid resolution must be at least 2 per axis")
+    gx, gy = np.meshgrid(np.linspace(area.x_min, area.x_max, grid_resolution),
+                         np.linspace(area.y_min, area.y_max, grid_resolution))
     pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
     best = np.max(received_power_matrix(placements, budget_dbm, ref_distance_m, pts), axis=1)
     return np.clip(best, *COVERAGE_CLIP).reshape(gy.shape)
@@ -210,8 +203,7 @@ def render_map_svg(log, coverage, area, served_flags) -> str:
     ``served_flags`` is false.
     """
     size, pad = 560.0, 20.0
-    w = area.x_max - area.x_min
-    h = area.y_max - area.y_min
+    w, h = area.width, area.height
     scale = size / max(w, h)
 
     def sx(x):

@@ -9,9 +9,9 @@ one (R, Q, B) channel-kernel call, and lets
 :func:`navigator.batched_update` apply every agent's minibatch step at
 once. Each agent's step still reads only its own position and its own
 replication's packets. The initial state and each iteration's update
-are snapshots: each logs the positions and their utility and exact
-served count from :func:`utility.oracle`, the one judge of a placement;
-the first and last also keep each user's strongest power. This
+are snapshots: each logs the positions and the utility and exact served
+count that :func:`utility.oracle`, the one judge of a placement, gives
+them; the first and last also keep each user's strongest power. This
 :class:`TrajectoryLog` is the run's one record; :func:`run` is a batch of one.
 
 All randomness of a replication flows from its seed through its own
@@ -195,13 +195,12 @@ class TrajectoryLog:
 
     ``positions`` has shape (I+1, B, 3): entry 0 is the initial state and
     entry i+1 follows iteration i's update. ``oracle_utility`` and
-    ``served`` are the full-information network utility and the exact
-    served-user count at each snapshot, evaluated with the true (not
-    surrogate) max-power criterion. ``users`` (M, 3) are the user
-    locations the run drew. ``max_power_dbm`` (2, M) is each user's
-    strongest received power at the first and the last snapshot (both
-    rows are snapshot 0 when I is 0). I and B are read from
-    ``positions.shape``.
+    ``served`` are :func:`utility.oracle`'s full-information network
+    utility and exact served-user count at each snapshot. ``users``
+    (M, 3) are the user locations the run drew. ``max_power_dbm`` (2, M)
+    is each user's strongest received power at the first and the last
+    snapshot (both rows are snapshot 0 when I is 0). I and B are read
+    from ``positions.shape``.
     """
 
     positions: np.ndarray
@@ -274,12 +273,11 @@ def _advance(s: Scenario, seeds) -> list:
 
     def snapshot(i):
         positions[:, i] = L
-        utilities[:, i], best = oracle(L, users, weights, cfg, budget, ref)
+        utilities[:, i], served[:, i], best = oracle(L, users, weights, cfg, budget, ref)
         finite = np.isfinite(utilities[:, i])
         if not finite.all():
             raise DivergenceError(f"oracle utility is {utilities[np.argmin(finite), i]} "
                                   f"at snapshot {i}")
-        served[:, i] = np.add.reduce(best >= cfg.p_min_dbm, axis=1)
         return best
 
     first = last = snapshot(0)

@@ -24,8 +24,9 @@ the B powers follows their layout: numpy sums a contiguous run of 8 or
 more pairwise, but adds the rows of an agent-major (B, M) array
 (``axis=-2``) in index order, as the oracle and the minibatch step do.
 
-:func:`oracle` is the single place a placement is judged: the simulator's
-snapshots and the tests both call it.
+:func:`oracle` is the single place a placement is judged: it gives the
+utility and decides which users are served. The simulator's snapshots, the
+command's k-means baselines, the demos and the tests all read its count.
 """
 
 from __future__ import annotations
@@ -201,12 +202,14 @@ def user_utility_partials(powers_dbm, cfg: UtilityConfig, axis: int = -1):
 
 
 def oracle(placements, users, weights, cfg: UtilityConfig, budget_dbm, ref_distance_m):
-    """Exact network utility ``sum_m w_m * J_m`` and each user's strongest power in dBm.
+    """Exact network utility ``sum_m w_m * J_m``, served count and strongest powers (dBm).
 
     ``placements`` (..., B, 3) and ``users`` (..., M, 3) broadcast over
     leading axes, e.g. one of each per replication; ``weights`` (M,) are
     the traffic shares; ``budget_dbm`` and ``ref_distance_m`` are as for
-    :func:`channel.received_power_matrix`. Returns (...) and (..., M) arrays.
+    :func:`channel.received_power_matrix`. A user is served when its
+    strongest power meets ``cfg.p_min_dbm``, with no surrogate smoothing.
+    Returns ``(utility, served, best)``: (...), (...) and (..., M) arrays.
     The placement agents never see this full-information evaluation.
     """
     # transmitter-major (..., B, M): a reduction over B adds whole rows, in index order for any B
@@ -216,7 +219,9 @@ def oracle(placements, users, weights, cfg: UtilityConfig, budget_dbm, ref_dista
     soft, _, _, best = _log_sum_exp(powers, _temperature(cfg), -2)
     per_user = _reward(soft.squeeze(-2), cfg)
     utility = np.array([np.dot(weights, row) for row in per_user.reshape(-1, powers.shape[-1])])
-    return utility.reshape(per_user.shape[:-1]), best.squeeze(-2)
+    best = best.squeeze(-2)
+    served = np.add.reduce(best >= cfg.p_min_dbm, axis=-1)
+    return utility.reshape(per_user.shape[:-1]), served, best
 
 
 def network_utility_gradient(placements, users, weights, cfg: UtilityConfig, budget_dbm,

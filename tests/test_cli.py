@@ -24,7 +24,7 @@ from airbs_sgd.navigator import StepSchedule
 from airbs_sgd.report import coverage_map
 from airbs_sgd.simulator import (Rect, Scenario, init_scenario, run, scenario_from_dict,
                                  scenario_to_dict)
-from airbs_sgd.utility import UtilityConfig, UtilityFamily
+from airbs_sgd.utility import UtilityConfig, UtilityFamily, oracle
 
 
 def small_scenario_dict(**overrides):
@@ -590,6 +590,17 @@ def test_reproduce_paper_single_seed(tmp_path, capsys):
     assert (out / "rep_000" / "map.svg").is_file()
 
 
+def test_kmeans_served_is_the_oracles_count_for_the_centroids(paper_batch):
+    s = cli.reference_scenario()
+    for r, res in enumerate(paper_batch.summary["results"]):
+        km = json.loads((paper_batch.out / f"rep_{r:03d}" / "kmeans.json").read_text())
+        users = init_scenario(dataclasses.replace(s, seed=res["seed"]))[1]
+        served = oracle(np.array(km["centroids"]), users, s.traffic.as_array(), s.utility,
+                        s.budget_dbm, s.channel.ref_distance_m)[1]
+        assert (km["served"], km["unserved"]) == (served, res["total"] - served)
+        assert res["kmeans_unserved"] == km["unserved"]
+
+
 def test_replication_seeds_scheme():
     assert replication_seeds(5, 1) == [5]
     s3 = replication_seeds(5, 3)
@@ -706,20 +717,34 @@ def test_a_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path, env):
     assert sorted(p.name for p in (tmp_path / "out").glob("rep_*/map.svg")) == ["map.svg"] * 2
 
 
-@pytest.mark.parametrize("env", [BUFFERED, {"PYTHONUNBUFFERED": "1"}],
-                         ids=["buffered", "unbuffered"])
-def test_a_closed_stderr_pipe_keeps_the_exit_status(tmp_path, env):
-    # the diagnostic cannot be read, but a missing scenario file still exits 2
+def test_help_on_a_closed_stdout_pipe_exits_1_without_a_traceback():
+    # argparse's SystemExit(0) comes first, then the final flush meets the closed
+    # pipe. Unbuffered, argparse itself swallows the failed write, and nothing is left
+    # to flush
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = run_python("-m", "airbs_sgd.cli", "run", "--scenario",
-                          str(tmp_path / "missing.json"), "--out", str(tmp_path / "out"),
-                          env=env, stderr=write)
+        proc = run_python("-m", "airbs_sgd.cli", "--help", env=BUFFERED, stdout=write)
     finally:
         os.close(write)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert not (tmp_path / "out").exists()
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("env", [BUFFERED, {"PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "unbuffered"])
+def test_a_closed_stderr_pipe_keeps_the_exit_status(tmp_path, env):
+    # the diagnostic cannot be read, but a missing scenario file still exits 2, and
+    # so does a usage error (no --scenario), which argparse reports by SystemExit(2)
+    for argv in (["--scenario", str(tmp_path / "missing.json")], []):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_python("-m", "airbs_sgd.cli", "run", *argv, "--out",
+                              str(tmp_path / "out"), env=env, stderr=write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert not (tmp_path / "out").exists()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

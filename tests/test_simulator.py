@@ -103,8 +103,9 @@ def test_logged_oracle_matches_recomputation(num_airbs):
     log = run(s)
     budget, ref = s.budget_dbm, s.channel.ref_distance_m
     for i in range(log.positions.shape[0]):
-        want = oracle(log.positions[i], log.users, s.traffic.as_array(), s.utility, budget, ref)[0]
-        assert log.oracle_utility[i] == want  # identical op order, so exact
+        want = oracle(log.positions[i], log.users, s.traffic.as_array(), s.utility, budget, ref)
+        assert log.oracle_utility[i] == want[0]  # identical op order, so exact
+        assert log.served[i] == want[1]
     assert np.all(np.isfinite(log.oracle_utility))
     # the logged strongest powers equal a (M, B) kernel call's, bit for bit
     for row, i in zip(log.max_power_dbm, (0, -1)):
@@ -386,8 +387,8 @@ from airbs_sgd import simulator
 oracle = simulator.oracle
 
 def inf_oracle(*args):
-    utility, best = oracle(*args)
-    return np.full_like(utility, np.inf), best
+    utility, served, best = oracle(*args)
+    return np.full_like(utility, np.inf), served, best
 """
 
 

@@ -360,11 +360,10 @@ def test_utility_config_validation():
 
 
 def _oracle_served(placements, users, budget, p_min):
-    """Users whose strongest power, as the oracle gives it, meets ``p_min``."""
+    """The oracle's count of users whose strongest power meets ``p_min``."""
     cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, p_min_dbm=p_min)
-    _, best = oracle(placements, users, np.full(len(users), 1.0 / len(users)), cfg, budget,
-                     1000.0)
-    return int(np.sum(best >= p_min))
+    return int(oracle(placements, users, np.full(len(users), 1.0 / len(users)), cfg, budget,
+                      1000.0)[1])
 
 
 def test_oracle_served_count_pinned_cases():
@@ -389,6 +388,22 @@ def test_oracle_served_count_matches_brute_force():
                    for l, budget_b in zip(placements, budget))
         want += best >= p_min
     assert _oracle_served(placements, mus, budget, p_min) == want
+
+
+def test_oracle_served_count_over_leading_axes():
+    # one call over R replications counts each as its own call does
+    rng = np.random.default_rng(13)
+    placements = np.concatenate([rng.uniform(0.0, 5000.0, (6, 4, 2)),
+                                 rng.uniform(20.0, 100.0, (6, 4, 1))], axis=2)
+    users = np.concatenate([rng.uniform(0.0, 5000.0, (6, 40, 2)), np.zeros((6, 40, 1))], axis=2)
+    budget = np.array([7.0, 9.0, 9.0, 12.0]) - 94.0
+    cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, p_min_dbm=-89.0)
+    w = np.full(40, 1.0 / 40)
+    _, served, best = oracle(placements, users, w, cfg, budget, 1000.0)
+    assert served.shape == (6,) and best.shape == (6, 40)
+    alone = [int(oracle(p, u, w, cfg, budget, 1000.0)[1]) for p, u in zip(placements, users)]
+    assert served.tolist() == alone
+    assert 0 < min(alone) and max(alone) < 40
 
 
 def test_oracle_snapshot_evaluates_in_place():
