@@ -11,6 +11,14 @@ The names below are the ones the README's library example and the demos
 use; everything else is reached through its module.
 """
 
+import os as _os
+
+# One BLAS thread unless the user set another count: no kernel here calls a
+# threaded BLAS routine, and idle helper threads started with numpy cost CPU.
+# Set before numpy is first imported, which reads them once.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_name, "1")
+
 from .channel import ChannelParams, received_power_matrix
 from .utility import (
     UtilityConfig,

@@ -17,13 +17,14 @@ usable core (``taskset`` limits them). The command runs the first group
 itself and forks one ``os.fork``-ed worker for each other group, which
 runs both phases of its group, so its phase-1 records stay in the process
 that made them, and reports to the command on a pipe; on one core nothing
-is forked. Phase 1 computes every number: each group advances each
-consecutive run of jobs sharing a scenario as one batch
+is forked. Phase 1 computes every number: each group cuts each
+consecutive run of jobs sharing a scenario into batches of at most
+``BATCH_PAIRS`` agent-user pairs, advances each batch
 (:func:`simulator.run_replications`, the one judge of a run's health), and
-then, for the same run, computes the coverage grids, the k-means baselines
+then, for the same batch, computes the coverage grids, the k-means baselines
 (:func:`baseline.kmeans_replications`) and their served counts, which
 :func:`utility.oracle` decides. A job fails if it does not advance or its grid
-or baseline cannot be evaluated; the run's jobs then advance again one at
+or baseline cannot be evaluated; the batch's jobs then advance again one at
 a time, and the command stops before any bundle is written, naming the
 first failing job in list order. Between the phases the command creates
 every bundle directory in job order, so a name taken by a file fails
@@ -57,6 +58,10 @@ from .simulator import Scenario, run_replications, scenario_from_dict, scenario_
 from .utility import oracle
 
 MAP_GRID = 70
+# Upper bound on the agent-user pairs (R * B * max(M, Q)) of one batch of R
+# replications: it bounds the working set, not the results, which do not
+# depend on the batching.
+BATCH_PAIRS = 1 << 18
 REFERENCE_SERVED = (198, 202)
 REFERENCE_KMEANS_UNSERVED = 73
 # each sweep axis and the (section, key) of the scenario setting it varies
@@ -188,7 +193,7 @@ def _phase_one(s: Scenario, seeds, with_kmeans: bool) -> list:
 
 def _advance_group(with_kmeans: bool, jobs) -> list:
     """Phase 1 of one group: each job's (log, coverage grid, k-means), each run of jobs
-    sharing a scenario as one batch.
+    sharing a scenario cut into batches of at most ``BATCH_PAIRS`` agent-user pairs.
 
     A job fails if it does not advance, or a grid point or, with
     ``with_kmeans``, a user lies on a transmitter; the first failing job in
@@ -196,17 +201,21 @@ def _advance_group(with_kmeans: bool, jobs) -> list:
     """
     done = []
     for _, run in itertools.groupby(jobs, key=lambda job: id(job[0])):
-        scenarios, seeds, dirs = zip(*run)
-        try:
-            done += _phase_one(scenarios[0], seeds, with_kmeans)
-        except (CoincidentPositionsError, DivergenceError):
-            # the jobs are independent, so the first to fail alone is the first that failed
-            for s, seed, rep_dir in zip(scenarios, seeds, dirs):
-                try:
-                    _phase_one(s, [seed], with_kmeans)
-                except (CoincidentPositionsError, DivergenceError) as e:
-                    raise _failure(seed, rep_dir, e)
-            raise
+        run = list(run)
+        s = run[0][0]
+        size = max(1, BATCH_PAIRS // (s.num_airbs * max(s.total_mus, s.schedule.minibatch_size)))
+        for k in range(0, len(run), size):
+            _, seeds, dirs = zip(*run[k:k + size])
+            try:
+                done += _phase_one(s, seeds, with_kmeans)
+            except (CoincidentPositionsError, DivergenceError):
+                # the jobs are independent, so the first to fail alone is the first that failed
+                for seed, rep_dir in zip(seeds, dirs):
+                    try:
+                        _phase_one(s, [seed], with_kmeans)
+                    except (CoincidentPositionsError, DivergenceError) as e:
+                        raise _failure(seed, rep_dir, e)
+                raise
     return done
 
 
@@ -465,8 +474,22 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that does not swallow a failed write of its help or usage.
+
+    A failed write to stdout propagates, so ``--help`` on a closed pipe exits 1,
+    buffered or not; stderr is written by :func:`_to_stderr`, which keeps the status.
+    """
+
+    def _print_message(self, message, file=None):
+        if file is None or file is sys.stderr:
+            _to_stderr(message)
+        else:
+            file.write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="airbs-sgd",
         description="Aerial base station placement by per-agent stochastic "
                     "gradient ascent on packet feedback.")
@@ -505,17 +528,22 @@ def _discard(stream):
     os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
+def _to_stderr(text: str):
+    """Write ``text`` to stderr; once its reader has closed, the rest goes to ``os.devnull``:
+    the diagnostic is lost, but the exit status still tells what failed."""
+    try:
+        sys.stderr.write(text)
+    except BrokenPipeError:
+        _discard(sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except CliError as e:
-        try:
-            print(f"error: {e}", file=sys.stderr)
-        except BrokenPipeError:
-            # the diagnostic is lost, but the status still tells what failed
-            _discard(sys.stderr)
+        _to_stderr(f"error: {e}\n")
         return e.exit_code
 
 

@@ -39,11 +39,6 @@ from .navigator import DivergenceError, StepSchedule, batched_update
 from .traffic import TrafficProfile
 from .utility import UtilityConfig, _temperature, oracle
 
-# Upper bound on the agent-user pairs (R * B * M for a snapshot of R
-# replications) that one group of replications advances: it bounds the
-# working set, not the results, which do not depend on the grouping.
-BATCH_PAIRS = 1 << 18
-
 
 def _check_coordinate(name: str, v: float) -> None:
     if not abs(v) <= MAX_COORD_M:
@@ -210,13 +205,13 @@ class TrajectoryLog:
     max_power_dbm: np.ndarray
 
 
-def init_scenario(s: Scenario) -> tuple:
-    """The initial state of ``s``: agents first, then users, from one generator.
+def init_scenario(s: Scenario, seed: int) -> tuple:
+    """The initial state of ``s`` at ``seed``: agents first, then users, from one generator.
 
     Returns ``(positions, users, rng)``: the agents' (B, 3) starting points, the
     (M, 3) user locations, extras last, and the generator, positioned after them.
     """
-    rng = np.random.default_rng(int(s.seed))
+    rng = np.random.default_rng(int(seed))
     r = s.init_region
     axy = rng.uniform((r.x_min, r.y_min), (r.x_max, r.y_max), size=(s.num_airbs, 2))
     a = s.area
@@ -238,8 +233,7 @@ def run(s: Scenario) -> TrajectoryLog:
 def run_replications(s: Scenario, seeds) -> list:
     """Execute the scenario once per seed; returns one :class:`TrajectoryLog` per seed.
 
-    The replications advance together, in groups of at most
-    ``BATCH_PAIRS`` agent-user pairs, and each result is bit-identical to
+    The replications advance together as exactly one batch, and each result is bit-identical to
     :func:`run` of its seed alone. Each of the I iterations draws Q
     recipients per replication, evaluates their packets for all agents in
     one batch, and applies one synchronous update per agent. Agents never
@@ -251,21 +245,14 @@ def run_replications(s: Scenario, seeds) -> list:
     batch's and names no seed: the command finds the failed replication by
     running its jobs alone.
     """
-    seeds = [int(seed) for seed in seeds]
-    group = max(1, BATCH_PAIRS // (s.num_airbs * max(s.total_mus, s.schedule.minibatch_size)))
-    return [log for k in range(0, len(seeds), group) for log in _advance(s, seeds[k:k + group])]
-
-
-def _advance(s: Scenario, seeds) -> list:
-    starts, users, rngs = zip(*[init_scenario(dataclasses.replace(s, seed=seed))
-                                for seed in seeds])
+    starts, users, rngs = zip(*[init_scenario(s, seed) for seed in seeds])
     L, users = np.stack(starts), np.stack(users)
     budget, ref, cfg, profile = s.budget_dbm, s.channel.ref_distance_m, s.utility, s.traffic
     q, b = s.schedule.minibatch_size, s.num_airbs
     weights = profile.as_array()
     sigma = s.measurement_noise_db
 
-    n_rep, n_snap = len(seeds), s.iterations + 1
+    n_rep, n_snap = len(starts), s.iterations + 1
     positions = np.empty((n_rep, n_snap, b, 3))
     utilities = np.empty((n_rep, n_snap))
     served = np.empty((n_rep, n_snap), dtype=int)

@@ -2,7 +2,6 @@
 replay, the per-replication k-means reference, acceptance reporting,
 fresh-interpreter runs and a scenario that diverges."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -125,7 +124,7 @@ def replay_alone(s, log) -> np.ndarray:
     :func:`agent_step` from ``log.positions[0]``. Returns the replayed
     positions, shaped like ``log.positions``.
     """
-    _, users, rng = init_scenario(s)
+    _, users, rng = init_scenario(s, s.seed)
     budget, ref, q = s.budget_dbm, s.channel.ref_distance_m, s.schedule.minibatch_size
     path = [log.positions[0]]
     for i in range(log.positions.shape[0] - 1):
@@ -162,7 +161,7 @@ def runaway_scenario():
 
 def extra_user_packets(s, seed):
     """Whether each iteration's one packet comes from the extra user."""
-    rng = init_scenario(dataclasses.replace(s, seed=seed))[2]
+    rng = init_scenario(s, seed)[2]
     return [s.traffic.recipients(rng.random()) == s.total_mus - 1 for _ in range(s.iterations)]
 
 

@@ -18,7 +18,6 @@ from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd import cli
 from airbs_sgd.cli import main as cli_main
 from airbs_sgd.navigator import StepSchedule, batched_update
-from airbs_sgd import simulator
 from airbs_sgd.simulator import Rect, Scenario, init_scenario, run, scenario_to_dict
 from airbs_sgd.traffic import TrafficProfile
 from airbs_sgd.utility import (
@@ -227,7 +226,7 @@ def test_criterion_06_single_pair_convergence():
             channel=ChannelParams(-94.0, 1000.0),
         )
         log = run(s)
-        mu = init_scenario(s)[1][0]
+        mu = init_scenario(s, s.seed)[1][0]
         dists = np.hypot(log.positions[:, 0, 0] - mu[0], log.positions[:, 0, 1] - mu[1])
         ok = ok and dists[-1] < 10.0
         worst_dist = max(worst_dist, float(dists[-1]))
@@ -334,11 +333,11 @@ def test_criterion_10_parallelism_independence(tmp_path, monkeypatch):
     # as one batch per scenario in-process, then in three groups (the command's
     # own and two forked workers), then in-process in groups of one
     trees = []
-    for tag, cores, pairs in (("batch", 1, simulator.BATCH_PAIRS),
-                              ("forked", 3, simulator.BATCH_PAIRS),
+    for tag, cores, pairs in (("batch", 1, cli.BATCH_PAIRS),
+                              ("forked", 3, cli.BATCH_PAIRS),
                               ("alone", 1, 1)):
         monkeypatch.setattr(cli, "_usable_cores", lambda cores=cores: cores)
-        monkeypatch.setattr(simulator, "BATCH_PAIRS", pairs)
+        monkeypatch.setattr(cli, "BATCH_PAIRS", pairs)
         out = tmp_path / tag
         on_scen = ["--scenario", str(scen), "--replications", "3"]
         for argv in (["run", *on_scen, "--out", str(out / "run")],

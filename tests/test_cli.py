@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (diverges, extra_user_packets, run_python, runaway_message,
                      runaway_scenario)
 
-from airbs_sgd import cli, simulator
+from airbs_sgd import cli
 from airbs_sgd.channel import ChannelParams, CoincidentPositionsError, received_power_matrix
 from airbs_sgd.cli import main, replication_seeds
 from airbs_sgd.navigator import StepSchedule
@@ -268,7 +268,7 @@ def test_a_taken_bundle_name_fails_before_any_bundle_is_written(tmp_path, capsys
 
 # the core counts, each at the default batch bound and with every job advancing alone
 GROUPINGS = pytest.mark.parametrize("cores, pairs", [
-    (1, simulator.BATCH_PAIRS), (3, simulator.BATCH_PAIRS), (1, 1), (3, 1)],
+    (1, cli.BATCH_PAIRS), (3, cli.BATCH_PAIRS), (1, 1), (3, 1)],
     ids=["1", "3", "1-alone", "3-alone"])
 
 
@@ -284,9 +284,8 @@ def test_a_grid_point_on_an_agent_fails_before_any_bundle_is_written(tmp_path, c
                                iterations=0)
 
     def grid_error(s, seed):
-        s = dataclasses.replace(s, seed=seed)
         try:
-            coverage_map(init_scenario(s)[0], grid, cli.MAP_GRID, s.budget_dbm,
+            coverage_map(init_scenario(s, seed)[0], grid, cli.MAP_GRID, s.budget_dbm,
                          s.channel.ref_distance_m)
         except CoincidentPositionsError as e:
             return e
@@ -300,7 +299,7 @@ def test_a_grid_point_on_an_agent_fails_before_any_bundle_is_written(tmp_path, c
     scen, out = tmp_path / "scen.json", tmp_path / "out"
     scen.write_text(json.dumps(scenario_to_dict(dataclasses.replace(base, seed=master))))
     monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(simulator, "BATCH_PAIRS", pairs)
+    monkeypatch.setattr(cli, "BATCH_PAIRS", pairs)
     rc = main(["run", "--scenario", str(scen), "--replications", "3", "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (
@@ -333,12 +332,35 @@ def test_an_earlier_grid_failure_is_named_before_a_later_divergence(tmp_path, ca
     scen, out = tmp_path / "scen.json", tmp_path / "out"
     scen.write_text(json.dumps(scenario_to_dict(dataclasses.replace(s, seed=master))))
     monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(simulator, "BATCH_PAIRS", pairs)
+    monkeypatch.setattr(cli, "BATCH_PAIRS", pairs)
     rc = main(["run", "--scenario", str(scen), "--replications", "3", "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (f"error: replication with seed {seeds[0]} failed: "
                                        f"{grid.value} (bundle {out / 'rep_000'})\n")
     assert [p.name for p in out.rglob("*") if p.is_file()] == ["effective_config.json"]
+
+
+def test_batches_of_one_run_the_kmeans_program_once_per_replication(tmp_path, capsys,
+                                                                   monkeypatch):
+    calls, kmeans = [], cli.kmeans_replications
+
+    def recording_kmeans(users, num_clusters, seeds, **kwargs):
+        calls.append(list(seeds))
+        return kmeans(users, num_clusters, seeds, **kwargs)
+
+    monkeypatch.setattr(cli, "kmeans_replications", recording_kmeans)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    seeds = replication_seeds(cli.reference_scenario().seed, 3)
+    argv = ["reproduce-paper", "--seeds", "3", "--baseline", "kmeans", "--out"]
+    assert main(argv + [str(tmp_path / "batch")]) == 0
+    assert calls == [seeds]
+    printed = capsys.readouterr().out
+    calls.clear()
+    monkeypatch.setattr(cli, "BATCH_PAIRS", 1)
+    assert main(argv + [str(tmp_path / "alone")]) == 0
+    assert calls == [[seed] for seed in seeds]
+    assert capsys.readouterr().out == printed
+    assert _files(tmp_path / "alone") == _files(tmp_path / "batch")
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -594,7 +616,7 @@ def test_kmeans_served_is_the_oracles_count_for_the_centroids(paper_batch):
     s = cli.reference_scenario()
     for r, res in enumerate(paper_batch.summary["results"]):
         km = json.loads((paper_batch.out / f"rep_{r:03d}" / "kmeans.json").read_text())
-        users = init_scenario(dataclasses.replace(s, seed=res["seed"]))[1]
+        users = init_scenario(s, res["seed"])[1]
         served = oracle(np.array(km["centroids"]), users, s.traffic.as_array(), s.utility,
                         s.budget_dbm, s.channel.ref_distance_m)[1]
         assert (km["served"], km["unserved"]) == (served, res["total"] - served)
@@ -615,6 +637,26 @@ def test_cli_import_loads_no_scipy():
     proc = run_python("-c", "import airbs_sgd.cli, sys; assert not "
                       "{'scipy', 'multiprocessing', 'concurrent.futures'} & set(sys.modules)")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("user", [None, "2"], ids=["unset", "set"])
+def test_the_package_runs_blas_on_one_thread_unless_the_user_set_a_count(monkeypatch, user):
+    # the package sets each count before numpy starts its BLAS threads; a count the
+    # user set wins
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    env = {} if user is None else {names[0]: user}
+    want = [user or "1", "1", "1"]
+    threads = "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc') else 0)"
+    proc = run_python("-c", f"import os, airbs_sgd; print(*(os.environ[k] for k in {names!r}))"
+                      f"; {threads}", env=env)
+    assert proc.returncode == 0, proc.stderr
+    got, count = proc.stdout.splitlines()
+    assert got.split() == want
+    # as many threads as numpy starts with each count set before it is imported
+    proc = run_python("-c", f"import os, numpy; {threads}", env=dict(zip(names, want)))
+    assert proc.stdout == f"{count}\n"
 
 
 def test_a_command_loads_no_numpy_ma(tmp_path):
@@ -718,16 +760,17 @@ def test_a_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path, env):
 
 
 def test_help_on_a_closed_stdout_pipe_exits_1_without_a_traceback():
-    # argparse's SystemExit(0) comes first, then the final flush meets the closed
-    # pipe. Unbuffered, argparse itself swallows the failed write, and nothing is left
-    # to flush
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc = run_python("-m", "airbs_sgd.cli", "--help", env=BUFFERED, stdout=write)
-    finally:
-        os.close(write)
-    assert (proc.returncode, proc.stderr) == (1, "")
+    # buffered, argparse's SystemExit(0) comes first, then the final flush meets the
+    # closed pipe; unbuffered, the help's own write does, which argparse would swallow
+    for env in (BUFFERED, {"PYTHONUNBUFFERED": "1"}):
+        for argv in (["--help"], ["run", "--help"]):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = run_python("-m", "airbs_sgd.cli", *argv, env=env, stdout=write)
+            finally:
+                os.close(write)
+            assert (proc.returncode, proc.stderr) == (1, ""), (env, argv)
 
 
 @pytest.mark.parametrize("env", [BUFFERED, {"PYTHONUNBUFFERED": "1"}],

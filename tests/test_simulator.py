@@ -48,8 +48,8 @@ def small_scenario(**overrides):
 
 def test_init_counts_and_determinism():
     s = small_scenario(extra_mu_positions=((5000.0, 5000.0, 0.0),))
-    positions1, users1, _ = init_scenario(s)
-    positions2, users2, _ = init_scenario(s)
+    positions1, users1, _ = init_scenario(s, s.seed)
+    positions2, users2, _ = init_scenario(s, s.seed)
     assert positions1.shape == (2, 3)
     assert users1.shape == (13, 3)
     assert users1[-1].tolist() == [5000.0, 5000.0, 0.0]
@@ -66,7 +66,7 @@ def test_init_counts_and_determinism():
 
 def test_init_zero_width_region_pins_agents():
     s = small_scenario(init_region=Rect(700.0, 700.0, 700.0, 700.0))
-    positions, _, _ = init_scenario(s)
+    positions, _, _ = init_scenario(s, s.seed)
     assert np.all(positions == [700.0, 700.0, 30.0])
 
 
@@ -132,7 +132,7 @@ def test_single_pair_converges_overhead():
     )
     log = run(s)
     final = log.positions[-1, 0]
-    mu = init_scenario(s)[1][0]
+    mu = init_scenario(s, s.seed)[1][0]
     assert math.hypot(final[0] - mu[0], final[1] - mu[1]) < 10.0
     assert final[2] == 30.0
 
@@ -142,7 +142,7 @@ def test_solo_replay_of_rebuilt_packets():
     # each agent in isolation, reproduce the run exactly: nothing else leaks in
     s = small_scenario(iterations=3)
     log = run(s)
-    assert np.array_equal(log.positions[0], init_scenario(s)[0])
+    assert np.array_equal(log.positions[0], init_scenario(s, s.seed)[0])
     assert np.array_equal(helpers.replay_alone(s, log), log.positions)
 
 
@@ -167,7 +167,7 @@ def test_noisy_packets_follow_documented_draw_order():
     # (Q, B) block of standard normals for the reported powers
     s = small_scenario(iterations=3, measurement_noise_db=1.5)
     log = run(s)
-    assert np.array_equal(log.users, init_scenario(s)[1])
+    assert np.array_equal(log.users, init_scenario(s, s.seed)[1])
     assert np.array_equal(helpers.replay_alone(s, log), log.positions)
 
 
@@ -269,7 +269,7 @@ def test_each_replication_of_a_batch_equals_its_seed_alone(noise):
         assert np.array_equal(helpers.replay_alone(alone, got), got.positions)
 
 
-def test_replications_do_not_depend_on_the_other_seeds(monkeypatch):
+def test_replications_do_not_depend_on_the_other_seeds():
     s = small_scenario(iterations=3, measurement_noise_db=0.5)
     seeds = [5, 6, 7]
     base = dict(zip(seeds, run_replications(s, seeds)))
@@ -280,10 +280,9 @@ def test_replications_do_not_depend_on_the_other_seeds(monkeypatch):
     for seed, got in zip(extended, run_replications(s, extended)):
         if seed in base:
             assert_same_replication(got, base[seed])
-    # groups of one replication, as a batch too large for memory would be split
-    monkeypatch.setattr(simulator, "BATCH_PAIRS", 1)
-    for seed, got in zip(seeds, run_replications(s, seeds)):
-        assert_same_replication(got, base[seed])
+    # batches of one replication, as the command cuts a run too large for memory
+    for seed in seeds:
+        assert_same_replication(run_replications(s, [seed])[0], base[seed])
 
 
 @pytest.mark.parametrize("fixed", [True, False], ids=["fixed_height", "free_height"])
@@ -302,18 +301,23 @@ def test_batched_update_replications_are_independent(fixed):
     assert fixed == bool(np.all(new[..., 2] == 50.0))
 
 
-def test_first_failing_seed_is_named_in_list_order(monkeypatch):
+@pytest.fixture
+def groups(monkeypatch):
+    """The seeds of each ``cli._phase_one`` call, in call order."""
+    calls, phase_one = [], cli._phase_one
+
+    def recording_phase_one(s, seeds, with_kmeans):
+        calls.append(list(seeds))
+        return phase_one(s, seeds, with_kmeans)
+
+    monkeypatch.setattr(cli, "_phase_one", recording_phase_one)
+    return calls
+
+
+def test_first_failing_seed_is_named_in_list_order(groups):
     s = helpers.runaway_scenario()
     failing = [seed for seed in range(100) if helpers.diverges(s, seed)][:2]
     healthy = next(seed for seed in range(100) if not helpers.diverges(s, seed))
-    groups = []
-    advance = simulator._advance
-
-    def recording_advance(s, seeds):
-        groups.append(list(seeds))
-        return advance(s, seeds)
-
-    monkeypatch.setattr(simulator, "_advance", recording_advance)
     for order in ([failing[0], healthy, failing[1]], [failing[1], healthy, failing[0]]):
         groups.clear()
         jobs = [(s, seed, f"out/rep_{r:03d}") for r, seed in enumerate(order)]
@@ -322,6 +326,21 @@ def test_first_failing_seed_is_named_in_list_order(monkeypatch):
         assert f"error: {e.value}\n" == helpers.runaway_message(s, order[0], "out/rep_000")
         # one batch of all three, then the first job alone, which fails
         assert groups == [order, order[:1]]
+
+
+def test_a_failing_batch_reruns_only_its_own_jobs_alone(monkeypatch, groups):
+    # batches of two jobs: the first passes, and of the second only the later job fails
+    s = helpers.runaway_scenario()
+    failing = next(seed for seed in range(100) if helpers.diverges(s, seed))
+    healthy = [seed for seed in range(100) if not any(helpers.extra_user_packets(s, seed))][:3]
+    pairs = s.num_airbs * max(s.total_mus, s.schedule.minibatch_size)
+    monkeypatch.setattr(cli, "BATCH_PAIRS", 2 * pairs + 1)
+    order = healthy + [failing]
+    jobs = [(s, seed, f"out/rep_{r:03d}") for r, seed in enumerate(order)]
+    with np.errstate(all="ignore"), pytest.raises(cli.CliError) as e:
+        cli._advance_group(False, jobs)
+    assert f"error: {e.value}\n" == helpers.runaway_message(s, failing, "out/rep_003")
+    assert groups == [order[:2], order[2:], order[2:3], order[3:]]
 
 
 def test_cli_names_the_one_diverging_replication(tmp_path, capsys):
