@@ -14,7 +14,6 @@ from airbs_sgd import (
     Scenario,
     StepSchedule,
     UtilityConfig,
-    UtilityFamily,
     run,
 )
 
@@ -27,7 +26,7 @@ def base_scenario():
         init_region=Rect(0.0, 0.0, 2000.0, 2000.0),
         fixed_height_m=30.0,
         num_mus=80,
-        utility=UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST,
+        utility=UtilityConfig("threshold_sigmoid_unicast",
                               noise_dbm=-112.4, p_min_dbm=-91.0, delta_db=2.0),
         schedule=StepSchedule(eta0=5.0, minibatch_size=50, eta_scale=1e6),
         iterations=100,

@@ -14,7 +14,6 @@ from airbs_sgd import (
     Scenario,
     StepSchedule,
     UtilityConfig,
-    UtilityFamily,
     received_power_matrix,
     run,
 )
@@ -33,7 +32,7 @@ def main():
         init_region=Rect(0.0, 0.0, 100.0, 100.0),
         fixed_height_m=30.0,
         num_mus=1,
-        utility=UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST,
+        utility=UtilityConfig("threshold_sigmoid_unicast",
                               noise_dbm=-112.4, p_min_dbm=p_top - 10.0,
                               delta_db=20.0),
         schedule=StepSchedule(eta0=1.0, minibatch_size=10, eta_scale=1000.0),

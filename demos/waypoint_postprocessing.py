@@ -16,7 +16,6 @@ from airbs_sgd import (
     Scenario,
     StepSchedule,
     UtilityConfig,
-    UtilityFamily,
     run,
 )
 
@@ -64,7 +63,7 @@ def main():
         init_region=Rect(0.0, 0.0, 1500.0, 1500.0),
         fixed_height_m=30.0,
         num_mus=60,
-        utility=UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST,
+        utility=UtilityConfig("threshold_sigmoid_unicast",
                               noise_dbm=-112.4, p_min_dbm=-91.0, delta_db=2.0),
         schedule=StepSchedule(eta0=5.0, minibatch_size=10, eta_scale=1e6),
         iterations=120,

@@ -20,13 +20,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_name, "1")
 
 from .channel import ChannelParams, received_power_matrix
-from .utility import (
-    UtilityConfig,
-    UtilityFamily,
-    sigmoid_delta,
-    smooth_max_dbm,
-    softmax_weights,
-)
+from .utility import UtilityConfig, sigmoid_delta, smooth_max_dbm, softmax_weights
 from .navigator import StepSchedule
 from .simulator import Rect, Scenario, run, run_replications
 from .baseline import kmeans_placement

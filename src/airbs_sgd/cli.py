@@ -23,12 +23,13 @@ consecutive run of jobs sharing a scenario into batches of at most
 (:func:`simulator.run_replications`, the one judge of a run's health), and
 then, for the same batch, computes the coverage grids, the k-means baselines
 (:func:`baseline.kmeans_replications`) and their served counts, which
-:func:`utility.oracle` decides. A job fails if it does not advance or its grid
-or baseline cannot be evaluated; the batch's jobs then advance again one at
-a time, and the command stops before any bundle is written, naming the
-first failing job in list order. Between the phases the command creates
-every bundle directory in job order, so a name taken by a file fails
-before any file is written, and only then lets the workers start phase 2.
+:func:`utility.oracle` decides. A job fails if it does not advance, its
+arrays do not fit in memory, or its grid or baseline cannot be evaluated;
+the batch's jobs then advance again one at a time, and the command stops
+before any bundle is written, naming the first failing job in list order.
+Between the phases the command creates every bundle directory in job
+order, so a name taken by a file fails before any file is written, and
+only then lets the workers start phase 2.
 Phase 2 only formats and writes; its one remaining failure is an
 ``OSError`` mid-write, such as a full disk. The outputs do not depend on
 how the jobs are grouped. ``python -m airbs_sgd.cli`` and the ``airbs-sgd``
@@ -51,8 +52,6 @@ from importlib import resources
 import numpy as np
 
 from .baseline import kmeans_replications
-from .channel import CoincidentPositionsError
-from .navigator import DivergenceError
 from .report import _json_text, coverage_map, render_outputs
 from .simulator import Scenario, run_replications, scenario_from_dict, scenario_to_dict
 from .utility import oracle
@@ -91,6 +90,8 @@ def load_scenario_file(path: str) -> Scenario:
         return scenario_from_dict(data)
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"invalid scenario in {path}: {e}")
+    except MemoryError:  # such as the uniform shares of too many users; it has no message
+        raise CliError(f"invalid scenario in {path}: out of memory")
 
 
 def reference_scenario() -> Scenario:
@@ -195,9 +196,9 @@ def _advance_group(with_kmeans: bool, jobs) -> list:
     """Phase 1 of one group: each job's (log, coverage grid, k-means), each run of jobs
     sharing a scenario cut into batches of at most ``BATCH_PAIRS`` agent-user pairs.
 
-    A job fails if it does not advance, or a grid point or, with
-    ``with_kmeans``, a user lies on a transmitter; the first failing job in
-    list order is named.
+    A job fails if it does not advance, its arrays do not fit in memory, or a
+    grid point or, with ``with_kmeans``, a user lies on a transmitter; the
+    first failing job in list order is named.
     """
     done = []
     for _, run in itertools.groupby(jobs, key=lambda job: id(job[0])):
@@ -208,12 +209,12 @@ def _advance_group(with_kmeans: bool, jobs) -> list:
             _, seeds, dirs = zip(*run[k:k + size])
             try:
                 done += _phase_one(s, seeds, with_kmeans)
-            except (CoincidentPositionsError, DivergenceError):
+            except (ValueError, MemoryError):
                 # the jobs are independent, so the first to fail alone is the first that failed
                 for seed, rep_dir in zip(seeds, dirs):
                     try:
                         _phase_one(s, [seed], with_kmeans)
-                    except (CoincidentPositionsError, DivergenceError) as e:
+                    except (ValueError, MemoryError) as e:
                         raise _failure(seed, rep_dir, e)
                 raise
     return done

@@ -291,9 +291,7 @@ def run_replications(s: Scenario, seeds) -> list:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Fully resolved JSON-ready form; round-trips via scenario_from_dict."""
-    d = dataclasses.asdict(s)
-    d["utility"]["family"] = s.utility.family.value
-    return d
+    return dataclasses.asdict(s)
 
 
 def scenario_from_dict(d: dict) -> Scenario:
@@ -350,9 +348,8 @@ def scenario_from_dict(d: dict) -> Scenario:
             if not isinstance(v, (list, tuple)):
                 raise ValueError(f"{name} must be a list")
             return tuple(value(x, args[0], f"{name}[{i}]") for i, x in enumerate(v))
-        choices = args or tuple(m.value for m in t)  # a Literal or an Enum
-        if v not in choices:
-            raise ValueError(f"{name} must be one of {', '.join(choices)}, got {v!r}")
+        if v not in args:  # a Literal
+            raise ValueError(f"{name} must be one of {', '.join(args)}, got {v!r}")
         return v
 
     def load(v, cls, name, prefix):

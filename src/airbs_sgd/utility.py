@@ -25,15 +25,15 @@ more pairwise, but adds the rows of an agent-major (B, M) array
 (``axis=-2``) in index order, as the oracle and the minibatch step do.
 
 :func:`oracle` is the single place a placement is judged: it gives the
-utility and decides which users are served. The simulator's snapshots, the
+utility and counts the users served. The simulator's snapshots, the
 command's k-means baselines, the demos and the tests all read its count.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -47,36 +47,30 @@ DB_TO_NAT = math.log(10.0) / 10.0
 MIN_SOFTMAX_ALPHA = 1e-300
 
 
-class UtilityFamily(enum.Enum):
-    """Supported per-user utility families."""
-
-    UNICAST_RATE = "unicast_rate"
-    BROADCAST_RATE = "broadcast_rate"
-    THRESHOLD_SIGMOID_UNICAST = "threshold_sigmoid_unicast"
-    THRESHOLD_SIGMOID_BROADCAST = "threshold_sigmoid_broadcast"
+Family = Literal["unicast_rate", "broadcast_rate", "threshold_sigmoid_unicast",
+                 "threshold_sigmoid_broadcast"]
 
 
 @dataclass(frozen=True)
 class UtilityConfig:
     """Utility family selection plus surrogate parameters.
 
-    ``noise_dbm`` is the receiver noise floor, ``p_min_dbm`` the received
-    power target defining "served", ``delta_db`` the width of the logistic
-    transition band above the target, and ``softmax_alpha`` the soft-max
-    temperature in 1/dB (larger is closer to the exact maximum; the
+    ``family`` is one of the :data:`Family` strings, spelled as a scenario
+    file spells it. ``noise_dbm`` is the receiver noise floor, ``p_min_dbm``
+    the received power target defining "served", ``delta_db`` the width of
+    the logistic transition band above the target, and ``softmax_alpha`` the
+    soft-max temperature in 1/dB (larger is closer to the exact maximum; the
     broadcast families do not use it).
     """
 
-    family: UtilityFamily
+    family: Family
     noise_dbm: float
     p_min_dbm: float
     delta_db: float
     softmax_alpha: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.family, str):
-            object.__setattr__(self, "family", UtilityFamily(self.family))
-        if not isinstance(self.family, UtilityFamily):
+        if self.family not in get_args(Family):
             raise ValueError(f"unknown utility family {self.family!r}")
         if not math.isfinite(self.noise_dbm):
             raise ValueError("noise_dbm must be finite")
@@ -152,8 +146,8 @@ def sigmoid_delta_deriv(x, delta: float):
     return (6.0 / delta) * _logistic(z) * _logistic(-z)
 
 
-_BROADCAST = frozenset({UtilityFamily.BROADCAST_RATE, UtilityFamily.THRESHOLD_SIGMOID_BROADCAST})
-_RATE = frozenset({UtilityFamily.UNICAST_RATE, UtilityFamily.BROADCAST_RATE})
+_BROADCAST = frozenset({"broadcast_rate", "threshold_sigmoid_broadcast"})
+_RATE = frozenset({"unicast_rate", "broadcast_rate"})
 
 
 def _temperature(cfg: UtilityConfig) -> float:
@@ -176,11 +170,11 @@ def user_utility(powers_dbm, cfg: UtilityConfig, axis: int = -1):
     """Utility of one user given its per-transmitter received powers (dBm).
 
     Each family is two choices: an effective power, the soft maximum of the
-    powers (``*UNICAST*``: strongest-transmitter association) or their
-    linear sum in dB (``*BROADCAST*``: incoherent multi-transmitter
+    powers (``*unicast*``: strongest-transmitter association) or their
+    linear sum in dB (``*broadcast*``: incoherent multi-transmitter
     relaying); and the reward of that power, the spectral efficiency
-    ``log2(1 + snr)`` over the noise floor (``*_RATE``) or the logistic
-    step above the power target (``THRESHOLD_SIGMOID_*``).
+    ``log2(1 + snr)`` over the noise floor (``*_rate``) or the logistic
+    step above the power target (``threshold_sigmoid_*``).
     """
     p = np.asarray(powers_dbm, dtype=float)
     return _reward(smooth_max_dbm(p, _temperature(cfg), axis=axis), cfg)

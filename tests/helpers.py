@@ -13,7 +13,7 @@ from airbs_sgd.baseline import KMeansResult
 from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.navigator import StepSchedule
 from airbs_sgd.simulator import Rect, Scenario, init_scenario
-from airbs_sgd.utility import UtilityConfig, UtilityFamily, user_utility_partials
+from airbs_sgd.utility import UtilityConfig, user_utility_partials
 
 # one line per acceptance criterion, printed by the terminal-summary hook
 ACCEPTANCE_LINES = []
@@ -153,7 +153,7 @@ def runaway_scenario():
         area=Rect(1e6, 0.0, 1e6 + 100.0, 100.0), num_airbs=1, tx_powers_dbm=(12.0,),
         init_region=Rect(0.0, 0.0, 0.0, 0.0), fixed_height_m=2.0, num_mus=2,
         extra_mu_positions=(extra,), iterations=2, seed=11,
-        utility=UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4,
+        utility=UtilityConfig("threshold_sigmoid_unicast", -112.4,
                               p_extra - 0.25, 0.5),
         schedule=StepSchedule(eta0=1.0, minibatch_size=1, eta_scale=1e200),
         channel=ChannelParams(-94.0, 1000.0))

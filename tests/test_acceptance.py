@@ -8,6 +8,7 @@ is shared through the session-scoped ``paper_batch`` fixture.
 import json
 import math
 import time
+from typing import get_args
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from airbs_sgd.navigator import StepSchedule, batched_update
 from airbs_sgd.simulator import Rect, Scenario, init_scenario, run, scenario_to_dict
 from airbs_sgd.traffic import TrafficProfile
 from airbs_sgd.utility import (
+    Family,
     UtilityConfig,
-    UtilityFamily,
     network_utility_gradient,
     oracle,
     sigmoid_delta,
@@ -32,7 +33,7 @@ from airbs_sgd.utility import (
     user_utility_partials,
 )
 
-FAMILIES = tuple(UtilityFamily)
+FAMILIES = get_args(Family)
 
 
 def test_criterion_01_reference_reproduction(paper_batch):
@@ -78,7 +79,7 @@ def assembled_case(rng, family):
     placements = np.array(placements)
     budget = np.full(b, 12.0 - 94.0)
     powers = received_power_matrix(placements, budget, 1000.0, mu)[0]
-    if family is UtilityFamily.THRESHOLD_SIGMOID_BROADCAST:
+    if family == "threshold_sigmoid_broadcast":
         anchor = 10.0 * math.log10(float(np.sum(10.0 ** (powers / 10.0))))
     else:
         anchor = float(smooth_max_dbm(powers, 1.0))
@@ -151,7 +152,7 @@ def test_criterion_04_enumeration_oracle():
     mus = np.array([[*rng.uniform(0, 7000, 2), 0.0] for _ in range(m)])
     w = rng.uniform(0.2, 1.8, m)
     w = w / w.sum()
-    cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -88.0, 4.0)
+    cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -88.0, 4.0)
 
     reported = received_power_matrix(placements, budget, 1000.0, mus)
     stacked = np.zeros((b, 3))
@@ -177,7 +178,7 @@ def test_criterion_05_estimator_noise_scaling():
     w = rng.uniform(0.2, 1.8, m)
     w = w / w.sum()
     profile = TrafficProfile(pi=tuple(w))
-    cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -89.0, 4.0)
+    cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -89.0, 4.0)
 
     per_user = np.array([user_utility(received_power_matrix(placements, budget, 1000.0,
                                                             mu[None])[0], cfg)
@@ -218,7 +219,7 @@ def test_criterion_06_single_pair_convergence():
             init_region=Rect(0.0, 0.0, 100.0, 100.0),
             fixed_height_m=30.0,
             num_mus=1,
-            utility=UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST,
+            utility=UtilityConfig("threshold_sigmoid_unicast",
                                   -112.4, p_top - 10.0, 20.0),
             schedule=StepSchedule(eta0=1.0, minibatch_size=10, eta_scale=1000.0),
             iterations=500,
@@ -319,7 +320,7 @@ def test_criterion_10_parallelism_independence(tmp_path, monkeypatch):
         init_region=Rect(0.0, 0.0, 1000.0, 1000.0),
         fixed_height_m=30.0,
         num_mus=15,
-        utility=UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -91.0, 2.0),
+        utility=UtilityConfig("threshold_sigmoid_unicast", -112.4, -91.0, 2.0),
         schedule=StepSchedule(eta0=5.0, minibatch_size=8, eta_scale=1e6),
         iterations=10,
         seed=19,

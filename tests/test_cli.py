@@ -9,6 +9,7 @@ import sys
 import traceback
 from importlib import resources
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from airbs_sgd.navigator import StepSchedule
 from airbs_sgd.report import coverage_map
 from airbs_sgd.simulator import (Rect, Scenario, init_scenario, run, scenario_from_dict,
                                  scenario_to_dict)
-from airbs_sgd.utility import UtilityConfig, UtilityFamily, oracle
+from airbs_sgd.utility import Family, UtilityConfig, oracle
 
 
 def small_scenario_dict(**overrides):
@@ -35,7 +36,7 @@ def small_scenario_dict(**overrides):
         init_region=Rect(0.0, 0.0, 1000.0, 1000.0),
         fixed_height_m=30.0,
         num_mus=10,
-        utility=UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -91.0, 2.0),
+        utility=UtilityConfig("threshold_sigmoid_unicast", -112.4, -91.0, 2.0),
         schedule=StepSchedule(eta0=5.0, minibatch_size=6, eta_scale=1e6),
         iterations=5,
         seed=11,
@@ -158,11 +159,18 @@ def _overflow_margin(key):
     (lambda d: d["utility"].update(family="unicast_rate", softmax_alpha=1e-300,
                                    noise_dbm=-sys.float_info.max),
      "ln(num_airbs) / utility.softmax_alpha - utility.noise_dbm must be finite"),
+    # the two closed sets of names
+    (lambda d: d["utility"].update(family="unicast"),
+     "utility.family must be one of unicast_rate, broadcast_rate, threshold_sigmoid_unicast, "
+     "threshold_sigmoid_broadcast"),
+    (lambda d: d["schedule"].update(decay="linear"),
+     "schedule.decay must be one of constant, harmonic"),
 ], ids=["nan_height", "infinite_area", "misspelled_key", "negative_extra_altitude",
         "inverted_area", "inverted_init_region", "negative_eta0", "far_area",
         "far_init_region", "far_height", "far_extra_user", "overflowing_step_size",
         "overflowing_link_budget", "overflowing_noise_margin", "overflowing_target_margin",
-        "tiny_ref_distance", "subnormal_softmax_alpha", "overflowing_soft_maximum_margin"])
+        "tiny_ref_distance", "subnormal_softmax_alpha", "overflowing_soft_maximum_margin",
+        "unknown_family", "unknown_decay"])
 def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
     d = small_scenario_dict()
     mutate(d)
@@ -406,7 +414,7 @@ def test_diverging_run_exits_2(tmp_path, capsys):
     assert f"seed {seed}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("family", [f.value for f in UtilityFamily])
+@pytest.mark.parametrize("family", get_args(Family))
 def test_every_family_handles_a_huge_link_budget(tmp_path, family):
     # 1e4 dBm is a finite power whose SNR in linear units overflows every float;
     # the suite turns any overflow warning into a failure
@@ -419,6 +427,24 @@ def test_every_family_handles_a_huge_link_budget(tmp_path, family):
     log = run(scenario_from_dict(d))
     for logged in (log.positions, log.oracle_utility, log.max_power_dbm):
         assert np.all(np.isfinite(logged))
+
+
+@pytest.mark.parametrize("key, size", [("iterations", 2 ** 55), ("iterations", 2 ** 62),
+                                       ("num_mus", 2 ** 55)],
+                         ids=["iterations_2_55", "iterations_2_62", "num_mus_2_55"])
+def test_an_oversized_scenario_exits_2(tmp_path, capsys, key, size):
+    # each needs 2**57 bytes or more, beyond any address space, so its first
+    # allocation fails at once: a MemoryError, or numpy's ValueError for an array
+    # too big to index. Only the snapshots of 2**55 or 2**62 iterations get as far
+    # as phase 1, and fail its one job; the users' uniform shares fail the load
+    ref = json.loads(resources.files("airbs_sgd").joinpath("scenarios/reference.json").read_text())
+    scen, out = tmp_path / "scen.json", tmp_path / "out"
+    scen.write_text(json.dumps(dict(ref, **{key: size})))
+    assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    named = f"(bundle {out / 'rep_000'})" if key == "iterations" else f"invalid scenario in {scen}"
+    assert named in err and len(err.splitlines()) == 1
+    assert not list(out.glob("rep_*"))
 
 
 def test_run_repeat_byte_identical(tmp_path, capsys):

@@ -6,11 +6,7 @@ import pytest
 from helpers import agent_gradient
 from airbs_sgd.channel import received_power_matrix
 from airbs_sgd.navigator import StepSchedule, batched_update
-from airbs_sgd.utility import (
-    UtilityConfig,
-    UtilityFamily,
-    network_utility_gradient,
-)
+from airbs_sgd.utility import UtilityConfig, network_utility_gradient
 
 BUDGET = 12.0 - 94.0
 
@@ -24,7 +20,7 @@ def packet(placements, budget, mu):
 
 
 def test_saturated_sigmoid_gives_negligible_gradient():
-    cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -40.0, 2.0)
+    cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -40.0, 2.0)
     position = np.array([0.0, 0.0, 30.0])
     mu, powers, _ = packet(position[None], [BUDGET], (500.0, 0.0, 0.0))
     g = agent_gradient(position, BUDGET, 1000.0, 0, mu, powers, cfg)
@@ -39,7 +35,7 @@ def test_pinned_east_geometry_magnitude():
     position = np.zeros(3)
     mu, powers, _ = packet(position[None], [BUDGET], (d, 0.0, 0.0))
     delta = 2.0
-    cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4,
+    cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4,
                         float(powers[0, 0]) - delta / 2.0, delta)
     g = agent_gradient(position, BUDGET, 1000.0, 0, mu, powers, cfg)
     assert g[0] > 0.0 and g[1] == 0.0 and g[2] == 0.0
@@ -55,7 +51,7 @@ def test_enumeration_matches_network_gradient():
     mus = np.array([[*rng.uniform(0, 2000, 2), 0.0] for _ in range(m)])
     w = rng.uniform(0.5, 1.5, m)
     w = w / w.sum()
-    cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -78.0, 3.0)
+    cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -78.0, 3.0)
 
     powers = received_power_matrix(placements, budget, 1000.0, mus)
     stacked = np.zeros((b, 3))
@@ -70,7 +66,7 @@ def test_enumeration_matches_network_gradient():
 def test_gradient_ignores_other_agents_state():
     # agent 1's row of the batched step reads only its own position and
     # power gradient, plus the packet
-    cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -85.0, 2.0)
+    cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -85.0, 2.0)
     rng = np.random.default_rng(41)
     placements = np.array([[100.0 * i, 50.0, 30.0] for i in range(4)])
     _, powers, grads = packet(placements, [BUDGET] * 4, (180.0, 90.0, 0.0))
@@ -85,7 +81,7 @@ def test_gradient_ignores_other_agents_state():
 def test_apply_update_arithmetic():
     # a user due east at the agent's height: only x moves, by eta times the
     # packet's gradient
-    cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -85.0, 2.0)
+    cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -85.0, 2.0)
     position = np.array([[10.0, 20.0, 30.0]])
     mu, powers, grads = packet(position, [BUDGET], (610.0, 20.0, 30.0))
     g = agent_gradient(position[0], BUDGET, 1000.0, 0, mu, powers, cfg)
@@ -95,7 +91,7 @@ def test_apply_update_arithmetic():
 
 
 def test_apply_update_zero_gradient():
-    cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -85.0, 2.0)
+    cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -85.0, 2.0)
     position = np.array([[1.0, 2.0, 3.0]])
     new = batched_update(position, np.zeros((4, 1, 3)), np.full((4, 1), -90.0), cfg, 5.0)
     assert np.array_equal(new, position)
@@ -103,7 +99,7 @@ def test_apply_update_zero_gradient():
 
 def test_apply_update_fixed_height_projection():
     # z is pinned exactly while x and y move
-    cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -85.0, 2.0)
+    cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -85.0, 2.0)
     position = np.array([[0.0, 0.0, 30.0]])
     mu, powers, grads = packet(position, [BUDGET], (400.0, -300.0, 0.0))
     assert grads[0, 0, 2] != 0.0

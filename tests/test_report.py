@@ -27,7 +27,7 @@ from airbs_sgd.report import (
     trajectory_texts,
 )
 from airbs_sgd.simulator import Rect, Scenario, TrajectoryLog, run
-from airbs_sgd.utility import UtilityConfig, UtilityFamily
+from airbs_sgd.utility import UtilityConfig
 
 
 def test_histogram_structure_and_edges():
@@ -66,7 +66,7 @@ def run_small(tmp_path, iterations=3):
         init_region=Rect(0.0, 0.0, 1000.0, 1000.0),
         fixed_height_m=30.0,
         num_mus=10,
-        utility=UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -91.0, 2.0),
+        utility=UtilityConfig("threshold_sigmoid_unicast", -112.4, -91.0, 2.0),
         schedule=StepSchedule(eta0=5.0, minibatch_size=6, eta_scale=1e6),
         iterations=iterations,
         seed=21,

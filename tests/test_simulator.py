@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from airbs_sgd.simulator import (
     scenario_to_dict,
 )
 from airbs_sgd.traffic import TrafficProfile
-from airbs_sgd.utility import UtilityConfig, UtilityFamily, oracle, user_utility
+from airbs_sgd.utility import Family, UtilityConfig, oracle, user_utility
 
-FAMILIES = tuple(UtilityFamily)
+FAMILIES = get_args(Family)
 
 
 def small_scenario(**overrides):
@@ -36,7 +37,7 @@ def small_scenario(**overrides):
         init_region=Rect(0.0, 0.0, 1000.0, 1000.0),
         fixed_height_m=30.0,
         num_mus=12,
-        utility=UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -91.0, 2.0),
+        utility=UtilityConfig("threshold_sigmoid_unicast", -112.4, -91.0, 2.0),
         schedule=StepSchedule(eta0=5.0, minibatch_size=8, eta_scale=1e6),
         iterations=5,
         seed=11,
@@ -124,7 +125,7 @@ def test_single_pair_converges_overhead():
         tx_powers_dbm=(12.0,),
         init_region=Rect(0.0, 0.0, 100.0, 100.0),
         num_mus=1,
-        utility=UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST,
+        utility=UtilityConfig("threshold_sigmoid_unicast",
                               -112.4, p_top - 10.0, 20.0),
         schedule=StepSchedule(eta0=1.0, minibatch_size=10, eta_scale=1000.0),
         iterations=200,
@@ -183,7 +184,7 @@ def _batch_case(rng, family, b, q=7):
 
 @pytest.mark.parametrize("fixed", [True, False], ids=["fixed_height", "free_height"])
 @pytest.mark.parametrize("b", [1, 2, 5, 9])
-@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+@pytest.mark.parametrize("family", FAMILIES)
 def test_batched_step_matches_per_agent_reference(family, b, fixed):
     # one step from the same state and packets: the (Q, B) array pass against
     # each agent stepping alone, one packet at a time. At Q = 1 numpy sums the
@@ -218,7 +219,7 @@ def test_batched_step_matches_per_agent_reference(family, b, fixed):
                 assert new[k, 2] == height
 
 
-@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+@pytest.mark.parametrize("family", FAMILIES)
 def test_batched_step_follows_minibatch_utility_gradient(family):
     # the step direction is the gradient of the minibatch mean utility,
     # cross-checked by central differences at the criterion-3 tolerance
@@ -243,7 +244,7 @@ def test_diverging_agent_raises():
     L = np.array([[0.0, 0.0, 30.0], [500.0, 0.0, 30.0]])
     grads = np.zeros((3, 2, 3))
     grads[1, 1, 0] = np.nan
-    cfg = UtilityConfig(UtilityFamily.UNICAST_RATE, -112.4, -91.0, 2.0)
+    cfg = UtilityConfig("unicast_rate", -112.4, -91.0, 2.0)
     with pytest.raises(DivergenceError, match="agent 1"):
         batched_update(L, grads, np.full((3, 2), -90.0), cfg, 1.0, 30.0)
 
@@ -289,7 +290,7 @@ def test_replications_do_not_depend_on_the_other_seeds():
 def test_batched_update_replications_are_independent(fixed):
     # the step of a (R, ...) batch is each replication's own step, bit for bit
     rng = np.random.default_rng(33)
-    cases = [_batch_case(rng, UtilityFamily.THRESHOLD_SIGMOID_UNICAST, 3) for _ in range(4)]
+    cases = [_batch_case(rng, "threshold_sigmoid_unicast", 3) for _ in range(4)]
     cfg = cases[0][-1]
     L, grads, powers = (np.stack([c[k] for c in cases]) for k in (0, 4, 3))
     reported = powers + 0.5 * rng.standard_normal(powers.shape)
@@ -479,7 +480,7 @@ def test_scenario_dict_round_trip_bytes():
               small_scenario(
                   extra_mu_positions=extras, measurement_noise_db=0.5,
                   traffic=TrafficProfile(pi=(0.5,) + (0.5 / 12,) * 12),
-                  utility=UtilityConfig(UtilityFamily.BROADCAST_RATE, -112.4, -91.0, 2.0,
+                  utility=UtilityConfig("broadcast_rate", -112.4, -91.0, 2.0,
                                         softmax_alpha=0.25),
                   schedule=StepSchedule(eta0=5.0, minibatch_size=8, eta_scale=3e5,
                                         decay="harmonic"))):

@@ -5,7 +5,7 @@ import pytest
 
 from airbs_sgd.channel import received_power_matrix
 from airbs_sgd.traffic import TrafficProfile
-from airbs_sgd.utility import UtilityConfig, UtilityFamily, oracle, user_utility
+from airbs_sgd.utility import UtilityConfig, oracle, user_utility
 
 BUDGET = np.array([9.0, 12.0]) - 94.0
 PLACEMENTS = np.array([[100.0, 100.0, 30.0], [900.0, 400.0, 30.0]])
@@ -83,14 +83,14 @@ def test_packet_shape_and_exact_powers():
 
 def test_estimate_single_packet_equals_user_utility():
     # the utility estimate is the mean of user_utility over the packets' rows
-    cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -91.0, 2.0)
+    cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -91.0, 2.0)
     reported = received_power_matrix(PLACEMENTS, BUDGET, 1000.0, MUS[[2]])
     est = float(np.mean(user_utility(reported, cfg)))
     assert est == float(user_utility(reported[0], cfg))
 
 
 def test_estimate_constant_utility():
-    cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -91.0, 2.0)
+    cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -91.0, 2.0)
     reported = received_power_matrix(PLACEMENTS, BUDGET, 1000.0, MUS[[0]])
     for s in (1, 3, 17):
         est = float(np.mean(user_utility(np.repeat(reported, s, axis=0), cfg)))
@@ -105,7 +105,7 @@ def test_estimate_unbiased_by_enumeration():
     mus = np.array([[*rng.uniform(0, 3000, 2), 0.0] for _ in range(m)])
     w = rng.uniform(0.2, 1.0, m)
     w = w / w.sum()
-    cfg = UtilityConfig(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, -112.4, -80.0, 3.0)
+    cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -80.0, 3.0)
     expectation = 0.0
     for idx in range(m):
         powers = received_power_matrix(PLACEMENTS, BUDGET, 1000.0, mus[idx:idx + 1])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 import helpers
 from airbs_sgd.channel import received_power_matrix
 from airbs_sgd.utility import (
+    Family,
     UtilityConfig,
-    UtilityFamily,
     _logistic,
     network_utility_gradient,
     oracle,
@@ -20,7 +21,7 @@ from airbs_sgd.utility import (
     user_utility_partials,
 )
 
-FAMILIES = list(UtilityFamily)
+FAMILIES = get_args(Family)
 
 
 def cfg_for(family, **kw):
@@ -40,7 +41,7 @@ def conditioned_cfg(family, p, rng):
     p = np.asarray(p, dtype=float)
     alpha = rng.uniform(0.5, 3.0)
     delta = rng.uniform(1.0, 6.0)
-    if family is UtilityFamily.THRESHOLD_SIGMOID_BROADCAST:
+    if family == "threshold_sigmoid_broadcast":
         anchor = 10.0 * math.log10(float(np.sum(10.0 ** (p / 10.0))))
     else:
         anchor = float(smooth_max_dbm(p, alpha))
@@ -191,17 +192,17 @@ def test_logistic_tails_raise_no_warning():
 # -------------------------------------------------------------- user utility
 
 def test_unicast_rate_unit_snr():
-    cfg = cfg_for(UtilityFamily.UNICAST_RATE, noise_dbm=-100.0)
+    cfg = cfg_for("unicast_rate", noise_dbm=-100.0)
     assert user_utility([-100.0], cfg) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_threshold_unicast_midpoint():
-    cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST)
+    cfg = cfg_for("threshold_sigmoid_unicast")
     assert user_utility([cfg.p_min_dbm + cfg.delta_db / 2.0], cfg) == 0.5
 
 
 def test_broadcast_rate_incoherent_sum():
-    cfg = cfg_for(UtilityFamily.BROADCAST_RATE)
+    cfg = cfg_for("broadcast_rate")
     two = user_utility([-95.0, -95.0], cfg)
     one = user_utility([-95.0 + 10.0 * math.log10(2.0)], cfg)
     assert two == pytest.approx(one, rel=1e-12)
@@ -209,7 +210,7 @@ def test_broadcast_rate_incoherent_sum():
 
 
 def test_threshold_broadcast_uses_sum_power():
-    cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_BROADCAST)
+    cfg = cfg_for("threshold_sigmoid_broadcast")
     # two equal powers 3.0103 dB below the midpoint sum to the midpoint
     p_each = cfg.p_min_dbm + cfg.delta_db / 2.0 - 10.0 * math.log10(2.0)
     assert user_utility([p_each, p_each], cfg) == pytest.approx(0.5, abs=1e-12)
@@ -238,7 +239,7 @@ def test_partials_positive_all_families():
 
 
 def test_partials_symmetry_equal_powers():
-    cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST)
+    cfg = cfg_for("threshold_sigmoid_unicast")
     partials = user_utility_partials([-90.5] * 5, cfg)
     assert np.allclose(partials, partials[0], atol=1e-18)
 
@@ -254,8 +255,8 @@ def test_partials_match_finite_differences():
 
 
 @pytest.mark.parametrize("unicast, broadcast", [
-    (UtilityFamily.UNICAST_RATE, UtilityFamily.BROADCAST_RATE),
-    (UtilityFamily.THRESHOLD_SIGMOID_UNICAST, UtilityFamily.THRESHOLD_SIGMOID_BROADCAST),
+    ("unicast_rate", "broadcast_rate"),
+    ("threshold_sigmoid_unicast", "threshold_sigmoid_broadcast"),
 ], ids=["rate", "threshold_sigmoid"])
 def test_one_transmitter_makes_unicast_and_broadcast_equal(unicast, broadcast):
     # a pair shares its reward and differs only in how the powers combine, and
@@ -269,7 +270,7 @@ def test_one_transmitter_makes_unicast_and_broadcast_equal(unicast, broadcast):
 
 
 def test_partials_batched_shape():
-    cfg = cfg_for(UtilityFamily.UNICAST_RATE)
+    cfg = cfg_for("unicast_rate")
     p = np.random.default_rng(0).uniform(-100, -80, size=(7, 3))
     assert user_utility_partials(p, cfg).shape == (7, 3)
     assert user_utility(p, cfg).shape == (7,)
@@ -289,7 +290,7 @@ def _small_world(rng, b=3, m=6):
 def test_network_utility_uniform_equals_mean():
     rng = np.random.default_rng(16)
     placements, budget, users, _ = _small_world(rng)
-    cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST)
+    cfg = cfg_for("threshold_sigmoid_unicast")
     uniform = np.full(len(users), 1.0 / len(users))
     per_user = [oracle(placements, u[None], [1.0], cfg, budget, 1000.0)[0] for u in users]
     assert oracle(placements, users, uniform, cfg, budget, 1000.0)[0] == pytest.approx(
@@ -299,7 +300,7 @@ def test_network_utility_uniform_equals_mean():
 def test_network_utility_single_user():
     rng = np.random.default_rng(18)
     placements, budget, users, _ = _small_world(rng, m=1)
-    cfg = cfg_for(UtilityFamily.UNICAST_RATE)
+    cfg = cfg_for("unicast_rate")
     powers = received_power_matrix(placements, budget, 1000.0, users)[0]
     assert oracle(placements, users, [1.0], cfg, budget, 1000.0)[0] == pytest.approx(
         float(user_utility(powers, cfg)), rel=1e-12)
@@ -309,7 +310,7 @@ def test_network_utility_permutation_invariance():
     rng = np.random.default_rng(20)
     placements, _, users, w = _small_world(rng, b=3)
     budget = np.full(3, 9.0 - 94.0)  # identical transmitters
-    cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST)
+    cfg = cfg_for("threshold_sigmoid_unicast")
     base = oracle(placements, users, w, cfg, budget, 1000.0)[0]
     perm = placements[[2, 0, 1]]
     assert oracle(perm, users, w, cfg, budget, 1000.0)[0] == pytest.approx(base, rel=1e-12)
@@ -335,7 +336,7 @@ def test_network_gradient_matches_finite_differences():
 
 
 def test_network_gradient_points_toward_single_user():
-    cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, p_min_dbm=-62.0, delta_db=20.0)
+    cfg = cfg_for("threshold_sigmoid_unicast", p_min_dbm=-62.0, delta_db=20.0)
     placements = [[0.0, 0.0, 30.0]]
     user = np.array([400.0, 300.0, 0.0])
     g = network_utility_gradient(placements, user[None], [1.0], cfg, [12.0 - 94.0], 1000.0)[0]
@@ -344,24 +345,26 @@ def test_network_gradient_points_toward_single_user():
 
 def test_utility_config_validation():
     with pytest.raises(ValueError):
-        cfg_for(UtilityFamily.UNICAST_RATE, delta_db=0.0)
+        cfg_for("unicast_rate", delta_db=0.0)
     with pytest.raises(ValueError):
-        cfg_for(UtilityFamily.UNICAST_RATE, softmax_alpha=0.0)
+        cfg_for("unicast_rate", softmax_alpha=0.0)
     # an infinite band or temperature would zero every partial and freeze the agents
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="delta_db must be finite"):
-            cfg_for(UtilityFamily.UNICAST_RATE, delta_db=bad)
+            cfg_for("unicast_rate", delta_db=bad)
         with pytest.raises(ValueError, match="softmax_alpha must be finite"):
-            cfg_for(UtilityFamily.UNICAST_RATE, softmax_alpha=bad)
+            cfg_for("unicast_rate", softmax_alpha=bad)
     with pytest.raises(ValueError):
-        cfg_for(UtilityFamily.UNICAST_RATE, noise_dbm=math.inf)
+        cfg_for("unicast_rate", noise_dbm=math.inf)
     cfg = cfg_for("unicast_rate")
-    assert cfg.family is UtilityFamily.UNICAST_RATE
+    assert cfg.family == "unicast_rate"
+    with pytest.raises(ValueError, match="unknown utility family 'bogus'"):
+        cfg_for("bogus")
 
 
 def _oracle_served(placements, users, budget, p_min):
     """The oracle's count of users whose strongest power meets ``p_min``."""
-    cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, p_min_dbm=p_min)
+    cfg = cfg_for("threshold_sigmoid_unicast", p_min_dbm=p_min)
     return int(oracle(placements, users, np.full(len(users), 1.0 / len(users)), cfg, budget,
                       1000.0)[1])
 
@@ -397,7 +400,7 @@ def test_oracle_served_count_over_leading_axes():
                                  rng.uniform(20.0, 100.0, (6, 4, 1))], axis=2)
     users = np.concatenate([rng.uniform(0.0, 5000.0, (6, 40, 2)), np.zeros((6, 40, 1))], axis=2)
     budget = np.array([7.0, 9.0, 9.0, 12.0]) - 94.0
-    cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST, p_min_dbm=-89.0)
+    cfg = cfg_for("threshold_sigmoid_unicast", p_min_dbm=-89.0)
     w = np.full(40, 1.0 / 40)
     _, served, best = oracle(placements, users, w, cfg, budget, 1000.0)
     assert served.shape == (6,) and best.shape == (6, 40)
@@ -415,7 +418,7 @@ def test_oracle_snapshot_evaluates_in_place():
                                  rng.uniform(50.0, 200.0, (20, 5, 1))], axis=2)
     users = np.concatenate([rng.uniform(0.0, 7000.0, (20, 202, 2)),
                             np.zeros((20, 202, 1))], axis=2)
-    cfg = cfg_for(UtilityFamily.THRESHOLD_SIGMOID_UNICAST)
+    cfg = cfg_for("threshold_sigmoid_unicast")
     budget = np.full(5, 12.0 - 94.0)
     tracemalloc.start()
     try:
