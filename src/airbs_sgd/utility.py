@@ -85,8 +85,7 @@ class UtilityConfig:
 
 def _log_sum_exp(powers_dbm, alpha: float, axis: int):
     """The soft maximum of ``powers_dbm`` along ``axis`` (kept, of length 1), with the
-    exponentials ``exp(alpha * (p_b - max_b p_b))``, their sum and the maximum it is
-    built from."""
+    exponentials ``exp(alpha * (p_b - max_b p_b))`` and their sum."""
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     p = np.asarray(powers_dbm, dtype=float)
@@ -95,7 +94,7 @@ def _log_sum_exp(powers_dbm, alpha: float, axis: int):
     e = np.subtract(p, m)
     np.exp(np.multiply(alpha, e, out=e), out=e)
     z = np.add.reduce(e, axis=axis, keepdims=True)
-    return m + np.log(z) / alpha, e, z, m
+    return m + np.log(z) / alpha, e, z
 
 
 def smooth_max_dbm(powers_dbm, alpha: float = 1.0, axis: int = -1):
@@ -114,7 +113,7 @@ def softmax_weights(powers_dbm, alpha: float = 1.0, axis: int = -1):
     This is exactly the gradient of :func:`smooth_max_dbm` with respect to
     the power vector: positive weights summing to one.
     """
-    _, e, z, _ = _log_sum_exp(powers_dbm, alpha, axis)
+    _, e, z = _log_sum_exp(powers_dbm, alpha, axis)
     return e / z
 
 
@@ -191,7 +190,7 @@ def user_utility_partials(powers_dbm, cfg: UtilityConfig, axis: int = -1):
     -2 on an agent-major (..., B, M) array.
     """
     # one maximum, exponential and sum give both the soft maximum and its weights
-    soft, e, z, _ = _log_sum_exp(powers_dbm, _temperature(cfg), axis)
+    soft, e, z = _log_sum_exp(powers_dbm, _temperature(cfg), axis)
     return _reward(soft, cfg, slope=True) * (e / z)
 
 
@@ -203,19 +202,18 @@ def oracle(placements, users, weights, cfg: UtilityConfig, budget_dbm, ref_dista
     the traffic shares; ``budget_dbm`` and ``ref_distance_m`` are as for
     :func:`channel.received_power_matrix`. A user is served when its
     strongest power meets ``cfg.p_min_dbm``, with no surrogate smoothing.
-    Returns ``(utility, served, best)``: (...), (...) and (..., M) arrays.
+    Returns ``(utility, served, best)``: (...), (...) and (..., M) arrays;
+    with no leading axes, ``utility`` and ``served`` are numpy scalars.
     The placement agents never see this full-information evaluation.
     """
     # transmitter-major (..., B, M): a reduction over B adds whole rows, in index order for any B
     powers = np.ascontiguousarray(
         received_power_matrix(placements, budget_dbm, ref_distance_m, users).swapaxes(-1, -2))
-    # the soft maximum's own maximum is each user's strongest power
-    soft, _, _, best = _log_sum_exp(powers, _temperature(cfg), -2)
-    per_user = _reward(soft.squeeze(-2), cfg)
-    utility = np.array([np.dot(weights, row) for row in per_user.reshape(-1, powers.shape[-1])])
-    best = best.squeeze(-2)
+    # each row's own dot product: unlike one matmul, its bits do not depend on the batch
+    utility = np.vecdot(user_utility(powers, cfg, axis=-2), weights)
+    best = np.maximum.reduce(powers, axis=-2)
     served = np.add.reduce(best >= cfg.p_min_dbm, axis=-1)
-    return utility.reshape(per_user.shape[:-1]), served, best
+    return utility, served, best
 
 
 def network_utility_gradient(placements, users, weights, cfg: UtilityConfig, budget_dbm,

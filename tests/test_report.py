@@ -176,6 +176,20 @@ def test_map_shapes_match_the_per_value_reference():
     assert lines[3:-1] == map_shapes_reference(log, area, [True])
 
 
+def test_map_draws_a_user_on_the_power_target_as_served(tmp_path):
+    # ref_distance_m right above: the user receives exactly the budget, the target
+    area = Rect(-500.0, -500.0, 500.0, 500.0)
+    positions, users = np.array([[[0.0, 0.0, 1000.0]]]), np.zeros((1, 3))
+    best = received_power_matrix(positions[0], [-82.0], 1000.0, users)[:, 0]
+    assert best.tolist() == [-82.0]
+    log = TrajectoryLog(positions=positions, oracle_utility=np.zeros(1),
+                        served=np.ones(1, dtype=int), users=users,
+                        max_power_dbm=np.stack([best, best]))
+    render_outputs(log, np.full((3, 3), -90.0), tmp_path, area, -82.0)
+    lines = (tmp_path / "map.svg").read_text().splitlines()
+    assert lines[3:-1] == map_shapes_reference(log, area, [True])
+
+
 def test_histogram_bars_match_the_per_value_reference():
     histogram = power_histogram(np.random.default_rng(6).normal(-92.0, 9.0, 202))
     bars = [line for line in render_histogram_svg(histogram, "t", -91.0).splitlines()

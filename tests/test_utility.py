@@ -377,6 +377,8 @@ def test_oracle_served_count_pinned_cases():
     assert _oracle_served(placements, [near, far], budget, -91.0) == 1
     assert _oracle_served(placements, [near, far], budget, -300.0) == 2
     assert _oracle_served(placements, [near, far], budget, 0.0) == 0
+    # ref_distance_m right above: the user receives exactly the budget, which meets the target
+    assert _oracle_served([[0.0, 0.0, 1000.0]], [near], budget, budget[0]) == 1
 
 
 def test_oracle_served_count_matches_brute_force():
@@ -407,6 +409,21 @@ def test_oracle_served_count_over_leading_axes():
     alone = [int(oracle(p, u, w, cfg, budget, 1000.0)[1]) for p, u in zip(placements, users)]
     assert served.tolist() == alone
     assert 0 < min(alone) and max(alone) < 40
+
+
+def test_oracle_return_shapes():
+    rng = np.random.default_rng(14)
+    placements, budget, users, w = _small_world(rng)
+    cfg = cfg_for("unicast_rate")
+    # (B, 3) and (M, 3): two numpy scalars and the (M,) strongest powers
+    utility, served, best = oracle(placements, users, w, cfg, budget, 1000.0)
+    assert type(utility) is np.float64 and isinstance(served, np.integer)
+    assert best.shape == (6,)
+    # (R, B, 3) and (R, M, 3): one utility and count per replication
+    utility, served, best = oracle(np.stack([placements] * 2), np.stack([users] * 2), w, cfg,
+                                   budget, 1000.0)
+    assert utility.shape == served.shape == (2,) and best.shape == (2, 6)
+    assert utility.dtype == np.float64 and served.dtype.kind == "i"
 
 
 def test_oracle_snapshot_evaluates_in_place():
