@@ -29,18 +29,19 @@ the batch's jobs then advance again one at a time, and the command stops
 before any bundle is written, naming the first failing job in list order.
 Between the phases the command creates every bundle directory in job
 order, so a name taken by a file fails before any file is written, and
-only then lets the workers start phase 2.
+only then lets the workers start phase 2, one byte each down one shared
+go pipe.
 Phase 2 only formats and writes; its one remaining failure is an
 ``OSError`` mid-write, such as a full disk. The outputs do not depend on
 how the jobs are grouped. ``python -m airbs_sgd.cli`` and the ``airbs-sgd``
-script end through :func:`run_and_exit`, which flushes stdout and stderr
-and ends the process without tearing the interpreter down.
+script end through :func:`run_and_exit`, which guards stdout and stderr
+against a reader that has closed, flushes them and ends the process
+without tearing the interpreter down.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import itertools
 import json
@@ -76,15 +77,25 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key it sets twice raises ``ValueError`` naming it."""
+    d = {}
+    for key, v in pairs:
+        if key in d:
+            raise ValueError(f"duplicate key {key!r}")
+        d[key] = v
+    return d
+
+
 def load_scenario_file(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as f:
-            data = json.load(f)
+            data = json.load(f, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise CliError(f"cannot read scenario file {path}: {e.strerror or e}")
     except UnicodeDecodeError as e:
         raise CliError(f"scenario file {path} is not UTF-8 text: {e}")
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also a duplicate key, deep nesting, a long int
         raise CliError(f"malformed scenario file {path}: {e}")
     try:
         return scenario_from_dict(data)
@@ -252,12 +263,12 @@ def _send(reports, error=None, value=None):
 def _worker(with_kmeans: bool, group, status: int, go: int, inherited):
     """Both phases of one group in a forked worker, which ends here and never returns.
 
-    Phase 1 runs at once and reports on ``status``. Phase 2 waits for the
-    parent's go byte on ``go``, writes the bundles from the records in this
-    process's memory and reports their results; at EOF on ``go`` the worker
-    ends without writing. A failure is reported as the exception and its
-    traceback text. ``inherited`` are the parent's pipe ends, which the
-    worker closes so that the parent closing its own is an EOF here.
+    Phase 1 runs at once and reports on ``status``. Phase 2 waits for one go
+    byte on ``go``, which all workers share, writes the bundles from the
+    records in this process's memory and reports their results; at EOF on
+    ``go`` the worker ends without writing. A failure is reported as the
+    exception and its traceback text. ``inherited`` are the parent's pipe
+    ends, which the worker closes so that the parent closing its own is an EOF.
     """
     code = 1
     try:
@@ -281,7 +292,7 @@ def _receive(worker, live: set):
     """The value of ``worker``'s next report. Raise the failure it reports instead, and
     if it ended without a report, a ``CliError`` naming its first bundle and how it
     ended."""
-    pid, reports, _, rep_dir = worker
+    pid, reports, rep_dir = worker
     try:
         error, value = pickle.load(reports)
     except (EOFError, pickle.UnpicklingError):
@@ -305,38 +316,35 @@ def _run_jobs(jobs, with_kmeans: bool = False) -> list:
     thread of its own, and a spawned worker would import numpy and the
     package again). Phase-1 reports are read in group order, the command's
     own first, and the first failure is raised; no bundle is written until
-    every group has passed phase 1 and every bundle directory exists.
-    Every worker ends before this returns or raises.
+    every group has passed phase 1 and every bundle directory exists. The
+    command holds the go pipe's read end, so its write cannot fail. Every
+    worker ends before this returns or raises.
     """
     n = min(_usable_cores(), len(jobs))
     groups = [jobs[len(jobs) * g // n:len(jobs) * (g + 1) // n] for g in range(n)]
-    workers, live = [], set()  # (pid, report reader, go fd, first bundle); unreaped pids
+    workers, live = [], set()  # (pid, report reader, first bundle); unreaped pids
+    go_r, go_w = os.pipe()
     try:
         for group in groups[1:]:
             status_r, status_w = os.pipe()
-            go_r, go_w = os.pipe()
             pid = os.fork()
             if pid == 0:
                 _worker(with_kmeans, group, status_w, go_r,
-                        [status_r, go_w, *(fd for _, r, go, _ in workers
-                                           for fd in (r.fileno(), go))])
+                        [status_r, go_w, *(r.fileno() for _, r, _ in workers)])
             live.add(pid)
             os.close(status_w)
-            os.close(go_r)
-            workers.append((pid, open(status_r, "rb"), go_w, group[0][2]))
+            workers.append((pid, open(status_r, "rb"), group[0][2]))
         records = _advance_group(with_kmeans, groups[0])
         for worker in workers:
             _receive(worker, live)
         _make_bundle_dirs(jobs)
-        for _, _, go, _ in workers:
-            # a worker that has died is named when its results are read
-            with contextlib.suppress(BrokenPipeError):
-                os.write(go, b"g")
+        os.write(go_w, b"g" * len(workers))
         return _finish_group(groups[0], records) + [
             result for worker in workers for result in _receive(worker, live)]
     finally:
-        for _, reports, go, _ in workers:
-            os.close(go)
+        os.close(go_w)
+        os.close(go_r)
+        for _, reports, _ in workers:
             reports.close()
         for pid in live:
             os.waitpid(pid, 0)
@@ -475,22 +483,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ``ArgumentParser`` that does not swallow a failed write of its help or usage.
-
-    A failed write to stdout propagates, so ``--help`` on a closed pipe exits 1,
-    buffered or not; stderr is written by :func:`_to_stderr`, which keeps the status.
-    """
-
-    def _print_message(self, message, file=None):
-        if file is None or file is sys.stderr:
-            _to_stderr(message)
-        else:
-            file.write(message)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(
+    p = argparse.ArgumentParser(
         prog="airbs-sgd",
         description="Aerial base station placement by per-agent stochastic "
                     "gradient ascent on packet feedback.")
@@ -524,27 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _discard(stream):
-    """Point ``stream``'s file descriptor at ``os.devnull``, once its reader has closed."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
-
-
-def _to_stderr(text: str):
-    """Write ``text`` to stderr; once its reader has closed, the rest goes to ``os.devnull``:
-    the diagnostic is lost, but the exit status still tells what failed."""
-    try:
-        sys.stderr.write(text)
-    except BrokenPipeError:
-        _discard(sys.stderr)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except CliError as e:
-        _to_stderr(f"error: {e}\n")
+        print(f"error: {e}", file=sys.stderr)
         return e.exit_code
 
 
@@ -554,6 +534,30 @@ def _watched() -> bool:
     monitoring = getattr(sys, "monitoring", None)
     return (sys.getprofile() is not None or sys.gettrace() is not None
             or (monitoring is not None and any(map(monitoring.get_tool, range(6)))))
+
+
+class _Guarded:
+    """A stream whose writes, once one meets a closed reader (``reader_closed``),
+    go to ``os.devnull``."""
+
+    def __init__(self, stream):
+        self.stream, self.reader_closed = stream, False
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def write(self, text):
+        return self._guard(self.stream.write, text)
+
+    def flush(self):
+        self._guard(self.stream.flush)
+
+    def _guard(self, op, *args):
+        try:
+            return op(*args)
+        except BrokenPipeError:
+            self.reader_closed = True
+            os.dup2(os.open(os.devnull, os.O_WRONLY), self.stream.fileno())
 
 
 def run_and_exit(argv=None):
@@ -568,29 +572,25 @@ def run_and_exit(argv=None):
     reports that at exit as before, and when :func:`_watched`, so that
     ``python -m cProfile`` and coverage still write their output.
     Argparse's ``SystemExit`` gives the status as ``main``'s return does.
-    When the reader of stderr has closed, what is left for it goes to
-    ``os.devnull`` and the command keeps its status (2 for a ``CliError`` or
-    a usage error); when the reader of stdout has closed, as ``| head -1``
-    does, the rest of stdout goes to ``os.devnull`` and the command ends
-    with status 1. Neither prints a traceback; any other exception propagates.
+    stdout and stderr are each wrapped in a :class:`_Guarded` stream, so a
+    reader that has closed, as ``| head -1`` does, sends the rest of that
+    stream to ``os.devnull`` and prints no traceback. A closed stdout ends
+    the command with status 1; a closed stderr keeps the status (2 for a
+    ``CliError`` or a usage error). Any other exception propagates.
     """
+    sys.stdout, sys.stderr = (s if s is None else _Guarded(s) for s in (sys.stdout, sys.stderr))
     try:
-        try:
-            code = main(argv)
-        except SystemExit as e:  # argparse's, whose status is an int
-            code = e.code
-        flushed = True
-    except BrokenPipeError:
-        _discard(sys.stdout)
-        code, flushed = 1, False
+        code = main(argv)
+    except SystemExit as e:  # argparse's, whose status is an int
+        code = e.code
+    flushed = True
     for stream in (sys.stdout, sys.stderr):
         try:
             stream.flush()
-        except BrokenPipeError:
-            _discard(stream)
-            code, flushed = 1 if stream is sys.stdout else code, False
         except (AttributeError, OSError, ValueError):  # no stream, a failed write, a closed one
             flushed = False
+    if getattr(sys.stdout, "reader_closed", False):
+        code = 1
     if flushed and not _watched():
         os._exit(code)
     sys.exit(code)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import typing
 from dataclasses import dataclass
 from functools import cached_property
@@ -316,7 +317,9 @@ def scenario_from_dict(d: dict) -> Scenario:
         return v
 
     def num(v, name):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        # compared exactly: an int too large for a float fails, as inf and nan do
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not abs(v) <= sys.float_info.max):
             raise ValueError(f"{name} must be a finite number, got {v!r}")
         return float(v)
 

@@ -68,10 +68,28 @@ def test_malformed_scenario_file(tmp_path, capsys):
     assert str(bad) in capsys.readouterr().err
 
 
+def _replacing(old, new):
+    """Write the small scenario's file text with ``old``, which it holds once, as ``new``."""
+    def make(p):
+        text = json.dumps(small_scenario_dict())
+        assert text.count(old) == 1
+        p.write_text(text.replace(old, new))
+    return make
+
+
 @pytest.mark.parametrize("make, named", [
     (lambda p: p.mkdir(), "Is a directory"),
     (lambda p: p.write_bytes(b"\xff\xfe{"), "not UTF-8 text"),
-], ids=["directory", "not_utf8"])
+    (lambda p: p.write_text("[" * 100_000 + "]" * 100_000), "malformed scenario file"),
+    # longer than int() reads from text, 4300 digits
+    (_replacing('"iterations": 5', '"iterations": ' + "1" * 5001), "malformed scenario file"),
+    # json alone would keep the last value and run with it
+    (_replacing('"iterations": 5', '"iterations": 5, "iterations": 50'),
+     "duplicate key 'iterations'"),
+    (_replacing('"eta0": 5.0', '"eta0": 5.0, "eta0": 500.0'),
+     "duplicate key 'eta0'"),
+], ids=["directory", "not_utf8", "deeply_nested", "long_integer", "duplicate_key",
+        "duplicate_nested_key"])
 def test_unreadable_scenario_file_exits_2_naming_path(tmp_path, capsys, make, named):
     path = tmp_path / "scen.json"
     make(path)
@@ -165,12 +183,16 @@ def _overflow_margin(key):
      "threshold_sigmoid_broadcast"),
     (lambda d: d["schedule"].update(decay="linear"),
      "schedule.decay must be one of constant, harmonic"),
+    # an integer too large for a float is refused as inf is
+    (lambda d: d["schedule"].update(eta0=10 ** 400), "schedule.eta0 must be a finite number"),
+    (lambda d: d.update(extra_mu_positions=[[0, 0, 10 ** 400]]),
+     "extra_mu_positions[0][2] must be a finite number"),
 ], ids=["nan_height", "infinite_area", "misspelled_key", "negative_extra_altitude",
         "inverted_area", "inverted_init_region", "negative_eta0", "far_area",
         "far_init_region", "far_height", "far_extra_user", "overflowing_step_size",
         "overflowing_link_budget", "overflowing_noise_margin", "overflowing_target_margin",
         "tiny_ref_distance", "subnormal_softmax_alpha", "overflowing_soft_maximum_margin",
-        "unknown_family", "unknown_decay"])
+        "unknown_family", "unknown_decay", "huge_eta0", "huge_extra_altitude"])
 def test_bad_scenario_value_names_key(tmp_path, capsys, mutate, key):
     d = small_scenario_dict()
     mutate(d)
@@ -213,9 +235,14 @@ def test_a_channel_tx_power_key_exits_2(tmp_path, capsys):
      "sweep values 5.0000001 and 5.0000002 share the name eta_5"),
     (["sweep", "--axis", "eta", "--values", "1,5,5"],
      "sweep values 5.0 and 5.0 share the name eta_5"),
+    (["sweep", "--axis", "eta", "--values", "a,b"],
+     "error: could not parse --values 'a,b' as numbers\n"),
+    (["sweep", "--axis", "eta", "--values", ","],
+     "error: --values must list at least one number\n"),
 ], ids=["negative_seed", "seed_over_64_bits", "sweep_negative_seed", "negative_eta",
         "zero_q", "infinite_q", "nan_alpha", "infinite_delta", "infinite_delta_second",
-        "overflowing_eta", "sweep_values_same_name", "sweep_value_repeated"])
+        "overflowing_eta", "sweep_values_same_name", "sweep_value_repeated",
+        "sweep_values_not_numbers", "sweep_values_empty"])
 def test_bad_override_exits_2_naming_it(tmp_path, capsys, argv, named):
     scen = write_scenario(tmp_path)
     out = tmp_path / "out"
@@ -585,6 +612,18 @@ def test_count_too_large_to_index_exits_2(tmp_path, capsys, monkeypatch, argv, k
     err = capsys.readouterr().err
     assert f"{key} must be below 2**63" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--scenario", "SCEN", "--replications", "0"], "--replications"),
+    (["reproduce-paper", "--seeds", "0"], "--seeds"),
+], ids=["run_replications", "seeds"])
+def test_a_count_below_1_exits_2(tmp_path, capsys, argv, flag):
+    scen, out = write_scenario(tmp_path), tmp_path / "out"
+    argv = [str(scen) if a == "SCEN" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be at least 1\n"
     assert not out.exists()
 
 

@@ -553,6 +553,19 @@ def test_scenario_validation():
         Rect(10.0, 0.0, 0.0, 10.0)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (dict(tx_powers_dbm=(math.nan, 12.0)), "tx_powers_dbm must be finite, got [nan, 12.0]"),
+    (dict(extra_mu_positions=((0.0, 0.0),)),
+     "extra_mu_positions[0]: position must have 3 coordinates, got 2"),
+    (dict(schedule=None), "step schedule required"),
+    (dict(channel=None), "channel params required"),
+], ids=["nan_tx_power", "two_coordinate_extra_user", "no_schedule", "no_channel"])
+def test_a_bad_scenario_field_raises_its_message(overrides, message):
+    with pytest.raises(ValueError) as e:
+        small_scenario(**overrides)
+    assert str(e.value) == message
+
+
 def test_link_budgets_are_each_power_plus_the_gain_and_read_only():
     s = small_scenario(tx_powers_dbm=(9.0, 12.0))
     budget = s.budget_dbm

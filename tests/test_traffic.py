@@ -19,6 +19,8 @@ def test_profile_validation():
         TrafficProfile(pi=(1.5, -0.5))
     with pytest.raises(ValueError):
         TrafficProfile(pi=())
+    with pytest.raises(ValueError, match="^need at least one user$"):
+        TrafficProfile.uniform(0)
     TrafficProfile(pi=(0.25, 0.25, 0.5))
 
 

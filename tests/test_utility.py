@@ -362,6 +362,18 @@ def test_utility_config_validation():
         cfg_for("bogus")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: cfg_for("unicast_rate", p_min_dbm=math.nan), "p_min_dbm must be finite"),
+    (lambda: smooth_max_dbm([1.0, 2.0], 0.0), "alpha must be positive"),
+    (lambda: sigmoid_delta([1.0], 0.0), "delta must be positive"),
+    (lambda: sigmoid_delta_deriv([1.0], 0.0), "delta must be positive"),
+], ids=["nan_p_min", "smooth_max_zero_alpha", "sigmoid_zero_delta", "sigmoid_deriv_zero_delta"])
+def test_a_bad_parameter_raises_its_message(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == message
+
+
 def _oracle_served(placements, users, budget, p_min):
     """The oracle's count of users whose strongest power meets ``p_min``."""
     cfg = cfg_for("threshold_sigmoid_unicast", p_min_dbm=p_min)
