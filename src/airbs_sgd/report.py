@@ -13,10 +13,12 @@ emitted bytes are identical, with no plotting library involved.
 Writing a bundle is mostly formatting numbers, so each is formatted once
 and no cell needs its own Python-level format call: every trajectory
 float is ``repr``-ed once for both trajectory files; a coverage cell is
-looked up in a table of the clip range's 0.01 dB steps; and each kind of
-SVG shape is one template filled by one ``str.format`` call over
-coordinates computed with numpy. :func:`render_outputs` builds every
-file's text before it opens the first.
+looked up in a table of the clip range's 0.01 dB steps; each kind of the
+map's SVG shapes is one template filled by one ``str.format`` call over
+coordinates computed with numpy; and the histogram figure, whose bins are
+constants, is laid out once, so a call fills in only its title, bar
+heights and target marker. :func:`render_outputs` builds every file's
+text before it opens the first.
 """
 
 from __future__ import annotations
@@ -61,17 +63,15 @@ def coverage_map(placements, area, grid_resolution: int, budget_dbm,
     return np.clip(best, *COVERAGE_CLIP).reshape(gy.shape)
 
 
-def power_histogram(per_mu_powers) -> tuple:
+def power_histogram(per_mu_powers) -> list:
     """Histogram of ``per_mu_powers`` in 1 dB bins over :data:`HIST_RANGE`.
 
-    Returns a tuple of ``(lo_edge, hi_edge, count)`` triples whose counts
-    always sum to the number of inputs; the first and last bins extend to
-    -inf and +inf.
+    Returns the count in each bin of ``_HIST_BINS``, underflow first and
+    overflow last; the counts always sum to the number of inputs.
     """
     # searchsorted buckets: 0 -> underflow, len(_HIST_EDGES) -> overflow
     idx = np.searchsorted(_HIST_EDGES, np.asarray(per_mu_powers, dtype=float), side="right")
-    counts = np.bincount(idx, minlength=len(_HIST_BINS)).tolist()
-    return tuple((lo, hi, c) for (lo, hi), c in zip(_HIST_BINS, counts))
+    return np.bincount(idx, minlength=len(_HIST_BINS)).tolist()
 
 
 def _json_text(obj) -> str:
@@ -139,14 +139,14 @@ def _shapes(templates, values) -> list:
     return ["\n".join(templates).format(*values)] if templates else []
 
 
-def _placement_json(served, max_power_dbm, histogram) -> dict:
+def _placement_json(served, max_power_dbm, counts) -> dict:
     return {
         "served_count": int(served),
         "total_mus": len(max_power_dbm),
         "per_mu_max_power_dbm": max_power_dbm.tolist(),
         # the open-ended first and last bins have null outer edges
-        "histogram": [[None if math.isinf(e) else e for e in (lo, hi)] + [c]
-                      for lo, hi, c in histogram],
+        "histogram": [[None if math.isinf(e) else e for e in edges] + [c]
+                      for edges, c in zip(_HIST_BINS, counts)],
     }
 
 
@@ -245,53 +245,49 @@ def render_map_svg(log, coverage, area, served_flags) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_histogram_svg(histogram, title, p_min_dbm) -> str:
-    """Bar chart of a power histogram as the text of a standalone SVG file, ``p_min_dbm``
-    marked."""
-    width, height = 640.0, 320.0
-    left, right, top, bottom = 50.0, 15.0, 30.0, 45.0
-    plot_w = width - left - right
-    plot_h = height - top - bottom
-    n = len(histogram)
-    peak = max(1, max(c for _, _, c in histogram))
-    bw = plot_w / n
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
-           f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">',
-           '<rect width="100%" height="100%" fill="#ffffff"/>',
-           f'<text x="{left:.2f}" y="20" font-family="sans-serif" '
-           f'font-size="14">{title}</text>']
-    bar = f'<rect x="{{:.2f}}" y="{{:.2f}}" width="{bw - 1.0:.2f}" height="{{:.2f}}" fill="%s"/>'
-    bh = [plot_h * c / peak for _, _, c in histogram]
-    out += _shapes([bar % ("#888888" if math.isinf(lo) or math.isinf(hi) else "#377eb8")
-                    for lo, hi, _ in histogram],
-                   [v for k, h in enumerate(bh)
-                    for v in (left + k * bw + 0.5, top + plot_h - h, h)])
-    # x labels on a few finite edges
-    finite = [(k, lo) for k, (lo, hi, _) in enumerate(histogram) if not math.isinf(lo)]
-    stride = max(1, len(finite) // 8)
-    for k, lo in finite[::stride]:
-        x = left + k * bw
-        out.append(f'<text x="{x:.2f}" y="{height - bottom + 18:.2f}" '
-                   f'font-family="sans-serif" font-size="10" '
-                   f'text-anchor="middle">{lo:.2f}</text>')
-    out.append(f'<text x="{width / 2:.2f}" y="{height - 8:.2f}" '
-               f'font-family="sans-serif" font-size="12" '
-               f'text-anchor="middle">strongest received power (dBm)</text>')
-    span = histogram[-1][0] - histogram[0][1]  # finite extent
-    lo_edge = histogram[0][1]
-    if span > 0 and lo_edge <= p_min_dbm <= histogram[-1][0]:
-        # underflow bin occupies slot 0; finite bins start at slot 1
-        frac = (p_min_dbm - lo_edge) / span
-        n_inner = n - 2
-        x = left + bw + frac * n_inner * bw
-        out.append(f'<line x1="{x:.2f}" y1="{top:.2f}" x2="{x:.2f}" '
-                   f'y2="{top + plot_h:.2f}" stroke="#e41a1c" '
-                   f'stroke-width="1.5" stroke-dasharray="4,3"/>')
-    out.append(f'<line x1="{left:.2f}" y1="{top + plot_h:.2f}" '
-               f'x2="{width - right:.2f}" y2="{top + plot_h:.2f}" '
-               f'stroke="#000000" stroke-width="1"/>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+# render_histogram_svg's figure: 640 x 320 px, the plot inset by these margins and
+# split into one bar slot per bin; everything but the title, the bar heights and the
+# target marker is laid out here, once
+_FIG_W, _FIG_H = 640.0, 320.0
+_LEFT, _RIGHT, _TOP, _BOTTOM = 50.0, 15.0, 30.0, 45.0
+_PLOT_H = _FIG_H - _TOP - _BOTTOM
+_BAR_W = (_FIG_W - _LEFT - _RIGHT) / len(_HIST_BINS)
+_HIST_SVG = "\n".join([
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{_FIG_W:.2f}" '
+    f'height="{_FIG_H:.2f}" viewBox="0 0 {_FIG_W:.2f} {_FIG_H:.2f}">',
+    '<rect width="100%" height="100%" fill="#ffffff"/>',
+    f'<text x="{_LEFT:.2f}" y="20" font-family="sans-serif" font-size="14">{{}}</text>',
+    # a bar per bin, each with its y and height to fill in; the two open-ended bins grey
+    *[f'<rect x="{_LEFT + k * _BAR_W + 0.5:.2f}" y="{{:.2f}}" width="{_BAR_W - 1.0:.2f}" '
+      f'height="{{:.2f}}" fill="{fill}"/>'
+      for k, fill in enumerate(["#888888", *["#377eb8"] * (len(_HIST_BINS) - 2), "#888888"])],
+    # a label under every fifth finite edge, from HIST_RANGE's low end
+    *[f'<text x="{_LEFT + k * _BAR_W:.2f}" y="{_FIG_H - _BOTTOM + 18:.2f}" font-family='
+      f'"sans-serif" font-size="10" text-anchor="middle">{_HIST_BINS[k][0]:.2f}</text>'
+      for k in range(1, len(_HIST_BINS), 5)],
+    f'<text x="{_FIG_W / 2:.2f}" y="{_FIG_H - 8:.2f}" font-family="sans-serif" font-size="12" '
+    'text-anchor="middle">strongest received power (dBm)</text>',
+    # the target marker's line, if any, then the axis
+    f'{{}}<line x1="{_LEFT:.2f}" y1="{_TOP + _PLOT_H:.2f}" x2="{_FIG_W - _RIGHT:.2f}" '
+    f'y2="{_TOP + _PLOT_H:.2f}" stroke="#000000" stroke-width="1"/>',
+    "</svg>\n"])
+_HIST_MARKER = (f'<line x1="{{0:.2f}}" y1="{_TOP:.2f}" x2="{{0:.2f}}" y2="{_TOP + _PLOT_H:.2f}" '
+                'stroke="#e41a1c" stroke-width="1.5" stroke-dasharray="4,3"/>\n')
+
+
+def render_histogram_svg(counts, title, p_min_dbm) -> str:
+    """Bar chart of :func:`power_histogram`'s ``counts`` as the text of a standalone SVG
+    file, with ``p_min_dbm`` marked when it lies in :data:`HIST_RANGE`."""
+    peak = max(1, *counts)
+    heights = [_PLOT_H * c / peak for c in counts]
+    lo, hi = HIST_RANGE
+    marker = ""
+    if lo <= p_min_dbm <= hi:
+        # the underflow bin takes the first slot
+        marker = _HIST_MARKER.format(
+            _LEFT + _BAR_W + (p_min_dbm - lo) / (hi - lo) * (len(_HIST_BINS) - 2) * _BAR_W)
+    return _HIST_SVG.format(title, *[v for h in heights for v in (_TOP + _PLOT_H - h, h)],
+                            marker)
 
 
 def render_outputs(log, coverage, out_dir, area, p_min_dbm: float, kmeans=None) -> dict:

@@ -215,15 +215,3 @@ def oracle(placements, users, weights, cfg: UtilityConfig, budget_dbm, ref_dista
     served = np.add.reduce(best >= cfg.p_min_dbm, axis=-1)
     return utility, served, best
 
-
-def network_utility_gradient(placements, users, weights, cfg: UtilityConfig, budget_dbm,
-                             ref_distance_m) -> np.ndarray:
-    """Gradient of :func:`oracle`'s utility at one (B, 3) placement and (M, 3) user set.
-
-    Returns shape (B, 3), dB-chain assembled: row ``b`` is
-    ``sum_m w_m * (d p_bm / d l_b) * (d J_m / d p_bm)``.
-    """
-    powers, grads = received_power_matrix(placements, budget_dbm, ref_distance_m, users,
-                                          gradient=True)
-    partials = user_utility_partials(powers, cfg)  # (M, B)
-    return np.einsum("m,mb,mbk->bk", weights, partials, grads)

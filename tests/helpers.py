@@ -1,6 +1,7 @@
-"""Shared test utilities: finite-difference oracles, dB conversions, packet
-replay, the per-replication k-means reference, acceptance reporting,
-fresh-interpreter runs and a scenario that diverges."""
+"""Shared test utilities: finite-difference oracles, the network utility's
+gradient, dB conversions, packet replay, the per-replication k-means
+reference, acceptance reporting, fresh-interpreter runs and a scenario that
+diverges."""
 
 import os
 import subprocess
@@ -75,6 +76,19 @@ def linear_to_dbm(p_mw):
     if np.any(p <= 0.0):
         raise ValueError("linear power must be positive to convert to dBm")
     return 10.0 * np.log10(p)
+
+
+def network_utility_gradient(placements, users, weights, cfg: UtilityConfig, budget_dbm,
+                             ref_distance_m) -> np.ndarray:
+    """Gradient of ``utility.oracle``'s utility at one (B, 3) placement and (M, 3) user set.
+
+    Returns shape (B, 3), dB-chain assembled: row ``b`` is
+    ``sum_m w_m * (d p_bm / d l_b) * (d J_m / d p_bm)``.
+    """
+    powers, grads = received_power_matrix(placements, budget_dbm, ref_distance_m, users,
+                                          gradient=True)
+    partials = user_utility_partials(powers, cfg)  # (M, B)
+    return np.einsum("m,mb,mbk->bk", weights, partials, grads)
 
 
 def agent_gradient(position, budget_b, ref_distance_m, b, users, reported, cfg) -> np.ndarray:

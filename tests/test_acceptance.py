@@ -12,7 +12,8 @@ from typing import get_args
 
 import numpy as np
 
-from helpers import agent_gradient, agent_step, central_diff, record_criterion, rel_err
+from helpers import (agent_gradient, agent_step, central_diff, network_utility_gradient,
+                     record_criterion, rel_err)
 from test_utility import conditioned_cfg
 
 from airbs_sgd.channel import ChannelParams, received_power_matrix
@@ -24,7 +25,6 @@ from airbs_sgd.traffic import TrafficProfile
 from airbs_sgd.utility import (
     Family,
     UtilityConfig,
-    network_utility_gradient,
     oracle,
     sigmoid_delta,
     sigmoid_delta_deriv,

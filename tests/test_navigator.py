@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import agent_gradient
+from helpers import agent_gradient, network_utility_gradient
 from airbs_sgd.channel import received_power_matrix
 from airbs_sgd.navigator import StepSchedule, batched_update
-from airbs_sgd.utility import UtilityConfig, network_utility_gradient
+from airbs_sgd.utility import UtilityConfig
 
 BUDGET = 12.0 - 94.0
 

@@ -3,7 +3,9 @@ import json
 import math
 import re
 import struct
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from airbs_sgd.navigator import StepSchedule
 from airbs_sgd.report import (
     AGENT_COLORS,
     COVERAGE_CLIP,
+    _HIST_BINS,
     _cell_texts,
     _json_text,
     _png,
@@ -31,30 +34,30 @@ from airbs_sgd.utility import UtilityConfig
 
 
 def test_histogram_structure_and_edges():
-    bins = power_histogram([])
-    assert len(bins) == 42                       # 40 inner + two open ends
-    assert bins[0][0] == -math.inf and bins[0][1] == -110.0
-    assert bins[-1][0] == -70.0 and bins[-1][1] == math.inf
-    assert bins[1] == (-110.0, -109.0, 0)
+    counts = power_histogram([])
+    assert len(counts) == len(_HIST_BINS) == 42  # 40 inner + two open ends
+    assert _HIST_BINS[0][0] == -math.inf and _HIST_BINS[0][1] == -110.0
+    assert _HIST_BINS[-1][0] == -70.0 and _HIST_BINS[-1][1] == math.inf
+    assert (*_HIST_BINS[1], counts[1]) == (-110.0, -109.0, 0)
 
-    bins = power_histogram([-109.5, -110.0, -110.0001, -70.0, -3.0])
-    assert bins[0][2] == 1                       # below -110
-    assert bins[1][2] == 2                       # [-110, -109) keeps its left edge
-    assert bins[-1][2] == 2                      # -70 and above spill over
-    assert sum(c for _, _, c in bins) == 5
+    counts = power_histogram([-109.5, -110.0, -110.0001, -70.0, -3.0])
+    assert counts[0] == 1                        # below -110
+    assert counts[1] == 2                        # [-110, -109) keeps its left edge
+    assert counts[-1] == 2                       # -70 and above spill over
+    assert sum(counts) == 5
 
 
 def test_histogram_count_conservation():
     rng = np.random.default_rng(13)
     vals = rng.uniform(-130, -50, size=500)
-    bins = power_histogram(vals)
-    assert sum(c for _, _, c in bins) == 500
+    assert sum(power_histogram(vals)) == 500
 
 
 def test_histogram_uniform_sanity():
     rng = np.random.default_rng(14)
     vals = rng.uniform(-110, -70, size=10000)
-    inner = [c for lo, hi, c in power_histogram(vals) if not math.isinf(lo) and not math.isinf(hi)]
+    inner = [c for (lo, hi), c in zip(_HIST_BINS, power_histogram(vals))
+             if not math.isinf(lo) and not math.isinf(hi)]
     assert stats.chisquare(inner).pvalue > 0.01
 
 
@@ -191,17 +194,47 @@ def test_map_draws_a_user_on_the_power_target_as_served(tmp_path):
 
 
 def test_histogram_bars_match_the_per_value_reference():
-    histogram = power_histogram(np.random.default_rng(6).normal(-92.0, 9.0, 202))
-    bars = [line for line in render_histogram_svg(histogram, "t", -91.0).splitlines()
+    counts = power_histogram(np.random.default_rng(6).normal(-92.0, 9.0, 202))
+    bars = [line for line in render_histogram_svg(counts, "t", -91.0).splitlines()
             if line.startswith("<rect x=")]
-    peak, bw = max(c for _, _, c in histogram), 575.0 / len(histogram)
+    peak, bw = max(counts), 575.0 / len(counts)
     want = []
-    for k, (lo, hi, c) in enumerate(histogram):
+    for k, ((lo, hi), c) in enumerate(zip(_HIST_BINS, counts)):
         bh = 245.0 * c / peak
         fill = "#888888" if math.isinf(lo) or math.isinf(hi) else "#377eb8"
         want.append(f'<rect x="{50.0 + k * bw + 0.5:.2f}" y="{275.0 - bh:.2f}" '
                     f'width="{bw - 1.0:.2f}" height="{bh:.2f}" fill="{fill}"/>')
     assert bars == want
+
+
+HIST_FIGURES = Path(__file__).with_name("hist_figures.json")
+
+
+def histogram_figures() -> dict:
+    """The pinned figures' texts, each split at its newlines, by name."""
+    normal = np.random.default_rng(6).normal(-92.0, 9.0, 202).tolist()
+    cases = {
+        # the target on each end of HIST_RANGE and inside it: marker drawn
+        "target_at_range_low": (normal, "initial placement", -110.0),
+        "target_at_range_high": (normal, "final placement", -70.0),
+        "target_inside": (normal, "final placement", -91.0),
+        # just outside HIST_RANGE: no marker
+        "target_below_range": (normal, "final placement", -110.5),
+        "target_above_range": (normal, "final placement", -69.5),
+        # the peak in the underflow bin
+        "all_below_range": (np.linspace(-140.0, -110.5, 30).tolist(), "initial placement",
+                            -91.0),
+        # no powers: the peak is 1
+        "no_powers": ([], "initial placement", -91.0),
+    }
+    return {name: render_histogram_svg(power_histogram(powers), title, p_min_dbm).split("\n")
+            for name, (powers, title, p_min_dbm) in cases.items()}
+
+
+def test_histogram_figures_match_the_recorded_texts():
+    # recorded from the code that built the figure from each bin's edges; to re-record:
+    #   PYTHONPATH=src python tests/test_report.py > tests/hist_figures.json
+    assert histogram_figures() == json.loads(HIST_FIGURES.read_text())
 
 
 def png_pixels(png: bytes) -> list:
@@ -458,3 +491,7 @@ cell_values = st.one_of(
 @example([-80.125, -80.135, -80.0, -100.0, -0.001, math.nan, -math.inf, 1e308])
 def test_cell_texts_equal_format_2f(values):
     assert _cell_texts(np.array(values)) == [format(v, ".2f") for v in values]
+
+
+if __name__ == "__main__":
+    sys.stdout.write(json.dumps(histogram_figures(), indent=1) + "\n")

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import network_utility_gradient
 from airbs_sgd.channel import received_power_matrix
 from airbs_sgd.utility import (
     Family,
     UtilityConfig,
     _logistic,
-    network_utility_gradient,
     oracle,
     sigmoid_delta,
     sigmoid_delta_deriv,
