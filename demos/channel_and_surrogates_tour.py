@@ -3,6 +3,8 @@
 Prints small tables instead of plotting so it runs anywhere.
 """
 
+import math
+
 import numpy as np
 
 from airbs_sgd import (
@@ -17,18 +19,19 @@ from airbs_sgd.utility import sigmoid_delta_deriv
 
 def main():
     channel = ChannelParams(ref_gain_db=-94.0, ref_distance_m=1000.0)
-    # a transmitter's link budget: its power plus the shared reference gain
-    budget, ref = [12.0 + channel.ref_gain_db], channel.ref_distance_m
+    # a transmitter's power at 1 m: its power plus the shared gain at the reference
+    # distance, carried from there to 1 m
+    budget = [12.0 + channel.ref_gain_db + 20.0 * math.log10(channel.ref_distance_m)]
     airbs = np.array([[0.0, 0.0, 30.0]])
 
     print("received power vs distance (12 dBm transmitter, -94 dB @ 1 km)")
     distances = np.array([100.0, 500.0, 1000.0, 2000.0, 5000.0])
     users = np.column_stack([distances, np.zeros(5), np.zeros(5)])
-    for d, p in zip(distances, received_power_matrix(airbs, budget, ref, users)[:, 0]):
+    for d, p in zip(distances, received_power_matrix(airbs, budget, users)[:, 0]):
         print(f"  {d:7.0f} m -> {p:8.2f} dBm")
 
     user = np.array([[1500.0, 400.0, 0.0]])
-    g = received_power_matrix(airbs, budget, ref, user, gradient=True)[1][0, 0]
+    g = received_power_matrix(airbs, budget, user, gradient=True)[1][0, 0]
     to_user = user[0] - airbs[0]
     cos = float(np.dot(g, to_user) / (np.linalg.norm(g) * np.linalg.norm(to_user)))
     print(f"\ngradient at the AirBS points toward the user: cos={cos:.6f}")

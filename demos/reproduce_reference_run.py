@@ -27,15 +27,14 @@ def main():
     print(f"oracle utility:   {log.oracle_utility[0]:.4f} -> {log.oracle_utility[-1]:.4f}")
 
     # same user draw, centralized clustering instead of gradient agents
-    budget, ref = s.budget_dbm, s.channel.ref_distance_m
+    budget = s.budget_dbm
     km = kmeans_placement(log.users, s.num_airbs, seed=s.seed,
                           height_m=s.fixed_height_m)
     # judged by the oracle, as every snapshot is
-    km_served = int(oracle(km.centroids, log.users, s.traffic.as_array(), s.utility, budget,
-                           ref)[1])
+    km_served = int(oracle(km.centroids, log.users, s.traffic.as_array(), s.utility, budget)[1])
     print(f"k-means baseline: {km_served}/{m} served ({m - km_served} unserved)")
 
-    cov = coverage_map(log.positions[-1], s.area, 70, budget, ref)
+    cov = coverage_map(log.positions[-1], s.area, 70, budget)
     paths = render_outputs(log, cov, "reference_out", s.area, s.utility.p_min_dbm)
     print("wrote:")
     for name in sorted(paths):

@@ -20,8 +20,10 @@ from airbs_sgd import (
 
 
 def main():
-    # strongest possible reception: agent directly overhead at 30 m
-    p_top = float(received_power_matrix([[0.0, 0.0, 30.0]], [12.0 - 94.0], 1000.0,
+    # strongest possible reception: agent directly overhead at 30 m; the kernel takes
+    # the power at 1 m, the link budget at the 1000 m reference plus 20*log10(1000)
+    p_top = float(received_power_matrix([[0.0, 0.0, 30.0]],
+                                        [12.0 - 94.0 + 20.0 * math.log10(1000.0)],
                                         [[0.0, 0.0, 0.0]])[0, 0])
     print(f"power directly under the AirBS: {p_top:.2f} dBm")
 

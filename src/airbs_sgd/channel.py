@@ -6,7 +6,8 @@ module boundaries is in dBm; linear (mW) conversions happen inside the
 operations that need them. One array kernel,
 :func:`received_power_matrix`, evaluates B transmitters at N points at
 once, with gradients on request; every other power computation in the
-package goes through it.
+package goes through it. A transmitter enters it as its power at 1 m,
+``budget_dbm``; a receiver ``d`` m away gets ``budget_dbm - 10*log10(d**2)``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ EPS_DISTANCE_M = 0.1
 # Largest coordinate magnitude (m) a position may have: the squared distance
 # of two points within it, below 12 * MAX_COORD_M**2 = 1.2e301, stays finite.
 MAX_COORD_M = 1e150
-# Smallest reference distance (m) a link budget may be calibrated at: a
-# separation over it, below sqrt(12) * MAX_COORD_M / MIN_REF_DISTANCE_M = 3.5e300,
-# stays finite.
+# Smallest reference distance (m) a channel may be calibrated at: the bound
+# scenario files are checked against, kept so that the same files load and the
+# same are rejected.
 MIN_REF_DISTANCE_M = 1e-150
 
 
@@ -52,7 +53,7 @@ class ChannelParams:
                              f"{MIN_REF_DISTANCE_M:g} m, got {self.ref_distance_m:g}")
 
 
-def received_power_matrix(placements, budget_dbm, ref_distance_m, points, gradient: bool = False):
+def received_power_matrix(placements, budget_dbm, points, gradient: bool = False):
     """Received power from B transmitters at N points, and its gradient: the array kernel.
 
     Parameters
@@ -60,9 +61,8 @@ def received_power_matrix(placements, budget_dbm, ref_distance_m, points, gradie
     placements : array_like, shape (..., B, 3)
         Transmitter locations.
     budget_dbm : array_like, shape (B,)
-        Each transmitter's link budget: its transmit power plus ``ref_gain_db``.
-    ref_distance_m : float
-        The distance (m) at which the channel gain is ``ref_gain_db``.
+        Each transmitter's received power (dBm) at 1 m, as
+        :attr:`simulator.Scenario.budget_dbm` gives it.
     points : array_like, shape (..., N, 3)
         Receiver locations. The leading axes of ``placements`` and
         ``points`` broadcast, e.g. one set of transmitters and points per
@@ -74,8 +74,8 @@ def received_power_matrix(placements, budget_dbm, ref_distance_m, points, gradie
     Returns
     -------
     ndarray, shape (..., N, B), or a pair adding an (..., N, B, 3) array
-        Powers ``budget_dbm[b] - 20*log10(d / ref_distance_m)``
-        in dBm, with ``d`` the transmitter-receiver separation in meters;
+        Powers ``budget_dbm[b] - 10*log10(d**2)`` in dBm, with ``d`` the
+        transmitter-receiver separation in meters;
         gradients ``-(20/ln 10) * (l_b - x_m) / d**2`` in dB/meter, which
         point from the transmitter toward the receiver (moving closer
         raises power) with magnitude ``(20/ln 10)/d``.
@@ -113,10 +113,8 @@ def received_power_matrix(placements, budget_dbm, ref_distance_m, points, gradie
         raise CoincidentPositionsError(
             f"separation {math.sqrt(float(np.min(d2))):.3g} m below the "
             f"{EPS_DISTANCE_M} m singularity guard")
-    p = np.sqrt(d2, out=None if gradient else d2)
-    np.divide(p, ref_distance_m, out=p)
-    np.log10(p, out=p)
-    np.multiply(20.0, p, out=p)
+    p = np.log10(d2, out=None if gradient else d2)
+    np.multiply(10.0, p, out=p)
     powers = np.subtract(budget[:, None], p, out=p).swapaxes(-1, -2)
     if not gradient:
         return powers

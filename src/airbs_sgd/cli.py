@@ -189,16 +189,15 @@ def _phase_one(s: Scenario, seeds, with_kmeans: bool) -> list:
     for its centroids; all the run's baselines are one Lloyd program.
     """
     logs = run_replications(s, seeds)
-    budget, ref = s.budget_dbm, s.channel.ref_distance_m
     # one grid per call: two batched calls of 10 measured as fast with the
     # in-place kernel, and slower before it from page faults, not the cache
-    grids = [coverage_map(log.positions[-1], s.area, MAP_GRID, budget, ref) for log in logs]
+    grids = [coverage_map(log.positions[-1], s.area, MAP_GRID, s.budget_dbm) for log in logs]
     kmeans = [None] * len(logs)
     if with_kmeans:
         users = np.stack([log.users for log in logs])
         kmeans = kmeans_replications(users, s.num_airbs, seeds, height_m=s.fixed_height_m)
         served = oracle(np.stack([km.centroids for km in kmeans]), users,
-                        s.traffic.as_array(), s.utility, budget, ref)[1]
+                        s.traffic.as_array(), s.utility, s.budget_dbm)[1]
         kmeans = list(zip(kmeans, served.tolist()))
     return list(zip(logs, grids, kmeans))
 

@@ -44,13 +44,12 @@ _HIST_BINS = list(zip([-math.inf, *_HIST_EDGES.tolist()], [*_HIST_EDGES.tolist()
 COVERAGE_CLIP = (-100.0, -80.0)
 
 
-def coverage_map(placements, area, grid_resolution: int, budget_dbm,
-                 ref_distance_m) -> np.ndarray:
+def coverage_map(placements, area, grid_resolution: int, budget_dbm) -> np.ndarray:
     """Strongest received power on the ground grid (z = 0), clipped to
     :data:`COVERAGE_CLIP`.
 
-    ``area`` is a :class:`simulator.Rect`; ``budget_dbm`` and ``ref_distance_m``
-    are as for :func:`channel.received_power_matrix`. Returns shape (n, n) for a
+    ``area`` is a :class:`simulator.Rect`; ``budget_dbm`` is as for
+    :func:`channel.received_power_matrix`. Returns shape (n, n) for a
     ``grid_resolution`` of n, at least 2: n evenly spaced points along each
     axis, edges included; rows run south to north, columns west to east.
     """
@@ -59,7 +58,7 @@ def coverage_map(placements, area, grid_resolution: int, budget_dbm,
     gx, gy = np.meshgrid(np.linspace(area.x_min, area.x_max, grid_resolution),
                          np.linspace(area.y_min, area.y_max, grid_resolution))
     pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-    best = np.max(received_power_matrix(placements, budget_dbm, ref_distance_m, pts), axis=1)
+    best = np.max(received_power_matrix(placements, budget_dbm, pts), axis=1)
     return np.clip(best, *COVERAGE_CLIP).reshape(gy.shape)
 
 

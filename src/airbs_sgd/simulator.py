@@ -81,7 +81,7 @@ class Scenario:
     Its fields, and those of the dataclasses it nests, are the scenario
     file format (see :func:`scenario_from_dict`): a field with a default
     is an optional key. ``tx_powers_dbm`` gives each transmitter its own
-    power over the shared ``channel``, and :attr:`budget_dbm` its link budget.
+    power over the shared ``channel``, and :attr:`budget_dbm` its power at 1 m.
     ``traffic`` may be None, meaning uniform shares over all users
     (including the extras). ``measurement_noise_db`` adds Gaussian error
     to reported packet powers and is 0 for the exact baseline.
@@ -159,7 +159,8 @@ class Scenario:
         # for the rewards: each budget's, then each soft maximum's, up to ln(B) / T above it
         excess = math.log(self.num_airbs) / _temperature(self.utility)
         for over, term in ((0.0, ""), (excess, " + ln(num_airbs) / utility.softmax_alpha")):
-            for b, (p, budget) in enumerate(zip(self.tx_powers_dbm, self.budget_dbm.tolist())):
+            for b, p in enumerate(self.tx_powers_dbm):
+                budget = p + self.channel.ref_gain_db
                 if not math.isfinite(budget):
                     raise ValueError(f"tx_powers_dbm[{b}] + channel.ref_gain_db must be finite, "
                                      f"got {p!r} + {self.channel.ref_gain_db!r}")
@@ -177,10 +178,12 @@ class Scenario:
 
     @cached_property
     def budget_dbm(self) -> np.ndarray:
-        """Each transmitter's link budget (B,): ``tx_powers_dbm[b] + channel.ref_gain_db``.
+        """Each transmitter's received power at 1 m (B,), in dBm: its link budget
+        ``tx_powers_dbm[b] + channel.ref_gain_db`` plus ``20*log10(channel.ref_distance_m)``.
 
         Read-only, as every caller shares the one array."""
-        budget = np.array([p + self.channel.ref_gain_db for p in self.tx_powers_dbm])
+        ref = 20.0 * math.log10(self.channel.ref_distance_m)
+        budget = np.array([(p + self.channel.ref_gain_db) + ref for p in self.tx_powers_dbm])
         budget.flags.writeable = False
         return budget
 
@@ -248,7 +251,7 @@ def run_replications(s: Scenario, seeds) -> list:
     """
     starts, users, rngs = zip(*[init_scenario(s, seed) for seed in seeds])
     L, users = np.stack(starts), np.stack(users)
-    budget, ref, cfg, profile = s.budget_dbm, s.channel.ref_distance_m, s.utility, s.traffic
+    budget, cfg, profile = s.budget_dbm, s.utility, s.traffic
     q, b = s.schedule.minibatch_size, s.num_airbs
     weights = profile.as_array()
     sigma = s.measurement_noise_db
@@ -261,7 +264,7 @@ def run_replications(s: Scenario, seeds) -> list:
 
     def snapshot(i):
         positions[:, i] = L
-        utilities[:, i], served[:, i], best = oracle(L, users, weights, cfg, budget, ref)
+        utilities[:, i], served[:, i], best = oracle(L, users, weights, cfg, budget)
         finite = np.isfinite(utilities[:, i])
         if not finite.all():
             raise DivergenceError(f"oracle utility is {utilities[np.argmin(finite), i]} "
@@ -275,7 +278,7 @@ def run_replications(s: Scenario, seeds) -> list:
         for rng, row in zip(rngs, uniforms):
             rng.random(out=row)
         idx = profile.recipients(uniforms)
-        powers, grads = received_power_matrix(L, budget, ref, users[rep, idx], gradient=True)
+        powers, grads = received_power_matrix(L, budget, users[rep, idx], gradient=True)
         if sigma > 0.0:
             # and its (Q, B) normals, drawn into its row as well
             for rng, row in zip(rngs, normals):

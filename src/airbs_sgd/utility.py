@@ -194,12 +194,12 @@ def user_utility_partials(powers_dbm, cfg: UtilityConfig, axis: int = -1):
     return _reward(soft, cfg, slope=True) * (e / z)
 
 
-def oracle(placements, users, weights, cfg: UtilityConfig, budget_dbm, ref_distance_m):
+def oracle(placements, users, weights, cfg: UtilityConfig, budget_dbm):
     """Exact network utility ``sum_m w_m * J_m``, served count and strongest powers (dBm).
 
     ``placements`` (..., B, 3) and ``users`` (..., M, 3) broadcast over
     leading axes, e.g. one of each per replication; ``weights`` (M,) are
-    the traffic shares; ``budget_dbm`` and ``ref_distance_m`` are as for
+    the traffic shares; ``budget_dbm`` is as for
     :func:`channel.received_power_matrix`. A user is served when its
     strongest power meets ``cfg.p_min_dbm``, with no surrogate smoothing.
     Returns ``(utility, served, best)``: (...), (...) and (..., M) arrays;
@@ -208,7 +208,7 @@ def oracle(placements, users, weights, cfg: UtilityConfig, budget_dbm, ref_dista
     """
     # transmitter-major (..., B, M): a reduction over B adds whole rows, in index order for any B
     powers = np.ascontiguousarray(
-        received_power_matrix(placements, budget_dbm, ref_distance_m, users).swapaxes(-1, -2))
+        received_power_matrix(placements, budget_dbm, users).swapaxes(-1, -2))
     # each row's own dot product: unlike one matmul, its bits do not depend on the batch
     utility = np.vecdot(user_utility(powers, cfg, axis=-2), weights)
     best = np.maximum.reduce(powers, axis=-2)

@@ -3,6 +3,7 @@ gradient, dB conversions, packet replay, the per-replication k-means
 reference, acceptance reporting, fresh-interpreter runs and a scenario that
 diverges."""
 
+import math
 import os
 import subprocess
 import sys
@@ -78,24 +79,29 @@ def linear_to_dbm(p_mw):
     return 10.0 * np.log10(p)
 
 
-def network_utility_gradient(placements, users, weights, cfg: UtilityConfig, budget_dbm,
-                             ref_distance_m) -> np.ndarray:
+def budget_at_1m(budget_dbm, ref_distance_m):
+    """Link budgets calibrated at ``ref_distance_m`` as the kernel takes them: each
+    transmitter's power at 1 m, ``budget_dbm + 20*log10(ref_distance_m)``, the sum
+    that ``Scenario.budget_dbm`` makes."""
+    return np.asarray(budget_dbm, dtype=float) + 20.0 * math.log10(ref_distance_m)
+
+
+def network_utility_gradient(placements, users, weights, cfg: UtilityConfig,
+                             budget_dbm) -> np.ndarray:
     """Gradient of ``utility.oracle``'s utility at one (B, 3) placement and (M, 3) user set.
 
     Returns shape (B, 3), dB-chain assembled: row ``b`` is
     ``sum_m w_m * (d p_bm / d l_b) * (d J_m / d p_bm)``.
     """
-    powers, grads = received_power_matrix(placements, budget_dbm, ref_distance_m, users,
-                                          gradient=True)
+    powers, grads = received_power_matrix(placements, budget_dbm, users, gradient=True)
     partials = user_utility_partials(powers, cfg)  # (M, B)
     return np.einsum("m,mb,mbk->bk", weights, partials, grads)
 
 
-def agent_gradient(position, budget_b, ref_distance_m, b, users, reported, cfg) -> np.ndarray:
+def agent_gradient(position, budget_b, b, users, reported, cfg) -> np.ndarray:
     """Agent ``b``'s summed chain-rule gradient over a minibatch, one packet at a time.
 
-    ``position`` (3,) is the agent's own, ``budget_b`` its link budget at
-    ``ref_distance_m``;
+    ``position`` (3,) is the agent's own, ``budget_b`` its power at 1 m;
     packet q comes from the user at ``users[q]`` and reports the B powers
     ``reported[q]``. The utility's partials in agent ``b``'s power come
     from one agent-major ``user_utility_partials`` call over the Q packets,
@@ -108,21 +114,19 @@ def agent_gradient(position, budget_b, ref_distance_m, b, users, reported, cfg) 
     partials = user_utility_partials(np.ascontiguousarray(reported.T), cfg, axis=0)[b]
     total = np.zeros(3)
     for x, partial in zip(users, partials):
-        _, g = received_power_matrix(position[None], [budget_b], ref_distance_m, x[None],
-                                     gradient=True)
+        _, g = received_power_matrix(position[None], [budget_b], x[None], gradient=True)
         total += g[0, 0] * partial
     return total
 
 
-def agent_step(position, budget_b, ref_distance_m, b, users, reported, cfg, eta,
-               fixed_height) -> np.ndarray:
+def agent_step(position, budget_b, b, users, reported, cfg, eta, fixed_height) -> np.ndarray:
     """Agent ``b`` alone: one ascent step along its minibatch-mean gradient.
 
     The reference that ``navigator.batched_update``'s rows are compared
     against; ``fixed_height``, when not None, pins z exactly.
     """
-    new = position + eta * (agent_gradient(position, budget_b, ref_distance_m, b, users,
-                                           reported, cfg) / len(users))
+    new = position + eta * (agent_gradient(position, budget_b, b, users, reported, cfg)
+                            / len(users))
     if fixed_height is not None:
         new[2] = fixed_height
     return new
@@ -139,14 +143,14 @@ def replay_alone(s, log) -> np.ndarray:
     positions, shaped like ``log.positions``.
     """
     _, users, rng = init_scenario(s, s.seed)
-    budget, ref, q = s.budget_dbm, s.channel.ref_distance_m, s.schedule.minibatch_size
+    budget, q = s.budget_dbm, s.schedule.minibatch_size
     path = [log.positions[0]]
     for i in range(log.positions.shape[0] - 1):
         idx = s.traffic.recipients(rng.random(q))
-        powers = received_power_matrix(log.positions[i], budget, ref, users[idx])
+        powers = received_power_matrix(log.positions[i], budget, users[idx])
         if s.measurement_noise_db > 0.0:
             powers = powers + s.measurement_noise_db * rng.standard_normal(powers.shape)
-        path.append([agent_step(row, budget[b], ref, b, users[idx], powers, s.utility,
+        path.append([agent_step(row, budget[b], b, users[idx], powers, s.utility,
                                 s.schedule.eta(i), s.fixed_height_m)
                      for b, row in enumerate(path[-1])])
     return np.array(path)
@@ -162,7 +166,8 @@ def runaway_scenario():
     below the target that their packets do not move the agent.
     """
     extra = (1.0, 0.0, 0.0)
-    p_extra = float(received_power_matrix([[0.0, 0.0, 2.0]], [12.0 - 94.0], 1000.0, [extra])[0, 0])
+    p_extra = float(received_power_matrix([[0.0, 0.0, 2.0]], budget_at_1m([12.0 - 94.0], 1000.0),
+                                          [extra])[0, 0])
     return Scenario(
         area=Rect(1e6, 0.0, 1e6 + 100.0, 100.0), num_airbs=1, tx_powers_dbm=(12.0,),
         init_region=Rect(0.0, 0.0, 0.0, 0.0), fixed_height_m=2.0, num_mus=2,
@@ -191,9 +196,9 @@ def runaway_message(s, seed, rep_dir):
     packet; its bundle would be ``rep_dir``. The landing point is stepped by
     :func:`agent_step`, the per-agent reference."""
     start, extra = np.array([0.0, 0.0, 2.0]), np.array(s.extra_mu_positions)
-    budget, ref = s.budget_dbm, s.channel.ref_distance_m
-    powers = received_power_matrix(start[None], budget, ref, extra)
-    flung = agent_step(start, budget[0], ref, 0, extra, powers, s.utility, s.schedule.eta(0),
+    budget = s.budget_dbm
+    powers = received_power_matrix(start[None], budget, extra)
+    flung = agent_step(start, budget[0], 0, extra, powers, s.utility, s.schedule.eta(0),
                        s.fixed_height_m)
     return (f"error: replication with seed {seed} failed: agent 0 stepped to {flung.tolist()}: "
             f"the position must be within 1e+150 m of 0 with nonnegative altitude "

@@ -12,8 +12,8 @@ from typing import get_args
 
 import numpy as np
 
-from helpers import (agent_gradient, agent_step, central_diff, network_utility_gradient,
-                     record_criterion, rel_err)
+from helpers import (agent_gradient, agent_step, budget_at_1m, central_diff,
+                     network_utility_gradient, record_criterion, rel_err)
 from test_utility import conditioned_cfg
 
 from airbs_sgd.channel import ChannelParams, received_power_matrix
@@ -78,7 +78,7 @@ def assembled_case(rng, family):
                            mu[0, 1] + horiz * math.sin(theta), z])
     placements = np.array(placements)
     budget = np.full(b, 12.0 - 94.0)
-    powers = received_power_matrix(placements, budget, 1000.0, mu)[0]
+    powers = received_power_matrix(placements, budget_at_1m(budget, 1000.0), mu)[0]
     if family == "threshold_sigmoid_broadcast":
         anchor = 10.0 * math.log10(float(np.sum(10.0 ** (powers / 10.0))))
     else:
@@ -104,9 +104,10 @@ def test_criterion_03_finite_difference_cross_checks():
     for _ in range(100):
         l = np.array([[*rng.uniform(-2000, 2000, 2), rng.uniform(20, 200)]])
         x = np.array([[*rng.uniform(-2000, 2000, 2), 0.0]])
-        got = received_power_matrix(l, budget, 1000.0, x, gradient=True)[1][0, 0]
+        got = received_power_matrix(l, budget_at_1m(budget, 1000.0), x, gradient=True)[1][0, 0]
         want = central_diff(
-            lambda v: received_power_matrix(v[None], budget, 1000.0, x)[0, 0], l[0], h=1e-3)
+            lambda v: received_power_matrix(v[None], budget_at_1m(budget, 1000.0), x)[0, 0], l[0],
+            h=1e-3)
         worst = max(worst, rel_err(got, want))
 
     # per-family utility partials
@@ -123,15 +124,16 @@ def test_criterion_03_finite_difference_cross_checks():
     for k in range(100):
         family = FAMILIES[k % len(FAMILIES)]
         placements, budget, mu, cfg = assembled_case(rng, family)
-        reported = received_power_matrix(placements, budget, 1000.0, mu)
+        reported = received_power_matrix(placements, budget_at_1m(budget, 1000.0), mu)
         for i in range(len(placements)):
-            got = agent_gradient(placements[i], budget[i], 1000.0, i, mu, reported, cfg)
+            got = agent_gradient(placements[i], budget_at_1m(budget[i], 1000.0), i, mu, reported,
+                                 cfg)
 
             def j_of(v):
                 moved = placements.copy()
                 moved[i] = v
-                return float(user_utility(received_power_matrix(moved, budget, 1000.0, mu)[0],
-                                          cfg))
+                return float(user_utility(
+                    received_power_matrix(moved, budget_at_1m(budget, 1000.0), mu)[0], cfg))
 
             want = central_diff(j_of, placements[i], h=1e-3)
             worst = max(worst, rel_err(got, want))
@@ -154,13 +156,13 @@ def test_criterion_04_enumeration_oracle():
     w = w / w.sum()
     cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -88.0, 4.0)
 
-    reported = received_power_matrix(placements, budget, 1000.0, mus)
+    reported = received_power_matrix(placements, budget_at_1m(budget, 1000.0), mus)
     stacked = np.zeros((b, 3))
     for idx in range(m):
         for i in range(b):
-            stacked[i] += w[idx] * agent_gradient(placements[i], budget[i], 1000.0, i,
+            stacked[i] += w[idx] * agent_gradient(placements[i], budget_at_1m(budget[i], 1000.0), i,
                                                   mus[idx:idx + 1], reported[idx:idx + 1], cfg)
-    oracle = network_utility_gradient(placements, mus, w, cfg, budget, 1000.0)
+    oracle = network_utility_gradient(placements, mus, w, cfg, budget_at_1m(budget, 1000.0))
     err = rel_err(stacked, oracle)
     ok = err < 1e-9
     record_criterion(
@@ -180,15 +182,15 @@ def test_criterion_05_estimator_noise_scaling():
     profile = TrafficProfile(pi=tuple(w))
     cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -89.0, 4.0)
 
-    per_user = np.array([user_utility(received_power_matrix(placements, budget, 1000.0,
-                                                            mu[None])[0], cfg)
+    per_user = np.array([user_utility(received_power_matrix(
+                             placements, budget_at_1m(budget, 1000.0), mu[None])[0], cfg)
                          for mu in mus], dtype=float)
-    exact = oracle(placements, mus, w, cfg, budget, 1000.0)[0]
+    exact = oracle(placements, mus, w, cfg, budget_at_1m(budget, 1000.0))[0]
     assert abs(float(np.dot(w, per_user)) - exact) < 1e-12
 
     # index-sampling oracle is the same math as the packet estimator
     idx = np.array([profile.recipients(rng.random()) for _ in range(50)])
-    reported = received_power_matrix(placements, budget, 1000.0, mus[idx])
+    reported = received_power_matrix(placements, budget_at_1m(budget, 1000.0), mus[idx])
     assert abs(float(np.mean(user_utility(reported, cfg))) - per_user[idx].mean()) < 1e-12
 
     sizes = (100, 1000, 10000)
@@ -206,7 +208,7 @@ def test_criterion_05_estimator_noise_scaling():
 
 
 def test_criterion_06_single_pair_convergence():
-    p_top = float(received_power_matrix([[0.0, 0.0, 30.0]], [12.0 - 94.0], 1000.0,
+    p_top = float(received_power_matrix([[0.0, 0.0, 30.0]], budget_at_1m([12.0 - 94.0], 1000.0),
                                         [[0.0, 0.0, 0.0]])[0, 0])
     worst_dist = 0.0
     worst_first = 0
@@ -260,7 +262,8 @@ def test_criterion_08_noncooperation_barrier():
         budget = np.array([rng.uniform(5, 15) - 94.0 for _ in range(b)])
         focus = int(rng.integers(0, b))
         mu = np.array([[*rng.uniform(0, 4000, 2), 0.0]])
-        powers, grads = received_power_matrix(placements, budget, 1000.0, mu, gradient=True)
+        powers, grads = received_power_matrix(placements, budget_at_1m(budget, 1000.0), mu,
+                                              gradient=True)
         cfg = conditioned_cfg(FAMILIES[focus % len(FAMILIES)], powers[0], rng)
         ref = batched_update(placements, grads, powers, cfg, eta)[focus]
 
@@ -273,8 +276,8 @@ def test_criterion_08_noncooperation_barrier():
         grads[:, others, 2] = np.abs(grads[:, others, 2])
         replayed = batched_update(placements, grads, powers, cfg, eta)[focus]
 
-        alone = agent_step(placements[focus], budget[focus], 1000.0, focus, mu, powers, cfg, eta,
-                           None)
+        alone = agent_step(placements[focus], budget_at_1m(budget[focus], 1000.0), focus, mu,
+                           powers, cfg, eta, None)
         ok = ok and np.array_equal(ref, replayed) and np.array_equal(ref, alone)
     record_criterion(
         8, "replaying a packet gives a bit-identical update regardless of the "

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from helpers import kmeans_reference
 from airbs_sgd import baseline
@@ -118,6 +118,12 @@ def lloyd_batches(draw):
     return users, b, seeds, draw(st.sampled_from([1, 2, 3, 100]))
 
 
+# two replications of two clusters on a line whose seeds pick both first centroids on
+# one side: Lloyd needs three passes, so a budget of one pass stops it early
+TWO_PASS_USERS = np.zeros((2, 6, 3))
+TWO_PASS_USERS[..., 0] = [0.0, 1.0, 2.0, 10.0, 11.0, 12.0]
+
+
 def _bits(res):
     return (res.centroids.tobytes(), res.assignments, np.float64(res.inertia).tobytes(),
             np.array(res.inertia_history).tobytes())
@@ -126,6 +132,7 @@ def _bits(res):
 @settings(derandomize=True, deadline=None, database=None, max_examples=150,
           suppress_health_check=[HealthCheck.too_slow])
 @given(lloyd_batches())
+@example((TWO_PASS_USERS, 2, [0, 4], 1))
 def test_batched_lloyd_is_each_replication_alone_bit_for_bit(batch):
     users, b, seeds, max_iters = batch
     # hypothesis refuses function-scoped fixtures, so each example patches its own budget

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import dbm_to_linear, linear_to_dbm
+from helpers import budget_at_1m, dbm_to_linear, linear_to_dbm
 from airbs_sgd.channel import (MAX_COORD_M, MIN_REF_DISTANCE_M, ChannelParams,
                                CoincidentPositionsError, received_power_matrix)
 
@@ -16,17 +16,22 @@ BUDGET = TX_DBM + GAIN_DB
 
 def power(l_b, x_m, budget=BUDGET, ref=REF_M) -> float:
     """Power in dBm at ``x_m`` from a transmitter at ``l_b``: one kernel entry."""
-    return float(received_power_matrix([l_b], [budget], ref, [x_m])[0, 0])
+    return float(received_power_matrix([l_b], budget_at_1m([budget], ref), [x_m])[0, 0])
 
 
 def gradient(l_b, x_m) -> np.ndarray:
     """Gradient of :func:`power` in ``l_b``, dB/meter."""
-    return received_power_matrix([l_b], [BUDGET], REF_M, [x_m], gradient=True)[1][0, 0]
+    return received_power_matrix([l_b], budget_at_1m([BUDGET], REF_M), [x_m],
+                                 gradient=True)[1][0, 0]
 
 
 def test_power_at_reference_distance():
     p = power((1000.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     assert p == pytest.approx(-82.0, abs=1e-12)
+    # 1 m away, log10(1) = 0: exactly the transmitter's power at 1 m, bit for bit
+    at_1m = budget_at_1m([BUDGET], 321.7)
+    p = received_power_matrix([[101.0, 200.0, 30.0]], at_1m, [[100.0, 200.0, 30.0]])
+    assert p[0, 0] == at_1m[0]
 
 
 def test_power_one_doubling_down_6dB():
@@ -125,7 +130,7 @@ def test_dbm_linear_roundtrip():
     assert float(np.max(np.abs(back - vals) / np.maximum(np.abs(vals), 1e-12))) < 1e-12
 
 
-def pairwise_loop(L, X, budget, ref):
+def pairwise_loop(L, X, budget):
     """Powers and gradients from one one-pair kernel call per (transmitter, point)."""
     lead = np.broadcast_shapes(L.shape[:-2], X.shape[:-2])
     L = np.broadcast_to(L, lead + L.shape[-2:])
@@ -135,7 +140,7 @@ def pairwise_loop(L, X, budget, ref):
     for k in np.ndindex(lead):
         for n, x in enumerate(X[k]):
             for b, (l_b, budget_b) in enumerate(zip(L[k], budget)):
-                p, g = received_power_matrix(l_b[None], [budget_b], ref, x[None], gradient=True)
+                p, g = received_power_matrix(l_b[None], [budget_b], x[None], gradient=True)
                 powers[k + (n, b)], grads[k + (n, b)] = p[0, 0], g[0, 0]
     return powers, grads
 
@@ -149,12 +154,13 @@ def test_vectorized_points_match_scalar():
     pts = rng.uniform(-2000, 2000, size=(64, 3))
     pts[:, 2] = 0.0
     for ref in (REF_M, 500.0):
-        vec_p, vec_g = received_power_matrix(L, budget, ref, pts, gradient=True)
-        loop_p, loop_g = pairwise_loop(L, pts, budget, ref)
+        at_1m = budget_at_1m(budget, ref)
+        vec_p, vec_g = received_power_matrix(L, at_1m, pts, gradient=True)
+        loop_p, loop_g = pairwise_loop(L, pts, at_1m)
         assert vec_p.shape == (64, 3) and vec_g.shape == (64, 3, 3)
         assert np.array_equal(vec_p, loop_p)
         assert np.array_equal(vec_g, loop_g)
-        assert np.array_equal(received_power_matrix(L, budget, ref, pts), vec_p)
+        assert np.array_equal(received_power_matrix(L, at_1m, pts), vec_p)
 
 
 def test_kernel_leading_axes_are_independent_batches():
@@ -165,23 +171,24 @@ def test_kernel_leading_axes_are_independent_batches():
     L = np.concatenate([rng.uniform(-1500, 1500, (3, 4, 2)), rng.uniform(10, 90, (3, 4, 1))], -1)
     X = np.concatenate([rng.uniform(-2000, 2000, (3, 9, 2)), np.zeros((3, 9, 1))], -1)
     budget = np.array([7.0, 9.0, 9.0, 12.0]) - 94.0
-    powers, grads = received_power_matrix(L, budget, REF_M, X, gradient=True)
+    powers, grads = received_power_matrix(L, budget_at_1m(budget, REF_M), X, gradient=True)
     assert powers.shape == (3, 9, 4) and grads.shape == (3, 9, 4, 3)
     for r in range(3):
-        p_r, g_r = received_power_matrix(L[r], budget, REF_M, X[r], gradient=True)
+        p_r, g_r = received_power_matrix(L[r], budget_at_1m(budget, REF_M), X[r], gradient=True)
         assert np.array_equal(powers[r], p_r) and np.array_equal(grads[r], g_r)
-    loop_p, loop_g = pairwise_loop(L, X, budget, REF_M)
+    loop_p, loop_g = pairwise_loop(L, X, budget_at_1m(budget, REF_M))
     assert np.array_equal(powers, loop_p) and np.array_equal(grads, loop_g)
     # one set of transmitters broadcast over the points of every replication
-    assert np.array_equal(received_power_matrix(L[0], budget, REF_M, X),
-                          np.stack([received_power_matrix(L[0], budget, REF_M, x) for x in X]))
+    at_1m = budget_at_1m(budget, REF_M)
+    assert np.array_equal(received_power_matrix(L[0], at_1m, X),
+                          np.stack([received_power_matrix(L[0], at_1m, x) for x in X]))
 
 
 def test_received_power_matrix_shape_and_values():
     placements = [(0.0, 0.0, 30.0), (1000.0, 0.0, 30.0)]
     budget = [BUDGET, 7.0 - 94.0]
     pts = [(500.0, 100.0, 0.0), (-200.0, 50.0, 0.0), (30.0, 40.0, 0.0)]
-    mat = received_power_matrix(placements, budget, REF_M, pts)
+    mat = received_power_matrix(placements, budget_at_1m(budget, REF_M), pts)
     assert mat.shape == (3, 2)
     for i, p in enumerate(pts):
         for b in range(2):
@@ -198,10 +205,10 @@ def test_kernel_needs_one_budget_per_transmitter():
                    f"{np.shape(budget)} for 3 transmitters")
         for grad in (False, True):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                received_power_matrix(L, budget, REF_M, X, gradient=grad)
+                received_power_matrix(L, budget, X, gradient=grad)
     # with a leading batch axis the count is still the transmitters'
     with pytest.raises(ValueError, match=re.escape("shape (2,) for 3 transmitters")):
-        received_power_matrix(np.stack([L, L]), [BUDGET, BUDGET], REF_M, X)
+        received_power_matrix(np.stack([L, L]), [BUDGET, BUDGET], X)
 
 
 def test_channel_params_validation():
@@ -211,14 +218,15 @@ def test_channel_params_validation():
         ChannelParams(ref_gain_db=-94.0, ref_distance_m=math.inf)
     with pytest.raises(ValueError):
         ChannelParams(ref_gain_db=math.nan, ref_distance_m=1000.0)
-    # d / 1e-300 m overflows for a user 1e10 m away
+    # the bound stays: a scenario rejected before is rejected still
     with pytest.raises(ValueError, match="ref_distance_m must be finite and at least 1e-150 m"):
         ChannelParams(ref_gain_db=-94.0, ref_distance_m=1e-300)
     # at the bound, the farthest separation positions allow still has a finite power
     prm = ChannelParams(ref_gain_db=-94.0, ref_distance_m=MIN_REF_DISTANCE_M)
     with np.errstate(all="raise"):
-        p = received_power_matrix([[-MAX_COORD_M, -MAX_COORD_M, 0.0]], [10.0 + prm.ref_gain_db],
-                                  prm.ref_distance_m, [[MAX_COORD_M, MAX_COORD_M, MAX_COORD_M]])
+        p = received_power_matrix([[-MAX_COORD_M, -MAX_COORD_M, 0.0]],
+                                  budget_at_1m([10.0 + prm.ref_gain_db], prm.ref_distance_m),
+                                  [[MAX_COORD_M, MAX_COORD_M, MAX_COORD_M]])
     assert np.isfinite(p).all()
 
 
@@ -233,7 +241,7 @@ def test_power_kernel_evaluates_in_place():
     budget = np.full(5, BUDGET)
     tracemalloc.start()
     try:
-        out = received_power_matrix(L, budget, REF_M, X)
+        out = received_power_matrix(L, budget_at_1m(budget, REF_M), X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -246,7 +254,7 @@ def test_kernel_gradients_match_finite_differences():
     L = np.column_stack([rng.uniform(-2000, 2000, (4, 2)), rng.uniform(20, 200, 4)])
     X = np.column_stack([rng.uniform(-2000, 2000, (30, 2)), np.zeros(30)])
     budget = rng.uniform(5, 15, 4) - 94.0
-    powers, grads = received_power_matrix(L, budget, REF_M, X, gradient=True)
+    powers, grads = received_power_matrix(L, budget_at_1m(budget, REF_M), X, gradient=True)
     h = 1e-3
     fd = np.empty_like(grads)
     for b in range(4):
@@ -254,9 +262,9 @@ def test_kernel_gradients_match_finite_differences():
             up, down = L.copy(), L.copy()
             up[b, k] += h
             down[b, k] -= h
-            p_up = received_power_matrix(up, budget, REF_M, X)
-            fd[:, b, k] = (p_up[:, b] - received_power_matrix(down, budget, REF_M, X)[:, b]) \
-                / (2 * h)
+            p_up = received_power_matrix(up, budget_at_1m(budget, REF_M), X)
+            p_down = received_power_matrix(down, budget_at_1m(budget, REF_M), X)
+            fd[:, b, k] = (p_up[:, b] - p_down[:, b]) / (2 * h)
             # moving one transmitter changes only its own column
             assert np.array_equal(np.delete(p_up, b, axis=1), np.delete(powers, b, axis=1))
     for n in range(30):
@@ -268,6 +276,6 @@ def test_kernel_rejects_coincident_user_in_batch():
     L = np.array([[0.0, 0.0, 30.0], [500.0, 500.0, 30.0]])
     X = np.array([[100.0, 100.0, 0.0], [500.0, 500.0, 29.95], [900.0, 0.0, 0.0]])
     with pytest.raises(CoincidentPositionsError):
-        received_power_matrix(L, [BUDGET, BUDGET], REF_M, X, gradient=True)
+        received_power_matrix(L, budget_at_1m([BUDGET, BUDGET], REF_M), X, gradient=True)
     with pytest.raises(CoincidentPositionsError):
-        received_power_matrix(L, [BUDGET, BUDGET], REF_M, X)
+        received_power_matrix(L, budget_at_1m([BUDGET, BUDGET], REF_M), X)

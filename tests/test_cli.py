@@ -320,8 +320,7 @@ def test_a_grid_point_on_an_agent_fails_before_any_bundle_is_written(tmp_path, c
 
     def grid_error(s, seed):
         try:
-            coverage_map(init_scenario(s, seed)[0], grid, cli.MAP_GRID, s.budget_dbm,
-                         s.channel.ref_distance_m)
+            coverage_map(init_scenario(s, seed)[0], grid, cli.MAP_GRID, s.budget_dbm)
         except CoincidentPositionsError as e:
             return e
 
@@ -350,8 +349,7 @@ def test_an_earlier_grid_failure_is_named_before_a_later_divergence(tmp_path, ca
     # the extra user is flung, one that does not stays on that grid point
     s = runaway_scenario()
     extra = s.extra_mu_positions[0]
-    p_extra = float(received_power_matrix([[0.0, 0.0, 0.05]], s.budget_dbm,
-                                          s.channel.ref_distance_m, [extra])[0, 0])
+    p_extra = float(received_power_matrix([[0.0, 0.0, 0.05]], s.budget_dbm, [extra])[0, 0])
     s = dataclasses.replace(s, area=Rect(0.0, 0.0, 6900.0, 6900.0),
                             init_region=Rect(0.0, 0.0, 0.0, 0.0), fixed_height_m=0.05,
                             utility=dataclasses.replace(s.utility, p_min_dbm=p_extra - 0.25))
@@ -362,8 +360,7 @@ def test_an_earlier_grid_failure_is_named_before_a_later_divergence(tmp_path, ca
             break
     log = run(dataclasses.replace(s, seed=seeds[0]))
     with pytest.raises(CoincidentPositionsError) as grid:
-        coverage_map(log.positions[-1], s.area, cli.MAP_GRID, s.budget_dbm,
-                     s.channel.ref_distance_m)
+        coverage_map(log.positions[-1], s.area, cli.MAP_GRID, s.budget_dbm)
     scen, out = tmp_path / "scen.json", tmp_path / "out"
     scen.write_text(json.dumps(scenario_to_dict(dataclasses.replace(s, seed=master))))
     monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
@@ -683,7 +680,7 @@ def test_kmeans_served_is_the_oracles_count_for_the_centroids(paper_batch):
         km = json.loads((paper_batch.out / f"rep_{r:03d}" / "kmeans.json").read_text())
         users = init_scenario(s, res["seed"])[1]
         served = oracle(np.array(km["centroids"]), users, s.traffic.as_array(), s.utility,
-                        s.budget_dbm, s.channel.ref_distance_m)[1]
+                        s.budget_dbm)[1]
         assert (km["served"], km["unserved"]) == (served, res["total"] - served)
         assert res["kmeans_unserved"] == km["unserved"]
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import agent_gradient, network_utility_gradient
+from helpers import agent_gradient, budget_at_1m, network_utility_gradient
 from airbs_sgd.channel import received_power_matrix
 from airbs_sgd.navigator import StepSchedule, batched_update
 from airbs_sgd.utility import UtilityConfig
@@ -15,7 +15,8 @@ def packet(placements, budget, mu):
     """One packet from the user at ``mu``: its location (1, 3), its (1, B)
     powers and the agents' (1, B, 3) power gradients there."""
     mu = np.array([mu], dtype=float)
-    powers, grads = received_power_matrix(placements, budget, 1000.0, mu, gradient=True)
+    powers, grads = received_power_matrix(placements, budget_at_1m(budget, 1000.0), mu,
+                                          gradient=True)
     return mu, powers, grads
 
 
@@ -23,7 +24,7 @@ def test_saturated_sigmoid_gives_negligible_gradient():
     cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -40.0, 2.0)
     position = np.array([0.0, 0.0, 30.0])
     mu, powers, _ = packet(position[None], [BUDGET], (500.0, 0.0, 0.0))
-    g = agent_gradient(position, BUDGET, 1000.0, 0, mu, powers, cfg)
+    g = agent_gradient(position, budget_at_1m(BUDGET, 1000.0), 0, mu, powers, cfg)
     # measured power is ~60 dB under the target; the sigmoid slope underflows
     assert float(np.linalg.norm(g)) < 1e-40
 
@@ -37,7 +38,7 @@ def test_pinned_east_geometry_magnitude():
     delta = 2.0
     cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4,
                         float(powers[0, 0]) - delta / 2.0, delta)
-    g = agent_gradient(position, BUDGET, 1000.0, 0, mu, powers, cfg)
+    g = agent_gradient(position, budget_at_1m(BUDGET, 1000.0), 0, mu, powers, cfg)
     assert g[0] > 0.0 and g[1] == 0.0 and g[2] == 0.0
     want = (1.5 / delta) * (20.0 / math.log(10.0)) / d
     assert float(np.linalg.norm(g)) == pytest.approx(want, rel=1e-12)
@@ -53,13 +54,13 @@ def test_enumeration_matches_network_gradient():
     w = w / w.sum()
     cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -78.0, 3.0)
 
-    powers = received_power_matrix(placements, budget, 1000.0, mus)
+    powers = received_power_matrix(placements, budget_at_1m(budget, 1000.0), mus)
     stacked = np.zeros((b, 3))
     for idx in range(m):
         for i in range(b):
-            stacked[i] += w[idx] * agent_gradient(placements[i], budget[i], 1000.0, i,
+            stacked[i] += w[idx] * agent_gradient(placements[i], budget_at_1m(budget[i], 1000.0), i,
                                                   mus[idx:idx + 1], powers[idx:idx + 1], cfg)
-    oracle = network_utility_gradient(placements, mus, w, cfg, budget, 1000.0)
+    oracle = network_utility_gradient(placements, mus, w, cfg, budget_at_1m(budget, 1000.0))
     assert np.linalg.norm(stacked - oracle) / np.linalg.norm(oracle) < 1e-9
 
 
@@ -84,7 +85,7 @@ def test_apply_update_arithmetic():
     cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -85.0, 2.0)
     position = np.array([[10.0, 20.0, 30.0]])
     mu, powers, grads = packet(position, [BUDGET], (610.0, 20.0, 30.0))
-    g = agent_gradient(position[0], BUDGET, 1000.0, 0, mu, powers, cfg)
+    g = agent_gradient(position[0], budget_at_1m(BUDGET, 1000.0), 0, mu, powers, cfg)
     assert g[0] > 0.0 and g[1] == 0.0 and g[2] == 0.0
     new = batched_update(position, grads, powers, cfg, 5.0)
     assert np.array_equal(new, [[10.0 + 5.0 * g[0], 20.0, 30.0]])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from helpers import budget_at_1m
 from airbs_sgd.baseline import kmeans_placement
 from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.navigator import StepSchedule
@@ -76,7 +77,7 @@ def run_small(tmp_path, iterations=3):
         channel=ChannelParams(-94.0, 1000.0),
     )
     log = run(s)
-    grid = coverage_map(log.positions[-1], s.area, 16, s.budget_dbm, s.channel.ref_distance_m)
+    grid = coverage_map(log.positions[-1], s.area, 16, s.budget_dbm)
     return log, grid, s
 
 
@@ -183,7 +184,7 @@ def test_map_draws_a_user_on_the_power_target_as_served(tmp_path):
     # ref_distance_m right above: the user receives exactly the budget, the target
     area = Rect(-500.0, -500.0, 500.0, 500.0)
     positions, users = np.array([[[0.0, 0.0, 1000.0]]]), np.zeros((1, 3))
-    best = received_power_matrix(positions[0], [-82.0], 1000.0, users)[:, 0]
+    best = received_power_matrix(positions[0], budget_at_1m([-82.0], 1000.0), users)[:, 0]
     assert best.tolist() == [-82.0]
     log = TrajectoryLog(positions=positions, oracle_utility=np.zeros(1),
                         served=np.ones(1, dtype=int), users=users,
@@ -337,8 +338,7 @@ def test_metrics_json_reads_the_first_and_last_snapshot(tmp_path):
         assert d["served_count"] == log.served[i]
         assert d["total_mus"] == m
         # an independent kernel call on the logged placement, bit for bit
-        want = np.max(received_power_matrix(log.positions[i], s.budget_dbm,
-                                            s.channel.ref_distance_m, log.users), axis=1)
+        want = np.max(received_power_matrix(log.positions[i], s.budget_dbm, log.users), axis=1)
         assert np.array_equal(np.array(d["per_mu_max_power_dbm"]), want)
         assert d["served_count"] == np.sum(want >= s.utility.p_min_dbm)
         hist = d["histogram"]

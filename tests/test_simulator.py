@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import budget_at_1m
 from test_utility import conditioned_cfg
 
 from airbs_sgd.channel import ChannelParams, received_power_matrix
@@ -104,20 +105,20 @@ def test_logged_oracle_matches_recomputation(num_airbs):
     log = run(s)
     budget, ref = s.budget_dbm, s.channel.ref_distance_m
     for i in range(log.positions.shape[0]):
-        want = oracle(log.positions[i], log.users, s.traffic.as_array(), s.utility, budget, ref)
+        want = oracle(log.positions[i], log.users, s.traffic.as_array(), s.utility, budget)
         assert log.oracle_utility[i] == want[0]  # identical op order, so exact
         assert log.served[i] == want[1]
     assert np.all(np.isfinite(log.oracle_utility))
     # the logged strongest powers equal a (M, B) kernel call's, bit for bit
     for row, i in zip(log.max_power_dbm, (0, -1)):
-        want = received_power_matrix(log.positions[i], budget, ref, log.users)
+        want = received_power_matrix(log.positions[i], budget, log.users)
         assert np.array_equal(row, np.max(want, axis=1))
 
 
 def test_single_pair_converges_overhead():
     # one transmitter chasing one user; wide threshold band keeps the whole
     # region inside the active sigmoid slope
-    p_top = float(received_power_matrix([[0.0, 0.0, 30.0]], [12.0 - 94.0], 1000.0,
+    p_top = float(received_power_matrix([[0.0, 0.0, 30.0]], budget_at_1m([12.0 - 94.0], 1000.0),
                                         [[0.0, 0.0, 0.0]])[0, 0])
     s = small_scenario(
         area=Rect(0.0, 0.0, 100.0, 100.0),
@@ -178,7 +179,7 @@ def _batch_case(rng, family, b, q=7):
     L = np.column_stack([rng.uniform(0.0, 2000.0, (b, 2)), rng.uniform(20.0, 80.0, b)])
     X = np.column_stack([rng.uniform(0.0, 2000.0, (q, 2)), np.zeros(q)])
     budget = rng.uniform(5.0, 15.0, b) - 94.0
-    powers, grads = received_power_matrix(L, budget, 1000.0, X, gradient=True)
+    powers, grads = received_power_matrix(L, budget_at_1m(budget, 1000.0), X, gradient=True)
     return L, X, budget, powers, grads, conditioned_cfg(family, powers[q // 2], rng)
 
 
@@ -198,17 +199,18 @@ def test_batched_step_matches_per_agent_reference(family, b, fixed):
         height = 50.0 if fixed else None
         if fixed:
             L[:, 2] = height
-            powers, grads = received_power_matrix(L, budget, 1000.0, X, gradient=True)
+            powers, grads = received_power_matrix(L, budget_at_1m(budget, 1000.0), X, gradient=True)
         reported = powers + 0.5 * rng.standard_normal(powers.shape)
         new = batched_update(L, grads, reported, cfg, eta, height)
         # from the origin with a unit step, the move is the minibatch mean itself
         mean = batched_update(np.zeros_like(L), grads, reported, cfg, 1.0, 0.0)
         for k in range(b):
-            total = helpers.agent_gradient(L[k], budget[k], 1000.0, k, X, reported, cfg)
+            total = helpers.agent_gradient(L[k], budget_at_1m(budget[k], 1000.0), k, X, reported,
+                                           cfg)
             # packets are summed in the same order, so the means agree bit for bit
             assert np.array_equal(mean[k, :2], (total / len(X))[:2])
-            want = helpers.agent_step(L[k], budget[k], 1000.0, k, X, reported, cfg, eta,
-                                      height)
+            want = helpers.agent_step(L[k], budget_at_1m(budget[k], 1000.0), k, X, reported, cfg,
+                                      eta, height)
             if q == 7:
                 assert np.linalg.norm(want - L[k]) > 0.0
             else:
@@ -227,8 +229,8 @@ def test_batched_step_follows_minibatch_utility_gradient(family):
     L, X, budget, powers, grads, cfg = _batch_case(rng, family, 3)
 
     def mean_utility(flat):
-        return float(np.mean(user_utility(received_power_matrix(flat.reshape(-1, 3), budget,
-                                                                1000.0, X), cfg)))
+        return float(np.mean(user_utility(received_power_matrix(
+            flat.reshape(-1, 3), budget_at_1m(budget, 1000.0), X), cfg)))
 
     fd = helpers.central_diff(mean_utility, L.ravel(), h=1e-3).reshape(L.shape)
     eta = 10.0 / float(np.max(np.abs(fd)))  # at most a 10 m move
@@ -452,7 +454,7 @@ def test_measurement_noise_changes_trajectory():
 
 def test_coverage_map_clip_and_orientation():
     area = Rect(0.0, 0.0, 1000.0, 1000.0)
-    grid = coverage_map([[500.0, 500.0, 30.0]], area, 21, [30.0 - 94.0], 1000.0)
+    grid = coverage_map([[500.0, 500.0, 30.0]], area, 21, budget_at_1m([30.0 - 94.0], 1000.0))
     assert grid.shape == (21, 21)
     assert np.all(grid >= -100.0) and np.all(grid <= -80.0)
     # strong transmitter overhead saturates the clip ceiling at the center
@@ -464,14 +466,14 @@ def test_coverage_map_clip_and_orientation():
 
 def test_coverage_map_floor_when_out_of_range():
     area = Rect(0.0, 0.0, 1000.0, 1000.0)
-    grid = coverage_map([[1e6, 1e6, 30.0]], area, 5, [12.0 - 94.0], 1000.0)
+    grid = coverage_map([[1e6, 1e6, 30.0]], area, 5, budget_at_1m([12.0 - 94.0], 1000.0))
     assert np.all(grid == -100.0)
 
 
 def test_coverage_map_bad_inputs():
     area = Rect(0.0, 0.0, 100.0, 100.0)
     with pytest.raises(ValueError):
-        coverage_map([[0.0, 0.0, 30.0]], area, 1, [12.0 - 94.0], 1000.0)
+        coverage_map([[0.0, 0.0, 30.0]], area, 1, budget_at_1m([12.0 - 94.0], 1000.0))
 
 
 def test_scenario_dict_round_trip_bytes():
@@ -569,12 +571,13 @@ def test_a_bad_scenario_field_raises_its_message(overrides, message):
 def test_link_budgets_are_each_power_plus_the_gain_and_read_only():
     s = small_scenario(tx_powers_dbm=(9.0, 12.0))
     budget = s.budget_dbm
-    assert budget.tolist() == [9.0 + -94.0, 12.0 + -94.0]
+    # each link budget at the 1000 m reference, carried to 1 m: + 20*log10(1000) = + 60 dB
+    assert budget.tolist() == [(9.0 + -94.0) + 60.0, (12.0 + -94.0) + 60.0]
     assert s.budget_dbm is budget  # built once per scenario
     with pytest.raises(ValueError, match="read-only"):
         budget[0] = 0.0
     assert dataclasses.replace(s, tx_powers_dbm=(7.0, 12.0)).budget_dbm.tolist() == \
-        [7.0 + -94.0, 12.0 + -94.0]
+        [(7.0 + -94.0) + 60.0, (12.0 + -94.0) + 60.0]
 
 
 def test_point_area_rejected_line_area_kept():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import budget_at_1m
 from airbs_sgd.channel import received_power_matrix
 from airbs_sgd.traffic import TrafficProfile
 from airbs_sgd.utility import UtilityConfig, oracle, user_utility
@@ -76,24 +77,24 @@ def test_sample_deterministic_given_seed():
 def test_packet_shape_and_exact_powers():
     # a packet's reported powers: one kernel row at the recipient, entry b
     # from transmitter b alone
-    reported = received_power_matrix(PLACEMENTS, BUDGET, 1000.0, MUS[[1]])
+    reported = received_power_matrix(PLACEMENTS, budget_at_1m(BUDGET, 1000.0), MUS[[1]])
     assert reported.shape == (1, 2)
     for b in range(2):
-        assert reported[0, b] == received_power_matrix(PLACEMENTS[[b]], BUDGET[b:b + 1], 1000.0,
-                                                       MUS[[1]])[0, 0]
+        assert reported[0, b] == received_power_matrix(
+            PLACEMENTS[[b]], budget_at_1m(BUDGET[b:b + 1], 1000.0), MUS[[1]])[0, 0]
 
 
 def test_estimate_single_packet_equals_user_utility():
     # the utility estimate is the mean of user_utility over the packets' rows
     cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -91.0, 2.0)
-    reported = received_power_matrix(PLACEMENTS, BUDGET, 1000.0, MUS[[2]])
+    reported = received_power_matrix(PLACEMENTS, budget_at_1m(BUDGET, 1000.0), MUS[[2]])
     est = float(np.mean(user_utility(reported, cfg)))
     assert est == float(user_utility(reported[0], cfg))
 
 
 def test_estimate_constant_utility():
     cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -91.0, 2.0)
-    reported = received_power_matrix(PLACEMENTS, BUDGET, 1000.0, MUS[[0]])
+    reported = received_power_matrix(PLACEMENTS, budget_at_1m(BUDGET, 1000.0), MUS[[0]])
     for s in (1, 3, 17):
         est = float(np.mean(user_utility(np.repeat(reported, s, axis=0), cfg)))
         assert est == pytest.approx(float(user_utility(reported[0], cfg)), rel=1e-15)
@@ -110,7 +111,7 @@ def test_estimate_unbiased_by_enumeration():
     cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -80.0, 3.0)
     expectation = 0.0
     for idx in range(m):
-        powers = received_power_matrix(PLACEMENTS, BUDGET, 1000.0, mus[idx:idx + 1])
+        powers = received_power_matrix(PLACEMENTS, budget_at_1m(BUDGET, 1000.0), mus[idx:idx + 1])
         expectation += w[idx] * float(np.mean(user_utility(powers, cfg)))
-    exact = oracle(PLACEMENTS, mus, w, cfg, BUDGET, 1000.0)[0]
+    exact = oracle(PLACEMENTS, mus, w, cfg, budget_at_1m(BUDGET, 1000.0))[0]
     assert expectation == pytest.approx(exact, rel=1e-12)

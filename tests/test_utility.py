@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import network_utility_gradient
+from helpers import budget_at_1m, network_utility_gradient
 from airbs_sgd.channel import received_power_matrix
 from airbs_sgd.utility import (
     Family,
@@ -292,17 +292,19 @@ def test_network_utility_uniform_equals_mean():
     placements, budget, users, _ = _small_world(rng)
     cfg = cfg_for("threshold_sigmoid_unicast")
     uniform = np.full(len(users), 1.0 / len(users))
-    per_user = [oracle(placements, u[None], [1.0], cfg, budget, 1000.0)[0] for u in users]
-    assert oracle(placements, users, uniform, cfg, budget, 1000.0)[0] == pytest.approx(
-        float(np.mean(per_user)), rel=1e-12)
+    per_user = [oracle(placements, u[None], [1.0], cfg, budget_at_1m(budget, 1000.0))[0]
+                for u in users]
+    assert oracle(placements, users, uniform, cfg,
+                  budget_at_1m(budget, 1000.0))[0] == pytest.approx(float(np.mean(per_user)),
+                                                                    rel=1e-12)
 
 
 def test_network_utility_single_user():
     rng = np.random.default_rng(18)
     placements, budget, users, _ = _small_world(rng, m=1)
     cfg = cfg_for("unicast_rate")
-    powers = received_power_matrix(placements, budget, 1000.0, users)[0]
-    assert oracle(placements, users, [1.0], cfg, budget, 1000.0)[0] == pytest.approx(
+    powers = received_power_matrix(placements, budget_at_1m(budget, 1000.0), users)[0]
+    assert oracle(placements, users, [1.0], cfg, budget_at_1m(budget, 1000.0))[0] == pytest.approx(
         float(user_utility(powers, cfg)), rel=1e-12)
 
 
@@ -311,11 +313,12 @@ def test_network_utility_permutation_invariance():
     placements, _, users, w = _small_world(rng, b=3)
     budget = np.full(3, 9.0 - 94.0)  # identical transmitters
     cfg = cfg_for("threshold_sigmoid_unicast")
-    base = oracle(placements, users, w, cfg, budget, 1000.0)[0]
+    base = oracle(placements, users, w, cfg, budget_at_1m(budget, 1000.0))[0]
     perm = placements[[2, 0, 1]]
-    assert oracle(perm, users, w, cfg, budget, 1000.0)[0] == pytest.approx(base, rel=1e-12)
-    g = network_utility_gradient(placements, users, w, cfg, budget, 1000.0)
-    gp = network_utility_gradient(perm, users, w, cfg, budget, 1000.0)
+    assert oracle(perm, users, w, cfg, budget_at_1m(budget, 1000.0))[0] == pytest.approx(
+        base, rel=1e-12)
+    g = network_utility_gradient(placements, users, w, cfg, budget_at_1m(budget, 1000.0))
+    gp = network_utility_gradient(perm, users, w, cfg, budget_at_1m(budget, 1000.0))
     assert np.allclose(gp, g[[2, 0, 1]], atol=1e-15)
 
 
@@ -323,15 +326,16 @@ def test_network_gradient_matches_finite_differences():
     rng = np.random.default_rng(22)
     for family in FAMILIES:
         placements, budget, users, w = _small_world(rng)
-        powers = received_power_matrix(placements, budget, 1000.0, users)
+        powers = received_power_matrix(placements, budget_at_1m(budget, 1000.0), users)
         med = powers[np.argsort(np.max(powers, axis=1))[len(users) // 2]]
         cfg = conditioned_cfg(family, med, rng)
 
         def f(flat):
-            return oracle(flat.reshape(-1, 3), users, w, cfg, budget, 1000.0)[0]
+            return oracle(flat.reshape(-1, 3), users, w, cfg, budget_at_1m(budget, 1000.0))[0]
 
         fd = helpers.central_diff(f, placements.ravel(), h=1e-3)
-        g = network_utility_gradient(placements, users, w, cfg, budget, 1000.0).ravel()
+        g = network_utility_gradient(placements, users, w, cfg,
+                                     budget_at_1m(budget, 1000.0)).ravel()
         assert helpers.rel_err(g, fd) < 1e-6
 
 
@@ -339,7 +343,8 @@ def test_network_gradient_points_toward_single_user():
     cfg = cfg_for("threshold_sigmoid_unicast", p_min_dbm=-62.0, delta_db=20.0)
     placements = [[0.0, 0.0, 30.0]]
     user = np.array([400.0, 300.0, 0.0])
-    g = network_utility_gradient(placements, user[None], [1.0], cfg, [12.0 - 94.0], 1000.0)[0]
+    g = network_utility_gradient(placements, user[None], [1.0], cfg,
+                                 budget_at_1m([12.0 - 94.0], 1000.0))[0]
     assert float(np.dot(g[:2], user[:2])) > 0.0
 
 
@@ -377,8 +382,8 @@ def test_a_bad_parameter_raises_its_message(call, message):
 def _oracle_served(placements, users, budget, p_min):
     """The oracle's count of users whose strongest power meets ``p_min``."""
     cfg = cfg_for("threshold_sigmoid_unicast", p_min_dbm=p_min)
-    return int(oracle(placements, users, np.full(len(users), 1.0 / len(users)), cfg, budget,
-                      1000.0)[1])
+    return int(oracle(placements, users, np.full(len(users), 1.0 / len(users)), cfg,
+                      budget_at_1m(budget, 1000.0))[1])
 
 
 def test_oracle_served_count_pinned_cases():
@@ -401,7 +406,7 @@ def test_oracle_served_count_matches_brute_force():
     p_min = -89.0
     want = 0
     for mu in mus:
-        best = max(float(received_power_matrix([l], [budget_b], 1000.0, [mu])[0, 0])
+        best = max(float(received_power_matrix([l], budget_at_1m([budget_b], 1000.0), [mu])[0, 0])
                    for l, budget_b in zip(placements, budget))
         want += best >= p_min
     assert _oracle_served(placements, mus, budget, p_min) == want
@@ -416,9 +421,10 @@ def test_oracle_served_count_over_leading_axes():
     budget = np.array([7.0, 9.0, 9.0, 12.0]) - 94.0
     cfg = cfg_for("threshold_sigmoid_unicast", p_min_dbm=-89.0)
     w = np.full(40, 1.0 / 40)
-    _, served, best = oracle(placements, users, w, cfg, budget, 1000.0)
+    _, served, best = oracle(placements, users, w, cfg, budget_at_1m(budget, 1000.0))
     assert served.shape == (6,) and best.shape == (6, 40)
-    alone = [int(oracle(p, u, w, cfg, budget, 1000.0)[1]) for p, u in zip(placements, users)]
+    alone = [int(oracle(p, u, w, cfg, budget_at_1m(budget, 1000.0))[1])
+             for p, u in zip(placements, users)]
     assert served.tolist() == alone
     assert 0 < min(alone) and max(alone) < 40
 
@@ -428,12 +434,12 @@ def test_oracle_return_shapes():
     placements, budget, users, w = _small_world(rng)
     cfg = cfg_for("unicast_rate")
     # (B, 3) and (M, 3): two numpy scalars and the (M,) strongest powers
-    utility, served, best = oracle(placements, users, w, cfg, budget, 1000.0)
+    utility, served, best = oracle(placements, users, w, cfg, budget_at_1m(budget, 1000.0))
     assert type(utility) is np.float64 and isinstance(served, np.integer)
     assert best.shape == (6,)
     # (R, B, 3) and (R, M, 3): one utility and count per replication
     utility, served, best = oracle(np.stack([placements] * 2), np.stack([users] * 2), w, cfg,
-                                   budget, 1000.0)
+                                   budget_at_1m(budget, 1000.0))
     assert utility.shape == served.shape == (2,) and best.shape == (2, 6)
     assert utility.dtype == np.float64 and served.dtype.kind == "i"
 
@@ -451,7 +457,7 @@ def test_oracle_snapshot_evaluates_in_place():
     budget = np.full(5, 12.0 - 94.0)
     tracemalloc.start()
     try:
-        oracle(placements, users, np.full(202, 1.0 / 202), cfg, budget, 1000.0)
+        oracle(placements, users, np.full(202, 1.0 / 202), cfg, budget_at_1m(budget, 1000.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -20,11 +20,12 @@
 # trees, `cmp` of the two stdouts, and `cmp` of the two exit statuses with
 # stderr (each side's output directory written as OUT). On a byte change it
 # also lists the served and k-means unserved counts that moved (from
-# summary.json and sweep.csv). A command that exits other than expected (0, or
-# 2 for failing), or a failing run that makes a rep_* directory, is reported
-# too. Exits 0 when every file, stdout and stderr line and exit status is
-# identical and as expected, 1 otherwise. PYTHON picks the interpreter
-# (default python3); KEEP=1 keeps the outputs and prints where they are.
+# summary.json and sweep.csv), and summary.json's medians of both if they
+# moved. A command that exits other than expected (0, or 2 for failing), or a
+# failing run that makes a rep_* directory, is reported too. Exits 0 when
+# every file, stdout and stderr line and exit status is identical and as
+# expected, 1 otherwise. PYTHON picks the interpreter (default python3); KEEP=1
+# keeps the outputs and prints where they are.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_parent.sh REV}
@@ -84,7 +85,7 @@ run() {
     { echo "exit status $code"; sed "s|$out|OUT|g" "$out.stderr"; } > "$out.err"
 }
 
-# moved A B: the served and k-means counts that differ between trees A and B
+# moved A B: the served and k-means counts and medians that differ between trees A and B
 moved() {
     "$python" - "$1" "$2" <<'EOF'
 import csv, json, pathlib, sys
@@ -92,11 +93,15 @@ import csv, json, pathlib, sys
 def counts(tree):
     tree, got = pathlib.Path(tree), {}
     for path in sorted(tree.rglob("summary.json")):
-        for r, res in enumerate(json.loads(path.read_text())["results"]):
+        summary, where = json.loads(path.read_text()), path.parent.relative_to(tree)
+        for r, res in enumerate(summary["results"]):
             for key in ("served", "kmeans_unserved"):
                 if key in res:
-                    rep = (path.parent.relative_to(tree) / f"rep_{r:03d}").as_posix()
+                    rep = (where / f"rep_{r:03d}").as_posix()
                     got[f"{rep} {key}"] = res[key]
+        for key in ("median_served", "median_kmeans_unserved"):
+            if key in summary:
+                got[(where / key).as_posix()] = summary[key]
     for path in sorted(tree.rglob("sweep.csv")):
         for row in csv.DictReader(path.open()):
             got[f"{row['axis']}_{row['value']}/rep_{int(row['replication']):03d} served"] = \
@@ -106,7 +111,7 @@ def counts(tree):
 a, b = counts(sys.argv[1]), counts(sys.argv[2])
 changes = [f"    {k}: {a.get(k)} -> {b.get(k)}" for k in sorted(set(a) | set(b))
            if a.get(k) != b.get(k)]
-print("\n".join(changes) if changes else "    no served or k-means count moved")
+print("\n".join(changes) if changes else "    no served or k-means count or median moved")
 EOF
 }
 

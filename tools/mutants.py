@@ -38,12 +38,20 @@ class Mutant(NamedTuple):
     tests: tuple   # pytest node ids, relative to the checkout
 
 
-NAV, SIM, CLI, KMEANS, UTIL, REPORT = (f"src/airbs_sgd/{name}.py" for name in (
-    "navigator", "simulator", "cli", "baseline", "utility", "report"))
+CHANNEL, NAV, SIM, CLI, KMEANS, UTIL, REPORT = (f"src/airbs_sgd/{name}.py" for name in (
+    "channel", "navigator", "simulator", "cli", "baseline", "utility", "report"))
 ANCHOR = ("tests/test_anchor.py",)
 HIST_FIGURES = ("tests/test_report.py::test_histogram_figures_match_the_recorded_texts",)
 
 MUTANTS = (
+    # the power at distance d: the power at 1 m, less 10*log10(d**2)
+    Mutant("20*log10 of the squared distance", CHANNEL,
+           "np.multiply(10.0, p, out=p)", "np.multiply(20.0, p, out=p)",
+           ("tests/test_channel.py::test_power_at_reference_distance",)),
+    Mutant("the power at 1 m without 20*log10 of the reference distance", SIM,
+           "(p + self.channel.ref_gain_db) + ref for p", "p + self.channel.ref_gain_db for p",
+           ("tests/test_simulator.py::test_link_budgets_are_each_power_plus_the_gain_and_read_only",
+            *ANCHOR)),
     # the agents' step
     Mutant("packets summed in reverse", NAV,
            "np.add.reduce(contrib, axis=0, initial=0.0)",
@@ -60,7 +68,7 @@ MUTANTS = (
            "        for rng, row in zip(rngs, uniforms):\n"
            "            rng.random(out=row)\n"
            "        idx = profile.recipients(uniforms)\n"
-           "        powers, grads = received_power_matrix(L, budget, ref, users[rep, idx], "
+           "        powers, grads = received_power_matrix(L, budget, users[rep, idx], "
            "gradient=True)\n"
            "        if sigma > 0.0:\n"
            "            # and its (Q, B) normals, drawn into its row as well\n"
@@ -73,7 +81,7 @@ MUTANTS = (
            "        for rng, row in zip(rngs, uniforms):\n"
            "            rng.random(out=row)\n"
            "        idx = profile.recipients(uniforms)\n"
-           "        powers, grads = received_power_matrix(L, budget, ref, users[rep, idx], "
+           "        powers, grads = received_power_matrix(L, budget, users[rep, idx], "
            "gradient=True)\n"
            "        if sigma > 0.0:\n"
            "            powers += sigma * normals\n",
