@@ -28,10 +28,10 @@ def main():
 
     # same user draw, centralized clustering instead of gradient agents
     budget = s.budget_dbm
-    km = kmeans_placement(log.users, s.num_airbs, seed=s.seed,
-                          height_m=s.fixed_height_m)
+    centroids, _ = kmeans_placement(log.users, s.num_airbs, seed=s.seed,
+                                    height_m=s.fixed_height_m)
     # judged by the oracle, as every snapshot is
-    km_served = int(oracle(km.centroids, log.users, s.traffic.as_array(), s.utility, budget)[1])
+    km_served = int(oracle(centroids, log.users, s.traffic.as_array(), s.utility, budget)[1])
     print(f"k-means baseline: {km_served}/{m} served ({m - km_served} unserved)")
 
     cov = coverage_map(log.positions[-1], s.area, 70, budget)

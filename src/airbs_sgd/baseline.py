@@ -14,30 +14,10 @@ reproducible:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Lloyd passes a replication may take before it stops short of a fixed point
 MAX_PASSES = 100
-
-
-@dataclass(frozen=True)
-class KMeansResult:
-    """Converged clustering: centroids at pinned height, plus diagnostics.
-
-    ``centroids`` is a (B, 3) array. ``inertia_history`` records the total
-    squared distance at each Lloyd pass; it is non-increasing.
-    """
-
-    centroids: np.ndarray
-    assignments: tuple
-    inertia: float
-    inertia_history: tuple
-
-    def __post_init__(self):
-        if self.inertia < 0.0:
-            raise ValueError("inertia must be nonnegative")
 
 
 def _nearest(px, py, cx, cy):
@@ -57,22 +37,26 @@ def _nearest(px, py, cx, cy):
 
 
 def kmeans_placement(user_locations, num_clusters: int, seed: int = 0,
-                     height_m: float = 0.0) -> KMeansResult:
-    """Lloyd k-means on horizontal user coordinates.
+                     height_m: float = 0.0) -> tuple:
+    """Lloyd k-means on horizontal user coordinates: ``(centroids, inertia)``.
 
     Runs until the assignment reaches a fixed point or :data:`MAX_PASSES`
-    passes, whichever is first. ``user_locations`` is an (M, 3) array;
-    the centroids are returned at ``height_m``. Requires at least as many
-    users as clusters. A batch of one: see :func:`kmeans_replications`.
+    passes, whichever is first. ``user_locations`` is an (M, 3) array; the
+    (B, 3) centroids are returned at ``height_m``, with the total squared
+    horizontal distance of the users to their nearest centroid. Requires at
+    least as many users as clusters. A batch of one: see
+    :func:`kmeans_replications`.
     """
     users = np.asarray(user_locations, dtype=float)
-    return kmeans_replications(users[None], num_clusters, [seed], height_m)[0]
+    centroids, inertia = kmeans_replications(users[None], num_clusters, [seed], height_m)
+    return centroids[0], float(inertia[0])
 
 
 def kmeans_replications(user_locations, num_clusters: int, seeds,
-                        height_m: float = 0.0) -> list:
-    """:func:`kmeans_placement` of each replication's users and seed; one result per seed.
+                        height_m: float = 0.0) -> tuple:
+    """:func:`kmeans_placement` of each replication's users and seed.
 
+    Returns ``(centroids, inertia)``, an (R, B, 3) and an (R,) array.
     ``user_locations`` is an (R, M, 3) array, one user set per seed. The
     replications run as one Lloyd program over coordinate-major (R, M)
     arrays of x and y: a replication leaves the active set once its
@@ -96,17 +80,12 @@ def kmeans_replications(user_locations, num_clusters: int, seeds,
     picks = np.array([np.random.default_rng(seed).choice(m, size=num_clusters, replace=False)
                       for seed in seeds]).reshape(len(seeds), num_clusters)
     cx, cy = (np.take_along_axis(v, picks, axis=1) for v in (px, py))
-    assign = np.empty((len(seeds), m), dtype=np.intp)
     inertia = np.empty(len(seeds))
-    history = [[] for _ in seeds]
 
     active, prev = np.arange(len(seeds)), None
     for p in range(MAX_PASSES + 1):
         ax, ay = px[active], py[active]
-        a, d2, loss = _nearest(ax, ay, cx[active], cy[active])
-        for r, v in zip(active.tolist(), loss.tolist()):
-            history[r].append(v)
-        assign[active], inertia[active] = a, loss
+        a, d2, inertia[active] = _nearest(ax, ay, cx[active], cy[active])
         if p == MAX_PASSES:
             # that pass only realigned the replications whose budget ran out right
             # after a centroid move, so each assignment is nearest-centroid consistent
@@ -126,9 +105,4 @@ def kmeans_replications(user_locations, num_clusters: int, seeds,
                                  np.take_along_axis(v, far, axis=1))
         prev = a
 
-    height = np.full(num_clusters, float(height_m))
-    return [KMeansResult(centroids=np.column_stack([cx[r], cy[r], height]),
-                         assignments=tuple(assign[r].tolist()),
-                         inertia=float(inertia[r]),
-                         inertia_history=tuple(history[r]))
-            for r in range(len(seeds))]
+    return np.stack([cx, cy, np.full_like(cx, float(height_m))], axis=-1), inertia

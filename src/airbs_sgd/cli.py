@@ -134,7 +134,7 @@ def _simulate_one(s: Scenario, seed: int, rep_dir: str, log, coverage, kmeans=No
     """Phase 2 of one replication: write its bundle and return its summary row.
 
     ``log`` is the replication's ``TrajectoryLog``, ``coverage`` its grid and
-    ``kmeans`` None or the (``KMeansResult``, served count) of phase 1.
+    ``kmeans`` None or the (centroids, inertia, served count) of phase 1.
     """
     total = len(log.users)
     result = {
@@ -145,7 +145,7 @@ def _simulate_one(s: Scenario, seed: int, rep_dir: str, log, coverage, kmeans=No
         "final_oracle_utility": float(log.oracle_utility[-1]),
     }
     if kmeans is not None:
-        result["kmeans_unserved"] = total - kmeans[1]
+        result["kmeans_unserved"] = total - kmeans[2]
     try:
         render_outputs(log, coverage, rep_dir, s.area, s.utility.p_min_dbm, kmeans)
     except OSError as e:
@@ -185,8 +185,9 @@ def _phase_one(s: Scenario, seeds, with_kmeans: bool) -> list:
     """Each seed's (log, coverage grid, k-means) for a run of jobs of ``s``.
 
     The seeds advance as one batch; the k-means is None without
-    ``with_kmeans``, else the ``KMeansResult`` and the oracle's served count
-    for its centroids; all the run's baselines are one Lloyd program.
+    ``with_kmeans``, else the (B, 3) centroids, the inertia and the oracle's
+    served count for those centroids; all the run's baselines are one Lloyd
+    program.
     """
     logs = run_replications(s, seeds)
     # one grid per call: two batched calls of 10 measured as fast with the
@@ -195,10 +196,10 @@ def _phase_one(s: Scenario, seeds, with_kmeans: bool) -> list:
     kmeans = [None] * len(logs)
     if with_kmeans:
         users = np.stack([log.users for log in logs])
-        kmeans = kmeans_replications(users, s.num_airbs, seeds, height_m=s.fixed_height_m)
-        served = oracle(np.stack([km.centroids for km in kmeans]), users,
-                        s.traffic.as_array(), s.utility, s.budget_dbm)[1]
-        kmeans = list(zip(kmeans, served.tolist()))
+        centroids, inertia = kmeans_replications(users, s.num_airbs, seeds,
+                                                 height_m=s.fixed_height_m)
+        served = oracle(centroids, users, s.traffic.as_array(), s.utility, s.budget_dbm)[1]
+        kmeans = list(zip(centroids, inertia.tolist(), served.tolist()))
     return list(zip(logs, grids, kmeans))
 
 

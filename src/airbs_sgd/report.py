@@ -33,6 +33,7 @@ import zlib
 import numpy as np
 
 from .channel import received_power_matrix
+from .utility import _is_served
 
 # power_histogram's bins: 1 dB wide over HIST_RANGE dBm, between an open-ended
 # underflow bin and an open-ended overflow bin
@@ -294,7 +295,7 @@ def render_outputs(log, coverage, out_dir, area, p_min_dbm: float, kmeans=None) 
 
     Emits trajectory.csv, trajectory.json, metrics.json, coverage.csv,
     map.svg, hist_initial.svg, hist_final.svg and, given ``kmeans``, the
-    (``KMeansResult``, served count) of the run's k-means baseline,
+    (centroids, inertia, served count) of the run's k-means baseline,
     kmeans.json. The metrics are the first and last snapshots of ``log``,
     judged against ``p_min_dbm``; ``coverage`` is the :func:`coverage_map`
     grid over ``area``. Every file's text is built before the first file
@@ -314,14 +315,13 @@ def render_outputs(log, coverage, out_dir, area, p_min_dbm: float, kmeans=None) 
     cells, nx = _cell_texts(grid), grid.shape[1]
     texts["coverage.csv"] = "".join([",".join(cells[k:k + nx]) + "\n"
                                      for k in range(0, len(cells), nx)])
-    texts["map.svg"] = render_map_svg(log, grid, area, log.max_power_dbm[-1] >= p_min_dbm)
+    texts["map.svg"] = render_map_svg(log, grid, area, _is_served(log.max_power_dbm[-1], p_min_dbm))
     texts["hist_initial.svg"] = render_histogram_svg(initial, "initial placement", p_min_dbm)
     texts["hist_final.svg"] = render_histogram_svg(final, "final placement", p_min_dbm)
     if kmeans is not None:
-        km, served = kmeans
-        texts["kmeans.json"] = _json_text({"centroids": km.centroids.tolist(),
-                                           "inertia": km.inertia, "served": served,
-                                           "unserved": len(log.users) - served})
+        centroids, inertia, served = kmeans
+        texts["kmeans.json"] = _json_text({"centroids": centroids.tolist(), "inertia": inertia,
+                                           "served": served, "unserved": len(log.users) - served})
     os.makedirs(out_dir, exist_ok=True)
     paths = {name: os.path.join(out_dir, name) for name in texts}
     for name, text in texts.items():

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import sys
 import typing
 from dataclasses import dataclass
@@ -117,7 +118,10 @@ class Scenario:
         for count in ("num_airbs", "num_mus", "iterations"):
             if getattr(self, count) >= 2 ** 63:
                 raise ValueError(f"{count} must be below 2**63")
-        object.__setattr__(self, "seed", int(self.seed))
+        # an integer of any kind but bool: operator.index takes what has __index__
+        if isinstance(self.seed, bool) or not hasattr(type(self.seed), "__index__"):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         if not 0.0 <= self.fixed_height_m <= MAX_COORD_M:

@@ -194,6 +194,11 @@ def user_utility_partials(powers_dbm, cfg: UtilityConfig, axis: int = -1):
     return _reward(soft, cfg, slope=True) * (e / z)
 
 
+def _is_served(best_dbm, p_min_dbm: float):
+    """Whether each strongest power ``best_dbm`` (dBm) meets the target ``p_min_dbm``."""
+    return best_dbm >= p_min_dbm
+
+
 def oracle(placements, users, weights, cfg: UtilityConfig, budget_dbm):
     """Exact network utility ``sum_m w_m * J_m``, served count and strongest powers (dBm).
 
@@ -212,6 +217,6 @@ def oracle(placements, users, weights, cfg: UtilityConfig, budget_dbm):
     # each row's own dot product: unlike one matmul, its bits do not depend on the batch
     utility = np.vecdot(user_utility(powers, cfg, axis=-2), weights)
     best = np.maximum.reduce(powers, axis=-2)
-    served = np.add.reduce(best >= cfg.p_min_dbm, axis=-1)
+    served = np.add.reduce(_is_served(best, cfg.p_min_dbm), axis=-1)
     return utility, served, best
 

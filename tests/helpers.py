@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from airbs_sgd.baseline import KMeansResult
 from airbs_sgd.channel import ChannelParams, received_power_matrix
 from airbs_sgd.navigator import StepSchedule
 from airbs_sgd.simulator import Rect, Scenario, init_scenario
@@ -209,6 +208,9 @@ def kmeans_reference(user_locations, num_clusters, max_iters=100, seed=0, height
     """One replication's Lloyd k-means, one cluster at a time: the reference that
     ``baseline.kmeans_replications`` is compared against bit for bit.
 
+    Returns the (B, 3) centroids at ``height_m``, the final inertia and the
+    inertia of every pass, in order.
+
     Equidistant users go to the lowest cluster index; a cluster that loses
     all its users is reseeded to the user farthest from its stale centroid;
     a run that exhausts ``max_iters`` passes is realigned once.
@@ -240,9 +242,5 @@ def kmeans_reference(user_locations, num_clusters, max_iters=100, seed=0, height
     else:
         assign, inertia = nearest()
         history.append(inertia)
-    return KMeansResult(
-        centroids=np.column_stack([centroids, np.full(num_clusters, float(height_m))]),
-        assignments=tuple(int(a) for a in assign),
-        inertia=float(inertia),
-        inertia_history=tuple(history),
-    )
+    return (np.column_stack([centroids, np.full(num_clusters, float(height_m))]), inertia,
+            tuple(history))

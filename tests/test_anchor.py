@@ -35,7 +35,7 @@ def anchor_record(setting) -> dict:
         s.schedule, decay=setting["decay"], eta0=setting["eta0"]))
     seeds = cli.replication_seeds(setting["master_seed"], setting["replications"])
     runs = []
-    for seed, (log, grid, (_, km_served)) in zip(seeds, cli._phase_one(s, seeds, True)):
+    for seed, (log, grid, (_, _, km_served)) in zip(seeds, cli._phase_one(s, seeds, True)):
         n, m = grid.shape
         runs.append({
             "seed": seed,

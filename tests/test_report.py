@@ -309,12 +309,14 @@ def test_a_value_with_no_text_writes_no_file(tmp_path):
 
 def test_kmeans_json_is_the_baselines_json_dumps_text(tmp_path):
     log, grid, s = run_small(tmp_path)
-    km = kmeans_placement(log.users, s.num_airbs, seed=3, height_m=s.fixed_height_m)
-    paths = render_outputs(log, grid, tmp_path, s.area, s.utility.p_min_dbm, (km, 7))
+    centroids, inertia = kmeans_placement(log.users, s.num_airbs, seed=3,
+                                          height_m=s.fixed_height_m)
+    paths = render_outputs(log, grid, tmp_path, s.area, s.utility.p_min_dbm,
+                           (centroids, inertia, 7))
     assert set(paths) == {*EXPECTED_FILES, "kmeans.json"}
     assert (tmp_path / "kmeans.json").read_text() == json.dumps({
-        "centroids": [list(map(float, c)) for c in km.centroids],
-        "inertia": float(km.inertia),
+        "centroids": [list(map(float, c)) for c in centroids],
+        "inertia": inertia,
         "served": 7,
         "unserved": len(log.users) - 7,
     }, sort_keys=True) + "\n"

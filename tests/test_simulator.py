@@ -561,11 +561,20 @@ def test_scenario_validation():
      "extra_mu_positions[0]: position must have 3 coordinates, got 2"),
     (dict(schedule=None), "step schedule required"),
     (dict(channel=None), "channel params required"),
-], ids=["nan_tx_power", "two_coordinate_extra_user", "no_schedule", "no_channel"])
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(seed=True), "seed must be an integer, got True"),
+    (dict(seed="7"), "seed must be an integer, got '7'"),
+], ids=["nan_tx_power", "two_coordinate_extra_user", "no_schedule", "no_channel",
+        "float_seed", "bool_seed", "string_seed"])
 def test_a_bad_scenario_field_raises_its_message(overrides, message):
     with pytest.raises(ValueError) as e:
         small_scenario(**overrides)
     assert str(e.value) == message
+
+
+def test_a_numpy_integer_seed_is_kept_as_an_int():
+    s = small_scenario(seed=np.uint64(2 ** 64 - 1))
+    assert type(s.seed) is int and s.seed == 2 ** 64 - 1
 
 
 def test_link_budgets_are_each_power_plus_the_gain_and_read_only():

@@ -113,7 +113,7 @@ MUTANTS = (
            "if name in named:", "if False:",
            ("tests/test_cli.py::test_bad_override_exits_2_naming_it",)),
     Mutant("the k-means served counts zipped in the wrong order", CLI,
-           "zip(kmeans, served.tolist())", "zip(kmeans, served.tolist()[::-1])",
+           "inertia.tolist(), served.tolist())", "inertia.tolist(), served.tolist()[::-1])",
            ("tests/test_cli.py::test_kmeans_served_is_the_oracles_count_for_the_centroids",)),
     Mutant("a 64-point coverage grid", CLI,
            "MAP_GRID = 70", "MAP_GRID = 64", ANCHOR),
@@ -122,13 +122,11 @@ MUTANTS = (
            "    for p in range(MAX_PASSES + 1):\n",
            "    MAX_PASSES = 100\n    for p in range(MAX_PASSES + 1):\n",
            ("tests/test_baseline.py::test_batched_lloyd_is_each_replication_alone_bit_for_bit",)),
-    # who is served: a power exactly on the target meets it
-    Mutant("the oracle leaves a user on the target unserved", UTIL,
-           "best >= cfg.p_min_dbm", "best > cfg.p_min_dbm",
-           ("tests/test_utility.py::test_oracle_served_count_pinned_cases",)),
-    Mutant("the map draws a user on the target as unserved", REPORT,
-           "log.max_power_dbm[-1] >= p_min_dbm", "log.max_power_dbm[-1] > p_min_dbm",
-           ("tests/test_report.py::test_map_draws_a_user_on_the_power_target_as_served",)),
+    # who is served, in the oracle's count and the map: a power exactly on the target meets it
+    Mutant("a user on the target left unserved", UTIL,
+           "best_dbm >= p_min_dbm", "best_dbm > p_min_dbm",
+           ("tests/test_utility.py::test_oracle_served_count_pinned_cases",
+            "tests/test_report.py::test_map_draws_a_user_on_the_power_target_as_served")),
     # the histogram figure's target marker, on each end of HIST_RANGE
     Mutant("no marker for a target on the histogram's low end", REPORT,
            "lo <= p_min_dbm", "lo < p_min_dbm", HIST_FIGURES),
