@@ -24,9 +24,10 @@ consecutive run of jobs sharing a scenario into batches of at most
 then, for the same batch, computes the coverage grids, the k-means baselines
 (:func:`baseline.kmeans_replications`) and their served counts, which
 :func:`utility.oracle` decides. A job fails if it does not advance, its
-arrays do not fit in memory, or its grid or baseline cannot be evaluated;
-the batch's jobs then advance again one at a time, and the command stops
-before any bundle is written, naming the first failing job in list order.
+arrays do not fit in memory, or its grid or baseline cannot be evaluated.
+A failed batch splits into its jobs, each run alone in list order; the
+first to fail alone is named before any bundle is written, and if none
+does (a batch too large for memory), the records they made alone stand.
 Between the phases the command creates every bundle directory in job
 order, so a name taken by a file fails before any file is written, and
 only then lets the workers start phase 2, one byte each down one shared
@@ -181,53 +182,48 @@ def _jobs(s: Scenario, count: int, out_dir: str) -> list:
             for r, seed in enumerate(replication_seeds(s.seed, count))]
 
 
-def _phase_one(s: Scenario, seeds, with_kmeans: bool) -> list:
-    """Each seed's (log, coverage grid, k-means) for a run of jobs of ``s``.
+def _phase_one(with_kmeans: bool, jobs) -> list:
+    """Each job's (log, coverage grid, k-means) for a batch of jobs of one scenario.
 
-    The seeds advance as one batch; the k-means is None without
+    The jobs advance as one batch; the k-means is None without
     ``with_kmeans``, else the (B, 3) centroids, the inertia and the oracle's
-    served count for those centroids; all the run's baselines are one Lloyd
-    program.
+    served count for those centroids; all the batch's baselines are one Lloyd
+    program. A batch that raises ``ValueError`` or ``MemoryError`` splits into
+    its jobs, each run alone in list order: the first to fail alone is named,
+    and if none does, the records they made alone stand.
     """
-    logs = run_replications(s, seeds)
-    # one grid per call: two batched calls of 10 measured as fast with the
-    # in-place kernel, and slower before it from page faults, not the cache
-    grids = [coverage_map(log.positions[-1], s.area, MAP_GRID, s.budget_dbm) for log in logs]
-    kmeans = [None] * len(logs)
-    if with_kmeans:
-        users = np.stack([log.users for log in logs])
-        centroids, inertia = kmeans_replications(users, s.num_airbs, seeds,
-                                                 height_m=s.fixed_height_m)
-        served = oracle(centroids, users, s.traffic.as_array(), s.utility, s.budget_dbm)[1]
-        kmeans = list(zip(centroids, inertia.tolist(), served.tolist()))
-    return list(zip(logs, grids, kmeans))
+    s, seeds = jobs[0][0], [seed for _, seed, _ in jobs]
+    try:
+        logs = run_replications(s, seeds)
+        # one grid per call: two batched calls of 10 measured as fast with the
+        # in-place kernel, and slower before it from page faults, not the cache
+        grids = [coverage_map(log.positions[-1], s.area, MAP_GRID, s.budget_dbm) for log in logs]
+        kmeans = [None] * len(logs)
+        if with_kmeans:
+            users = np.stack([log.users for log in logs])
+            centroids, inertia = kmeans_replications(users, s.num_airbs, seeds,
+                                                     height_m=s.fixed_height_m)
+            served = oracle(centroids, users, s.traffic.as_array(), s.utility, s.budget_dbm)[1]
+            kmeans = list(zip(centroids, inertia.tolist(), served.tolist()))
+    except (ValueError, MemoryError) as e:
+        if len(jobs) == 1:  # a MemoryError has no text of its own
+            raise _failure(seeds[0], jobs[0][2], str(e) or "out of memory")
+    else:
+        return list(zip(logs, grids, kmeans))
+    # outside the handler, which would keep the failed batch's arrays alive
+    return [record for job in jobs for record in _phase_one(with_kmeans, [job])]
 
 
 def _advance_group(with_kmeans: bool, jobs) -> list:
     """Phase 1 of one group: each job's (log, coverage grid, k-means), each run of jobs
-    sharing a scenario cut into batches of at most ``BATCH_PAIRS`` agent-user pairs.
-
-    A job fails if it does not advance, its arrays do not fit in memory, or a
-    grid point or, with ``with_kmeans``, a user lies on a transmitter; the
-    first failing job in list order is named.
-    """
+    sharing a scenario cut into batches of at most ``BATCH_PAIRS`` agent-user pairs."""
     done = []
     for _, run in itertools.groupby(jobs, key=lambda job: id(job[0])):
         run = list(run)
         s = run[0][0]
         size = max(1, BATCH_PAIRS // (s.num_airbs * max(s.total_mus, s.schedule.minibatch_size)))
         for k in range(0, len(run), size):
-            _, seeds, dirs = zip(*run[k:k + size])
-            try:
-                done += _phase_one(s, seeds, with_kmeans)
-            except (ValueError, MemoryError):
-                # the jobs are independent, so the first to fail alone is the first that failed
-                for seed, rep_dir in zip(seeds, dirs):
-                    try:
-                        _phase_one(s, [seed], with_kmeans)
-                    except (ValueError, MemoryError) as e:
-                        raise _failure(seed, rep_dir, e)
-                raise
+            done += _phase_one(with_kmeans, run[k:k + size])
     return done
 
 

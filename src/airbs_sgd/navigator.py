@@ -45,9 +45,11 @@ class StepSchedule:
     ``eta_scale`` sets the unit interpretation of the nominal step: the
     chain-rule gradients are denominated in dB per meter, so a scale of 1
     reads ``eta0`` as m^2/dB while 1e6 reads it as km^2/dB (equivalent to
-    running the whole geometry in kilometers). Large-area scenarios need
-    the km reading to move at a useful pace; see the bundled reference
-    scenario.
+    running the whole geometry in kilometers while every separation stays
+    above the absolute 0.1 m ``EPS_DISTANCE_M`` guard; in kilometers the
+    reference's 30 m height is 0.03, and its first snapshot fails). Large-area
+    scenarios need the km reading to move at a useful pace; see the bundled
+    reference scenario.
 
     ``eta0 = 0`` is allowed and freezes all movement (useful as a control).
     """

@@ -34,8 +34,9 @@ def anchor_record(setting) -> dict:
     s = dataclasses.replace(s, schedule=dataclasses.replace(
         s.schedule, decay=setting["decay"], eta0=setting["eta0"]))
     seeds = cli.replication_seeds(setting["master_seed"], setting["replications"])
+    jobs = [(s, seed, f"rep_{r:03d}") for r, seed in enumerate(seeds)]
     runs = []
-    for seed, (log, grid, (_, _, km_served)) in zip(seeds, cli._phase_one(s, seeds, True)):
+    for seed, (log, grid, (_, _, km_served)) in zip(seeds, cli._phase_one(True, jobs)):
         n, m = grid.shape
         runs.append({
             "seed": seed,

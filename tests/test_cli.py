@@ -395,6 +395,61 @@ def test_batches_of_one_run_the_kmeans_program_once_per_replication(tmp_path, ca
     assert _files(tmp_path / "alone") == _files(tmp_path / "batch")
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_batch_out_of_memory_only_as_a_whole_runs_its_jobs_alone(tmp_path, capsys,
+                                                                   monkeypatch, cores):
+    # every batch of more than one replication raises MemoryError and each job alone
+    # passes: the command keeps the records the jobs made alone and writes what it
+    # writes unpatched
+    argv = ["reproduce-paper", "--seeds", "3", "--baseline", "kmeans", "--out"]
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    assert main(argv + [str(tmp_path / "batch")]) == 0
+    printed = capsys.readouterr().out
+    run_replications = cli.run_replications
+
+    def out_of_memory(s, seeds):
+        if len(seeds) > 1:
+            raise MemoryError
+        return run_replications(s, seeds)
+
+    monkeypatch.setattr(cli, "run_replications", out_of_memory)
+    assert main(argv + [str(tmp_path / "alone")]) == 0
+    assert capsys.readouterr() == (printed, "")
+    assert _files(tmp_path / "alone") == _files(tmp_path / "batch")
+
+
+def test_a_job_out_of_memory_alone_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    # a MemoryError has no message of its own
+    def out_of_memory(s, seeds):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_replications", out_of_memory)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    out = tmp_path / "out"
+    assert main(["reproduce-paper", "--seeds", "2", "--out", str(out)]) == 2
+    seed = replication_seeds(cli.reference_scenario().seed, 2)[0]
+    assert capsys.readouterr().err == (f"error: replication with seed {seed} failed: "
+                                       f"out of memory (bundle {out / 'rep_000'})\n")
+    assert not any(out.glob("rep_*"))
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_bundle_file_that_cannot_be_written_exits_2_naming_its_bundle(tmp_path, capsys,
+                                                                        monkeypatch, cores):
+    # a directory where rep_001's map goes: every job passes phase 1, and phase 2 fails
+    # mid-bundle; the bundle written before it stays, and the one after is not written
+    out = tmp_path / "out"
+    (out / "rep_001" / "map.svg").mkdir(parents=True)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    assert main(["reproduce-paper", "--seeds", "3", "--out", str(out)]) == 2
+    seed = replication_seeds(cli.reference_scenario().seed, 3)[1]
+    assert capsys.readouterr().err == (
+        f"error: replication with seed {seed} failed: cannot write the bundle: "
+        f"{os.strerror(errno.EISDIR)} (bundle {out / 'rep_001'})\n")
+    assert (out / "rep_000" / "map.svg").is_file()
+    assert not any((out / "rep_002").iterdir())
+
+
 @pytest.mark.parametrize("argv, name", [
     (["run"], "effective_config.json"),
     (["run"], "summary.json"),

@@ -10,7 +10,7 @@ import helpers
 from helpers import budget_at_1m
 from test_utility import conditioned_cfg
 
-from airbs_sgd.channel import ChannelParams, received_power_matrix
+from airbs_sgd.channel import MAX_COORD_M, ChannelParams, received_power_matrix
 from airbs_sgd.navigator import DivergenceError, StepSchedule, batched_update
 from airbs_sgd import cli, simulator
 from airbs_sgd.cli import main as cli_main, replication_seeds
@@ -251,6 +251,21 @@ def test_diverging_agent_raises():
         batched_update(L, grads, np.full((3, 2), -90.0), cfg, 1.0, 30.0)
 
 
+@pytest.mark.parametrize("start, grad", [
+    ((MAX_COORD_M, 0.0, 30.0), (1e151, 0.0, 0.0)),
+    ((0.0, 0.0, 0.0), (0.0, 0.0, -1e3)),
+], ids=["at_the_coordinate_bound", "on_the_ground"])
+def test_divergence_names_the_agent_that_broke_a_bound(start, grad):
+    # agent 0 has a zero gradient and stays exactly on a bound, which it may; agent 1
+    # steps past it, to x = 1.65e150 m or to 135 m below the ground
+    L = np.array([start, [500.0, 0.0, 30.0]])
+    grads = np.zeros((3, 2, 3))
+    grads[:, 1] = grad
+    cfg = UtilityConfig("unicast_rate", -112.4, -91.0, 2.0)
+    with pytest.raises(DivergenceError, match="^agent 1 stepped to "):
+        batched_update(L, grads, np.full((3, 2), -90.0), cfg, 1.0, None)
+
+
 def assert_same_replication(log, ref):
     """Two ``TrajectoryLog`` results agree bit for bit."""
     assert np.array_equal(log.positions, ref.positions)
@@ -309,9 +324,9 @@ def groups(monkeypatch):
     """The seeds of each ``cli._phase_one`` call, in call order."""
     calls, phase_one = [], cli._phase_one
 
-    def recording_phase_one(s, seeds, with_kmeans):
-        calls.append(list(seeds))
-        return phase_one(s, seeds, with_kmeans)
+    def recording_phase_one(with_kmeans, jobs):
+        calls.append([seed for _, seed, _ in jobs])
+        return phase_one(with_kmeans, jobs)
 
     monkeypatch.setattr(cli, "_phase_one", recording_phase_one)
     return calls

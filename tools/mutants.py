@@ -42,6 +42,7 @@ CHANNEL, NAV, SIM, CLI, KMEANS, UTIL, REPORT = (f"src/airbs_sgd/{name}.py" for n
     "channel", "navigator", "simulator", "cli", "baseline", "utility", "report"))
 ANCHOR = ("tests/test_anchor.py",)
 HIST_FIGURES = ("tests/test_report.py::test_histogram_figures_match_the_recorded_texts",)
+DIVERGENCE = "tests/test_simulator.py::test_divergence_names_the_agent_that_broke_a_bound"
 
 MUTANTS = (
     # the power at distance d: the power at 1 m, less 10*log10(d**2)
@@ -63,6 +64,13 @@ MUTANTS = (
            "new = positions + eta * (total / powers.shape[-1]) "
            "+ 1e-9 * positions.mean(axis=-2, keepdims=True)",
            ("tests/test_acceptance.py::test_criterion_08_noncooperation_barrier",)),
+    # the agent a DivergenceError names: the first past a bound, not one exactly on it
+    Mutant("an agent exactly on the coordinate bound named", NAV,
+           "np.all(np.abs(new) <= MAX_COORD_M, axis=-1)",
+           "np.all(np.abs(new) < MAX_COORD_M, axis=-1)",
+           (f"{DIVERGENCE}[at_the_coordinate_bound]",)),
+    Mutant("an agent exactly on the ground named", NAV,
+           "(new[..., 2] < 0.0)", "(new[..., 2] <= 0.0)", (f"{DIVERGENCE}[on_the_ground]",)),
     # the simulation's draws and steps
     Mutant("noise drawn before the recipients", SIM,
            "        for rng, row in zip(rngs, uniforms):\n"
@@ -106,8 +114,8 @@ MUTANTS = (
            ("tests/test_simulator.py::test_scenario_dict_round_trip_bytes",)),
     # the command
     Mutant("the last failing job named", CLI,
-           "for seed, rep_dir in zip(seeds, dirs):",
-           "for seed, rep_dir in reversed(list(zip(seeds, dirs))):",
+           "for job in jobs for record in _phase_one(with_kmeans, [job])]",
+           "for job in jobs[::-1] for record in _phase_one(with_kmeans, [job])]",
            ("tests/test_simulator.py::test_first_failing_seed_is_named_in_list_order",)),
     Mutant("the sweep's name check dropped", CLI,
            "if name in named:", "if False:",
