@@ -10,7 +10,7 @@ from airbs_sgd import (
     render_outputs,
     run,
 )
-from airbs_sgd.cli import reference_scenario
+from airbs_sgd.cli import MAP_GRID, reference_scenario
 from airbs_sgd.utility import oracle
 
 
@@ -34,7 +34,7 @@ def main():
     km_served = int(oracle(centroids, log.users, s.traffic.as_array(), s.utility, budget)[1])
     print(f"k-means baseline: {km_served}/{m} served ({m - km_served} unserved)")
 
-    cov = coverage_map(log.positions[-1], s.area, 70, budget)
+    cov = coverage_map(log.positions[-1], s.area, MAP_GRID, budget)
     paths = render_outputs(log, cov, "reference_out", s.area, s.utility.p_min_dbm)
     print("wrote:")
     for name in sorted(paths):

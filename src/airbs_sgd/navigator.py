@@ -14,13 +14,15 @@ agent's state, which is the whole point of the scheme.
 :func:`batched_update` runs that loop for all B agents on a whole (Q, B)
 minibatch in one array pass, agent-major: the utility's partials on one
 (B, Q) array per replication, and each agent's products summed over the
-packets in packet order. It performs each agent's arithmetic entry by
-entry, so every agent's row is bit-identical to stepping that agent alone.
+packets in packet order, stepping x and y and keeping the fixed altitude.
+It performs each agent's arithmetic entry by entry, so every agent's row
+is bit-identical to stepping that agent alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Literal, get_args
 
@@ -35,6 +37,13 @@ Decay = Literal["constant", "harmonic"]
 
 class DivergenceError(ValueError):
     """Raised when an update would move an agent to an invalid position."""
+
+
+def _integer(name: str, v) -> int:
+    """``v``, an integer of any kind but bool, as an int; anything else raises naming ``name``."""
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return operator.index(v)
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,7 @@ class StepSchedule:
     def __post_init__(self):
         if self.eta0 < 0.0 or not math.isfinite(self.eta0):
             raise ValueError("eta0 must be finite and nonnegative")
+        object.__setattr__(self, "minibatch_size", _integer("minibatch_size", self.minibatch_size))
         if self.minibatch_size < 1:
             raise ValueError("minibatch_size must be at least 1")
         if self.minibatch_size >= 2 ** 63:
@@ -82,19 +92,18 @@ class StepSchedule:
 
 
 def batched_update(positions: np.ndarray, power_gradients: np.ndarray,
-                   reported_powers: np.ndarray, cfg: UtilityConfig, eta: float,
-                   fixed_height: float | None = None) -> np.ndarray:
+                   reported_powers: np.ndarray, cfg: UtilityConfig, eta: float) -> np.ndarray:
     """One synchronous minibatch ascent step of all B agents; returns the new positions.
 
     ``positions`` is (..., B, 3). For a minibatch of Q packets,
     ``power_gradients`` (..., Q, B, 3) holds each agent's own power
     gradient at each reporting user, and ``reported_powers`` (..., Q, B)
     the powers each packet reports; leading axes (e.g. replications) are
-    independent batches. Agent ``b``'s row is its own rule: per packet, its
-    power gradient times the utility's partial in its power, summed from
-    0.0 in packet order; then ``position + eta * (sum / Q)``, with z
-    re-pinned to ``fixed_height`` when that is set. It reads only that
-    agent's position and gradients, plus the packets.
+    independent batches. Agent ``b``'s row is its own rule: per packet, the
+    x and y of its power gradient times the utility's partial in its power,
+    summed from 0.0 in packet order; then ``position + eta * (sum / Q)`` in
+    x and y, with z carried through unchanged. It reads only that agent's
+    position and gradients, plus the packets.
 
     The partials are evaluated agent-major, as
     ``user_utility_partials(powers.T, cfg, axis=0)`` does for one
@@ -104,33 +113,29 @@ def batched_update(positions: np.ndarray, power_gradients: np.ndarray,
     those of that one call and its own gradients, one packet at a time.
 
     Raises :class:`DivergenceError` when a step would leave an agent more
-    than ``MAX_COORD_M`` from 0 on some axis, at a non-finite position, or
-    at a negative altitude.
+    than ``MAX_COORD_M`` from 0 on some axis or at a non-finite position.
     """
     # agent-major (..., B, Q): each agent's Q powers are adjacent in memory, so the
     # reductions over the agents add whole rows of Q entries, one agent after another
     powers = np.ascontiguousarray(reported_powers.swapaxes(-1, -2))
     partials = user_utility_partials(powers, cfg, axis=-2)
-    # the products laid out packet-major (Q, 3, ..., B): the packets are the outer
+    # the products laid out packet-major (Q, 2, ..., B): the packets are the outer
     # loop of the reduction, so they are added one after another, from 0.0, as a
     # running sum adds them. numpy sums a contiguous innermost axis pairwise and
-    # merges axes of length 1 away; the 3 coordinates keep Q from ever being innermost,
-    # even for one agent in one replication
+    # merges axes of length 1 away; x and y keep Q from ever being innermost, even
+    # for one agent in one replication
     n = powers.ndim  # the gradients' axes are (..., n - 2, n - 1, n): (..., Q, B, 3)
     lead = range(n - 2)
-    grads = power_gradients.transpose(n - 2, n, *lead, n - 1)
+    grads = power_gradients[..., :2].transpose(n - 2, n, *lead, n - 1)
     contrib = np.multiply(grads, partials.transpose(n - 1, *lead, n - 2)[:, None],
                           out=np.empty(grads.shape))
     total = np.add.reduce(contrib, axis=0, initial=0.0).transpose(*range(1, n), 0)
-    new = positions + eta * (total / powers.shape[-1])
-    if fixed_height is not None:
-        new[..., 2] = fixed_height
-    # one reduction per bound, nan failing both; the mask is built only on a failure
-    if not (np.maximum.reduce(np.abs(new), axis=None, initial=0.0) <= MAX_COORD_M
-            and np.minimum.reduce(new[..., 2], axis=None, initial=0.0) >= 0.0):
-        bad = ~np.all(np.abs(new) <= MAX_COORD_M, axis=-1) | (new[..., 2] < 0.0)
+    new = positions.copy()
+    new[..., :2] += eta * (total / powers.shape[-1])
+    # one reduction, nan failing it; the mask is built only on a failure
+    if not np.maximum.reduce(np.abs(new), axis=None, initial=0.0) <= MAX_COORD_M:
+        bad = ~np.all(np.abs(new) <= MAX_COORD_M, axis=-1)
         where = np.unravel_index(np.argmax(bad), bad.shape)
         raise DivergenceError(f"agent {where[-1]} stepped to {new[where].tolist()}: the position "
                               f"must be within {MAX_COORD_M:g} m of 0 with nonnegative altitude")
     return new
-

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 import sys
 import typing
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import MAX_COORD_M, ChannelParams, received_power_matrix
-from .navigator import DivergenceError, StepSchedule, batched_update
+from .navigator import DivergenceError, StepSchedule, _integer, batched_update
 from .traffic import TrafficProfile
 from .utility import UtilityConfig, _temperature, oracle
 
@@ -109,6 +108,8 @@ class Scenario:
         if self.area.width == 0.0 and self.area.height == 0.0:
             raise ValueError(f"area must have a nonzero width or height, got the point "
                              f"({self.area.x_min}, {self.area.y_min})")
+        for key in ("num_airbs", "num_mus", "iterations", "seed"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
         if self.num_airbs < 1:
             raise ValueError("need at least one transmitter")
         if self.num_mus < 1:
@@ -118,10 +119,6 @@ class Scenario:
         for count in ("num_airbs", "num_mus", "iterations"):
             if getattr(self, count) >= 2 ** 63:
                 raise ValueError(f"{count} must be below 2**63")
-        # an integer of any kind but bool: operator.index takes what has __index__
-        if isinstance(self.seed, bool) or not hasattr(type(self.seed), "__index__"):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", operator.index(self.seed))
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         if not 0.0 <= self.fixed_height_m <= MAX_COORD_M:
@@ -288,7 +285,7 @@ def run_replications(s: Scenario, seeds) -> list:
             for rng, row in zip(rngs, normals):
                 rng.standard_normal(out=row)
             powers += sigma * normals
-        L = batched_update(L, grads, powers, cfg, s.schedule.eta(i), s.fixed_height_m)
+        L = batched_update(L, grads, powers, cfg, s.schedule.eta(i))
         last = snapshot(i + 1)
 
     max_power = np.stack([first, last], axis=1)

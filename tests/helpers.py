@@ -118,16 +118,16 @@ def agent_gradient(position, budget_b, b, users, reported, cfg) -> np.ndarray:
     return total
 
 
-def agent_step(position, budget_b, b, users, reported, cfg, eta, fixed_height) -> np.ndarray:
-    """Agent ``b`` alone: one ascent step along its minibatch-mean gradient.
+def agent_step(position, budget_b, b, users, reported, cfg, eta) -> np.ndarray:
+    """Agent ``b`` alone: one ascent step of x and y along its minibatch-mean gradient,
+    with z kept.
 
     The reference that ``navigator.batched_update``'s rows are compared
-    against; ``fixed_height``, when not None, pins z exactly.
+    against.
     """
-    new = position + eta * (agent_gradient(position, budget_b, b, users, reported, cfg)
-                            / len(users))
-    if fixed_height is not None:
-        new[2] = fixed_height
+    new = np.array(position, dtype=float)
+    new[:2] += eta * (agent_gradient(position, budget_b, b, users, reported, cfg)[:2]
+                      / len(users))
     return new
 
 
@@ -150,7 +150,7 @@ def replay_alone(s, log) -> np.ndarray:
         if s.measurement_noise_db > 0.0:
             powers = powers + s.measurement_noise_db * rng.standard_normal(powers.shape)
         path.append([agent_step(row, budget[b], b, users[idx], powers, s.utility,
-                                s.schedule.eta(i), s.fixed_height_m)
+                                s.schedule.eta(i))
                      for b, row in enumerate(path[-1])])
     return np.array(path)
 
@@ -197,8 +197,7 @@ def runaway_message(s, seed, rep_dir):
     start, extra = np.array([0.0, 0.0, 2.0]), np.array(s.extra_mu_positions)
     budget = s.budget_dbm
     powers = received_power_matrix(start[None], budget, extra)
-    flung = agent_step(start, budget[0], 0, extra, powers, s.utility, s.schedule.eta(0),
-                       s.fixed_height_m)
+    flung = agent_step(start, budget[0], 0, extra, powers, s.utility, s.schedule.eta(0))
     return (f"error: replication with seed {seed} failed: agent 0 stepped to {flung.tolist()}: "
             f"the position must be within 1e+150 m of 0 with nonnegative altitude "
             f"(bundle {rep_dir})\n")

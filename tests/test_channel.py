@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from helpers import budget_at_1m, dbm_to_linear, linear_to_dbm
-from airbs_sgd.channel import (MAX_COORD_M, MIN_REF_DISTANCE_M, ChannelParams,
+from airbs_sgd.channel import (EPS_DISTANCE_M, MAX_COORD_M, MIN_REF_DISTANCE_M, ChannelParams,
                                CoincidentPositionsError, received_power_matrix)
 
 TX_DBM, GAIN_DB, REF_M = 12.0, -94.0, 1000.0
@@ -111,6 +111,15 @@ def test_coincident_positions_rejected():
         power(a, b)
     with pytest.raises(CoincidentPositionsError):
         gradient(a, b)
+
+
+def test_a_transmitter_exactly_at_the_guard_distance_is_allowed():
+    # 0.1 m straight above a point: the squared separation 0.1 * 0.1 is the guard's
+    # own square bit for bit, and the guard refuses only what is closer
+    assert 0.1 * 0.1 == EPS_DISTANCE_M * EPS_DISTANCE_M
+    for grad in (False, True):
+        out = received_power_matrix([[0.0, 0.0, 0.1]], [0.0], [[0.0, 0.0, 0.0]], gradient=grad)
+        assert np.isfinite(out[0] if grad else out).all()
 
 
 def test_dbm_linear_basics():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import agent_gradient, budget_at_1m, network_utility_gradient
-from airbs_sgd.channel import received_power_matrix
+from airbs_sgd.channel import MAX_COORD_M, received_power_matrix
 from airbs_sgd.navigator import StepSchedule, batched_update
 from airbs_sgd.utility import UtilityConfig
 
@@ -71,11 +71,11 @@ def test_gradient_ignores_other_agents_state():
     rng = np.random.default_rng(41)
     placements = np.array([[100.0 * i, 50.0, 30.0] for i in range(4)])
     _, powers, grads = packet(placements, [BUDGET] * 4, (180.0, 90.0, 0.0))
-    before = batched_update(placements, grads, powers, cfg, 1e4, 30.0)
+    before = batched_update(placements, grads, powers, cfg, 1e4)
     others = [0, 2, 3]
     placements[others] = np.column_stack([rng.uniform(0, 5000, (3, 2)), rng.uniform(10, 200, 3)])
     grads[:, others] = rng.standard_normal((1, 3, 3))
-    after = batched_update(placements, grads, powers, cfg, 1e4, 30.0)
+    after = batched_update(placements, grads, powers, cfg, 1e4)
     assert np.array_equal(before[1], after[1])
 
 
@@ -93,18 +93,20 @@ def test_apply_update_arithmetic():
 
 def test_apply_update_zero_gradient():
     cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -85.0, 2.0)
-    position = np.array([[1.0, 2.0, 3.0]])
-    new = batched_update(position, np.zeros((4, 1, 3)), np.full((4, 1), -90.0), cfg, 5.0)
-    assert np.array_equal(new, position)
+    # an agent exactly on the coordinate bound may stay there
+    for position in ([[1.0, 2.0, 3.0]], [[MAX_COORD_M, -MAX_COORD_M, 30.0]]):
+        position = np.array(position)
+        new = batched_update(position, np.zeros((4, 1, 3)), np.full((4, 1), -90.0), cfg, 5.0)
+        assert np.array_equal(new, position)
 
 
 def test_apply_update_fixed_height_projection():
-    # z is pinned exactly while x and y move
+    # z is kept exactly while x and y move, though the power gradient has a z part
     cfg = UtilityConfig("threshold_sigmoid_unicast", -112.4, -85.0, 2.0)
     position = np.array([[0.0, 0.0, 30.0]])
     mu, powers, grads = packet(position, [BUDGET], (400.0, -300.0, 0.0))
     assert grads[0, 0, 2] != 0.0
-    new = batched_update(position, grads, powers, cfg, 1e6, 30.0)
+    new = batched_update(position, grads, powers, cfg, 1e6)
     assert new[0, 2] == 30.0
     assert new[0, 0] > 0.0 and new[0, 1] < 0.0
 
@@ -122,6 +124,12 @@ def test_step_schedule():
         StepSchedule(eta0=-1.0, minibatch_size=10)
     with pytest.raises(ValueError):
         StepSchedule(eta0=1.0, minibatch_size=0)
+    with pytest.raises(ValueError, match=r"^minibatch_size must be below 2\*\*63$"):
+        StepSchedule(eta0=1.0, minibatch_size=2 ** 63)
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"^minibatch_size must be an integer, got {bad}$"):
+            StepSchedule(eta0=1.0, minibatch_size=bad)
+    assert type(StepSchedule(eta0=1.0, minibatch_size=np.int64(3)).minibatch_size) is int
     with pytest.raises(ValueError):
         StepSchedule(eta0=1.0, minibatch_size=5, decay="exponential")
     with pytest.raises(ValueError):

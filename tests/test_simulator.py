@@ -183,42 +183,39 @@ def _batch_case(rng, family, b, q=7):
     return L, X, budget, powers, grads, conditioned_cfg(family, powers[q // 2], rng)
 
 
-@pytest.mark.parametrize("fixed", [True, False], ids=["fixed_height", "free_height"])
+@pytest.mark.parametrize("height", [50.0, 0.0], ids=["fixed_height", "ground_height"])
 @pytest.mark.parametrize("b", [1, 2, 5, 9])
 @pytest.mark.parametrize("family", FAMILIES)
-def test_batched_step_matches_per_agent_reference(family, b, fixed):
+def test_batched_step_matches_per_agent_reference(family, b, height):
     # one step from the same state and packets: the (Q, B) array pass against
-    # each agent stepping alone, one packet at a time. At Q = 1 numpy sums the
-    # packet's one contiguous row of B powers pairwise, in the step and the
-    # reference alike; at Q = 10 a pairwise sum over the packets would differ
-    # from the reference's running sum. A smaller step at Q = 1 keeps every
-    # agent above the ground
-    rng = np.random.default_rng([31, b, FAMILIES.index(family), fixed])
+    # each agent stepping alone, one packet at a time, with every agent at the
+    # same altitude, as high as a scenario flies or on the ground. At Q = 1 numpy
+    # sums the packet's one contiguous row of B powers pairwise, in the step and
+    # the reference alike; at Q = 10 a pairwise sum over the packets would differ
+    # from the reference's running sum
+    rng = np.random.default_rng([31, b, FAMILIES.index(family), int(height)])
     for q, eta in [(7, 1e4), (1, 1e3), (10, 1e4)]:
         L, X, budget, powers, grads, cfg = _batch_case(rng, family, b, q)
-        height = 50.0 if fixed else None
-        if fixed:
-            L[:, 2] = height
-            powers, grads = received_power_matrix(L, budget_at_1m(budget, 1000.0), X, gradient=True)
+        L[:, 2] = height
+        powers, grads = received_power_matrix(L, budget_at_1m(budget, 1000.0), X, gradient=True)
         reported = powers + 0.5 * rng.standard_normal(powers.shape)
-        new = batched_update(L, grads, reported, cfg, eta, height)
+        new = batched_update(L, grads, reported, cfg, eta)
         # from the origin with a unit step, the move is the minibatch mean itself
-        mean = batched_update(np.zeros_like(L), grads, reported, cfg, 1.0, 0.0)
+        mean = batched_update(np.zeros_like(L), grads, reported, cfg, 1.0)
         for k in range(b):
             total = helpers.agent_gradient(L[k], budget_at_1m(budget[k], 1000.0), k, X, reported,
                                            cfg)
             # packets are summed in the same order, so the means agree bit for bit
             assert np.array_equal(mean[k, :2], (total / len(X))[:2])
             want = helpers.agent_step(L[k], budget_at_1m(budget[k], 1000.0), k, X, reported, cfg,
-                                      eta, height)
+                                      eta)
             if q == 7:
                 assert np.linalg.norm(want - L[k]) > 0.0
             else:
                 # the step of an agent far from its users can be below an ulp
                 assert np.any(mean[k, :2] != 0.0)
             assert helpers.rel_err(new[k] - L[k], want - L[k]) < 1e-12
-            if fixed:
-                assert new[k, 2] == height
+            assert new[k, 2] == want[2] == height
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -233,9 +230,11 @@ def test_batched_step_follows_minibatch_utility_gradient(family):
             flat.reshape(-1, 3), budget_at_1m(budget, 1000.0), X), cfg)))
 
     fd = helpers.central_diff(mean_utility, L.ravel(), h=1e-3).reshape(L.shape)
-    eta = 10.0 / float(np.max(np.abs(fd)))  # at most a 10 m move
-    step = (batched_update(L, grads, powers, cfg, eta) - L) / eta
-    assert helpers.rel_err(step, fd) < 1e-6
+    eta = 10.0 / float(np.max(np.abs(fd[:, :2])))  # at most a 10 m move
+    new = batched_update(L, grads, powers, cfg, eta)
+    # x and y follow the gradient; the altitude is kept exactly
+    assert helpers.rel_err((new[:, :2] - L[:, :2]) / eta, fd[:, :2]) < 1e-6
+    assert np.array_equal(new[:, 2], L[:, 2])
 
 
 def test_diverging_agent_raises():
@@ -248,22 +247,22 @@ def test_diverging_agent_raises():
     grads[1, 1, 0] = np.nan
     cfg = UtilityConfig("unicast_rate", -112.4, -91.0, 2.0)
     with pytest.raises(DivergenceError, match="agent 1"):
-        batched_update(L, grads, np.full((3, 2), -90.0), cfg, 1.0, 30.0)
+        batched_update(L, grads, np.full((3, 2), -90.0), cfg, 1.0)
 
 
 @pytest.mark.parametrize("start, grad", [
     ((MAX_COORD_M, 0.0, 30.0), (1e151, 0.0, 0.0)),
-    ((0.0, 0.0, 0.0), (0.0, 0.0, -1e3)),
-], ids=["at_the_coordinate_bound", "on_the_ground"])
+    ((0.0, -MAX_COORD_M, 30.0), (0.0, -1e151, 0.0)),
+], ids=["at_the_coordinate_bound", "at_the_negative_y_bound"])
 def test_divergence_names_the_agent_that_broke_a_bound(start, grad):
     # agent 0 has a zero gradient and stays exactly on a bound, which it may; agent 1
-    # steps past it, to x = 1.65e150 m or to 135 m below the ground
+    # steps past it, to x = 1.65e150 m or y = -1.65e150 m
     L = np.array([start, [500.0, 0.0, 30.0]])
     grads = np.zeros((3, 2, 3))
     grads[:, 1] = grad
     cfg = UtilityConfig("unicast_rate", -112.4, -91.0, 2.0)
     with pytest.raises(DivergenceError, match="^agent 1 stepped to "):
-        batched_update(L, grads, np.full((3, 2), -90.0), cfg, 1.0, None)
+        batched_update(L, grads, np.full((3, 2), -90.0), cfg, 1.0)
 
 
 def assert_same_replication(log, ref):
@@ -303,20 +302,17 @@ def test_replications_do_not_depend_on_the_other_seeds():
         assert_same_replication(run_replications(s, [seed])[0], base[seed])
 
 
-@pytest.mark.parametrize("fixed", [True, False], ids=["fixed_height", "free_height"])
-def test_batched_update_replications_are_independent(fixed):
+def test_batched_update_replications_are_independent():
     # the step of a (R, ...) batch is each replication's own step, bit for bit
     rng = np.random.default_rng(33)
     cases = [_batch_case(rng, "threshold_sigmoid_unicast", 3) for _ in range(4)]
     cfg = cases[0][-1]
     L, grads, powers = (np.stack([c[k] for c in cases]) for k in (0, 4, 3))
     reported = powers + 0.5 * rng.standard_normal(powers.shape)
-    height = 50.0 if fixed else None
-    new = batched_update(L, grads, reported, cfg, 1e4, height)
+    new = batched_update(L, grads, reported, cfg, 1e4)
     for r in range(len(cases)):
-        assert np.array_equal(new[r], batched_update(L[r], grads[r], reported[r], cfg, 1e4,
-                                                     height))
-    assert fixed == bool(np.all(new[..., 2] == 50.0))
+        assert np.array_equal(new[r], batched_update(L[r], grads[r], reported[r], cfg, 1e4))
+    assert np.array_equal(new[..., 2], L[..., 2])
 
 
 @pytest.fixture
@@ -489,6 +485,9 @@ def test_coverage_map_bad_inputs():
     area = Rect(0.0, 0.0, 100.0, 100.0)
     with pytest.raises(ValueError):
         coverage_map([[0.0, 0.0, 30.0]], area, 1, budget_at_1m([12.0 - 94.0], 1000.0))
+    # the smallest grid, the area's four corners
+    assert coverage_map([[0.0, 0.0, 30.0]], area, 2,
+                        budget_at_1m([12.0 - 94.0], 1000.0)).shape == (2, 2)
 
 
 def test_scenario_dict_round_trip_bytes():
@@ -579,8 +578,14 @@ def test_scenario_validation():
     (dict(seed=1.5), "seed must be an integer, got 1.5"),
     (dict(seed=True), "seed must be an integer, got True"),
     (dict(seed="7"), "seed must be an integer, got '7'"),
+    (dict(iterations=3.0), "iterations must be an integer, got 3.0"),
+    (dict(iterations=True), "iterations must be an integer, got True"),
+    (dict(num_airbs=2.0), "num_airbs must be an integer, got 2.0"),
+    (dict(num_mus=False), "num_mus must be an integer, got False"),
+    (dict(iterations=2 ** 63), "iterations must be below 2**63"),
 ], ids=["nan_tx_power", "two_coordinate_extra_user", "no_schedule", "no_channel",
-        "float_seed", "bool_seed", "string_seed"])
+        "float_seed", "bool_seed", "string_seed", "float_iterations", "bool_iterations",
+        "float_num_airbs", "bool_num_mus", "iterations_of_2_to_the_63"])
 def test_a_bad_scenario_field_raises_its_message(overrides, message):
     with pytest.raises(ValueError) as e:
         small_scenario(**overrides)
@@ -588,8 +593,15 @@ def test_a_bad_scenario_field_raises_its_message(overrides, message):
 
 
 def test_a_numpy_integer_seed_is_kept_as_an_int():
-    s = small_scenario(seed=np.uint64(2 ** 64 - 1))
+    s = small_scenario(seed=np.uint64(2 ** 64 - 1), iterations=np.int64(3))
     assert type(s.seed) is int and s.seed == 2 ** 64 - 1
+    assert type(s.iterations) is int and s.iterations == 3
+
+
+def test_a_coordinate_or_height_exactly_on_the_bound_loads():
+    # the bound is inclusive: MAX_COORD_M itself is a valid coordinate and altitude
+    edge = Rect(-MAX_COORD_M, -MAX_COORD_M, MAX_COORD_M, MAX_COORD_M)
+    assert small_scenario(area=edge, fixed_height_m=MAX_COORD_M).fixed_height_m == MAX_COORD_M
 
 
 def test_link_budgets_are_each_power_plus_the_gain_and_read_only():

@@ -43,6 +43,7 @@ CHANNEL, NAV, SIM, CLI, KMEANS, UTIL, REPORT = (f"src/airbs_sgd/{name}.py" for n
 ANCHOR = ("tests/test_anchor.py",)
 HIST_FIGURES = ("tests/test_report.py::test_histogram_figures_match_the_recorded_texts",)
 DIVERGENCE = "tests/test_simulator.py::test_divergence_names_the_agent_that_broke_a_bound"
+BOUND_LOADS = "tests/test_simulator.py::test_a_coordinate_or_height_exactly_on_the_bound_loads"
 
 MUTANTS = (
     # the power at distance d: the power at 1 m, less 10*log10(d**2)
@@ -60,17 +61,40 @@ MUTANTS = (
            ("tests/test_simulator.py::test_batched_step_matches_per_agent_reference",
             "tests/test_simulator.py::test_one_and_nine_agents_replay_alone")),
     Mutant("1e-9 of the agents' mean position added to every row", NAV,
-           "new = positions + eta * (total / powers.shape[-1])",
-           "new = positions + eta * (total / powers.shape[-1]) "
-           "+ 1e-9 * positions.mean(axis=-2, keepdims=True)",
+           "new[..., :2] += eta * (total / powers.shape[-1])",
+           "new[..., :2] += eta * (total / powers.shape[-1]) "
+           "+ 1e-9 * positions[..., :2].mean(axis=-2, keepdims=True)",
            ("tests/test_acceptance.py::test_criterion_08_noncooperation_barrier",)),
-    # the agent a DivergenceError names: the first past a bound, not one exactly on it
+    # the coordinate bound is inclusive: an agent exactly on it may stay, and a
+    # DivergenceError names the first agent past it, not one exactly on it
+    Mutant("an agent exactly on the coordinate bound refused", NAV,
+           "np.maximum.reduce(np.abs(new), axis=None, initial=0.0) <= MAX_COORD_M",
+           "np.maximum.reduce(np.abs(new), axis=None, initial=0.0) < MAX_COORD_M",
+           ("tests/test_navigator.py::test_apply_update_zero_gradient",)),
     Mutant("an agent exactly on the coordinate bound named", NAV,
            "np.all(np.abs(new) <= MAX_COORD_M, axis=-1)",
            "np.all(np.abs(new) < MAX_COORD_M, axis=-1)",
            (f"{DIVERGENCE}[at_the_coordinate_bound]",)),
-    Mutant("an agent exactly on the ground named", NAV,
-           "(new[..., 2] < 0.0)", "(new[..., 2] <= 0.0)", (f"{DIVERGENCE}[on_the_ground]",)),
+    # the other absolute limits are inclusive too: a value exactly on one is accepted
+    Mutant("a coordinate exactly MAX_COORD_M refused", SIM,
+           "if not abs(v) <= MAX_COORD_M:", "if not abs(v) < MAX_COORD_M:",
+           (BOUND_LOADS,)),
+    Mutant("an altitude exactly MAX_COORD_M refused", SIM,
+           "0.0 <= self.fixed_height_m <= MAX_COORD_M",
+           "0.0 <= self.fixed_height_m < MAX_COORD_M", (BOUND_LOADS,)),
+    Mutant("a scenario count of exactly 2**63 accepted", SIM,
+           "if getattr(self, count) >= 2 ** 63:", "if getattr(self, count) > 2 ** 63:",
+           ("tests/test_simulator.py::test_a_bad_scenario_field_raises_its_message"
+            "[iterations_of_2_to_the_63]",)),
+    Mutant("a minibatch_size of exactly 2**63 accepted", NAV,
+           "if self.minibatch_size >= 2 ** 63:", "if self.minibatch_size > 2 ** 63:",
+           ("tests/test_navigator.py::test_step_schedule",)),
+    Mutant("a transmitter exactly EPS_DISTANCE_M from a point refused", CHANNEL,
+           "< EPS_DISTANCE_M * EPS_DISTANCE_M:", "<= EPS_DISTANCE_M * EPS_DISTANCE_M:",
+           ("tests/test_channel.py::test_a_transmitter_exactly_at_the_guard_distance_is_allowed",)),
+    Mutant("a coverage grid of 2 refused", REPORT,
+           "if grid_resolution < 2:", "if grid_resolution <= 2:",
+           ("tests/test_simulator.py::test_coverage_map_bad_inputs",)),
     # the simulation's draws and steps
     Mutant("noise drawn before the recipients", SIM,
            "        for rng, row in zip(rngs, uniforms):\n"
